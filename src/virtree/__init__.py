@@ -17,7 +17,7 @@ from .coordinators import (
     predicted_liveness,
 )
 from .errors import (
-    Disconnected,
+    ConservationError,
     EmptyGoalSet,
     InvalidConfig,
     NoCandidate,
@@ -34,7 +34,6 @@ from .hierarchical import (
     TreeLinks,
     leader_on_receive_immediate,
     route_interior,
-    tree_path_length,
 )
 from .messages import Message, new_command, unexecuted_goals
 from .metrics import MetricsReport, TraceRecord, build_report, dump_trace, parse_trace
@@ -55,9 +54,9 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CommandSpec",
+    "ConservationError",
     "CoordinatorSet",
     "DelayParams",
-    "Disconnected",
     "EmptyGoalSet",
     "FailureSpec",
     "HierarchyConfig",
@@ -101,7 +100,6 @@ __all__ = [
     "route_interior",
     "run",
     "scenario_to_dict",
-    "tree_path_length",
     "unexecuted_goals",
     "validate_scenario",
     "worker_broadcast",

@@ -14,8 +14,8 @@ import sys
 from dataclasses import replace
 from statistics import fmean
 
-from .coordinators import liveness_trials
-from .errors import OracleMismatch, ScenarioInvalid
+from .coordinators import liveness_trials, predicted_liveness
+from .errors import InvalidConfig, OracleMismatch, ScenarioInvalid
 from .metrics import (
     adjacent_broadcast_count,
     dump_trace,
@@ -134,10 +134,13 @@ def _parse_values(param: str, text: str) -> list:
     items = [x.strip() for x in text.split(",") if x.strip()]
     if not items:
         raise ScenarioInvalid("--values", "no sweep values given")
-    if param == "p":
-        return [float(x) for x in items]
-    if param in ("K", "regions"):
-        return [int(x) for x in items]
+    try:
+        if param == "p":
+            return [float(x) for x in items]
+        if param in ("K", "regions"):
+            return [int(x) for x in items]
+    except ValueError as e:
+        raise ScenarioInvalid("--values", str(e)) from None
     return items  # strategy names
 
 
@@ -152,11 +155,19 @@ def cmd_sweep(args) -> int:
 
     if args.param in ("p", "K"):
         # coordinator liveness study: direct Monte-Carlo over the roster
+        if args.param == "K":
+            try:
+                predicted_liveness(args.base_p, 1)
+            except ValueError as e:
+                raise ScenarioInvalid("--p", str(e)) from None
         rows.append("param,value,trials,live_fraction,predicted,ci_low,ci_high,within_3sigma")
         for v in values:
             p = v if args.param == "p" else args.base_p
             k = sc.config.coordinator_k if args.param == "p" else v
-            outcomes = liveness_trials(p, k, args.trials, sc.seed)
+            try:
+                outcomes = liveness_trials(p, k, args.trials, sc.seed)
+            except ValueError as e:
+                raise ScenarioInvalid("--values", str(e)) from None
             est = liveness_estimate(outcomes, p, k)
             rows.append(f"{args.param},{v},{est.trials},{est.fraction},"
                         f"{est.predicted},{est.ci_low},{est.ci_high},{est.within_3sigma}")
@@ -192,16 +203,19 @@ def _sweep_variant(sc, param: str, value):
         return replace(sc, strategy=value)
     # regions: rescale the region count, keeping cluster/worker shape
     cfg = sc.config
-    new_cfg = HierarchyConfig(
-        num_layers=cfg.num_layers,
-        workers_per_cluster=cfg.workers_per_cluster,
-        clusters_per_region=cfg.clusters_per_region,
-        regions_per_hub=value,
-        hubs_per_domain=1,
-        domains=1,
-        coordinator_k=cfg.coordinator_k,
-        t_min=cfg.t_min,
-    )
+    try:
+        new_cfg = HierarchyConfig(
+            num_layers=cfg.num_layers,
+            workers_per_cluster=cfg.workers_per_cluster,
+            clusters_per_region=cfg.clusters_per_region,
+            regions_per_hub=value,
+            hubs_per_domain=1,
+            domains=1,
+            coordinator_k=cfg.coordinator_k,
+            t_min=cfg.t_min,
+        )
+    except InvalidConfig as e:
+        raise ScenarioInvalid("--values", str(e)) from None
     if sc.adjacency_override is not None:
         raise ScenarioInvalid("--param",
                               "regions sweep cannot rescale an explicit adjacency override")

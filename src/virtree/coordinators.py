@@ -12,7 +12,7 @@ failures with probability p leave it live with probability 1 - p**K.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import RegionDead
 from .topology import (
@@ -33,8 +33,6 @@ class CoordinatorSet:
     k: int
     t_min: int
     active: list[WorkerId]
-    health: dict[WorkerId, bool] = field(default_factory=dict)
-    metric: dict[WorkerId, float] = field(default_factory=dict)
 
     @classmethod
     def initial(cls, topo: Topology, region: RegionId) -> "CoordinatorSet":
@@ -62,11 +60,6 @@ def region_live(cs: CoordinatorSet, topo: Topology) -> bool:
     return any(topo.is_alive(w) for w in cs.active)
 
 
-def needs_reselection(cs: CoordinatorSet, topo: Topology) -> bool:
-    """True iff alive actives fell below T_min; exactly T_min is still fine."""
-    return sum(1 for w in cs.active if topo.is_alive(w)) < cs.t_min
-
-
 def select_replacements(cs: CoordinatorSet, topo: Topology, need: int,
                         load_of=None) -> list[WorkerId]:
     """Pick up to `need` promotion candidates, best metric first.
@@ -84,7 +77,6 @@ def select_replacements(cs: CoordinatorSet, topo: Topology, need: int,
             continue
         load = load_of(w) if load_of else 0
         m = candidate_metric(topo, w, load)
-        cs.metric[w] = m
         scored.append((-m, w))
     scored.sort()
     return [w for _, w in scored[:need]]
@@ -119,12 +111,10 @@ def monitor_round(cs: CoordinatorSet, topo: Topology, load_of=None,
     alive = [w for w in cs.active if topo.is_alive(w)]
     alive_before = len(alive)
     if alive_before == 0:
-        cs.health = {w: False for w in cs.active}
         raise RegionDead(f"region {cs.region} has no alive coordinator")
 
     removed = [w for w in cs.active if not topo.is_alive(w)]
     cs.active = alive
-    cs.health = {w: True for w in cs.active}
 
     promoted: list[WorkerId] = []
     degraded = False
@@ -135,8 +125,6 @@ def monitor_round(cs: CoordinatorSet, topo: Topology, load_of=None,
             need = min(need, 1)
         promoted = select_replacements(cs, topo, need, load_of)
         cs.active.extend(promoted)
-        for w in promoted:
-            cs.health[w] = True
         degraded = len(cs.active) < cs.t_min
 
     return RoundOutcome(

@@ -29,8 +29,15 @@ class RegionDead(VirtreeError):
     """No alive coordinator remains in the region."""
 
 
-class Disconnected(VirtreeError):
-    """No tree path exists between the requested endpoints."""
+class ConservationError(VirtreeError):
+    """Message-copy accounting did not balance at the end of a run.
+
+    `counters` holds the kernel's conservation counters at that point.
+    """
+
+    def __init__(self, counters: dict[str, int]):
+        self.counters = dict(sorted(counters.items()))
+        super().__init__(f"message accounting out of balance: {self.counters}")
 
 
 class ScenarioInvalid(VirtreeError):

@@ -20,7 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .adjacent import LeaderState, _local_delivery
-from .errors import Disconnected, UnknownCluster
 from .messages import Message, unexecuted_goals
 from .topology import (
     LAYER_LEADER,
@@ -44,7 +43,6 @@ class TreeLinks:
 
     topo: Topology
     num_layers: int
-    top_layer: int
     apex: Node | None
     root: Node
 
@@ -54,7 +52,7 @@ class TreeLinks:
         top_scopes = cls._scope_count(topo, n)
         apex = (n + 1, 0) if top_scopes > 1 else None
         root = apex if apex else (n, 0)
-        return cls(topo=topo, num_layers=n, top_layer=n, apex=apex, root=root)
+        return cls(topo=topo, num_layers=n, apex=apex, root=root)
 
     @staticmethod
     def _scope_count(topo: Topology, layer: int) -> int:
@@ -79,7 +77,7 @@ class TreeLinks:
         layer, scope = node
         if node == self.root:
             return None
-        if layer == self.top_layer:
+        if layer == self.num_layers:
             return self.apex
         if layer == LAYER_LEADER:
             up_scope = self.topo.region_of[scope]
@@ -99,14 +97,14 @@ class TreeLinks:
         """The child branch of an interior node whose subtree holds cluster c."""
         layer, _ = node
         if self.apex and node == self.apex:
-            return (self.top_layer, self.scope_at(c, self.top_layer))
+            return (self.num_layers, self.scope_at(c, self.num_layers))
         return (layer - 1, self.scope_at(c, layer - 1))
 
     def holder(self, node: Node) -> WorkerId | None:
         """Current worker bound to a node's role; None when vacant."""
         layer, scope = node
         if self.apex and node == self.apex:
-            layer, scope = self.top_layer, 0
+            layer, scope = self.num_layers, 0
         return self.topo.role_map.layer_map(layer).get(scope)
 
     def holder_cluster(self, node: Node) -> int | None:
@@ -211,64 +209,3 @@ def route_interior(node: Node, m: Message, arrived_from: Node, topo: Topology,
         up = m.copy(hop_count=m.hop_count + 1, last_sent_cluster_id=sender_cluster)
         out.append((links.parent(node), up))
     return out
-
-
-def _tree_edges(topo: Topology) -> dict[Node, list[Node]]:
-    """Undirected tree edge map built straight from containment data.
-
-    Intentionally separate from TreeLinks so path-length checks do not reuse
-    the routing code they are checking.
-    """
-    n = topo.config.num_layers
-    adj: dict[Node, list[Node]] = {}
-
-    def add(a: Node, b: Node):
-        adj.setdefault(a, []).append(b)
-        adj.setdefault(b, []).append(a)
-
-    if n >= 3:
-        for c in topo.clusters:
-            add((2, c), (3, topo.region_of[c]))
-    if n >= 4:
-        for r in topo.regions:
-            add((3, r), (4, topo.hub_of[r]))
-    if n >= 5:
-        for h in range(topo.config.n_hubs):
-            add((4, h), (5, topo.domain_of[h]))
-
-    top_scopes = {
-        2: topo.config.n_clusters,
-        3: topo.config.n_regions,
-        4: topo.config.n_hubs,
-        5: topo.config.domains,
-    }[n]
-    if top_scopes > 1:
-        for s in range(top_scopes):
-            add((n, s), (n + 1, 0))
-    for c in topo.clusters:  # make sure isolated leaves exist in the map
-        adj.setdefault((2, c), [])
-    return adj
-
-
-def tree_path_length(topo: Topology, a: ClusterId, b: ClusterId) -> int:
-    """Edge count of the unique tree path between two clusters' leaf nodes."""
-    for c in (a, b):
-        if c not in topo.region_of:
-            raise UnknownCluster(f"cluster {c}")
-    if a == b:
-        return 0
-    adj = _tree_edges(topo)
-    start, target = (2, a), (2, b)
-    frontier = [start]
-    dist = {start: 0}
-    while frontier:
-        nxt = []
-        for node in frontier:
-            for peer in adj[node]:
-                if peer not in dist:
-                    dist[peer] = dist[node] + 1
-                    if peer == target:
-                        return dist[peer]
-                    nxt.append(peer)
-        frontier = nxt
-    raise Disconnected(f"no tree path between clusters {a} and {b}")

@@ -1,4 +1,4 @@
-"""Command message records and their canonical encodings.
+"""Command message records.
 
 Copies are value-semantic: every forward or broadcast clones the record, and
 the goal/visited/executed sets of distinct copies never merge back together.
@@ -7,15 +7,11 @@ A copy's set fields only ever grow.
 
 from __future__ import annotations
 
-import json
-import struct
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 from .errors import EmptyGoalSet
 
 MsgId = tuple[int, int]  # (original source cluster, per-source sequence)
-
-_U32 = struct.Struct(">I")
 
 
 @dataclass
@@ -62,86 +58,6 @@ def new_command(origin_cluster: int, seq: int, goals: set[int],
 
 def unexecuted_goals(m: Message) -> frozenset[int]:
     return m.goal_cluster_ids - m.executed_cluster_ids
-
-
-def _pack_ids(ids) -> bytes:
-    ordered = sorted(ids)
-    return _U32.pack(len(ordered)) + b"".join(_U32.pack(i) for i in ordered)
-
-
-def _unpack_ids(buf: memoryview, off: int) -> tuple[frozenset[int], int]:
-    (n,) = _U32.unpack_from(buf, off)
-    off += 4
-    ids = struct.unpack_from(f">{n}I", buf, off) if n else ()
-    return frozenset(ids), off + 4 * n
-
-
-def encode(m: Message) -> bytes:
-    """Canonical length-prefixed binary form; set fields as sorted id arrays."""
-    body = b"".join([
-        _U32.pack(m.msg_id[0]),
-        _U32.pack(m.msg_id[1]),
-        _pack_ids(m.goal_cluster_ids),
-        _pack_ids(m.target_worker_ids),
-        _pack_ids(m.visited_cluster_ids),
-        _pack_ids(m.executed_cluster_ids),
-        _U32.pack(m.hop_count),
-        _U32.pack(m.original_source),
-        _U32.pack(m.last_sent_cluster_id),
-        bytes([1 if m.forward_flag else 0]),
-        _U32.pack(len(m.payload)),
-        m.payload,
-    ])
-    return _U32.pack(len(body)) + body
-
-
-def decode(data: bytes) -> Message:
-    buf = memoryview(data)
-    (total,) = _U32.unpack_from(buf, 0)
-    if total != len(data) - 4:
-        raise ValueError(f"length prefix {total} does not match body size {len(data) - 4}")
-    off = 4
-    src, seq = struct.unpack_from(">II", buf, off)
-    off += 8
-    goals, off = _unpack_ids(buf, off)
-    targets, off = _unpack_ids(buf, off)
-    visited, off = _unpack_ids(buf, off)
-    executed, off = _unpack_ids(buf, off)
-    hop, orig, last_sent = struct.unpack_from(">III", buf, off)
-    off += 12
-    flag = buf[off] == 1
-    off += 1
-    (paylen,) = _U32.unpack_from(buf, off)
-    off += 4
-    payload = bytes(buf[off:off + paylen])
-    return Message(
-        msg_id=(src, seq),
-        goal_cluster_ids=goals,
-        target_worker_ids=targets,
-        visited_cluster_ids=visited,
-        executed_cluster_ids=executed,
-        hop_count=hop,
-        original_source=orig,
-        last_sent_cluster_id=last_sent,
-        forward_flag=flag,
-        payload=payload,
-    )
-
-
-def to_json_obj(m: Message) -> dict:
-    """JSON-compatible rendering used by trace records; lists sorted."""
-    return {
-        "msg_id": f"{m.msg_id[0]}:{m.msg_id[1]}",
-        "goals": sorted(m.goal_cluster_ids),
-        "targets": sorted(m.target_worker_ids),
-        "visited": sorted(m.visited_cluster_ids),
-        "executed": sorted(m.executed_cluster_ids),
-        "hop": m.hop_count,
-        "src": m.original_source,
-        "last_sent": m.last_sent_cluster_id,
-        "flag": m.forward_flag,
-        "payload": m.payload.hex(),
-    }
 
 
 def msg_id_str(mid: MsgId) -> str:

@@ -13,18 +13,19 @@ from .metrics import TraceRecord
 from .topology import Topology, goal_clusters_for_scope
 
 
-def _bfs(adjacency: dict, start) -> set:
-    seen = {start}
+def _bfs(adjacency: dict, start) -> dict:
+    """Hop distance from start to every node it reaches."""
+    dist = {start: 0}
     frontier = [start]
     while frontier:
         nxt = []
         for node in frontier:
             for peer in adjacency.get(node, ()):
-                if peer not in seen:
-                    seen.add(peer)
+                if peer not in dist:
+                    dist[peer] = dist[node] + 1
                     nxt.append(peer)
         frontier = nxt
-    return seen
+    return dist
 
 
 def reachable_clusters_adjacent(topo: Topology, origin: int) -> set[int]:
@@ -38,13 +39,12 @@ def reachable_clusters_adjacent(topo: Topology, origin: int) -> set[int]:
     return out
 
 
-def reachable_clusters_hier(topo: Topology, origin: int) -> set[int]:
-    """Clusters connected to the origin through the virtual tree.
+def containment_tree(topo: Topology) -> dict[tuple, set[tuple]]:
+    """Undirected virtual tree rebuilt from nothing but the containment maps.
 
-    The tree is rebuilt here from nothing but the containment maps: leaf
-    nodes ("c", id) hang under ("r", id) under ("h", id) under ("d", id),
-    with a single synthetic top when the topmost configured layer has more
-    than one scope.
+    Leaf nodes ("c", id) hang under ("r", id) under ("h", id) under
+    ("d", id), with a single synthetic top when the topmost configured layer
+    has more than one scope.
     """
     n = topo.config.num_layers
     adj: dict[tuple, set[tuple]] = {}
@@ -72,8 +72,12 @@ def reachable_clusters_hier(topo: Topology, origin: int) -> set[int]:
     if top_count > 1:
         for s in range(top_count):
             link((top_kind, s), ("top", 0))
+    return adj
 
-    reached = _bfs(adj, ("c", origin))
+
+def reachable_clusters_hier(topo: Topology, origin: int) -> set[int]:
+    """Clusters connected to the origin through the virtual tree."""
+    reached = _bfs(containment_tree(topo), ("c", origin))
     return {node[1] for node in reached if node[0] == "c"}
 
 

@@ -9,8 +9,8 @@ seed via sha256, one per (purpose, scope), consumed in event order.
 Events targeting workers that died in flight are tombstoned at fire time
 rather than removed from the queue, and every message copy ends the run in
 exactly one of: completed, dropped (dead target / jammed link), parked,
-cancelled, suppressed, or in flight at the horizon.  The run asserts that
-accounting balances.
+cancelled, suppressed, or in flight at the horizon.  The run raises
+ConservationError when that accounting does not balance.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from . import adjacent as adj
 from . import hierarchical as hier
 from .coordinators import CoordinatorSet, monitor_round, region_live
-from .errors import NoCandidate, RegionDead, ScenarioInvalid
+from .errors import ConservationError, NoCandidate, RegionDead, ScenarioInvalid
 from .messages import Message, msg_id_str, new_command, unexecuted_goals
 from .metrics import MetricsReport, TraceRecord, build_report
 from .topology import (
@@ -38,7 +38,6 @@ EV_BROADCAST = "ScheduledBroadcast"
 EV_MAINTENANCE = "MaintenanceRound"
 EV_FAILURE = "FailureInjection"
 EV_RECOVERY = "RecoveryInjection"
-EV_LINK = "LinkChange"
 
 DEFAULT_LATENCIES = {"cluster": 0.1, "region": 0.2, "adjacent": 0.5, "tree": 1.0}
 
@@ -545,7 +544,7 @@ class _Kernel:
                       {"dest": dest, "msg": m, "sender": {}, "command": True})
         for spec in sc.failures:
             kind = EV_RECOVERY if (spec.kind == "worker" and spec.action == "revive") \
-                else EV_LINK if spec.kind in ("link", "adjacency") else EV_FAILURE
+                else EV_FAILURE
             self.push(spec.time, kind, {"spec": spec})
         n_rounds = int(sc.horizon / sc.round_period + 1e-9)
         for i in range(1, n_rounds + 1):
@@ -575,10 +574,8 @@ class _Kernel:
                 self.handle_maintenance(payload)
             elif kind == EV_FAILURE:
                 self.handle_failure(payload)
-            elif kind == EV_RECOVERY:
+            else:  # EV_RECOVERY
                 self.revive_worker(payload["spec"].worker)
-            else:
-                self.handle_failure(payload)
 
         for _fire, _seq, kind, _payload in self.heap:
             if kind == EV_DELIVERY:
@@ -603,7 +600,8 @@ class _Kernel:
                   live_region_fraction=live / len(self.coords),
                   conservation=dict(sorted(self.counters.items())),
                   conserved=conserved)
-        assert conserved, f"message accounting out of balance: {self.counters}"
+        if not conserved:
+            raise ConservationError(self.counters)
         report = build_report(self.trace, sc.strategy)
         return self.trace, report
 

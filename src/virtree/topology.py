@@ -91,10 +91,6 @@ class HierarchyConfig:
                 f"coordinator_k={self.coordinator_k} exceeds region size {region_size}")
 
     @property
-    def n_domains(self) -> int:
-        return self.domains
-
-    @property
     def n_hubs(self) -> int:
         return self.domains * self.hubs_per_domain
 
@@ -135,20 +131,12 @@ class RoleMap:
         except KeyError:
             raise UnknownScope(f"no role layer {layer}") from None
 
-    def holders(self) -> set[WorkerId]:
-        out: set[WorkerId] = set()
-        for m in (self.cluster_leader, self.regional_hub,
-                  self.local_global, self.global_command):
-            out.update(m.values())
-        return out
-
 
 @dataclass
 class Topology:
     """Built hierarchy: containment maps, region adjacency, roles, aliveness."""
 
     config: HierarchyConfig
-    seed: int
     cluster_of: dict[WorkerId, ClusterId]
     region_of: dict[ClusterId, RegionId]
     hub_of: dict[RegionId, HubId]
@@ -209,52 +197,6 @@ class Topology:
         r = self.region_of[c]
         h = self.hub_of[r]
         return c, r, h, self.domain_of[h]
-
-    def to_dict(self) -> dict:
-        """Canonical JSON-compatible snapshot, stable key and element order."""
-        edges = sorted(
-            (a, b)
-            for a, nbrs in self.region_adjacency.items()
-            for b in nbrs if a < b
-        )
-        return {
-            "config": {
-                "num_layers": self.config.num_layers,
-                "workers_per_cluster": self.config.workers_per_cluster,
-                "clusters_per_region": self.config.clusters_per_region,
-                "regions_per_hub": self.config.regions_per_hub,
-                "hubs_per_domain": self.config.hubs_per_domain,
-                "domains": self.config.domains,
-                "coordinator_k": self.config.coordinator_k,
-                "t_min": self.config.t_min,
-            },
-            "seed": self.seed,
-            "region_adjacency": [list(e) for e in edges],
-            "roles": {
-                "cluster_leader": {str(k): v for k, v in sorted(self.role_map.cluster_leader.items())},
-                "regional_hub": {str(k): v for k, v in sorted(self.role_map.regional_hub.items())},
-                "local_global": {str(k): v for k, v in sorted(self.role_map.local_global.items())},
-                "global_command": {str(k): v for k, v in sorted(self.role_map.global_command.items())},
-            },
-            "alive": sorted(self.alive),
-            "energy": {str(w): self.energy[w] for w in sorted(self.energy)},
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "Topology":
-        cfg = HierarchyConfig(**data["config"])
-        topo = build_topology(cfg, data["seed"],
-                              adjacency=[tuple(e) for e in data["region_adjacency"]])
-        topo.alive = set(data["alive"])
-        rm = data["roles"]
-        topo.role_map = RoleMap(
-            cluster_leader={int(k): v for k, v in rm["cluster_leader"].items()},
-            regional_hub={int(k): v for k, v in rm["regional_hub"].items()},
-            local_global={int(k): v for k, v in rm["local_global"].items()},
-            global_command={int(k): v for k, v in rm["global_command"].items()},
-        )
-        topo.energy = {int(k): v for k, v in data["energy"].items()}
-        return topo
 
 
 def grid_adjacency(n_regions: int) -> dict[RegionId, tuple[RegionId, ...]]:
@@ -354,7 +296,6 @@ def build_topology(config: HierarchyConfig, seed: int,
 
     return Topology(
         config=config,
-        seed=seed,
         cluster_of=cluster_of,
         region_of=region_of,
         hub_of=hub_of,

@@ -5,7 +5,6 @@ from virtree.coordinators import (
     candidate_metric,
     liveness_trials,
     monitor_round,
-    needs_reselection,
     predicted_liveness,
     region_live,
     select_replacements,
@@ -36,15 +35,6 @@ class TestRoster:
         assert region_live(cs, topo32)
         topo32.mark_dead(4)
         assert not region_live(cs, topo32)
-
-    def test_needs_reselection_threshold(self, topo32):
-        cs = CoordinatorSet.initial(topo32, 0)
-        topo32.mark_dead(0)
-        assert not needs_reselection(cs, topo32)  # 4 alive
-        topo32.mark_dead(1)
-        assert not needs_reselection(cs, topo32)  # exactly T_min
-        topo32.mark_dead(2)
-        assert needs_reselection(cs, topo32)
 
 
 class TestCandidateMetric:
@@ -114,6 +104,17 @@ class TestMonitorRound:
         assert out.size_after == 4  # still >= T_min
         assert not out.degraded
 
+    def test_exactly_t_min_alive_needs_no_promotion(self):
+        topo = make_topo()
+        cs = CoordinatorSet.initial(topo, 0)
+        topo.mark_dead(0)
+        topo.mark_dead(1)
+        out = monitor_round(cs, topo)
+        assert out.removed == [0, 1]
+        assert out.promoted == []
+        assert out.size_after == 3  # exactly T_min is still fine
+        assert not out.degraded
+
     def test_breach_refills_to_t_min_same_round(self):
         topo = make_topo()
         cs = CoordinatorSet.initial(topo, 0)
@@ -166,7 +167,6 @@ class TestMonitorRound:
             topo.mark_dead(w)
         with pytest.raises(RegionDead):
             monitor_round(cs, topo)
-        assert all(v is False for v in cs.health.values())
 
     def test_roster_repair_leaves_roles_alone(self):
         topo = make_topo()

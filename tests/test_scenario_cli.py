@@ -280,6 +280,19 @@ class TestCliSweep:
                      "--values", "1,2", "--trials", "1",
                      "--out", str(tmp_path / "out")]) == 2
 
+    @pytest.mark.parametrize("args, field", [
+        (["--param", "regions", "--values", "0"], "--values"),
+        (["--param", "K", "--values", "0"], "--values"),
+        (["--param", "p", "--values", "2"], "--values"),
+        (["--param", "K", "--values", "abc"], "--values"),
+        (["--param", "K", "--values", "3", "--p", "1.5"], "--p"),
+    ], ids=["regions-0", "K-0", "p-2", "K-abc", "base-p-1.5"])
+    def test_bad_values_exit_2_naming_the_field(self, tmp_path, capsys, args, field):
+        code = main(["sweep", "--scenario", write_scenario(tmp_path), *args,
+                     "--trials", "1", "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert f"invalid scenario: {field}: " in capsys.readouterr().err
+
     def test_unknown_strategy_value_rejected(self, tmp_path):
         assert main(["sweep", "--scenario", write_scenario(tmp_path),
                      "--param", "strategy", "--values", "teleport",

@@ -3,12 +3,13 @@ import random
 import pytest
 
 from virtree.adjacent import DelayParams
-from virtree.errors import ScenarioInvalid
+from virtree.errors import ConservationError, ScenarioInvalid
 from virtree.metrics import dump_trace, region_crossing_count
 from virtree.simkernel import (
     CommandSpec,
     FailureSpec,
     Scenario,
+    _Kernel,
     run,
     validate_scenario,
 )
@@ -187,6 +188,23 @@ class TestRunRecords:
         assert last.data["conserved"] is True
         assert last.data["live_region_fraction"] == 1.0
         assert report.conservation == last.data["conservation"]
+
+    def test_imbalance_raises_after_run_end(self, monkeypatch):
+        bump = _Kernel.bump
+
+        def lose_completions(self, key, n=1):
+            if key != "deliveries_completed":
+                bump(self, key, n)
+
+        monkeypatch.setattr(_Kernel, "bump", lose_completions)
+        kernel = _Kernel(scenario(commands=[CommandSpec(time=0.5, origin=0,
+                                                        scope=("region", 1))]))
+        with pytest.raises(ConservationError) as info:
+            kernel.run()
+        assert info.value.counters["deliveries_enqueued"] > 0
+        assert "deliveries_completed" not in info.value.counters
+        last = kernel.trace[-1]
+        assert (last.event, last.data["conserved"]) == ("run_end", False)
 
 
 class TestValidation:

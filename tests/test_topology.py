@@ -1,4 +1,3 @@
-import json
 import random
 
 import pytest
@@ -6,7 +5,6 @@ import pytest
 from virtree.errors import InvalidConfig, NoCandidate, UnknownCluster, UnknownScope
 from virtree.topology import (
     HierarchyConfig,
-    Topology,
     build_topology,
     derive_seed,
     goal_clusters_for_scope,
@@ -24,7 +22,6 @@ class TestConfig:
         assert cfg.n_clusters == 16
         assert cfg.n_regions == 4
         assert cfg.n_hubs == 2
-        assert cfg.n_domains == 1
 
     def test_num_layers_range(self):
         with pytest.raises(InvalidConfig):
@@ -84,10 +81,11 @@ class TestBuild:
                               regions_per_hub=2)
         a = build_topology(cfg, seed=99)
         b = build_topology(cfg, seed=99)
-        dump = lambda t: json.dumps(t.to_dict(), sort_keys=True)
-        assert dump(a) == dump(b)
+        assert a.energy == b.energy
+        assert a.role_map == b.role_map
+        assert a.region_adjacency == b.region_adjacency
         c = build_topology(cfg, seed=100)
-        assert dump(a) != dump(c)  # seed feeds the energy scalars
+        assert a.energy != c.energy  # seed feeds the energy scalars
 
     def test_energy_bounds(self, topo32):
         assert all(0.2 <= e <= 1.0 for e in topo32.energy.values())
@@ -105,12 +103,6 @@ class TestBuild:
         # containment stays full depth even without the upper roles
         assert len(topo.hub_of) == cfg.n_regions
         assert len(topo.domain_of) == cfg.n_hubs
-
-    def test_dict_round_trip(self, topo32):
-        topo32.mark_dead(5)
-        reelect_role(topo32, 2, 2)
-        back = Topology.from_dict(topo32.to_dict())
-        assert back.to_dict() == topo32.to_dict()
 
     def test_scope_chain_total(self, topo32):
         for w in topo32.workers:
