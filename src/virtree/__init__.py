@@ -19,7 +19,6 @@ from .coordinators import (
 from .errors import (
     ConservationError,
     EmptyGoalSet,
-    InvalidConfig,
     NoCandidate,
     OracleMismatch,
     RegionDead,
@@ -37,8 +36,15 @@ from .hierarchical import (
 )
 from .messages import Message, new_command, unexecuted_goals
 from .metrics import MetricsReport, TraceRecord, build_report, dump_trace, parse_trace
-from .scenario import build_scenario, load_scenario_file, scenario_to_dict
-from .simkernel import CommandSpec, FailureSpec, Scenario, run, validate_scenario
+from .scenario import (
+    CommandSpec,
+    FailureSpec,
+    Scenario,
+    build_scenario,
+    load_scenario_file,
+    validate_scenario,
+)
+from .simkernel import run
 from .topology import (
     HierarchyConfig,
     Topology,
@@ -60,7 +66,6 @@ __all__ = [
     "EmptyGoalSet",
     "FailureSpec",
     "HierarchyConfig",
-    "InvalidConfig",
     "LeaderState",
     "MODE_LCA",
     "MODE_ROOT",
@@ -99,7 +104,6 @@ __all__ = [
     "reelect_role",
     "route_interior",
     "run",
-    "scenario_to_dict",
     "unexecuted_goals",
     "validate_scenario",
     "worker_broadcast",

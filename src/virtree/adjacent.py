@@ -21,23 +21,20 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
-from .errors import InvalidConfig
 from .messages import Message, MsgId, unexecuted_goals
 from .topology import Topology, WorkerId, ClusterId, hierarchy_distance
 
 
 @dataclass(frozen=True)
 class DelayParams:
-    """Coefficients of the deferred-forwarding delay. All must be >= 0."""
+    """Coefficients of the deferred-forwarding delay.
+
+    All must be >= 0, as ``scenario.validate_scenario`` checks.
+    """
 
     alpha: float = 1.0
     beta: float = 0.1
     epsilon: float = 0.05
-
-    def __post_init__(self):
-        for name in ("alpha", "beta", "epsilon"):
-            if getattr(self, name) < 0:
-                raise InvalidConfig(f"delay parameter {name} must be >= 0")
 
 
 @dataclass

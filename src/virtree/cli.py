@@ -15,7 +15,7 @@ from dataclasses import replace
 from statistics import fmean
 
 from .coordinators import liveness_trials, predicted_liveness
-from .errors import InvalidConfig, OracleMismatch, ScenarioInvalid
+from .errors import OracleMismatch, ScenarioInvalid
 from .metrics import (
     adjacent_broadcast_count,
     dump_trace,
@@ -23,11 +23,9 @@ from .metrics import (
     liveness_estimate,
 )
 from .oracle import check_trace
-from .scenario import load_scenario_file
+from .scenario import load_scenario_file, validate_scenario
 from .simkernel import run as run_scenario
-from .topology import HierarchyConfig, derive_seed
-
-ORACLE_CLUSTER_LIMIT = 64
+from .topology import build_topology, derive_seed, goal_clusters_for_scope
 
 
 def _add_common(p: argparse.ArgumentParser):
@@ -103,25 +101,19 @@ def cmd_validate(args) -> int:
 
 def cmd_oracle_check(args) -> int:
     sc = load_scenario_file(args.scenario, args.overrides, args.seed)
-    if sc.config.n_clusters > ORACLE_CLUSTER_LIMIT:
-        raise ScenarioInvalid(
-            "topology", f"oracle-check supports at most {ORACLE_CLUSTER_LIMIT} clusters, "
-                        f"got {sc.config.n_clusters}")
     if sc.failures:
         raise ScenarioInvalid("failures", "oracle-check requires a failure-free scenario")
-    from .simkernel import _Kernel  # need the built topology for target checks
-    from .topology import goal_clusters_for_scope
-    kernel = _Kernel(sc)
+    # failure-free, so the run leaves this topology as built
+    topo = build_topology(sc.config, sc.seed, adjacency=sc.adjacency_override)
     for i, cmd in enumerate(sc.commands):
-        goals = goal_clusters_for_scope(kernel.topo, cmd.scope)
-        outside = [t for t in sorted(cmd.targets)
-                   if kernel.topo.cluster_of[t] not in goals]
+        goals = goal_clusters_for_scope(topo, cmd.scope)
+        outside = [t for t in sorted(cmd.targets) if topo.cluster_of[t] not in goals]
         if outside:
             raise ScenarioInvalid(
                 f"commands[{i}].targets",
                 f"oracle-check needs targets inside goal clusters; {outside} are not")
-    trace, _report = kernel.run()
-    mismatches = check_trace(trace, kernel.topo, sc.strategy, sc.commands)
+    trace, _report = run_scenario(sc)
+    mismatches = check_trace(trace, topo, sc.strategy, sc.commands)
     if mismatches:
         for line in mismatches:
             print(f"oracle mismatch: {line}", file=sys.stderr)
@@ -149,37 +141,36 @@ def cmd_sweep(args) -> int:
     values = _parse_values(args.param, args.values)
     if args.trials < 1:
         raise ScenarioInvalid("--trials", "must be >= 1")
+    # every sweep value is checked before the first trial and before --out exists
+    if args.param in ("p", "K"):
+        if args.param == "K":
+            _check_liveness_point("--p", args.base_p, 1)
+        points = [(v, sc.config.coordinator_k) if args.param == "p" else (args.base_p, v)
+                  for v in values]
+        for p, k in points:
+            _check_liveness_point("--values", p, k)
+    else:
+        variants = [_sweep_variant(sc, args.param, v) for v in values]
     os.makedirs(args.out, exist_ok=True)
     out_path = os.path.join(args.out, "sweep.csv")
     rows: list[str] = []
 
     if args.param in ("p", "K"):
         # coordinator liveness study: direct Monte-Carlo over the roster
-        if args.param == "K":
-            try:
-                predicted_liveness(args.base_p, 1)
-            except ValueError as e:
-                raise ScenarioInvalid("--p", str(e)) from None
         rows.append("param,value,trials,live_fraction,predicted,ci_low,ci_high,within_3sigma")
-        for v in values:
-            p = v if args.param == "p" else args.base_p
-            k = sc.config.coordinator_k if args.param == "p" else v
-            try:
-                outcomes = liveness_trials(p, k, args.trials, sc.seed)
-            except ValueError as e:
-                raise ScenarioInvalid("--values", str(e)) from None
+        for v, (p, k) in zip(values, points):
+            outcomes = liveness_trials(p, k, args.trials, sc.seed)
             est = liveness_estimate(outcomes, p, k)
             rows.append(f"{args.param},{v},{est.trials},{est.fraction},"
                         f"{est.predicted},{est.ci_low},{est.ci_high},{est.within_3sigma}")
     else:
         rows.append("param,value,trials,goal_fraction,mean_latency,transmissions,"
                     "live_region_fraction")
-        for v in values:
+        for v, variant in zip(values, variants):
             frac, lat, tx, live = [], [], [], []
             for trial in range(args.trials):
-                variant = _sweep_variant(sc, args.param, v)
-                variant = replace(variant, seed=derive_seed(sc.seed, "sweep", str(v), trial))
-                trace, report = run_scenario(variant)
+                trial_sc = replace(variant, seed=derive_seed(sc.seed, "sweep", str(v), trial))
+                trace, report = run_scenario(trial_sc)
                 total = sum(m.goals_total for m in report.messages.values())
                 done = sum(m.goals_executed for m in report.messages.values())
                 frac.append(done / total if total else 1.0)
@@ -196,30 +187,28 @@ def cmd_sweep(args) -> int:
     return 0
 
 
-def _sweep_variant(sc, param: str, value):
-    if param == "strategy":
-        if value not in ("adjacent", "hierarchical"):
-            raise ScenarioInvalid("--values", f"unknown strategy {value!r}")
-        return replace(sc, strategy=value)
-    # regions: rescale the region count, keeping cluster/worker shape
-    cfg = sc.config
+def _check_liveness_point(flag: str, p: float, k: int):
     try:
-        new_cfg = HierarchyConfig(
-            num_layers=cfg.num_layers,
-            workers_per_cluster=cfg.workers_per_cluster,
-            clusters_per_region=cfg.clusters_per_region,
-            regions_per_hub=value,
-            hubs_per_domain=1,
-            domains=1,
-            coordinator_k=cfg.coordinator_k,
-            t_min=cfg.t_min,
-        )
-    except InvalidConfig as e:
-        raise ScenarioInvalid("--values", str(e)) from None
-    if sc.adjacency_override is not None:
-        raise ScenarioInvalid("--param",
-                              "regions sweep cannot rescale an explicit adjacency override")
-    return replace(sc, config=new_cfg)
+        predicted_liveness(p, k)
+    except ValueError as e:
+        raise ScenarioInvalid(flag, str(e)) from None
+
+
+def _sweep_variant(sc, param: str, value):
+    """The scenario one strategy or regions sweep value runs, validated whole."""
+    if param == "strategy":
+        variant = replace(sc, strategy=value)
+    else:  # regions: rescale the region count, keeping cluster/worker shape
+        if sc.adjacency_override is not None:
+            raise ScenarioInvalid("--param",
+                                  "regions sweep cannot rescale an explicit adjacency override")
+        variant = replace(sc, config=replace(sc.config, regions_per_hub=value,
+                                             hubs_per_domain=1, domains=1))
+    try:
+        validate_scenario(variant)
+    except ScenarioInvalid as e:
+        raise ScenarioInvalid("--values", f"{value}: {e}") from None
+    return variant
 
 
 def main(argv=None) -> int:

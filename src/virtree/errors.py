@@ -5,10 +5,6 @@ class VirtreeError(Exception):
     """Base class for all library errors."""
 
 
-class InvalidConfig(VirtreeError):
-    """Hierarchy configuration violates a structural constraint."""
-
-
 class UnknownCluster(VirtreeError):
     """Cluster id not present in the topology."""
 

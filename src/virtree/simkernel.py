@@ -17,16 +17,15 @@ from __future__ import annotations
 
 import heapq
 import random
-from dataclasses import dataclass, field
 
 from . import adjacent as adj
 from . import hierarchical as hier
 from .coordinators import CoordinatorSet, monitor_round, region_live
-from .errors import ConservationError, NoCandidate, RegionDead, ScenarioInvalid
+from .errors import ConservationError, NoCandidate, RegionDead
 from .messages import Message, msg_id_str, new_command, unexecuted_goals
 from .metrics import MetricsReport, TraceRecord, build_report
+from .scenario import DEFAULT_LATENCIES, FailureSpec, Scenario
 from .topology import (
-    HierarchyConfig,
     build_topology,
     derive_seed,
     goal_clusters_for_scope,
@@ -39,138 +38,12 @@ EV_MAINTENANCE = "MaintenanceRound"
 EV_FAILURE = "FailureInjection"
 EV_RECOVERY = "RecoveryInjection"
 
-DEFAULT_LATENCIES = {"cluster": 0.1, "region": 0.2, "adjacent": 0.5, "tree": 1.0}
-
-STRATEGIES = ("adjacent", "hierarchical")
-
 MAX_PARK_RETRIES = 3
 
 
 def quantize(t: float) -> float:
     """Fixed-precision event time: everything scheduled lands on 1e-9 ticks."""
     return round(t, 9)
-
-
-@dataclass(frozen=True)
-class CommandSpec:
-    time: float
-    origin: int
-    scope: tuple
-    targets: frozenset[int] = frozenset()
-    payload: bytes = b""
-
-
-@dataclass(frozen=True)
-class FailureSpec:
-    time: float
-    kind: str  # "worker" | "region" | "link" | "adjacency"
-    action: str  # kill | revive | jam | clear | add | remove
-    worker: int | None = None
-    region: int | None = None
-    link_class: str | None = None
-    drop: float = 1.0
-    edge: tuple[int, int] | None = None
-
-
-@dataclass
-class Scenario:
-    config: HierarchyConfig
-    seed: int
-    horizon: float
-    strategy: str = "adjacent"
-    delay: adj.DelayParams = field(default_factory=adj.DelayParams)
-    adjacency_override: list[tuple[int, int]] | None = None
-    link_latencies: dict[str, float] = field(default_factory=lambda: dict(DEFAULT_LATENCIES))
-    commands: list[CommandSpec] = field(default_factory=list)
-    failures: list[FailureSpec] = field(default_factory=list)
-    round_period: float = 1.0
-    eager_refill: bool = False
-    single_promotion: bool = False
-    route_mode: str = hier.MODE_LCA
-
-
-def validate_scenario(sc: Scenario):
-    """Field-level sanity checks; raises ScenarioInvalid naming the field."""
-    cfg = sc.config
-    if sc.strategy not in STRATEGIES:
-        raise ScenarioInvalid("strategy", f"must be one of {STRATEGIES}, got {sc.strategy!r}")
-    if sc.route_mode not in (hier.MODE_LCA, hier.MODE_ROOT):
-        raise ScenarioInvalid("routing.mode", f"must be 'lca' or 'root', got {sc.route_mode!r}")
-    if not sc.horizon > 0:
-        raise ScenarioInvalid("horizon", f"must be > 0, got {sc.horizon}")
-    if not 0 <= sc.seed < 2 ** 64:
-        raise ScenarioInvalid("seed", "must fit in an unsigned 64-bit integer")
-    if not sc.round_period > 0:
-        raise ScenarioInvalid("coordinator.round_period", f"must be > 0, got {sc.round_period}")
-    for name, value in sc.link_latencies.items():
-        if name not in DEFAULT_LATENCIES:
-            raise ScenarioInvalid(f"link_latencies.{name}", "unknown link class")
-        if value < 0:
-            raise ScenarioInvalid(f"link_latencies.{name}", f"must be >= 0, got {value}")
-    if sc.adjacency_override is not None:
-        for i, edge in enumerate(sc.adjacency_override):
-            a, b = edge
-            if a == b:
-                raise ScenarioInvalid(f"topology.adjacency[{i}]", "self-loops not allowed")
-            for r in edge:
-                if not 0 <= r < cfg.n_regions:
-                    raise ScenarioInvalid(f"topology.adjacency[{i}]",
-                                          f"region {r} out of range (have {cfg.n_regions})")
-    for i, cmd in enumerate(sc.commands):
-        if cmd.time < 0:
-            raise ScenarioInvalid(f"commands[{i}].time", "must be >= 0")
-        if not 0 <= cmd.origin < cfg.n_clusters:
-            raise ScenarioInvalid(f"commands[{i}].origin",
-                                  f"cluster {cmd.origin} out of range (have {cfg.n_clusters})")
-        kind = cmd.scope[0] if cmd.scope else None
-        limits = {"cluster": cfg.n_clusters, "region": cfg.n_regions,
-                  "hub": cfg.n_hubs, "domain": cfg.domains}
-        if kind == "global":
-            pass
-        elif kind in limits:
-            sid = cmd.scope[1] if len(cmd.scope) > 1 else None
-            if sid is None or not 0 <= sid < limits[kind]:
-                raise ScenarioInvalid(f"commands[{i}].scope",
-                                      f"{kind} id {sid} out of range (have {limits[kind]})")
-        else:
-            raise ScenarioInvalid(f"commands[{i}].scope", f"unknown scope kind {kind!r}")
-        for t in cmd.targets:
-            if not 0 <= t < cfg.n_workers:
-                raise ScenarioInvalid(f"commands[{i}].targets",
-                                      f"worker {t} out of range (have {cfg.n_workers})")
-    for i, f in enumerate(sc.failures):
-        if f.time < 0:
-            raise ScenarioInvalid(f"failures[{i}].time", "must be >= 0")
-        if f.kind == "worker":
-            if f.action not in ("kill", "revive"):
-                raise ScenarioInvalid(f"failures[{i}].action", f"worker supports kill/revive, got {f.action!r}")
-            if f.worker is None or not 0 <= f.worker < cfg.n_workers:
-                raise ScenarioInvalid(f"failures[{i}].worker",
-                                      f"worker {f.worker} out of range (have {cfg.n_workers})")
-        elif f.kind == "region":
-            if f.action != "kill":
-                raise ScenarioInvalid(f"failures[{i}].action", f"region supports kill, got {f.action!r}")
-            if f.region is None or not 0 <= f.region < cfg.n_regions:
-                raise ScenarioInvalid(f"failures[{i}].region",
-                                      f"region {f.region} out of range (have {cfg.n_regions})")
-        elif f.kind == "link":
-            if f.action not in ("jam", "clear"):
-                raise ScenarioInvalid(f"failures[{i}].action", f"link supports jam/clear, got {f.action!r}")
-            if f.link_class not in DEFAULT_LATENCIES:
-                raise ScenarioInvalid(f"failures[{i}].link_class", f"unknown link class {f.link_class!r}")
-            if not 0.0 <= f.drop <= 1.0:
-                raise ScenarioInvalid(f"failures[{i}].drop", f"must be in [0, 1], got {f.drop}")
-        elif f.kind == "adjacency":
-            if f.action not in ("add", "remove"):
-                raise ScenarioInvalid(f"failures[{i}].action", f"adjacency supports add/remove, got {f.action!r}")
-            if f.edge is None or len(f.edge) != 2 or f.edge[0] == f.edge[1]:
-                raise ScenarioInvalid(f"failures[{i}].edge", "need two distinct region ids")
-            for r in f.edge:
-                if not 0 <= r < cfg.n_regions:
-                    raise ScenarioInvalid(f"failures[{i}].edge",
-                                          f"region {r} out of range (have {cfg.n_regions})")
-        else:
-            raise ScenarioInvalid(f"failures[{i}].kind", f"unknown failure kind {f.kind!r}")
 
 
 class _Kernel:
@@ -607,6 +480,9 @@ class _Kernel:
 
 
 def run(scenario: Scenario) -> tuple[list[TraceRecord], MetricsReport]:
-    """Validate and execute one scenario; returns (trace, metrics report)."""
-    validate_scenario(scenario)
+    """Execute one scenario; returns (trace, metrics report).
+
+    The scenario is trusted: ``scenario.build_scenario`` and
+    ``scenario.validate_scenario`` are where input is checked.
+    """
     return _Kernel(scenario).run()

@@ -19,7 +19,7 @@ import math
 import random
 from dataclasses import dataclass, field
 
-from .errors import InvalidConfig, NoCandidate, UnknownCluster, UnknownScope
+from .errors import NoCandidate, UnknownCluster, UnknownScope
 
 WorkerId = int
 ClusterId = int
@@ -63,6 +63,8 @@ class HierarchyConfig:
         Redundant active coordinators maintained per region.
     t_min:
         Minimum viable coordinator count per region, 1 <= t_min <= k.
+
+    The bounds above are checked by ``scenario.validate_scenario``, not here.
     """
 
     workers_per_cluster: int
@@ -73,22 +75,6 @@ class HierarchyConfig:
     num_layers: int = 5
     coordinator_k: int = 5
     t_min: int = 3
-
-    def __post_init__(self):
-        if not 2 <= self.num_layers <= 5:
-            raise InvalidConfig(f"num_layers must be in 2..5, got {self.num_layers}")
-        for name in ("workers_per_cluster", "clusters_per_region",
-                     "regions_per_hub", "hubs_per_domain", "domains"):
-            if getattr(self, name) < 1:
-                raise InvalidConfig(f"{name} must be >= 1, got {getattr(self, name)}")
-        region_size = self.workers_per_cluster * self.clusters_per_region
-        if not 1 <= self.t_min <= self.coordinator_k:
-            raise InvalidConfig(
-                f"need 1 <= t_min <= coordinator_k, got t_min={self.t_min} "
-                f"coordinator_k={self.coordinator_k}")
-        if self.coordinator_k > region_size:
-            raise InvalidConfig(
-                f"coordinator_k={self.coordinator_k} exceeds region size {region_size}")
 
     @property
     def n_hubs(self) -> int:
@@ -223,10 +209,6 @@ def _adjacency_from_edges(n_regions: int,
                           edges: list[tuple[RegionId, RegionId]]) -> dict[RegionId, tuple[RegionId, ...]]:
     adj: dict[RegionId, set[RegionId]] = {r: set() for r in range(n_regions)}
     for a, b in edges:
-        if a == b:
-            raise InvalidConfig(f"region adjacency must be irreflexive, got ({a},{b})")
-        if not (0 <= a < n_regions and 0 <= b < n_regions):
-            raise InvalidConfig(f"adjacency edge ({a},{b}) out of range for {n_regions} regions")
         adj[a].add(b)
         adj[b].add(a)
     return {r: tuple(sorted(ns)) for r, ns in adj.items()}
@@ -239,7 +221,9 @@ def build_topology(config: HierarchyConfig, seed: int,
     Ids are assigned row-major at every level, so worker w belongs to cluster
     w // workers_per_cluster and so on up the chain.  Initial role holders are
     the lowest-id worker of each scope.  The seed feeds only the per-worker
-    energy scalars consumed by the coordinator fitness metric.
+    energy scalars consumed by the coordinator fitness metric.  Each
+    ``adjacency`` edge joins two distinct in-range regions, as
+    ``scenario.validate_scenario`` checks.
     """
     n_workers = config.n_workers
     n_clusters = config.n_clusters

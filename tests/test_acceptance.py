@@ -15,8 +15,8 @@ from virtree.metrics import (adjacent_broadcast_count, containment_check,
                              hier_forward_count, recovery_latency,
                              region_crossing_count)
 from virtree.oracle import check_trace
-from virtree.simkernel import (CommandSpec, FailureSpec, Scenario, quantize,
-                               run)
+from virtree.scenario import CommandSpec, FailureSpec, Scenario
+from virtree.simkernel import quantize, run
 from virtree.topology import (HierarchyConfig, build_topology,
                               goal_clusters_for_scope)
 

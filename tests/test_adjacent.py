@@ -14,8 +14,9 @@ from virtree.adjacent import (
     worker_broadcast,
     worker_on_receive,
 )
-from virtree.errors import InvalidConfig
+from virtree.errors import ScenarioInvalid
 from virtree.messages import new_command
+from virtree.scenario import Scenario, validate_scenario
 from virtree.topology import HierarchyConfig, build_topology
 
 NO_JITTER = DelayParams(alpha=1.0, beta=0.0, epsilon=0.0)
@@ -104,8 +105,12 @@ class TestComputeDelay:
         assert a.random() == b.random()
 
     def test_negative_params_rejected(self):
-        with pytest.raises(InvalidConfig):
-            DelayParams(alpha=-0.1)
+        cfg = HierarchyConfig(2, 2, coordinator_k=3, t_min=2)
+        for name in ("alpha", "beta", "epsilon"):
+            sc = Scenario(config=cfg, seed=1, horizon=1.0, delay=DelayParams(**{name: -0.1}))
+            with pytest.raises(ScenarioInvalid) as err:
+                validate_scenario(sc)
+            assert err.value.field == f"delays.{name}"
 
 
 class TestLeaderDeferred:

@@ -9,7 +9,8 @@ from virtree.hierarchical import (
 from virtree.messages import new_command
 from virtree.metrics import hier_forward_count
 from virtree.oracle import _bfs, containment_tree
-from virtree.simkernel import CommandSpec, FailureSpec, Scenario, run
+from virtree.scenario import CommandSpec, FailureSpec, Scenario
+from virtree.simkernel import run
 from virtree.topology import HierarchyConfig, build_topology
 
 

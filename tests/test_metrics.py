@@ -14,7 +14,8 @@ from virtree.metrics import (
     recovery_latency,
     region_crossing_count,
 )
-from virtree.simkernel import CommandSpec, Scenario, run
+from virtree.scenario import CommandSpec, Scenario
+from virtree.simkernel import run
 from virtree.topology import HierarchyConfig
 
 

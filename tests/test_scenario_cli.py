@@ -5,7 +5,7 @@ import pytest
 from virtree.cli import main
 from virtree.errors import ScenarioInvalid
 from virtree.metrics import parse_trace
-from virtree.scenario import apply_overrides, build_scenario, scenario_to_dict
+from virtree.scenario import apply_overrides, build_scenario
 
 
 def base_dict(**extra):
@@ -40,25 +40,6 @@ class TestBuildScenario:
         assert sc.round_period == 1.0
         assert sc.link_latencies["tree"] == 1.0
 
-    def test_round_trip_is_lossless(self):
-        raw = base_dict(
-            strategy="hierarchical",
-            routing={"mode": "root"},
-            delays={"alpha": 2.0, "beta": 0.0, "epsilon": 0.0},
-            link_latencies={"tree": 0.5},
-            failures=[{"time": 1.0, "kind": "worker", "action": "kill", "worker": 3},
-                      {"time": 2.0, "kind": "link", "action": "jam",
-                       "link_class": "adjacent", "drop": 0.7},
-                      {"time": 3.0, "kind": "adjacency", "action": "remove",
-                       "edge": [0, 1]}],
-        )
-        raw["topology"]["adjacency"] = [[0, 1]]
-        raw["commands"][0]["targets"] = [5]
-        raw["commands"][0]["payload"] = "01ff"
-        sc = build_scenario(raw)
-        assert build_scenario(scenario_to_dict(sc)) == sc
-        assert scenario_to_dict(build_scenario(scenario_to_dict(sc))) == scenario_to_dict(sc)
-
     def test_command_payload_decoded(self):
         raw = base_dict()
         raw["commands"][0]["payload"] = "01ff"
@@ -92,6 +73,11 @@ class TestBuildScenario:
         (lambda d: d["commands"][0].update(payload="zz"), "commands[0].payload"),
         (lambda d: d["topology"].update(adjacency=[[0]]), "topology.adjacency[0]"),
         (lambda d: d.update(link_latencies={"tree": True}), "link_latencies.tree"),
+        (lambda d: d["commands"][0].update(targets=[True]), "commands[0].targets"),
+        (lambda d: d["topology"].update(adjacency=[[True, 0]]), "topology.adjacency[0]"),
+        (lambda d: d.update(failures=[{"time": 1.0, "kind": "adjacency",
+                                       "action": "add", "edge": [True, 0]}]),
+         "failures[0].edge"),
     ])
     def test_type_errors_name_the_field(self, mutate, field):
         raw = base_dict()
@@ -107,12 +93,12 @@ class TestBuildScenario:
             build_scenario(raw)
         assert err.value.field == "seed"
 
-    def test_config_error_reported_as_topology(self):
+    def test_config_error_names_the_exact_field(self):
         raw = base_dict()
         raw["coordinator"]["K"] = 99
         with pytest.raises(ScenarioInvalid) as err:
             build_scenario(raw)
-        assert err.value.field == "topology"
+        assert err.value.field == "coordinator.K"
 
 
 class TestApplyOverrides:
@@ -174,10 +160,44 @@ class TestCli:
         assert code == 2
         assert "invalid scenario" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("assignment, field", [
+        ("delays.alpha=NaN", "delays.alpha"),
+        ("link_latencies.adjacent=NaN", "link_latencies.adjacent"),
+        ("horizon=Infinity", "horizon"),
+        ("horizon=-Infinity", "horizon"),
+        ("horizon=" + "9" * 400, "horizon"),
+        ("coordinator.round_period=NaN", "coordinator.round_period"),
+        ('commands=[{"time": NaN, "origin": 0, "scope": {"kind": "global"}}]',
+         "commands[0].time"),
+        ('failures=[{"time": Infinity, "kind": "worker", "action": "kill", "worker": 0}]',
+         "failures[0].time"),
+        ('failures=[{"time": 1.0, "kind": "link", "action": "jam", "link_class": "tree", '
+         '"drop": NaN}]', "failures[0].drop"),
+    ], ids=["alpha", "latency", "horizon-inf", "horizon-neg-inf", "horizon-huge-int",
+            "round-period", "command-time", "failure-time", "drop"])
+    def test_non_finite_number_exits_2(self, tmp_path, capsys, assignment, field):
+        code = main(["run", "--scenario", write_scenario(tmp_path),
+                     "--set", assignment, "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert f"invalid scenario: {field}: " in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_bad_json_exits_2(self, tmp_path, capsys):
         path = tmp_path / "broken.json"
         path.write_text("{not json")
         assert main(["validate", "--scenario", str(path)]) == 2
+
+    @pytest.mark.parametrize("content, extra", [
+        (b"\xff\xfe{}", []),
+        (b'{"seed": ' + b"9" * 5000 + b"}", []),
+        (b"[1, 2]", ["--set", "seed=1"]),
+        (b"[1, 2]", ["--seed", "1"]),
+    ], ids=["not-utf8", "overlong-int", "array-with-set", "array-with-seed"])
+    def test_malformed_file_exits_2(self, tmp_path, capsys, content, extra):
+        path = tmp_path / "bad.json"
+        path.write_bytes(content)
+        assert main(["validate", "--scenario", str(path), *extra]) == 2
+        assert "invalid scenario" in capsys.readouterr().err
 
     def test_missing_file_exits_3(self, tmp_path, capsys):
         code = main(["validate", "--scenario", str(tmp_path / "absent.json")])
@@ -208,11 +228,17 @@ class TestCliOracleCheck:
                                  "action": "kill", "worker": 0}])
         assert main(["oracle-check", "--scenario", path]) == 2
 
-    def test_oversized_topology_rejected(self, tmp_path):
+    def test_agreement_beyond_64_clusters(self, tmp_path, capsys):
         path = write_scenario(
             tmp_path,
-            topology={"workers_per_cluster": 2, "clusters_per_region": 65})
-        assert main(["oracle-check", "--scenario", path]) == 2
+            topology={"workers_per_cluster": 1, "clusters_per_region": 5,
+                      "regions_per_hub": 14},
+            commands=[{"time": 0.5, "origin": 0, "scope": {"kind": "global"}}])
+        for strategy in ("adjacent", "hierarchical"):
+            code = main(["oracle-check", "--scenario", path,
+                         "--set", f"strategy={strategy}"])
+            assert code == 0
+            assert "oracle-check ok" in capsys.readouterr().out
 
     def test_target_outside_goals_rejected(self, tmp_path):
         path = write_scenario(
@@ -292,6 +318,25 @@ class TestCliSweep:
                      "--trials", "1", "--out", str(tmp_path / "out")])
         assert code == 2
         assert f"invalid scenario: {field}: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("args", [
+        ["--param", "regions", "--values", "2,0"],
+        ["--param", "strategy", "--values", "adjacent,teleport"],
+        ["--param", "K", "--values", "2,0"],
+        ["--param", "p", "--values", "0.1,2"],
+    ], ids=["regions", "strategy", "K", "p"])
+    def test_bad_value_rejected_before_any_trial(self, tmp_path, capsys, monkeypatch, args):
+        def no_trial(*_):
+            pytest.fail("a trial ran before every value was checked")
+
+        monkeypatch.setattr("virtree.cli.run_scenario", no_trial)
+        monkeypatch.setattr("virtree.cli.liveness_trials", no_trial)
+        out_dir = tmp_path / "out"
+        code = main(["sweep", "--scenario", write_scenario(tmp_path), *args,
+                     "--trials", "3", "--out", str(out_dir)])
+        assert code == 2
+        assert "invalid scenario: --values: " in capsys.readouterr().err
+        assert not out_dir.exists()
 
     def test_unknown_strategy_value_rejected(self, tmp_path):
         assert main(["sweep", "--scenario", write_scenario(tmp_path),

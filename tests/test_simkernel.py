@@ -5,14 +5,8 @@ import pytest
 from virtree.adjacent import DelayParams
 from virtree.errors import ConservationError, ScenarioInvalid
 from virtree.metrics import dump_trace, region_crossing_count
-from virtree.simkernel import (
-    CommandSpec,
-    FailureSpec,
-    Scenario,
-    _Kernel,
-    run,
-    validate_scenario,
-)
+from virtree.scenario import CommandSpec, FailureSpec, Scenario, validate_scenario
+from virtree.simkernel import _Kernel, run
 from virtree.topology import HierarchyConfig
 
 CFG_1R = HierarchyConfig(2, 2, coordinator_k=3, t_min=2)            # 1 region, 4 workers

@@ -2,7 +2,8 @@ import random
 
 import pytest
 
-from virtree.errors import InvalidConfig, NoCandidate, UnknownCluster, UnknownScope
+from virtree.errors import NoCandidate, ScenarioInvalid, UnknownCluster, UnknownScope
+from virtree.scenario import Scenario, validate_scenario
 from virtree.topology import (
     HierarchyConfig,
     build_topology,
@@ -12,6 +13,13 @@ from virtree.topology import (
     hierarchy_distance,
     reelect_role,
 )
+
+
+def config_error(**kw) -> str:
+    """The field validate_scenario names for a HierarchyConfig(**kw)."""
+    with pytest.raises(ScenarioInvalid) as err:
+        validate_scenario(Scenario(config=HierarchyConfig(**kw), seed=1, horizon=1.0))
+    return err.value.field
 
 
 class TestConfig:
@@ -24,29 +32,24 @@ class TestConfig:
         assert cfg.n_hubs == 2
 
     def test_num_layers_range(self):
-        with pytest.raises(InvalidConfig):
-            HierarchyConfig(workers_per_cluster=2, clusters_per_region=3, num_layers=1)
-        with pytest.raises(InvalidConfig):
-            HierarchyConfig(workers_per_cluster=2, clusters_per_region=3, num_layers=6)
+        for n in (1, 6):
+            assert config_error(workers_per_cluster=2, clusters_per_region=3,
+                                num_layers=n) == "topology.num_layers"
 
     def test_zero_counts_rejected(self):
-        with pytest.raises(InvalidConfig):
-            HierarchyConfig(workers_per_cluster=0, clusters_per_region=3)
-        with pytest.raises(InvalidConfig):
-            HierarchyConfig(workers_per_cluster=2, clusters_per_region=3, domains=0)
+        for name in ("workers_per_cluster", "clusters_per_region", "regions_per_hub",
+                     "hubs_per_domain", "domains"):
+            kw = {"workers_per_cluster": 2, "clusters_per_region": 3, name: 0}
+            assert config_error(**kw) == f"topology.{name}"
 
     def test_t_min_bounds(self):
-        with pytest.raises(InvalidConfig):
-            HierarchyConfig(workers_per_cluster=3, clusters_per_region=3,
-                            coordinator_k=3, t_min=4)
-        with pytest.raises(InvalidConfig):
-            HierarchyConfig(workers_per_cluster=3, clusters_per_region=3,
-                            coordinator_k=3, t_min=0)
+        for t_min in (4, 0):
+            assert config_error(workers_per_cluster=3, clusters_per_region=3,
+                                coordinator_k=3, t_min=t_min) == "coordinator.T_min"
 
     def test_k_cannot_exceed_region_size(self):
-        with pytest.raises(InvalidConfig):
-            HierarchyConfig(workers_per_cluster=2, clusters_per_region=2,
-                            coordinator_k=5, t_min=3)
+        assert config_error(workers_per_cluster=2, clusters_per_region=2,
+                            coordinator_k=5, t_min=3) == "coordinator.K"
 
 
 class TestBuild:
