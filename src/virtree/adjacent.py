@@ -49,7 +49,7 @@ class LeaderState:
 
     cluster_id: ClusterId
     processed_msgs: set[MsgId] = field(default_factory=set)
-    pending_broadcasts: dict[MsgId, float] = field(default_factory=dict)
+    pending_broadcasts: set[MsgId] = field(default_factory=set)
 
     @property
     def local_load(self) -> int:

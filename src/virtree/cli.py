@@ -16,12 +16,7 @@ from statistics import fmean
 
 from .coordinators import liveness_trials, predicted_liveness
 from .errors import OracleMismatch, ScenarioInvalid
-from .metrics import (
-    adjacent_broadcast_count,
-    dump_trace,
-    hier_forward_count,
-    liveness_estimate,
-)
+from .metrics import TRANSMISSION_EVENTS, dump_trace, liveness_estimate
 from .oracle import check_trace
 from .scenario import load_scenario_file, validate_scenario
 from .simkernel import run as run_scenario
@@ -170,13 +165,13 @@ def cmd_sweep(args) -> int:
             frac, lat, tx, live = [], [], [], []
             for trial in range(args.trials):
                 trial_sc = replace(variant, seed=derive_seed(sc.seed, "sweep", str(v), trial))
-                trace, report = run_scenario(trial_sc)
+                _trace, report = run_scenario(trial_sc)
                 total = sum(m.goals_total for m in report.messages.values())
                 done = sum(m.goals_executed for m in report.messages.values())
                 frac.append(done / total if total else 1.0)
                 lats = [m.latency for m in report.messages.values() if m.latency is not None]
                 lat.append(fmean(lats) if lats else 0.0)
-                tx.append(adjacent_broadcast_count(trace) + hier_forward_count(trace))
+                tx.append(sum(report.totals.get(k, 0) for k in TRANSMISSION_EVENTS))
                 live.append(report.live_region_fraction)
             rows.append(f"{args.param},{v},{args.trials},{fmean(frac)},"
                         f"{fmean(lat)},{fmean(tx)},{fmean(live)}")

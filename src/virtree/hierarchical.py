@@ -21,15 +21,7 @@ from dataclasses import dataclass
 
 from .adjacent import LeaderState, _local_delivery
 from .messages import Message, unexecuted_goals
-from .topology import (
-    LAYER_LEADER,
-    LAYER_REGIONAL_HUB,
-    LAYER_LOCAL_GLOBAL,
-    LAYER_GLOBAL,
-    ClusterId,
-    Topology,
-    WorkerId,
-)
+from .topology import LAYER_LEADER, ClusterId, Topology, WorkerId
 
 Node = tuple[int, int]  # (layer, scope id); apex layer = num_layers + 1
 
@@ -49,29 +41,12 @@ class TreeLinks:
     @classmethod
     def build(cls, topo: Topology) -> "TreeLinks":
         n = topo.config.num_layers
-        top_scopes = cls._scope_count(topo, n)
-        apex = (n + 1, 0) if top_scopes > 1 else None
+        apex = (n + 1, 0) if topo.config.n_scopes(n) > 1 else None
         root = apex if apex else (n, 0)
         return cls(topo=topo, num_layers=n, apex=apex, root=root)
 
-    @staticmethod
-    def _scope_count(topo: Topology, layer: int) -> int:
-        cfg = topo.config
-        return {
-            LAYER_LEADER: cfg.n_clusters,
-            LAYER_REGIONAL_HUB: cfg.n_regions,
-            LAYER_LOCAL_GLOBAL: cfg.n_hubs,
-            LAYER_GLOBAL: cfg.domains,
-        }[layer]
-
     def leaf(self, c: ClusterId) -> Node:
         return (LAYER_LEADER, c)
-
-    def scope_at(self, c: ClusterId, layer: int) -> int:
-        """Scope id of cluster c's ancestor at the given layer."""
-        _, r, h, d = self.topo.scope_chain(c)
-        return {LAYER_LEADER: c, LAYER_REGIONAL_HUB: r,
-                LAYER_LOCAL_GLOBAL: h, LAYER_GLOBAL: d}[layer]
 
     def parent(self, node: Node) -> Node | None:
         layer, scope = node
@@ -79,33 +54,30 @@ class TreeLinks:
             return None
         if layer == self.num_layers:
             return self.apex
-        if layer == LAYER_LEADER:
-            up_scope = self.topo.region_of[scope]
-        elif layer == LAYER_REGIONAL_HUB:
-            up_scope = self.topo.hub_of[scope]
-        else:
-            up_scope = self.topo.domain_of[scope]
-        return (layer + 1, up_scope)
+        first = self.topo.clusters_in(layer, scope).start
+        return (layer + 1, self.topo.scope_of(first, layer + 1))
 
     def covers(self, node: Node, c: ClusterId) -> bool:
         layer, scope = node
-        if self.apex and node == self.apex:
+        if node == self.apex:
             return True
-        return self.scope_at(c, layer) == scope
+        return self.topo.scope_of(c, layer) == scope
 
     def child_toward(self, node: Node, c: ClusterId) -> Node:
-        """The child branch of an interior node whose subtree holds cluster c."""
-        layer, _ = node
-        if self.apex and node == self.apex:
-            return (self.num_layers, self.scope_at(c, self.num_layers))
-        return (layer - 1, self.scope_at(c, layer - 1))
+        """The child branch of an interior node whose subtree holds cluster c.
+
+        The apex sits at num_layers + 1, so one layer down is the top layer
+        for it as for every other interior node.
+        """
+        layer = node[0] - 1
+        return (layer, self.topo.scope_of(c, layer))
 
     def holder(self, node: Node) -> WorkerId | None:
         """Current worker bound to a node's role; None when vacant."""
         layer, scope = node
-        if self.apex and node == self.apex:
+        if node == self.apex:
             layer, scope = self.num_layers, 0
-        return self.topo.role_map.layer_map(layer).get(scope)
+        return self.topo.roles[layer].get(scope)
 
     def holder_cluster(self, node: Node) -> int | None:
         w = self.holder(node)

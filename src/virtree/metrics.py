@@ -12,6 +12,10 @@ import json
 import math
 from dataclasses import dataclass, field
 
+# ``message_totals`` keys that are one radio transmission each: worker relays
+# and leader broadcasts (adjacent strategy), tree forwards (hierarchical).
+TRANSMISSION_EVENTS = ("alg1.relay", "alg2.broadcast", "alg3.forward")
+
 
 @dataclass(frozen=True)
 class TraceRecord:
@@ -169,33 +173,12 @@ def containment_check(trace: list[TraceRecord]) -> int:
                and rec.data.get("src_region") != rec.data.get("dst_region"))
 
 
-def region_crossing_count(trace: list[TraceRecord]) -> int:
-    """Worker-level receives whose sender sat in a different region."""
-    n = 0
-    for rec in trace:
-        if rec.comp == "alg1" and rec.event == "receive":
-            if rec.data.get("from_region") != rec.data.get("region"):
-                n += 1
-    return n
-
-
 def message_totals(trace: list[TraceRecord]) -> dict[str, int]:
     totals: dict[str, int] = {}
     for rec in trace:
         key = f"{rec.comp}.{rec.event}"
         totals[key] = totals.get(key, 0) + 1
     return totals
-
-
-def adjacent_broadcast_count(trace: list[TraceRecord]) -> int:
-    """All deferred-mode radio transmissions: leader broadcasts + worker relays."""
-    return sum(1 for rec in trace
-               if (rec.comp == "alg2" and rec.event == "broadcast")
-               or (rec.comp == "alg1" and rec.event == "relay"))
-
-
-def hier_forward_count(trace: list[TraceRecord]) -> int:
-    return sum(1 for rec in trace if rec.comp == "alg3" and rec.event == "forward")
 
 
 def liveness_estimate(outcomes: list[bool], p: float, k: int) -> LivenessEstimate:

@@ -30,45 +30,35 @@ def _bfs(adjacency: dict, start) -> dict:
 
 def reachable_clusters_adjacent(topo: Topology, origin: int) -> set[int]:
     """Clusters whose region is connected to the origin's region."""
+    cpr = topo.config.clusters_per_region
     adj = {r: set(ns) for r, ns in topo.region_adjacency.items()}
-    regions = _bfs(adj, topo.region_of[origin])
-    out: set[int] = set()
-    for c, r in topo.region_of.items():
-        if r in regions:
-            out.add(c)
-    return out
+    regions = _bfs(adj, origin // cpr)
+    return {c for c in range(topo.config.n_clusters) if c // cpr in regions}
 
 
 def containment_tree(topo: Topology) -> dict[tuple, set[tuple]]:
-    """Undirected virtual tree rebuilt from nothing but the containment maps.
+    """Undirected virtual tree rebuilt from nothing but the configured fan-outs.
 
     Leaf nodes ("c", id) hang under ("r", id) under ("h", id) under
-    ("d", id), with a single synthetic top when the topmost configured layer
-    has more than one scope.
+    ("d", id), ids numbered row-major, with a single synthetic top when the
+    topmost configured layer has more than one scope.
     """
-    n = topo.config.num_layers
-    adj: dict[tuple, set[tuple]] = {}
+    cfg = topo.config
+    # (kind, node count, children per parent one level up), bottom-up
+    levels = [("c", cfg.n_clusters, cfg.clusters_per_region),
+              ("r", cfg.n_regions, cfg.regions_per_hub),
+              ("h", cfg.n_hubs, cfg.hubs_per_domain),
+              ("d", cfg.domains, None)][:cfg.num_layers - 1]
+    adj: dict[tuple, set[tuple]] = {("c", c): set() for c in range(cfg.n_clusters)}
 
     def link(a, b):
         adj.setdefault(a, set()).add(b)
         adj.setdefault(b, set()).add(a)
 
-    for c, r in topo.region_of.items():
-        adj.setdefault(("c", c), set())
-        if n >= 3:
-            link(("c", c), ("r", r))
-    if n >= 4:
-        for r, h in topo.hub_of.items():
-            link(("r", r), ("h", h))
-    if n >= 5:
-        for h, d in topo.domain_of.items():
-            link(("h", h), ("d", d))
-    top_kind, top_count = {
-        2: ("c", topo.config.n_clusters),
-        3: ("r", topo.config.n_regions),
-        4: ("h", topo.config.n_hubs),
-        5: ("d", topo.config.domains),
-    }[n]
+    for (kind, count, fanout), (up, _, _) in zip(levels, levels[1:]):
+        for i in range(count):
+            link((kind, i), (up, i // fanout))
+    top_kind, top_count, _ = levels[-1]
     if top_count > 1:
         for s in range(top_count):
             link((top_kind, s), ("top", 0))

@@ -21,11 +21,14 @@ from dataclasses import dataclass, field
 from .adjacent import DelayParams
 from .errors import ScenarioInvalid
 from .hierarchical import MODE_LCA, MODE_ROOT
-from .topology import HierarchyConfig
+from .topology import SCOPE_LAYERS, HierarchyConfig
 
 DEFAULT_LATENCIES = {"cluster": 0.1, "region": 0.2, "adjacent": 0.5, "tree": 1.0}
 
 STRATEGIES = ("adjacent", "hierarchical")
+
+# The kernel schedules every maintenance round up front, one heap event each.
+MAX_MAINTENANCE_ROUNDS = 100_000
 
 
 @dataclass(frozen=True)
@@ -109,6 +112,10 @@ def validate_scenario(sc: Scenario):
         raise ScenarioInvalid("seed", "must fit in an unsigned 64-bit integer")
     if not sc.round_period > 0:
         raise ScenarioInvalid("coordinator.round_period", f"must be > 0, got {sc.round_period}")
+    if sc.horizon / sc.round_period > MAX_MAINTENANCE_ROUNDS:
+        raise ScenarioInvalid("coordinator.round_period",
+                              f"horizon / round_period must be <= {MAX_MAINTENANCE_ROUNDS} "
+                              f"maintenance rounds, got {sc.horizon / sc.round_period:.6g}")
     for name in _DELAY_KEYS:
         if getattr(sc.delay, name) < 0:
             raise ScenarioInvalid(f"delays.{name}", f"must be >= 0, got {getattr(sc.delay, name)}")
@@ -133,16 +140,13 @@ def validate_scenario(sc: Scenario):
             raise ScenarioInvalid(f"commands[{i}].origin",
                                   f"cluster {cmd.origin} out of range (have {cfg.n_clusters})")
         kind = cmd.scope[0] if cmd.scope else None
-        limits = {"cluster": cfg.n_clusters, "region": cfg.n_regions,
-                  "hub": cfg.n_hubs, "domain": cfg.domains}
-        if kind == "global":
-            pass
-        elif kind in limits:
+        if kind in SCOPE_LAYERS:
             sid = cmd.scope[1] if len(cmd.scope) > 1 else None
-            if sid is None or not 0 <= sid < limits[kind]:
+            have = cfg.n_scopes(SCOPE_LAYERS[kind])
+            if sid is None or not 0 <= sid < have:
                 raise ScenarioInvalid(f"commands[{i}].scope",
-                                      f"{kind} id {sid} out of range (have {limits[kind]})")
-        else:
+                                      f"{kind} id {sid} out of range (have {have})")
+        elif kind != "global":
             raise ScenarioInvalid(f"commands[{i}].scope", f"unknown scope kind {kind!r}")
         for t in cmd.targets:
             if not 0 <= t < cfg.n_workers:

@@ -26,6 +26,8 @@ from .messages import Message, msg_id_str, new_command, unexecuted_goals
 from .metrics import MetricsReport, TraceRecord, build_report
 from .scenario import DEFAULT_LATENCIES, FailureSpec, Scenario
 from .topology import (
+    LAYER_LEADER,
+    LAYER_REGIONAL_HUB,
     build_topology,
     derive_seed,
     goal_clusters_for_scope,
@@ -119,7 +121,7 @@ class _Kernel:
         self.emit("kernel", "failure", worker=w, cluster=self.topo.cluster_of[w],
                   region=self.topo.region_of_worker(w))
         c = self.topo.cluster_of[w]
-        if self.topo.role_map.cluster_leader.get(c) == w:
+        if self.topo.roles[LAYER_LEADER].get(c) == w:
             # queued broadcast events discover the cleared map and cancel
             self.leader_states[c].pending_broadcasts.clear()
         held = self.topo.roles_held_by(w)
@@ -127,7 +129,7 @@ class _Kernel:
             try:
                 reelect_role(self.topo, layer, scope)
                 self.emit("kernel", "role_reelect", layer=layer, scope=scope,
-                          old=w, new=self.topo.role_map.layer_map(layer)[scope])
+                          old=w, new=self.topo.roles[layer][scope])
             except NoCandidate:
                 self.emit("kernel", "role_vacant", layer=layer, scope=scope, old=w)
         if held:
@@ -140,15 +142,14 @@ class _Kernel:
         self.emit("kernel", "recovery", worker=w)
         # fill any vacancy in the scopes this worker belongs to
         c = self.topo.cluster_of[w]
-        chain = dict(zip((2, 3, 4, 5), self.topo.scope_chain(c)))
         changed = False
-        for layer in range(2, self.topo.config.num_layers + 1):
-            scope = chain[layer]
-            if scope not in self.topo.role_map.layer_map(layer):
+        for layer, holders in self.topo.roles.items():
+            scope = self.topo.scope_of(c, layer)
+            if scope not in holders:
                 try:
                     reelect_role(self.topo, layer, scope)
                     self.emit("kernel", "role_reelect", layer=layer, scope=scope,
-                              old=None, new=self.topo.role_map.layer_map(layer)[scope])
+                              old=None, new=holders[scope])
                     changed = True
                 except NoCandidate:
                     pass
@@ -244,14 +245,14 @@ class _Kernel:
                   targeted=w in m.target_worker_ids, hop=m.hop_count)
 
     def deliver_leader(self, c: int, m: Message):
-        leader = self.topo.role_map.cluster_leader.get(c)
+        leader = self.topo.roles[LAYER_LEADER].get(c)
         if leader is None or not self.topo.is_alive(leader):
             self.bump("deliveries_dropped_dead")
             self.emit("kernel", "drop_dead", cluster=c, msg_id=msg_id_str(m.msg_id))
             return
         self.bump("deliveries_completed")
         state = self.leader_states[c]
-        region = self.topo.region_of[c]
+        region = self.topo.scope_of(c, LAYER_REGIONAL_HUB)
         mid = msg_id_str(m.msg_id)
         decision = adj.leader_on_receive_deferred(state, m, self.topo, self.sc.delay,
                                                   self.rng("alg2", region))
@@ -269,7 +270,7 @@ class _Kernel:
                 self.apply_execution(w, m2, comp="alg2")
         if decision.outcome == "scheduled":
             fire = quantize(self.now + decision.delay)
-            state.pending_broadcasts[m2.msg_id] = fire
+            state.pending_broadcasts.add(m2.msg_id)
             self.bump("broadcasts_scheduled")
             self.emit("alg2", "schedule", cluster=c, msg_id=mid,
                       distance=decision.distance, delay=decision.delay, fire=fire)
@@ -286,7 +287,7 @@ class _Kernel:
             self.bump("broadcasts_cancelled")
             self.emit("alg2", "broadcast_cancelled", cluster=c, msg_id=mid)
             return
-        state.pending_broadcasts.pop(m.msg_id, None)
+        state.pending_broadcasts.discard(m.msg_id)
         if not unexecuted_goals(m):
             self.bump("broadcasts_suppressed")
             self.emit("alg2", "broadcast_suppressed", cluster=c, msg_id=mid)
@@ -294,7 +295,7 @@ class _Kernel:
         mb = adj.worker_broadcast(state, m)
         self.bump("broadcasts_fired")
         self.emit("alg2", "broadcast", cluster=c, msg_id=mid, hop=mb.hop_count)
-        leader_region = self.topo.region_of[c]
+        leader_region = self.topo.scope_of(c, LAYER_REGIONAL_HUB)
         for w in self.topo.workers_in_cluster[c]:
             if self.topo.is_alive(w):
                 self.send(("worker", w), mb,
@@ -311,9 +312,11 @@ class _Kernel:
         self.bump("deliveries_completed")
         mid = msg_id_str(m.msg_id)
         from_node = sender.get("node")
-        if node[0] == 2:  # leaf: full cluster-leader processing
-            c = node[1]
-            state = self.leader_states[c]
+        if node[0] == LAYER_LEADER:  # leaf: full cluster-leader processing
+            # records keep the kernel's own id object: node[1] is computed per
+            # copy, and every such int would stay alive in the trace
+            state = self.leader_states[node[1]]
+            c = state.cluster_id
             decision = hier.leader_on_receive_immediate(state, m, self.topo,
                                                         self.links, self.sc.route_mode,
                                                         injected=from_node is None)
@@ -370,8 +373,8 @@ class _Kernel:
 
     def _load_of(self, w: int) -> int:
         c = self.topo.cluster_of[w]
-        if self.topo.role_map.cluster_leader.get(c) == w:
-            return len(self.leader_states[c].pending_broadcasts)
+        if self.topo.roles[LAYER_LEADER].get(c) == w:
+            return self.leader_states[c].local_load
         return 0
 
     def handle_failure(self, payload: dict):

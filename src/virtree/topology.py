@@ -3,13 +3,19 @@
 Physical workers sit at layer 1.  Layers 2..5 are virtual roles mapped onto
 workers: cluster leaders (one per cluster), regional hubs (one per region),
 local-global command (one per hub) and global command (one per domain).  The
-containment chain worker -> cluster -> region -> hub -> domain is always built
-at full depth; ``num_layers`` only controls which role layers exist, so a
+containment chain worker -> cluster -> region -> hub -> domain is always
+full depth; ``num_layers`` only controls which role layers exist, so a
 3-layer build still knows which hub a region belongs to but binds no roles
 above the regional hubs.
 
-One worker may hold several roles at once.  Role bindings live in a mutable
-``RoleMap``; re-election replaces a single binding and leaves the rest alone.
+Ids are row-major at every layer, so one number per layer describes the whole
+chain: ``span[L]`` is how many clusters one layer-L scope holds.  Cluster c
+lies in scope ``c // span[L]`` at layer L, and scope s holds the cluster range
+``s * span[L] .. (s + 1) * span[L] - 1``.
+
+One worker may hold several roles at once.  Role bindings live in
+``Topology.roles``, one holder dict per built layer; re-election replaces a
+single binding and leaves the rest alone.
 """
 
 from __future__ import annotations
@@ -17,15 +23,13 @@ from __future__ import annotations
 import hashlib
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import NoCandidate, UnknownCluster, UnknownScope
 
 WorkerId = int
 ClusterId = int
 RegionId = int
-HubId = int
-DomainId = int
 
 # Role layers.  Layer 1 (workers) has no bindings.
 LAYER_LEADER = 2
@@ -33,7 +37,9 @@ LAYER_REGIONAL_HUB = 3
 LAYER_LOCAL_GLOBAL = 4
 LAYER_GLOBAL = 5
 
-SCOPE_KINDS = ("cluster", "region", "hub", "domain", "global")
+# Scope selector kind -> the layer whose scopes it names; "global" is all.
+SCOPE_LAYERS = {"cluster": LAYER_LEADER, "region": LAYER_REGIONAL_HUB,
+                "hub": LAYER_LOCAL_GLOBAL, "domain": LAYER_GLOBAL}
 
 
 def derive_seed(seed: int, *labels) -> int:
@@ -92,50 +98,34 @@ class HierarchyConfig:
     def n_workers(self) -> int:
         return self.n_clusters * self.workers_per_cluster
 
+    @property
+    def span(self) -> dict[int, int]:
+        """Clusters under one scope of each layer 2..5, full depth."""
+        cpr, rph = self.clusters_per_region, self.regions_per_hub
+        return {LAYER_LEADER: 1, LAYER_REGIONAL_HUB: cpr,
+                LAYER_LOCAL_GLOBAL: cpr * rph, LAYER_GLOBAL: cpr * rph * self.hubs_per_domain}
 
-@dataclass
-class RoleMap:
-    """Current virtual-role bindings, one holder per scope.
-
-    A scope missing from its map is vacant (holder died and no candidate
-    existed at re-election time).
-    """
-
-    cluster_leader: dict[ClusterId, WorkerId] = field(default_factory=dict)
-    regional_hub: dict[RegionId, WorkerId] = field(default_factory=dict)
-    local_global: dict[HubId, WorkerId] = field(default_factory=dict)
-    global_command: dict[DomainId, WorkerId] = field(default_factory=dict)
-
-    def layer_map(self, layer: int) -> dict[int, WorkerId]:
-        try:
-            return {
-                LAYER_LEADER: self.cluster_leader,
-                LAYER_REGIONAL_HUB: self.regional_hub,
-                LAYER_LOCAL_GLOBAL: self.local_global,
-                LAYER_GLOBAL: self.global_command,
-            }[layer]
-        except KeyError:
-            raise UnknownScope(f"no role layer {layer}") from None
+    def n_scopes(self, layer: int) -> int:
+        return self.n_clusters // self.span[layer]
 
 
 @dataclass
 class Topology:
-    """Built hierarchy: containment maps, region adjacency, roles, aliveness."""
+    """Built hierarchy: spans, region adjacency, roles, aliveness.
+
+    ``roles[layer][scope]`` is the worker holding that role, for layers
+    2..num_layers; a scope missing from its dict is vacant (holder died and
+    no candidate existed at re-election time).
+    """
 
     config: HierarchyConfig
-    cluster_of: dict[WorkerId, ClusterId]
-    region_of: dict[ClusterId, RegionId]
-    hub_of: dict[RegionId, HubId]
-    domain_of: dict[HubId, DomainId]
+    span: dict[int, int]
+    cluster_of: tuple[ClusterId, ...]
+    workers_in_cluster: tuple[tuple[WorkerId, ...], ...]
     region_adjacency: dict[RegionId, tuple[RegionId, ...]]
-    role_map: RoleMap
+    roles: dict[int, dict[int, WorkerId]]
     alive: set[WorkerId]
     energy: dict[WorkerId, float]
-    # inverse containment, precomputed once at build time
-    workers_in_cluster: dict[ClusterId, tuple[WorkerId, ...]]
-    clusters_in_region: dict[RegionId, tuple[ClusterId, ...]]
-    regions_in_hub: dict[HubId, tuple[RegionId, ...]]
-    hubs_in_domain: dict[DomainId, tuple[HubId, ...]]
 
     @property
     def workers(self) -> range:
@@ -149,14 +139,21 @@ class Topology:
     def regions(self) -> range:
         return range(self.config.n_regions)
 
+    def scope_of(self, c: ClusterId, layer: int) -> int:
+        return c // self.span[layer]
+
+    def clusters_in(self, layer: int, scope: int) -> range:
+        span = self.span[layer]
+        return range(scope * span, (scope + 1) * span)
+
     def workers_in_region(self, r: RegionId) -> list[WorkerId]:
         out: list[WorkerId] = []
-        for c in self.clusters_in_region[r]:
+        for c in self.clusters_in(LAYER_REGIONAL_HUB, r):
             out.extend(self.workers_in_cluster[c])
         return out
 
     def region_of_worker(self, w: WorkerId) -> RegionId:
-        return self.region_of[self.cluster_of[w]]
+        return self.cluster_of[w] // self.span[LAYER_REGIONAL_HUB]
 
     def is_alive(self, w: WorkerId) -> bool:
         return w in self.alive
@@ -165,24 +162,13 @@ class Topology:
         self.alive.discard(w)
 
     def mark_alive(self, w: WorkerId):
-        if w in self.cluster_of:
+        if 0 <= w < len(self.cluster_of):
             self.alive.add(w)
 
     def roles_held_by(self, w: WorkerId) -> list[tuple[int, int]]:
         """All (layer, scope_id) bindings currently held by worker w."""
-        held = []
-        for layer in range(LAYER_LEADER, self.config.num_layers + 1):
-            for scope_id, holder in self.role_map.layer_map(layer).items():
-                if holder == w:
-                    held.append((layer, scope_id))
-        return sorted(held)
-
-    def scope_chain(self, c: ClusterId) -> tuple[ClusterId, RegionId, HubId, DomainId]:
-        if c not in self.region_of:
-            raise UnknownCluster(f"cluster {c}")
-        r = self.region_of[c]
-        h = self.hub_of[r]
-        return c, r, h, self.domain_of[h]
+        return sorted((layer, scope) for layer, holders in self.roles.items()
+                      for scope, holder in holders.items() if holder == w)
 
 
 def grid_adjacency(n_regions: int) -> dict[RegionId, tuple[RegionId, ...]]:
@@ -226,72 +212,35 @@ def build_topology(config: HierarchyConfig, seed: int,
     ``scenario.validate_scenario`` checks.
     """
     n_workers = config.n_workers
-    n_clusters = config.n_clusters
-    n_regions = config.n_regions
-    n_hubs = config.n_hubs
-
-    cluster_of = {w: w // config.workers_per_cluster for w in range(n_workers)}
-    region_of = {c: c // config.clusters_per_region for c in range(n_clusters)}
-    hub_of = {r: r // config.regions_per_hub for r in range(n_regions)}
-    domain_of = {h: h // config.hubs_per_domain for h in range(n_hubs)}
-
     wpc = config.workers_per_cluster
-    workers_in_cluster = {
-        c: tuple(range(c * wpc, (c + 1) * wpc)) for c in range(n_clusters)
-    }
-    cpr = config.clusters_per_region
-    clusters_in_region = {
-        r: tuple(range(r * cpr, (r + 1) * cpr)) for r in range(n_regions)
-    }
-    rph = config.regions_per_hub
-    regions_in_hub = {
-        h: tuple(range(h * rph, (h + 1) * rph)) for h in range(n_hubs)
-    }
-    hpd = config.hubs_per_domain
-    hubs_in_domain = {
-        d: tuple(range(d * hpd, (d + 1) * hpd)) for d in range(config.domains)
-    }
+    span = config.span
+    cluster_of = tuple(w // wpc for w in range(n_workers))
+    workers_in_cluster = tuple(tuple(range(c * wpc, (c + 1) * wpc))
+                               for c in range(config.n_clusters))
 
     if adjacency is None:
-        region_adjacency = grid_adjacency(n_regions)
+        region_adjacency = grid_adjacency(config.n_regions)
     else:
-        region_adjacency = _adjacency_from_edges(n_regions, adjacency)
+        region_adjacency = _adjacency_from_edges(config.n_regions, adjacency)
 
-    role_map = RoleMap(
-        cluster_leader={c: workers_in_cluster[c][0] for c in range(n_clusters)},
-    )
-    if config.num_layers >= LAYER_REGIONAL_HUB:
-        role_map.regional_hub = {
-            r: workers_in_cluster[clusters_in_region[r][0]][0] for r in range(n_regions)
-        }
-    if config.num_layers >= LAYER_LOCAL_GLOBAL:
-        role_map.local_global = {
-            h: workers_in_cluster[clusters_in_region[regions_in_hub[h][0]][0]][0]
-            for h in range(n_hubs)
-        }
-    if config.num_layers >= LAYER_GLOBAL:
-        role_map.global_command = {
-            d: workers_in_cluster[clusters_in_region[regions_in_hub[hubs_in_domain[d][0]][0]][0]][0]
-            for d in range(config.domains)
-        }
+    roles = {
+        layer: {s: workers_in_cluster[s * span[layer]][0]
+                for s in range(config.n_scopes(layer))}
+        for layer in range(LAYER_LEADER, config.num_layers + 1)
+    }
 
     rng = random.Random(derive_seed(seed, "energy"))
     energy = {w: round(rng.uniform(0.2, 1.0), 6) for w in range(n_workers)}
 
     return Topology(
         config=config,
+        span=span,
         cluster_of=cluster_of,
-        region_of=region_of,
-        hub_of=hub_of,
-        domain_of=domain_of,
+        workers_in_cluster=workers_in_cluster,
         region_adjacency=region_adjacency,
-        role_map=role_map,
+        roles=roles,
         alive=set(range(n_workers)),
         energy=energy,
-        workers_in_cluster=workers_in_cluster,
-        clusters_in_region=clusters_in_region,
-        regions_in_hub=regions_in_hub,
-        hubs_in_domain=hubs_in_domain,
     )
 
 
@@ -300,17 +249,13 @@ def hierarchy_distance(topo: Topology, a: ClusterId, b: ClusterId) -> int:
 
     0 same cluster, 1 same region, 2 same hub, 3 same domain, 4 otherwise.
     """
-    ca, ra, ha, da = topo.scope_chain(a)
-    cb, rb, hb, db = topo.scope_chain(b)
-    if ca == cb:
-        return 0
-    if ra == rb:
-        return 1
-    if ha == hb:
-        return 2
-    if da == db:
-        return 3
-    return 4
+    for c in (a, b):
+        if not 0 <= c < topo.config.n_clusters:
+            raise UnknownCluster(f"cluster {c}")
+    for distance, layer in enumerate(SCOPE_LAYERS.values()):
+        if topo.scope_of(a, layer) == topo.scope_of(b, layer):
+            return distance
+    return len(SCOPE_LAYERS)
 
 
 def goal_clusters_for_scope(topo: Topology, scope: tuple) -> set[ClusterId]:
@@ -319,37 +264,17 @@ def goal_clusters_for_scope(topo: Topology, scope: tuple) -> set[ClusterId]:
     ``scope`` is ("cluster", id) | ("region", id) | ("hub", id) |
     ("domain", id) | ("global",) or ("global", None).
     """
-    if not scope or scope[0] not in SCOPE_KINDS:
-        raise UnknownScope(f"scope kind {scope!r}")
-    kind = scope[0]
+    kind = scope[0] if scope else None
     if kind == "global":
         return set(topo.clusters)
+    if kind not in SCOPE_LAYERS:
+        raise UnknownScope(f"scope kind {scope!r}")
     if len(scope) < 2 or scope[1] is None:
         raise UnknownScope(f"scope {kind} needs an id")
-    sid = scope[1]
-    if kind == "cluster":
-        if sid not in topo.region_of:
-            raise UnknownScope(f"cluster {sid}")
-        return {sid}
-    if kind == "region":
-        if sid not in topo.clusters_in_region:
-            raise UnknownScope(f"region {sid}")
-        return set(topo.clusters_in_region[sid])
-    if kind == "hub":
-        if sid not in topo.regions_in_hub:
-            raise UnknownScope(f"hub {sid}")
-        out: set[ClusterId] = set()
-        for r in topo.regions_in_hub[sid]:
-            out.update(topo.clusters_in_region[r])
-        return out
-    # domain
-    if sid not in topo.hubs_in_domain:
-        raise UnknownScope(f"domain {sid}")
-    out = set()
-    for h in topo.hubs_in_domain[sid]:
-        for r in topo.regions_in_hub[h]:
-            out.update(topo.clusters_in_region[r])
-    return out
+    layer, sid = SCOPE_LAYERS[kind], scope[1]
+    if not 0 <= sid < topo.config.n_scopes(layer):
+        raise UnknownScope(f"{kind} {sid}")
+    return set(topo.clusters_in(layer, sid))
 
 
 def _candidates(topo: Topology, layer: int, scope_id: int) -> list[WorkerId]:
@@ -358,46 +283,30 @@ def _candidates(topo: Topology, layer: int, scope_id: int) -> list[WorkerId]:
     Layer 2 draws from all alive workers of the cluster since workers hold no
     bindings.
     """
+    if not 0 <= scope_id < topo.config.n_scopes(layer):
+        raise UnknownScope(f"layer {layer} scope {scope_id}")
     if layer == LAYER_LEADER:
-        if scope_id not in topo.workers_in_cluster:
-            raise UnknownScope(f"cluster {scope_id}")
         pool = topo.workers_in_cluster[scope_id]
-    elif layer == LAYER_REGIONAL_HUB:
-        if scope_id not in topo.clusters_in_region:
-            raise UnknownScope(f"region {scope_id}")
-        pool = [topo.role_map.cluster_leader[c]
-                for c in topo.clusters_in_region[scope_id]
-                if c in topo.role_map.cluster_leader]
-    elif layer == LAYER_LOCAL_GLOBAL:
-        if scope_id not in topo.regions_in_hub:
-            raise UnknownScope(f"hub {scope_id}")
-        pool = [topo.role_map.regional_hub[r]
-                for r in topo.regions_in_hub[scope_id]
-                if r in topo.role_map.regional_hub]
-    elif layer == LAYER_GLOBAL:
-        if scope_id not in topo.hubs_in_domain:
-            raise UnknownScope(f"domain {scope_id}")
-        pool = [topo.role_map.local_global[h]
-                for h in topo.hubs_in_domain[scope_id]
-                if h in topo.role_map.local_global]
     else:
-        raise UnknownScope(f"role layer {layer}")
+        below = topo.roles[layer - 1]
+        per_scope = topo.span[layer] // topo.span[layer - 1]
+        pool = [below[s] for s in range(scope_id * per_scope, (scope_id + 1) * per_scope)
+                if s in below]
     return sorted(w for w in set(pool) if topo.is_alive(w))
 
 
-def reelect_role(topo: Topology, layer: int, scope_id: int) -> RoleMap:
+def reelect_role(topo: Topology, layer: int, scope_id: int):
     """Re-elect the role at (layer, scope_id); lowest alive candidate id wins.
 
-    Mutates and returns the role map.  Raises NoCandidate when the scope has
-    no alive candidate; the binding is vacated in that case so routing sees
-    the hole instead of a dead holder.
+    Rebinds ``topo.roles[layer][scope_id]``.  Raises NoCandidate when the
+    scope has no alive candidate; the binding is vacated in that case so
+    routing sees the hole instead of a dead holder.
     """
-    if layer > topo.config.num_layers:
+    if layer not in topo.roles:
         raise UnknownScope(f"layer {layer} not built (num_layers={topo.config.num_layers})")
-    layer_map = topo.role_map.layer_map(layer)
+    holders = topo.roles[layer]
     cands = _candidates(topo, layer, scope_id)
     if not cands:
-        layer_map.pop(scope_id, None)
+        holders.pop(scope_id, None)
         raise NoCandidate(f"layer {layer} scope {scope_id}")
-    layer_map[scope_id] = cands[0]
-    return topo.role_map
+    holders[scope_id] = cands[0]

@@ -11,9 +11,7 @@ import time
 
 from virtree.adjacent import DelayParams
 from virtree.coordinators import liveness_trials
-from virtree.metrics import (adjacent_broadcast_count, containment_check,
-                             hier_forward_count, recovery_latency,
-                             region_crossing_count)
+from virtree.metrics import TRANSMISSION_EVENTS, containment_check, recovery_latency
 from virtree.oracle import check_trace
 from virtree.scenario import CommandSpec, FailureSpec, Scenario
 from virtree.simkernel import quantize, run
@@ -24,6 +22,12 @@ from virtree.topology import (HierarchyConfig, build_topology,
 def mk(cfg, seed, horizon, **kw):
     kw.setdefault("round_period", 1000.0)
     return Scenario(config=cfg, seed=seed, horizon=horizon, **kw)
+
+
+def region_crossings(trace) -> int:
+    """Worker receives whose sender sat in a different region."""
+    return sum(1 for rec in trace if rec.comp == "alg1" and rec.event == "receive"
+               and rec.data["from_region"] != rec.data["region"])
 
 
 def spanning_adjacency(n_regions: int, rng: random.Random, extra: int = 0):
@@ -244,7 +248,7 @@ def test_criterion_7_hop_and_transmission_bounds():
                 commands=[CommandSpec(time=1.0, origin=0,
                                       scope=("region", rph - 1))])
         trace, _ = run(sc)
-        crossings.append(region_crossing_count(trace))
+        crossings.append(region_crossings(trace))
     assert crossings[0] < crossings[1] < crossings[2]
 
     # tree routing never transmits more than flooding on the same scenario
@@ -259,12 +263,10 @@ def test_criterion_7_hop_and_transmission_bounds():
                                 scope=scope)]
         counts = {}
         for strategy in ("adjacent", "hierarchical"):
-            trace, _ = run(mk(cfg_i, seed=1000 + i, horizon=200.0,
-                              strategy=strategy, adjacency_override=adjacency,
-                              commands=commands))
-            counts[strategy] = (adjacent_broadcast_count(trace)
-                                if strategy == "adjacent"
-                                else hier_forward_count(trace))
+            _, report = run(mk(cfg_i, seed=1000 + i, horizon=200.0,
+                               strategy=strategy, adjacency_override=adjacency,
+                               commands=commands))
+            counts[strategy] = sum(report.totals.get(k, 0) for k in TRANSMISSION_EVENTS)
         assert counts["hierarchical"] <= counts["adjacent"]
         pairs.append(counts)
     print(f"criterion 7: PASS - max hop 8 <= 8; crossings {crossings}; "

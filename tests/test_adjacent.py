@@ -164,8 +164,7 @@ class TestLeaderDeferred:
 
     def test_load_term_charged(self, topo32):
         state = LeaderState(cluster_id=2)
-        state.pending_broadcasts[(9, 9)] = 1.0
-        state.pending_broadcasts[(9, 10)] = 2.0
+        state.pending_broadcasts.update({(9, 9), (9, 10)})
         params = DelayParams(alpha=1.0, beta=0.5, epsilon=0.0)
         m = new_command(0, 0, goals={3})
         d = leader_on_receive_deferred(state, m, topo32, params, random.Random(1))

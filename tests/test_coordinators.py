@@ -171,11 +171,11 @@ class TestMonitorRound:
     def test_roster_repair_leaves_roles_alone(self):
         topo = make_topo()
         cs = CoordinatorSet.initial(topo, 0)
-        before = (dict(topo.role_map.cluster_leader), dict(topo.role_map.regional_hub))
+        before = {layer: dict(holders) for layer, holders in topo.roles.items()}
         for w in (0, 1, 2):
             topo.mark_dead(w)
         monitor_round(cs, topo)
-        assert (dict(topo.role_map.cluster_leader), dict(topo.role_map.regional_hub)) == before
+        assert topo.roles == before
 
     def test_region_processing_order_irrelevant(self):
         outcomes = {}

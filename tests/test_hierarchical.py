@@ -1,3 +1,5 @@
+import random
+
 from virtree.adjacent import LeaderState
 from virtree.hierarchical import (
     MODE_LCA,
@@ -7,11 +9,10 @@ from virtree.hierarchical import (
     route_interior,
 )
 from virtree.messages import new_command
-from virtree.metrics import hier_forward_count
 from virtree.oracle import _bfs, containment_tree
 from virtree.scenario import CommandSpec, FailureSpec, Scenario
 from virtree.simkernel import run
-from virtree.topology import HierarchyConfig, build_topology
+from virtree.topology import HierarchyConfig, build_topology, goal_clusters_for_scope
 
 
 def hier_scenario(**kw):
@@ -91,13 +92,99 @@ class TestTreeLinks:
         links = TreeLinks.build(topo32)
         assert links.holder((2, 3)) == 6
         assert links.holder_cluster((2, 3)) == 3
-        del topo32.role_map.cluster_leader[3]
+        del topo32.roles[2][3]
         assert links.holder((2, 3)) is None
         assert links.holder_cluster((2, 3)) is None
 
     def test_apex_held_by_lowest_top_scope(self, two_domain_topo):
         links = TreeLinks.build(two_domain_topo)
-        assert links.holder((6, 0)) == two_domain_topo.role_map.global_command[0]
+        assert links.holder((6, 0)) == two_domain_topo.roles[5][0]
+
+
+# oracle node kind <-> tree layer, and the scope selector kind of each
+ORACLE_KIND = {2: "c", 3: "r", 4: "h", 5: "d"}
+SCOPE_KIND = {"c": "cluster", "r": "region", "h": "hub", "d": "domain"}
+
+
+def sampled_shapes(per_case=4, seed=4242):
+    """Seeded shapes: each num_layers 2..5, with and without an apex."""
+    rng = random.Random(seed)
+    for num_layers in range(2, 6):
+        for apex in (False, True):
+            for _ in range(per_case):
+                # cpr, rph, hpd, domains; those above the top layer set its scope count
+                fans = [rng.randint(1, 4) for _ in range(4)]
+                for i in range(num_layers - 2, 4):
+                    fans[i] = 1
+                if apex:
+                    fans[rng.randrange(num_layers - 2, 4)] = rng.randint(2, 3)
+                yield HierarchyConfig(workers_per_cluster=1, clusters_per_region=fans[0],
+                                      regions_per_hub=fans[1], hubs_per_domain=fans[2],
+                                      domains=fans[3], num_layers=num_layers,
+                                      coordinator_k=1, t_min=1)
+
+
+class TestTreeLinksMatchOracle:
+    """TreeLinks and goal expansion agree with the oracle's independent tree."""
+
+    def test_sampled_shapes(self):
+        seen = {(cfg.num_layers, self.check_shape(cfg)) for cfg in sampled_shapes()}
+        assert seen == {(n, apex) for n in range(2, 6) for apex in (False, True)}
+
+    @staticmethod
+    def check_shape(cfg) -> bool:
+        """Compare one shape; returns whether it has an apex."""
+        topo = build_topology(cfg, seed=1)
+        links = TreeLinks.build(topo)
+        tree = containment_tree(topo)
+        n = cfg.num_layers
+        top = ("top", 0) if ("top", 0) in tree else (ORACLE_KIND[n], 0)
+        layer_of = {kind: layer for layer, kind in ORACLE_KIND.items()}
+        layer_of["top"] = n + 1
+
+        def to_links(node):
+            return (layer_of[node[0]], node[1])
+
+        # root the oracle's undirected tree at its top
+        parent = {top: None}
+        order = [top]
+        for node in order:
+            for peer in sorted(tree[node]):
+                if peer not in parent:
+                    parent[peer] = node
+                    order.append(peer)
+        assert len(parent) == len(tree)
+        leaves = {node: set() for node in tree}
+        for node in reversed(order):
+            if node[0] == "c":
+                leaves[node].add(node[1])
+            if parent[node] is not None:
+                leaves[parent[node]] |= leaves[node]
+
+        assert links.root == to_links(top)
+        assert (links.apex is None) == (top[0] != "top")
+        for c in range(cfg.n_clusters):
+            chain, node = [], links.leaf(c)
+            while node is not None:
+                chain.append(node)
+                node = links.parent(node)
+            want, onode = [], ("c", c)
+            while onode is not None:
+                want.append(to_links(onode))
+                onode = parent[onode]
+            assert chain == want, (cfg, c)
+        for onode, under in leaves.items():
+            node = to_links(onode)
+            for c in range(cfg.n_clusters):
+                assert links.covers(node, c) == (c in under), (cfg, node, c)
+                if c in under and onode[0] != "c":
+                    child = next(p for p in tree[onode]
+                                 if parent.get(p) == onode and c in leaves[p])
+                    assert links.child_toward(node, c) == to_links(child), (cfg, node, c)
+            if onode[0] in SCOPE_KIND:
+                assert goal_clusters_for_scope(topo, (SCOPE_KIND[onode[0]], onode[1])) == under
+        assert goal_clusters_for_scope(topo, ("global",)) == leaves[top]
+        return links.apex is not None
 
 
 class TestLeafReceive:
@@ -194,7 +281,7 @@ class TestRouteInterior:
 
     def test_vacant_holder_routes_nothing(self, topo32):
         links = TreeLinks.build(topo32)
-        del topo32.role_map.regional_hub[0]
+        del topo32.roles[3][0]
         m = new_command(0, 0, goals={1})
         assert route_interior((3, 0), m, (2, 0), topo32, links) == []
 
@@ -236,7 +323,7 @@ class TestHierSimulation:
                     if rec.event == "execute_cluster"}
 
         assert executed(t_lca) == executed(t_root) == {2, 3}
-        assert hier_forward_count(t_root) == hier_forward_count(t_lca) + 1
+        assert r_root.totals["alg3.forward"] == r_lca.totals["alg3.forward"] + 1
 
     def test_cross_domain_hop_bound(self, two_domain_topo):
         sc = hier_scenario(config=two_domain_topo.config, seed=7,

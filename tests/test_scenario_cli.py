@@ -182,6 +182,18 @@ class TestCli:
         assert f"invalid scenario: {field}: " in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("assignment", ["coordinator.round_period=1e-9",
+                                            "horizon=1e300"])
+    def test_too_many_maintenance_rounds_exits_2(self, tmp_path, capsys, assignment):
+        code = main(["validate", "--scenario", write_scenario(tmp_path), "--set", assignment])
+        assert code == 2
+        assert "invalid scenario: coordinator.round_period: " in capsys.readouterr().err
+
+    def test_maintenance_round_cap_boundary(self, tmp_path):
+        path = write_scenario(tmp_path)
+        assert main(["validate", "--scenario", path, "--set", "horizon=100000"]) == 0
+        assert main(["validate", "--scenario", path, "--set", "horizon=100000.5"]) == 2
+
     def test_bad_json_exits_2(self, tmp_path, capsys):
         path = tmp_path / "broken.json"
         path.write_text("{not json")

@@ -55,9 +55,9 @@ class TestConfig:
 class TestBuild:
     def test_small_plate_counts(self, topo32):
         assert len(topo32.cluster_of) == 32
-        assert len(topo32.region_of) == 16
-        assert len(topo32.role_map.cluster_leader) == 16
-        assert len(topo32.role_map.regional_hub) == 4
+        assert len(topo32.workers_in_cluster) == 16
+        assert len(topo32.roles[2]) == 16
+        assert len(topo32.roles[3]) == 4
 
     def test_eight_worker_shape_and_role_multiplicity(self):
         cfg = HierarchyConfig(workers_per_cluster=2, clusters_per_region=2,
@@ -65,18 +65,15 @@ class TestBuild:
                               coordinator_k=2, t_min=1)
         topo = build_topology(cfg, seed=1)
         assert cfg.n_workers == 8
-        assert len(topo.role_map.cluster_leader) == 4
-        assert len(topo.role_map.regional_hub) == 2
-        assert len(topo.role_map.local_global) == 2
-        assert len(topo.role_map.global_command) == 1
+        assert [len(topo.roles[layer]) for layer in (2, 3, 4, 5)] == [4, 2, 2, 1]
         # the top role piggybacks on a worker that already holds a local-global role
-        top = topo.role_map.global_command[0]
-        assert top in set(topo.role_map.local_global.values())
+        top = topo.roles[5][0]
+        assert top in set(topo.roles[4].values())
 
     def test_initial_roles_lowest_id(self, topo32):
-        for c, leader in topo32.role_map.cluster_leader.items():
+        for c, leader in topo32.roles[2].items():
             assert leader == min(topo32.workers_in_cluster[c])
-        for r, hub in topo32.role_map.regional_hub.items():
+        for r, hub in topo32.roles[3].items():
             assert hub == min(topo32.workers_in_region(r))
 
     def test_build_deterministic(self):
@@ -85,7 +82,7 @@ class TestBuild:
         a = build_topology(cfg, seed=99)
         b = build_topology(cfg, seed=99)
         assert a.energy == b.energy
-        assert a.role_map == b.role_map
+        assert a.roles == b.roles
         assert a.region_adjacency == b.region_adjacency
         c = build_topology(cfg, seed=100)
         assert a.energy != c.energy  # seed feeds the energy scalars
@@ -101,18 +98,17 @@ class TestBuild:
                               regions_per_hub=2, hubs_per_domain=2, num_layers=3,
                               coordinator_k=2, t_min=1)
         topo = build_topology(cfg, seed=3)
-        assert topo.role_map.local_global == {}
-        assert topo.role_map.global_command == {}
+        assert sorted(topo.roles) == [2, 3]
         # containment stays full depth even without the upper roles
-        assert len(topo.hub_of) == cfg.n_regions
-        assert len(topo.domain_of) == cfg.n_hubs
+        assert hierarchy_distance(topo, 0, cfg.n_clusters - 1) == 3  # other hub
+        assert goal_clusters_for_scope(topo, ("hub", 1)) == {4, 5, 6, 7}
 
     def test_scope_chain_total(self, topo32):
         for w in topo32.workers:
             c = topo32.cluster_of[w]
-            chain = topo32.scope_chain(c)
-            assert chain[0] == c
-            assert chain[1] == topo32.region_of[c]
+            chain = [topo32.scope_of(c, layer) for layer in (2, 3, 4, 5)]
+            assert chain == [c, c // 4, c // 8, 0]
+            assert topo32.region_of_worker(w) == chain[1]
 
 
 class TestDeriveSeed:
@@ -194,10 +190,10 @@ class TestGoalClusters:
 
 class TestReelection:
     def test_two_worker_cluster_survivor_takes_over(self, topo32):
-        assert topo32.role_map.cluster_leader[0] == 0
+        assert topo32.roles[2][0] == 0
         topo32.mark_dead(0)
         reelect_role(topo32, 2, 0)
-        assert topo32.role_map.cluster_leader[0] == 1
+        assert topo32.roles[2][0] == 1
 
     def test_hub_election_picks_lowest_leader(self, topo32):
         # region 0 leaders are 0,2,4,6; drop the hub holder and its cluster
@@ -206,20 +202,20 @@ class TestReelection:
         with pytest.raises(NoCandidate):
             reelect_role(topo32, 2, 0)
         reelect_role(topo32, 3, 0)
-        assert topo32.role_map.regional_hub[0] == 2
+        assert topo32.roles[3][0] == 2
 
     def test_no_candidate_vacates_binding(self, topo32):
         topo32.mark_dead(4)
         topo32.mark_dead(5)
         with pytest.raises(NoCandidate):
             reelect_role(topo32, 2, 2)
-        assert 2 not in topo32.role_map.cluster_leader
+        assert 2 not in topo32.roles[2]
 
     def test_other_bindings_untouched(self, topo32):
-        before = dict(topo32.role_map.cluster_leader)
+        before = dict(topo32.roles[2])
         topo32.mark_dead(6)
         reelect_role(topo32, 2, 3)
-        after = topo32.role_map.cluster_leader
+        after = topo32.roles[2]
         assert after[3] == 7
         assert {c: w for c, w in after.items() if c != 3} == \
                {c: w for c, w in before.items() if c != 3}
@@ -247,12 +243,7 @@ class TestReelection:
                         reelect_role(topo, layer, scope)
                     except NoCandidate:
                         pass
-            for c, leader in topo.role_map.cluster_leader.items():
-                assert topo.is_alive(leader)
-                assert topo.cluster_of[leader] == c
-            for r, hub in topo.role_map.regional_hub.items():
-                assert topo.is_alive(hub)
-                assert topo.region_of_worker(hub) == r
-            for h, lg in topo.role_map.local_global.items():
-                assert topo.is_alive(lg)
-                assert topo.hub_of[topo.region_of_worker(lg)] == h
+            for layer, holders in topo.roles.items():
+                for scope, holder in holders.items():
+                    assert topo.is_alive(holder)
+                    assert topo.scope_of(topo.cluster_of[holder], layer) == scope
