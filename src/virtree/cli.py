@@ -18,7 +18,7 @@ from .coordinators import liveness_trials, predicted_liveness
 from .errors import OracleMismatch, ScenarioInvalid
 from .metrics import TRANSMISSION_EVENTS, dump_trace, liveness_estimate
 from .oracle import check_trace
-from .scenario import load_scenario_file, validate_scenario
+from .scenario import MAX_WORKERS, load_scenario_file, validate_scenario
 from .simkernel import run as run_scenario
 from .topology import build_topology, derive_seed, goal_clusters_for_scope
 
@@ -71,10 +71,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 def cmd_run(args) -> int:
     sc = load_scenario_file(args.scenario, args.overrides, args.seed)
-    trace, report = run_scenario(sc)
     os.makedirs(args.out, exist_ok=True)
-    with open(os.path.join(args.out, "trace.jsonl"), "w", encoding="utf-8") as fh:
-        fh.write(dump_trace(trace))
+    # the trace streams into a temporary file that replaces trace.jsonl only
+    # once the run has returned, so a failed run leaves the earlier outputs
+    trace_path = os.path.join(args.out, "trace.jsonl")
+    tmp_path = f"{trace_path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp_path, "w", encoding="utf-8") as fh:
+            _, report = run_scenario(sc, sink=lambda batch: fh.write(dump_trace(batch)))
+        os.replace(tmp_path, trace_path)
+    except BaseException:
+        os.unlink(tmp_path)
+        raise
     with open(os.path.join(args.out, "metrics.csv"), "w", encoding="utf-8") as fh:
         fh.write(report.to_csv())
     with open(os.path.join(args.out, "metrics.json"), "w", encoding="utf-8") as fh:
@@ -82,7 +90,8 @@ def cmd_run(args) -> int:
         fh.write("\n")
     done = sum(1 for m in report.messages.values()
                if m.goals_executed == m.goals_total)
-    print(f"run ok: {len(trace)} trace records, {len(report.messages)} commands "
+    records = sum(report.totals.values())
+    print(f"run ok: {records} trace records, {len(report.messages)} commands "
           f"({done} fully executed), live regions {report.live_region_fraction:.3f}")
     return 0
 
@@ -187,6 +196,8 @@ def _check_liveness_point(flag: str, p: float, k: int):
         predicted_liveness(p, k)
     except ValueError as e:
         raise ScenarioInvalid(flag, str(e)) from None
+    if k > MAX_WORKERS:  # liveness_trials builds a K-worker region
+        raise ScenarioInvalid(flag, f"coordinator count must be <= {MAX_WORKERS}, got {k}")
 
 
 def _sweep_variant(sc, param: str, value):

@@ -41,18 +41,15 @@ class CoordinatorSet:
         return cls(region=region, k=k, t_min=topo.config.t_min, active=members[:k])
 
 
-def candidate_metric(topo: Topology, w: WorkerId, load: int = 0) -> float:
+def candidate_metric(connectivity: float, load: int, energy: float) -> float:
     """Fitness of a promotion candidate.
 
     0.5 * connectivity + 0.3 * (1 - load_norm) + 0.2 * energy.  Connectivity
     is the alive fraction of the worker's region peers; load is normalised as
     load / (load + 1) so any pending-work count maps into [0, 1).
     """
-    region = topo.region_of_worker(w)
-    peers = [p for p in topo.workers_in_region(region) if p != w]
-    connectivity = (sum(1 for p in peers if topo.is_alive(p)) / len(peers)) if peers else 1.0
     load_norm = load / (load + 1)
-    return 0.5 * connectivity + 0.3 * (1.0 - load_norm) + 0.2 * topo.energy[w]
+    return 0.5 * connectivity + 0.3 * (1.0 - load_norm) + 0.2 * energy
 
 
 def region_live(cs: CoordinatorSet, topo: Topology) -> bool:
@@ -71,12 +68,16 @@ def select_replacements(cs: CoordinatorSet, topo: Topology, need: int,
     if need <= 0:
         return []
     roster = set(cs.active)
+    members = topo.workers_in_region(cs.region)
+    alive = [w for w in members if topo.is_alive(w)]
+    # every candidate is alive, so its alive peers are the others alive
+    connectivity = (len(alive) - 1) / (len(members) - 1) if len(members) > 1 else 1.0
     scored = []
-    for w in sorted(topo.workers_in_region(cs.region)):
-        if w in roster or not topo.is_alive(w):
+    for w in alive:
+        if w in roster:
             continue
         load = load_of(w) if load_of else 0
-        m = candidate_metric(topo, w, load)
+        m = candidate_metric(connectivity, load, topo.energy[w])
         scored.append((-m, w))
     scored.sort()
     return [w for _, w in scored[:need]]

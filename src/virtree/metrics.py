@@ -1,9 +1,10 @@
 """Trace records and the metrics derived from them.
 
-A trace is a flat list of records; every function here is a pure function of
-that list, so a report can be rebuilt from a saved trace file alone.  Records
-serialize as one canonical JSON object per line (sorted keys, no spaces),
-which is also what the byte-identity determinism checks compare.
+A trace is a flat sequence of records.  ``build_report`` folds records into a
+report one batch at a time, so the kernel can build it while the run streams
+its trace out, and the same fold rebuilds a report from a saved trace file
+alone.  Records serialize as one canonical JSON object per line (sorted keys,
+no spaces), which is also what the byte-identity determinism checks compare.
 """
 
 from __future__ import annotations
@@ -12,9 +13,12 @@ import json
 import math
 from dataclasses import dataclass, field
 
-# ``message_totals`` keys that are one radio transmission each: worker relays
+# ``MetricsReport.totals`` keys that are one radio transmission each: worker relays
 # and leader broadcasts (adjacent strategy), tree forwards (hierarchical).
 TRANSMISSION_EVENTS = ("alg1.relay", "alg2.broadcast", "alg3.forward")
+
+# One encoder for every line: json.dumps would build a new one per record.
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
 
 
 @dataclass(frozen=True)
@@ -39,7 +43,7 @@ class TraceRecord:
         return obj
 
     def to_json_line(self) -> str:
-        return json.dumps(self.to_obj(), sort_keys=True, separators=(",", ":"))
+        return _ENCODER.encode(self.to_obj())
 
     @classmethod
     def from_obj(cls, obj: dict) -> "TraceRecord":
@@ -49,8 +53,9 @@ class TraceRecord:
                    event=obj["event"], data=data)
 
 
-def dump_trace(trace: list[TraceRecord]) -> str:
-    return "".join(rec.to_json_line() + "\n" for rec in trace)
+def dump_trace(records: list[TraceRecord]) -> str:
+    """The canonical JSONL text of a trace or of one batch of it."""
+    return "".join(rec.to_json_line() + "\n" for rec in records)
 
 
 def parse_trace(text: str) -> list[TraceRecord]:
@@ -88,11 +93,17 @@ class MetricsReport:
     messages: dict[str, PerMessage] = field(default_factory=dict)
     totals: dict[str, int] = field(default_factory=dict)
     recovery_samples: list[tuple[int, int]] = field(default_factory=list)
-    unrestored_regions: list[int] = field(default_factory=list)
+    # region -> maintenance round its still-open breach began in
+    open_breaches: dict[int, int] = field(default_factory=dict)
     live_region_fraction: float | None = None
     cross_region_maintenance: int = 0
     conservation: dict[str, int] = field(default_factory=dict)
     conserved: bool = True
+
+    @property
+    def unrestored_regions(self) -> list[int]:
+        """Regions whose breach had not closed by the last record folded in."""
+        return sorted(self.open_breaches)
 
     def to_json_obj(self) -> dict:
         return {
@@ -138,49 +149,6 @@ class MetricsReport:
         return "\n".join(lines) + "\n"
 
 
-def recovery_latency(trace: list[TraceRecord]) -> tuple[list[tuple[int, int]], list[int]]:
-    """Per-region breach durations in maintenance rounds.
-
-    A breach opens at the first round observing alive_before < t_min and
-    closes at the first round whose roster ends at >= t_min again; the sample
-    is the inclusive round count.  Regions still breached when the trace ends
-    are reported separately as unrestored.
-    """
-    open_breach: dict[int, int] = {}
-    samples: list[tuple[int, int]] = []
-    for rec in trace:
-        if rec.comp != "alg4":
-            continue
-        region = rec.data["region"]
-        rnd = rec.data["round"]
-        if rec.event == "region_dead":
-            open_breach.setdefault(region, rnd)
-            continue
-        if rec.event != "round":
-            continue
-        breached = rec.data["alive_before"] < rec.data["t_min"]
-        if breached and region not in open_breach:
-            open_breach[region] = rnd
-        if region in open_breach and rec.data["size_after"] >= rec.data["t_min"]:
-            samples.append((region, rnd - open_breach.pop(region) + 1))
-    return samples, sorted(open_breach)
-
-
-def containment_check(trace: list[TraceRecord]) -> int:
-    """Count maintenance records that touched a foreign region (contract: 0)."""
-    return sum(1 for rec in trace
-               if rec.comp == "alg4"
-               and rec.data.get("src_region") != rec.data.get("dst_region"))
-
-
-def message_totals(trace: list[TraceRecord]) -> dict[str, int]:
-    totals: dict[str, int] = {}
-    for rec in trace:
-        key = f"{rec.comp}.{rec.event}"
-        totals[key] = totals.get(key, 0) + 1
-    return totals
-
-
 def liveness_estimate(outcomes: list[bool], p: float, k: int) -> LivenessEstimate:
     """Observed live fraction with a 3-sigma binomial band around 1 - p**k.
 
@@ -204,47 +172,63 @@ def liveness_estimate(outcomes: list[bool], p: float, k: int) -> LivenessEstimat
     )
 
 
-def _msg_stats(trace: list[TraceRecord]) -> dict[str, PerMessage]:
-    msgs: dict[str, PerMessage] = {}
-    for rec in trace:
-        mid = rec.data.get("msg_id")
-        if mid is None:
+def build_report(records: list[TraceRecord], strategy: str,
+                 report: MetricsReport | None = None) -> MetricsReport:
+    """Fold trace records into a metrics report.
+
+    Without ``report`` this builds a fresh report from a whole trace.  Passing
+    the report returned for the previous batch continues the fold, so folding
+    a trace batch by batch gives the same report as folding it at once.
+
+    Recovery: a region's breach opens at the first round observing
+    alive_before < t_min (or at region_dead) and closes at the first round
+    whose roster ends at >= t_min again; the sample is the inclusive round
+    count.  Breaches still open are the unrestored regions.  Containment
+    counts maintenance records that touched a foreign region (contract: 0).
+    """
+    if report is None:
+        report = MetricsReport(strategy=strategy)
+    totals = report.totals
+    msgs = report.messages
+    breaches = report.open_breaches
+    for rec in records:
+        comp, event, data = rec.comp, rec.event, rec.data
+        key = f"{comp}.{event}"
+        totals[key] = totals.get(key, 0) + 1
+        if comp == "alg4":
+            if data.get("src_region") != data.get("dst_region"):
+                report.cross_region_maintenance += 1
+            region, rnd = data["region"], data["round"]
+            if event == "region_dead":
+                breaches.setdefault(region, rnd)
+            elif event == "round":
+                if data["alive_before"] < data["t_min"]:
+                    breaches.setdefault(region, rnd)
+                if region in breaches and data["size_after"] >= data["t_min"]:
+                    report.recovery_samples.append((region, rnd - breaches.pop(region) + 1))
             continue
-        if rec.comp == "kernel" and rec.event == "command_injected":
-            msgs[mid] = PerMessage(
-                msg_id=mid, injected_at=rec.time,
-                goals_total=rec.data["goals_total"],
-                targets_total=rec.data["targets_total"],
-            )
-            continue
-        pm = msgs.get(mid)
+        if comp == "kernel":
+            if event == "run_end":
+                report.live_region_fraction = data["live_region_fraction"]
+                report.conservation = dict(data["conservation"])
+                report.conserved = data["conserved"]
+                continue
+            if event == "command_injected":
+                mid = data["msg_id"]
+                msgs[mid] = PerMessage(msg_id=mid, injected_at=rec.time,
+                                       goals_total=data["goals_total"],
+                                       targets_total=data["targets_total"])
+                continue
+        pm = msgs.get(data.get("msg_id"))
         if pm is None:
             continue
-        hop = rec.data.get("hop")
+        hop = data.get("hop")
         if hop is not None and hop > pm.max_hop:
             pm.max_hop = hop
-        if rec.event == "execute_cluster":
+        if event == "execute_cluster":
             pm.goals_executed += 1
             pm.completed_at = rec.time
             pm.latency = round(rec.time - pm.injected_at, 9)
-        if rec.event == "execute_worker" and rec.data.get("targeted"):
+        elif event == "execute_worker" and data.get("targeted"):
             pm.targets_executed += 1
-    return msgs
-
-
-def build_report(trace: list[TraceRecord], strategy: str) -> MetricsReport:
-    samples, unrestored = recovery_latency(trace)
-    report = MetricsReport(
-        strategy=strategy,
-        messages=_msg_stats(trace),
-        totals=message_totals(trace),
-        recovery_samples=samples,
-        unrestored_regions=unrestored,
-        cross_region_maintenance=containment_check(trace),
-    )
-    for rec in trace:
-        if rec.comp == "kernel" and rec.event == "run_end":
-            report.live_region_fraction = rec.data["live_region_fraction"]
-            report.conservation = dict(rec.data["conservation"])
-            report.conserved = rec.data["conserved"]
     return report

@@ -30,6 +30,10 @@ STRATEGIES = ("adjacent", "hierarchical")
 # The kernel schedules every maintenance round up front, one heap event each.
 MAX_MAINTENANCE_ROUNDS = 100_000
 
+# Building a topology costs about 300 B and 1.1 us per worker (CPython 3.11),
+# so the cap keeps the build under about 300 MB and about one second.
+MAX_WORKERS = 1_000_000
+
 
 @dataclass(frozen=True)
 class CommandSpec:
@@ -95,6 +99,9 @@ def validate_scenario(sc: Scenario):
     for name in _FANOUT_KEYS:
         if getattr(cfg, name) < 1:
             raise ScenarioInvalid(f"topology.{name}", f"must be >= 1, got {getattr(cfg, name)}")
+    if cfg.n_workers > MAX_WORKERS:
+        raise ScenarioInvalid("topology", f"must hold at most {MAX_WORKERS} workers, "
+                                          f"got {cfg.n_workers}")
     region_size = cfg.workers_per_cluster * cfg.clusters_per_region
     if not 1 <= cfg.coordinator_k <= region_size:
         raise ScenarioInvalid("coordinator.K", f"must be in 1..{region_size} (the region "

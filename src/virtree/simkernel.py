@@ -11,12 +11,17 @@ rather than removed from the queue, and every message copy ends the run in
 exactly one of: completed, dropped (dead target / jammed link), parked,
 cancelled, suppressed, or in flight at the horizon.  The run raises
 ConservationError when that accounting does not balance.
+
+Given a sink, the kernel hands the trace over in batches of about
+TRACE_BATCH records, cut between events, and folds each batch into the
+metrics report before dropping it, so a run holds one batch at a time.
 """
 
 from __future__ import annotations
 
 import heapq
 import random
+from collections.abc import Callable
 
 from . import adjacent as adj
 from . import hierarchical as hier
@@ -42,6 +47,9 @@ EV_RECOVERY = "RecoveryInjection"
 
 MAX_PARK_RETRIES = 3
 
+# Records per batch handed to a trace sink.
+TRACE_BATCH = 4096
+
 
 def quantize(t: float) -> float:
     """Fixed-precision event time: everything scheduled lands on 1e-9 ticks."""
@@ -49,14 +57,17 @@ def quantize(t: float) -> float:
 
 
 class _Kernel:
-    def __init__(self, sc: Scenario):
+    def __init__(self, sc: Scenario,
+                 sink: Callable[[list[TraceRecord]], object] | None = None):
         self.sc = sc
+        self.sink = sink
         self.topo = build_topology(sc.config, sc.seed, adjacency=sc.adjacency_override)
         self.now = 0.0
         self.heap: list = []
         self.event_seq = 0
         self.rec_seq = 0
-        self.trace: list[TraceRecord] = []
+        self.trace: list[TraceRecord] = []  # records not yet handed to the sink
+        self.report: MetricsReport | None = None
         self.leader_states = {c: adj.LeaderState(cluster_id=c) for c in self.topo.clusters}
         self.coords = {r: CoordinatorSet.initial(self.topo, r) for r in self.topo.regions}
         self.links = hier.TreeLinks.build(self.topo)
@@ -83,6 +94,12 @@ class _Kernel:
         self.trace.append(TraceRecord(time=self.now, seq=self.rec_seq,
                                       comp=comp, event=event, data=data))
         self.rec_seq += 1
+
+    def flush(self):
+        """Fold the pending records into the report and hand them to the sink."""
+        self.report = build_report(self.trace, self.sc.strategy, self.report)
+        self.sink(self.trace)
+        self.trace = []
 
     def push(self, fire: float, kind: str, payload: dict):
         heapq.heappush(self.heap, (quantize(fire), self.event_seq, kind, payload))
@@ -452,6 +469,8 @@ class _Kernel:
                 self.handle_failure(payload)
             else:  # EV_RECOVERY
                 self.revive_worker(payload["spec"].worker)
+            if self.sink is not None and len(self.trace) >= TRACE_BATCH:
+                self.flush()
 
         for _fire, _seq, kind, _payload in self.heap:
             if kind == EV_DELIVERY:
@@ -476,16 +495,26 @@ class _Kernel:
                   live_region_fraction=live / len(self.coords),
                   conservation=dict(sorted(self.counters.items())),
                   conserved=conserved)
+        if self.sink is not None:
+            self.flush()  # the sink gets run_end even when the run then raises
         if not conserved:
             raise ConservationError(self.counters)
-        report = build_report(self.trace, sc.strategy)
-        return self.trace, report
+        if self.report is None:  # no sink: the whole trace is still here
+            self.report = build_report(self.trace, sc.strategy)
+        return self.trace, self.report
 
 
-def run(scenario: Scenario) -> tuple[list[TraceRecord], MetricsReport]:
+def run(scenario: Scenario,
+        sink: Callable[[list[TraceRecord]], object] | None = None,
+        ) -> tuple[list[TraceRecord], MetricsReport]:
     """Execute one scenario; returns (trace, metrics report).
+
+    Without a sink the returned trace is every record of the run.  With one,
+    ``sink(batch)`` receives the records in order, a batch of about
+    TRACE_BATCH at a time, the last one after the ``run_end`` record; nothing
+    is kept and the returned trace is empty.
 
     The scenario is trusted: ``scenario.build_scenario`` and
     ``scenario.validate_scenario`` are where input is checked.
     """
-    return _Kernel(scenario).run()
+    return _Kernel(scenario, sink).run()

@@ -166,9 +166,19 @@ class Topology:
             self.alive.add(w)
 
     def roles_held_by(self, w: WorkerId) -> list[tuple[int, int]]:
-        """All (layer, scope_id) bindings currently held by worker w."""
-        return sorted((layer, scope) for layer, holders in self.roles.items()
-                      for scope, holder in holders.items() if holder == w)
+        """All (layer, scope_id) bindings currently held by worker w, sorted.
+
+        A holder always lies inside its scope (initial holders are the
+        scope's lowest worker, re-election draws from inside), so only the
+        one scope per layer that contains w's cluster can name w.
+        """
+        c = self.cluster_of[w]
+        held = []
+        for layer in sorted(self.roles):
+            scope = self.scope_of(c, layer)
+            if self.roles[layer].get(scope) == w:
+                held.append((layer, scope))
+        return held
 
 
 def grid_adjacency(n_regions: int) -> dict[RegionId, tuple[RegionId, ...]]:

@@ -11,7 +11,7 @@ import time
 
 from virtree.adjacent import DelayParams
 from virtree.coordinators import liveness_trials
-from virtree.metrics import TRANSMISSION_EVENTS, containment_check, recovery_latency
+from virtree.metrics import TRANSMISSION_EVENTS
 from virtree.oracle import check_trace
 from virtree.scenario import CommandSpec, FailureSpec, Scenario
 from virtree.simkernel import quantize, run
@@ -76,8 +76,8 @@ def test_criterion_2_no_breach_below_redundancy_margin():
                                             kind="worker", action="kill", worker=w))
         sc = mk(cfg, seed=3000 + i, horizon=6.0, failures=failures,
                 round_period=1.0)
-        trace, _ = run(sc)
-        assert recovery_latency(trace) == ([], [])
+        _, report = run(sc)
+        assert report.recovery_samples == [] and report.unrestored_regions == []
     print("criterion 2: PASS - 0 breaches over 1000 runs with <=2 kills/region",
           flush=True)
 
@@ -93,9 +93,9 @@ def test_criterion_3_reselection_restores_in_bounded_rounds():
         t = round(rng.uniform(0.1, 0.9), 3)
         failures = [FailureSpec(time=t, kind="worker", action="kill", worker=w)
                     for w in rng.sample(roster, n_kills)]
-        trace, _ = run(mk(cfg, seed=seed, horizon=5.0, failures=failures,
-                          round_period=1.0, **kw))
-        return r, recovery_latency(trace)
+        _, report = run(mk(cfg, seed=seed, horizon=5.0, failures=failures,
+                           round_period=1.0, **kw))
+        return r, (report.recovery_samples, report.unrestored_regions)
 
     for i in range(60):
         r, (samples, unrestored) = breach_run(rng.choice((3, 4)), 6000 + i)
@@ -143,11 +143,11 @@ def test_criterion_4_maintenance_stays_inside_the_region():
         sc = mk(cfg, seed=4000 + i, horizon=8.0, round_period=1.0,
                 strategy="adjacent" if i % 2 == 0 else "hierarchical",
                 commands=commands, failures=failures)
-        trace, _ = run(sc)
-        assert containment_check(trace) == 0
+        _, report = run(sc)
+        assert report.cross_region_maintenance == 0
         runs += 1
     assert runs >= 100
-    print(f"criterion 4: PASS - containment_check == 0 on {runs} runs "
+    print(f"criterion 4: PASS - cross_region_maintenance == 0 on {runs} runs "
           "with region kills and jams", flush=True)
 
 

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from virtree.coordinators import (
@@ -39,22 +41,15 @@ class TestRoster:
 
 class TestCandidateMetric:
     def test_weighted_sum(self):
-        topo = make_topo()
-        topo.energy[6] = 0.5
         # all peers alive, zero load: 0.5*1 + 0.3*1 + 0.2*0.5
-        assert candidate_metric(topo, 6, load=0) == pytest.approx(0.9)
+        assert candidate_metric(1.0, 0, 0.5) == pytest.approx(0.9)
 
     def test_load_normalisation(self):
-        topo = make_topo()
-        topo.energy[6] = 0.5
-        assert candidate_metric(topo, 6, load=1) == pytest.approx(0.75)
+        assert candidate_metric(1.0, 1, 0.5) == pytest.approx(0.75)
 
     def test_connectivity_term(self):
-        topo = make_topo()
-        topo.energy[6] = 0.5
-        for w in (0, 1, 2):  # 3 of 7 peers dead
-            topo.mark_dead(w)
-        assert candidate_metric(topo, 6) == pytest.approx(0.5 * 4 / 7 + 0.3 + 0.1)
+        # 3 of 7 peers dead
+        assert candidate_metric(4 / 7, 0, 0.5) == pytest.approx(0.5 * 4 / 7 + 0.3 + 0.1)
 
 
 class TestSelectReplacements:
@@ -83,6 +78,27 @@ class TestSelectReplacements:
         cs = CoordinatorSet.initial(topo, 0)
         topo.energy.update({5: 0.5, 6: 0.5, 7: 0.5})
         assert select_replacements(cs, topo, 1, load_of=lambda w: 3 if w == 5 else 0) == [6]
+
+    def test_matches_per_candidate_peer_scan(self):
+        # reference: each candidate's connectivity counted from its own peers
+        rng = random.Random(11)
+        for trial in range(20):
+            topo = make_topo(workers_per_cluster=5, clusters_per_region=4)
+            members = topo.workers_in_region(0)
+            for w in rng.sample(members, rng.randrange(len(members) - 1)):
+                topo.mark_dead(w)
+            cs = CoordinatorSet.initial(topo, 0)
+            load = {w: rng.randrange(4) for w in members}
+
+            def metric(w):
+                peers = [p for p in members if p != w]
+                conn = sum(1 for p in peers if topo.is_alive(p)) / len(peers)
+                return candidate_metric(conn, load[w], topo.energy[w])
+            ranked = sorted((-metric(w), w) for w in members
+                            if topo.is_alive(w) and w not in cs.active)
+            need = rng.randrange(1, 8)
+            assert select_replacements(cs, topo, need, load.get) == \
+                [w for _, w in ranked[:need]]
 
 
 class TestMonitorRound:

@@ -6,12 +6,9 @@ from virtree.metrics import (
     TRANSMISSION_EVENTS,
     TraceRecord,
     build_report,
-    containment_check,
     dump_trace,
     liveness_estimate,
-    message_totals,
     parse_trace,
-    recovery_latency,
 )
 from virtree.scenario import CommandSpec, Scenario
 from virtree.simkernel import run
@@ -49,24 +46,29 @@ class TestTraceSerialization:
         assert len(parse_trace(text)) == 1
 
 
+def recovery(trace):
+    report = build_report(trace, "hierarchical")
+    return report.recovery_samples, report.unrestored_regions
+
+
 class TestRecoveryLatency:
     def test_same_round_repair_is_one(self):
         trace = [alg4_round(0, 1, alive_before=2, size_after=3)]
-        assert recovery_latency(trace) == ([(0, 1)], [])
+        assert recovery(trace) == ([(0, 1)], [])
 
     def test_multi_round_breach(self):
         trace = [
             alg4_round(0, 1, alive_before=1, size_after=2),
             alg4_round(0, 2, alive_before=2, size_after=3),
         ]
-        assert recovery_latency(trace) == ([(0, 2)], [])
+        assert recovery(trace) == ([(0, 2)], [])
 
     def test_unrestored_region_reported(self):
         trace = [
             alg4_round(0, 1, alive_before=1, size_after=2),
             alg4_round(1, 1, alive_before=3, size_after=3),
         ]
-        assert recovery_latency(trace) == ([], [0])
+        assert recovery(trace) == ([], [0])
 
     def test_region_dead_opens_breach(self):
         trace = [
@@ -74,11 +76,18 @@ class TestRecoveryLatency:
                 dst_region=0, round=2, t_min=3),
             alg4_round(0, 3, alive_before=1, size_after=3),
         ]
-        assert recovery_latency(trace) == ([(0, 2)], [])
+        assert recovery(trace) == ([(0, 2)], [])
 
     def test_healthy_rounds_produce_nothing(self):
         trace = [alg4_round(0, r, alive_before=5, size_after=5) for r in (1, 2, 3)]
-        assert recovery_latency(trace) == ([], [])
+        assert recovery(trace) == ([], [])
+
+    def test_breach_carried_across_batches(self):
+        first = build_report([alg4_round(0, 1, alive_before=1, size_after=2)], "hierarchical")
+        assert (first.recovery_samples, first.unrestored_regions) == ([], [0])
+        report = build_report([alg4_round(0, 2, alive_before=2, size_after=3)],
+                              "hierarchical", first)
+        assert (report.recovery_samples, report.unrestored_regions) == ([(0, 2)], [])
 
 
 class TestCounters:
@@ -86,8 +95,8 @@ class TestCounters:
         ok = alg4_round(0, 1, alive_before=5, size_after=5)
         bad = rec("alg4", "round", region=0, src_region=0, dst_region=1, round=1,
                   alive_before=5, size_after=5, t_min=3)
-        assert containment_check([ok]) == 0
-        assert containment_check([ok, bad]) == 1
+        assert build_report([ok], "adjacent").cross_region_maintenance == 0
+        assert build_report([ok, bad], "adjacent").cross_region_maintenance == 1
 
     def test_transmission_counters(self):
         trace = [
@@ -96,7 +105,7 @@ class TestCounters:
             rec("alg3", "forward", src="(2, 0)", dst="(3, 0)"),
             rec("alg2", "schedule", cluster=0),  # scheduling is not a send
         ]
-        totals = message_totals(trace)
+        totals = build_report(trace, "adjacent").totals
         assert sum(totals.get(k, 0) for k in TRANSMISSION_EVENTS) == 3
 
 

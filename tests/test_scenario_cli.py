@@ -1,11 +1,15 @@
+import bisect
+import itertools
 import json
+import os
 
 import pytest
 
 from virtree.cli import main
 from virtree.errors import ScenarioInvalid
-from virtree.metrics import parse_trace
-from virtree.scenario import apply_overrides, build_scenario
+from virtree.metrics import build_report, dump_trace, parse_trace
+from virtree.scenario import MAX_WORKERS, apply_overrides, build_scenario
+from virtree.simkernel import _Kernel, run
 
 
 def base_dict(**extra):
@@ -189,6 +193,17 @@ class TestCli:
         assert code == 2
         assert "invalid scenario: coordinator.round_period: " in capsys.readouterr().err
 
+    def test_too_many_workers_exits_2(self, tmp_path, capsys):
+        # the base scenario has 4 clusters
+        path = write_scenario(tmp_path)
+        at_cap = f"topology.workers_per_cluster={MAX_WORKERS // 4}"
+        assert main(["validate", "--scenario", path, "--set", at_cap]) == 0
+        for wpc in (MAX_WORKERS // 4 + 1, 100_000_000):
+            code = main(["validate", "--scenario", path,
+                         "--set", f"topology.workers_per_cluster={wpc}"])
+            assert code == 2
+            assert "invalid scenario: topology: " in capsys.readouterr().err
+
     def test_maintenance_round_cap_boundary(self, tmp_path):
         path = write_scenario(tmp_path)
         assert main(["validate", "--scenario", path, "--set", "horizon=100000"]) == 0
@@ -336,7 +351,9 @@ class TestCliSweep:
         ["--param", "strategy", "--values", "adjacent,teleport"],
         ["--param", "K", "--values", "2,0"],
         ["--param", "p", "--values", "0.1,2"],
-    ], ids=["regions", "strategy", "K", "p"])
+        ["--param", "regions", "--values", f"2,{MAX_WORKERS}"],
+        ["--param", "K", "--values", f"2,{MAX_WORKERS + 1}"],
+    ], ids=["regions", "strategy", "K", "p", "regions-over-cap", "K-over-cap"])
     def test_bad_value_rejected_before_any_trial(self, tmp_path, capsys, monkeypatch, args):
         def no_trial(*_):
             pytest.fail("a trial ran before every value was checked")
@@ -354,3 +371,87 @@ class TestCliSweep:
         assert main(["sweep", "--scenario", write_scenario(tmp_path),
                      "--param", "strategy", "--values", "teleport",
                      "--trials", "1", "--out", str(tmp_path / "out")]) == 2
+
+
+# Enough records for several trace batches.  Region 5 is killed at t=3 and
+# three of its workers revive at t=12, so its breach stays open across
+# thousands of maintenance records; kills, jams and revives ride along.
+STREAM_SCENARIO = {
+    "topology": {"workers_per_cluster": 2, "clusters_per_region": 3,
+                 "regions_per_hub": 5, "hubs_per_domain": 2, "domains": 2},
+    "coordinator": {"K": 3, "T_min": 2, "round_period": 0.05},
+    "commands": [{"time": 2.5, "origin": 2, "scope": {"kind": "global"}},
+                 {"time": 4.0, "origin": 7, "scope": {"kind": "domain", "id": 1}},
+                 {"time": 9.0, "origin": 50, "scope": {"kind": "region", "id": 2}}],
+    "failures": (
+        [{"time": 1.0, "kind": "worker", "action": "kill", "worker": w} for w in (0, 1, 13)]
+        + [{"time": 2.0, "kind": "link", "action": "jam", "link_class": c, "drop": 0.3}
+           for c in ("cluster", "adjacent", "tree")]
+        + [{"time": 3.0, "kind": "region", "action": "kill", "region": 5}]
+        + [{"time": 6.0, "kind": "link", "action": "clear", "link_class": c}
+           for c in ("cluster", "adjacent", "tree")]
+        + [{"time": 12.0, "kind": "worker", "action": "revive", "worker": w}
+           for w in (30, 31, 32, 1)]),
+    "seed": 3,
+    "horizon": 30.0,
+}
+
+
+def write_stream_scenario(tmp_path, strategy="hierarchical"):
+    path = tmp_path / f"stream-{strategy}.json"
+    path.write_text(json.dumps(dict(STREAM_SCENARIO, strategy=strategy)))
+    return str(path)
+
+
+class TestCliRunStreaming:
+    @pytest.mark.parametrize("strategy", ["adjacent", "hierarchical"])
+    def test_streamed_outputs_equal_the_in_memory_run(self, tmp_path, strategy):
+        path = write_stream_scenario(tmp_path, strategy)
+        sc = build_scenario(dict(STREAM_SCENARIO, strategy=strategy))
+        trace, report = run(sc)
+        batches = []
+        assert run(sc, sink=batches.append) == ([], report)
+        assert list(itertools.chain.from_iterable(batches)) == trace
+        assert len(batches) >= 3
+        # region 5's breach opens in one batch and closes in a later one
+        ends = list(itertools.accumulate(len(b) for b in batches))
+        opened = next(r.seq for r in trace if r.event == "region_dead"
+                      and r.data["region"] == 5)
+        closed = next(r.seq for r in trace if r.seq > opened and r.event == "round"
+                      and r.data["region"] == 5
+                      and r.data["size_after"] >= r.data["t_min"])
+        assert bisect.bisect_right(ends, opened) < bisect.bisect_right(ends, closed)
+        assert (5, 181) in report.recovery_samples
+
+        out_dir = tmp_path / "out"
+        assert main(["run", "--scenario", path, "--out", str(out_dir)]) == 0
+        text = (out_dir / "trace.jsonl").read_text(encoding="utf-8")
+        assert text == dump_trace(trace)
+        rebuilt = build_report(parse_trace(text), strategy)
+        assert rebuilt == report
+        assert (out_dir / "metrics.json").read_text(encoding="utf-8") == \
+            json.dumps(rebuilt.to_json_obj(), indent=2, sort_keys=True) + "\n"
+        assert sorted(os.listdir(out_dir)) == ["metrics.csv", "metrics.json", "trace.jsonl"]
+
+    @pytest.mark.parametrize("abort_in", ["schedule_initial", "flush"],
+                             ids=["first-event", "after-a-batch"])
+    def test_aborted_run_leaves_earlier_outputs(self, tmp_path, monkeypatch, abort_in):
+        path = write_stream_scenario(tmp_path)
+        out_dir = tmp_path / "out"
+        assert main(["run", "--scenario", path, "--out", str(out_dir)]) == 0
+        before = {name: (out_dir / name).read_bytes() for name in os.listdir(out_dir)}
+
+        class Abort(Exception):
+            pass
+
+        original = getattr(_Kernel, abort_in)
+
+        def aborting(self):
+            original(self)
+            raise Abort
+
+        monkeypatch.setattr(_Kernel, abort_in, aborting)
+        with pytest.raises(Abort):
+            main(["run", "--scenario", path, "--out", str(out_dir)])
+        after = {name: (out_dir / name).read_bytes() for name in os.listdir(out_dir)}
+        assert after == before

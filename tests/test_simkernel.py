@@ -189,14 +189,18 @@ class TestRunRecords:
         assert last.data["live_region_fraction"] == 1.0
         assert report.conservation == last.data["conservation"]
 
-    def test_imbalance_raises_after_run_end(self, monkeypatch):
+    @staticmethod
+    def lose_completions(monkeypatch):
         bump = _Kernel.bump
 
-        def lose_completions(self, key, n=1):
+        def lossy_bump(self, key, n=1):
             if key != "deliveries_completed":
                 bump(self, key, n)
 
-        monkeypatch.setattr(_Kernel, "bump", lose_completions)
+        monkeypatch.setattr(_Kernel, "bump", lossy_bump)
+
+    def test_imbalance_raises_after_run_end(self, monkeypatch):
+        self.lose_completions(monkeypatch)
         kernel = _Kernel(scenario(commands=[CommandSpec(time=0.5, origin=0,
                                                         scope=("region", 1))]))
         with pytest.raises(ConservationError) as info:
@@ -204,6 +208,15 @@ class TestRunRecords:
         assert info.value.counters["deliveries_enqueued"] > 0
         assert "deliveries_completed" not in info.value.counters
         last = kernel.trace[-1]
+        assert (last.event, last.data["conserved"]) == ("run_end", False)
+
+    def test_imbalance_hands_run_end_to_the_sink_before_raising(self, monkeypatch):
+        self.lose_completions(monkeypatch)
+        batches = []
+        with pytest.raises(ConservationError):
+            run(scenario(commands=[CommandSpec(time=0.5, origin=0, scope=("region", 1))]),
+                sink=batches.append)
+        last = batches[-1][-1]
         assert (last.event, last.data["conserved"]) == ("run_end", False)
 
 

@@ -247,3 +247,37 @@ class TestReelection:
                 for scope, holder in holders.items():
                     assert topo.is_alive(holder)
                     assert topo.scope_of(topo.cluster_of[holder], layer) == scope
+
+    def test_roles_held_by_matches_full_scan_under_churn(self):
+        cfg = HierarchyConfig(workers_per_cluster=2, clusters_per_region=2,
+                              regions_per_hub=2, hubs_per_domain=2, domains=2,
+                              coordinator_k=2, t_min=1)
+        rng = random.Random(7)
+
+        def full_scan(topo, w):
+            return sorted((layer, scope) for layer, holders in topo.roles.items()
+                          for scope, holder in holders.items() if holder == w)
+
+        for trial in range(10):
+            topo = build_topology(cfg, seed=trial)
+            for _ in range(3 * cfg.n_workers):
+                w = rng.randrange(cfg.n_workers)
+                if topo.is_alive(w):
+                    held = full_scan(topo, w)
+                    topo.mark_dead(w)
+                    for layer, scope in held:
+                        try:
+                            reelect_role(topo, layer, scope)
+                        except NoCandidate:
+                            pass
+                else:  # revive and fill the vacancies along its chain
+                    topo.mark_alive(w)
+                    for layer, holders in topo.roles.items():
+                        scope = topo.scope_of(topo.cluster_of[w], layer)
+                        if scope not in holders:
+                            try:
+                                reelect_role(topo, layer, scope)
+                            except NoCandidate:
+                                pass
+                for v in topo.workers:
+                    assert topo.roles_held_by(v) == full_scan(topo, v)
