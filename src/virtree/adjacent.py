@@ -69,7 +69,10 @@ class ReportToLeader:
 
 @dataclass(frozen=True)
 class BroadcastToReachable:
-    workers: tuple[WorkerId, ...]
+    """Relay to ``reachable_workers(worker)``; the kernel builds that list only
+    for a worker's first relay of a message, the one it does not suppress."""
+
+    worker: WorkerId
 
 
 def reachable_workers(w: WorkerId, topo: Topology) -> list[WorkerId]:
@@ -96,7 +99,7 @@ def worker_on_receive(w: WorkerId, m: Message, topo: Topology) -> list:
     if cluster not in m.visited_cluster_ids and m.last_sent_cluster_id != cluster:
         actions.append(ReportToLeader(cluster))
     if m.forward_flag and m.last_sent_cluster_id == cluster:
-        actions.append(BroadcastToReachable(tuple(reachable_workers(w, topo))))
+        actions.append(BroadcastToReachable(w))
     return actions
 
 

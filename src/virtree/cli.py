@@ -163,8 +163,8 @@ def cmd_sweep(args) -> int:
         # coordinator liveness study: direct Monte-Carlo over the roster
         rows.append("param,value,trials,live_fraction,predicted,ci_low,ci_high,within_3sigma")
         for v, (p, k) in zip(values, points):
-            outcomes = liveness_trials(p, k, args.trials, sc.seed)
-            est = liveness_estimate(outcomes, p, k)
+            live = liveness_trials(p, k, args.trials, sc.seed)
+            est = liveness_estimate(live, args.trials, p, k)
             rows.append(f"{args.param},{v},{est.trials},{est.fraction},"
                         f"{est.predicted},{est.ci_low},{est.ci_high},{est.within_3sigma}")
     else:

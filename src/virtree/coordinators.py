@@ -148,13 +148,15 @@ def predicted_liveness(p: float, k: int) -> float:
     return 1.0 - p ** k
 
 
-def liveness_trials(p: float, k: int, trials: int, seed: int) -> list[bool]:
-    """Monte-Carlo region liveness: each trial fails coordinators iid with p.
+def liveness_trials(p: float, k: int, trials: int, seed: int) -> int:
+    """Monte-Carlo region liveness: how many of ``trials`` trials, each failing
+    the coordinators iid with p, leave the region live.
 
     Runs against a real single-region roster and region_live, drawing from
     one sha256-derived stream, so results are reproducible from (p, k, seed)
-    alone.  Kept simulator-free on purpose: the validation budget is 1e5
-    trials per parameter point.
+    alone.  Only the count is kept, so memory does not grow with ``trials``.
+    Kept simulator-free on purpose: the validation budget is 1e5 trials per
+    parameter point.
     """
     predicted_liveness(p, k)  # reuse the argument checks
     cfg = HierarchyConfig(workers_per_cluster=k, clusters_per_region=1,
@@ -162,8 +164,8 @@ def liveness_trials(p: float, k: int, trials: int, seed: int) -> list[bool]:
     topo = build_topology(cfg, seed)
     cs = CoordinatorSet.initial(topo, 0)
     rng = random.Random(derive_seed(seed, "liveness", k, repr(p)))
-    out = []
+    live = 0
     for _ in range(trials):
         topo.alive = {w for w in cs.active if rng.random() >= p}
-        out.append(region_live(cs, topo))
-    return out
+        live += region_live(cs, topo)
+    return live

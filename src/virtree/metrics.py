@@ -5,6 +5,10 @@ report one batch at a time, so the kernel can build it while the run streams
 its trace out, and the same fold rebuilds a report from a saved trace file
 alone.  Records serialize as one canonical JSON object per line (sorted keys,
 no spaces), which is also what the byte-identity determinism checks compare.
+
+``dump_trace`` encodes every line with one C encoder built at import from
+``_ENCODER``'s settings, instead of letting ``JSONEncoder.encode`` build a
+new encoder per record; the bytes are the same.
 """
 
 from __future__ import annotations
@@ -12,17 +16,29 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from json.encoder import c_make_encoder, encode_basestring_ascii
+from typing import NamedTuple
 
 # ``MetricsReport.totals`` keys that are one radio transmission each: worker relays
 # and leader broadcasts (adjacent strategy), tree forwards (hierarchical).
 TRANSMISSION_EVENTS = ("alg1.relay", "alg2.broadcast", "alg3.forward")
 
-# One encoder for every line: json.dumps would build a new one per record.
+# The settings of every trace line.
 _ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
 
+if c_make_encoder is None:  # not CPython: the same settings, in pure Python
+    def _encode(obj: dict, _indent_level: int) -> tuple[str]:
+        return (_ENCODER.encode(obj),)
+else:
+    # No circular-reference markers: one shared markers dict would keep the id
+    # of an object whose encoding failed, and trace data is never circular.
+    _encode = c_make_encoder(
+        None, _ENCODER.default, encode_basestring_ascii, None,
+        _ENCODER.key_separator, _ENCODER.item_separator, _ENCODER.sort_keys,
+        _ENCODER.skipkeys, _ENCODER.allow_nan)
 
-@dataclass(frozen=True)
-class TraceRecord:
+
+class TraceRecord(NamedTuple):
     """One simulation event observation.
 
     time/seq give the deterministic total order; comp tags the algorithm
@@ -36,15 +52,6 @@ class TraceRecord:
     event: str
     data: dict
 
-    def to_obj(self) -> dict:
-        obj = {"time": self.time, "seq": self.seq, "comp": self.comp,
-               "event": self.event}
-        obj.update(self.data)
-        return obj
-
-    def to_json_line(self) -> str:
-        return _ENCODER.encode(self.to_obj())
-
     @classmethod
     def from_obj(cls, obj: dict) -> "TraceRecord":
         data = {k: v for k, v in obj.items()
@@ -54,8 +61,16 @@ class TraceRecord:
 
 
 def dump_trace(records: list[TraceRecord]) -> str:
-    """The canonical JSONL text of a trace or of one batch of it."""
-    return "".join(rec.to_json_line() + "\n" for rec in records)
+    """The canonical JSONL text of a trace or of one batch of it.
+
+    A line is the record's four fields merged with its data, data keys last.
+    """
+    chunks: list[str] = []
+    for time, seq, comp, event, data in records:
+        chunks += _encode({"time": time, "seq": seq, "comp": comp, "event": event,
+                           **data}, 0)
+        chunks.append("\n")
+    return "".join(chunks)
 
 
 def parse_trace(text: str) -> list[TraceRecord]:
@@ -149,24 +164,23 @@ class MetricsReport:
         return "\n".join(lines) + "\n"
 
 
-def liveness_estimate(outcomes: list[bool], p: float, k: int) -> LivenessEstimate:
-    """Observed live fraction with a 3-sigma binomial band around 1 - p**k.
+def liveness_estimate(live: int, trials: int, p: float, k: int) -> LivenessEstimate:
+    """``live`` out of ``trials`` as a fraction, with a 3-sigma binomial band
+    around 1 - p**k.
 
     Sigma uses the predicted proportion so the band stays defined when every
     trial came up live.
     """
     from .coordinators import predicted_liveness
 
-    n = len(outcomes)
-    if n == 0:
+    if trials == 0:
         raise ValueError("liveness estimate needs at least one trial")
-    live = sum(1 for x in outcomes if x)
-    fraction = live / n
+    fraction = live / trials
     predicted = predicted_liveness(p, k)
-    sigma = math.sqrt(predicted * (1.0 - predicted) / n)
+    sigma = math.sqrt(predicted * (1.0 - predicted) / trials)
     ci_low, ci_high = predicted - 3 * sigma, predicted + 3 * sigma
     return LivenessEstimate(
-        trials=n, live=live, fraction=fraction, predicted=predicted,
+        trials=trials, live=live, fraction=fraction, predicted=predicted,
         ci_low=ci_low, ci_high=ci_high,
         within_3sigma=ci_low <= fraction <= ci_high,
     )

@@ -21,6 +21,8 @@ from __future__ import annotations
 
 import heapq
 import random
+from bisect import bisect_left
+from collections import defaultdict
 from collections.abc import Callable
 
 from . import adjacent as adj
@@ -75,7 +77,13 @@ class _Kernel:
         self.relayed: set[tuple[int, tuple]] = set()
         self.parked: list[dict] = []
         self.jam: dict[str, float] = {}
-        self.counters: dict[str, int] = {}
+        # link class -> latency: the scenario's values over the defaults
+        self.latency = {**DEFAULT_LATENCIES, **sc.link_latencies}
+        # never index a missing key: that would add it to the conservation output
+        self.counters: defaultdict[str, int] = defaultdict(int)
+        # region -> sorted alive workers of it and its adjacent regions; emptied
+        # whenever a worker dies or revives or the adjacency changes
+        self.reach: dict[int, list[int]] = {}
         self._rngs: dict[tuple, random.Random] = {}
 
     # -- plumbing ---------------------------------------------------------
@@ -88,11 +96,10 @@ class _Kernel:
         return r
 
     def bump(self, key: str, n: int = 1):
-        self.counters[key] = self.counters.get(key, 0) + n
+        self.counters[key] += n
 
     def emit(self, comp: str, event: str, **data):
-        self.trace.append(TraceRecord(time=self.now, seq=self.rec_seq,
-                                      comp=comp, event=event, data=data))
+        self.trace.append(TraceRecord(self.now, self.rec_seq, comp, event, data))
         self.rec_seq += 1
 
     def flush(self):
@@ -101,12 +108,9 @@ class _Kernel:
         self.sink(self.trace)
         self.trace = []
 
-    def push(self, fire: float, kind: str, payload: dict):
+    def push(self, fire: float, kind: str, payload):
         heapq.heappush(self.heap, (quantize(fire), self.event_seq, kind, payload))
         self.event_seq += 1
-
-    def latency(self, cls: str) -> float:
-        return self.sc.link_latencies.get(cls, DEFAULT_LATENCIES[cls])
 
     def _worker_class(self, w_from: int, w_to: int) -> str:
         if self.topo.cluster_of[w_from] == self.topo.cluster_of[w_to]:
@@ -115,19 +119,16 @@ class _Kernel:
             return "region"
         return "adjacent"
 
-    def send(self, dest: tuple, m: Message, sender: dict, cls: str | None,
-             command: bool = False):
+    def send(self, dest: tuple, m: Message, sender: dict, cls: str):
         """Enqueue one delivery; jammed link classes may eat it at send time."""
-        if cls is not None and self.jam.get(cls, 0.0) > 0.0:
+        if self.jam.get(cls, 0.0) > 0.0:
             if self.rng("jam", cls).random() < self.jam[cls]:
                 self.bump("deliveries_dropped_jam")
                 self.emit("kernel", "drop_jam", link_class=cls,
                           msg_id=msg_id_str(m.msg_id), dest=str(dest))
                 return
-        delay = 0.0 if command else self.latency(cls)
         self.bump("deliveries_enqueued")
-        self.push(self.now + delay, EV_DELIVERY,
-                  {"dest": dest, "msg": m, "sender": sender, "command": command})
+        self.push(self.now + self.latency[cls], EV_DELIVERY, (dest, m, sender, False))
 
     # -- failure / recovery -----------------------------------------------
 
@@ -135,6 +136,7 @@ class _Kernel:
         if not self.topo.is_alive(w):
             return
         self.topo.mark_dead(w)
+        self.reach.clear()
         self.emit("kernel", "failure", worker=w, cluster=self.topo.cluster_of[w],
                   region=self.topo.region_of_worker(w))
         c = self.topo.cluster_of[w]
@@ -156,6 +158,7 @@ class _Kernel:
         if self.topo.is_alive(w):
             return
         self.topo.mark_alive(w)
+        self.reach.clear()
         self.emit("kernel", "recovery", worker=w)
         # fill any vacancy in the scopes this worker belongs to
         c = self.topo.cluster_of[w]
@@ -203,20 +206,19 @@ class _Kernel:
 
     # -- handlers -----------------------------------------------------------
 
-    def handle_delivery(self, payload: dict):
-        dest = payload["dest"]
-        m: Message = payload["msg"]
-        if payload.get("command"):
+    def handle_delivery(self, payload: tuple):
+        dest, m, sender, command = payload
+        if command:
             self.emit("kernel", "command_injected", msg_id=msg_id_str(m.msg_id),
                       origin=m.original_source, goals_total=len(m.goal_cluster_ids),
                       targets_total=len(m.target_worker_ids))
         kind = dest[0]
         if kind == "worker":
-            self.deliver_worker(dest[1], m, payload["sender"])
+            self.deliver_worker(dest[1], m, sender)
         elif kind == "leader":
             self.deliver_leader(dest[1], m)
         else:
-            self.deliver_node(dest[1], m, payload["sender"])
+            self.deliver_node(dest[1], m, sender)
 
     def deliver_worker(self, w: int, m: Message, sender: dict):
         if not self.topo.is_alive(w):
@@ -225,31 +227,37 @@ class _Kernel:
             return
         self.bump("deliveries_completed")
         mid = msg_id_str(m.msg_id)
-        self.emit("alg1", "receive", worker=w, cluster=self.topo.cluster_of[w],
-                  region=self.topo.region_of_worker(w),
+        region = self.topo.region_of_worker(w)
+        self.emit("alg1", "receive", worker=w, cluster=self.topo.cluster_of[w], region=region,
                   from_worker=sender.get("worker"), from_region=sender.get("region"),
                   msg_id=mid, hop=m.hop_count)
+        me = {"worker": w, "region": region}  # sender of every copy w sends here
         for action in adj.worker_on_receive(w, m, self.topo):
             if isinstance(action, adj.ExecuteLocally):
                 self.apply_execution(w, m, comp="alg1")
             elif isinstance(action, adj.ReportToLeader):
                 self.bump("reports_sent")
-                self.send(("leader", action.cluster), m,
-                          {"worker": w, "region": self.topo.region_of_worker(w)},
-                          "cluster")
+                self.send(("leader", action.cluster), m, me, "cluster")
             else:  # BroadcastToReachable
                 key = (w, m.msg_id)
                 if key in self.relayed:
                     self.bump("relay_suppressed")
                     continue
                 self.relayed.add(key)
+                peers = self.reachable(w)
                 self.emit("alg1", "relay", worker=w, msg_id=mid,
-                          fanout=len(action.workers), hop=m.hop_count)
-                src_region = self.topo.region_of_worker(w)
-                for peer in action.workers:
-                    self.send(("worker", peer), m,
-                              {"worker": w, "region": src_region},
-                              self._worker_class(w, peer))
+                          fanout=len(peers), hop=m.hop_count)
+                for peer in peers:
+                    self.send(("worker", peer), m, me, self._worker_class(w, peer))
+
+    def reachable(self, w: int) -> list[int]:
+        """``adj.reachable_workers(w)`` for an alive w, from the region cache."""
+        r = self.topo.region_of_worker(w)
+        reach = self.reach.get(r)
+        if reach is None:
+            reach = self.reach[r] = sorted([w, *adj.reachable_workers(w, self.topo)])
+        i = bisect_left(reach, w)
+        return reach[:i] + reach[i + 1:]
 
     def apply_execution(self, w: int, m: Message, comp: str):
         """Idempotent per (worker, msg): duplicates count but do not re-run."""
@@ -418,6 +426,7 @@ class _Kernel:
                 adj_map[a].discard(b)
                 adj_map[b].discard(a)
             self.topo.region_adjacency = {r: tuple(sorted(ns)) for r, ns in adj_map.items()}
+            self.reach.clear()
             self.emit("kernel", "link_change", action=spec.action, edge=list(spec.edge))
 
     # -- main loop ----------------------------------------------------------
@@ -433,8 +442,7 @@ class _Kernel:
             dest = ("leader", cmd.origin) if sc.strategy == "adjacent" \
                 else ("node", (2, cmd.origin))
             self.bump("deliveries_enqueued")
-            self.push(cmd.time, EV_DELIVERY,
-                      {"dest": dest, "msg": m, "sender": {}, "command": True})
+            self.push(cmd.time, EV_DELIVERY, (dest, m, {}, True))
         for spec in sc.failures:
             kind = EV_RECOVERY if (spec.kind == "worker" and spec.action == "revive") \
                 else EV_FAILURE

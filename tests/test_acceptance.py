@@ -11,7 +11,7 @@ import time
 
 from virtree.adjacent import DelayParams
 from virtree.coordinators import liveness_trials
-from virtree.metrics import TRANSMISSION_EVENTS
+from virtree.metrics import TRANSMISSION_EVENTS, dump_trace
 from virtree.oracle import check_trace
 from virtree.scenario import CommandSpec, FailureSpec, Scenario
 from virtree.simkernel import quantize, run
@@ -48,12 +48,10 @@ def test_criterion_1_region_liveness_formula():
     t0 = time.monotonic()
     cases = []
     for k, expected, tol in ((3, 0.999, 5e-4), (1, 0.9, 3e-3)):
-        outcomes = liveness_trials(0.1, k, 100_000, 20260819)
-        frac = sum(outcomes) / len(outcomes)
+        frac = liveness_trials(0.1, k, 100_000, 20260819) / 100_000
         assert abs(frac - expected) <= tol
         cases.append(f"K={k} frac={frac:.5f} (|diff|={abs(frac - expected):.2e})")
-    outcomes = liveness_trials(0.1, 5, 100_000, 20260819)
-    dead = len(outcomes) - sum(outcomes)
+    dead = 100_000 - liveness_trials(0.1, 5, 100_000, 20260819)
     assert dead <= 1
     cases.append(f"K=5 dead_trials={dead}")
     elapsed = time.monotonic() - t0
@@ -296,7 +294,7 @@ def test_criterion_8_deferred_delay_is_alpha_times_distance():
 def test_criterion_9_reruns_are_byte_identical():
     def render(sc):
         trace, _ = run(sc)
-        return "\n".join(rec.to_json_line() for rec in trace)
+        return dump_trace(trace)
 
     small_cfg = HierarchyConfig(3, 2, 2, coordinator_k=2, t_min=1)
     small = dict(seed=77, horizon=20.0, round_period=1.0,
@@ -321,7 +319,7 @@ def test_criterion_9_reruns_are_byte_identical():
     elapsed = time.monotonic() - t0
     assert first == second
     assert elapsed < 120.0
-    records = first.count("\n") + 1
+    records = first.count("\n")
     print(f"criterion 9: PASS - byte-identical reruns "
           f"(small with failures; 10000-worker smoke, {records} records, "
           f"{elapsed:.1f}s for two runs)", flush=True)

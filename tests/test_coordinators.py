@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 
@@ -223,11 +224,20 @@ class TestLiveness:
         a = liveness_trials(0.3, 2, 200, seed=77)
         b = liveness_trials(0.3, 2, 200, seed=77)
         assert a == b
-        assert len(a) == 200
+        assert 0 <= a <= 200
         assert liveness_trials(0.3, 2, 200, seed=78) != a
 
     def test_trials_match_closed_form(self):
-        outcomes = liveness_trials(0.5, 2, 4000, seed=11)
-        est = liveness_estimate(outcomes, 0.5, 2)
+        live = liveness_trials(0.5, 2, 4000, seed=11)
+        est = liveness_estimate(live, 4000, 0.5, 2)
         assert est.predicted == pytest.approx(0.75)
         assert est.within_3sigma
+
+    def test_trials_memory_does_not_grow_with_trials(self):
+        tracemalloc.start()
+        try:
+            liveness_trials(0.5, 1, 200_000, seed=5)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024

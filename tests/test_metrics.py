@@ -1,6 +1,8 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from virtree.metrics import (
     TRANSMISSION_EVENTS,
@@ -29,8 +31,8 @@ def alg4_round(region, rnd, alive_before, size_after, t_min=3, **extra):
 class TestTraceSerialization:
     def test_canonical_json_line(self):
         r = rec("alg1", "receive", time=1.5, seq=3, worker=7, hop=2)
-        line = r.to_json_line()
-        assert line == '{"comp":"alg1","event":"receive","hop":2,"seq":3,"time":1.5,"worker":7}'
+        line = dump_trace([r])
+        assert line == '{"comp":"alg1","event":"receive","hop":2,"seq":3,"time":1.5,"worker":7}\n'
         assert " " not in line
 
     def test_round_trip(self):
@@ -44,6 +46,37 @@ class TestTraceSerialization:
     def test_parse_skips_blank_lines(self):
         text = dump_trace([rec("alg1", "relay")]) + "\n\n"
         assert len(parse_trace(text)) == 1
+
+
+# strings a JSON encoder must escape, plus arbitrary text
+STRINGS = st.sampled_from(['"', "\\", 'a"b\\c', "\x00\x1f\n\t\x7f", "é中\U0001f600",
+                           "\u2028"]) | st.text()
+SCALARS = (st.none() | st.booleans() | st.integers()
+           | st.integers(min_value=-2**200, max_value=2**200)
+           | st.sampled_from([1e-9, 1e16, -0.0, 0.1, 1.5]) | st.floats() | STRINGS)
+VALUES = st.recursive(SCALARS, lambda inner: st.lists(inner, max_size=4)
+                      | st.dictionaries(STRINGS, inner, max_size=4), max_leaves=12)
+RECORDS = st.builds(TraceRecord, time=st.floats(), seq=st.integers(min_value=0),
+                    comp=STRINGS, event=STRINGS,
+                    data=st.dictionaries(STRINGS, VALUES, max_size=6))
+
+
+class TestDumpTraceEncoding:
+    @settings(deadline=None)  # no time limit per example: speed is not what this checks
+    @given(st.lists(RECORDS, max_size=5))
+    def test_matches_json_dumps(self, records):
+        expected = "".join(
+            json.dumps({"time": r.time, "seq": r.seq, "comp": r.comp, "event": r.event,
+                        **r.data}, sort_keys=True, separators=(",", ":")) + "\n"
+            for r in records)
+        assert dump_trace(records) == expected
+
+    def test_unserializable_value_raises_and_encoder_recovers(self):
+        with pytest.raises(TypeError):
+            dump_trace([rec("alg1", "receive", worker={1, 2})])
+        good = rec("alg1", "receive", worker=[1, {"k": 2}])
+        assert dump_trace([good]) == (
+            '{"comp":"alg1","event":"receive","seq":0,"time":1.0,"worker":[1,{"k":2}]}\n')
 
 
 def recovery(trace):
@@ -111,20 +144,19 @@ class TestCounters:
 
 class TestLivenessEstimate:
     def test_band_and_fraction(self):
-        outcomes = [True] * 75 + [False] * 25
-        est = liveness_estimate(outcomes, 0.5, 2)
+        est = liveness_estimate(75, 100, 0.5, 2)
         assert est.fraction == 0.75
         assert est.predicted == 0.75
         assert est.ci_low < 0.75 < est.ci_high
         assert est.within_3sigma
 
     def test_outlier_flagged(self):
-        est = liveness_estimate([False] * 400, 0.1, 3)
+        est = liveness_estimate(0, 400, 0.1, 3)
         assert not est.within_3sigma
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            liveness_estimate([], 0.1, 3)
+            liveness_estimate(0, 0, 0.1, 3)
 
 
 class TestBuildReport:

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from virtree.adjacent import DelayParams
+from virtree.adjacent import DelayParams, reachable_workers
 from virtree.errors import ConservationError, ScenarioInvalid
 from virtree.metrics import dump_trace
 from virtree.scenario import CommandSpec, FailureSpec, Scenario, validate_scenario
@@ -318,3 +318,48 @@ class TestConservationFuzz:
                           commands=commands, failures=failures)
             _, report = run(sc)  # run() itself asserts the balance
             assert report.conserved, f"scenario {i} out of balance"
+
+
+class TestReachableCache:
+    def test_relays_match_uncached_reachable_workers(self):
+        # 6 regions of 6 workers on a 3x2 grid; a global command every 0.3 s
+        # keeps every region relaying while workers die and revive, a region
+        # dies and an adjacency edge comes and goes
+        cfg = HierarchyConfig(3, 2, 3, 2, coordinator_k=2, t_min=1)
+        sc = Scenario(
+            config=cfg, seed=5, horizon=12.0, round_period=1000.0,
+            commands=[CommandSpec(time=round(0.3 * i, 1), origin=(5 * i) % 12,
+                                  scope=("global",)) for i in range(16)],
+            failures=[FailureSpec(time=1.05, kind="worker", action="kill", worker=14),
+                      FailureSpec(time=1.55, kind="adjacency", action="add", edge=(0, 5)),
+                      FailureSpec(time=2.05, kind="region", action="kill", region=4),
+                      FailureSpec(time=2.55, kind="worker", action="revive", worker=25),
+                      FailureSpec(time=3.05, kind="adjacency", action="remove",
+                                  edge=(0, 1)),
+                      FailureSpec(time=3.55, kind="worker", action="kill", worker=7),
+                      FailureSpec(time=4.05, kind="worker", action="revive", worker=14)])
+        validate_scenario(sc)
+        sends = []   # (destination, sending worker) of every send, in order
+        relays = []  # (time, worker, fanout, uncached peers, index of first send)
+
+        class Checked(_Kernel):
+            def emit(self, comp, event, **data):
+                super().emit(comp, event, **data)
+                if event == "relay":
+                    w = data["worker"]
+                    relays.append((self.now, w, data["fanout"],
+                                   reachable_workers(w, self.topo), len(sends)))
+
+            def send(self, dest, m, sender, cls):
+                sends.append((dest, sender.get("worker")))
+                super().send(dest, m, sender, cls)
+
+        Checked(sc).run()
+        for _t, w, fanout, peers, start in relays:
+            assert fanout == len(peers)
+            assert sends[start:start + fanout] == [(("worker", p), w) for p in peers]
+        # the cache answered more relays than it has regions, and relays ran
+        # after every edit of the alive set or the adjacency
+        assert len(relays) > 3 * cfg.n_regions
+        for spec in sc.failures:
+            assert any(t > spec.time for t, *_ in relays)
