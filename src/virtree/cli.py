@@ -8,8 +8,11 @@ argparse also exit 2, matching the invalid-input meaning.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
+import marshal
 import os
+import signal
 import sys
 from dataclasses import replace
 from statistics import fmean
@@ -77,8 +80,8 @@ def cmd_run(args) -> int:
     trace_path = os.path.join(args.out, "trace.jsonl")
     tmp_path = f"{trace_path}.{os.getpid()}.tmp"
     try:
-        with open(tmp_path, "w", encoding="utf-8") as fh:
-            _, report = run_scenario(sc, sink=lambda batch: fh.write(dump_trace(batch)))
+        with open(tmp_path, "w", encoding="utf-8") as fh, _TraceWriter(fh) as sink:
+            _, report = run_scenario(sc, sink=sink)
         os.replace(tmp_path, trace_path)
     except BaseException:
         os.unlink(tmp_path)
@@ -94,6 +97,103 @@ def cmd_run(args) -> int:
     print(f"run ok: {records} trace records, {len(report.messages)} commands "
           f"({done} fully executed), live regions {report.live_region_fraction:.3f}")
     return 0
+
+
+class _TraceWriter:
+    """The trace sink of ``run``: writes each batch to ``fh`` as JSON lines.
+
+    Where ``os.fork`` exists and two CPUs are usable, the first batch handed
+    over before ``run_end`` forks a writer process, and every batch from then
+    on goes to it down a pipe, so encoding overlaps the simulation.  Batches
+    travel as a length-prefixed ``marshal`` dump of plain tuples; the writer
+    holds one at a time.  Otherwise, and for a trace that fits in one batch,
+    the batches are encoded here.  Leaving the ``with`` block waits for the
+    writer and raises the exception it failed with, if any.
+    """
+
+    def __init__(self, fh):
+        self.fh = fh
+        self.pid = None
+        self.can_fork = hasattr(os, "fork") and _usable_cpus() > 1
+
+    def __enter__(self):
+        return self
+
+    def __call__(self, batch):
+        if self.pid is None:
+            if not self.can_fork or batch[-1].event == "run_end":
+                self.fh.write(dump_trace(batch))
+                return
+            self._start()
+        data = marshal.dumps(list(map(tuple, batch)))
+        self.pipe.write(len(data).to_bytes(8, "little"))
+        self.pipe.write(data)
+        self.pipe.flush()
+
+    def _start(self):
+        batch_r, batch_w = os.pipe()
+        error_r, error_w = os.pipe()
+        pid = os.fork()
+        if pid == 0:
+            os.close(batch_w)
+            os.close(error_r)
+            _write_batches(batch_r, error_w, self.fh)
+        os.close(batch_r)
+        os.close(error_w)
+        self.pid, self.pipe, self.error_fd = pid, open(batch_w, "wb"), error_r
+
+    def __exit__(self, *exc_info):
+        if self.pid is None:
+            return
+        pid, self.pid = self.pid, None
+        try:
+            self.pipe.close()  # end of input: the writer drains the pipe and exits
+        except BrokenPipeError:  # the writer has already exited
+            pass
+        with open(self.error_fd, "rb") as fh:
+            error = fh.read()
+        _, status = os.waitpid(pid, 0)
+        if error:
+            import pickle  # imported only on failure, to keep it out of a run's RSS
+            raise pickle.loads(error)
+        if status:
+            raise ChildProcessError(f"trace writer process ended with wait status {status}")
+
+
+def _usable_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _write_batches(batch_fd: int, error_fd: int, fh):
+    """The body of the writer process; ends it with ``os._exit``.
+
+    ``os._exit`` skips the clean-up of the interpreter state inherited from the
+    parent, such as flushing its buffered stdout a second time.  A failure is
+    sent back pickled; SIGINT is left to the parent, which ends the writer by
+    closing the pipe.
+    """
+    status = 1
+    try:
+        signal.signal(signal.SIGINT, signal.SIG_IGN)
+        # the writer makes no reference cycles, and a collection would walk
+        # (and copy) every object inherited from the parent
+        gc.disable()
+        with open(batch_fd, "rb") as pipe:
+            while header := pipe.read(8):
+                size = int.from_bytes(header, "little")
+                data = pipe.read(size)
+                if len(data) < size:  # the parent aborted mid-batch
+                    break
+                fh.write(dump_trace(marshal.loads(data)))
+        fh.close()
+        status = 0
+    except BaseException as e:
+        import pickle
+        os.write(error_fd, pickle.dumps(e))
+    finally:
+        os._exit(status)
 
 
 def cmd_validate(args) -> int:
@@ -174,7 +274,8 @@ def cmd_sweep(args) -> int:
             frac, lat, tx, live = [], [], [], []
             for trial in range(args.trials):
                 trial_sc = replace(variant, seed=derive_seed(sc.seed, "sweep", str(v), trial))
-                _trace, report = run_scenario(trial_sc)
+                # only the report is read, so each batch is dropped once folded
+                _trace, report = run_scenario(trial_sc, sink=_discard)
                 total = sum(m.goals_total for m in report.messages.values())
                 done = sum(m.goals_executed for m in report.messages.values())
                 frac.append(done / total if total else 1.0)
@@ -189,6 +290,10 @@ def cmd_sweep(args) -> int:
         fh.write("\n".join(rows) + "\n")
     print(f"sweep ok: {len(values)} value(s) x {args.trials} trial(s) -> {out_path}")
     return 0
+
+
+def _discard(batch):
+    pass
 
 
 def _check_liveness_point(flag: str, p: float, k: int):

@@ -1,10 +1,16 @@
 import bisect
+import errno
 import itertools
 import json
 import os
+import subprocess
+import sys
+import tracemalloc
 
 import pytest
 
+import virtree
+from virtree import cli
 from virtree.cli import main
 from virtree.errors import ScenarioInvalid
 from virtree.metrics import build_report, dump_trace, parse_trace
@@ -313,6 +319,24 @@ class TestCliSweep:
             assert float(cells[3]) == 1.0  # every goal executed
             assert float(cells[5]) > 0     # some transmissions happened
 
+    def test_strategy_trial_keeps_no_trace(self, tmp_path):
+        # a trial's report is folded batch by batch, so its peak memory stays
+        # well below that of a run that keeps its whole trace
+        path = write_stream_scenario(tmp_path)
+        sc = build_scenario(dict(STREAM_SCENARIO, strategy="hierarchical"))
+        tracemalloc.start()
+        try:
+            run(sc)
+            run_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            assert main(["sweep", "--scenario", path, "--param", "strategy",
+                         "--values", "hierarchical", "--trials", "1",
+                         "--out", str(tmp_path / "out")]) == 0
+            sweep_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sweep_peak < run_peak / 2
+
     def test_regions_sweep_rescales_topology(self, tmp_path):
         out_dir = tmp_path / "out"
         code = main(["sweep", "--scenario", write_scenario(
@@ -403,9 +427,28 @@ def write_stream_scenario(tmp_path, strategy="hierarchical"):
     return str(path)
 
 
+def use_cpus(monkeypatch, n):
+    """Make ``n`` CPUs usable to ``run``; returns the list of forks it makes."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+    forks = []
+    real_fork = os.fork
+
+    def fork():
+        forks.append(os.getpid())
+        return real_fork()
+
+    monkeypatch.setattr(os, "fork", fork)
+    return forks
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 class TestCliRunStreaming:
     @pytest.mark.parametrize("strategy", ["adjacent", "hierarchical"])
-    def test_streamed_outputs_equal_the_in_memory_run(self, tmp_path, strategy):
+    def test_streamed_outputs_equal_the_in_memory_run(self, tmp_path, monkeypatch, strategy):
         path = write_stream_scenario(tmp_path, strategy)
         sc = build_scenario(dict(STREAM_SCENARIO, strategy=strategy))
         trace, report = run(sc)
@@ -423,15 +466,81 @@ class TestCliRunStreaming:
         assert bisect.bisect_right(ends, opened) < bisect.bisect_right(ends, closed)
         assert (5, 181) in report.recovery_samples
 
+        # two usable CPUs: a forked writer encodes; one: the run encodes in-process
+        for cpus, forks_made in ((2, 1), (1, 0)):
+            forks = use_cpus(monkeypatch, cpus)
+            out_dir = tmp_path / f"out-{cpus}"
+            assert main(["run", "--scenario", path, "--out", str(out_dir)]) == 0
+            assert len(forks) == forks_made
+            text = (out_dir / "trace.jsonl").read_text(encoding="utf-8")
+            assert text == dump_trace(trace)
+            rebuilt = build_report(parse_trace(text), strategy)
+            assert rebuilt == report
+            assert (out_dir / "metrics.json").read_text(encoding="utf-8") == \
+                json.dumps(rebuilt.to_json_obj(), indent=2, sort_keys=True) + "\n"
+            assert sorted(os.listdir(out_dir)) == ["metrics.csv", "metrics.json", "trace.jsonl"]
+            assert_no_child_left()
+
+    def test_one_batch_trace_is_written_without_a_writer(self, tmp_path, monkeypatch):
+        forks = use_cpus(monkeypatch, 2)
+        out_dir = tmp_path / "out"
+        assert main(["run", "--scenario", write_scenario(tmp_path),
+                     "--out", str(out_dir)]) == 0
+        assert forks == []
+        trace, _ = run(build_scenario(base_dict()))
+        assert (out_dir / "trace.jsonl").read_text(encoding="utf-8") == dump_trace(trace)
+
+    @pytest.mark.parametrize("flags", [[], ["-O"]], ids=["python", "python-O"])
+    def test_real_process_run(self, tmp_path, flags):
+        path = write_stream_scenario(tmp_path)
+        out_dir = tmp_path / "out"
+        src = os.path.dirname(os.path.dirname(os.path.abspath(virtree.__file__)))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, *flags, "-m", "virtree.cli", "run", "--scenario", path,
+             "--out", str(out_dir)],
+            capture_output=True, text=True, env=env, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        # one line: the writer process flushes none of the parent's buffered output
+        assert proc.stdout.startswith("run ok: ")
+        assert proc.stdout.count("\n") == 1
+        trace, _ = run(build_scenario(dict(STREAM_SCENARIO, strategy="hierarchical")))
+        assert (out_dir / "trace.jsonl").read_text(encoding="utf-8") == dump_trace(trace)
+
+    @pytest.mark.parametrize("cpus", [2, 1], ids=["writer-process", "in-process"])
+    @pytest.mark.parametrize("failure", ["enospc", "non-json-value"])
+    def test_failed_trace_write_leaves_earlier_outputs(self, tmp_path, monkeypatch, capsys,
+                                                       cpus, failure):
+        path = write_stream_scenario(tmp_path)
         out_dir = tmp_path / "out"
         assert main(["run", "--scenario", path, "--out", str(out_dir)]) == 0
-        text = (out_dir / "trace.jsonl").read_text(encoding="utf-8")
-        assert text == dump_trace(trace)
-        rebuilt = build_report(parse_trace(text), strategy)
-        assert rebuilt == report
-        assert (out_dir / "metrics.json").read_text(encoding="utf-8") == \
-            json.dumps(rebuilt.to_json_obj(), indent=2, sort_keys=True) + "\n"
-        assert sorted(os.listdir(out_dir)) == ["metrics.csv", "metrics.json", "trace.jsonl"]
+        before = {name: (out_dir / name).read_bytes() for name in os.listdir(out_dir)}
+        capsys.readouterr()
+
+        forks = use_cpus(monkeypatch, cpus)
+        argv = ["run", "--scenario", path, "--out", str(out_dir)]
+        if failure == "enospc":
+            def full_disk(batch):
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+            monkeypatch.setattr(cli, "dump_trace", full_disk)
+            assert main(argv) == 3
+            assert f"io error: [Errno {errno.ENOSPC}]" in capsys.readouterr().err
+        else:
+            def poisoned_run(sc, sink):
+                def poison(batch):
+                    batch[-1].data["bad"] = {1}  # a set is not JSON
+                    sink(batch)
+                return run(sc, sink=poison)
+
+            monkeypatch.setattr(cli, "run_scenario", poisoned_run)
+            with pytest.raises(TypeError, match="set is not JSON serializable"):
+                main(argv)
+        assert len(forks) == (cpus == 2)
+        after = {name: (out_dir / name).read_bytes() for name in os.listdir(out_dir)}
+        assert after == before
+        assert_no_child_left()
 
     @pytest.mark.parametrize("abort_in", ["schedule_initial", "flush"],
                              ids=["first-event", "after-a-batch"])
@@ -451,7 +560,10 @@ class TestCliRunStreaming:
             raise Abort
 
         monkeypatch.setattr(_Kernel, abort_in, aborting)
+        forks = use_cpus(monkeypatch, 2)
         with pytest.raises(Abort):
             main(["run", "--scenario", path, "--out", str(out_dir)])
+        assert len(forks) == (abort_in == "flush")
         after = {name: (out_dir / name).read_bytes() for name in os.listdir(out_dir)}
         assert after == before
+        assert_no_child_left()
