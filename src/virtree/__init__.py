@@ -34,7 +34,7 @@ from .hierarchical import (
     leader_on_receive_immediate,
     route_interior,
 )
-from .messages import Message, new_command, unexecuted_goals
+from .messages import Message, goals_left, new_command
 from .metrics import MetricsReport, TraceRecord, build_report, dump_trace, parse_trace
 from .scenario import (
     CommandSpec,
@@ -90,6 +90,7 @@ __all__ = [
     "derive_seed",
     "dump_trace",
     "goal_clusters_for_scope",
+    "goals_left",
     "grid_adjacency",
     "hierarchy_distance",
     "leader_on_receive_deferred",
@@ -104,7 +105,6 @@ __all__ = [
     "reelect_role",
     "route_interior",
     "run",
-    "unexecuted_goals",
     "validate_scenario",
     "worker_broadcast",
     "worker_on_receive",

@@ -21,8 +21,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
-from .messages import Message, MsgId, unexecuted_goals
-from .topology import Topology, WorkerId, ClusterId, hierarchy_distance
+from .messages import Message, MsgId, goals_left
+from .topology import SCOPE_LAYERS, Topology, WorkerId, ClusterId
 
 
 @dataclass(frozen=True)
@@ -103,8 +103,19 @@ def worker_on_receive(w: WorkerId, m: Message, topo: Topology) -> list:
     return actions
 
 
-def min_goal_distance(topo: Topology, cluster: ClusterId, goals) -> int:
-    return min(hierarchy_distance(topo, cluster, g) for g in goals)
+def min_goal_distance(topo: Topology, cluster: ClusterId, m: Message) -> int:
+    """``hierarchy_distance`` from cluster to m's nearest unexecuted goal.
+
+    That is the lowest layer whose scope around cluster still holds an
+    unexecuted goal; m must have one left.
+    """
+    goals, executed = m.goal_cluster_ids, m.executed_cluster_ids
+    for distance, layer in enumerate(SCOPE_LAYERS.values()):
+        under = topo.clusters_in(layer, topo.scope_of(cluster, layer))
+        lo, hi = max(goals.start, under.start), min(goals.stop, under.stop)
+        if hi - lo > sum(1 for c in executed if lo <= c < hi):
+            return distance
+    return len(SCOPE_LAYERS)
 
 
 def compute_delay(params: DelayParams, distance: int, load: int,
@@ -145,38 +156,46 @@ def _local_delivery(m: Message, cluster: ClusterId, topo: Topology) -> tuple[Wor
     return tuple(chosen)
 
 
+def leader_visit(state: LeaderState, m: Message,
+                 topo: Topology) -> tuple[str, Message | None, tuple[WorkerId, ...]]:
+    """The receive prefix both leader paths share: dedup, visit, deliver.
+
+    Returns (reason, None, ()) for a duplicate (already processed, or own
+    cluster already in the copy's visited set).  Otherwise it returns ("",
+    the copy with this cluster marked visited, and executed when it is a goal,
+    the workers handed the command locally).
+    """
+    c = state.cluster_id
+    if m.msg_id in state.processed_msgs:
+        return "processed", None, ()
+    state.processed_msgs.add(m.msg_id)
+    if c in m.visited_cluster_ids:
+        return "visited", None, ()
+    executed, delivered = m.executed_cluster_ids, ()
+    if c in m.goal_cluster_ids:
+        executed = executed | {c}
+        delivered = _local_delivery(m, c, topo)
+    return "", m.copy(visited_cluster_ids=m.visited_cluster_ids | {c},
+                      executed_cluster_ids=executed), delivered
+
+
 def leader_on_receive_deferred(state: LeaderState, m: Message, topo: Topology,
                                params: DelayParams, rng: random.Random) -> LeaderDecision:
     """Deferred-routing receive at a cluster leader.
 
-    Drops duplicates (already processed, or own cluster already in the copy's
-    visited set), marks the cluster visited, delivers and marks executed when
-    the cluster is a goal, then either stops (no unexecuted goals left) or
+    After ``leader_visit``, either stops (no unexecuted goals left) or
     computes a deferred broadcast delay.  The caller schedules the broadcast
     and maintains pending_broadcasts.
     """
-    c = state.cluster_id
-    if m.msg_id in state.processed_msgs:
-        return LeaderDecision(outcome="drop", reason="processed")
-    if c in m.visited_cluster_ids:
-        state.processed_msgs.add(m.msg_id)
-        return LeaderDecision(outcome="drop", reason="visited")
-    state.processed_msgs.add(m.msg_id)
-
-    m2 = m.copy(visited_cluster_ids=m.visited_cluster_ids | {c})
-    delivered: tuple[WorkerId, ...] = ()
-    executed_here = False
-    if c in m2.goal_cluster_ids:
-        delivered = _local_delivery(m2, c, topo)
-        m2 = m2.copy(executed_cluster_ids=m2.executed_cluster_ids | {c})
-        executed_here = True
-
-    remaining = unexecuted_goals(m2)
-    if not remaining:
+    reason, m2, delivered = leader_visit(state, m, topo)
+    if m2 is None:
+        return LeaderDecision(outcome="drop", reason=reason)
+    executed_here = state.cluster_id in m2.goal_cluster_ids
+    if not goals_left(m2):
         return LeaderDecision(outcome="stop", message=m2,
                               delivered_workers=delivered, executed_here=executed_here)
 
-    dist = min_goal_distance(topo, c, remaining)
+    dist = min_goal_distance(topo, state.cluster_id, m2)
     delay = compute_delay(params, dist, state.local_load, rng)
     return LeaderDecision(outcome="scheduled", message=m2,
                           delivered_workers=delivered, executed_here=executed_here,

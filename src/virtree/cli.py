@@ -15,6 +15,7 @@ import os
 import signal
 import sys
 from dataclasses import replace
+from itertools import chain
 from statistics import fmean
 
 from .coordinators import liveness_trials, predicted_liveness
@@ -104,9 +105,11 @@ class _TraceWriter:
 
     Where ``os.fork`` exists and two CPUs are usable, the first batch handed
     over before ``run_end`` forks a writer process, and every batch from then
-    on goes to it down a pipe, so encoding overlaps the simulation.  Batches
-    travel as a length-prefixed ``marshal`` dump of plain tuples; the writer
-    holds one at a time.  Otherwise, and for a trace that fits in one batch,
+    on goes to it down a pipe, so encoding overlaps the simulation.  A batch
+    travels as a length-prefixed ``marshal`` dump of one flat tuple, five
+    fields a record, down a pipe widened to PIPE_SIZE where the platform lets
+    it, so the kernel seldom waits on the writer; the writer holds one batch
+    at a time.  Otherwise, and for a trace that fits in one batch,
     the batches are encoded here.  Leaving the ``with`` block waits for the
     writer and raises the exception it failed with, if any.
     """
@@ -125,13 +128,19 @@ class _TraceWriter:
                 self.fh.write(dump_trace(batch))
                 return
             self._start()
-        data = marshal.dumps(list(map(tuple, batch)))
+        data = marshal.dumps(tuple(chain.from_iterable(batch)))
         self.pipe.write(len(data).to_bytes(8, "little"))
         self.pipe.write(data)
         self.pipe.flush()
 
     def _start(self):
+        import fcntl  # POSIX only, as os.fork is
+
         batch_r, batch_w = os.pipe()
+        try:
+            fcntl.fcntl(batch_w, fcntl.F_SETPIPE_SZ, PIPE_SIZE)
+        except (AttributeError, OSError):  # not Linux, or above the system's limit
+            pass
         error_r, error_w = os.pipe()
         pid = os.fork()
         if pid == 0:
@@ -160,6 +169,10 @@ class _TraceWriter:
             raise ChildProcessError(f"trace writer process ended with wait status {status}")
 
 
+# Bytes the batch pipe buffers: a few marshalled batches of about 270 KB.
+PIPE_SIZE = 1 << 20
+
+
 def _usable_cpus() -> int:
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
@@ -186,7 +199,8 @@ def _write_batches(batch_fd: int, error_fd: int, fh):
                 data = pipe.read(size)
                 if len(data) < size:  # the parent aborted mid-batch
                     break
-                fh.write(dump_trace(marshal.loads(data)))
+                flat = iter(marshal.loads(data))
+                fh.write(dump_trace(zip(flat, flat, flat, flat, flat)))
         fh.close()
         status = 0
     except BaseException as e:

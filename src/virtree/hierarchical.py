@@ -13,14 +13,19 @@ copy that arrived from the parent only fans down, so copies move monotonically
 and need no interior deduplication.  Up-forwarding stops at the lowest common
 ancestor of the copy's remaining unexecuted goals by default; literal-root
 mode pushes every copy to the root instead.
+
+A copy's goals are one contiguous cluster range, so the child branches a node
+fans out to are the contiguous run of child scopes that range meets: routing
+costs O(branches + executed), not O(goals).
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
-from .adjacent import LeaderState, _local_delivery
-from .messages import Message, unexecuted_goals
+from .adjacent import LeaderState, leader_visit
+from .messages import Message, goals_left
 from .topology import LAYER_LEADER, ClusterId, Topology, WorkerId
 
 Node = tuple[int, int]  # (layer, scope id); apex layer = num_layers + 1
@@ -56,6 +61,12 @@ class TreeLinks:
             return self.apex
         first = self.topo.clusters_in(layer, scope).start
         return (layer + 1, self.topo.scope_of(first, layer + 1))
+
+    def clusters_under(self, node: Node) -> range:
+        """The clusters whose leaves lie in a node's subtree."""
+        if node == self.apex:
+            return self.topo.clusters
+        return self.topo.clusters_in(*node)
 
     def covers(self, node: Node, c: ClusterId) -> bool:
         layer, scope = node
@@ -96,52 +107,30 @@ class HierDecision:
     forwards: tuple[tuple[Node, Message], ...] = ()
 
 
-def _needs_up(links: TreeLinks, node: Node, remaining, mode: str) -> bool:
-    if links.parent(node) is None:
-        return False
-    if mode == MODE_ROOT:
-        return True
-    # LCA pruning: climb only while some unexecuted goal lies outside
-    # this node's subtree.
-    return any(not links.covers(node, g) for g in remaining)
-
-
 def leader_on_receive_immediate(state: LeaderState, m: Message, topo: Topology,
-                                links: TreeLinks, mode: str = MODE_LCA,
-                                injected: bool = False) -> HierDecision:
+                                links: TreeLinks, injected: bool = False) -> HierDecision:
     """Immediate-routing receive at a leaf: dedup, visit, deliver, climb.
 
     Only the injection leaf climbs; a copy fanned down from the parent ends
-    here, keeping traffic monotone up-then-down.  Forwarded copies carry
+    here, keeping traffic monotone up-then-down.  Every goal left lies outside
+    the leaf, so both route modes climb from it.  Forwarded copies carry
     hop_count + 1 and last_sent_cluster_id set to this cluster; forward_flag
     never turns on in this mode.
     """
     c = state.cluster_id
-    if m.msg_id in state.processed_msgs:
-        return HierDecision(outcome="drop", reason="processed")
-    if c in m.visited_cluster_ids:
-        state.processed_msgs.add(m.msg_id)
-        return HierDecision(outcome="drop", reason="visited")
-    state.processed_msgs.add(m.msg_id)
-
-    m2 = m.copy(visited_cluster_ids=m.visited_cluster_ids | {c})
-    delivered: tuple[WorkerId, ...] = ()
-    executed_here = False
-    if c in m2.goal_cluster_ids:
-        delivered = _local_delivery(m2, c, topo)
-        m2 = m2.copy(executed_cluster_ids=m2.executed_cluster_ids | {c})
-        executed_here = True
-
-    remaining = unexecuted_goals(m2)
-    if not remaining:
+    reason, m2, delivered = leader_visit(state, m, topo)
+    if m2 is None:
+        return HierDecision(outcome="drop", reason=reason)
+    executed_here = c in m2.goal_cluster_ids
+    if not goals_left(m2):
         return HierDecision(outcome="stop", message=m2,
                             delivered_workers=delivered, executed_here=executed_here)
 
-    node = links.leaf(c)
+    parent = links.parent(links.leaf(c))
     forwards = []
-    if injected and _needs_up(links, node, remaining, mode):
+    if injected and parent is not None:
         up = m2.copy(hop_count=m2.hop_count + 1, last_sent_cluster_id=c)
-        forwards.append((links.parent(node), up))
+        forwards.append((parent, up))
     return HierDecision(outcome="forwarded" if forwards else "stop", message=m2,
                         delivered_workers=delivered, executed_here=executed_here,
                         forwards=tuple(forwards))
@@ -151,33 +140,41 @@ def route_interior(node: Node, m: Message, arrived_from: Node, topo: Topology,
                    links: TreeLinks, mode: str = MODE_LCA) -> list[tuple[Node, Message]]:
     """Relay at an interior node (or the apex).
 
-    Fans one copy down each child branch that still covers an unexecuted goal,
-    skipping the branch the copy arrived from, and climbs toward the root when
-    the mode asks for it.  Interior nodes leave the goal bookkeeping alone.
+    Fans one copy down each child branch that still holds an unexecuted goal,
+    in ascending order, skipping the branch the copy arrived from, and climbs
+    toward the root when the mode asks for it.  Interior nodes leave the goal
+    bookkeeping alone.
     """
-    remaining = unexecuted_goals(m)
-    if not remaining:
+    if not goals_left(m):
         return []
     from_child = arrived_from is not None and links.parent(arrived_from) == node
     sender_cluster = links.holder_cluster(node)
     if sender_cluster is None:
         return []
 
+    goals, under = m.goal_cluster_ids, links.clusters_under(node)
+    lo, hi = max(goals.start, under.start), min(goals.stop, under.stop)
+    # executed goals in this subtree, per child branch
+    done = Counter(links.child_toward(node, c) for c in m.executed_cluster_ids
+                   if links.covers(node, c))
     out: list[tuple[Node, Message]] = []
-    seen_branches: set[Node] = set()
-    for g in sorted(remaining):
-        if not links.covers(node, g):
-            continue
-        branch = links.child_toward(node, g)
-        if branch in seen_branches:
-            continue
-        if from_child and branch == arrived_from:
-            continue
-        seen_branches.add(branch)
-        down = m.copy(hop_count=m.hop_count + 1, last_sent_cluster_id=sender_cluster)
-        out.append((branch, down))
+    if lo < hi:
+        layer, first = links.child_toward(node, lo)
+        for scope in range(first, links.child_toward(node, hi - 1)[1] + 1):
+            branch = (layer, scope)
+            if from_child and branch == arrived_from:
+                continue
+            sub = topo.clusters_in(layer, scope)
+            if done[branch] == min(hi, sub.stop) - max(lo, sub.start):
+                continue  # every goal down this branch has executed
+            down = m.copy(hop_count=m.hop_count + 1, last_sent_cluster_id=sender_cluster)
+            out.append((branch, down))
 
-    if from_child and _needs_up(links, node, remaining, mode):
+    # LCA pruning: climb only while some unexecuted goal lies outside this
+    # subtree; literal-root mode climbs all the way
+    parent = links.parent(node)
+    if from_child and parent is not None and (
+            mode == MODE_ROOT or goals_left(m) > max(hi - lo, 0) - sum(done.values())):
         up = m.copy(hop_count=m.hop_count + 1, last_sent_cluster_id=sender_cluster)
-        out.append((links.parent(node), up))
+        out.append((parent, up))
     return out

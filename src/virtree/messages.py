@@ -1,8 +1,12 @@
 """Command message records.
 
 Copies are value-semantic: every forward or broadcast clones the record, and
-the goal/visited/executed sets of distinct copies never merge back together.
-A copy's set fields only ever grow.
+the visited/executed sets of distinct copies never merge back together.  A
+copy's set fields only ever grow.
+
+A command's goal is one layer scope, and ids are row-major, so the goal
+clusters are one contiguous ``range``; the executed set is always a subset of
+it, which makes the count of goals left one subtraction.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ MsgId = tuple[int, int]  # (original source cluster, per-source sequence)
 @dataclass
 class Message:
     msg_id: MsgId
-    goal_cluster_ids: frozenset[int]
+    goal_cluster_ids: range
     target_worker_ids: frozenset[int]
     visited_cluster_ids: frozenset[int]
     executed_cluster_ids: frozenset[int]
@@ -28,7 +32,8 @@ class Message:
     payload: bytes = b""
 
     def __post_init__(self):
-        if not self.executed_cluster_ids <= self.goal_cluster_ids:
+        goals = self.goal_cluster_ids
+        if not all(c in goals for c in self.executed_cluster_ids):
             raise ValueError("executed clusters must be a subset of goal clusters")
         if not self.executed_cluster_ids <= self.visited_cluster_ids:
             raise ValueError("executed clusters must be a subset of visited clusters")
@@ -37,14 +42,14 @@ class Message:
         return replace(self, **changes)
 
 
-def new_command(origin_cluster: int, seq: int, goals: set[int],
+def new_command(origin_cluster: int, seq: int, goals: range,
                 targets: set[int] | None = None, payload: bytes = b"") -> Message:
     """Fresh command at its origin: hop 0, nothing visited, flag down."""
     if not goals:
         raise EmptyGoalSet(f"command ({origin_cluster},{seq}) has no goal clusters")
     return Message(
         msg_id=(origin_cluster, seq),
-        goal_cluster_ids=frozenset(goals),
+        goal_cluster_ids=goals,
         target_worker_ids=frozenset(targets or ()),
         visited_cluster_ids=frozenset(),
         executed_cluster_ids=frozenset(),
@@ -56,8 +61,9 @@ def new_command(origin_cluster: int, seq: int, goals: set[int],
     )
 
 
-def unexecuted_goals(m: Message) -> frozenset[int]:
-    return m.goal_cluster_ids - m.executed_cluster_ids
+def goals_left(m: Message) -> int:
+    """How many goal clusters the copy has not executed yet."""
+    return len(m.goal_cluster_ids) - len(m.executed_cluster_ids)
 
 
 def msg_id_str(mid: MsgId) -> str:

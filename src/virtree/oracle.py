@@ -111,7 +111,7 @@ def check_trace(trace: list[TraceRecord], topo: Topology, strategy: str,
         seq = seq_per_origin.get(cmd.origin, 0)
         seq_per_origin[cmd.origin] = seq + 1
         mid = f"{cmd.origin}:{seq}"
-        goals = goal_clusters_for_scope(topo, cmd.scope)
+        goals = set(goal_clusters_for_scope(topo, cmd.scope))
         want_clusters, want_workers = predict(topo, strategy, cmd.origin,
                                               goals, set(cmd.targets))
         got = exec_clusters.get(mid, [])

@@ -29,7 +29,7 @@ from . import adjacent as adj
 from . import hierarchical as hier
 from .coordinators import CoordinatorSet, monitor_round, region_live
 from .errors import ConservationError, NoCandidate, RegionDead
-from .messages import Message, msg_id_str, new_command, unexecuted_goals
+from .messages import Message, goals_left, msg_id_str, new_command
 from .metrics import MetricsReport, TraceRecord, build_report
 from .scenario import DEFAULT_LATENCIES, FailureSpec, Scenario
 from .topology import (
@@ -281,27 +281,33 @@ class _Kernel:
         mid = msg_id_str(m.msg_id)
         decision = adj.leader_on_receive_deferred(state, m, self.topo, self.sc.delay,
                                                   self.rng("alg2", region))
-        if decision.outcome == "drop":
-            self.bump("alg2_drops")
-            self.emit("alg2", "drop", cluster=c, msg_id=mid, reason=decision.reason)
-            return
-        m2 = decision.message
-        self.emit("alg2", "process", cluster=c, msg_id=mid, hop=m2.hop_count,
-                  visited=sorted(m2.visited_cluster_ids),
-                  executed_here=decision.executed_here)
-        if decision.executed_here:
-            self.emit("alg2", "execute_cluster", cluster=c, msg_id=mid, hop=m2.hop_count)
-            for w in decision.delivered_workers:
-                self.apply_execution(w, m2, comp="alg2")
+        self.emit_visit("alg2", c, mid, decision)
         if decision.outcome == "scheduled":
+            m2 = decision.message
             fire = quantize(self.now + decision.delay)
             state.pending_broadcasts.add(m2.msg_id)
             self.bump("broadcasts_scheduled")
             self.emit("alg2", "schedule", cluster=c, msg_id=mid,
                       distance=decision.distance, delay=decision.delay, fire=fire)
             self.push(fire, EV_BROADCAST, {"cluster": c, "leader": leader, "msg": m2})
-        else:
-            self.emit("alg2", "stop", cluster=c, msg_id=mid)
+
+    def emit_visit(self, comp: str, c: int, mid: str, decision):
+        """The records of a leader receive, either strategy: a drop, or a
+        process record, the cluster's executions and, when it ends there, stop."""
+        if decision.outcome == "drop":
+            self.bump(f"{comp}_drops")
+            self.emit(comp, "drop", cluster=c, msg_id=mid, reason=decision.reason)
+            return
+        m2 = decision.message
+        self.emit(comp, "process", cluster=c, msg_id=mid, hop=m2.hop_count,
+                  visited=sorted(m2.visited_cluster_ids),
+                  executed_here=decision.executed_here)
+        if decision.executed_here:
+            self.emit(comp, "execute_cluster", cluster=c, msg_id=mid, hop=m2.hop_count)
+            for w in decision.delivered_workers:
+                self.apply_execution(w, m2, comp=comp)
+        if decision.outcome == "stop":
+            self.emit(comp, "stop", cluster=c, msg_id=mid)
 
     def handle_broadcast(self, payload: dict):
         c = payload["cluster"]
@@ -313,7 +319,7 @@ class _Kernel:
             self.emit("alg2", "broadcast_cancelled", cluster=c, msg_id=mid)
             return
         state.pending_broadcasts.discard(m.msg_id)
-        if not unexecuted_goals(m):
+        if not goals_left(m):
             self.bump("broadcasts_suppressed")
             self.emit("alg2", "broadcast_suppressed", cluster=c, msg_id=mid)
             return
@@ -342,23 +348,9 @@ class _Kernel:
             # copy, and every such int would stay alive in the trace
             state = self.leader_states[node[1]]
             c = state.cluster_id
-            decision = hier.leader_on_receive_immediate(state, m, self.topo,
-                                                        self.links, self.sc.route_mode,
+            decision = hier.leader_on_receive_immediate(state, m, self.topo, self.links,
                                                         injected=from_node is None)
-            if decision.outcome == "drop":
-                self.bump("alg3_drops")
-                self.emit("alg3", "drop", cluster=c, msg_id=mid, reason=decision.reason)
-                return
-            m2 = decision.message
-            self.emit("alg3", "process", cluster=c, msg_id=mid, hop=m2.hop_count,
-                      visited=sorted(m2.visited_cluster_ids),
-                      executed_here=decision.executed_here)
-            if decision.executed_here:
-                self.emit("alg3", "execute_cluster", cluster=c, msg_id=mid, hop=m2.hop_count)
-                for w in decision.delivered_workers:
-                    self.apply_execution(w, m2, comp="alg3")
-            if decision.outcome == "stop":
-                self.emit("alg3", "stop", cluster=c, msg_id=mid)
+            self.emit_visit("alg3", c, mid, decision)
             for tnode, fm in decision.forwards:
                 self.forward_tree(node, tnode, fm)
         else:

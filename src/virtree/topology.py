@@ -268,15 +268,15 @@ def hierarchy_distance(topo: Topology, a: ClusterId, b: ClusterId) -> int:
     return len(SCOPE_LAYERS)
 
 
-def goal_clusters_for_scope(topo: Topology, scope: tuple) -> set[ClusterId]:
-    """Expand a scope selector into the set of clusters it covers.
+def goal_clusters_for_scope(topo: Topology, scope: tuple) -> range:
+    """Expand a scope selector into the cluster range it covers.
 
     ``scope`` is ("cluster", id) | ("region", id) | ("hub", id) |
     ("domain", id) | ("global",) or ("global", None).
     """
     kind = scope[0] if scope else None
     if kind == "global":
-        return set(topo.clusters)
+        return topo.clusters
     if kind not in SCOPE_LAYERS:
         raise UnknownScope(f"scope kind {scope!r}")
     if len(scope) < 2 or scope[1] is None:
@@ -284,7 +284,7 @@ def goal_clusters_for_scope(topo: Topology, scope: tuple) -> set[ClusterId]:
     layer, sid = SCOPE_LAYERS[kind], scope[1]
     if not 0 <= sid < topo.config.n_scopes(layer):
         raise UnknownScope(f"{kind} {sid}")
-    return set(topo.clusters_in(layer, sid))
+    return topo.clusters_in(layer, sid)
 
 
 def _candidates(topo: Topology, layer: int, scope_id: int) -> list[WorkerId]:

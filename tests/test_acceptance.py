@@ -8,7 +8,9 @@ is wrong, not the test.
 
 import random
 import time
+from collections import Counter
 
+from virtree import hierarchical
 from virtree.adjacent import DelayParams
 from virtree.coordinators import liveness_trials
 from virtree.metrics import TRANSMISSION_EVENTS, dump_trace
@@ -269,6 +271,45 @@ def test_criterion_7_hop_and_transmission_bounds():
         pairs.append(counts)
     print(f"criterion 7: PASS - max hop 8 <= 8; crossings {crossings}; "
           f"tree <= flooding on {len(pairs)}/20 pairs", flush=True)
+
+
+def test_criterion_7_tree_routing_work_is_per_branch_at_100k_workers(monkeypatch):
+    # one global command over 100k workers (10k clusters, apex over 10
+    # domains): the work bound counts TreeLinks.covers calls, which the old
+    # per-goal scan made once per remaining goal at every interior route
+    cfg = HierarchyConfig(10, 10, 10, 10, domains=10)
+    assert cfg.n_workers == 100_000 and cfg.n_clusters == 10_000
+    covers_calls = routes = 0
+    covers, route_interior = hierarchical.TreeLinks.covers, hierarchical.route_interior
+
+    def counted_covers(*args):
+        nonlocal covers_calls
+        covers_calls += 1
+        return covers(*args)
+
+    def counted_route(*args):
+        nonlocal routes
+        routes += 1
+        return route_interior(*args)
+
+    monkeypatch.setattr(hierarchical.TreeLinks, "covers", counted_covers)
+    monkeypatch.setattr(hierarchical, "route_interior", counted_route)
+    executed = Counter()
+    sc = mk(cfg, seed=8100, horizon=10.0, strategy="hierarchical",
+            commands=[CommandSpec(time=0.5, origin=4321, scope=("global",))])
+    _, report = run(sc, sink=lambda batch: executed.update(
+        rec.data["cluster"] for rec in batch if rec.event == "execute_cluster"))
+    pm = report.messages["4321:0"]
+    assert report.conserved
+    assert sorted(executed) == list(range(cfg.n_clusters))
+    assert set(executed.values()) == {1}
+    assert pm.goals_executed == pm.goals_total == cfg.n_clusters
+    assert pm.max_hop <= 2 * (cfg.num_layers - 1)
+    # the copies carry one executed goal, the origin: one covers call a route
+    assert 0 < routes and covers_calls <= routes
+    print(f"criterion 7: PASS - 100000-worker global command: {cfg.n_clusters} "
+          f"clusters executed once each, max hop {pm.max_hop} <= 8, "
+          f"{covers_calls} covers calls over {routes} interior routes", flush=True)
 
 
 def test_criterion_8_deferred_delay_is_alpha_times_distance():

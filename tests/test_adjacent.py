@@ -31,32 +31,32 @@ def two_region_topo(adjacency):
 
 class TestWorkerReceive:
     def test_targeted_visited_flag_down_executes_only(self, topo32):
-        m = new_command(1, 0, goals={1}, targets={3})
+        m = new_command(1, 0, goals=range(1, 2), targets={3})
         m = m.copy(visited_cluster_ids=frozenset({1}))  # worker 3 sits in cluster 1
         actions = worker_on_receive(3, m, topo32)
         assert actions == [ExecuteLocally(3)]
 
     def test_unvisited_from_neighbor_reports(self, topo32):
-        m = new_command(5, 0, goals={0})
+        m = new_command(5, 0, goals=range(0, 1))
         m = m.copy(visited_cluster_ids=frozenset({5}), last_sent_cluster_id=5)
         actions = worker_on_receive(3, m, topo32)  # worker 3: cluster 1, not targeted
         assert actions == [ReportToLeader(1)]
 
     def test_flagged_from_own_leader_broadcasts(self, topo32):
-        m = new_command(1, 0, goals={9})
+        m = new_command(1, 0, goals=range(9, 10))
         m = m.copy(visited_cluster_ids=frozenset({1}), last_sent_cluster_id=1,
                    forward_flag=True)
         actions = worker_on_receive(3, m, topo32)
         assert actions == [BroadcastToReachable(3)]
 
     def test_checks_fire_independently(self, topo32):
-        m = new_command(5, 0, goals={1}, targets={3})
+        m = new_command(5, 0, goals=range(1, 2), targets={3})
         m = m.copy(last_sent_cluster_id=5)
         actions = worker_on_receive(3, m, topo32)
         assert actions == [ExecuteLocally(3), ReportToLeader(1)]
 
     def test_flag_without_own_leader_origin_does_not_broadcast(self, topo32):
-        m = new_command(5, 0, goals={1})
+        m = new_command(5, 0, goals=range(1, 2))
         m = m.copy(visited_cluster_ids=frozenset({1, 5}), last_sent_cluster_id=5,
                    forward_flag=True)
         assert worker_on_receive(3, m, topo32) == []
@@ -114,14 +114,14 @@ class TestComputeDelay:
 class TestLeaderDeferred:
     def test_visited_cluster_drops(self, topo32):
         state = LeaderState(cluster_id=2)
-        m = new_command(0, 0, goals={5}).copy(visited_cluster_ids=frozenset({2}))
+        m = new_command(0, 0, goals=range(5, 6)).copy(visited_cluster_ids=frozenset({2}))
         d = leader_on_receive_deferred(state, m, topo32, NO_JITTER, random.Random(1))
         assert d.outcome == "drop"
         assert d.reason == "visited"
 
     def test_reprocessing_drops(self, topo32):
         state = LeaderState(cluster_id=2)
-        m = new_command(0, 0, goals={5})
+        m = new_command(0, 0, goals=range(5, 6))
         leader_on_receive_deferred(state, m, topo32, NO_JITTER, random.Random(1))
         d = leader_on_receive_deferred(state, m, topo32, NO_JITTER, random.Random(1))
         assert d.outcome == "drop"
@@ -129,7 +129,7 @@ class TestLeaderDeferred:
 
     def test_last_goal_delivers_then_stops(self, topo32):
         state = LeaderState(cluster_id=2)
-        m = new_command(0, 0, goals={2})
+        m = new_command(0, 0, goals=range(2, 3))
         d = leader_on_receive_deferred(state, m, topo32, NO_JITTER, random.Random(1))
         assert d.outcome == "stop"
         assert d.executed_here
@@ -139,14 +139,15 @@ class TestLeaderDeferred:
 
     def test_targets_limit_local_delivery(self, topo32):
         state = LeaderState(cluster_id=2)
-        m = new_command(0, 0, goals={2}, targets={5})
+        m = new_command(0, 0, goals=range(2, 3), targets={5})
         d = leader_on_receive_deferred(state, m, topo32, NO_JITTER, random.Random(1))
         assert d.delivered_workers == (5,)
 
     def test_nearest_unexecuted_goal_sets_delay(self, topo32):
-        # goals at distance 1 (cluster 3, same region) and 3 (cluster 8)
+        # goals at distance 1 (cluster 3, same region), 2 (clusters 4-7, same
+        # hub) and 3 (cluster 8, other hub)
         state = LeaderState(cluster_id=2)
-        m = new_command(0, 0, goals={3, 8})
+        m = new_command(0, 0, goals=range(3, 9))
         d = leader_on_receive_deferred(state, m, topo32, NO_JITTER, random.Random(1))
         assert d.outcome == "scheduled"
         assert d.distance == 1
@@ -154,7 +155,7 @@ class TestLeaderDeferred:
 
     def test_distance_two_schedules_two_time_units(self, two_domain_topo):
         state = LeaderState(cluster_id=0)
-        m = new_command(4, 0, goals={2})  # cluster 2: same hub, other region
+        m = new_command(4, 0, goals=range(2, 3))  # cluster 2: same hub, other region
         d = leader_on_receive_deferred(state, m, two_domain_topo, NO_JITTER,
                                        random.Random(1))
         assert d.distance == 2
@@ -164,13 +165,13 @@ class TestLeaderDeferred:
         state = LeaderState(cluster_id=2)
         state.pending_broadcasts.update({(9, 9), (9, 10)})
         params = DelayParams(alpha=1.0, beta=0.5, epsilon=0.0)
-        m = new_command(0, 0, goals={3})
+        m = new_command(0, 0, goals=range(3, 4))
         d = leader_on_receive_deferred(state, m, topo32, params, random.Random(1))
         assert d.delay == 1.0 * 1 + 0.5 * 2  # distance 1, load 2
 
     def test_closer_leader_fires_first(self, topo32):
         # same message processed at distance 1 and distance 4 leaders
-        m = new_command(0, 0, goals={5})
+        m = new_command(0, 0, goals=range(5, 6))
         near = leader_on_receive_deferred(LeaderState(cluster_id=4), m, topo32,
                                           NO_JITTER, random.Random(1))
         far = leader_on_receive_deferred(LeaderState(cluster_id=9), m, topo32,
@@ -181,7 +182,7 @@ class TestLeaderDeferred:
 class TestWorkerBroadcast:
     def test_broadcast_copy_fields(self):
         state = LeaderState(cluster_id=6)
-        m = new_command(0, 0, goals={1, 6}).copy(
+        m = new_command(0, 0, goals=range(1, 7)).copy(
             visited_cluster_ids=frozenset({6}), hop_count=3)
         out = worker_broadcast(state, m)
         assert out.hop_count == 4

@@ -1,6 +1,9 @@
 import random
 
-from virtree.adjacent import LeaderState
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from virtree.adjacent import LeaderState, min_goal_distance
 from virtree.hierarchical import (
     MODE_LCA,
     MODE_ROOT,
@@ -12,7 +15,14 @@ from virtree.messages import new_command
 from virtree.oracle import _bfs, containment_tree
 from virtree.scenario import CommandSpec, FailureSpec, Scenario
 from virtree.simkernel import run
-from virtree.topology import HierarchyConfig, build_topology, goal_clusters_for_scope
+from virtree.topology import (
+    LAYER_REGIONAL_HUB,
+    SCOPE_LAYERS,
+    HierarchyConfig,
+    build_topology,
+    goal_clusters_for_scope,
+    hierarchy_distance,
+)
 
 
 def hier_scenario(**kw):
@@ -182,15 +192,15 @@ class TestTreeLinksMatchOracle:
                                  if parent.get(p) == onode and c in leaves[p])
                     assert links.child_toward(node, c) == to_links(child), (cfg, node, c)
             if onode[0] in SCOPE_KIND:
-                assert goal_clusters_for_scope(topo, (SCOPE_KIND[onode[0]], onode[1])) == under
-        assert goal_clusters_for_scope(topo, ("global",)) == leaves[top]
+                assert set(goal_clusters_for_scope(topo, (SCOPE_KIND[onode[0]], onode[1]))) == under
+        assert set(goal_clusters_for_scope(topo, ("global",))) == leaves[top]
         return links.apex is not None
 
 
 class TestLeafReceive:
     def test_injection_leaf_climbs_toward_remote_goal(self, topo32):
         state = LeaderState(cluster_id=0)
-        m = new_command(0, 0, goals={5})
+        m = new_command(0, 0, goals=range(5, 6))
         d = leader_on_receive_immediate(state, m, topo32, TreeLinks.build(topo32),
                                         injected=True)
         assert d.outcome == "forwarded"
@@ -204,7 +214,7 @@ class TestLeafReceive:
     def test_fanned_down_copy_never_climbs(self, topo32):
         # the parent already routed this copy; climbing again would echo
         state = LeaderState(cluster_id=0)
-        m = new_command(3, 0, goals={0, 5}).copy(visited_cluster_ids=frozenset({3}))
+        m = new_command(3, 0, goals=range(0, 6)).copy(visited_cluster_ids=frozenset({3}))
         d = leader_on_receive_immediate(state, m, topo32, TreeLinks.build(topo32),
                                         injected=False)
         assert d.outcome == "stop"
@@ -213,20 +223,20 @@ class TestLeafReceive:
 
     def test_visited_copy_drops(self, topo32):
         state = LeaderState(cluster_id=4)
-        m = new_command(0, 0, goals={4}).copy(visited_cluster_ids=frozenset({4}))
+        m = new_command(0, 0, goals=range(4, 5)).copy(visited_cluster_ids=frozenset({4}))
         d = leader_on_receive_immediate(state, m, topo32, TreeLinks.build(topo32))
         assert (d.outcome, d.reason) == ("drop", "visited")
 
     def test_reprocess_drops(self, topo32):
         state = LeaderState(cluster_id=4)
         links = TreeLinks.build(topo32)
-        leader_on_receive_immediate(state, new_command(0, 0, goals={4}), topo32, links)
-        d = leader_on_receive_immediate(state, new_command(0, 0, goals={4}), topo32, links)
+        leader_on_receive_immediate(state, new_command(0, 0, goals=range(4, 5)), topo32, links)
+        d = leader_on_receive_immediate(state, new_command(0, 0, goals=range(4, 5)), topo32, links)
         assert (d.outcome, d.reason) == ("drop", "processed")
 
     def test_goal_leaf_delivers_and_stops(self, topo32):
         state = LeaderState(cluster_id=4)
-        m = new_command(0, 0, goals={4}).copy(visited_cluster_ids=frozenset({0}))
+        m = new_command(0, 0, goals=range(4, 5)).copy(visited_cluster_ids=frozenset({0}))
         d = leader_on_receive_immediate(state, m, topo32, TreeLinks.build(topo32),
                                         injected=True)
         assert d.outcome == "stop"
@@ -238,7 +248,7 @@ class TestLeafReceive:
 class TestRouteInterior:
     def test_fan_down_per_goal_branch(self, topo32):
         links = TreeLinks.build(topo32)
-        m = new_command(0, 0, goals={1, 2}).copy(visited_cluster_ids=frozenset({0}),
+        m = new_command(0, 0, goals=range(1, 3)).copy(visited_cluster_ids=frozenset({0}),
                                                  hop_count=1)
         out = route_interior((3, 0), m, (2, 0), topo32, links)
         assert [node for node, _ in out] == [(2, 1), (2, 2)]
@@ -248,18 +258,18 @@ class TestRouteInterior:
 
     def test_shared_branch_sent_once(self, topo32):
         links = TreeLinks.build(topo32)
-        m = new_command(0, 0, goals={4, 5}).copy(hop_count=1)
+        m = new_command(0, 0, goals=range(4, 6)).copy(hop_count=1)
         out = route_interior((4, 0), m, (3, 0), topo32, links)
         assert [node for node, _ in out] == [(3, 1)]  # both goals under region 1
 
     def test_arrival_branch_excluded(self, topo32):
         links = TreeLinks.build(topo32)
-        m = new_command(1, 0, goals={1})
+        m = new_command(1, 0, goals=range(1, 2))
         assert route_interior((3, 0), m, (2, 1), topo32, links) == []
 
     def test_up_only_from_child(self, topo32):
         links = TreeLinks.build(topo32)
-        m = new_command(0, 0, goals={5})
+        m = new_command(0, 0, goals=range(5, 6))
         out = route_interior((3, 0), m, (2, 0), topo32, links)
         assert [node for node, _ in out] == [(4, 0)]
         # same copy arriving from the parent must not bounce back up
@@ -267,7 +277,7 @@ class TestRouteInterior:
 
     def test_root_mode_climbs_past_the_lca(self, topo32):
         links = TreeLinks.build(topo32)
-        m = new_command(0, 0, goals={1})
+        m = new_command(0, 0, goals=range(1, 2))
         out = route_interior((3, 0), m, (2, 0), topo32, links, mode=MODE_ROOT)
         assert [node for node, _ in out] == [(2, 1), (4, 0)]
         out_lca = route_interior((3, 0), m, (2, 0), topo32, links, mode=MODE_LCA)
@@ -275,21 +285,137 @@ class TestRouteInterior:
 
     def test_root_never_forwards_up(self, topo32):
         links = TreeLinks.build(topo32)
-        m = new_command(0, 0, goals={15})
+        m = new_command(0, 0, goals=range(15, 16))
         out = route_interior((5, 0), m, (4, 0), topo32, links, mode=MODE_ROOT)
         assert [node for node, _ in out] == [(4, 1)]
 
     def test_vacant_holder_routes_nothing(self, topo32):
         links = TreeLinks.build(topo32)
         del topo32.roles[3][0]
-        m = new_command(0, 0, goals={1})
+        m = new_command(0, 0, goals=range(1, 2))
         assert route_interior((3, 0), m, (2, 0), topo32, links) == []
 
     def test_executed_everywhere_routes_nothing(self, topo32):
         links = TreeLinks.build(topo32)
-        m = new_command(0, 0, goals={1}).copy(visited_cluster_ids=frozenset({1}),
+        m = new_command(0, 0, goals=range(1, 2)).copy(visited_cluster_ids=frozenset({1}),
                                               executed_cluster_ids=frozenset({1}))
         assert route_interior((3, 0), m, (2, 1), topo32, links) == []
+
+
+@st.composite
+def shapes_and_copies(draw):
+    """A shape (num_layers 2..5, with or without an apex), a message whose goal
+    is any scope kind, and executed/visited subsets of it."""
+    num_layers = draw(st.integers(2, 5))
+    # cpr, rph, hpd, domains; those above the top layer set its scope count
+    fans = [draw(st.integers(1, 3)) for _ in range(4)]
+    for i in range(num_layers - 2, 4):
+        fans[i] = 1
+    if draw(st.booleans()):  # apex
+        fans[draw(st.integers(num_layers - 2, 3))] = draw(st.integers(2, 3))
+    cfg = HierarchyConfig(workers_per_cluster=1, clusters_per_region=fans[0],
+                          regions_per_hub=fans[1], hubs_per_domain=fans[2],
+                          domains=fans[3], num_layers=num_layers,
+                          coordinator_k=1, t_min=1)
+    topo = build_topology(cfg, seed=1)
+    kind = draw(st.sampled_from(["global", *SCOPE_LAYERS]))
+    if kind == "global":
+        scope = ("global",)
+    else:
+        scope = (kind, draw(st.integers(0, cfg.n_scopes(SCOPE_LAYERS[kind]) - 1)))
+    goals = goal_clusters_for_scope(topo, scope)
+    executed = frozenset(draw(st.sets(st.sampled_from(goals))))
+    visited = executed | draw(st.sets(st.sampled_from(topo.clusters)))
+    origin = draw(st.sampled_from(topo.clusters))
+    m = new_command(origin, 0, goals).copy(visited_cluster_ids=visited,
+                                          executed_cluster_ids=executed,
+                                          hop_count=draw(st.integers(0, 8)))
+    return topo, m
+
+
+def brute_needs_up(links, node, remaining, mode):
+    if links.parent(node) is None:
+        return False
+    return mode == MODE_ROOT or any(not links.covers(node, g) for g in remaining)
+
+
+def brute_route(node, m, arrived_from, links, mode):
+    """route_interior's branches, one goal at a time."""
+    remaining = set(m.goal_cluster_ids) - m.executed_cluster_ids
+    if not remaining:
+        return []
+    from_child = arrived_from is not None and links.parent(arrived_from) == node
+    branches = []
+    for g in sorted(remaining):
+        if not links.covers(node, g):
+            continue
+        branch = links.child_toward(node, g)
+        if branch not in branches and not (from_child and branch == arrived_from):
+            branches.append(branch)
+    if from_child and brute_needs_up(links, node, remaining, mode):
+        branches.append(links.parent(node))
+    return branches
+
+
+class TestRangeRoutingMatchesPerGoal:
+    """Range arithmetic routes, visits and measures distance as a per-goal scan."""
+
+    @settings(deadline=None, max_examples=150)  # speed is not what this checks
+    @given(shapes_and_copies())
+    def test_route_interior(self, case):
+        topo, m = case
+        links = TreeLinks.build(topo)
+        nodes = [(layer, s) for layer in range(LAYER_REGIONAL_HUB, topo.config.num_layers + 1)
+                 for s in range(topo.config.n_scopes(layer))]
+        nodes += [links.apex] if links.apex else []
+        leaves = [links.leaf(c) for c in topo.clusters]
+        for node in nodes:
+            children = [n for n in nodes + leaves if links.parent(n) == node]
+            for arrived_from in [None, links.parent(node), *children]:
+                for mode in (MODE_LCA, MODE_ROOT):
+                    out = route_interior(node, m, arrived_from, topo, links, mode)
+                    assert [n for n, _ in out] == brute_route(node, m, arrived_from,
+                                                              links, mode)
+                    sender = links.holder_cluster(node)
+                    for _, fm in out:
+                        assert fm == m.copy(hop_count=m.hop_count + 1,
+                                            last_sent_cluster_id=sender)
+
+    @settings(deadline=None, max_examples=150)
+    @given(shapes_and_copies())
+    def test_leader_on_receive_immediate(self, case):
+        topo, m = case
+        links = TreeLinks.build(topo)
+        goals = set(m.goal_cluster_ids)
+        for c in topo.clusters:
+            for injected in (False, True):
+                d = leader_on_receive_immediate(LeaderState(cluster_id=c), m, topo,
+                                                links, injected)
+                if c in m.visited_cluster_ids:
+                    assert (d.outcome, d.reason) == ("drop", "visited")
+                    continue
+                executed = m.executed_cluster_ids | ({c} & goals)
+                remaining = goals - executed
+                assert d.executed_here == (c in goals)
+                assert d.message.executed_cluster_ids == executed
+                assert d.message.visited_cluster_ids == m.visited_cluster_ids | {c}
+                # the leaf takes no route mode: the climb rule of each agrees
+                leaf = links.leaf(c)
+                for mode in (MODE_LCA, MODE_ROOT):
+                    up = bool(remaining) and injected and brute_needs_up(
+                        links, leaf, remaining, mode)
+                    assert [n for n, _ in d.forwards] == ([links.parent(leaf)] if up else [])
+                    assert d.outcome == ("forwarded" if up else "stop")
+
+    @settings(deadline=None, max_examples=150)
+    @given(shapes_and_copies())
+    def test_min_goal_distance(self, case):
+        topo, m = case
+        remaining = set(m.goal_cluster_ids) - m.executed_cluster_ids
+        if remaining:
+            for c in topo.clusters:
+                assert min_goal_distance(topo, c, m) == min(
+                    hierarchy_distance(topo, c, g) for g in remaining)
 
 
 class TestHierSimulation:

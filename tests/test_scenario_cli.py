@@ -350,9 +350,11 @@ class TestCliSweep:
 
     def test_regions_sweep_rejects_adjacency_override(self, tmp_path):
         path = write_scenario(tmp_path)
-        raw = json.loads(open(path).read())
+        with open(path) as fh:
+            raw = json.load(fh)
         raw["topology"]["adjacency"] = [[0, 1]]
-        open(path, "w").write(json.dumps(raw))
+        with open(path, "w") as fh:
+            json.dump(raw, fh)
         assert main(["sweep", "--scenario", path, "--param", "regions",
                      "--values", "1,2", "--trials", "1",
                      "--out", str(tmp_path / "out")]) == 2
