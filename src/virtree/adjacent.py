@@ -76,14 +76,17 @@ class BroadcastToReachable:
 
 
 def reachable_workers(w: WorkerId, topo: Topology) -> list[WorkerId]:
-    """Alive workers in w's region and all adjacent regions, excluding w."""
+    """Alive workers in w's region and all adjacent regions, excluding w.
+
+    Ascending: regions are walked in id order and each holds one id range.
+    """
     r = topo.region_of_worker(w)
     out = []
     for region in sorted((r, *topo.region_adjacency[r])):
         for peer in topo.workers_in_region(region):
             if peer != w and topo.is_alive(peer):
                 out.append(peer)
-    return sorted(out)
+    return out
 
 
 def worker_on_receive(w: WorkerId, m: Message, topo: Topology) -> list:
@@ -92,7 +95,7 @@ def worker_on_receive(w: WorkerId, m: Message, topo: Topology) -> list:
     The checks are independent; any subset may fire.  Execution is emitted on
     every targeted receipt and the kernel keeps it idempotent per worker.
     """
-    cluster = topo.cluster_of[w]
+    cluster = topo.cluster_of(w)
     actions = []
     if w in m.target_worker_ids:
         actions.append(ExecuteLocally(w))
@@ -147,7 +150,7 @@ class LeaderDecision:
 
 
 def _local_delivery(m: Message, cluster: ClusterId, topo: Topology) -> tuple[WorkerId, ...]:
-    members = topo.workers_in_cluster[cluster]
+    members = topo.workers_in_cluster(cluster)
     if m.target_worker_ids:
         chosen = [w for w in members if w in m.target_worker_ids and topo.is_alive(w)]
     else:

@@ -103,15 +103,16 @@ def cmd_run(args) -> int:
 class _TraceWriter:
     """The trace sink of ``run``: writes each batch to ``fh`` as JSON lines.
 
-    Where ``os.fork`` exists and two CPUs are usable, the first batch handed
-    over before ``run_end`` forks a writer process, and every batch from then
-    on goes to it down a pipe, so encoding overlaps the simulation.  A batch
-    travels as a length-prefixed ``marshal`` dump of one flat tuple, five
-    fields a record, down a pipe widened to PIPE_SIZE where the platform lets
-    it, so the kernel seldom waits on the writer; the writer holds one batch
-    at a time.  Otherwise, and for a trace that fits in one batch,
-    the batches are encoded here.  Leaving the ``with`` block waits for the
-    writer and raises the exception it failed with, if any.
+    Where ``os.fork`` exists and two CPUs are usable, the first batch forks a
+    writer process, and every batch goes to it down a pipe, so encoding
+    overlaps the simulation.  The fork waits for the first batch so that it
+    and the copy-on-write faults that follow it fall in the run, not in its
+    set-up.  A batch travels as a length-prefixed ``marshal`` dump of one
+    flat tuple, five fields a record, down a pipe widened to PIPE_SIZE where
+    the platform lets it, so the kernel seldom waits on the writer; the
+    writer holds one batch at a time.  Otherwise the batches are encoded
+    here.  Leaving the ``with`` block waits for the writer and raises the
+    exception it failed with, if any.
     """
 
     def __init__(self, fh):
@@ -124,7 +125,7 @@ class _TraceWriter:
 
     def __call__(self, batch):
         if self.pid is None:
-            if not self.can_fork or batch[-1].event == "run_end":
+            if not self.can_fork:
                 self.fh.write(dump_trace(batch))
                 return
             self._start()
@@ -225,7 +226,7 @@ def cmd_oracle_check(args) -> int:
     topo = build_topology(sc.config, sc.seed, adjacency=sc.adjacency_override)
     for i, cmd in enumerate(sc.commands):
         goals = goal_clusters_for_scope(topo, cmd.scope)
-        outside = [t for t in sorted(cmd.targets) if topo.cluster_of[t] not in goals]
+        outside = [t for t in sorted(cmd.targets) if topo.cluster_of(t) not in goals]
         if outside:
             raise ScenarioInvalid(
                 f"commands[{i}].targets",

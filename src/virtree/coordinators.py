@@ -36,9 +36,9 @@ class CoordinatorSet:
 
     @classmethod
     def initial(cls, topo: Topology, region: RegionId) -> "CoordinatorSet":
-        members = sorted(topo.workers_in_region(region))
         k = topo.config.coordinator_k
-        return cls(region=region, k=k, t_min=topo.config.t_min, active=members[:k])
+        return cls(region=region, k=k, t_min=topo.config.t_min,
+                   active=list(topo.workers_in_region(region)[:k]))
 
 
 def candidate_metric(connectivity: float, load: int, energy: float) -> float:

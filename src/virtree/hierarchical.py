@@ -92,7 +92,7 @@ class TreeLinks:
 
     def holder_cluster(self, node: Node) -> int | None:
         w = self.holder(node)
-        return None if w is None else self.topo.cluster_of[w]
+        return None if w is None else self.topo.cluster_of(w)
 
 
 @dataclass

@@ -83,8 +83,9 @@ def predict(topo: Topology, strategy: str, origin: int,
     else:
         reachable = reachable_clusters_hier(topo, origin)
     exec_clusters = goals & reachable
+    wpc = topo.config.workers_per_cluster
     exec_workers = {w for w in targets
-                    if topo.is_alive(w) and topo.cluster_of[w] in exec_clusters}
+                    if topo.is_alive(w) and w // wpc in exec_clusters}
     return exec_clusters, exec_workers
 
 

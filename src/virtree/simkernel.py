@@ -73,7 +73,8 @@ class _Kernel:
         self.leader_states = {c: adj.LeaderState(cluster_id=c) for c in self.topo.clusters}
         self.coords = {r: CoordinatorSet.initial(self.topo, r) for r in self.topo.regions}
         self.links = hier.TreeLinks.build(self.topo)
-        self.wexec: set[tuple[int, tuple]] = set()
+        # msg_id -> workers that executed it
+        self.wexec: defaultdict[tuple, set[int]] = defaultdict(set)
         self.relayed: set[tuple[int, tuple]] = set()
         self.parked: list[dict] = []
         self.jam: dict[str, float] = {}
@@ -113,7 +114,7 @@ class _Kernel:
         self.event_seq += 1
 
     def _worker_class(self, w_from: int, w_to: int) -> str:
-        if self.topo.cluster_of[w_from] == self.topo.cluster_of[w_to]:
+        if self.topo.cluster_of(w_from) == self.topo.cluster_of(w_to):
             return "cluster"
         if self.topo.region_of_worker(w_from) == self.topo.region_of_worker(w_to):
             return "region"
@@ -137,9 +138,9 @@ class _Kernel:
             return
         self.topo.mark_dead(w)
         self.reach.clear()
-        self.emit("kernel", "failure", worker=w, cluster=self.topo.cluster_of[w],
+        c = self.topo.cluster_of(w)
+        self.emit("kernel", "failure", worker=w, cluster=c,
                   region=self.topo.region_of_worker(w))
-        c = self.topo.cluster_of[w]
         if self.topo.roles[LAYER_LEADER].get(c) == w:
             # queued broadcast events discover the cleared map and cancel
             self.leader_states[c].pending_broadcasts.clear()
@@ -161,7 +162,7 @@ class _Kernel:
         self.reach.clear()
         self.emit("kernel", "recovery", worker=w)
         # fill any vacancy in the scopes this worker belongs to
-        c = self.topo.cluster_of[w]
+        c = self.topo.cluster_of(w)
         changed = False
         for layer, holders in self.topo.roles.items():
             scope = self.topo.scope_of(c, layer)
@@ -228,7 +229,7 @@ class _Kernel:
         self.bump("deliveries_completed")
         mid = msg_id_str(m.msg_id)
         region = self.topo.region_of_worker(w)
-        self.emit("alg1", "receive", worker=w, cluster=self.topo.cluster_of[w], region=region,
+        self.emit("alg1", "receive", worker=w, cluster=self.topo.cluster_of(w), region=region,
                   from_worker=sender.get("worker"), from_region=sender.get("region"),
                   msg_id=mid, hop=m.hop_count)
         me = {"worker": w, "region": region}  # sender of every copy w sends here
@@ -261,11 +262,11 @@ class _Kernel:
 
     def apply_execution(self, w: int, m: Message, comp: str):
         """Idempotent per (worker, msg): duplicates count but do not re-run."""
-        key = (w, m.msg_id)
-        if key in self.wexec:
+        done = self.wexec[m.msg_id]
+        if w in done:
             self.bump("duplicate_exec_suppressed")
             return
-        self.wexec.add(key)
+        done.add(w)
         self.emit(comp, "execute_worker", worker=w, msg_id=msg_id_str(m.msg_id),
                   targeted=w in m.target_worker_ids, hop=m.hop_count)
 
@@ -327,7 +328,7 @@ class _Kernel:
         self.bump("broadcasts_fired")
         self.emit("alg2", "broadcast", cluster=c, msg_id=mid, hop=mb.hop_count)
         leader_region = self.topo.scope_of(c, LAYER_REGIONAL_HUB)
-        for w in self.topo.workers_in_cluster[c]:
+        for w in self.topo.workers_in_cluster(c):
             if self.topo.is_alive(w):
                 self.send(("worker", w), mb,
                           {"worker": payload["leader"], "region": leader_region},
@@ -389,7 +390,7 @@ class _Kernel:
                       t_min=cs.t_min)
 
     def _load_of(self, w: int) -> int:
-        c = self.topo.cluster_of[w]
+        c = self.topo.cluster_of(w)
         if self.topo.roles[LAYER_LEADER].get(c) == w:
             return self.leader_states[c].local_load
         return 0
@@ -399,7 +400,7 @@ class _Kernel:
         if spec.kind == "worker":
             self.kill_worker(spec.worker)
         elif spec.kind == "region":
-            for w in sorted(self.topo.workers_in_region(spec.region)):
+            for w in self.topo.workers_in_region(spec.region):
                 self.kill_worker(w)
         elif spec.kind == "link":
             if spec.action == "jam":
@@ -410,14 +411,12 @@ class _Kernel:
                 self.emit("kernel", "link_clear", link_class=spec.link_class)
         else:  # adjacency
             a, b = spec.edge
-            adj_map = {r: set(ns) for r, ns in self.topo.region_adjacency.items()}
-            if spec.action == "add":
-                adj_map[a].add(b)
-                adj_map[b].add(a)
-            else:
-                adj_map[a].discard(b)
-                adj_map[b].discard(a)
-            self.topo.region_adjacency = {r: tuple(sorted(ns)) for r, ns in adj_map.items()}
+            adj_map = self.topo.region_adjacency
+            for r, nb in ((a, b), (b, a)):
+                ns = set(adj_map[r]) - {nb}
+                if spec.action == "add":
+                    ns.add(nb)
+                adj_map[r] = tuple(sorted(ns))
             self.reach.clear()
             self.emit("kernel", "link_change", action=spec.action, edge=list(spec.edge))
 

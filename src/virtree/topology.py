@@ -11,7 +11,9 @@ above the regional hubs.
 Ids are row-major at every layer, so one number per layer describes the whole
 chain: ``span[L]`` is how many clusters one layer-L scope holds.  Cluster c
 lies in scope ``c // span[L]`` at layer L, and scope s holds the cluster range
-``s * span[L] .. (s + 1) * span[L] - 1``.
+``s * span[L] .. (s + 1) * span[L] - 1``.  Worker w lies in cluster
+``w // workers_per_cluster``, so every membership question is answered by
+arithmetic and a topology stores per worker only aliveness and energy.
 
 One worker may hold several roles at once.  Role bindings live in
 ``Topology.roles``, one holder dict per built layer; re-election replaces a
@@ -111,7 +113,7 @@ class HierarchyConfig:
 
 @dataclass
 class Topology:
-    """Built hierarchy: spans, region adjacency, roles, aliveness.
+    """Built hierarchy: spans, region adjacency, roles, aliveness, energy.
 
     ``roles[layer][scope]`` is the worker holding that role, for layers
     2..num_layers; a scope missing from its dict is vacant (holder died and
@@ -120,12 +122,10 @@ class Topology:
 
     config: HierarchyConfig
     span: dict[int, int]
-    cluster_of: tuple[ClusterId, ...]
-    workers_in_cluster: tuple[tuple[WorkerId, ...], ...]
     region_adjacency: dict[RegionId, tuple[RegionId, ...]]
     roles: dict[int, dict[int, WorkerId]]
     alive: set[WorkerId]
-    energy: dict[WorkerId, float]
+    energy: list[float]
 
     @property
     def workers(self) -> range:
@@ -146,14 +146,19 @@ class Topology:
         span = self.span[layer]
         return range(scope * span, (scope + 1) * span)
 
-    def workers_in_region(self, r: RegionId) -> list[WorkerId]:
-        out: list[WorkerId] = []
-        for c in self.clusters_in(LAYER_REGIONAL_HUB, r):
-            out.extend(self.workers_in_cluster[c])
-        return out
+    def cluster_of(self, w: WorkerId) -> ClusterId:
+        return w // self.config.workers_per_cluster
+
+    def workers_in_cluster(self, c: ClusterId) -> range:
+        wpc = self.config.workers_per_cluster
+        return range(c * wpc, (c + 1) * wpc)
+
+    def workers_in_region(self, r: RegionId) -> range:
+        n = self.span[LAYER_REGIONAL_HUB] * self.config.workers_per_cluster
+        return range(r * n, (r + 1) * n)
 
     def region_of_worker(self, w: WorkerId) -> RegionId:
-        return self.cluster_of[w] // self.span[LAYER_REGIONAL_HUB]
+        return w // (self.span[LAYER_REGIONAL_HUB] * self.config.workers_per_cluster)
 
     def is_alive(self, w: WorkerId) -> bool:
         return w in self.alive
@@ -162,7 +167,7 @@ class Topology:
         self.alive.discard(w)
 
     def mark_alive(self, w: WorkerId):
-        if 0 <= w < len(self.cluster_of):
+        if 0 <= w < self.config.n_workers:
             self.alive.add(w)
 
     def roles_held_by(self, w: WorkerId) -> list[tuple[int, int]]:
@@ -172,7 +177,7 @@ class Topology:
         scope's lowest worker, re-election draws from inside), so only the
         one scope per layer that contains w's cluster can name w.
         """
-        c = self.cluster_of[w]
+        c = self.cluster_of(w)
         held = []
         for layer in sorted(self.roles):
             scope = self.scope_of(c, layer)
@@ -189,16 +194,9 @@ def grid_adjacency(n_regions: int) -> dict[RegionId, tuple[RegionId, ...]]:
     cols = max(1, math.isqrt(n_regions))
     if cols * cols < n_regions:
         cols += 1
-    adj: dict[RegionId, set[RegionId]] = {r: set() for r in range(n_regions)}
-    for r in range(n_regions):
-        row, col = divmod(r, cols)
-        for dr, dc in ((0, 1), (1, 0)):
-            nr, nc = row + dr, col + dc
-            nb = nr * cols + nc
-            if nc < cols and nb < n_regions:
-                adj[r].add(nb)
-                adj[nb].add(r)
-    return {r: tuple(sorted(ns)) for r, ns in adj.items()}
+    edges = [(r, r + 1) for r in range(n_regions - 1) if (r + 1) % cols]
+    edges += [(r, r + cols) for r in range(n_regions - cols)]
+    return _adjacency_from_edges(n_regions, edges)
 
 
 def _adjacency_from_edges(n_regions: int,
@@ -224,9 +222,6 @@ def build_topology(config: HierarchyConfig, seed: int,
     n_workers = config.n_workers
     wpc = config.workers_per_cluster
     span = config.span
-    cluster_of = tuple(w // wpc for w in range(n_workers))
-    workers_in_cluster = tuple(tuple(range(c * wpc, (c + 1) * wpc))
-                               for c in range(config.n_clusters))
 
     if adjacency is None:
         region_adjacency = grid_adjacency(config.n_regions)
@@ -234,19 +229,16 @@ def build_topology(config: HierarchyConfig, seed: int,
         region_adjacency = _adjacency_from_edges(config.n_regions, adjacency)
 
     roles = {
-        layer: {s: workers_in_cluster[s * span[layer]][0]
-                for s in range(config.n_scopes(layer))}
+        layer: {s: s * span[layer] * wpc for s in range(config.n_scopes(layer))}
         for layer in range(LAYER_LEADER, config.num_layers + 1)
     }
 
     rng = random.Random(derive_seed(seed, "energy"))
-    energy = {w: round(rng.uniform(0.2, 1.0), 6) for w in range(n_workers)}
+    energy = [round(rng.uniform(0.2, 1.0), 6) for _ in range(n_workers)]
 
     return Topology(
         config=config,
         span=span,
-        cluster_of=cluster_of,
-        workers_in_cluster=workers_in_cluster,
         region_adjacency=region_adjacency,
         roles=roles,
         alive=set(range(n_workers)),
@@ -296,13 +288,16 @@ def _candidates(topo: Topology, layer: int, scope_id: int) -> list[WorkerId]:
     if not 0 <= scope_id < topo.config.n_scopes(layer):
         raise UnknownScope(f"layer {layer} scope {scope_id}")
     if layer == LAYER_LEADER:
-        pool = topo.workers_in_cluster[scope_id]
+        pool = topo.workers_in_cluster(scope_id)
     else:
+        # each lower-scope holder lies inside its own scope, and those scopes'
+        # worker ranges are disjoint and ascending, so the pool is already
+        # ascending and distinct
         below = topo.roles[layer - 1]
         per_scope = topo.span[layer] // topo.span[layer - 1]
         pool = [below[s] for s in range(scope_id * per_scope, (scope_id + 1) * per_scope)
                 if s in below]
-    return sorted(w for w in set(pool) if topo.is_alive(w))
+    return [w for w in pool if topo.is_alive(w)]
 
 
 def reelect_role(topo: Topology, layer: int, scope_id: int):

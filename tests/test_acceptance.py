@@ -173,7 +173,7 @@ def test_criterion_5_delivery_matches_reachability_oracle():
                                 ("domain", rng.randrange(cfg.domains)),
                                 ("global",)])
             members = sorted(w for c in goal_clusters_for_scope(topo, scope)
-                             for w in topo.workers_in_cluster[c])
+                             for w in topo.workers_in_cluster(c))
             targets = frozenset(rng.sample(members, min(3, len(members))))
             commands.append(CommandSpec(time=round(rng.uniform(0.2, 2.0), 3),
                                         origin=rng.randrange(cfg.n_clusters),

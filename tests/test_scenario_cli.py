@@ -15,7 +15,7 @@ from virtree.cli import main
 from virtree.errors import ScenarioInvalid
 from virtree.metrics import build_report, dump_trace, parse_trace
 from virtree.scenario import MAX_WORKERS, apply_overrides, build_scenario
-from virtree.simkernel import _Kernel, run
+from virtree.simkernel import TRACE_BATCH, _Kernel, run
 
 
 def base_dict(**extra):
@@ -483,14 +483,16 @@ class TestCliRunStreaming:
             assert sorted(os.listdir(out_dir)) == ["metrics.csv", "metrics.json", "trace.jsonl"]
             assert_no_child_left()
 
-    def test_one_batch_trace_is_written_without_a_writer(self, tmp_path, monkeypatch):
+    def test_one_batch_trace_goes_through_the_writer(self, tmp_path, monkeypatch):
         forks = use_cpus(monkeypatch, 2)
         out_dir = tmp_path / "out"
         assert main(["run", "--scenario", write_scenario(tmp_path),
                      "--out", str(out_dir)]) == 0
-        assert forks == []
+        assert len(forks) == 1
         trace, _ = run(build_scenario(base_dict()))
+        assert len(trace) < TRACE_BATCH
         assert (out_dir / "trace.jsonl").read_text(encoding="utf-8") == dump_trace(trace)
+        assert_no_child_left()
 
     @pytest.mark.parametrize("flags", [[], ["-O"]], ids=["python", "python-O"])
     def test_real_process_run(self, tmp_path, flags):

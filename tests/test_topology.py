@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 
@@ -54,8 +55,8 @@ class TestConfig:
 
 class TestBuild:
     def test_small_plate_counts(self, topo32):
-        assert len(topo32.cluster_of) == 32
-        assert len(topo32.workers_in_cluster) == 16
+        assert len(topo32.workers) == 32
+        assert len(topo32.clusters) == 16
         assert len(topo32.roles[2]) == 16
         assert len(topo32.roles[3]) == 4
 
@@ -72,7 +73,7 @@ class TestBuild:
 
     def test_initial_roles_lowest_id(self, topo32):
         for c, leader in topo32.roles[2].items():
-            assert leader == min(topo32.workers_in_cluster[c])
+            assert leader == min(topo32.workers_in_cluster(c))
         for r, hub in topo32.roles[3].items():
             assert hub == min(topo32.workers_in_region(r))
 
@@ -88,7 +89,8 @@ class TestBuild:
         assert a.energy != c.energy  # seed feeds the energy scalars
 
     def test_energy_bounds(self, topo32):
-        assert all(0.2 <= e <= 1.0 for e in topo32.energy.values())
+        assert len(topo32.energy) == 32
+        assert all(0.2 <= e <= 1.0 for e in topo32.energy)
 
     def test_everyone_starts_alive(self, topo32):
         assert topo32.alive == set(range(32))
@@ -103,12 +105,46 @@ class TestBuild:
         assert hierarchy_distance(topo, 0, cfg.n_clusters - 1) == 3  # other hub
         assert goal_clusters_for_scope(topo, ("hub", 1)) == range(4, 8)
 
-    def test_scope_chain_total(self, topo32):
-        for w in topo32.workers:
-            c = topo32.cluster_of[w]
-            chain = [topo32.scope_of(c, layer) for layer in (2, 3, 4, 5)]
-            assert chain == [c, c // 4, c // 8, 0]
-            assert topo32.region_of_worker(w) == chain[1]
+    def test_scope_chain_total(self):
+        shapes = [(2, 4, 2, 2, 1), (3, 2, 2, 2, 2), (1, 1, 1, 1, 3), (5, 3, 1, 2, 1),
+                  (2, 1, 3, 1, 2)]
+        for wpc, cpr, rph, hpd, domains in shapes:
+            cfg = HierarchyConfig(workers_per_cluster=wpc, clusters_per_region=cpr,
+                                  regions_per_hub=rph, hubs_per_domain=hpd, domains=domains,
+                                  coordinator_k=1, t_min=1)
+            topo = build_topology(cfg, seed=7)
+            # (worker, cluster, region) numbered in nesting order, independent
+            # of the topology's own arithmetic
+            rows = []
+            for r in range(cfg.n_regions):
+                for c in range(r * cpr, (r + 1) * cpr):
+                    for _ in range(wpc):
+                        rows.append((len(rows), c, r))
+            assert [w for w, _, _ in rows] == list(topo.workers)
+            for w, c, r in rows:
+                assert topo.cluster_of(w) == c
+                assert topo.region_of_worker(w) == r
+                chain = [topo.scope_of(c, layer) for layer in (2, 3, 4, 5)]
+                assert chain == [c, c // cpr, c // (cpr * rph), c // (cpr * rph * hpd)]
+                assert chain[1] == r
+            for c in topo.clusters:
+                assert list(topo.workers_in_cluster(c)) == [w for w, c2, _ in rows if c2 == c]
+            for r in topo.regions:
+                assert list(topo.workers_in_region(r)) == [w for w, _, r2 in rows if r2 == r]
+
+    def test_retained_memory_per_worker(self):
+        # membership is arithmetic: per worker only `alive` and `energy` remain
+        cfg = HierarchyConfig(workers_per_cluster=10, clusters_per_region=10,
+                              regions_per_hub=10, hubs_per_domain=10, domains=10)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            topo = build_topology(cfg, seed=1)
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(topo.workers) == 100_000
+        assert retained / cfg.n_workers < 150
 
 
 class TestDeriveSeed:
@@ -246,7 +282,7 @@ class TestReelection:
             for layer, holders in topo.roles.items():
                 for scope, holder in holders.items():
                     assert topo.is_alive(holder)
-                    assert topo.scope_of(topo.cluster_of[holder], layer) == scope
+                    assert topo.scope_of(topo.cluster_of(holder), layer) == scope
 
     def test_roles_held_by_matches_full_scan_under_churn(self):
         cfg = HierarchyConfig(workers_per_cluster=2, clusters_per_region=2,
@@ -273,7 +309,7 @@ class TestReelection:
                 else:  # revive and fill the vacancies along its chain
                     topo.mark_alive(w)
                     for layer, holders in topo.roles.items():
-                        scope = topo.scope_of(topo.cluster_of[w], layer)
+                        scope = topo.scope_of(topo.cluster_of(w), layer)
                         if scope not in holders:
                             try:
                                 reelect_role(topo, layer, scope)
