@@ -133,11 +133,13 @@ def compute_delay(params: DelayParams, distance: int, load: int,
 
 @dataclass
 class LeaderDecision:
-    """Outcome of one deferred-mode leader receive.
+    """Outcome of one leader receive, either strategy.
 
-    outcome: "drop" | "stop" | "scheduled"
+    outcome: "drop" | "stop" | "scheduled" (deferred) | "forwarded" (tree)
     message: the leader's updated copy (visited/executed extended); None on drop
     delivered_workers: workers handed the command locally (goal cluster only)
+    distance, delay: set by a deferred receive that schedules a broadcast
+    forwards: (tree node, copy) pairs an immediate receive sends on
     """
 
     outcome: str
@@ -147,6 +149,7 @@ class LeaderDecision:
     executed_here: bool = False
     distance: int | None = None
     delay: float | None = None
+    forwards: tuple = ()
 
 
 def _local_delivery(m: Message, cluster: ClusterId, topo: Topology) -> tuple[WorkerId, ...]:
@@ -159,27 +162,28 @@ def _local_delivery(m: Message, cluster: ClusterId, topo: Topology) -> tuple[Wor
     return tuple(chosen)
 
 
-def leader_visit(state: LeaderState, m: Message,
-                 topo: Topology) -> tuple[str, Message | None, tuple[WorkerId, ...]]:
+def leader_visit(state: LeaderState, m: Message, topo: Topology) -> LeaderDecision:
     """The receive prefix both leader paths share: dedup, visit, deliver.
 
-    Returns (reason, None, ()) for a duplicate (already processed, or own
-    cluster already in the copy's visited set).  Otherwise it returns ("",
-    the copy with this cluster marked visited, and executed when it is a goal,
-    the workers handed the command locally).
+    Returns a "drop" decision for a duplicate (already processed, or own
+    cluster already in the copy's visited set).  Otherwise the outcome is ""
+    for the caller to finish, and the message is the copy with this cluster
+    marked visited, and executed when it is a goal.
     """
     c = state.cluster_id
     if m.msg_id in state.processed_msgs:
-        return "processed", None, ()
+        return LeaderDecision(outcome="drop", reason="processed")
     state.processed_msgs.add(m.msg_id)
     if c in m.visited_cluster_ids:
-        return "visited", None, ()
+        return LeaderDecision(outcome="drop", reason="visited")
     executed, delivered = m.executed_cluster_ids, ()
-    if c in m.goal_cluster_ids:
+    here = c in m.goal_cluster_ids
+    if here:
         executed = executed | {c}
         delivered = _local_delivery(m, c, topo)
-    return "", m.copy(visited_cluster_ids=m.visited_cluster_ids | {c},
-                      executed_cluster_ids=executed), delivered
+    return LeaderDecision(outcome="", executed_here=here, delivered_workers=delivered,
+                          message=m.copy(visited_cluster_ids=m.visited_cluster_ids | {c},
+                                         executed_cluster_ids=executed))
 
 
 def leader_on_receive_deferred(state: LeaderState, m: Message, topo: Topology,
@@ -190,19 +194,16 @@ def leader_on_receive_deferred(state: LeaderState, m: Message, topo: Topology,
     computes a deferred broadcast delay.  The caller schedules the broadcast
     and maintains pending_broadcasts.
     """
-    reason, m2, delivered = leader_visit(state, m, topo)
-    if m2 is None:
-        return LeaderDecision(outcome="drop", reason=reason)
-    executed_here = state.cluster_id in m2.goal_cluster_ids
-    if not goals_left(m2):
-        return LeaderDecision(outcome="stop", message=m2,
-                              delivered_workers=delivered, executed_here=executed_here)
-
-    dist = min_goal_distance(topo, state.cluster_id, m2)
-    delay = compute_delay(params, dist, state.local_load, rng)
-    return LeaderDecision(outcome="scheduled", message=m2,
-                          delivered_workers=delivered, executed_here=executed_here,
-                          distance=dist, delay=delay)
+    decision = leader_visit(state, m, topo)
+    if decision.outcome:
+        return decision
+    if not goals_left(decision.message):
+        decision.outcome = "stop"
+        return decision
+    decision.outcome = "scheduled"
+    decision.distance = min_goal_distance(topo, state.cluster_id, decision.message)
+    decision.delay = compute_delay(params, decision.distance, state.local_load, rng)
+    return decision
 
 
 def worker_broadcast(state: LeaderState, m: Message) -> Message:

@@ -85,7 +85,6 @@ def select_replacements(cs: CoordinatorSet, topo: Topology, need: int,
 
 @dataclass
 class RoundOutcome:
-    region: RegionId
     removed: list[WorkerId]
     promoted: list[WorkerId]
     size_before: int
@@ -129,7 +128,6 @@ def monitor_round(cs: CoordinatorSet, topo: Topology, load_of=None,
         degraded = len(cs.active) < cs.t_min
 
     return RoundOutcome(
-        region=cs.region,
         removed=removed,
         promoted=promoted,
         size_before=size_before,

@@ -24,7 +24,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 
-from .adjacent import LeaderState, leader_visit
+from .adjacent import LeaderDecision, LeaderState, leader_visit
 from .messages import Message, goals_left
 from .topology import LAYER_LEADER, ClusterId, Topology, WorkerId
 
@@ -95,20 +95,8 @@ class TreeLinks:
         return None if w is None else self.topo.cluster_of(w)
 
 
-@dataclass
-class HierDecision:
-    """Outcome of one immediate-mode receive at a leaf (cluster leader)."""
-
-    outcome: str  # "drop" | "stop" | "forwarded"
-    reason: str = ""
-    message: Message | None = None
-    delivered_workers: tuple[WorkerId, ...] = ()
-    executed_here: bool = False
-    forwards: tuple[tuple[Node, Message], ...] = ()
-
-
 def leader_on_receive_immediate(state: LeaderState, m: Message, topo: Topology,
-                                links: TreeLinks, injected: bool = False) -> HierDecision:
+                                links: TreeLinks, injected: bool = False) -> LeaderDecision:
     """Immediate-routing receive at a leaf: dedup, visit, deliver, climb.
 
     Only the injection leaf climbs; a copy fanned down from the parent ends
@@ -118,22 +106,16 @@ def leader_on_receive_immediate(state: LeaderState, m: Message, topo: Topology,
     never turns on in this mode.
     """
     c = state.cluster_id
-    reason, m2, delivered = leader_visit(state, m, topo)
-    if m2 is None:
-        return HierDecision(outcome="drop", reason=reason)
-    executed_here = c in m2.goal_cluster_ids
-    if not goals_left(m2):
-        return HierDecision(outcome="stop", message=m2,
-                            delivered_workers=delivered, executed_here=executed_here)
-
+    decision = leader_visit(state, m, topo)
+    if decision.outcome:
+        return decision
+    m2 = decision.message
     parent = links.parent(links.leaf(c))
-    forwards = []
-    if injected and parent is not None:
+    if injected and parent is not None and goals_left(m2):
         up = m2.copy(hop_count=m2.hop_count + 1, last_sent_cluster_id=c)
-        forwards.append((parent, up))
-    return HierDecision(outcome="forwarded" if forwards else "stop", message=m2,
-                        delivered_workers=delivered, executed_here=executed_here,
-                        forwards=tuple(forwards))
+        decision.forwards = ((parent, up),)
+    decision.outcome = "forwarded" if decision.forwards else "stop"
+    return decision
 
 
 def route_interior(node: Node, m: Message, arrived_from: Node, topo: Topology,

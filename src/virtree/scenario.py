@@ -355,12 +355,14 @@ def apply_overrides(raw: dict, assignments: list[str]) -> dict:
         if "=" not in item:
             raise ScenarioInvalid("--set", f"expected key=value, got {item!r}")
         key, text = item.split("=", 1)
+        parts = key.split(".")
+        if "" in parts:
+            raise ScenarioInvalid("--set", f"empty key segment in {item!r}")
         try:
             value = json.loads(text)
         except ValueError:
             value = text
         node = raw
-        parts = key.split(".")
         for part in parts[:-1]:
             nxt = node.get(part)
             if nxt is None:

@@ -12,9 +12,15 @@ exactly one of: completed, dropped (dead target / jammed link), parked,
 cancelled, suppressed, or in flight at the horizon.  The run raises
 ConservationError when that accounting does not balance.
 
-Given a sink, the kernel hands the trace over in batches of about
-TRACE_BATCH records, cut between events, and folds each batch into the
-metrics report before dropping it, so a run holds one batch at a time.
+Every event is one heap entry ``(fire_time, seq, handler, args)`` and the
+loop runs ``handler(*args)``: a delivery, a leader's scheduled broadcast, a
+maintenance round, a failure or a revive.  A copy's sender is the sending
+worker id, the sending tree node, or None for an injected command.
+
+The kernel hands the trace over in batches of about TRACE_BATCH records, cut
+between events, and folds each batch into the metrics report before handing
+it to the sink.  A run given a sink holds one batch at a time; a run without
+one keeps every batch as its returned trace.
 """
 
 from __future__ import annotations
@@ -41,12 +47,6 @@ from .topology import (
     reelect_role,
 )
 
-EV_DELIVERY = "MessageDelivery"
-EV_BROADCAST = "ScheduledBroadcast"
-EV_MAINTENANCE = "MaintenanceRound"
-EV_FAILURE = "FailureInjection"
-EV_RECOVERY = "RecoveryInjection"
-
 MAX_PARK_RETRIES = 3
 
 # Records per batch handed to a trace sink.
@@ -62,15 +62,17 @@ class _Kernel:
     def __init__(self, sc: Scenario,
                  sink: Callable[[list[TraceRecord]], object] | None = None):
         self.sc = sc
-        self.sink = sink
         self.topo = build_topology(sc.config, sc.seed, adjacency=sc.adjacency_override)
         self.now = 0.0
         self.heap: list = []
         self.event_seq = 0
         self.rec_seq = 0
-        self.trace: list[TraceRecord] = []  # records not yet handed to the sink
+        self.batch: list[TraceRecord] = []  # records not yet handed to the sink
+        self.trace: list[TraceRecord] = []  # every record, when no sink is given
+        self.sink = sink or self.trace.extend
         self.report: MetricsReport | None = None
-        self.leader_states = {c: adj.LeaderState(cluster_id=c) for c in self.topo.clusters}
+        # cluster -> its leader state, made at the cluster's first leader receive
+        self.leader_states: dict[int, adj.LeaderState] = {}
         self.coords = {r: CoordinatorSet.initial(self.topo, r) for r in self.topo.regions}
         self.links = hier.TreeLinks.build(self.topo)
         # msg_id -> workers that executed it
@@ -100,18 +102,24 @@ class _Kernel:
         self.counters[key] += n
 
     def emit(self, comp: str, event: str, **data):
-        self.trace.append(TraceRecord(self.now, self.rec_seq, comp, event, data))
+        self.batch.append(TraceRecord(self.now, self.rec_seq, comp, event, data))
         self.rec_seq += 1
 
     def flush(self):
         """Fold the pending records into the report and hand them to the sink."""
-        self.report = build_report(self.trace, self.sc.strategy, self.report)
-        self.sink(self.trace)
-        self.trace = []
+        self.report = build_report(self.batch, self.sc.strategy, self.report)
+        self.sink(self.batch)
+        self.batch = []
 
-    def push(self, fire: float, kind: str, payload):
-        heapq.heappush(self.heap, (quantize(fire), self.event_seq, kind, payload))
+    def push(self, fire: float, handler: Callable, args: tuple):
+        heapq.heappush(self.heap, (quantize(fire), self.event_seq, handler, args))
         self.event_seq += 1
+
+    def leader_state(self, c: int) -> adj.LeaderState:
+        state = self.leader_states.get(c)
+        if state is None:
+            state = self.leader_states[c] = adj.LeaderState(cluster_id=c)
+        return state
 
     def _worker_class(self, w_from: int, w_to: int) -> str:
         if self.topo.cluster_of(w_from) == self.topo.cluster_of(w_to):
@@ -120,7 +128,7 @@ class _Kernel:
             return "region"
         return "adjacent"
 
-    def send(self, dest: tuple, m: Message, sender: dict, cls: str):
+    def send(self, dest: tuple, m: Message, sender, cls: str):
         """Enqueue one delivery; jammed link classes may eat it at send time."""
         if self.jam.get(cls, 0.0) > 0.0:
             if self.rng("jam", cls).random() < self.jam[cls]:
@@ -129,7 +137,7 @@ class _Kernel:
                           msg_id=msg_id_str(m.msg_id), dest=str(dest))
                 return
         self.bump("deliveries_enqueued")
-        self.push(self.now + self.latency[cls], EV_DELIVERY, (dest, m, sender, False))
+        self.push(self.now + self.latency[cls], self.handle_delivery, (dest, m, sender, False))
 
     # -- failure / recovery -----------------------------------------------
 
@@ -141,9 +149,10 @@ class _Kernel:
         c = self.topo.cluster_of(w)
         self.emit("kernel", "failure", worker=w, cluster=c,
                   region=self.topo.region_of_worker(w))
-        if self.topo.roles[LAYER_LEADER].get(c) == w:
+        state = self.leader_states.get(c)
+        if state is not None and self.topo.roles[LAYER_LEADER].get(c) == w:
             # queued broadcast events discover the cleared map and cancel
-            self.leader_states[c].pending_broadcasts.clear()
+            state.pending_broadcasts.clear()
         held = self.topo.roles_held_by(w)
         for layer, scope in held:
             try:
@@ -186,8 +195,7 @@ class _Kernel:
                 self.bump("parked_retried_ok")
                 self.emit("alg3", "noroute_retry", node=str(entry["node"]),
                           msg_id=msg_id_str(entry["msg"].msg_id), ok=True)
-                self.send(("node", entry["node"]), entry["msg"],
-                          {"node": entry["from"]}, "tree")
+                self.send(("node", entry["node"]), entry["msg"], entry["from"], "tree")
             else:
                 entry["retries"] += 1
                 if entry["retries"] >= MAX_PARK_RETRIES:
@@ -207,8 +215,7 @@ class _Kernel:
 
     # -- handlers -----------------------------------------------------------
 
-    def handle_delivery(self, payload: tuple):
-        dest, m, sender, command = payload
+    def handle_delivery(self, dest: tuple, m: Message, sender, command: bool):
         if command:
             self.emit("kernel", "command_injected", msg_id=msg_id_str(m.msg_id),
                       origin=m.original_source, goals_total=len(m.goal_cluster_ids),
@@ -221,7 +228,7 @@ class _Kernel:
         else:
             self.deliver_node(dest[1], m, sender)
 
-    def deliver_worker(self, w: int, m: Message, sender: dict):
+    def deliver_worker(self, w: int, m: Message, sender: int):
         if not self.topo.is_alive(w):
             self.bump("deliveries_dropped_dead")
             self.emit("kernel", "drop_dead", worker=w, msg_id=msg_id_str(m.msg_id))
@@ -230,15 +237,14 @@ class _Kernel:
         mid = msg_id_str(m.msg_id)
         region = self.topo.region_of_worker(w)
         self.emit("alg1", "receive", worker=w, cluster=self.topo.cluster_of(w), region=region,
-                  from_worker=sender.get("worker"), from_region=sender.get("region"),
+                  from_worker=sender, from_region=self.topo.region_of_worker(sender),
                   msg_id=mid, hop=m.hop_count)
-        me = {"worker": w, "region": region}  # sender of every copy w sends here
         for action in adj.worker_on_receive(w, m, self.topo):
             if isinstance(action, adj.ExecuteLocally):
                 self.apply_execution(w, m, comp="alg1")
             elif isinstance(action, adj.ReportToLeader):
                 self.bump("reports_sent")
-                self.send(("leader", action.cluster), m, me, "cluster")
+                self.send(("leader", action.cluster), m, w, "cluster")
             else:  # BroadcastToReachable
                 key = (w, m.msg_id)
                 if key in self.relayed:
@@ -249,7 +255,7 @@ class _Kernel:
                 self.emit("alg1", "relay", worker=w, msg_id=mid,
                           fanout=len(peers), hop=m.hop_count)
                 for peer in peers:
-                    self.send(("worker", peer), m, me, self._worker_class(w, peer))
+                    self.send(("worker", peer), m, w, self._worker_class(w, peer))
 
     def reachable(self, w: int) -> list[int]:
         """``adj.reachable_workers(w)`` for an alive w, from the region cache."""
@@ -277,7 +283,7 @@ class _Kernel:
             self.emit("kernel", "drop_dead", cluster=c, msg_id=msg_id_str(m.msg_id))
             return
         self.bump("deliveries_completed")
-        state = self.leader_states[c]
+        state = self.leader_state(c)
         region = self.topo.scope_of(c, LAYER_REGIONAL_HUB)
         mid = msg_id_str(m.msg_id)
         decision = adj.leader_on_receive_deferred(state, m, self.topo, self.sc.delay,
@@ -290,7 +296,7 @@ class _Kernel:
             self.bump("broadcasts_scheduled")
             self.emit("alg2", "schedule", cluster=c, msg_id=mid,
                       distance=decision.distance, delay=decision.delay, fire=fire)
-            self.push(fire, EV_BROADCAST, {"cluster": c, "leader": leader, "msg": m2})
+            self.push(fire, self.handle_broadcast, (c, leader, m2))
 
     def emit_visit(self, comp: str, c: int, mid: str, decision):
         """The records of a leader receive, either strategy: a drop, or a
@@ -310,12 +316,10 @@ class _Kernel:
         if decision.outcome == "stop":
             self.emit(comp, "stop", cluster=c, msg_id=mid)
 
-    def handle_broadcast(self, payload: dict):
-        c = payload["cluster"]
-        m: Message = payload["msg"]
-        state = self.leader_states[c]
+    def handle_broadcast(self, c: int, leader: int, m: Message):
+        state = self.leader_states[c]  # made by the receive that scheduled this
         mid = msg_id_str(m.msg_id)
-        if not self.topo.is_alive(payload["leader"]):
+        if not self.topo.is_alive(leader):
             self.bump("broadcasts_cancelled")
             self.emit("alg2", "broadcast_cancelled", cluster=c, msg_id=mid)
             return
@@ -327,27 +331,22 @@ class _Kernel:
         mb = adj.worker_broadcast(state, m)
         self.bump("broadcasts_fired")
         self.emit("alg2", "broadcast", cluster=c, msg_id=mid, hop=mb.hop_count)
-        leader_region = self.topo.scope_of(c, LAYER_REGIONAL_HUB)
         for w in self.topo.workers_in_cluster(c):
             if self.topo.is_alive(w):
-                self.send(("worker", w), mb,
-                          {"worker": payload["leader"], "region": leader_region},
-                          "cluster")
+                self.send(("worker", w), mb, leader, "cluster")
 
-    def deliver_node(self, node: tuple, m: Message, sender: dict):
-        node = tuple(node)
+    def deliver_node(self, node: tuple, m: Message, from_node: tuple | None):
         holder = self.links.holder(node)
         if holder is None or not self.topo.is_alive(holder):
             self.bump("deliveries_parked")
-            self.park(m, node, sender.get("node"))
+            self.park(m, node, from_node)
             return
         self.bump("deliveries_completed")
         mid = msg_id_str(m.msg_id)
-        from_node = sender.get("node")
         if node[0] == LAYER_LEADER:  # leaf: full cluster-leader processing
             # records keep the kernel's own id object: node[1] is computed per
             # copy, and every such int would stay alive in the trace
-            state = self.leader_states[node[1]]
+            state = self.leader_state(node[1])
             c = state.cluster_id
             decision = hier.leader_on_receive_immediate(state, m, self.topo, self.links,
                                                         injected=from_node is None)
@@ -369,12 +368,10 @@ class _Kernel:
             return
         self.emit("alg3", "forward", src=str(src), dst=str(dst),
                   msg_id=msg_id_str(m.msg_id), hop=m.hop_count)
-        self.send(("node", dst), m, {"node": src}, "tree")
+        self.send(("node", dst), m, src, "tree")
 
-    def handle_maintenance(self, payload: dict):
-        rnd = payload["round"]
-        for r in sorted(self.coords):
-            cs = self.coords[r]
+    def handle_maintenance(self, rnd: int):
+        for r, cs in self.coords.items():  # ascending: built from the region range
             try:
                 out = monitor_round(cs, self.topo, load_of=self._load_of,
                                     eager_refill=self.sc.eager_refill,
@@ -391,12 +388,12 @@ class _Kernel:
 
     def _load_of(self, w: int) -> int:
         c = self.topo.cluster_of(w)
-        if self.topo.roles[LAYER_LEADER].get(c) == w:
-            return self.leader_states[c].local_load
+        state = self.leader_states.get(c)
+        if state is not None and self.topo.roles[LAYER_LEADER].get(c) == w:
+            return state.local_load
         return 0
 
-    def handle_failure(self, payload: dict):
-        spec: FailureSpec = payload["spec"]
+    def handle_failure(self, spec: FailureSpec):
         if spec.kind == "worker":
             self.kill_worker(spec.worker)
         elif spec.kind == "region":
@@ -433,14 +430,15 @@ class _Kernel:
             dest = ("leader", cmd.origin) if sc.strategy == "adjacent" \
                 else ("node", (2, cmd.origin))
             self.bump("deliveries_enqueued")
-            self.push(cmd.time, EV_DELIVERY, (dest, m, {}, True))
+            self.push(cmd.time, self.handle_delivery, (dest, m, None, True))
         for spec in sc.failures:
-            kind = EV_RECOVERY if (spec.kind == "worker" and spec.action == "revive") \
-                else EV_FAILURE
-            self.push(spec.time, kind, {"spec": spec})
+            if spec.kind == "worker" and spec.action == "revive":
+                self.push(spec.time, self.revive_worker, (spec.worker,))
+            else:
+                self.push(spec.time, self.handle_failure, (spec,))
         n_rounds = int(sc.horizon / sc.round_period + 1e-9)
         for i in range(1, n_rounds + 1):
-            self.push(quantize(i * sc.round_period), EV_MAINTENANCE, {"round": i})
+            self.push(quantize(i * sc.round_period), self.handle_maintenance, (i,))
 
     def run(self) -> tuple[list[TraceRecord], MetricsReport]:
         sc = self.sc
@@ -453,28 +451,21 @@ class _Kernel:
             self.emit("kernel", "route_mode_root", enabled=True)
         self.schedule_initial()
         while self.heap:
-            fire, _seq, kind, payload = self.heap[0]
+            fire, _seq, handler, args = self.heap[0]
             if fire > sc.horizon:
                 break
             heapq.heappop(self.heap)
             self.now = fire
-            if kind == EV_DELIVERY:
-                self.handle_delivery(payload)
-            elif kind == EV_BROADCAST:
-                self.handle_broadcast(payload)
-            elif kind == EV_MAINTENANCE:
-                self.handle_maintenance(payload)
-            elif kind == EV_FAILURE:
-                self.handle_failure(payload)
-            else:  # EV_RECOVERY
-                self.revive_worker(payload["spec"].worker)
-            if self.sink is not None and len(self.trace) >= TRACE_BATCH:
+            handler(*args)
+            if len(self.batch) >= TRACE_BATCH:
                 self.flush()
 
-        for _fire, _seq, kind, _payload in self.heap:
-            if kind == EV_DELIVERY:
+        # == and not `is`: every attribute access makes a new bound method
+        delivery, broadcast = self.handle_delivery, self.handle_broadcast
+        for _fire, _seq, handler, _args in self.heap:
+            if handler == delivery:
                 self.bump("deliveries_inflight")
-            elif kind == EV_BROADCAST:
+            elif handler == broadcast:
                 self.bump("broadcasts_pending")
         self.bump("parked_pending", len(self.parked))
 
@@ -494,12 +485,9 @@ class _Kernel:
                   live_region_fraction=live / len(self.coords),
                   conservation=dict(sorted(self.counters.items())),
                   conserved=conserved)
-        if self.sink is not None:
-            self.flush()  # the sink gets run_end even when the run then raises
+        self.flush()  # the sink gets run_end even when the run then raises
         if not conserved:
             raise ConservationError(self.counters)
-        if self.report is None:  # no sink: the whole trace is still here
-            self.report = build_report(self.trace, sc.strategy)
         return self.trace, self.report
 
 

@@ -171,15 +171,16 @@ class Topology:
             self.alive.add(w)
 
     def roles_held_by(self, w: WorkerId) -> list[tuple[int, int]]:
-        """All (layer, scope_id) bindings currently held by worker w, sorted.
+        """All (layer, scope_id) bindings currently held by worker w, by layer.
 
         A holder always lies inside its scope (initial holders are the
         scope's lowest worker, re-election draws from inside), so only the
-        one scope per layer that contains w's cluster can name w.
+        one scope per layer that contains w's cluster can name w.  ``roles``
+        is built in ascending layer order and never re-keyed.
         """
         c = self.cluster_of(w)
         held = []
-        for layer in sorted(self.roles):
+        for layer in self.roles:
             scope = self.scope_of(c, layer)
             if self.roles[layer].get(scope) == w:
                 held.append((layer, scope))

@@ -1,5 +1,6 @@
 import bisect
 import errno
+import hashlib
 import itertools
 import json
 import os
@@ -132,6 +133,13 @@ class TestApplyOverrides:
     def test_scalar_in_path_rejected(self):
         with pytest.raises(ScenarioInvalid):
             apply_overrides({"seed": 1}, ["seed.low=1"])
+
+    @pytest.mark.parametrize("item", ["=5", ".=1", "topology.=3", "a..b=1"])
+    def test_empty_key_segment_rejected(self, item):
+        with pytest.raises(ScenarioInvalid) as err:
+            apply_overrides({"topology": {}}, [item])
+        assert err.value.field == "--set"
+        assert repr(item) in str(err.value)
 
 
 class TestCli:
@@ -421,6 +429,21 @@ STREAM_SCENARIO = {
     "seed": 3,
     "horizon": 30.0,
 }
+
+
+# sha256 of dump_trace(run(sc)[0]) for STREAM_SCENARIO; perfbench's hashes
+# do not cover the adjacent strategy under failures, re-elections and jams
+STREAM_TRACE_SHA256 = {
+    "adjacent": "3b0398288a2299fc9b4c8317b8e622eeb61b89eb6d8c8bdc033f7db81e15379e",
+    "hierarchical": "fc5f8bfe48b2f1cd992a97f6d7a2eba3bfe545c05a6b742f9cd9255052a7208b",
+}
+
+
+@pytest.mark.parametrize("strategy", sorted(STREAM_TRACE_SHA256))
+def test_stream_scenario_trace_is_pinned(strategy):
+    trace, _ = run(build_scenario(dict(STREAM_SCENARIO, strategy=strategy)))
+    digest = hashlib.sha256(dump_trace(trace).encode("utf-8")).hexdigest()
+    assert digest == STREAM_TRACE_SHA256[strategy]
 
 
 def write_stream_scenario(tmp_path, strategy="hierarchical"):

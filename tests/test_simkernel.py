@@ -72,6 +72,31 @@ class TestBroadcastLifecycle:
         assert "broadcasts_fired" not in cons
         assert report.conserved
 
+    def test_inflight_accounting_survives_wrapped_handlers(self, monkeypatch):
+        # a flood cut off by the horizon plus one broadcast still scheduled
+        sc = scenario(config=CFG_1R, horizon=1.1, delay=NO_JITTER,
+                      commands=[CommandSpec(time=0.0, origin=0, scope=("global",)),
+                                CommandSpec(time=0.5, origin=0, scope=("cluster", 1))])
+        _, plain = run(sc)
+        calls = []
+
+        def passthrough(fn):
+            def wrapper(*args, **kwargs):
+                calls.append(fn.__name__)
+                return fn(*args, **kwargs)
+            return wrapper
+
+        # as a profiler wraps them: class attributes replaced before the run
+        for name in ("handle_delivery", "handle_broadcast"):
+            monkeypatch.setattr(_Kernel, name, passthrough(getattr(_Kernel, name)))
+        _, report = run(sc)
+        assert {"handle_delivery", "handle_broadcast"} <= set(calls)
+        cons = report.conservation
+        assert cons["deliveries_inflight"] >= 1
+        assert cons["broadcasts_pending"] == 1
+        assert report.conserved
+        assert cons == plain.conservation
+
     def test_global_scope_floods_every_cluster(self):
         sc = scenario(delay=NO_JITTER, horizon=25.0,
                       commands=[CommandSpec(time=0.0, origin=0, scope=("global",))])
@@ -154,6 +179,25 @@ class TestFailures:
         pm = report.messages["0:0"]
         assert pm.targets_executed == 1
         assert pm.goals_executed == 2
+
+
+class TestLeaderStates:
+    def test_made_at_each_clusters_first_leader_receive(self):
+        cfg = HierarchyConfig(2, 2, 4, coordinator_k=3, t_min=2)
+        unvisited = {}
+        for strategy in ("adjacent", "hierarchical"):
+            kernel = _Kernel(scenario(
+                strategy=strategy, config=cfg,
+                commands=[CommandSpec(time=0.5, origin=0, scope=("region", 1))],
+                failures=[FailureSpec(time=0.2, kind="worker", action="kill", worker=0)]))
+            assert kernel.leader_states == {}
+            trace, _ = kernel.run()
+            named = {rec.data["cluster"] for rec in trace
+                     if rec.comp in ("alg2", "alg3") and rec.event in ("process", "drop")}
+            assert set(kernel.leader_states) == named
+            unvisited[strategy] = cfg.n_clusters - len(named)
+        # tree routing leaves most clusters alone, so most never get a state
+        assert unvisited["hierarchical"] > 0
 
 
 class TestMaintenance:
@@ -351,7 +395,7 @@ class TestReachableCache:
                                    reachable_workers(w, self.topo), len(sends)))
 
             def send(self, dest, m, sender, cls):
-                sends.append((dest, sender.get("worker")))
+                sends.append((dest, sender))
                 super().send(dest, m, sender, cls)
 
         Checked(sc).run()
