@@ -316,7 +316,7 @@ def _check_liveness_point(flag: str, p: float, k: int):
         predicted_liveness(p, k)
     except ValueError as e:
         raise ScenarioInvalid(flag, str(e)) from None
-    if k > MAX_WORKERS:  # liveness_trials builds a K-worker region
+    if k > MAX_WORKERS:  # K coordinators need a K-worker region, capped like any scenario
         raise ScenarioInvalid(flag, f"coordinator count must be <= {MAX_WORKERS}, got {k}")
 
 

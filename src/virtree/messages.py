@@ -26,7 +26,6 @@ class Message:
     visited_cluster_ids: frozenset[int]
     executed_cluster_ids: frozenset[int]
     hop_count: int
-    original_source: int
     last_sent_cluster_id: int
     forward_flag: bool
     payload: bytes = b""
@@ -54,7 +53,6 @@ def new_command(origin_cluster: int, seq: int, goals: range,
         visited_cluster_ids=frozenset(),
         executed_cluster_ids=frozenset(),
         hop_count=0,
-        original_source=origin_cluster,
         last_sent_cluster_id=origin_cluster,
         forward_flag=False,
         payload=payload,

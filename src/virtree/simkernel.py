@@ -7,10 +7,12 @@ traces.  Randomness comes from named sub-streams derived from the scenario
 seed via sha256, one per (purpose, scope), consumed in event order.
 
 Events targeting workers that died in flight are tombstoned at fire time
-rather than removed from the queue, and every message copy ends the run in
-exactly one of: completed, dropped (dead target / jammed link), parked,
-cancelled, suppressed, or in flight at the horizon.  The run raises
-ConservationError when that accounting does not balance.
+rather than removed from the queue.  Every delivery ends the run completed,
+dropped at a dead target, parked or in flight at the horizon (a jammed link
+eats a copy before it is enqueued); every scheduled broadcast fired,
+cancelled by its leader's death or pending at the horizon; every parked copy
+retried, failed or still parked.  The run raises ConservationError when that
+accounting does not balance.
 
 Every event is one heap entry ``(fire_time, seq, handler, args)`` and the
 loop runs ``handler(*args)``: a delivery, a leader's scheduled broadcast, a
@@ -27,7 +29,6 @@ from __future__ import annotations
 
 import heapq
 import random
-from bisect import bisect_left
 from collections import defaultdict
 from collections.abc import Callable
 
@@ -35,7 +36,7 @@ from . import adjacent as adj
 from . import hierarchical as hier
 from .coordinators import CoordinatorSet, monitor_round, region_live
 from .errors import ConservationError, NoCandidate, RegionDead
-from .messages import Message, goals_left, msg_id_str, new_command
+from .messages import Message, msg_id_str, new_command
 from .metrics import MetricsReport, TraceRecord, build_report
 from .scenario import DEFAULT_LATENCIES, FailureSpec, Scenario
 from .topology import (
@@ -75,8 +76,9 @@ class _Kernel:
         self.leader_states: dict[int, adj.LeaderState] = {}
         self.coords = {r: CoordinatorSet.initial(self.topo, r) for r in self.topo.regions}
         self.links = hier.TreeLinks.build(self.topo)
-        # msg_id -> workers that executed it
-        self.wexec: defaultdict[tuple, set[int]] = defaultdict(set)
+        # (worker, msg_id) of every targeted execution; a cluster-level one
+        # runs once, since a cluster's leader processes a message once
+        self.wexec: set[tuple[int, tuple]] = set()
         self.relayed: set[tuple[int, tuple]] = set()
         self.parked: list[dict] = []
         self.jam: dict[str, float] = {}
@@ -84,9 +86,6 @@ class _Kernel:
         self.latency = {**DEFAULT_LATENCIES, **sc.link_latencies}
         # never index a missing key: that would add it to the conservation output
         self.counters: defaultdict[str, int] = defaultdict(int)
-        # region -> sorted alive workers of it and its adjacent regions; emptied
-        # whenever a worker dies or revives or the adjacency changes
-        self.reach: dict[int, list[int]] = {}
         self._rngs: dict[tuple, random.Random] = {}
 
     # -- plumbing ---------------------------------------------------------
@@ -145,7 +144,6 @@ class _Kernel:
         if not self.topo.is_alive(w):
             return
         self.topo.mark_dead(w)
-        self.reach.clear()
         c = self.topo.cluster_of(w)
         self.emit("kernel", "failure", worker=w, cluster=c,
                   region=self.topo.region_of_worker(w))
@@ -153,37 +151,30 @@ class _Kernel:
         if state is not None and self.topo.roles[LAYER_LEADER].get(c) == w:
             # queued broadcast events discover the cleared map and cancel
             state.pending_broadcasts.clear()
-        held = self.topo.roles_held_by(w)
-        for layer, scope in held:
-            try:
-                reelect_role(self.topo, layer, scope)
-                self.emit("kernel", "role_reelect", layer=layer, scope=scope,
-                          old=w, new=self.topo.roles[layer][scope])
-            except NoCandidate:
-                self.emit("kernel", "role_vacant", layer=layer, scope=scope, old=w)
-        if held:
-            self.retry_parked()
+        self.reelect(self.topo.roles_held_by(w), w)
 
     def revive_worker(self, w: int):
         if self.topo.is_alive(w):
             return
         self.topo.mark_alive(w)
-        self.reach.clear()
         self.emit("kernel", "recovery", worker=w)
-        # fill any vacancy in the scopes this worker belongs to
+        # fill every vacancy in the scopes this worker belongs to: the worker
+        # is a candidate at layer 2 and each filled layer's holder at the next
         c = self.topo.cluster_of(w)
-        changed = False
-        for layer, holders in self.topo.roles.items():
-            scope = self.topo.scope_of(c, layer)
-            if scope not in holders:
-                try:
-                    reelect_role(self.topo, layer, scope)
-                    self.emit("kernel", "role_reelect", layer=layer, scope=scope,
-                              old=None, new=holders[scope])
-                    changed = True
-                except NoCandidate:
-                    pass
-        if changed:
+        scopes = [(layer, self.topo.scope_of(c, layer)) for layer in self.topo.roles]
+        self.reelect([(layer, s) for layer, s in scopes
+                      if s not in self.topo.roles[layer]], None)
+
+    def reelect(self, scopes: list[tuple[int, int]], old: int | None):
+        """Re-elect each (layer, scope) in order, then retry parked copies."""
+        for layer, scope in scopes:
+            try:
+                reelect_role(self.topo, layer, scope)
+                self.emit("kernel", "role_reelect", layer=layer, scope=scope,
+                          old=old, new=self.topo.roles[layer][scope])
+            except NoCandidate:
+                self.emit("kernel", "role_vacant", layer=layer, scope=scope, old=old)
+        if scopes:
             self.retry_parked()
 
     def retry_parked(self):
@@ -218,7 +209,7 @@ class _Kernel:
     def handle_delivery(self, dest: tuple, m: Message, sender, command: bool):
         if command:
             self.emit("kernel", "command_injected", msg_id=msg_id_str(m.msg_id),
-                      origin=m.original_source, goals_total=len(m.goal_cluster_ids),
+                      origin=m.msg_id[0], goals_total=len(m.goal_cluster_ids),
                       targets_total=len(m.target_worker_ids))
         kind = dest[0]
         if kind == "worker":
@@ -251,30 +242,23 @@ class _Kernel:
                     self.bump("relay_suppressed")
                     continue
                 self.relayed.add(key)
-                peers = self.reachable(w)
+                peers = adj.reachable_workers(w, self.topo)
                 self.emit("alg1", "relay", worker=w, msg_id=mid,
                           fanout=len(peers), hop=m.hop_count)
                 for peer in peers:
                     self.send(("worker", peer), m, w, self._worker_class(w, peer))
 
-    def reachable(self, w: int) -> list[int]:
-        """``adj.reachable_workers(w)`` for an alive w, from the region cache."""
-        r = self.topo.region_of_worker(w)
-        reach = self.reach.get(r)
-        if reach is None:
-            reach = self.reach[r] = sorted([w, *adj.reachable_workers(w, self.topo)])
-        i = bisect_left(reach, w)
-        return reach[:i] + reach[i + 1:]
-
     def apply_execution(self, w: int, m: Message, comp: str):
         """Idempotent per (worker, msg): duplicates count but do not re-run."""
-        done = self.wexec[m.msg_id]
-        if w in done:
-            self.bump("duplicate_exec_suppressed")
-            return
-        done.add(w)
+        targeted = w in m.target_worker_ids
+        if targeted:
+            key = (w, m.msg_id)
+            if key in self.wexec:
+                self.bump("duplicate_exec_suppressed")
+                return
+            self.wexec.add(key)
         self.emit(comp, "execute_worker", worker=w, msg_id=msg_id_str(m.msg_id),
-                  targeted=w in m.target_worker_ids, hop=m.hop_count)
+                  targeted=targeted, hop=m.hop_count)
 
     def deliver_leader(self, c: int, m: Message):
         leader = self.topo.roles[LAYER_LEADER].get(c)
@@ -324,10 +308,6 @@ class _Kernel:
             self.emit("alg2", "broadcast_cancelled", cluster=c, msg_id=mid)
             return
         state.pending_broadcasts.discard(m.msg_id)
-        if not goals_left(m):
-            self.bump("broadcasts_suppressed")
-            self.emit("alg2", "broadcast_suppressed", cluster=c, msg_id=mid)
-            return
         mb = adj.worker_broadcast(state, m)
         self.bump("broadcasts_fired")
         self.emit("alg2", "broadcast", cluster=c, msg_id=mid, hop=mb.hop_count)
@@ -414,7 +394,6 @@ class _Kernel:
                 if spec.action == "add":
                     ns.add(nb)
                 adj_map[r] = tuple(sorted(ns))
-            self.reach.clear()
             self.emit("kernel", "link_change", action=spec.action, edge=list(spec.edge))
 
     # -- main loop ----------------------------------------------------------
@@ -475,8 +454,7 @@ class _Kernel:
             + g("deliveries_dropped_dead", 0) + g("deliveries_parked", 0)
             + g("deliveries_inflight", 0)
             and g("broadcasts_scheduled", 0) == g("broadcasts_fired", 0)
-            + g("broadcasts_cancelled", 0) + g("broadcasts_suppressed", 0)
-            + g("broadcasts_pending", 0)
+            + g("broadcasts_cancelled", 0) + g("broadcasts_pending", 0)
             and g("parked_total", 0) == g("parked_retried_ok", 0)
             + g("parked_failed", 0) + g("parked_pending", 0)
         )

@@ -16,7 +16,7 @@ from virtree.coordinators import liveness_trials
 from virtree.metrics import TRANSMISSION_EVENTS, dump_trace
 from virtree.oracle import check_trace
 from virtree.scenario import CommandSpec, FailureSpec, Scenario
-from virtree.simkernel import quantize, run
+from virtree.simkernel import _Kernel, quantize, run
 from virtree.topology import (HierarchyConfig, build_topology,
                               goal_clusters_for_scope)
 
@@ -297,10 +297,13 @@ def test_criterion_7_tree_routing_work_is_per_branch_at_100k_workers(monkeypatch
     executed = Counter()
     sc = mk(cfg, seed=8100, horizon=10.0, strategy="hierarchical",
             commands=[CommandSpec(time=0.5, origin=4321, scope=("global",))])
-    _, report = run(sc, sink=lambda batch: executed.update(
+    kernel = _Kernel(sc, sink=lambda batch: executed.update(
         rec.data["cluster"] for rec in batch if rec.event == "execute_cluster"))
+    _, report = kernel.run()
     pm = report.messages["4321:0"]
     assert report.conserved
+    # untargeted: every cluster executes once, so no worker is remembered
+    assert kernel.wexec == set()
     assert sorted(executed) == list(range(cfg.n_clusters))
     assert set(executed.values()) == {1}
     assert pm.goals_executed == pm.goals_total == cfg.n_clusters

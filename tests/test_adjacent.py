@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from virtree.adjacent import (
     BroadcastToReachable,
@@ -15,9 +17,14 @@ from virtree.adjacent import (
     worker_on_receive,
 )
 from virtree.errors import ScenarioInvalid
-from virtree.messages import new_command
+from virtree.messages import goals_left, new_command
 from virtree.scenario import Scenario, validate_scenario
-from virtree.topology import HierarchyConfig, build_topology
+from virtree.topology import (
+    SCOPE_LAYERS,
+    HierarchyConfig,
+    build_topology,
+    goal_clusters_for_scope,
+)
 
 NO_JITTER = DelayParams(alpha=1.0, beta=0.0, epsilon=0.0)
 
@@ -177,6 +184,43 @@ class TestLeaderDeferred:
         far = leader_on_receive_deferred(LeaderState(cluster_id=9), m, topo32,
                                          NO_JITTER, random.Random(1))
         assert near.delay < far.delay
+
+
+@st.composite
+def leader_receives(draw):
+    """A leader state (some load, maybe the message already processed), a
+    copy of a command to any scope with executed/visited subsets, and a
+    topology with some workers dead."""
+    cfg = HierarchyConfig(*(draw(st.integers(1, 3)) for _ in range(4)),
+                          domains=draw(st.integers(1, 2)), coordinator_k=1, t_min=1)
+    topo = build_topology(cfg, seed=1)
+    for w in draw(st.sets(st.sampled_from(topo.workers))):
+        topo.mark_dead(w)
+    kind = draw(st.sampled_from(["global", *SCOPE_LAYERS]))
+    scope = ("global",) if kind == "global" else \
+        (kind, draw(st.integers(0, cfg.n_scopes(SCOPE_LAYERS[kind]) - 1)))
+    goals = goal_clusters_for_scope(topo, scope)
+    executed = frozenset(draw(st.sets(st.sampled_from(goals))))
+    visited = executed | draw(st.sets(st.sampled_from(topo.clusters)))
+    m = new_command(draw(st.sampled_from(topo.clusters)), 0, goals).copy(
+        visited_cluster_ids=visited, executed_cluster_ids=executed)
+    state = LeaderState(cluster_id=draw(st.sampled_from(topo.clusters)))
+    if draw(st.booleans()):
+        state.processed_msgs.add(m.msg_id)
+    state.pending_broadcasts.update((9, i) for i in range(draw(st.integers(0, 3))))
+    return topo, state, m
+
+
+class TestScheduledBroadcastHasGoalsLeft:
+    @settings(max_examples=300, deadline=None)
+    @given(leader_receives(), st.integers(0, 2**32 - 1))
+    def test_only_a_copy_with_goals_left_is_scheduled(self, case, seed):
+        # the broadcast fires with the scheduled copy itself, so it always
+        # has a goal left to carry
+        topo, state, m = case
+        d = leader_on_receive_deferred(state, m, topo, DelayParams(), random.Random(seed))
+        if d.outcome != "drop":
+            assert (d.outcome == "scheduled") == (goals_left(d.message) > 0)
 
 
 class TestWorkerBroadcast:

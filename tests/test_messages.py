@@ -17,7 +17,6 @@ class TestNewCommand:
         assert m.visited_cluster_ids == frozenset()
         assert m.executed_cluster_ids == frozenset()
         assert m.forward_flag is False
-        assert m.original_source == 3
         assert m.last_sent_cluster_id == 3
         assert m.target_worker_ids == frozenset()  # cluster-level policy executes
 
@@ -56,14 +55,14 @@ class TestInvariants:
             Message(msg_id=(0, 0), goal_cluster_ids=range(1, 2),
                     target_worker_ids=frozenset(), visited_cluster_ids=frozenset({2}),
                     executed_cluster_ids=frozenset({2}), hop_count=0,
-                    original_source=0, last_sent_cluster_id=0, forward_flag=False)
+                    last_sent_cluster_id=0, forward_flag=False)
 
     def test_executed_must_be_visited_subset(self):
         with pytest.raises(ValueError):
             Message(msg_id=(0, 0), goal_cluster_ids=range(1, 2),
                     target_worker_ids=frozenset(), visited_cluster_ids=frozenset(),
                     executed_cluster_ids=frozenset({1}), hop_count=0,
-                    original_source=0, last_sent_cluster_id=0, forward_flag=False)
+                    last_sent_cluster_id=0, forward_flag=False)
 
     def test_copy_touches_only_named_fields(self):
         m = new_command(1, 0, goals=range(1, 3), targets={9}, payload=b"\x00\x01")
@@ -71,7 +70,6 @@ class TestInvariants:
         assert m2.hop_count == 4
         assert m2.last_sent_cluster_id == 2
         assert m2.msg_id == m.msg_id
-        assert m2.original_source == m.original_source
         assert m2.goal_cluster_ids == m.goal_cluster_ids
         assert m2.payload == m.payload
         assert m.hop_count == 0  # original untouched

@@ -167,6 +167,29 @@ class TestFailures:
         assert [r.data["new"] for r in refill] == [0]
         assert report.conserved
 
+    def test_revival_refills_every_vacant_scope_in_layer_order(self):
+        # region 1 is hub 1 of domain 0; killing it vacates its clusters,
+        # its region and its hub, while worker 0 keeps the domain role.
+        # A command injected at the dead cluster 2 parks there.
+        cfg = HierarchyConfig(2, 2, 1, 2, coordinator_k=2, t_min=1)
+        sc = scenario(config=cfg, strategy="hierarchical", horizon=6.0,
+                      commands=[CommandSpec(time=1.5, origin=2, scope=("global",))],
+                      failures=[FailureSpec(time=1.0, kind="region", action="kill",
+                                            region=1),
+                                FailureSpec(time=2.0, kind="worker", action="revive",
+                                            worker=5)])
+        trace, report = run(sc)
+        at = next(i for i, rec in enumerate(trace) if rec.event == "recovery")
+        after = [rec for rec in trace[at + 1:] if rec.time == 2.0]
+        refills = [(rec.data["layer"], rec.data["scope"], rec.data["old"], rec.data["new"])
+                   for rec in after if rec.event == "role_reelect"]
+        # cluster 2, region 1, hub 1; cluster 3 and the domain are left alone
+        assert refills == [(2, 2, None, 5), (3, 1, None, 5), (4, 1, None, 5)]
+        assert not any(rec.event == "role_vacant" for rec in after)
+        retried = [rec.data for rec in after if rec.event == "noroute_retry"]
+        assert retried == [{"node": "(2, 2)", "msg_id": "2:0", "ok": True}]
+        assert report.conserved
+
     def test_duplicate_execution_suppressed(self):
         sc = scenario(config=CFG_1R, delay=NO_JITTER, horizon=10.0,
                       commands=[CommandSpec(time=0.0, origin=0, scope=("region", 0),
@@ -179,6 +202,25 @@ class TestFailures:
         pm = report.messages["0:0"]
         assert pm.targets_executed == 1
         assert pm.goals_executed == 2
+
+
+class TestExecutionLedger:
+    def test_holds_only_targeted_executions(self):
+        # an untargeted global command and a targeted one whose target also
+        # gets relayed copies: only the targeted executions are remembered
+        sc = scenario(config=CFG_1R, delay=NO_JITTER, horizon=10.0,
+                      commands=[CommandSpec(time=0.0, origin=0, scope=("global",)),
+                                CommandSpec(time=0.0, origin=0, scope=("region", 0),
+                                            targets=frozenset({1}))])
+        kernel = _Kernel(sc)
+        trace, report = kernel.run()
+        execs = [(rec.data["worker"], rec.data["msg_id"], rec.data["targeted"])
+                 for rec in trace if rec.event == "execute_worker"]
+        assert sorted(execs) == [(0, "0:0", False), (1, "0:0", False), (1, "0:1", True),
+                                 (2, "0:0", False), (3, "0:0", False)]
+        assert kernel.wexec == {(1, (0, 1))}
+        assert report.conservation["duplicate_exec_suppressed"] >= 1
+        assert report.messages["0:1"].targets_executed == 1
 
 
 class TestLeaderStates:
@@ -402,8 +444,8 @@ class TestReachableCache:
         for _t, w, fanout, peers, start in relays:
             assert fanout == len(peers)
             assert sends[start:start + fanout] == [(("worker", p), w) for p in peers]
-        # the cache answered more relays than it has regions, and relays ran
-        # after every edit of the alive set or the adjacency
+        # relays ran many times per region, and after every edit of the alive
+        # set or the adjacency
         assert len(relays) > 3 * cfg.n_regions
         for spec in sc.failures:
             assert any(t > spec.time for t, *_ in relays)
