@@ -13,11 +13,15 @@ them from 20k workers on), horizon 10 and the default maintenance round
 period.  Then it runs ``virtree run`` on it once from each checkout, parent
 first, one process at a time.
 
-Per run it records wall time from process start to exit, peak RSS, and the
-sha256 of ``trace.jsonl`` and ``metrics.json``.  Peak RSS is ``ru_maxrss``
-from ``os.wait4``: the largest resident set of the run's processes, the
-forked trace writer included.  Outputs are deleted once hashed, so the 1M
-runs (a trace of about 190 MB) leave nothing behind.
+Per run it records wall time from process start to exit, peak RSS, the
+sha256 of ``trace.jsonl`` and ``metrics.json``, and the sha256 of the report
+without its ``totals`` and ``conservation`` counters, which a change of the
+trace format alone leaves equal.  Peak RSS is ``ru_maxrss`` from
+``os.wait4``: the largest resident set of the run's processes.  ``run``
+encodes its trace in its own process, so that is the run itself; only a
+checkout whose ``run`` forks a trace writer process (trace format 1 did,
+given two usable CPUs) has that writer counted in it as well.  Outputs are
+deleted once hashed, so the 1M runs leave nothing behind.
 """
 
 from __future__ import annotations
@@ -57,6 +61,13 @@ def sha256_file(path: str) -> str:
     return h.hexdigest()
 
 
+def report_sha256(metrics_path: str) -> str:
+    with open(metrics_path, encoding="utf-8") as fh:
+        report = json.load(fh)
+    del report["totals"], report["conservation"]
+    return hashlib.sha256(json.dumps(report, sort_keys=True).encode()).hexdigest()
+
+
 def run_once(checkout: str, scenario_path: str, out: str) -> dict:
     env = dict(os.environ, PYTHONPATH=os.path.join(os.path.abspath(checkout), "src"))
     cmd = [sys.executable, "-m", "virtree.cli", "run", "--scenario", scenario_path,
@@ -71,7 +82,8 @@ def run_once(checkout: str, scenario_path: str, out: str) -> dict:
     result = {"wall_s": round(wall, 3), "peak_rss_mb": round(usage.ru_maxrss / 1024, 1),
               "trace_bytes": os.path.getsize(os.path.join(out, "trace.jsonl")),
               "trace_sha256": sha256_file(os.path.join(out, "trace.jsonl")),
-              "metrics_sha256": sha256_file(os.path.join(out, "metrics.json"))}
+              "metrics_sha256": sha256_file(os.path.join(out, "metrics.json")),
+              "report_sha256": report_sha256(os.path.join(out, "metrics.json"))}
     shutil.rmtree(out)
     return result
 
@@ -110,6 +122,7 @@ def main(argv=None) -> int:
             print(f"{workers} workers, {label}: {row[label]}", flush=True)
         row["outputs_identical"] = all(
             row["parent"][k] == row["change"][k] for k in ("trace_sha256", "metrics_sha256"))
+        row["reports_equal"] = row["parent"]["report_sha256"] == row["change"]["report_sha256"]
         row["change_over_parent_wall"] = round(row["change"]["wall_s"] / row["parent"]["wall_s"], 3)
         sizes[str(workers)] = row
 

@@ -138,6 +138,8 @@ class LeaderDecision:
     outcome: "drop" | "stop" | "scheduled" (deferred) | "forwarded" (tree)
     message: the leader's updated copy (visited/executed extended); None on drop
     delivered_workers: workers handed the command locally (goal cluster only)
+    missed_workers: the dead workers it was meant for: its dead targets in the
+        cluster, or every dead member when the command names no targets
     distance, delay: set by a deferred receive that schedules a broadcast
     forwards: (tree node, copy) pairs an immediate receive sends on
     """
@@ -146,20 +148,24 @@ class LeaderDecision:
     reason: str = ""
     message: Message | None = None
     delivered_workers: tuple[WorkerId, ...] = ()
+    missed_workers: tuple[WorkerId, ...] = ()
     executed_here: bool = False
     distance: int | None = None
     delay: float | None = None
     forwards: tuple = ()
 
 
-def _local_delivery(m: Message, cluster: ClusterId, topo: Topology) -> tuple[WorkerId, ...]:
+def _local_delivery(m: Message, cluster: ClusterId,
+                    topo: Topology) -> tuple[tuple[WorkerId, ...], tuple[WorkerId, ...]]:
+    """(alive, dead) workers of the cluster the command is meant for: its
+    targets there, or every member for a cluster-level command."""
     members = topo.workers_in_cluster(cluster)
     if m.target_worker_ids:
-        chosen = [w for w in members if w in m.target_worker_ids and topo.is_alive(w)]
-    else:
-        # cluster-level command: every alive member takes it
-        chosen = [w for w in members if topo.is_alive(w)]
-    return tuple(chosen)
+        members = [w for w in members if w in m.target_worker_ids]
+    alive, dead = [], []
+    for w in members:
+        (alive if topo.is_alive(w) else dead).append(w)
+    return tuple(alive), tuple(dead)
 
 
 def leader_visit(state: LeaderState, m: Message, topo: Topology) -> LeaderDecision:
@@ -176,12 +182,13 @@ def leader_visit(state: LeaderState, m: Message, topo: Topology) -> LeaderDecisi
     state.processed_msgs.add(m.msg_id)
     if c in m.visited_cluster_ids:
         return LeaderDecision(outcome="drop", reason="visited")
-    executed, delivered = m.executed_cluster_ids, ()
+    executed, delivered, missed = m.executed_cluster_ids, (), ()
     here = c in m.goal_cluster_ids
     if here:
         executed = executed | {c}
-        delivered = _local_delivery(m, c, topo)
+        delivered, missed = _local_delivery(m, c, topo)
     return LeaderDecision(outcome="", executed_here=here, delivered_workers=delivered,
+                          missed_workers=missed,
                           message=m.copy(visited_cluster_ids=m.visited_cluster_ids | {c},
                                          executed_cluster_ids=executed))
 

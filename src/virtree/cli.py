@@ -8,14 +8,10 @@ argparse also exit 2, matching the invalid-input meaning.
 from __future__ import annotations
 
 import argparse
-import gc
 import json
-import marshal
 import os
-import signal
 import sys
 from dataclasses import replace
-from itertools import chain
 from statistics import fmean
 
 from .coordinators import liveness_trials, predicted_liveness
@@ -77,12 +73,13 @@ def cmd_run(args) -> int:
     sc = load_scenario_file(args.scenario, args.overrides, args.seed)
     os.makedirs(args.out, exist_ok=True)
     # the trace streams into a temporary file that replaces trace.jsonl only
-    # once the run has returned, so a failed run leaves the earlier outputs
+    # once the run has returned, so a failed run leaves the earlier outputs;
+    # dump_trace is looked up here at each batch, where a profiler wraps it
     trace_path = os.path.join(args.out, "trace.jsonl")
     tmp_path = f"{trace_path}.{os.getpid()}.tmp"
     try:
-        with open(tmp_path, "w", encoding="utf-8") as fh, _TraceWriter(fh) as sink:
-            _, report = run_scenario(sc, sink=sink)
+        with open(tmp_path, "w", encoding="utf-8") as fh:
+            _, report = run_scenario(sc, sink=lambda batch: fh.write(dump_trace(batch)))
         os.replace(tmp_path, trace_path)
     except BaseException:
         os.unlink(tmp_path)
@@ -98,117 +95,6 @@ def cmd_run(args) -> int:
     print(f"run ok: {records} trace records, {len(report.messages)} commands "
           f"({done} fully executed), live regions {report.live_region_fraction:.3f}")
     return 0
-
-
-class _TraceWriter:
-    """The trace sink of ``run``: writes each batch to ``fh`` as JSON lines.
-
-    Where ``os.fork`` exists and two CPUs are usable, the first batch forks a
-    writer process, and every batch goes to it down a pipe, so encoding
-    overlaps the simulation.  The fork waits for the first batch so that it
-    and the copy-on-write faults that follow it fall in the run, not in its
-    set-up.  A batch travels as a length-prefixed ``marshal`` dump of one
-    flat tuple, five fields a record, down a pipe widened to PIPE_SIZE where
-    the platform lets it, so the kernel seldom waits on the writer; the
-    writer holds one batch at a time.  Otherwise the batches are encoded
-    here.  Leaving the ``with`` block waits for the writer and raises the
-    exception it failed with, if any.
-    """
-
-    def __init__(self, fh):
-        self.fh = fh
-        self.pid = None
-        self.can_fork = hasattr(os, "fork") and _usable_cpus() > 1
-
-    def __enter__(self):
-        return self
-
-    def __call__(self, batch):
-        if self.pid is None:
-            if not self.can_fork:
-                self.fh.write(dump_trace(batch))
-                return
-            self._start()
-        data = marshal.dumps(tuple(chain.from_iterable(batch)))
-        self.pipe.write(len(data).to_bytes(8, "little"))
-        self.pipe.write(data)
-        self.pipe.flush()
-
-    def _start(self):
-        import fcntl  # POSIX only, as os.fork is
-
-        batch_r, batch_w = os.pipe()
-        try:
-            fcntl.fcntl(batch_w, fcntl.F_SETPIPE_SZ, PIPE_SIZE)
-        except (AttributeError, OSError):  # not Linux, or above the system's limit
-            pass
-        error_r, error_w = os.pipe()
-        pid = os.fork()
-        if pid == 0:
-            os.close(batch_w)
-            os.close(error_r)
-            _write_batches(batch_r, error_w, self.fh)
-        os.close(batch_r)
-        os.close(error_w)
-        self.pid, self.pipe, self.error_fd = pid, open(batch_w, "wb"), error_r
-
-    def __exit__(self, *exc_info):
-        if self.pid is None:
-            return
-        pid, self.pid = self.pid, None
-        try:
-            self.pipe.close()  # end of input: the writer drains the pipe and exits
-        except BrokenPipeError:  # the writer has already exited
-            pass
-        with open(self.error_fd, "rb") as fh:
-            error = fh.read()
-        _, status = os.waitpid(pid, 0)
-        if error:
-            import pickle  # imported only on failure, to keep it out of a run's RSS
-            raise pickle.loads(error)
-        if status:
-            raise ChildProcessError(f"trace writer process ended with wait status {status}")
-
-
-# Bytes the batch pipe buffers: a few marshalled batches of about 270 KB.
-PIPE_SIZE = 1 << 20
-
-
-def _usable_cpus() -> int:
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-def _write_batches(batch_fd: int, error_fd: int, fh):
-    """The body of the writer process; ends it with ``os._exit``.
-
-    ``os._exit`` skips the clean-up of the interpreter state inherited from the
-    parent, such as flushing its buffered stdout a second time.  A failure is
-    sent back pickled; SIGINT is left to the parent, which ends the writer by
-    closing the pipe.
-    """
-    status = 1
-    try:
-        signal.signal(signal.SIGINT, signal.SIG_IGN)
-        # the writer makes no reference cycles, and a collection would walk
-        # (and copy) every object inherited from the parent
-        gc.disable()
-        with open(batch_fd, "rb") as pipe:
-            while header := pipe.read(8):
-                size = int.from_bytes(header, "little")
-                data = pipe.read(size)
-                if len(data) < size:  # the parent aborted mid-batch
-                    break
-                flat = iter(marshal.loads(data))
-                fh.write(dump_trace(zip(flat, flat, flat, flat, flat)))
-        fh.close()
-        status = 0
-    except BaseException as e:
-        import pickle
-        os.write(error_fd, pickle.dumps(e))
-    finally:
-        os._exit(status)
 
 
 def cmd_validate(args) -> int:

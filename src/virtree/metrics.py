@@ -197,8 +197,12 @@ def build_report(records: list[TraceRecord], strategy: str,
     Recovery: a region's breach opens at the first round observing
     alive_before < t_min (or at region_dead) and closes at the first round
     whose roster ends at >= t_min again; the sample is the inclusive round
-    count.  Breaches still open are the unrestored regions.  Containment
-    counts maintenance records that touched a foreign region (contract: 0).
+    count.  Breaches still open are the unrestored regions.  The trace
+    leaves out only rounds that can neither open nor close a breach (see
+    ``simkernel._Kernel.handle_maintenance``).  Containment counts
+    maintenance records that touched a foreign region (contract: 0).
+    Targeted executions are the ``execute_worker`` records, since trace
+    format 2 writes no other.
     """
     if report is None:
         report = MetricsReport(strategy=strategy)
@@ -243,6 +247,6 @@ def build_report(records: list[TraceRecord], strategy: str,
             pm.goals_executed += 1
             pm.completed_at = rec.time
             pm.latency = round(rec.time - pm.injected_at, 9)
-        elif event == "execute_worker" and data.get("targeted"):
+        elif event == "execute_worker":
             pm.targets_executed += 1
     return report

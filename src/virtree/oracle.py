@@ -104,7 +104,7 @@ def check_trace(trace: list[TraceRecord], topo: Topology, strategy: str,
     for rec in trace:
         if rec.event == "execute_cluster":
             exec_clusters.setdefault(rec.data["msg_id"], []).append(rec.data["cluster"])
-        elif rec.event == "execute_worker" and rec.data.get("targeted"):
+        elif rec.event == "execute_worker":
             exec_workers.setdefault(rec.data["msg_id"], []).append(rec.data["worker"])
 
     seq_per_origin: dict[int, int] = {}

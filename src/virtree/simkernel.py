@@ -79,6 +79,8 @@ class _Kernel:
         # (worker, msg_id) of every targeted execution; a cluster-level one
         # runs once, since a cluster's leader processes a message once
         self.wexec: set[tuple[int, tuple]] = set()
+        # regions whose last maintenance round found no alive coordinator
+        self.dead_regions: set[int] = set()
         self.relayed: set[tuple[int, tuple]] = set()
         self.parked: list[dict] = []
         self.jam: dict[str, float] = {}
@@ -226,10 +228,7 @@ class _Kernel:
             return
         self.bump("deliveries_completed")
         mid = msg_id_str(m.msg_id)
-        region = self.topo.region_of_worker(w)
-        self.emit("alg1", "receive", worker=w, cluster=self.topo.cluster_of(w), region=region,
-                  from_worker=sender, from_region=self.topo.region_of_worker(sender),
-                  msg_id=mid, hop=m.hop_count)
+        self.emit("alg1", "receive", worker=w, from_worker=sender, msg_id=mid, hop=m.hop_count)
         for action in adj.worker_on_receive(w, m, self.topo):
             if isinstance(action, adj.ExecuteLocally):
                 self.apply_execution(w, m, comp="alg1")
@@ -249,16 +248,15 @@ class _Kernel:
                     self.send(("worker", peer), m, w, self._worker_class(w, peer))
 
     def apply_execution(self, w: int, m: Message, comp: str):
-        """Idempotent per (worker, msg): duplicates count but do not re-run."""
-        targeted = w in m.target_worker_ids
-        if targeted:
-            key = (w, m.msg_id)
-            if key in self.wexec:
-                self.bump("duplicate_exec_suppressed")
-                return
-            self.wexec.add(key)
+        """A targeted execution, idempotent per (worker, msg): duplicates
+        count but do not re-run."""
+        key = (w, m.msg_id)
+        if key in self.wexec:
+            self.bump("duplicate_exec_suppressed")
+            return
+        self.wexec.add(key)
         self.emit(comp, "execute_worker", worker=w, msg_id=msg_id_str(m.msg_id),
-                  targeted=targeted, hop=m.hop_count)
+                  hop=m.hop_count)
 
     def deliver_leader(self, c: int, m: Message):
         leader = self.topo.roles[LAYER_LEADER].get(c)
@@ -283,27 +281,29 @@ class _Kernel:
             self.push(fire, self.handle_broadcast, (c, leader, m2))
 
     def emit_visit(self, comp: str, c: int, mid: str, decision):
-        """The records of a leader receive, either strategy: a drop, or a
-        process record, the cluster's executions and, when it ends there, stop."""
+        """The records of a leader receive, either strategy: none for a drop,
+        which is only counted; else a process record, the cluster's execution
+        with its targeted workers and, when the command ends there, stop."""
         if decision.outcome == "drop":
             self.bump(f"{comp}_drops")
-            self.emit(comp, "drop", cluster=c, msg_id=mid, reason=decision.reason)
             return
         m2 = decision.message
         self.emit(comp, "process", cluster=c, msg_id=mid, hop=m2.hop_count,
                   visited=sorted(m2.visited_cluster_ids),
                   executed_here=decision.executed_here)
         if decision.executed_here:
-            self.emit(comp, "execute_cluster", cluster=c, msg_id=mid, hop=m2.hop_count)
-            for w in decision.delivered_workers:
-                self.apply_execution(w, m2, comp=comp)
+            self.emit(comp, "execute_cluster", cluster=c, msg_id=mid, hop=m2.hop_count,
+                      missed=list(decision.missed_workers))
+            if m2.target_worker_ids:
+                for w in decision.delivered_workers:
+                    self.apply_execution(w, m2, comp=comp)
         if decision.outcome == "stop":
             self.emit(comp, "stop", cluster=c, msg_id=mid)
 
     def handle_broadcast(self, c: int, leader: int, m: Message):
         state = self.leader_states[c]  # made by the receive that scheduled this
         mid = msg_id_str(m.msg_id)
-        if not self.topo.is_alive(leader):
+        if m.msg_id not in state.pending_broadcasts:  # cleared by the leader's death
             self.bump("broadcasts_cancelled")
             self.emit("alg2", "broadcast_cancelled", cluster=c, msg_id=mid)
             return
@@ -351,14 +351,29 @@ class _Kernel:
         self.send(("node", dst), m, src, "tree")
 
     def handle_maintenance(self, rnd: int):
+        """One round in every region.  A round is written when it changed the
+        roster or left it degraded, and when it is the region's first since it
+        went dead, which may close a breach though it changes nothing;
+        ``region_dead`` is written once a region goes dead.  Every other round
+        is counted only, in ``alg4_rounds_skipped``."""
+        dead = self.dead_regions
         for r, cs in self.coords.items():  # ascending: built from the region range
             try:
                 out = monitor_round(cs, self.topo, load_of=self._load_of,
                                     eager_refill=self.sc.eager_refill,
                                     single_promotion=self.sc.single_promotion)
             except RegionDead:
-                self.emit("alg4", "region_dead", region=r, src_region=r,
-                          dst_region=r, round=rnd, t_min=cs.t_min)
+                if r in dead:
+                    self.bump("alg4_rounds_skipped")
+                else:
+                    dead.add(r)
+                    self.emit("alg4", "region_dead", region=r, src_region=r,
+                              dst_region=r, round=rnd, t_min=cs.t_min)
+                continue
+            if r in dead:
+                dead.remove(r)
+            elif not (out.removed or out.promoted or out.degraded):
+                self.bump("alg4_rounds_skipped")
                 continue
             self.emit("alg4", "round", region=r, src_region=r, dst_region=r,
                       round=rnd, removed=out.removed, promoted=out.promoted,
@@ -421,7 +436,7 @@ class _Kernel:
 
     def run(self) -> tuple[list[TraceRecord], MetricsReport]:
         sc = self.sc
-        self.emit("kernel", "run_start", strategy=sc.strategy, seed=sc.seed,
+        self.emit("kernel", "run_start", format=2, strategy=sc.strategy, seed=sc.seed,
                   horizon=sc.horizon, workers=sc.config.n_workers,
                   clusters=sc.config.n_clusters, regions=sc.config.n_regions,
                   route_mode=sc.route_mode)

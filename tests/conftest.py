@@ -17,3 +17,15 @@ def two_domain_topo():
                           regions_per_hub=2, hubs_per_domain=2, domains=2,
                           coordinator_k=3, t_min=2)
     return build_topology(cfg, seed=7)
+
+
+def region_crossings(trace) -> int:
+    """Worker receives whose sender sat in a different region.
+
+    Ids are row-major, so a worker's region is its id over the workers per
+    region, which the ``run_start`` record's shape gives.
+    """
+    start = trace[0].data
+    per_region = start["workers"] // start["regions"]
+    return sum(1 for rec in trace if rec.comp == "alg1" and rec.event == "receive"
+               and rec.data["worker"] // per_region != rec.data["from_worker"] // per_region)

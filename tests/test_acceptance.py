@@ -10,6 +10,7 @@ import random
 import time
 from collections import Counter
 
+from conftest import region_crossings
 from virtree import hierarchical
 from virtree.adjacent import DelayParams
 from virtree.coordinators import liveness_trials
@@ -24,12 +25,6 @@ from virtree.topology import (HierarchyConfig, build_topology,
 def mk(cfg, seed, horizon, **kw):
     kw.setdefault("round_period", 1000.0)
     return Scenario(config=cfg, seed=seed, horizon=horizon, **kw)
-
-
-def region_crossings(trace) -> int:
-    """Worker receives whose sender sat in a different region."""
-    return sum(1 for rec in trace if rec.comp == "alg1" and rec.event == "receive"
-               and rec.data["from_region"] != rec.data["region"])
 
 
 def spanning_adjacency(n_regions: int, rng: random.Random, extra: int = 0):

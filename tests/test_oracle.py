@@ -20,12 +20,11 @@ DISAGREE = "0:0: targeted executions disagree with BFS oracle (missing {}, unexp
     ((1,), (6,), [TWICE.format([6]), DISAGREE.format([1])]),
 ])
 def test_targeted_worker_mismatches(strategy, drop, repeat, expected):
-    # a real run's trace with targeted execute_worker records removed or
+    # a real run's trace with execute_worker records (targeted only) removed or
     # repeated: the oracle names the missing and the repeated workers
     trace, _ = run(Scenario(config=CFG, seed=3, horizon=30.0, strategy=strategy,
                             commands=COMMANDS))
-    execs = {rec.data["worker"]: rec for rec in trace
-             if rec.event == "execute_worker" and rec.data["targeted"]}
+    execs = {rec.data["worker"]: rec for rec in trace if rec.event == "execute_worker"}
     assert sorted(execs) == [1, 2, 6]
     for w in drop:
         trace.remove(execs[w])

@@ -1,9 +1,14 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import region_crossings
+from virtree import simkernel
 from virtree.adjacent import DelayParams, reachable_workers
-from virtree.errors import ConservationError, ScenarioInvalid
+from virtree.coordinators import monitor_round
+from virtree.errors import ConservationError, RegionDead, ScenarioInvalid
 from virtree.metrics import dump_trace
 from virtree.scenario import CommandSpec, FailureSpec, Scenario, validate_scenario
 from virtree.simkernel import _Kernel, run
@@ -12,12 +17,6 @@ from virtree.topology import HierarchyConfig
 CFG_1R = HierarchyConfig(2, 2, coordinator_k=3, t_min=2)            # 1 region, 4 workers
 CFG_2R = HierarchyConfig(2, 2, 2, coordinator_k=3, t_min=2)         # 2 regions, 8 workers
 NO_JITTER = DelayParams(alpha=1.0, beta=0.0, epsilon=0.0)
-
-
-def region_crossings(trace) -> int:
-    """Worker receives whose sender sat in a different region."""
-    return sum(1 for rec in trace if rec.comp == "alg1" and rec.event == "receive"
-               and rec.data["from_region"] != rec.data["region"])
 
 
 def scenario(**kw):
@@ -60,6 +59,26 @@ class TestBroadcastLifecycle:
         assert cons["broadcasts_cancelled"] == 1
         assert any(rec.event == "broadcast_cancelled" for rec in trace)
         assert report.messages["0:0"].goals_executed == 0
+        assert report.conserved
+
+    def test_revived_leader_does_not_fire_its_cancelled_broadcast(self):
+        # worker 0 leads cluster 0 and schedules the broadcast, dies with it
+        # pending, and revives before it would fire; leadership has moved to
+        # worker 1, and the cleared broadcast stays cancelled
+        sc = scenario(config=HierarchyConfig(4, 2, 2, coordinator_k=3, t_min=2),
+                      horizon=6.0,
+                      commands=[CommandSpec(time=1.0, origin=0, scope=("global",))],
+                      failures=[FailureSpec(time=1.5, kind="worker", action="kill", worker=0),
+                                FailureSpec(time=1.7, kind="worker", action="revive",
+                                            worker=0)])
+        trace, report = run(sc)
+        assert [(rec.data["old"], rec.data["new"]) for rec in trace
+                if rec.event == "role_reelect" and rec.data["layer"] == 2] == [(0, 1)]
+        assert [(rec.event, rec.data["cluster"]) for rec in trace
+                if rec.event in ("schedule", "broadcast", "broadcast_cancelled")] == [
+            ("schedule", 0), ("broadcast_cancelled", 0)]
+        assert report.conservation["broadcasts_cancelled"] == 1
+        assert report.messages["0:0"].goals_executed == 1
         assert report.conserved
 
     def test_horizon_leaves_broadcast_pending(self):
@@ -143,10 +162,11 @@ class TestFailures:
             failures=[FailureSpec(time=0.5, kind="region", action="kill", region=1),
                       FailureSpec(time=1.45, kind="worker", action="kill", worker=1)])
         trace, report = run(sc)
-        dead_rounds = [rec for rec in trace
-                       if rec.comp == "alg4" and rec.event == "region_dead"]
-        assert len(dead_rounds) == 5
-        assert all(rec.data["region"] == 1 for rec in dead_rounds)
+        alg4 = [(rec.event, rec.data["region"], rec.data["round"]) for rec in trace
+                if rec.comp == "alg4"]
+        # region 1 is written dead once; region 0's round 2 removes worker 1
+        assert alg4 == [("region_dead", 1, 1), ("round", 0, 2)]
+        assert report.conservation["alg4_rounds_skipped"] == 5 * 2 - len(alg4)
         assert report.live_region_fraction == 0.5
         assert report.conservation["deliveries_dropped_dead"] >= 1
         assert report.cross_region_maintenance == 0
@@ -207,17 +227,21 @@ class TestFailures:
 class TestExecutionLedger:
     def test_holds_only_targeted_executions(self):
         # an untargeted global command and a targeted one whose target also
-        # gets relayed copies: only the targeted executions are remembered
+        # gets relayed copies: only the targeted executions are remembered,
+        # and only they have execute_worker records
         sc = scenario(config=CFG_1R, delay=NO_JITTER, horizon=10.0,
                       commands=[CommandSpec(time=0.0, origin=0, scope=("global",)),
                                 CommandSpec(time=0.0, origin=0, scope=("region", 0),
                                             targets=frozenset({1}))])
         kernel = _Kernel(sc)
         trace, report = kernel.run()
-        execs = [(rec.data["worker"], rec.data["msg_id"], rec.data["targeted"])
+        execs = [(rec.data["worker"], rec.data["msg_id"])
                  for rec in trace if rec.event == "execute_worker"]
-        assert sorted(execs) == [(0, "0:0", False), (1, "0:0", False), (1, "0:1", True),
-                                 (2, "0:0", False), (3, "0:0", False)]
+        assert execs == [(1, "0:1")]
+        clusters = [(rec.data["cluster"], rec.data["msg_id"], rec.data["missed"])
+                    for rec in trace if rec.event == "execute_cluster"]
+        assert sorted(clusters) == [(0, "0:0", []), (0, "0:1", []),
+                                    (1, "0:0", []), (1, "0:1", [])]
         assert kernel.wexec == {(1, (0, 1))}
         assert report.conservation["duplicate_exec_suppressed"] >= 1
         assert report.messages["0:1"].targets_executed == 1
@@ -235,7 +259,7 @@ class TestLeaderStates:
             assert kernel.leader_states == {}
             trace, _ = kernel.run()
             named = {rec.data["cluster"] for rec in trace
-                     if rec.comp in ("alg2", "alg3") and rec.event in ("process", "drop")}
+                     if rec.comp in ("alg2", "alg3") and rec.event == "process"}
             assert set(kernel.leader_states) == named
             unvisited[strategy] = cfg.n_clusters - len(named)
         # tree routing leaves most clusters alone, so most never get a state
@@ -244,13 +268,17 @@ class TestLeaderStates:
 
 class TestMaintenance:
     def test_round_cadence(self):
-        sc = scenario(horizon=3.0, round_period=1.0)
-        trace, _ = run(sc)
-        rounds = [rec for rec in trace if rec.comp == "alg4" and rec.event == "round"]
-        assert len(rounds) == 3 * sc.config.n_regions
-        for region in range(sc.config.n_regions):
-            seq = [rec.data["round"] for rec in rounds if rec.data["region"] == region]
-            assert seq == [1, 2, 3]
+        # worker 0, a coordinator of region 0, dies before round 2: that round
+        # removes it and is written; every other round is quiet, counted only
+        sc = scenario(horizon=3.0, round_period=1.0,
+                      failures=[FailureSpec(time=1.5, kind="worker", action="kill",
+                                            worker=0)])
+        trace, report = run(sc)
+        rounds = [(rec.data["region"], rec.data["round"]) for rec in trace
+                  if rec.comp == "alg4" and rec.event == "round"]
+        assert rounds == [(0, 2)]
+        skipped = report.conservation["alg4_rounds_skipped"]
+        assert len(rounds) + skipped == 3 * sc.config.n_regions
 
     def test_rounds_never_cross_regions(self):
         sc = scenario(horizon=6.0,
@@ -260,6 +288,94 @@ class TestMaintenance:
         assert report.cross_region_maintenance == 0
         assert all(rec.data["src_region"] == rec.data["dst_region"]
                    for rec in trace if rec.comp == "alg4")
+
+
+@st.composite
+def maintenance_runs(draw):
+    """A small shape and a schedule of worker kills, revives and region kills,
+    all before the last of ten maintenance rounds."""
+    wpc, cpr, rph = draw(st.integers(1, 3)), draw(st.integers(1, 2)), draw(st.integers(1, 3))
+    k = draw(st.integers(1, min(4, wpc * cpr)))
+    cfg = HierarchyConfig(wpc, cpr, rph, coordinator_k=k, t_min=draw(st.integers(1, k)))
+    failures = []
+    for _ in range(draw(st.integers(0, 10))):
+        time = draw(st.integers(1, 39)) / 4
+        if draw(st.integers(0, 3)) == 0:
+            failures.append(FailureSpec(time=time, kind="region", action="kill",
+                                        region=draw(st.integers(0, cfg.n_regions - 1))))
+        else:
+            failures.append(FailureSpec(time=time, kind="worker",
+                                        action=draw(st.sampled_from(["kill", "revive"])),
+                                        worker=draw(st.integers(0, cfg.n_workers - 1))))
+    return cfg, failures
+
+
+def assert_alg4_records_fold_like_every_round(sc):
+    """Run sc, recording the outcome of every region's every round, RegionDead
+    included, and fold those outcomes as if each round were written.  The
+    report, folded from the rounds the trace keeps, must agree."""
+    outcomes = []  # (region, round, RoundOutcome or None when dead, t_min)
+    rounds = {}
+
+    def recording(cs, topo, **kw):
+        rounds[cs.region] = rnd = rounds.get(cs.region, 0) + 1
+        try:
+            out = monitor_round(cs, topo, **kw)
+        except RegionDead:
+            outcomes.append((cs.region, rnd, None, cs.t_min))
+            raise
+        outcomes.append((cs.region, rnd, out, cs.t_min))
+        return out
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(simkernel, "monitor_round", recording)
+        trace, report = run(sc)
+    breaches, samples, last = {}, [], {}
+    for region, rnd, out, t_min in outcomes:
+        if out is None or out.alive_before < t_min:
+            breaches.setdefault(region, rnd)
+        if out is not None and region in breaches and out.size_after >= t_min:
+            samples.append((region, rnd - breaches.pop(region) + 1))
+        last[region] = out
+    assert report.recovery_samples == samples
+    assert report.unrestored_regions == sorted(breaches)
+    # no failure follows the last round, so a region is live at the end
+    # exactly when its last round found an alive coordinator
+    live = sum(out is not None for out in last.values())
+    assert report.live_region_fraction == live / sc.config.n_regions
+    written = sum(1 for rec in trace if rec.comp == "alg4")
+    assert written + report.conservation.get("alg4_rounds_skipped", 0) == len(outcomes)
+    return trace, report
+
+
+class TestMaintenanceRecords:
+    @pytest.mark.parametrize("eager_refill, single_promotion",
+                             [(False, False), (True, False), (False, True), (True, True)])
+    @settings(max_examples=60, deadline=None)
+    @given(maintenance_runs())
+    def test_written_rounds_fold_like_every_round(self, eager_refill, single_promotion, shape):
+        cfg, failures = shape
+        sc = Scenario(config=cfg, seed=7, horizon=10.0, failures=failures,
+                      eager_refill=eager_refill, single_promotion=single_promotion)
+        validate_scenario(sc)
+        assert_alg4_records_fold_like_every_round(sc)
+
+    def test_first_round_after_revival_closes_the_breach(self):
+        # region 1 (workers 4-7, coordinators 4-6) dies before round 2, and all
+        # three coordinators revive before round 5: round 5 changes nothing,
+        # yet it closes the breach, so it is written
+        sc = scenario(horizon=10.0,
+                      failures=[FailureSpec(time=1.5, kind="region", action="kill", region=1)]
+                      + [FailureSpec(time=4.5, kind="worker", action="revive", worker=w)
+                         for w in (4, 5, 6)])
+        trace, report = assert_alg4_records_fold_like_every_round(sc)
+        alg4 = [rec for rec in trace if rec.comp == "alg4"]
+        assert [(rec.event, rec.data["region"], rec.data["round"]) for rec in alg4] == [
+            ("region_dead", 1, 2), ("round", 1, 5)]
+        assert alg4[1].data["removed"] == alg4[1].data["promoted"] == []
+        assert not alg4[1].data["degraded"]
+        assert report.recovery_samples == [(1, 4)]
+        assert report.unrestored_regions == []
 
 
 class TestRunRecords:
