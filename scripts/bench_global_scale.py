@@ -3,15 +3,16 @@
 Usage, from the repository root:
 
     python3 scripts/bench_global_scale.py --parent DIR --change DIR
-        [--sizes 10000,100000,1000000] [--out BENCH.json] [--work DIR]
+        [--sizes 10000,100000,1000000] [--horizon 10] [--out BENCH.json]
+        [--work DIR]
 
 DIR is the root of a checkout; its ``src`` goes first on PYTHONPATH.  For
 each size the script writes one hierarchical scenario, a single global
 command over 10 workers per cluster, 10 clusters per region, 10 regions per
 hub and 10 hubs per domain, with ``size / 10,000`` domains (an apex above
-them from 20k workers on), horizon 10 and the default maintenance round
-period.  Then it runs ``virtree run`` on it once from each checkout, parent
-first, one process at a time.
+them from 20k workers on), horizon ``--horizon`` (default 10) and the
+default maintenance round period of 1.  Then it runs ``virtree run`` on it
+once from each checkout, parent first, one process at a time.
 
 Per run it records wall time from process start to exit, peak RSS, the
 sha256 of ``trace.jsonl`` and ``metrics.json``, and the sha256 of the report
@@ -41,7 +42,7 @@ SHAPE = {"num_layers": 5, "workers_per_cluster": 10, "clusters_per_region": 10,
 WORKERS_PER_DOMAIN = 10_000
 
 
-def scenario(workers: int) -> dict:
+def scenario(workers: int, horizon: float) -> dict:
     if workers % WORKERS_PER_DOMAIN:
         raise SystemExit(f"size {workers} is not a multiple of {WORKERS_PER_DOMAIN}")
     return {
@@ -49,7 +50,7 @@ def scenario(workers: int) -> dict:
         "strategy": "hierarchical",
         "commands": [{"time": 0.5, "origin": 0, "scope": {"kind": "global"}}],
         "seed": 8,
-        "horizon": 10.0,
+        "horizon": horizon,
     }
 
 
@@ -105,6 +106,8 @@ def main(argv=None) -> int:
     ap.add_argument("--change", required=True, help="root of the changed checkout")
     ap.add_argument("--sizes", default="10000,100000,1000000",
                     help="comma-separated worker counts, multiples of 10000")
+    ap.add_argument("--horizon", type=float, default=10.0,
+                    help="simulated horizon of each run (one maintenance round per second)")
     ap.add_argument("--out", default="BENCH.json", help="result file")
     ap.add_argument("--work", default=".bench_global_scale",
                     help="scratch directory for scenarios and run outputs")
@@ -115,7 +118,7 @@ def main(argv=None) -> int:
     for workers in (int(x) for x in args.sizes.split(",")):
         path = os.path.join(args.work, f"global_{workers}.json")
         with open(path, "w", encoding="utf-8") as fh:
-            json.dump(scenario(workers), fh, indent=2)
+            json.dump(scenario(workers, args.horizon), fh, indent=2)
         row = {}
         for label, checkout in (("parent", args.parent), ("change", args.change)):
             row[label] = run_once(checkout, path, os.path.join(args.work, f"{label}_{workers}"))
@@ -127,16 +130,16 @@ def main(argv=None) -> int:
         sizes[str(workers)] = row
 
     result = {
-        "what": "one global command, hierarchical strategy, horizon 10: `virtree run` "
-                "wall time and peak RSS, one run per checkout and size",
+        "what": f"one global command, hierarchical strategy, horizon {args.horizon:g}: "
+                "`virtree run` wall time and peak RSS, one run per checkout and size",
         "command": "python3 scripts/bench_global_scale.py --parent PARENT --change CHANGE "
-                   f"--sizes {args.sizes}",
+                   f"--sizes {args.sizes} --horizon {args.horizon:g}",
         "machine": {"cpu": cpu_model(), "cpus": os.cpu_count(),
                     "usable_cpus": len(os.sched_getaffinity(0))
                     if hasattr(os, "sched_getaffinity") else None,
                     "python": platform.python_version(), "system": platform.system()},
         "scenario": {**SHAPE, "domains": "workers / 10000", "command": "global, origin 0",
-                     "horizon": 10.0, "round_period": 1.0},
+                     "horizon": args.horizon, "round_period": 1.0},
         "sizes": sizes,
     }
     with open(args.out, "w", encoding="utf-8") as fh:

@@ -81,6 +81,8 @@ class _Kernel:
         self.wexec: set[tuple[int, tuple]] = set()
         # regions whose last maintenance round found no alive coordinator
         self.dead_regions: set[int] = set()
+        # regions the next maintenance round visits (handle_maintenance)
+        self.unsettled: set[int] = set(self.coords)
         self.relayed: set[tuple[int, tuple]] = set()
         self.parked: list[dict] = []
         self.jam: dict[str, float] = {}
@@ -147,8 +149,9 @@ class _Kernel:
             return
         self.topo.mark_dead(w)
         c = self.topo.cluster_of(w)
-        self.emit("kernel", "failure", worker=w, cluster=c,
-                  region=self.topo.region_of_worker(w))
+        r = self.topo.region_of_worker(w)
+        self.unsettled.add(r)
+        self.emit("kernel", "failure", worker=w, cluster=c, region=r)
         state = self.leader_states.get(c)
         if state is not None and self.topo.roles[LAYER_LEADER].get(c) == w:
             # queued broadcast events discover the cleared map and cancel
@@ -351,35 +354,50 @@ class _Kernel:
         self.send(("node", dst), m, src, "tree")
 
     def handle_maintenance(self, rnd: int):
-        """One round in every region.  A round is written when it changed the
-        roster or left it degraded, and when it is the region's first since it
-        went dead, which may close a breach though it changes nothing;
-        ``region_dead`` is written once a region goes dead.  Every other round
-        is counted only, in ``alg4_rounds_skipped``."""
-        dead = self.dead_regions
-        for r, cs in self.coords.items():  # ascending: built from the region range
+        """One maintenance round in every region.  A round is written when it
+        changed the roster or left it degraded, and when it is the region's
+        first since it went dead, which may close a breach though it changes
+        nothing; ``region_dead`` is written once a region goes dead.  Every
+        other round is counted only, in ``alg4_rounds_skipped``.
+
+        Only the unsettled regions are visited, in ascending order: those
+        where a worker died since their last round, those whose roster is
+        below T_min, and those that are dead.  Any other region's roster is
+        alive coordinators at or above T_min, and ``monitor_round`` on it
+        would only rebuild an equal roster, so its round is quiet and is
+        counted without a visit.  A revive needs no visit of its own: it
+        matters only to a region that is dead or below T_min, which stays
+        unsettled until a round finds it settled."""
+        dead, unsettled = self.dead_regions, self.unsettled
+        skipped = len(self.coords) - len(unsettled)
+        for r in sorted(unsettled):
+            cs = self.coords[r]
             try:
                 out = monitor_round(cs, self.topo, load_of=self._load_of,
                                     eager_refill=self.sc.eager_refill,
                                     single_promotion=self.sc.single_promotion)
             except RegionDead:
                 if r in dead:
-                    self.bump("alg4_rounds_skipped")
+                    skipped += 1
                 else:
                     dead.add(r)
                     self.emit("alg4", "region_dead", region=r, src_region=r,
                               dst_region=r, round=rnd, t_min=cs.t_min)
                 continue
+            if len(cs.active) >= cs.t_min:
+                unsettled.discard(r)
             if r in dead:
                 dead.remove(r)
             elif not (out.removed or out.promoted or out.degraded):
-                self.bump("alg4_rounds_skipped")
+                skipped += 1
                 continue
             self.emit("alg4", "round", region=r, src_region=r, dst_region=r,
                       round=rnd, removed=out.removed, promoted=out.promoted,
                       size_before=out.size_before, size_after=out.size_after,
                       alive_before=out.alive_before, degraded=out.degraded,
                       t_min=cs.t_min)
+        if skipped:  # a bump of 0 would add the key to the conservation output
+            self.bump("alg4_rounds_skipped", skipped)
 
     def _load_of(self, w: int) -> int:
         c = self.topo.cluster_of(w)
@@ -461,6 +479,9 @@ class _Kernel:
                 self.bump("deliveries_inflight")
             elif handler == broadcast:
                 self.bump("broadcasts_pending")
+        # each entry holds a bound method of the kernel: left queued, they
+        # would keep the kernel alive until a full garbage collection
+        self.heap.clear()
         self.bump("parked_pending", len(self.parked))
 
         g = self.counters.get

@@ -1,6 +1,5 @@
 import bisect
 import errno
-import gc
 import hashlib
 import itertools
 import json
@@ -342,9 +341,6 @@ class TestCliSweep:
         tracemalloc.start()
         try:
             run(sc)
-            # events still queued at the horizon tie the kernel, and the
-            # trace it returned, into a reference cycle
-            gc.collect()
             run_peak = tracemalloc.get_traced_memory()[1]
             tracemalloc.reset_peak()
             assert main(["sweep", "--scenario", str(path), "--param", "strategy",

@@ -1,4 +1,6 @@
+import gc
 import random
+import weakref
 
 import pytest
 from hypothesis import given, settings
@@ -310,10 +312,20 @@ def maintenance_runs(draw):
     return cfg, failures
 
 
+class EveryRegionKernel(_Kernel):
+    """The reference kernel: every maintenance round visits every region."""
+
+    def handle_maintenance(self, rnd):
+        self.unsettled.update(self.coords)
+        super().handle_maintenance(rnd)
+
+
 def assert_alg4_records_fold_like_every_round(sc):
-    """Run sc, recording the outcome of every region's every round, RegionDead
-    included, and fold those outcomes as if each round were written.  The
-    report, folded from the rounds the trace keeps, must agree."""
+    """Run sc on the reference kernel, recording the outcome of every region's
+    every round, RegionDead included, and fold those outcomes as if each
+    round were written.  The report, folded from the rounds the trace keeps,
+    must agree, and the kernel, which visits only unsettled regions, must
+    write the same trace and report."""
     outcomes = []  # (region, round, RoundOutcome or None when dead, t_min)
     rounds = {}
 
@@ -329,7 +341,7 @@ def assert_alg4_records_fold_like_every_round(sc):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(simkernel, "monitor_round", recording)
-        trace, report = run(sc)
+        trace, report = EveryRegionKernel(sc).run()
     breaches, samples, last = {}, [], {}
     for region, rnd, out, t_min in outcomes:
         if out is None or out.alive_before < t_min:
@@ -345,12 +357,41 @@ def assert_alg4_records_fold_like_every_round(sc):
     assert report.live_region_fraction == live / sc.config.n_regions
     written = sum(1 for rec in trace if rec.comp == "alg4")
     assert written + report.conservation.get("alg4_rounds_skipped", 0) == len(outcomes)
+    assert_same_run(run(sc), (trace, report))
     return trace, report
 
 
+def assert_same_run(a, b):
+    """Two (trace, report) results: the same trace bytes and the same whole
+    report, conservation keys included."""
+    assert dump_trace(a[0]) == dump_trace(b[0])
+    assert a[1].to_json_obj() == b[1].to_json_obj()
+
+
+def visited_rounds(sc):
+    """Run sc on the kernel and check it against the reference kernel;
+    returns the (region, round) of every ``monitor_round`` call, the trace and
+    the report."""
+    visits = []
+    kernel = _Kernel(sc)
+
+    def recording(cs, topo, **kw):
+        visits.append((cs.region, round(kernel.now / sc.round_period)))
+        return monitor_round(cs, topo, **kw)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(simkernel, "monitor_round", recording)
+        trace, report = kernel.run()
+    assert_same_run((trace, report), EveryRegionKernel(sc).run())
+    return visits, trace, report
+
+
+# (eager_refill, single_promotion)
+SETTINGS = [(False, False), (True, False), (False, True), (True, True)]
+
+
 class TestMaintenanceRecords:
-    @pytest.mark.parametrize("eager_refill, single_promotion",
-                             [(False, False), (True, False), (False, True), (True, True)])
+    @pytest.mark.parametrize("eager_refill, single_promotion", SETTINGS)
     @settings(max_examples=60, deadline=None)
     @given(maintenance_runs())
     def test_written_rounds_fold_like_every_round(self, eager_refill, single_promotion, shape):
@@ -378,6 +419,92 @@ class TestMaintenanceRecords:
         assert report.unrestored_regions == []
 
 
+class TestUnsettledRegions:
+    """Maintenance visits only unsettled regions; each run here must equal
+    the reference kernel's, which visits every region in every round."""
+
+    @pytest.mark.parametrize("eager_refill, single_promotion", SETTINGS)
+    @settings(max_examples=40, deadline=None)
+    @given(maintenance_runs(), st.lists(st.tuples(st.integers(0, 36), st.integers(0, 99)),
+                                        max_size=4))
+    def test_same_run_with_commands_in_flight(self, eager_refill, single_promotion,
+                                              shape, commands):
+        # adjacent commands with slow broadcasts keep leaders loaded, which a
+        # promotion's candidate metric reads
+        cfg, failures = shape
+        sc = Scenario(config=cfg, seed=7, horizon=10.0, failures=failures,
+                      delay=DelayParams(alpha=3.0, beta=1.0, epsilon=0.5),
+                      commands=[CommandSpec(time=t / 4, origin=c % cfg.n_clusters,
+                                            scope=("global",)) for t, c in commands],
+                      eager_refill=eager_refill, single_promotion=single_promotion)
+        validate_scenario(sc)
+        visited_rounds(sc)
+
+    def test_failure_free_run_visits_each_region_once(self):
+        cfg = HierarchyConfig(2, 2, 3, 2, coordinator_k=3, t_min=2)  # 6 regions
+        visits, _, report = visited_rounds(Scenario(config=cfg, seed=3, horizon=8.0))
+        assert visits == [(r, 1) for r in range(cfg.n_regions)]
+        assert report.conservation["alg4_rounds_skipped"] == 8 * cfg.n_regions
+
+    def test_kill_of_a_non_coordinator_is_a_quiet_visit(self):
+        # worker 3 of region 0 (coordinators 0-2) dies before round 2
+        visits, trace, report = visited_rounds(scenario(
+            horizon=3.0, failures=[FailureSpec(time=1.5, kind="worker", action="kill",
+                                               worker=3)]))
+        assert visits == [(0, 1), (1, 1), (0, 2)]
+        assert not any(rec.comp == "alg4" for rec in trace)
+        assert report.conservation["alg4_rounds_skipped"] == 3 * 2
+
+    def test_region_below_t_min_without_candidates_degrades_every_round(self):
+        # region 0 is workers 0 and 1, both coordinators, with T_min 2: once
+        # worker 1 dies no candidate is left
+        cfg = HierarchyConfig(2, 1, 2, coordinator_k=2, t_min=2)
+        visits, trace, report = visited_rounds(Scenario(
+            config=cfg, seed=3, horizon=4.0,
+            failures=[FailureSpec(time=0.5, kind="worker", action="kill", worker=1)]))
+        assert visits == [(0, 1), (1, 1), (0, 2), (0, 3), (0, 4)]
+        rounds = [(rec.data["region"], rec.data["round"], rec.data["degraded"])
+                  for rec in trace if rec.comp == "alg4"]
+        assert rounds == [(0, rnd, True) for rnd in range(1, 5)]
+        assert report.conservation["alg4_rounds_skipped"] == 4 * 2 - 4
+        assert report.unrestored_regions == [0]
+
+    def test_single_promotion_refills_over_several_rounds(self):
+        # one region of six workers, coordinators 0-2 and T_min 3; two of
+        # them die, and one promotion a round takes two rounds to refill
+        cfg = HierarchyConfig(3, 2, 1, coordinator_k=3, t_min=3)
+        visits, trace, report = visited_rounds(Scenario(
+            config=cfg, seed=3, horizon=5.0, single_promotion=True,
+            failures=[FailureSpec(time=0.5, kind="worker", action="kill", worker=w)
+                      for w in (0, 1)]))
+        assert visits == [(0, 1), (0, 2)]
+        rounds = [(rec.data["round"], len(rec.data["promoted"]), rec.data["size_after"],
+                   rec.data["degraded"]) for rec in trace if rec.comp == "alg4"]
+        assert rounds == [(1, 1, 2, True), (2, 1, 3, False)]
+        assert report.conservation["alg4_rounds_skipped"] == 3
+        assert report.recovery_samples == [(0, 2)]
+
+    def test_coordinator_killed_and_revived_between_rounds(self):
+        # coordinator 0 dies and is back before round 2 looks: a quiet visit
+        visits, trace, report = visited_rounds(scenario(
+            horizon=3.0,
+            failures=[FailureSpec(time=1.2, kind="worker", action="kill", worker=0),
+                      FailureSpec(time=1.6, kind="worker", action="revive", worker=0)]))
+        assert visits == [(0, 1), (1, 1), (0, 2)]
+        assert not any(rec.comp == "alg4" for rec in trace)
+        assert report.conservation["alg4_rounds_skipped"] == 3 * 2
+
+    def test_no_quiet_round_leaves_the_skip_count_out(self):
+        # a single region degraded from round 1 on: every round is written
+        cfg = HierarchyConfig(2, 1, 1, coordinator_k=2, t_min=2)
+        visits, trace, report = visited_rounds(Scenario(
+            config=cfg, seed=3, horizon=3.0,
+            failures=[FailureSpec(time=0.5, kind="worker", action="kill", worker=1)]))
+        assert visits == [(0, 1), (0, 2), (0, 3)]
+        assert sum(rec.comp == "alg4" for rec in trace) == 3
+        assert "alg4_rounds_skipped" not in report.conservation
+
+
 class TestRunRecords:
     def test_run_start_and_end_shape(self):
         sc = scenario(horizon=2.0)
@@ -390,6 +517,25 @@ class TestRunRecords:
         assert last.data["conserved"] is True
         assert last.data["live_region_fraction"] == 1.0
         assert report.conservation == last.data["conservation"]
+
+    def test_kernel_dies_with_its_last_reference(self):
+        # a flood cut off by the horizon leaves deliveries and a broadcast
+        # queued; the kernel must go without a garbage collection
+        sc = scenario(config=CFG_1R, horizon=1.1, delay=NO_JITTER,
+                      commands=[CommandSpec(time=0.0, origin=0, scope=("global",)),
+                                CommandSpec(time=0.5, origin=0, scope=("cluster", 1))])
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            kernel = _Kernel(sc)
+            _, report = kernel.run()
+            assert report.conservation["deliveries_inflight"] >= 1
+            ref = weakref.ref(kernel)
+            del kernel
+            assert ref() is None
+        finally:
+            if was_enabled:
+                gc.enable()
 
     @staticmethod
     def lose_completions(monkeypatch):
