@@ -3,16 +3,21 @@
 Usage, from the repository root:
 
     python3 scripts/bench_global_scale.py --parent DIR --change DIR
-        [--sizes 10000,100000,1000000] [--horizon 10] [--out BENCH.json]
-        [--work DIR]
+        [--strategy hierarchical|adjacent] [--sizes 10000,100000,1000000]
+        [--horizon 10] [--out BENCH.json] [--work DIR]
 
 DIR is the root of a checkout; its ``src`` goes first on PYTHONPATH.  For
-each size the script writes one hierarchical scenario, a single global
-command over 10 workers per cluster, 10 clusters per region, 10 regions per
-hub and 10 hubs per domain, with ``size / 10,000`` domains (an apex above
-them from 20k workers on), horizon ``--horizon`` (default 10) and the
-default maintenance round period of 1.  Then it runs ``virtree run`` on it
-once from each checkout, parent first, one process at a time.
+each size the script writes one scenario, a single global command from
+cluster 0, with horizon ``--horizon`` (default 10) and the default
+maintenance round period of 1.  Then it runs ``virtree run`` on it once from
+each checkout, parent first, one process at a time.  The shape depends on
+``--strategy``:
+
+* ``hierarchical`` (the default): 10 workers per cluster, 10 clusters per
+  region, 10 regions per hub and 10 hubs per domain, with ``size / 10,000``
+  domains (an apex above them from 20k workers on);
+* ``adjacent``: one hub of ``size / 100`` regions on the default grid
+  adjacency, each region 10 clusters of 10 workers.
 
 Per run it records wall time from process start to exit, peak RSS, the
 sha256 of ``trace.jsonl`` and ``metrics.json``, and the sha256 of the report
@@ -37,17 +42,22 @@ import subprocess
 import sys
 import time
 
-SHAPE = {"num_layers": 5, "workers_per_cluster": 10, "clusters_per_region": 10,
-         "regions_per_hub": 10, "hubs_per_domain": 10}
-WORKERS_PER_DOMAIN = 10_000
+# strategy -> (fixed topology keys, workers per unit, the key counting units)
+SHAPES = {
+    "hierarchical": ({"num_layers": 5, "workers_per_cluster": 10, "clusters_per_region": 10,
+                      "regions_per_hub": 10, "hubs_per_domain": 10}, 10_000, "domains"),
+    "adjacent": ({"num_layers": 5, "workers_per_cluster": 10, "clusters_per_region": 10,
+                  "hubs_per_domain": 1, "domains": 1}, 100, "regions_per_hub"),
+}
 
 
-def scenario(workers: int, horizon: float) -> dict:
-    if workers % WORKERS_PER_DOMAIN:
-        raise SystemExit(f"size {workers} is not a multiple of {WORKERS_PER_DOMAIN}")
+def scenario(strategy: str, workers: int, horizon: float) -> dict:
+    shape, per_unit, unit = SHAPES[strategy]
+    if workers % per_unit:
+        raise SystemExit(f"{strategy}: size {workers} is not a multiple of {per_unit}")
     return {
-        "topology": {**SHAPE, "domains": workers // WORKERS_PER_DOMAIN},
-        "strategy": "hierarchical",
+        "topology": {**shape, unit: workers // per_unit},
+        "strategy": strategy,
         "commands": [{"time": 0.5, "origin": 0, "scope": {"kind": "global"}}],
         "seed": 8,
         "horizon": horizon,
@@ -104,8 +114,11 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--parent", required=True, help="root of the parent checkout")
     ap.add_argument("--change", required=True, help="root of the changed checkout")
+    ap.add_argument("--strategy", choices=sorted(SHAPES), default="hierarchical",
+                    help="dissemination strategy, which also picks the shape")
     ap.add_argument("--sizes", default="10000,100000,1000000",
-                    help="comma-separated worker counts, multiples of 10000")
+                    help="comma-separated worker counts, multiples of 10000 "
+                         "(hierarchical) or 100 (adjacent)")
     ap.add_argument("--horizon", type=float, default=10.0,
                     help="simulated horizon of each run (one maintenance round per second)")
     ap.add_argument("--out", default="BENCH.json", help="result file")
@@ -116,9 +129,9 @@ def main(argv=None) -> int:
     os.makedirs(args.work, exist_ok=True)
     sizes = {}
     for workers in (int(x) for x in args.sizes.split(",")):
-        path = os.path.join(args.work, f"global_{workers}.json")
+        path = os.path.join(args.work, f"global_{args.strategy}_{workers}.json")
         with open(path, "w", encoding="utf-8") as fh:
-            json.dump(scenario(workers, args.horizon), fh, indent=2)
+            json.dump(scenario(args.strategy, workers, args.horizon), fh, indent=2)
         row = {}
         for label, checkout in (("parent", args.parent), ("change", args.change)):
             row[label] = run_once(checkout, path, os.path.join(args.work, f"{label}_{workers}"))
@@ -129,16 +142,18 @@ def main(argv=None) -> int:
         row["change_over_parent_wall"] = round(row["change"]["wall_s"] / row["parent"]["wall_s"], 3)
         sizes[str(workers)] = row
 
+    shape, per_unit, unit = SHAPES[args.strategy]
     result = {
-        "what": f"one global command, hierarchical strategy, horizon {args.horizon:g}: "
+        "what": f"one global command, {args.strategy} strategy, horizon {args.horizon:g}: "
                 "`virtree run` wall time and peak RSS, one run per checkout and size",
         "command": "python3 scripts/bench_global_scale.py --parent PARENT --change CHANGE "
-                   f"--sizes {args.sizes} --horizon {args.horizon:g}",
+                   f"--strategy {args.strategy} --sizes {args.sizes} "
+                   f"--horizon {args.horizon:g}",
         "machine": {"cpu": cpu_model(), "cpus": os.cpu_count(),
                     "usable_cpus": len(os.sched_getaffinity(0))
                     if hasattr(os, "sched_getaffinity") else None,
                     "python": platform.python_version(), "system": platform.system()},
-        "scenario": {**SHAPE, "domains": "workers / 10000", "command": "global, origin 0",
+        "scenario": {**shape, unit: f"workers / {per_unit}", "command": "global, origin 0",
                      "horizon": args.horizon, "round_period": 1.0},
         "sizes": sizes,
     }

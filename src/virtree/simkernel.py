@@ -19,6 +19,14 @@ loop runs ``handler(*args)``: a delivery, a leader's scheduled broadcast, a
 maintenance round, a failure or a revive.  A copy's sender is the sending
 worker id, the sending tree node, or None for an injected command.
 
+A worker delivery entry carries every copy of one send loop (a worker's
+relay or a leader's broadcast) that fires at one time: its dest is
+``("workers", ws)``, ws ascending, and the copies are delivered in that
+order.  Per-copy entries would have taken contiguous seqs among the events
+at that time, so the events run in the same order.  A report to a leader
+that can only end as the silent ``processed`` drop is accounted when it is
+sent and never queued (``_Kernel.report_dropped``).
+
 The kernel hands the trace over in batches of about TRACE_BATCH records, cut
 between events, and folds each batch into the metrics report before handing
 it to the sink.  A run given a sink holds one batch at a time; a run without
@@ -29,6 +37,7 @@ from __future__ import annotations
 
 import heapq
 import random
+from bisect import bisect_left
 from collections import defaultdict
 from collections.abc import Callable
 
@@ -84,6 +93,17 @@ class _Kernel:
         # regions the next maintenance round visits (handle_maintenance)
         self.unsettled: set[int] = set(self.coords)
         self.relayed: set[tuple[int, tuple]] = set()
+        # (cluster, msg_id) -> fire time of the last report queued to it
+        self.report_due: dict[tuple[int, tuple], float] = {}
+        # fire time of the last report accounted as a drop without being
+        # queued: when it is the run's last event, run_end takes its time
+        self.dropped_until = 0.0
+        # fire time of every scheduled worker or region kill, ascending; only
+        # reports read it, and only the adjacent strategy sends them
+        self.kill_times = sorted(
+            quantize(f.time) for f in sc.failures
+            if f.kind == "region" or (f.kind, f.action) == ("worker", "kill")
+        ) if sc.strategy == "adjacent" else []
         self.parked: list[dict] = []
         self.jam: dict[str, float] = {}
         # link class -> latency: the scenario's values over the defaults
@@ -124,23 +144,70 @@ class _Kernel:
             state = self.leader_states[c] = adj.LeaderState(cluster_id=c)
         return state
 
-    def _worker_class(self, w_from: int, w_to: int) -> str:
-        if self.topo.cluster_of(w_from) == self.topo.cluster_of(w_to):
-            return "cluster"
-        if self.topo.region_of_worker(w_from) == self.topo.region_of_worker(w_to):
-            return "region"
-        return "adjacent"
+    def jammed(self, cls: str, m: Message, dest: tuple) -> bool:
+        """Whether a jammed link class eats this copy at send time."""
+        drop = self.jam.get(cls)
+        if not drop or self.rng("jam", cls).random() >= drop:
+            return False
+        self.bump("deliveries_dropped_jam")
+        self.emit("kernel", "drop_jam", link_class=cls,
+                  msg_id=msg_id_str(m.msg_id), dest=str(dest))
+        return True
 
     def send(self, dest: tuple, m: Message, sender, cls: str):
-        """Enqueue one delivery; jammed link classes may eat it at send time."""
-        if self.jam.get(cls, 0.0) > 0.0:
-            if self.rng("jam", cls).random() < self.jam[cls]:
-                self.bump("deliveries_dropped_jam")
-                self.emit("kernel", "drop_jam", link_class=cls,
-                          msg_id=msg_id_str(m.msg_id), dest=str(dest))
-                return
+        """Enqueue one delivery to a leader or a tree node, unless the link
+        eats it or it is a report ``report_dropped`` accounts for."""
+        if self.jammed(cls, m, dest):
+            return
         self.bump("deliveries_enqueued")
-        self.push(self.now + self.latency[cls], self.handle_delivery, (dest, m, sender, False))
+        fire = quantize(self.now + self.latency[cls])
+        if dest[0] == "leader":
+            key = (dest[1], m.msg_id)
+            if self.report_dropped(key, fire):
+                return
+            self.report_due[key] = fire
+        self.push(fire, self.handle_delivery, (dest, m, sender, False))
+
+    def report_dropped(self, key: tuple[int, tuple], fire: float) -> bool:
+        """Account a report to (cluster, msg_id) due at fire, unqueued, when
+        its delivery can only be the silent ``processed`` drop.
+
+        The reporter is an alive worker of the cluster, so the cluster's
+        leader is alive now: a kill re-elects the lowest alive worker and a
+        revive fills a vacancy.  With no kill scheduled in [now, fire], that
+        leader keeps its role and stays alive until fire.  It drops the
+        report if it has processed the message, or if an earlier queued report
+        to it, due after now and so before this one, will make it do so."""
+        c, msg_id = key
+        state = self.leader_states.get(c)
+        if not (state is not None and msg_id in state.processed_msgs
+                or self.report_due.get(key, self.now) > self.now):
+            return False
+        kills = self.kill_times
+        i = bisect_left(kills, self.now)
+        if i < len(kills) and kills[i] <= fire:
+            return False
+        if fire > self.sc.horizon:
+            self.bump("deliveries_inflight")
+        else:
+            self.bump("deliveries_completed")
+            self.bump("alg2_drops")
+            self.dropped_until = max(self.dropped_until, fire)
+        return True
+
+    def fan_out(self, copies, m: Message, sender):
+        """Enqueue a copy of m to each (worker, link class) of copies: one
+        delivery entry per fire time, its workers in the order given.  Jam
+        draws stay per copy, in that order."""
+        fire_of = {cls: quantize(self.now + lat) for cls, lat in self.latency.items()}
+        groups: dict[float, list[int]] = {}
+        jam = self.jam
+        for w, cls in copies:
+            if not (jam and self.jammed(cls, m, ("worker", w))):
+                groups.setdefault(fire_of[cls], []).append(w)
+        for fire, ws in groups.items():
+            self.bump("deliveries_enqueued", len(ws))
+            self.push(fire, self.handle_delivery, (("workers", ws), m, sender, False))
 
     # -- failure / recovery -----------------------------------------------
 
@@ -217,8 +284,9 @@ class _Kernel:
                       origin=m.msg_id[0], goals_total=len(m.goal_cluster_ids),
                       targets_total=len(m.target_worker_ids))
         kind = dest[0]
-        if kind == "worker":
-            self.deliver_worker(dest[1], m, sender)
+        if kind == "workers":
+            for w in dest[1]:
+                self.deliver_worker(w, m, sender)
         elif kind == "leader":
             self.deliver_leader(dest[1], m)
         else:
@@ -247,8 +315,11 @@ class _Kernel:
                 peers = adj.reachable_workers(w, self.topo)
                 self.emit("alg1", "relay", worker=w, msg_id=mid,
                           fanout=len(peers), hop=m.hop_count)
-                for peer in peers:
-                    self.send(("worker", peer), m, w, self._worker_class(w, peer))
+                cluster = self.topo.workers_in_cluster(self.topo.cluster_of(w))
+                region = self.topo.workers_in_region(self.topo.region_of_worker(w))
+                self.fan_out([(p, "cluster" if p in cluster else
+                               "region" if p in region else "adjacent") for p in peers],
+                             m, w)
 
     def apply_execution(self, w: int, m: Message, comp: str):
         """A targeted execution, idempotent per (worker, msg): duplicates
@@ -314,9 +385,8 @@ class _Kernel:
         mb = adj.worker_broadcast(state, m)
         self.bump("broadcasts_fired")
         self.emit("alg2", "broadcast", cluster=c, msg_id=mid, hop=mb.hop_count)
-        for w in self.topo.workers_in_cluster(c):
-            if self.topo.is_alive(w):
-                self.send(("worker", w), mb, leader, "cluster")
+        self.fan_out([(w, "cluster") for w in self.topo.workers_in_cluster(c)
+                      if self.topo.is_alive(w)], mb, leader)
 
     def deliver_node(self, node: tuple, m: Message, from_node: tuple | None):
         holder = self.links.holder(node)
@@ -474,9 +544,10 @@ class _Kernel:
 
         # == and not `is`: every attribute access makes a new bound method
         delivery, broadcast = self.handle_delivery, self.handle_broadcast
-        for _fire, _seq, handler, _args in self.heap:
+        for _fire, _seq, handler, args in self.heap:
             if handler == delivery:
-                self.bump("deliveries_inflight")
+                dest = args[0]
+                self.bump("deliveries_inflight", len(dest[1]) if dest[0] == "workers" else 1)
             elif handler == broadcast:
                 self.bump("broadcasts_pending")
         # each entry holds a bound method of the kernel: left queued, they
@@ -495,6 +566,7 @@ class _Kernel:
             + g("parked_failed", 0) + g("parked_pending", 0)
         )
         live = sum(1 for r, cs in self.coords.items() if region_live(cs, self.topo))
+        self.now = max(self.now, self.dropped_until)
         self.emit("kernel", "run_end",
                   live_region_fraction=live / len(self.coords),
                   conservation=dict(sorted(self.counters.items())),

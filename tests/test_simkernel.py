@@ -117,6 +117,7 @@ class TestBroadcastLifecycle:
         assert cons["broadcasts_pending"] == 1
         assert report.conserved
         assert cons == plain.conservation
+        assert_horizon_cut_counts_in_flight()
 
     def test_global_scope_floods_every_cluster(self):
         sc = scenario(delay=NO_JITTER, horizon=25.0,
@@ -668,6 +669,38 @@ class TestConservationFuzz:
             assert report.conserved, f"scenario {i} out of balance"
 
 
+class PerCopyKernel(_Kernel):
+    """The reference kernel: one delivery entry per copy, and every report
+    queued and delivered."""
+
+    def fan_out(self, copies, m, sender):
+        for copy in copies:
+            super().fan_out([copy], m, sender)
+
+    def report_dropped(self, key, fire):
+        return False
+
+
+class Recording(_Kernel):
+    """The kernel, recording each worker fan-out entry as (fire, workers,
+    sender) and each report it accounts without queuing as (now, fire)."""
+
+    def __init__(self, sc):
+        super().__init__(sc)
+        self.fanouts, self.unqueued = [], []
+
+    def push(self, fire, handler, args):
+        if handler == self.handle_delivery and args[0][0] == "workers":
+            self.fanouts.append((fire, args[0][1], args[2]))
+        super().push(fire, handler, args)
+
+    def report_dropped(self, key, fire):
+        taken = super().report_dropped(key, fire)
+        if taken:
+            self.unqueued.append((self.now, fire))
+        return taken
+
+
 class TestReachableCache:
     def test_relays_match_uncached_reachable_workers(self):
         # 6 regions of 6 workers on a 3x2 grid; a global command every 0.3 s
@@ -687,27 +720,177 @@ class TestReachableCache:
                       FailureSpec(time=3.55, kind="worker", action="kill", worker=7),
                       FailureSpec(time=4.05, kind="worker", action="revive", worker=14)])
         validate_scenario(sc)
-        sends = []   # (destination, sending worker) of every send, in order
-        relays = []  # (time, worker, fanout, uncached peers, index of first send)
+        relays = []  # (time, worker, fanout, uncached peers, index of its first entry)
 
-        class Checked(_Kernel):
+        class Checked(Recording):
             def emit(self, comp, event, **data):
                 super().emit(comp, event, **data)
                 if event == "relay":
                     w = data["worker"]
                     relays.append((self.now, w, data["fanout"],
-                                   reachable_workers(w, self.topo), len(sends)))
+                                   reachable_workers(w, self.topo), len(self.fanouts)))
 
-            def send(self, dest, m, sender, cls):
-                sends.append((dest, sender))
-                super().send(dest, m, sender, cls)
-
-        Checked(sc).run()
+        kernel = Checked(sc)
+        kernel.run()
         for _t, w, fanout, peers, start in relays:
             assert fanout == len(peers)
-            assert sends[start:start + fanout] == [(("worker", p), w) for p in peers]
+            # nothing is jammed: the relay's entries, one per link class
+            # here, hold every peer once, each entry ascending
+            sent, i = [], start
+            while len(sent) < fanout:
+                _fire, ws, sender = kernel.fanouts[i]
+                assert sender == w and ws == sorted(ws)
+                sent += ws
+                i += 1
+            assert i - start <= 3
+            assert sorted(sent) == peers
         # relays ran many times per region, and after every edit of the alive
         # set or the adjacency
         assert len(relays) > 3 * cfg.n_regions
         for spec in sc.failures:
             assert any(t > spec.time for t, *_ in relays)
+
+
+WORKER_CLASSES = ("cluster", "region", "adjacent")
+
+
+@st.composite
+def adjacent_runs(draw):
+    """An adjacent scenario on a small shape: commands, worker and region
+    kills, revives and jams of every worker link class, on a 0.1 grid that
+    fire times land on; latencies drawn with zeros and ties."""
+    wpc, cpr, rph = draw(st.integers(1, 3)), draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    cfg = HierarchyConfig(wpc, cpr, rph, coordinator_k=1, t_min=1)
+    grid = st.integers(0, 40).map(lambda i: i / 10)
+    latencies = {cls: draw(st.sampled_from([0.0, 0.1, 0.2, 0.5])) for cls in WORKER_CLASSES}
+    commands = []
+    for _ in range(draw(st.integers(1, 3))):
+        scope = draw(st.sampled_from([("global",), ("region", cfg.n_regions - 1),
+                                      ("cluster", cfg.n_clusters - 1)]))
+        targets = draw(st.frozensets(st.integers(0, cfg.n_workers - 1), max_size=2))
+        commands.append(CommandSpec(time=draw(grid), origin=draw(st.integers(
+            0, cfg.n_clusters - 1)), scope=scope, targets=targets))
+    failures = []
+    for _ in range(draw(st.integers(0, 8))):
+        kind = draw(st.sampled_from(["worker", "worker", "region", "link"]))
+        if kind == "worker":
+            failures.append(FailureSpec(time=draw(grid), kind="worker",
+                                        action=draw(st.sampled_from(["kill", "revive"])),
+                                        worker=draw(st.integers(0, cfg.n_workers - 1))))
+        elif kind == "region":
+            failures.append(FailureSpec(time=draw(grid), kind="region", action="kill",
+                                        region=draw(st.integers(0, cfg.n_regions - 1))))
+        else:
+            failures.append(FailureSpec(time=draw(grid), kind="link",
+                                        action=draw(st.sampled_from(["jam", "clear"])),
+                                        link_class=draw(st.sampled_from(WORKER_CLASSES)),
+                                        drop=draw(st.sampled_from([0.3, 0.7, 1.0]))))
+    delay = DelayParams(alpha=draw(st.sampled_from([0.0, 0.5, 1.0])),
+                        beta=draw(st.sampled_from([0.0, 0.1])),
+                        epsilon=draw(st.sampled_from([0.0, 0.05])))
+    return Scenario(config=cfg, seed=draw(st.integers(0, 99)), horizon=draw(grid) + 0.05,
+                    delay=delay, link_latencies=latencies, commands=commands,
+                    failures=failures)
+
+
+def assert_same_as_per_copy(sc):
+    """Run sc on the kernel and on the per-copy reference kernel: the same
+    trace bytes and the same whole report.  Returns the recording kernel,
+    its trace and its report."""
+    kernel = Recording(sc)
+    trace, report = kernel.run()
+    assert_same_run((trace, report), PerCopyKernel(sc).run())
+    return kernel, trace, report
+
+
+# 8 workers: cluster c is workers 2c and 2c + 1, region 0 is clusters 0 and 1.
+# Worker 0 leads cluster 0, and its broadcast of a global command injected
+# there at 0 fires at 1.0 and reaches workers 0 and 1 at 1.1; each relays,
+# and their copies reach cluster 1 at 1.3, whose workers report to their
+# leader for 1.4.  The first report is queued; at the second the queued one
+# is still due, so the later ones can only be dropped as processed.
+FLOOD = dict(config=CFG_2R, delay=NO_JITTER,
+             commands=[CommandSpec(time=0.0, origin=0, scope=("global",))])
+
+
+def assert_horizon_cut_counts_in_flight():
+    """FLOOD cut at 1.35: each copy of an unfired fan-out entry is in flight,
+    and so is each report accounted unqueued that is due past the horizon."""
+    kernel, _, report = assert_same_as_per_copy(scenario(**FLOOD, horizon=1.35))
+    assert kernel.unqueued == [(1.3, 1.4)] * 3
+    # the adjacent copies of workers 0 and 1, due at 1.6
+    assert [ws for fire, ws, _ in kernel.fanouts if fire > 1.35] == [[4, 5, 6, 7]] * 2
+    # the two cut entries, the queued report and the three unqueued ones
+    assert report.conservation["deliveries_inflight"] == 2 * 4 + 1 + 3
+    assert report.conserved
+
+
+def reports_dropped_dead(trace, cluster):
+    return [rec.time for rec in trace
+            if rec.event == "drop_dead" and rec.data.get("cluster") == cluster]
+
+
+class TestPerCopyReference:
+    """Fan-out entries and unqueued certain-drop reports change no output:
+    each run equals the reference kernel's, which queues every copy alone."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(adjacent_runs())
+    def test_generated_runs(self, sc):
+        validate_scenario(sc)
+        assert_same_as_per_copy(sc)
+
+    def test_reports_behind_a_queued_one_are_not_queued(self):
+        kernel, trace, report = assert_same_as_per_copy(scenario(**FLOOD))
+        assert kernel.unqueued[:3] == [(1.3, 1.4)] * 3
+        # worker 0's broadcast, then worker 0's relay, one entry per class
+        assert kernel.fanouts[:4] == [(1.1, [0, 1], 0), (1.2, [1], 0), (1.3, [2, 3], 0),
+                                      (1.6, [4, 5, 6, 7], 0)]
+        assert report.messages["0:0"].goals_executed == CFG_2R.n_clusters
+
+    def test_kill_at_a_reports_fire_time(self):
+        # cluster 1 dies at 1.4, before its four reports land then
+        kernel, trace, _ = assert_same_as_per_copy(scenario(**FLOOD, failures=[
+            FailureSpec(time=1.4, kind="worker", action="kill", worker=w) for w in (2, 3)]))
+        assert reports_dropped_dead(trace, 1) == [1.4] * 4
+        assert not any(now == 1.3 for now, _ in kernel.unqueued)
+
+    def test_last_worker_killed_with_reports_in_flight(self):
+        # worker 3 dies early; worker 2, the last one of cluster 1, dies
+        # while its two reports are in flight
+        _, trace, report = assert_same_as_per_copy(scenario(**FLOOD, failures=[
+            FailureSpec(time=0.2, kind="worker", action="kill", worker=3),
+            FailureSpec(time=1.35, kind="worker", action="kill", worker=2)]))
+        assert reports_dropped_dead(trace, 1) == [1.4, 1.4]
+        assert report.conservation["deliveries_dropped_dead"] >= 2
+
+    def test_revive_refills_a_vacant_leader_before_a_report_lands(self):
+        # worker 2, cluster 1's leader, reports twice at 1.3 and dies at
+        # 1.32; worker 3 revives at 1.35 and takes the vacant lead, and both
+        # reports land on it, the first one processed
+        _, trace, _ = assert_same_as_per_copy(scenario(**FLOOD, failures=[
+            FailureSpec(time=0.2, kind="worker", action="kill", worker=3),
+            FailureSpec(time=1.32, kind="worker", action="kill", worker=2),
+            FailureSpec(time=1.35, kind="worker", action="revive", worker=3)]))
+        roles = [(rec.time, rec.event, rec.data.get("new")) for rec in trace
+                 if rec.event in ("role_vacant", "role_reelect")
+                 and (rec.data["layer"], rec.data["scope"]) == (2, 1)]
+        assert roles == [(1.32, "role_vacant", None), (1.35, "role_reelect", 3)]
+        assert [rec.time for rec in trace if rec.event == "process"
+                and rec.data["cluster"] == 1] == [1.4]
+        assert reports_dropped_dead(trace, 1) == []
+
+    def test_run_end_at_an_unqueued_report_due_last(self):
+        # one worker a cluster, and the cluster link the slowest: the last
+        # event due before the horizon is a report the kernel does not
+        # queue, and run_end still takes its time
+        sc = Scenario(config=HierarchyConfig(1, 2, 2, coordinator_k=1, t_min=1), seed=0,
+                      horizon=1.15, delay=DelayParams(alpha=0.0, beta=0.0, epsilon=0.0),
+                      link_latencies={"cluster": 0.2, "region": 0.0, "adjacent": 0.1},
+                      commands=[CommandSpec(time=0.1, origin=0, scope=("global",))])
+        kernel, trace, _ = assert_same_as_per_copy(sc)
+        assert trace[-1].time == kernel.unqueued[-1][1] == 1.1
+        assert trace[-2].time < 1.1
+
+    def test_horizon_cuts_fan_outs_and_unqueued_reports(self):
+        assert_horizon_cut_counts_in_flight()
