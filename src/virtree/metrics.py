@@ -202,7 +202,9 @@ def build_report(records: list[TraceRecord], strategy: str,
     ``simkernel._Kernel.handle_maintenance``).  Containment counts
     maintenance records that touched a foreign region (contract: 0).
     Targeted executions are the ``execute_worker`` records, since trace
-    format 2 writes no other.
+    formats 2 and 3 write no other.  A message's max hop is the largest
+    ``hop`` of its records: format 3 writes no worker receive, whose hop
+    is that of the relay or broadcast record that sent the copy.
     """
     if report is None:
         report = MetricsReport(strategy=strategy)

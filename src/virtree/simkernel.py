@@ -27,6 +27,13 @@ at that time, so the events run in the same order.  A report to a leader
 that can only end as the silent ``processed`` drop is accounted when it is
 sent and never queued (``_Kernel.report_dropped``).
 
+Trace format 3 writes no record for a worker receive: ``run_end`` counts
+every alive worker delivery in ``alg1_receives`` and those whose sender sits
+in another region in ``alg1_cross_region_receives``, both present once any
+worker has received.  A copy's hop is on the relay or broadcast record that
+sent it, and a worker's relay and targeted execution name the copy's sender,
+``from_worker``.
+
 The kernel hands the trace over in batches of about TRACE_BATCH records, cut
 between events, and folds each batch into the metrics report before handing
 it to the sink.  A run given a sink holds one batch at a time; a run without
@@ -216,9 +223,8 @@ class _Kernel:
             return
         self.topo.mark_dead(w)
         c = self.topo.cluster_of(w)
-        r = self.topo.region_of_worker(w)
-        self.unsettled.add(r)
-        self.emit("kernel", "failure", worker=w, cluster=c, region=r)
+        self.unsettled.add(self.topo.region_of_worker(w))
+        self.emit("kernel", "failure", worker=w)
         state = self.leader_states.get(c)
         if state is not None and self.topo.roles[LAYER_LEADER].get(c) == w:
             # queued broadcast events discover the cleared map and cancel
@@ -298,11 +304,12 @@ class _Kernel:
             self.emit("kernel", "drop_dead", worker=w, msg_id=msg_id_str(m.msg_id))
             return
         self.bump("deliveries_completed")
-        mid = msg_id_str(m.msg_id)
-        self.emit("alg1", "receive", worker=w, from_worker=sender, msg_id=mid, hop=m.hop_count)
+        self.bump("alg1_receives")
+        region_of = self.topo.region_of_worker
+        self.bump("alg1_cross_region_receives", int(region_of(w) != region_of(sender)))
         for action in adj.worker_on_receive(w, m, self.topo):
             if isinstance(action, adj.ExecuteLocally):
-                self.apply_execution(w, m, comp="alg1")
+                self.apply_execution(w, m, comp="alg1", from_worker=sender)
             elif isinstance(action, adj.ReportToLeader):
                 self.bump("reports_sent")
                 self.send(("leader", action.cluster), m, w, "cluster")
@@ -313,24 +320,25 @@ class _Kernel:
                     continue
                 self.relayed.add(key)
                 peers = adj.reachable_workers(w, self.topo)
-                self.emit("alg1", "relay", worker=w, msg_id=mid,
-                          fanout=len(peers), hop=m.hop_count)
+                self.emit("alg1", "relay", worker=w, from_worker=sender,
+                          msg_id=msg_id_str(m.msg_id), fanout=len(peers), hop=m.hop_count)
                 cluster = self.topo.workers_in_cluster(self.topo.cluster_of(w))
-                region = self.topo.workers_in_region(self.topo.region_of_worker(w))
+                region = self.topo.workers_in_region(region_of(w))
                 self.fan_out([(p, "cluster" if p in cluster else
                                "region" if p in region else "adjacent") for p in peers],
                              m, w)
 
-    def apply_execution(self, w: int, m: Message, comp: str):
+    def apply_execution(self, w: int, m: Message, comp: str, **sender):
         """A targeted execution, idempotent per (worker, msg): duplicates
-        count but do not re-run."""
+        count but do not re-run.  alg1's record also names the worker that
+        handed w the copy, ``from_worker``."""
         key = (w, m.msg_id)
         if key in self.wexec:
             self.bump("duplicate_exec_suppressed")
             return
         self.wexec.add(key)
         self.emit(comp, "execute_worker", worker=w, msg_id=msg_id_str(m.msg_id),
-                  hop=m.hop_count)
+                  hop=m.hop_count, **sender)
 
     def deliver_leader(self, c: int, m: Message):
         leader = self.topo.roles[LAYER_LEADER].get(c)
@@ -356,8 +364,9 @@ class _Kernel:
 
     def emit_visit(self, comp: str, c: int, mid: str, decision):
         """The records of a leader receive, either strategy: none for a drop,
-        which is only counted; else a process record, the cluster's execution
-        with its targeted workers and, when the command ends there, stop."""
+        which is only counted; else a process record, then the cluster's
+        execution with its targeted workers.  A ``stop`` outcome writes
+        nothing more: no schedule or forward record follows, which says it."""
         if decision.outcome == "drop":
             self.bump(f"{comp}_drops")
             return
@@ -371,8 +380,6 @@ class _Kernel:
             if m2.target_worker_ids:
                 for w in decision.delivered_workers:
                     self.apply_execution(w, m2, comp=comp)
-        if decision.outcome == "stop":
-            self.emit(comp, "stop", cluster=c, msg_id=mid)
 
     def handle_broadcast(self, c: int, leader: int, m: Message):
         state = self.leader_states[c]  # made by the receive that scheduled this
@@ -524,7 +531,7 @@ class _Kernel:
 
     def run(self) -> tuple[list[TraceRecord], MetricsReport]:
         sc = self.sc
-        self.emit("kernel", "run_start", format=2, strategy=sc.strategy, seed=sc.seed,
+        self.emit("kernel", "run_start", format=3, strategy=sc.strategy, seed=sc.seed,
                   horizon=sc.horizon, workers=sc.config.n_workers,
                   clusters=sc.config.n_clusters, regions=sc.config.n_regions,
                   route_mode=sc.route_mode)

@@ -19,13 +19,7 @@ def two_domain_topo():
     return build_topology(cfg, seed=7)
 
 
-def region_crossings(trace) -> int:
-    """Worker receives whose sender sat in a different region.
-
-    Ids are row-major, so a worker's region is its id over the workers per
-    region, which the ``run_start`` record's shape gives.
-    """
-    start = trace[0].data
-    per_region = start["workers"] // start["regions"]
-    return sum(1 for rec in trace if rec.comp == "alg1" and rec.event == "receive"
-               and rec.data["worker"] // per_region != rec.data["from_worker"] // per_region)
+def region_crossings(report) -> int:
+    """Worker receives whose sender sat in a different region, as ``run_end``
+    counts them; the key is there once any worker has received."""
+    return report.conservation["alg1_cross_region_receives"]

@@ -242,8 +242,8 @@ def test_criterion_7_hop_and_transmission_bounds():
                 adjacency_override=[(i, i + 1) for i in range(rph - 1)],
                 commands=[CommandSpec(time=1.0, origin=0,
                                       scope=("region", rph - 1))])
-        trace, _ = run(sc)
-        crossings.append(region_crossings(trace))
+        _, report = run(sc)
+        crossings.append(region_crossings(report))
     assert crossings[0] < crossings[1] < crossings[2]
 
     # tree routing never transmits more than flooding on the same scenario
@@ -308,6 +308,29 @@ def test_criterion_7_tree_routing_work_is_per_branch_at_100k_workers(monkeypatch
     print(f"criterion 7: PASS - 100000-worker global command: {cfg.n_clusters} "
           f"clusters executed once each, max hop {pm.max_hop} <= 8, "
           f"{covers_calls} covers calls over {routes} interior routes", flush=True)
+
+
+def test_criterion_7_adjacent_records_grow_linearly_at_1k_workers():
+    # one global command flooding 1k workers in 10 regions on the default
+    # grid, horizon 60 (the adjacent shape of scripts/bench_global_scale.py):
+    # each worker receives hundreds of copies, and a receive is counted, not
+    # written, so the trace stays within 2 records a worker
+    cfg = HierarchyConfig(10, 10, 10, 1, domains=1)
+    assert cfg.n_workers == 1_000
+    t0 = time.monotonic()
+    commands = [CommandSpec(time=0.5, origin=0, scope=("global",))]
+    sc = mk(cfg, seed=8, horizon=60.0, round_period=1.0, commands=commands)
+    trace, report = run(sc)
+    elapsed = time.monotonic() - t0
+    pm = report.messages["0:0"]
+    assert report.conserved
+    assert pm.goals_executed == pm.goals_total == cfg.n_clusters
+    assert len(trace) <= 2 * cfg.n_workers
+    assert check_trace(trace, build_topology(cfg, seed=8), "adjacent", commands) == []
+    receives = report.conservation["alg1_receives"]
+    print(f"criterion 7: PASS - 1000-worker adjacent global command: "
+          f"{len(trace)} records <= 2 x workers for {receives} worker receives, "
+          f"oracle agrees; {elapsed:.1f}s", flush=True)
 
 
 def test_criterion_8_deferred_delay_is_alpha_times_distance():

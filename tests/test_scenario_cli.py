@@ -155,7 +155,7 @@ class TestCli:
                      "--out", str(out_dir)])
         assert code == 0
         trace = parse_trace((out_dir / "trace.jsonl").read_text())
-        assert (trace[0].event, trace[0].data["format"]) == ("run_start", 2)
+        assert (trace[0].event, trace[0].data["format"]) == ("run_start", 3)
         metrics = json.loads((out_dir / "metrics.json").read_text())
         assert metrics["conserved"] is True
         csv_text = (out_dir / "metrics.csv").read_text()
@@ -329,26 +329,27 @@ class TestCliSweep:
 
     def test_strategy_trial_keeps_no_trace(self, tmp_path):
         # a trial's report is folded batch by batch, so its peak memory stays
-        # well below that of a run that keeps its whole trace: about 21,000
+        # well below that of a run that keeps its whole trace: about 22,000
         # records, five batches
-        raw = dict(STREAM_SCENARIO, strategy="adjacent",
+        raw = dict(STREAM_SCENARIO, strategy="hierarchical",
                    commands=STREAM_SCENARIO["commands"]
-                   + [{"time": 14.0 + i, "origin": 3 * i, "scope": {"kind": "global"}}
-                      for i in range(4)])
+                   + [{"time": round(14.0 + 0.1 * i, 1), "origin": (3 * i) % 60,
+                       "scope": {"kind": "global"}} for i in range(100)])
         path = tmp_path / "flood.json"
         path.write_text(json.dumps(raw))
         sc = build_scenario(raw)
         tracemalloc.start()
         try:
-            run(sc)
+            records = len(run(sc)[0])
             run_peak = tracemalloc.get_traced_memory()[1]
             tracemalloc.reset_peak()
             assert main(["sweep", "--scenario", str(path), "--param", "strategy",
-                         "--values", "adjacent", "--trials", "1",
+                         "--values", "hierarchical", "--trials", "1",
                          "--out", str(tmp_path / "out")]) == 0
             sweep_peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+        assert records >= 5 * simkernel.TRACE_BATCH
         assert sweep_peak < run_peak / 2
 
     def test_regions_sweep_rescales_topology(self, tmp_path):
@@ -437,17 +438,17 @@ STREAM_SCENARIO = {
 }
 
 
-# sha256 of dump_trace(run(sc)[0]) for STREAM_SCENARIO, trace format 2;
+# sha256 of dump_trace(run(sc)[0]) for STREAM_SCENARIO, trace format 3;
 # perfbench's hashes do not cover the adjacent strategy under failures,
 # re-elections and jams
 STREAM_TRACE_SHA256 = {
-    "adjacent": "6b5f3dc296745457e18f402b42a0b2628cd30e449de5125db80815636384a410",
-    "hierarchical": "11e96eb9d04ef29371fa1c2c0607774c4786c5aea4d0e8049a583aea20b1c2c2",
+    "adjacent": "605e251274f16327a7c4c4257633acb975851125757e215fbbe204e9f1a0ec93",
+    "hierarchical": "3f3373b32012a7b342790bd6a22eb0b10e8fc5f8ae18ae2e0d9318a8f105ee48",
 }
 
 # sha256 of the sorted-key JSON of STREAM_SCENARIO's report without its
-# totals and conservation counters, recorded from trace format 1: format 2
-# writes fewer records and counts more, and changes nothing else
+# totals and conservation counters, recorded from trace format 1: formats 2
+# and 3 write fewer records and count more, and change nothing else
 STREAM_REPORT_SHA256 = {
     "adjacent": "bfe9acb28f818fae838ee463bc4103f5c48dee7e3be119d3789d3b51296d3dbe",
     "hierarchical": "7a8ecc578c02ac4efaf21c6c0eec7821eded2cdc71537195ffd3b4acee0180c2",

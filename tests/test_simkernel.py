@@ -11,6 +11,7 @@ from virtree import simkernel
 from virtree.adjacent import DelayParams, reachable_workers
 from virtree.coordinators import monitor_round
 from virtree.errors import ConservationError, RegionDead, ScenarioInvalid
+from virtree.messages import msg_id_str
 from virtree.metrics import dump_trace
 from virtree.scenario import CommandSpec, FailureSpec, Scenario, validate_scenario
 from virtree.simkernel import _Kernel, run
@@ -136,11 +137,17 @@ class TestJam:
             commands=[CommandSpec(time=0.5, origin=0, scope=("region", 1))],
             failures=[FailureSpec(time=0.0, kind="link", action="jam",
                                   link_class="adjacent", drop=1.0)])
-        trace, report = run(sc)
-        assert region_crossings(trace) == 0
+        _, report = run(sc)
+        # workers did receive, so the 0 is a count and not a missing key
+        assert report.conservation["alg1_receives"] > 0
+        assert "alg1_cross_region_receives" in report.conservation
+        assert region_crossings(report) == 0
         assert report.conservation["deliveries_dropped_jam"] >= 1
         assert report.messages["0:0"].goals_executed == 0
         assert report.conserved
+        # without the jam, the same command crosses
+        _, report = run(scenario(delay=NO_JITTER, commands=sc.commands))
+        assert region_crossings(report) > 0
 
     def test_cleared_jam_lets_later_traffic_cross(self):
         sc = scenario(
@@ -150,8 +157,8 @@ class TestJam:
                                   link_class="adjacent", drop=1.0),
                       FailureSpec(time=3.0, kind="link", action="clear",
                                   link_class="adjacent")])
-        trace, report = run(sc)
-        assert region_crossings(trace) > 0
+        _, report = run(sc)
+        assert region_crossings(report) > 0
         assert report.conservation["deliveries_dropped_jam"] >= 1
         assert report.messages["0:0"].goals_executed == 2
         assert report.conserved
@@ -894,3 +901,49 @@ class TestPerCopyReference:
 
     def test_horizon_cuts_fan_outs_and_unqueued_reports(self):
         assert_horizon_cut_counts_in_flight()
+
+
+class ReceiveRecordKernel(_Kernel):
+    """The reference kernel: also writes trace format 2's ``alg1.receive``
+    record for every alive worker delivery."""
+
+    def deliver_worker(self, w, m, sender):
+        if self.topo.is_alive(w):
+            self.emit("alg1", "receive", worker=w, from_worker=sender,
+                      msg_id=msg_id_str(m.msg_id), hop=m.hop_count)
+        super().deliver_worker(w, m, sender)
+
+
+def receive_crossings(trace):
+    """Receive records whose sender sat in a different region; ids are
+    row-major, so a worker's region is its id over the workers per region."""
+    start = trace[0].data
+    per_region = start["workers"] // start["regions"]
+    return sum(1 for rec in trace if (rec.comp, rec.event) == ("alg1", "receive")
+               and rec.data["worker"] // per_region != rec.data["from_worker"] // per_region)
+
+
+def without_seq(trace):
+    return [(rec.time, rec.comp, rec.event, rec.data) for rec in trace]
+
+
+class TestReceiveCounts:
+    """The run_end counters replace the receive records and the report does
+    not move: the same records otherwise, and the same max_hop."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(adjacent_runs())
+    def test_counters_match_receive_records(self, sc):
+        validate_scenario(sc)
+        trace, report = run(sc)
+        ref_trace, ref_report = ReceiveRecordKernel(sc).run()
+        receives = [rec for rec in ref_trace if (rec.comp, rec.event) == ("alg1", "receive")]
+        assert without_seq(trace) == without_seq(
+            rec for rec in ref_trace if (rec.comp, rec.event) != ("alg1", "receive"))
+        obj, ref = report.to_json_obj(), ref_report.to_json_obj()
+        assert ref["totals"].pop("alg1.receive", 0) == len(receives)
+        assert obj == ref  # totals and conservation included
+        cons = report.conservation
+        assert cons.get("alg1_receives", 0) == len(receives)
+        assert cons.get("alg1_cross_region_receives", 0) == receive_crossings(ref_trace)
+        assert ("alg1_receives" in cons) == ("alg1_cross_region_receives" in cons)
