@@ -29,7 +29,7 @@ from .topology import SCOPE_LAYERS, Topology, WorkerId, ClusterId
 class DelayParams:
     """Coefficients of the deferred-forwarding delay.
 
-    All must be >= 0, as ``scenario.validate_scenario`` checks.
+    All >= 0, with a finite largest delay, as ``scenario.validate_scenario`` checks.
     """
 
     alpha: float = 1.0

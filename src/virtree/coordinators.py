@@ -80,7 +80,6 @@ def select_replacements(cs: CoordinatorSet, topo: Topology, need: int,
 class RoundOutcome:
     removed: list[WorkerId]
     promoted: list[WorkerId]
-    size_before: int
     size_after: int
     alive_before: int
     degraded: bool
@@ -100,7 +99,6 @@ def monitor_round(cs: CoordinatorSet, topo: Topology, load_of=None,
     Promotion only edits the roster: virtual-role bindings are left exactly
     as they were.
     """
-    size_before = len(cs.active)
     alive = [w for w in cs.active if topo.is_alive(w)]
     alive_before = len(alive)
     if alive_before == 0:
@@ -123,7 +121,6 @@ def monitor_round(cs: CoordinatorSet, topo: Topology, load_of=None,
     return RoundOutcome(
         removed=removed,
         promoted=promoted,
-        size_before=size_before,
         size_after=len(cs.active),
         alive_before=alive_before,
         degraded=degraded,

@@ -23,8 +23,8 @@ from typing import NamedTuple
 # and leader broadcasts (adjacent strategy), tree forwards (hierarchical).
 TRANSMISSION_EVENTS = ("alg1.relay", "alg2.broadcast", "alg3.forward")
 
-# The settings of every trace line.
-_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+# The settings of every trace line; NaN and infinities are not JSON and raise.
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"), allow_nan=False)
 
 if c_make_encoder is None:  # not CPython: the same settings, in pure Python
     def _encode(obj: dict, _indent_level: int) -> tuple[str]:
@@ -111,7 +111,8 @@ class MetricsReport:
     # region -> maintenance round its still-open breach began in
     open_breaches: dict[int, int] = field(default_factory=dict)
     live_region_fraction: float | None = None
-    cross_region_maintenance: int = 0
+    cross_region_maintenance: int | None = None  # None until run_start gives the shape
+    workers_per_region: int | None = None
     conservation: dict[str, int] = field(default_factory=dict)
     conserved: bool = True
 
@@ -199,12 +200,13 @@ def build_report(records: list[TraceRecord], strategy: str,
     whose roster ends at >= t_min again; the sample is the inclusive round
     count.  Breaches still open are the unrestored regions.  The trace
     leaves out only rounds that can neither open nor close a breach (see
-    ``simkernel._Kernel.handle_maintenance``).  Containment counts
-    maintenance records that touched a foreign region (contract: 0).
+    ``simkernel._Kernel.handle_maintenance``).  Containment counts the
+    rounds whose ``removed`` or ``promoted`` names a worker of another
+    region, by the row-major shape on ``run_start`` (contract: 0).
     Targeted executions are the ``execute_worker`` records, since trace
-    formats 2 and 3 write no other.  A message's max hop is the largest
-    ``hop`` of its records: format 3 writes no worker receive, whose hop
-    is that of the relay or broadcast record that sent the copy.
+    formats 2 to 4 write no other.  A message's max hop is the largest
+    ``hop`` of its records: formats 3 and 4 write no worker receive, whose
+    hop is on the record that sent the copy.
     """
     if report is None:
         report = MetricsReport(strategy=strategy)
@@ -216,18 +218,23 @@ def build_report(records: list[TraceRecord], strategy: str,
         key = f"{comp}.{event}"
         totals[key] = totals.get(key, 0) + 1
         if comp == "alg4":
-            if data.get("src_region") != data.get("dst_region"):
-                report.cross_region_maintenance += 1
             region, rnd = data["region"], data["round"]
             if event == "region_dead":
                 breaches.setdefault(region, rnd)
             elif event == "round":
+                n = report.workers_per_region
+                if n and any(w // n != region for w in data["removed"] + data["promoted"]):
+                    report.cross_region_maintenance += 1
                 if data["alive_before"] < data["t_min"]:
                     breaches.setdefault(region, rnd)
                 if region in breaches and data["size_after"] >= data["t_min"]:
                     report.recovery_samples.append((region, rnd - breaches.pop(region) + 1))
             continue
         if comp == "kernel":
+            if event == "run_start":
+                report.workers_per_region = data["workers"] // data["regions"]
+                report.cross_region_maintenance = 0
+                continue
             if event == "run_end":
                 report.live_region_fraction = data["live_region_fraction"]
                 report.conservation = dict(data["conservation"])

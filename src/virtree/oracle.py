@@ -89,6 +89,11 @@ def predict(topo: Topology, strategy: str, origin: int,
     return exec_clusters, exec_workers
 
 
+# execution record -> (id field, its mismatch words), in ``predict`` order
+_EXECUTIONS = {"execute_cluster": ("cluster", "clusters", "executed clusters"),
+               "execute_worker": ("worker", "workers", "targeted executions")}
+
+
 def check_trace(trace: list[TraceRecord], topo: Topology, strategy: str,
                 commands) -> list[str]:
     """Compare a finished run against the BFS prediction.
@@ -99,13 +104,11 @@ def check_trace(trace: list[TraceRecord], topo: Topology, strategy: str,
     sequence numbering (first command from a cluster is <origin>:0).
     """
     mismatches: list[str] = []
-    exec_clusters: dict[str, list[int]] = {}
-    exec_workers: dict[str, list[int]] = {}
+    executed: dict[tuple[str, str], list[int]] = {}  # (event, msg id) -> ids
     for rec in trace:
-        if rec.event == "execute_cluster":
-            exec_clusters.setdefault(rec.data["msg_id"], []).append(rec.data["cluster"])
-        elif rec.event == "execute_worker":
-            exec_workers.setdefault(rec.data["msg_id"], []).append(rec.data["worker"])
+        if rec.event in _EXECUTIONS:
+            executed.setdefault((rec.event, rec.data["msg_id"]), []).append(
+                rec.data[_EXECUTIONS[rec.event][0]])
 
     seq_per_origin: dict[int, int] = {}
     for cmd in commands:
@@ -113,26 +116,14 @@ def check_trace(trace: list[TraceRecord], topo: Topology, strategy: str,
         seq_per_origin[cmd.origin] = seq + 1
         mid = f"{cmd.origin}:{seq}"
         goals = set(goal_clusters_for_scope(topo, cmd.scope))
-        want_clusters, want_workers = predict(topo, strategy, cmd.origin,
-                                              goals, set(cmd.targets))
-        got = exec_clusters.get(mid, [])
-        if len(got) != len(set(got)):
-            dupes = sorted({c for c in got if got.count(c) > 1})
-            mismatches.append(f"{mid}: clusters executed more than once: {dupes}")
-        if set(got) != want_clusters:
-            missing = sorted(want_clusters - set(got))
-            extra = sorted(set(got) - want_clusters)
-            mismatches.append(
-                f"{mid}: executed clusters disagree with BFS oracle "
-                f"(missing {missing}, unexpected {extra})")
-        got_w = exec_workers.get(mid, [])
-        if len(got_w) != len(set(got_w)):
-            dupes = sorted({w for w in got_w if got_w.count(w) > 1})
-            mismatches.append(f"{mid}: workers executed more than once: {dupes}")
-        if set(got_w) != want_workers:
-            missing = sorted(want_workers - set(got_w))
-            extra = sorted(set(got_w) - want_workers)
-            mismatches.append(
-                f"{mid}: targeted executions disagree with BFS oracle "
-                f"(missing {missing}, unexpected {extra})")
+        wanted = predict(topo, strategy, cmd.origin, goals, set(cmd.targets))
+        for (event, (_, twice, disagree)), want in zip(_EXECUTIONS.items(), wanted):
+            got = executed.get((event, mid), [])
+            if len(got) != len(set(got)):
+                dupes = sorted({i for i in got if got.count(i) > 1})
+                mismatches.append(f"{mid}: {twice} executed more than once: {dupes}")
+            if set(got) != want:
+                mismatches.append(
+                    f"{mid}: {disagree} disagree with BFS oracle (missing "
+                    f"{sorted(want - set(got))}, unexpected {sorted(set(got) - want)})")
     return mismatches

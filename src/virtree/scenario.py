@@ -126,6 +126,10 @@ def validate_scenario(sc: Scenario):
     for name in _DELAY_KEYS:
         if getattr(sc.delay, name) < 0:
             raise ScenarioInvalid(f"delays.{name}", f"must be >= 0, got {getattr(sc.delay, name)}")
+    d = sc.delay  # the largest delay: distance <= 4 layers, load <= 1 per command
+    if not math.isfinite(d.alpha * len(SCOPE_LAYERS) + d.beta * len(sc.commands) + d.epsilon):
+        raise ScenarioInvalid("delays", f"alpha * {len(SCOPE_LAYERS)} + beta * "
+                                        f"{len(sc.commands)} commands + epsilon must be finite")
     for name, value in sc.link_latencies.items():
         if name not in DEFAULT_LATENCIES:
             raise ScenarioInvalid(f"link_latencies.{name}", "unknown link class")

@@ -27,12 +27,14 @@ at that time, so the events run in the same order.  A report to a leader
 that can only end as the silent ``processed`` drop is accounted when it is
 sent and never queued (``_Kernel.report_dropped``).
 
-Trace format 3 writes no record for a worker receive: ``run_end`` counts
-every alive worker delivery in ``alg1_receives`` and those whose sender sits
-in another region in ``alg1_cross_region_receives``, both present once any
-worker has received.  A copy's hop is on the relay or broadcast record that
-sent it, and a worker's relay and targeted execution name the copy's sender,
-``from_worker``.
+A kill re-elects or vacates every role the dead worker held, so a role's
+holder is alive and a delivery checks only for a vacancy.
+
+Trace format 4 writes each fact once.  ``run_end`` counts worker receives
+instead: every alive worker delivery in ``alg1_receives``, those whose sender
+sits in another region in ``alg1_cross_region_receives``.  A copy's hop is on
+the relay or broadcast record that sent it; a worker's relay and targeted
+execution name the copy's sender, ``from_worker``.
 
 The kernel hands the trace over in batches of about TRACE_BATCH records, cut
 between events, and folds each batch into the metrics report before handing
@@ -259,8 +261,7 @@ class _Kernel:
         """One retry pass over parked copies after a role-map change."""
         still = []
         for entry in self.parked:
-            holder = self.links.holder(entry["node"])
-            if holder is not None and self.topo.is_alive(holder):
+            if self.links.holder(entry["node"]) is not None:
                 self.bump("parked_retried_ok")
                 self.emit("alg3", "noroute_retry", node=str(entry["node"]),
                           msg_id=msg_id_str(entry["msg"].msg_id), ok=True)
@@ -342,7 +343,7 @@ class _Kernel:
 
     def deliver_leader(self, c: int, m: Message):
         leader = self.topo.roles[LAYER_LEADER].get(c)
-        if leader is None or not self.topo.is_alive(leader):
+        if leader is None:
             self.bump("deliveries_dropped_dead")
             self.emit("kernel", "drop_dead", cluster=c, msg_id=msg_id_str(m.msg_id))
             return
@@ -355,12 +356,11 @@ class _Kernel:
         self.emit_visit("alg2", c, mid, decision)
         if decision.outcome == "scheduled":
             m2 = decision.message
-            fire = quantize(self.now + decision.delay)
             state.pending_broadcasts.add(m2.msg_id)
             self.bump("broadcasts_scheduled")
             self.emit("alg2", "schedule", cluster=c, msg_id=mid,
-                      distance=decision.distance, delay=decision.delay, fire=fire)
-            self.push(fire, self.handle_broadcast, (c, leader, m2))
+                      distance=decision.distance, delay=decision.delay)
+            self.push(self.now + decision.delay, self.handle_broadcast, (c, leader, m2))
 
     def emit_visit(self, comp: str, c: int, mid: str, decision):
         """The records of a leader receive, either strategy: none for a drop,
@@ -372,10 +372,9 @@ class _Kernel:
             return
         m2 = decision.message
         self.emit(comp, "process", cluster=c, msg_id=mid, hop=m2.hop_count,
-                  visited=sorted(m2.visited_cluster_ids),
-                  executed_here=decision.executed_here)
+                  visited=sorted(m2.visited_cluster_ids))
         if decision.executed_here:
-            self.emit(comp, "execute_cluster", cluster=c, msg_id=mid, hop=m2.hop_count,
+            self.emit(comp, "execute_cluster", cluster=c, msg_id=mid,
                       missed=list(decision.missed_workers))
             if m2.target_worker_ids:
                 for w in decision.delivered_workers:
@@ -396,8 +395,7 @@ class _Kernel:
                       if self.topo.is_alive(w)], mb, leader)
 
     def deliver_node(self, node: tuple, m: Message, from_node: tuple | None):
-        holder = self.links.holder(node)
-        if holder is None or not self.topo.is_alive(holder):
+        if self.links.holder(node) is None:
             self.bump("deliveries_parked")
             self.park(m, node, from_node)
             return
@@ -422,8 +420,7 @@ class _Kernel:
                 self.forward_tree(node, tnode, fm)
 
     def forward_tree(self, src, dst, m: Message):
-        holder = self.links.holder(dst)
-        if holder is None or not self.topo.is_alive(holder):
+        if self.links.holder(dst) is None:
             self.park(m, dst, src)
             return
         self.emit("alg3", "forward", src=str(src), dst=str(dst),
@@ -458,8 +455,7 @@ class _Kernel:
                     skipped += 1
                 else:
                     dead.add(r)
-                    self.emit("alg4", "region_dead", region=r, src_region=r,
-                              dst_region=r, round=rnd, t_min=cs.t_min)
+                    self.emit("alg4", "region_dead", region=r, round=rnd, t_min=cs.t_min)
                 continue
             if len(cs.active) >= cs.t_min:
                 unsettled.discard(r)
@@ -468,11 +464,9 @@ class _Kernel:
             elif not (out.removed or out.promoted or out.degraded):
                 skipped += 1
                 continue
-            self.emit("alg4", "round", region=r, src_region=r, dst_region=r,
-                      round=rnd, removed=out.removed, promoted=out.promoted,
-                      size_before=out.size_before, size_after=out.size_after,
-                      alive_before=out.alive_before, degraded=out.degraded,
-                      t_min=cs.t_min)
+            self.emit("alg4", "round", region=r, round=rnd, removed=out.removed,
+                      promoted=out.promoted, size_after=out.size_after,
+                      alive_before=out.alive_before, t_min=cs.t_min)
         if skipped:  # a bump of 0 would add the key to the conservation output
             self.bump("alg4_rounds_skipped", skipped)
 
@@ -531,13 +525,10 @@ class _Kernel:
 
     def run(self) -> tuple[list[TraceRecord], MetricsReport]:
         sc = self.sc
-        self.emit("kernel", "run_start", format=3, strategy=sc.strategy, seed=sc.seed,
+        self.emit("kernel", "run_start", format=4, strategy=sc.strategy, seed=sc.seed,
                   horizon=sc.horizon, workers=sc.config.n_workers,
                   clusters=sc.config.n_clusters, regions=sc.config.n_regions,
                   route_mode=sc.route_mode)
-        if sc.route_mode == hier.MODE_ROOT:
-            # literal-root routing deviates from the default pruning behaviour
-            self.emit("kernel", "route_mode_root", enabled=True)
         self.schedule_initial()
         while self.heap:
             fire, _seq, handler, args = self.heap[0]

@@ -110,16 +110,24 @@ def test_criterion_3_reselection_restores_in_bounded_rounds():
 
 
 def test_criterion_4_maintenance_stays_inside_the_region():
+    # K=3, T_min=2: a region that loses two coordinators promotes, and the
+    # workers a round removes or promotes must all be its own
     shapes = [(2, 2, 1), (2, 2, 2), (3, 2, 2), (2, 3, 2)]
     classes = ["cluster", "region", "adjacent", "tree"]
     rng = random.Random(20260819)
-    runs = 0
+    runs = promotions = 0
     for i in range(100):
         wpc, cpr, rph = shapes[i % len(shapes)]
-        cfg = HierarchyConfig(wpc, cpr, rph, coordinator_k=2, t_min=1)
+        cfg = HierarchyConfig(wpc, cpr, rph, coordinator_k=3, t_min=2)
+        per_region = wpc * cpr
         failures = [FailureSpec(time=round(rng.uniform(0.5, 4.0), 3),
                                 kind="region", action="kill",
                                 region=rng.randrange(cfg.n_regions))]
+        for r in rng.sample(range(cfg.n_regions), rng.randrange(1, cfg.n_regions + 1)):
+            t = round(rng.uniform(0.2, 3.0), 3)
+            for w in rng.sample(range(r * per_region, r * per_region + 3), 2):
+                failures.append(FailureSpec(time=t, kind="worker", action="kill",
+                                            worker=w))
         for _ in range(rng.randrange(1, 3)):
             cls = rng.choice(classes)
             t = round(rng.uniform(0.0, 2.0), 3)
@@ -138,12 +146,16 @@ def test_criterion_4_maintenance_stays_inside_the_region():
         sc = mk(cfg, seed=4000 + i, horizon=8.0, round_period=1.0,
                 strategy="adjacent" if i % 2 == 0 else "hierarchical",
                 commands=commands, failures=failures)
-        _, report = run(sc)
+        trace, report = run(sc)
         assert report.cross_region_maintenance == 0
+        promotions += sum(len(rec.data["promoted"]) for rec in trace
+                          if (rec.comp, rec.event) == ("alg4", "round"))
         runs += 1
     assert runs >= 100
+    assert promotions > 0
     print(f"criterion 4: PASS - cross_region_maintenance == 0 on {runs} runs "
-          "with region kills and jams", flush=True)
+          f"with coordinator and region kills and jams, {promotions} promotions",
+          flush=True)
 
 
 def test_criterion_5_delivery_matches_reachability_oracle():
@@ -344,9 +356,12 @@ def test_criterion_8_deferred_delay_is_alpha_times_distance():
         schedules = [rec for rec in trace
                      if rec.comp == "alg2" and rec.event == "schedule"]
         assert schedules
+        fired = {(rec.data["cluster"], rec.data["msg_id"]): rec.time for rec in trace
+                 if rec.comp == "alg2" and rec.event == "broadcast"}
         for rec in schedules:
             assert rec.data["delay"] == alpha * rec.data["distance"]
-            assert rec.data["fire"] == quantize(rec.time + rec.data["delay"])
+            key = (rec.data["cluster"], rec.data["msg_id"])
+            assert fired[key] == quantize(rec.time + rec.data["delay"])
         assert {rec.data["distance"] for rec in schedules} == {1, 2}
         assert report.messages["0:0"].goals_executed == 2
     print("criterion 8: PASS - every scheduled fire time == receive + "

@@ -108,7 +108,7 @@ class TestMonitorRound:
         cs = CoordinatorSet.initial(topo, 0)
         out = monitor_round(cs, topo)
         assert (out.removed, out.promoted) == ([], [])
-        assert out.size_before == out.size_after == 5
+        assert out.alive_before == out.size_after == 5
         assert cs.active == [0, 1, 2, 3, 4]
 
     def test_single_failure_removed_no_promotion(self):

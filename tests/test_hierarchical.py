@@ -441,8 +441,8 @@ class TestHierSimulation:
         cmd = CommandSpec(time=0.0, origin=0, scope=("region", 1))
         t_lca, r_lca = run(hier_scenario(commands=[cmd]))
         t_root, r_root = run(hier_scenario(commands=[cmd], route_mode="root"))
-        assert any(rec.event == "route_mode_root" for rec in t_root)
-        assert not any(rec.event == "route_mode_root" for rec in t_lca)
+        assert t_root[0].data["route_mode"] == "root"
+        assert t_lca[0].data["route_mode"] == "lca"
 
         def executed(trace):
             return {rec.data["cluster"] for rec in trace

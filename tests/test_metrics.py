@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 from hypothesis import given, settings
@@ -21,11 +22,10 @@ def rec(comp, event, time=1.0, seq=0, **data):
     return TraceRecord(time=time, seq=seq, comp=comp, event=event, data=data)
 
 
-def alg4_round(region, rnd, alive_before, size_after, t_min=3, **extra):
-    return rec("alg4", "round", time=float(rnd), seq=rnd, region=region,
-               src_region=region, dst_region=region, round=rnd,
-               alive_before=alive_before, size_after=size_after, t_min=t_min,
-               **extra)
+def alg4_round(region, rnd, alive_before, size_after, t_min=3, removed=(), promoted=()):
+    return rec("alg4", "round", time=float(rnd), seq=rnd, region=region, round=rnd,
+               removed=list(removed), promoted=list(promoted),
+               alive_before=alive_before, size_after=size_after, t_min=t_min)
 
 
 class TestTraceSerialization:
@@ -65,11 +65,25 @@ class TestDumpTraceEncoding:
     @settings(deadline=None)  # no time limit per example: speed is not what this checks
     @given(st.lists(RECORDS, max_size=5))
     def test_matches_json_dumps(self, records):
-        expected = "".join(
-            json.dumps({"time": r.time, "seq": r.seq, "comp": r.comp, "event": r.event,
-                        **r.data}, sort_keys=True, separators=(",", ":")) + "\n"
-            for r in records)
-        assert dump_trace(records) == expected
+        # NaN and infinities are not JSON: both encoders raise ValueError
+        try:
+            expected = "".join(
+                json.dumps({"time": r.time, "seq": r.seq, "comp": r.comp,
+                            "event": r.event, **r.data},
+                           sort_keys=True, separators=(",", ":"), allow_nan=False) + "\n"
+                for r in records)
+        except ValueError:
+            with pytest.raises(ValueError):
+                dump_trace(records)
+        else:
+            assert dump_trace(records) == expected
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_float_raises(self, value):
+        with pytest.raises(ValueError):
+            dump_trace([rec("alg2", "schedule", delay=value)])
+        with pytest.raises(ValueError):
+            dump_trace([rec("alg2", "schedule", time=value)])
 
     def test_unserializable_value_raises_and_encoder_recovers(self):
         with pytest.raises(TypeError):
@@ -125,11 +139,34 @@ class TestRecoveryLatency:
 
 class TestCounters:
     def test_containment_flags_foreign_touch(self):
-        ok = alg4_round(0, 1, alive_before=5, size_after=5)
-        bad = rec("alg4", "round", region=0, src_region=0, dst_region=1, round=1,
-                  alive_before=5, size_after=5, t_min=3)
-        assert build_report([ok], "adjacent").cross_region_maintenance == 0
-        assert build_report([ok, bad], "adjacent").cross_region_maintenance == 1
+        # 16 workers in 2 regions: region 0 is workers 0-7, region 1 workers 8-15
+        start = rec("kernel", "run_start", time=0.0, workers=16, regions=2)
+        ok = alg4_round(1, 1, alive_before=1, size_after=3, removed=[8, 9],
+                        promoted=[14, 15])
+        foreign_promoted = alg4_round(1, 2, alive_before=2, size_after=3, promoted=[7])
+        foreign_removed = alg4_round(0, 2, alive_before=1, size_after=3, removed=[8],
+                                     promoted=[6, 7])
+        foreign_both = alg4_round(0, 3, alive_before=1, size_after=3, removed=[15],
+                                  promoted=[8, 9])
+        assert build_report([start, ok], "adjacent").cross_region_maintenance == 0
+        for bad in (foreign_promoted, foreign_removed, foreign_both):
+            assert build_report([start, ok, bad], "adjacent").cross_region_maintenance == 1
+        report = build_report([start, foreign_removed], "adjacent")
+        report = build_report([foreign_promoted, foreign_both], "adjacent", report)
+        assert report.cross_region_maintenance == 3
+
+    def test_format_3_round_folds_like_format_4(self):
+        # format 3 also wrote the fields format 4 leaves to the reader
+        start = rec("kernel", "run_start", time=0.0, workers=16, regions=2)
+        new = alg4_round(1, 1, alive_before=1, size_after=3, removed=[8, 9], promoted=[15])
+        old = new._replace(data=dict(new.data, src_region=1, dst_region=1, size_before=3,
+                                     degraded=False))
+        assert build_report([start, old], "adjacent") == build_report([start, new], "adjacent")
+
+    def test_containment_unknown_before_run_start(self):
+        # without the shape the rounds cannot be checked: the count is not 0
+        bad = alg4_round(0, 1, alive_before=1, size_after=3, promoted=[100])
+        assert build_report([bad], "adjacent").cross_region_maintenance is None
 
     def test_transmission_counters(self):
         trace = [

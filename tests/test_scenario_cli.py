@@ -155,7 +155,7 @@ class TestCli:
                      "--out", str(out_dir)])
         assert code == 0
         trace = parse_trace((out_dir / "trace.jsonl").read_text())
-        assert (trace[0].event, trace[0].data["format"]) == ("run_start", 3)
+        assert (trace[0].event, trace[0].data["format"]) == ("run_start", 4)
         metrics = json.loads((out_dir / "metrics.json").read_text())
         assert metrics["conserved"] is True
         csv_text = (out_dir / "metrics.csv").read_text()
@@ -199,6 +199,29 @@ class TestCli:
         assert code == 2
         assert f"invalid scenario: {field}: " in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("delays, code", [
+        ({"alpha": 1e308}, 2),
+        ({"beta": 1e308, "alpha": 1e308 / 4}, 2),
+        ({"epsilon": 1.7e308, "alpha": 1e307}, 2),
+        ({"alpha": 1e307, "beta": 1e307, "epsilon": 1e307}, 0),
+    ], ids=["alpha", "beta", "epsilon", "finite"])
+    def test_delay_bound_must_be_finite(self, tmp_path, capsys, delays, code):
+        # each coefficient is finite, but the largest delay a leader could
+        # draw, alpha * 4 + beta * commands + epsilon, may not be
+        path = write_scenario(
+            tmp_path, delays=delays, seed=1, horizon=30.0,
+            topology={"workers_per_cluster": 2, "clusters_per_region": 2,
+                      "regions_per_hub": 4},
+            commands=[{"time": 0.5, "origin": 0, "scope": {"kind": "region", "id": 3}}])
+        out_dir = tmp_path / "out"
+        assert main(["run", "--scenario", path, "--out", str(out_dir)]) == code
+        if code:
+            assert "invalid scenario: delays: " in capsys.readouterr().err
+        else:
+            trace = parse_trace((out_dir / "trace.jsonl").read_text())
+            assert [rec.data["delay"] > 1e306 for rec in trace
+                    if rec.event == "schedule"] == [True]
 
     @pytest.mark.parametrize("assignment", ["coordinator.round_period=1e-9",
                                             "horizon=1e300"])
@@ -438,17 +461,17 @@ STREAM_SCENARIO = {
 }
 
 
-# sha256 of dump_trace(run(sc)[0]) for STREAM_SCENARIO, trace format 3;
+# sha256 of dump_trace(run(sc)[0]) for STREAM_SCENARIO, trace format 4;
 # perfbench's hashes do not cover the adjacent strategy under failures,
 # re-elections and jams
 STREAM_TRACE_SHA256 = {
-    "adjacent": "605e251274f16327a7c4c4257633acb975851125757e215fbbe204e9f1a0ec93",
-    "hierarchical": "3f3373b32012a7b342790bd6a22eb0b10e8fc5f8ae18ae2e0d9318a8f105ee48",
+    "adjacent": "ab7a7895c4dd44d0a43afce9a69bc32691e90950b3381ab0529983e9a43545ae",
+    "hierarchical": "35bb3b8481414bd6df71e8767561b472fa502490309d1fd156b0c1ed40788a95",
 }
 
 # sha256 of the sorted-key JSON of STREAM_SCENARIO's report without its
 # totals and conservation counters, recorded from trace format 1: formats 2
-# and 3 write fewer records and count more, and change nothing else
+# to 4 write fewer records and count more, and change nothing else
 STREAM_REPORT_SHA256 = {
     "adjacent": "bfe9acb28f818fae838ee463bc4103f5c48dee7e3be119d3789d3b51296d3dbe",
     "hierarchical": "7a8ecc578c02ac4efaf21c6c0eec7821eded2cdc71537195ffd3b4acee0180c2",
@@ -521,13 +544,20 @@ class TestCliRunStreaming:
         trace, _ = run(build_scenario(dict(STREAM_SCENARIO, strategy="adjacent")))
         assert (out_dir / "trace.jsonl").read_text(encoding="utf-8") == dump_trace(trace)
 
-    @pytest.mark.parametrize("flags", [[], ["-O"]], ids=["python", "python-O"])
-    def test_real_process_run(self, tmp_path, flags):
+    # the hash seeds make string hashing differ from the test process's: the
+    # trace must not depend on it
+    @pytest.mark.parametrize("flags, hash_seed", [([], None), (["-O"], None),
+                                                  ([], "0"), ([], "987654")],
+                             ids=["python", "python-O", "python-hashseed-0",
+                                  "python-hashseed-987654"])
+    def test_real_process_run(self, tmp_path, flags, hash_seed):
         path = write_stream_scenario(tmp_path)
         out_dir = tmp_path / "out"
         src = os.path.dirname(os.path.dirname(os.path.abspath(virtree.__file__)))
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        if hash_seed is not None:
+            env["PYTHONHASHSEED"] = hash_seed
         proc = subprocess.run(
             [sys.executable, *flags, "-m", "virtree.cli", "run", "--scenario", path,
              "--out", str(out_dir)],

@@ -293,11 +293,14 @@ class TestMaintenance:
     def test_rounds_never_cross_regions(self):
         sc = scenario(horizon=6.0,
                       failures=[FailureSpec(time=0.5, kind="worker", action="kill",
-                                            worker=w) for w in (0, 1, 2)])
+                                            worker=w) for w in (0, 1, 4, 5)])
         trace, report = run(sc)
         assert report.cross_region_maintenance == 0
-        assert all(rec.data["src_region"] == rec.data["dst_region"]
-                   for rec in trace if rec.comp == "alg4")
+        # two of each region's three coordinators die, below T_min 2: each
+        # region promotes its one worker outside the roster
+        rounds = [rec.data for rec in trace if rec.comp == "alg4"]
+        assert [(d["region"], d["removed"], d["promoted"]) for d in rounds] == [
+            (0, [0, 1], [3]), (1, [4, 5], [7])]
 
 
 @st.composite
@@ -422,7 +425,7 @@ class TestMaintenanceRecords:
         assert [(rec.event, rec.data["region"], rec.data["round"]) for rec in alg4] == [
             ("region_dead", 1, 2), ("round", 1, 5)]
         assert alg4[1].data["removed"] == alg4[1].data["promoted"] == []
-        assert not alg4[1].data["degraded"]
+        assert alg4[1].data["size_after"] >= alg4[1].data["t_min"]  # not degraded
         assert report.recovery_samples == [(1, 4)]
         assert report.unrestored_regions == []
 
@@ -471,7 +474,8 @@ class TestUnsettledRegions:
             config=cfg, seed=3, horizon=4.0,
             failures=[FailureSpec(time=0.5, kind="worker", action="kill", worker=1)]))
         assert visits == [(0, 1), (1, 1), (0, 2), (0, 3), (0, 4)]
-        rounds = [(rec.data["region"], rec.data["round"], rec.data["degraded"])
+        rounds = [(rec.data["region"], rec.data["round"],
+                   rec.data["size_after"] < rec.data["t_min"])
                   for rec in trace if rec.comp == "alg4"]
         assert rounds == [(0, rnd, True) for rnd in range(1, 5)]
         assert report.conservation["alg4_rounds_skipped"] == 4 * 2 - 4
@@ -487,7 +491,8 @@ class TestUnsettledRegions:
                       for w in (0, 1)]))
         assert visits == [(0, 1), (0, 2)]
         rounds = [(rec.data["round"], len(rec.data["promoted"]), rec.data["size_after"],
-                   rec.data["degraded"]) for rec in trace if rec.comp == "alg4"]
+                   rec.data["size_after"] < rec.data["t_min"])
+                  for rec in trace if rec.comp == "alg4"]
         assert rounds == [(1, 1, 2, True), (2, 1, 3, False)]
         assert report.conservation["alg4_rounds_skipped"] == 3
         assert report.recovery_samples == [(0, 2)]
@@ -947,3 +952,46 @@ class TestReceiveCounts:
         assert cons.get("alg1_receives", 0) == len(receives)
         assert cons.get("alg1_cross_region_receives", 0) == receive_crossings(ref_trace)
         assert ("alg1_receives" in cons) == ("alg1_cross_region_receives" in cons)
+
+
+class RoleCheckedKernel(_Kernel):
+    """The kernel, checking after every kill and revive that each worker
+    bound to a role is alive: deliveries and parked retries rely on it."""
+
+    def kill_worker(self, w):
+        super().kill_worker(w)
+        self.check_holders()
+
+    def revive_worker(self, w):
+        super().revive_worker(w)
+        self.check_holders()
+
+    def check_holders(self):
+        dead = [(layer, scope, w) for layer, held in self.topo.roles.items()
+                for scope, w in held.items() if not self.topo.is_alive(w)]
+        assert dead == []
+
+
+def assert_role_holders_stay_alive(sc):
+    assert_same_run(RoleCheckedKernel(sc).run(), run(sc))
+
+
+class TestRoleHoldersAlive:
+    @settings(max_examples=100, deadline=None)
+    @given(adjacent_runs())
+    def test_adjacent_runs(self, sc):
+        validate_scenario(sc)
+        assert_role_holders_stay_alive(sc)
+
+    @settings(max_examples=100, deadline=None)
+    @given(maintenance_runs(), st.sampled_from(["adjacent", "hierarchical"]))
+    def test_maintenance_runs(self, shape, strategy):
+        # a global command from the last cluster routes through the roles
+        # while they die and revive
+        cfg, failures = shape
+        sc = Scenario(config=cfg, seed=7, horizon=10.0, strategy=strategy,
+                      failures=failures,
+                      commands=[CommandSpec(time=t, origin=cfg.n_clusters - 1,
+                                            scope=("global",)) for t in (0.5, 4.5)])
+        validate_scenario(sc)
+        assert_role_holders_stay_alive(sc)
