@@ -82,7 +82,6 @@ class RoundOutcome:
     promoted: list[WorkerId]
     size_after: int
     alive_before: int
-    degraded: bool
 
 
 def monitor_round(cs: CoordinatorSet, topo: Topology, load_of=None,
@@ -108,7 +107,6 @@ def monitor_round(cs: CoordinatorSet, topo: Topology, load_of=None,
     cs.active = alive
 
     promoted: list[WorkerId] = []
-    degraded = False
     if len(cs.active) < cs.t_min:
         target = cs.k if eager_refill else cs.t_min
         need = target - len(cs.active)
@@ -116,14 +114,12 @@ def monitor_round(cs: CoordinatorSet, topo: Topology, load_of=None,
             need = min(need, 1)
         promoted = select_replacements(cs, topo, need, load_of)
         cs.active.extend(promoted)
-        degraded = len(cs.active) < cs.t_min
 
     return RoundOutcome(
         removed=removed,
         promoted=promoted,
         size_after=len(cs.active),
         alive_before=alive_before,
-        degraded=degraded,
     )
 
 

@@ -27,6 +27,17 @@ at that time, so the events run in the same order.  A report to a leader
 that can only end as the silent ``processed`` drop is accounted when it is
 sent and never queued (``_Kernel.report_dropped``).
 
+An entry is delivered one cluster run at a time: ws is ascending and ids are
+row-major, so each cluster's workers in it are one slice.  Two or more alive
+untargeted workers on an unjammed cluster link act alike, unless the copy
+makes one of them relay for the first time, so one ``worker_on_receive`` call
+decides for the run and its receives and suppressed relays are counted, not
+replayed (``_Kernel.deliver_run``).  Its reports go copy by copy until
+``report_dropped(key, fire, n)`` first takes one; nothing that reads changes
+within the run, so that call accounts the remaining n at once.  Every other
+run goes copy by copy through ``deliver_worker``, which keeps jam draws,
+``drop_dead`` records, targeted executions and relays in their order.
+
 A kill re-elects or vacates every role the dead worker held, so a role's
 holder is alive and a delivery checks only for a vacancy.
 
@@ -168,25 +179,36 @@ class _Kernel:
         eats it or it is a report ``report_dropped`` accounts for."""
         if self.jammed(cls, m, dest):
             return
-        self.bump("deliveries_enqueued")
         fire = quantize(self.now + self.latency[cls])
         if dest[0] == "leader":
-            key = (dest[1], m.msg_id)
-            if self.report_dropped(key, fire):
-                return
-            self.report_due[key] = fire
+            self.send_reports(dest[1], m, (sender,), fire)
+            return
+        self.bump("deliveries_enqueued")
         self.push(fire, self.handle_delivery, (dest, m, sender, False))
 
-    def report_dropped(self, key: tuple[int, tuple], fire: float) -> bool:
-        """Account a report to (cluster, msg_id) due at fire, unqueued, when
-        its delivery can only be the silent ``processed`` drop.
+    def send_reports(self, c: int, m: Message, reporters, fire: float):
+        """Enqueue a report of m to c's leader, due at fire, from each worker
+        of reporters in order, until ``report_dropped`` accounts the rest."""
+        key = (c, m.msg_id)
+        for i, w in enumerate(reporters):
+            if self.report_dropped(key, fire, len(reporters) - i):
+                return
+            self.bump("deliveries_enqueued")
+            self.report_due[key] = fire
+            self.push(fire, self.handle_delivery, (("leader", c), m, w, False))
 
-        The reporter is an alive worker of the cluster, so the cluster's
+    def report_dropped(self, key: tuple[int, tuple], fire: float, n: int) -> bool:
+        """Account n reports to (cluster, msg_id) due at fire, unqueued, when
+        their delivery can only be the silent ``processed`` drop.
+
+        The reporters are alive workers of the cluster, so the cluster's
         leader is alive now: a kill re-elects the lowest alive worker and a
         revive fills a vacancy.  With no kill scheduled in [now, fire], that
         leader keeps its role and stays alive until fire.  It drops the
-        report if it has processed the message, or if an earlier queued report
-        to it, due after now and so before this one, will make it do so."""
+        reports if it has processed the message, or if an earlier queued report
+        to it, due after now and so before these, will make it do so.  Nothing
+        this reads changes until another report is queued, so it holds for
+        all n."""
         c, msg_id = key
         state = self.leader_states.get(c)
         if not (state is not None and msg_id in state.processed_msgs
@@ -196,11 +218,12 @@ class _Kernel:
         i = bisect_left(kills, self.now)
         if i < len(kills) and kills[i] <= fire:
             return False
+        self.bump("deliveries_enqueued", n)
         if fire > self.sc.horizon:
-            self.bump("deliveries_inflight")
+            self.bump("deliveries_inflight", n)
         else:
-            self.bump("deliveries_completed")
-            self.bump("alg2_drops")
+            self.bump("deliveries_completed", n)
+            self.bump("alg2_drops", n)
             self.dropped_until = max(self.dropped_until, fire)
         return True
 
@@ -292,12 +315,44 @@ class _Kernel:
                       targets_total=len(m.target_worker_ids))
         kind = dest[0]
         if kind == "workers":
-            for w in dest[1]:
-                self.deliver_worker(w, m, sender)
+            ws, i = dest[1], 0
+            while i < len(ws):  # one run of ws per cluster
+                c = self.topo.cluster_of(ws[i])
+                j = bisect_left(ws, self.topo.workers_in_cluster(c).stop, i)
+                self.deliver_run(c, ws[i:j], m, sender)
+                i = j
         elif kind == "leader":
             self.deliver_leader(dest[1], m)
         else:
             self.deliver_node(dest[1], m, sender)
+
+    def deliver_run(self, c: int, run: list[int], m: Message, sender: int):
+        """Deliver m to run, the workers of cluster c in one entry, ascending:
+        at once when they act alike (see the module docstring), else copy by
+        copy.  ``worker_on_receive`` reads a worker only through its cluster
+        and the targets."""
+        topo = self.topo
+        if (len(run) > 1 and not self.jam.get("cluster")
+                and topo.alive.issuperset(run) and m.target_worker_ids.isdisjoint(run)):
+            actions = adj.worker_on_receive(run[0], m, topo)
+            if (all(isinstance(a, adj.ReportToLeader) for a in actions)
+                    or self.relayed.issuperset((w, m.msg_id) for w in run)):
+                n = len(run)
+                self.bump("deliveries_completed", n)
+                self.bump("alg1_receives", n)
+                region_of = topo.region_of_worker
+                self.bump("alg1_cross_region_receives",
+                          n * (region_of(run[0]) != region_of(sender)))
+                for action in actions:
+                    if isinstance(action, adj.ReportToLeader):
+                        self.bump("reports_sent", n)
+                        self.send_reports(c, m, run,
+                                          quantize(self.now + self.latency["cluster"]))
+                    else:  # BroadcastToReachable, made by each worker already
+                        self.bump("relay_suppressed", n)
+                return
+        for w in run:
+            self.deliver_worker(w, m, sender)
 
     def deliver_worker(self, w: int, m: Message, sender: int):
         if not self.topo.is_alive(w):
@@ -461,7 +516,7 @@ class _Kernel:
                 unsettled.discard(r)
             if r in dead:
                 dead.remove(r)
-            elif not (out.removed or out.promoted or out.degraded):
+            elif not (out.removed or out.promoted or out.size_after < cs.t_min):
                 skipped += 1
                 continue
             self.emit("alg4", "round", region=r, round=rnd, removed=out.removed,

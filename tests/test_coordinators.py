@@ -119,7 +119,7 @@ class TestMonitorRound:
         assert out.removed == [2]
         assert out.promoted == []
         assert out.size_after == 4  # still >= T_min
-        assert not out.degraded
+        assert out.size_after >= cs.t_min
 
     def test_exactly_t_min_alive_needs_no_promotion(self):
         topo = make_topo()
@@ -130,7 +130,7 @@ class TestMonitorRound:
         assert out.removed == [0, 1]
         assert out.promoted == []
         assert out.size_after == 3  # exactly T_min is still fine
-        assert not out.degraded
+        assert out.size_after >= cs.t_min
 
     def test_breach_refills_to_t_min_same_round(self):
         topo = make_topo()
@@ -142,7 +142,7 @@ class TestMonitorRound:
         assert out.alive_before == 2
         assert len(out.promoted) == 1
         assert out.size_after == 3
-        assert not out.degraded
+        assert out.size_after >= cs.t_min
 
     def test_eager_refill_restores_k(self):
         topo = make_topo()
@@ -161,11 +161,11 @@ class TestMonitorRound:
         first = monitor_round(cs, topo, single_promotion=True)
         assert len(first.promoted) == 1
         assert first.size_after == 2
-        assert first.degraded
+        assert first.size_after < cs.t_min
         second = monitor_round(cs, topo, single_promotion=True)
         assert len(second.promoted) == 1
         assert second.size_after == 3
-        assert not second.degraded
+        assert second.size_after >= cs.t_min
 
     def test_degraded_when_region_out_of_candidates(self):
         topo = build_topology(HierarchyConfig(2, 2, coordinator_k=4, t_min=3), seed=3)
@@ -175,7 +175,7 @@ class TestMonitorRound:
         out = monitor_round(cs, topo)
         assert out.promoted == []
         assert out.size_after == 2
-        assert out.degraded
+        assert out.size_after < cs.t_min
 
     def test_all_dead_raises_region_dead(self):
         topo = make_topo()

@@ -682,34 +682,41 @@ class TestConservationFuzz:
 
 
 class PerCopyKernel(_Kernel):
-    """The reference kernel: one delivery entry per copy, and every report
-    queued and delivered."""
+    """The reference kernel: one delivery entry per copy, each copy
+    delivered alone, and every report queued and delivered."""
 
     def fan_out(self, copies, m, sender):
         for copy in copies:
             super().fan_out([copy], m, sender)
 
-    def report_dropped(self, key, fire):
+    def deliver_run(self, c, run, m, sender):
+        for w in run:
+            self.deliver_worker(w, m, sender)
+
+    def report_dropped(self, key, fire, n):
         return False
 
 
 class Recording(_Kernel):
     """The kernel, recording each worker fan-out entry as (fire, workers,
-    sender) and each report it accounts without queuing as (now, fire)."""
+    sender), each report it queues as (now, fire, cluster, reporter) and
+    each report it accounts without queuing as (now, fire)."""
 
     def __init__(self, sc):
         super().__init__(sc)
-        self.fanouts, self.unqueued = [], []
+        self.fanouts, self.reports, self.unqueued = [], [], []
 
     def push(self, fire, handler, args):
         if handler == self.handle_delivery and args[0][0] == "workers":
             self.fanouts.append((fire, args[0][1], args[2]))
+        elif handler == self.handle_delivery and args[0][0] == "leader" and not args[3]:
+            self.reports.append((self.now, fire, args[0][1], args[2]))
         super().push(fire, handler, args)
 
-    def report_dropped(self, key, fire):
-        taken = super().report_dropped(key, fire)
+    def report_dropped(self, key, fire, n):
+        taken = super().report_dropped(key, fire, n)
         if taken:
-            self.unqueued.append((self.now, fire))
+            self.unqueued += [(self.now, fire)] * n
         return taken
 
 
@@ -771,7 +778,7 @@ def adjacent_runs(draw):
     """An adjacent scenario on a small shape: commands, worker and region
     kills, revives and jams of every worker link class, on a 0.1 grid that
     fire times land on; latencies drawn with zeros and ties."""
-    wpc, cpr, rph = draw(st.integers(1, 3)), draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    wpc, cpr, rph = draw(st.integers(1, 4)), draw(st.integers(1, 3)), draw(st.integers(1, 3))
     cfg = HierarchyConfig(wpc, cpr, rph, coordinator_k=1, t_min=1)
     grid = st.integers(0, 40).map(lambda i: i / 10)
     latencies = {cls: draw(st.sampled_from([0.0, 0.1, 0.2, 0.5])) for cls in WORKER_CLASSES}
@@ -835,6 +842,20 @@ def assert_horizon_cut_counts_in_flight():
     # the two cut entries, the queued report and the three unqueued ones
     assert report.conservation["deliveries_inflight"] == 2 * 4 + 1 + 3
     assert report.conserved
+
+
+# FLOOD on 4 workers a cluster: cluster c is workers 4c to 4c + 3, region 0
+# is clusters 0 and 1.  Workers 0 to 3 get worker 0's broadcast at 1.1 and
+# relay; each relay reaches cluster 1 as one run of four at 1.3, and those
+# 16 copies report to cluster 1's leader, worker 4, for 1.4: the first report
+# is queued, the other 15 accounted unqueued.
+CFG_4W = HierarchyConfig(4, 2, 2, coordinator_k=3, t_min=2)
+FLOOD_4W = dict(FLOOD, config=CFG_4W)
+
+
+def records(trace, event, **match):
+    return [(rec.time, rec.data) for rec in trace if rec.event == event
+            and all(rec.data.get(k) == v for k, v in match.items())]
 
 
 def reports_dropped_dead(trace, cluster):
@@ -907,10 +928,101 @@ class TestPerCopyReference:
     def test_horizon_cuts_fan_outs_and_unqueued_reports(self):
         assert_horizon_cut_counts_in_flight()
 
+    # Each case below breaks one condition of counting a cluster run at once.
+
+    def test_run_with_a_dead_worker(self):
+        # worker 6 dies after the relays are sent, before their runs land
+        _, trace, _ = assert_same_as_per_copy(scenario(**FLOOD_4W, failures=[
+            FailureSpec(time=1.25, kind="worker", action="kill", worker=6)]))
+        assert [t for t, _ in records(trace, "drop_dead", worker=6)] == [1.3] * 4
+
+    def test_run_holding_a_targeted_worker(self):
+        sc = scenario(**dict(FLOOD_4W, commands=[CommandSpec(
+            time=0.0, origin=0, scope=("global",), targets=frozenset({6}))]))
+        kernel, trace, _ = assert_same_as_per_copy(sc)
+        assert records(trace, "execute_worker") == [
+            (1.3, {"worker": 6, "msg_id": "0:0", "hop": 1, "from_worker": 0})]
+        assert kernel.reports[0] == (1.3, 1.4, 1, 4)
+        assert kernel.unqueued[:15] == [(1.3, 1.4)] * 15
+
+    def test_run_with_a_worker_yet_to_relay(self):
+        # worker 3 is dead at worker 0's broadcast and back before the relays
+        # go out: its first flagged copy comes in a run with workers that
+        # relayed already, and it relays then
+        _, trace, _ = assert_same_as_per_copy(scenario(**FLOOD_4W, failures=[
+            FailureSpec(time=0.5, kind="worker", action="kill", worker=3),
+            FailureSpec(time=1.05, kind="worker", action="revive", worker=3)]))
+        relays = [(t, d["worker"], d["from_worker"]) for t, d in records(trace, "relay")]
+        assert relays[:4] == [(1.1, 0, 0), (1.1, 1, 0), (1.1, 2, 0), (1.2, 3, 0)]
+
+    def test_cluster_jam_during_a_run(self):
+        # every report draws on the jam, copy by copy; some get through
+        kernel, trace, _ = assert_same_as_per_copy(scenario(**FLOOD_4W, failures=[
+            FailureSpec(time=1.25, kind="link", action="jam", link_class="cluster",
+                        drop=0.5)]))
+        jammed = [t for t, _ in records(trace, "drop_jam", dest="('leader', 1)")
+                  if t == 1.3]
+        queued = [r for r in kernel.reports if r[0] == 1.3]
+        unqueued = [f for now, f in kernel.unqueued if now == 1.3]
+        assert 0 < len(jammed) < 15 and len(queued) == 1
+        assert unqueued == [1.4] * (15 - len(jammed))
+
+    def test_zero_cluster_latency_queues_every_report(self):
+        # a report due now is not yet processed: all 16 of cluster 1's
+        # reports are queued, each from its own worker
+        kernel, _, _ = assert_same_as_per_copy(scenario(**FLOOD_4W, link_latencies={
+            **simkernel.DEFAULT_LATENCIES, "cluster": 0.0}))
+        assert [r for r in kernel.reports if r[2] == 1] == [
+            (1.2, 1.2, 1, w) for w in (4, 5, 6, 7) * 4]
+        assert not any(now == 1.2 for now, _ in kernel.unqueued)
+
+    def test_kill_between_a_run_and_its_reports(self):
+        # worker 7 dies at 1.35, in [1.3, 1.4]: no report of the runs at
+        # 1.3 can be accounted unqueued, and the leader drops 15 of them
+        kernel, trace, _ = assert_same_as_per_copy(scenario(**FLOOD_4W, failures=[
+            FailureSpec(time=1.35, kind="worker", action="kill", worker=7)]))
+        assert [r for r in kernel.reports if r[0] == 1.3] == [
+            (1.3, 1.4, 1, w) for w in (4, 5, 6, 7) * 4]
+        assert not any(now == 1.3 for now, _ in kernel.unqueued)
+        assert [t for t, _ in records(trace, "process", cluster=1)] == [1.4]
+
+    def test_horizon_cuts_a_runs_unqueued_reports(self):
+        kernel, _, report = assert_same_as_per_copy(scenario(**FLOOD_4W, horizon=1.35))
+        assert kernel.unqueued == [(1.3, 1.4)] * 15
+        # the 15 unqueued reports, the queued one, and each relay's eight
+        # adjacent copies due at 1.6
+        assert report.conservation["deliveries_inflight"] == 15 + 1 + 4 * 8
+        assert report.conserved
+
+
+class TestClusterRuns:
+    def test_a_run_takes_one_receive_call(self, monkeypatch):
+        # a silent fall back to copy-by-copy delivery fails here
+        calls = []
+        on_receive = simkernel.adj.worker_on_receive
+
+        def counted(w, m, topo):
+            calls.append(w)
+            return on_receive(w, m, topo)
+
+        monkeypatch.setattr(simkernel.adj, "worker_on_receive", counted)
+        sc = scenario(**FLOOD_4W)
+        _, report = run(sc)
+        n_calls = len(calls)
+        _, ref = PerCopyKernel(sc).run()
+        receives = report.conservation["alg1_receives"]
+        # the reference calls it once per receive
+        assert receives == ref.conservation["alg1_receives"] == len(calls) - n_calls
+        assert n_calls <= receives / 2
+
 
 class ReceiveRecordKernel(_Kernel):
     """The reference kernel: also writes trace format 2's ``alg1.receive``
-    record for every alive worker delivery."""
+    record for every alive worker delivery, each copy delivered alone."""
+
+    def deliver_run(self, c, run, m, sender):
+        for w in run:
+            self.deliver_worker(w, m, sender)
 
     def deliver_worker(self, w, m, sender):
         if self.topo.is_alive(w):
