@@ -4,14 +4,16 @@ Usage, from the repository root:
 
     python3 scripts/bench_global_scale.py --parent DIR --change DIR
         [--strategy hierarchical|adjacent] [--sizes 10000,100000,1000000]
-        [--horizon 10] [--out BENCH.json] [--work DIR]
+        [--horizon 10] [--pairs 1] [--out BENCH.json] [--work DIR]
 
 DIR is the root of a checkout; its ``src`` goes first on PYTHONPATH.  For
 each size the script writes one scenario, a single global command from
 cluster 0, with horizon ``--horizon`` (default 10) and the default
-maintenance round period of 1.  Then it runs ``virtree run`` on it once from
-each checkout, parent first, one process at a time.  The shape depends on
-``--strategy``:
+maintenance round period of 1.  Then it runs ``virtree run`` on it in
+``--pairs`` pairs (default 1), one run from each checkout a pair and one
+process at a time; the parent goes first in the odd pairs (1st, 3rd, ...)
+and the change in the even ones, so neither side always runs on a cooler
+or a warmer host.  The shape depends on ``--strategy``:
 
 * ``hierarchical`` (the default): 10 workers per cluster, 10 clusters per
   region, 10 regions per hub and 10 hubs per domain, with ``size / 10,000``
@@ -22,7 +24,9 @@ each checkout, parent first, one process at a time.  The shape depends on
 Per run it records wall time from process start to exit, peak RSS, the
 sha256 of ``trace.jsonl`` and ``metrics.json``, and the sha256 of the report
 without its ``totals`` and ``conservation`` counters, which a change of the
-trace format alone leaves equal.  Peak RSS is ``ru_maxrss`` from
+trace format alone leaves equal.  Each side keeps every run and reports the
+median wall time and peak RSS over its runs; ``pairs_won`` counts the pairs
+whose change ran faster than its parent.  Peak RSS is ``ru_maxrss`` from
 ``os.wait4``: the largest resident set of the run's processes.  ``run``
 encodes its trace in its own process, so that is the run itself; only a
 checkout whose ``run`` forks a trace writer process (trace format 1 did,
@@ -38,6 +42,7 @@ import json
 import os
 import platform
 import shutil
+import statistics
 import subprocess
 import sys
 import time
@@ -121,10 +126,14 @@ def main(argv=None) -> int:
                          "(hierarchical) or 100 (adjacent)")
     ap.add_argument("--horizon", type=float, default=10.0,
                     help="simulated horizon of each run (one maintenance round per second)")
+    ap.add_argument("--pairs", type=int, default=1,
+                    help="runs per checkout and size, alternating which goes first")
     ap.add_argument("--out", default="BENCH.json", help="result file")
     ap.add_argument("--work", default=".bench_global_scale",
                     help="scratch directory for scenarios and run outputs")
     args = ap.parse_args(argv)
+    if args.pairs < 1:
+        ap.error("--pairs must be at least 1")
 
     os.makedirs(args.work, exist_ok=True)
     sizes = {}
@@ -132,23 +141,37 @@ def main(argv=None) -> int:
         path = os.path.join(args.work, f"global_{args.strategy}_{workers}.json")
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(scenario(args.strategy, workers, args.horizon), fh, indent=2)
-        row = {}
-        for label, checkout in (("parent", args.parent), ("change", args.change)):
-            row[label] = run_once(checkout, path, os.path.join(args.work, f"{label}_{workers}"))
-            print(f"{workers} workers, {label}: {row[label]}", flush=True)
+        runs = {"parent": [], "change": []}
+        for pair in range(args.pairs):
+            order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
+            for label in order:
+                checkout = args.parent if label == "parent" else args.change
+                run = run_once(checkout, path, os.path.join(args.work, f"{label}_{workers}"))
+                runs[label].append(run)
+                print(f"{workers} workers, pair {pair + 1}, {label}: {run}", flush=True)
+        row = {label: {"wall_s": round(statistics.median(r["wall_s"] for r in side), 3),
+                       "peak_rss_mb": round(statistics.median(r["peak_rss_mb"] for r in side), 1),
+                       "runs": side}
+               for label, side in runs.items()}
+        every = runs["parent"] + runs["change"]
         row["outputs_identical"] = all(
-            row["parent"][k] == row["change"][k] for k in ("trace_sha256", "metrics_sha256"))
-        row["reports_equal"] = row["parent"]["report_sha256"] == row["change"]["report_sha256"]
-        row["change_over_parent_wall"] = round(row["change"]["wall_s"] / row["parent"]["wall_s"], 3)
+            r[k] == every[0][k] for r in every for k in ("trace_sha256", "metrics_sha256"))
+        row["reports_equal"] = all(r["report_sha256"] == every[0]["report_sha256"]
+                                   for r in every)
+        row["pairs_won"] = sum(c["wall_s"] < p["wall_s"]
+                               for p, c in zip(runs["parent"], runs["change"]))
+        row["change_over_parent_wall"] = round(row["change"]["wall_s"]
+                                               / row["parent"]["wall_s"], 3)
         sizes[str(workers)] = row
 
     shape, per_unit, unit = SHAPES[args.strategy]
     result = {
         "what": f"one global command, {args.strategy} strategy, horizon {args.horizon:g}: "
-                "`virtree run` wall time and peak RSS, one run per checkout and size",
+                f"`virtree run` wall time and peak RSS, {args.pairs} run(s) per checkout "
+                "and size, medians",
         "command": "python3 scripts/bench_global_scale.py --parent PARENT --change CHANGE "
                    f"--strategy {args.strategy} --sizes {args.sizes} "
-                   f"--horizon {args.horizon:g}",
+                   f"--horizon {args.horizon:g} --pairs {args.pairs}",
         "machine": {"cpu": cpu_model(), "cpus": os.cpu_count(),
                     "usable_cpus": len(os.sched_getaffinity(0))
                     if hasattr(os, "sched_getaffinity") else None,

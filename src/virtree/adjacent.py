@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from itertools import chain
 
 from .messages import Message, MsgId, goals_left
 from .topology import SCOPE_LAYERS, Topology, WorkerId, ClusterId
@@ -69,24 +70,34 @@ class ReportToLeader:
 
 @dataclass(frozen=True)
 class BroadcastToReachable:
-    """Relay to ``reachable_workers(worker)``; the kernel builds that list only
-    for a worker's first relay of a message, the one it does not suppress."""
+    """Relay to ``reachable_workers(worker)``; the kernel builds those segments
+    only for a worker's first relay of a message, the one it does not suppress."""
 
     worker: WorkerId
 
 
-def reachable_workers(w: WorkerId, topo: Topology) -> list[WorkerId]:
-    """Alive workers in w's region and all adjacent regions, excluding w.
+def reachable_workers(w: WorkerId, topo: Topology) -> list[tuple[str, list[WorkerId]]]:
+    """Alive workers in w's region and all adjacent regions, excluding w, as
+    (link class, ascending ids) segments in ascending id order, none empty.
 
-    Ascending: regions are walked in id order and each holds one id range.
+    Ids are row-major, so every region and cluster is one id range: w's
+    cluster less w is "cluster", the rest of its region "region" and each
+    adjacent region "adjacent".
     """
     r = topo.region_of_worker(w)
-    out = []
+    own, cluster = topo.workers_in_region(r), topo.workers_in_cluster(topo.cluster_of(w))
+    own_parts = (("region", range(own.start, cluster.start)),
+                 ("cluster", chain(range(cluster.start, w), range(w + 1, cluster.stop))),
+                 ("region", range(cluster.stop, own.stop)))
+    alive = topo.alive.__contains__
+    segments = []
     for region in sorted((r, *topo.region_adjacency[r])):
-        for peer in topo.workers_in_region(region):
-            if peer != w and topo.is_alive(peer):
-                out.append(peer)
-    return out
+        parts = own_parts if region == r else (("adjacent", topo.workers_in_region(region)),)
+        for cls, ids in parts:
+            live = [*filter(alive, ids)]
+            if live:
+                segments.append((cls, live))
+    return segments
 
 
 def worker_on_receive(w: WorkerId, m: Message, topo: Topology) -> list:

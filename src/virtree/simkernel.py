@@ -23,20 +23,23 @@ A worker delivery entry carries every copy of one send loop (a worker's
 relay or a leader's broadcast) that fires at one time: its dest is
 ``("workers", ws)``, ws ascending, and the copies are delivered in that
 order.  Per-copy entries would have taken contiguous seqs among the events
-at that time, so the events run in the same order.  A report to a leader
+at that time, so the events run in the same order.  A send loop is built from
+id-range segments, one link class each (``adjacent.reachable_workers``), and
+each segment extends its fire time's entry at once.  A report to a leader
 that can only end as the silent ``processed`` drop is accounted when it is
 sent and never queued (``_Kernel.report_dropped``).
 
-An entry is delivered one cluster run at a time: ws is ascending and ids are
-row-major, so each cluster's workers in it are one slice.  Two or more alive
-untargeted workers on an unjammed cluster link act alike, unless the copy
-makes one of them relay for the first time, so one ``worker_on_receive`` call
-decides for the run and its receives and suppressed relays are counted, not
-replayed (``_Kernel.deliver_run``).  Its reports go copy by copy until
-``report_dropped(key, fire, n)`` first takes one; nothing that reads changes
-within the run, so that call accounts the remaining n at once.  Every other
-run goes copy by copy through ``deliver_worker``, which keeps jam draws,
-``drop_dead`` records, targeted executions and relays in their order.
+An entry is delivered in one pass over its cluster runs: ids are row-major,
+so each cluster's workers in it are one slice.  Alive untargeted workers on
+an unjammed cluster link act alike, unless the copy makes one of them relay
+for the first time, so one ``worker_on_receive`` call decides for the run
+and its receives and suppressed relays are counted, not replayed, with one
+bump per counter an entry (``_Kernel.deliver_workers``).  Its reports go copy
+by copy until ``report_dropped(key, fire, n)`` first takes one; nothing that
+reads changes within the run, so that call accounts the remaining n at once.
+Every other run goes copy by copy through ``deliver_worker``, which keeps
+jam draws, ``drop_dead`` records, targeted executions and relays in their
+order.
 
 A kill re-elects or vacates every role the dead worker held, so a role's
 holder is alive and a delivery checks only for a vacancy.
@@ -112,7 +115,8 @@ class _Kernel:
         self.dead_regions: set[int] = set()
         # regions the next maintenance round visits (handle_maintenance)
         self.unsettled: set[int] = set(self.coords)
-        self.relayed: set[tuple[int, tuple]] = set()
+        # msg_id -> the workers that relayed it
+        self.relayed: defaultdict[tuple, set[int]] = defaultdict(set)
         # (cluster, msg_id) -> fire time of the last report queued to it
         self.report_due: dict[tuple[int, tuple], float] = {}
         # fire time of the last report accounted as a drop without being
@@ -227,16 +231,17 @@ class _Kernel:
             self.dropped_until = max(self.dropped_until, fire)
         return True
 
-    def fan_out(self, copies, m: Message, sender):
-        """Enqueue a copy of m to each (worker, link class) of copies: one
-        delivery entry per fire time, its workers in the order given.  Jam
-        draws stay per copy, in that order."""
-        fire_of = {cls: quantize(self.now + lat) for cls, lat in self.latency.items()}
+    def fan_out(self, segments, m: Message, sender):
+        """Enqueue a copy of m to each worker of segments, (link class,
+        ascending ids) pairs in ascending id order: one delivery entry per
+        fire time, made when a copy first lands in it, so its workers are
+        ascending.  A jammed class draws once per copy, in that order."""
         groups: dict[float, list[int]] = {}
-        jam = self.jam
-        for w, cls in copies:
-            if not (jam and self.jammed(cls, m, ("worker", w))):
-                groups.setdefault(fire_of[cls], []).append(w)
+        for cls, ws in segments:
+            if self.jam.get(cls):
+                ws = [w for w in ws if not self.jammed(cls, m, ("worker", w))]
+            if ws:
+                groups.setdefault(quantize(self.now + self.latency[cls]), []).extend(ws)
         for fire, ws in groups.items():
             self.bump("deliveries_enqueued", len(ws))
             self.push(fire, self.handle_delivery, (("workers", ws), m, sender, False))
@@ -315,44 +320,59 @@ class _Kernel:
                       targets_total=len(m.target_worker_ids))
         kind = dest[0]
         if kind == "workers":
-            ws, i = dest[1], 0
-            while i < len(ws):  # one run of ws per cluster
-                c = self.topo.cluster_of(ws[i])
-                j = bisect_left(ws, self.topo.workers_in_cluster(c).stop, i)
-                self.deliver_run(c, ws[i:j], m, sender)
-                i = j
+            self.deliver_workers(dest[1], m, sender)
         elif kind == "leader":
             self.deliver_leader(dest[1], m)
         else:
             self.deliver_node(dest[1], m, sender)
 
-    def deliver_run(self, c: int, run: list[int], m: Message, sender: int):
-        """Deliver m to run, the workers of cluster c in one entry, ascending:
-        at once when they act alike (see the module docstring), else copy by
-        copy.  ``worker_on_receive`` reads a worker only through its cluster
-        and the targets."""
+    def deliver_workers(self, ws: list[int], m: Message, sender: int):
+        """Deliver m to ws, ascending, in one pass over its cluster runs (see
+        the module docstring).  ``worker_on_receive`` reads a worker only
+        through its cluster and the targets, so on an unjammed cluster link
+        one call decides for a run of alive untargeted workers."""
         topo = self.topo
-        if (len(run) > 1 and not self.jam.get("cluster")
-                and topo.alive.issuperset(run) and m.target_worker_ids.isdisjoint(run)):
-            actions = adj.worker_on_receive(run[0], m, topo)
-            if (all(isinstance(a, adj.ReportToLeader) for a in actions)
-                    or self.relayed.issuperset((w, m.msg_id) for w in run)):
-                n = len(run)
-                self.bump("deliveries_completed", n)
-                self.bump("alg1_receives", n)
-                region_of = topo.region_of_worker
-                self.bump("alg1_cross_region_receives",
-                          n * (region_of(run[0]) != region_of(sender)))
-                for action in actions:
-                    if isinstance(action, adj.ReportToLeader):
-                        self.bump("reports_sent", n)
-                        self.send_reports(c, m, run,
-                                          quantize(self.now + self.latency["cluster"]))
-                    else:  # BroadcastToReachable, made by each worker already
-                        self.bump("relay_suppressed", n)
-                return
-        for w in run:
-            self.deliver_worker(w, m, sender)
+        wpc, alive = topo.config.workers_per_cluster, topo.alive
+        alike = not self.jam.get("cluster") and m.target_worker_ids.isdisjoint(ws)
+        whole = alike and alive.issuperset(ws)
+        relayed = self.relayed[m.msg_id]
+        fire = quantize(self.now + self.latency["cluster"])
+        per_region = topo.span[LAYER_REGIONAL_HUB] * wpc
+        home = sender - sender % per_region  # the first id of the sender's region
+        # copies delivered one by one, those of them in the sender's region,
+        # and the reports and suppressed relays of the runs counted at once
+        slow = slow_home = reported = suppressed = 0
+        i = 0
+        while i < len(ws):
+            c = ws[i] // wpc
+            j = bisect_left(ws, (c + 1) * wpc, i)
+            run = ws[i:j]
+            i = j
+            if whole or alike and alive.issuperset(run):
+                actions = adj.worker_on_receive(run[0], m, topo)
+                if not actions:
+                    continue
+                if isinstance(actions[0], adj.ReportToLeader):  # untargeted: the only one
+                    reported += len(run)
+                    self.send_reports(c, m, run, fire)
+                    continue
+                if relayed.issuperset(run):  # a relay each worker made already
+                    suppressed += len(run)
+                    continue
+            slow += len(run)
+            slow_home += len(run) * (home <= run[0] < home + per_region)
+            for w in run:
+                self.deliver_worker(w, m, sender)
+        n = len(ws) - slow
+        if n:
+            n_home = bisect_left(ws, home + per_region) - bisect_left(ws, home) - slow_home
+            self.bump("deliveries_completed", n)
+            self.bump("alg1_receives", n)
+            self.bump("alg1_cross_region_receives", n - n_home)
+        if reported:
+            self.bump("reports_sent", reported)
+        if suppressed:
+            self.bump("relay_suppressed", suppressed)
 
     def deliver_worker(self, w: int, m: Message, sender: int):
         if not self.topo.is_alive(w):
@@ -370,19 +390,16 @@ class _Kernel:
                 self.bump("reports_sent")
                 self.send(("leader", action.cluster), m, w, "cluster")
             else:  # BroadcastToReachable
-                key = (w, m.msg_id)
-                if key in self.relayed:
+                relayed = self.relayed[m.msg_id]
+                if w in relayed:
                     self.bump("relay_suppressed")
                     continue
-                self.relayed.add(key)
-                peers = adj.reachable_workers(w, self.topo)
+                relayed.add(w)
+                segments = adj.reachable_workers(w, self.topo)
                 self.emit("alg1", "relay", worker=w, from_worker=sender,
-                          msg_id=msg_id_str(m.msg_id), fanout=len(peers), hop=m.hop_count)
-                cluster = self.topo.workers_in_cluster(self.topo.cluster_of(w))
-                region = self.topo.workers_in_region(region_of(w))
-                self.fan_out([(p, "cluster" if p in cluster else
-                               "region" if p in region else "adjacent") for p in peers],
-                             m, w)
+                          msg_id=msg_id_str(m.msg_id),
+                          fanout=sum(len(ws) for _, ws in segments), hop=m.hop_count)
+                self.fan_out(segments, m, w)
 
     def apply_execution(self, w: int, m: Message, comp: str, **sender):
         """A targeted execution, idempotent per (worker, msg): duplicates
@@ -446,8 +463,9 @@ class _Kernel:
         mb = adj.worker_broadcast(state, m)
         self.bump("broadcasts_fired")
         self.emit("alg2", "broadcast", cluster=c, msg_id=mid, hop=mb.hop_count)
-        self.fan_out([(w, "cluster") for w in self.topo.workers_in_cluster(c)
-                      if self.topo.is_alive(w)], mb, leader)
+        members = self.topo.workers_in_cluster(c)
+        self.fan_out([("cluster", [*filter(self.topo.alive.__contains__, members)])],
+                     mb, leader)
 
     def deliver_node(self, node: tuple, m: Message, from_node: tuple | None):
         if self.links.holder(node) is None:

@@ -322,13 +322,11 @@ def test_criterion_7_tree_routing_work_is_per_branch_at_100k_workers(monkeypatch
           f"{covers_calls} covers calls over {routes} interior routes", flush=True)
 
 
-def test_criterion_7_adjacent_records_grow_linearly_at_1k_workers():
-    # one global command flooding 1k workers in 10 regions on the default
-    # grid, horizon 60 (the adjacent shape of scripts/bench_global_scale.py):
-    # each worker receives hundreds of copies, and a receive is counted, not
-    # written, so the trace stays within 2 records a worker
-    cfg = HierarchyConfig(10, 10, 10, 1, domains=1)
-    assert cfg.n_workers == 1_000
+def assert_adjacent_global_command(cfg):
+    """One global command flooding cfg's workers on the default grid, horizon
+    60: the adjacent shape of scripts/bench_global_scale.py.  Each worker
+    receives hundreds of copies, and a receive is counted, not written, so
+    the trace stays within 2 records a worker."""
     t0 = time.monotonic()
     commands = [CommandSpec(time=0.5, origin=0, scope=("global",))]
     sc = mk(cfg, seed=8, horizon=60.0, round_period=1.0, commands=commands)
@@ -338,11 +336,26 @@ def test_criterion_7_adjacent_records_grow_linearly_at_1k_workers():
     assert report.conserved
     assert pm.goals_executed == pm.goals_total == cfg.n_clusters
     assert len(trace) <= 2 * cfg.n_workers
+    t0 = time.monotonic()
     assert check_trace(trace, build_topology(cfg, seed=8), "adjacent", commands) == []
     receives = report.conservation["alg1_receives"]
-    print(f"criterion 7: PASS - 1000-worker adjacent global command: "
-          f"{len(trace)} records <= 2 x workers for {receives} worker receives, "
-          f"oracle agrees; {elapsed:.1f}s", flush=True)
+    print(f"criterion 7: PASS - {cfg.n_workers}-worker adjacent global command: "
+          f"{len(trace)} records <= 2 x workers for {receives} worker receives, all "
+          f"{cfg.n_clusters} goals executed; {elapsed:.1f}s, oracle agrees in "
+          f"{time.monotonic() - t0:.2f}s", flush=True)
+
+
+def test_criterion_7_adjacent_records_grow_linearly_at_1k_workers():
+    cfg = HierarchyConfig(10, 10, 10, 1, domains=1)
+    assert cfg.n_workers == 1_000
+    assert_adjacent_global_command(cfg)
+
+
+def test_criterion_7_adjacent_global_command_at_10k_workers():
+    # 100 regions on a 10x10 grid: a relay reaches up to five regions' ids
+    cfg = HierarchyConfig(10, 10, 100, 1, domains=1)
+    assert cfg.n_workers == 10_000 and cfg.n_clusters == 1_000
+    assert_adjacent_global_command(cfg)
 
 
 def test_criterion_8_deferred_delay_is_alpha_times_distance():

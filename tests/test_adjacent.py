@@ -70,19 +70,28 @@ class TestWorkerReceive:
 
 
 class TestReachableWorkers:
+    # worker 0 is in cluster 0, workers 0-3, of region 0, workers 0-7
     def test_isolated_region_own_peers_only(self):
         topo = two_region_topo(adjacency=[])
-        assert reachable_workers(0, topo) == [1, 2, 3, 4, 5, 6, 7]
+        assert reachable_workers(0, topo) == [("cluster", [1, 2, 3]), ("region", [4, 5, 6, 7])]
 
     def test_one_neighbor_region_adds_its_workers(self):
         topo = two_region_topo(adjacency=[(0, 1)])
-        assert reachable_workers(0, topo) == list(range(1, 16))
+        assert reachable_workers(0, topo) == [("cluster", [1, 2, 3]), ("region", [4, 5, 6, 7]),
+                                              ("adjacent", list(range(8, 16)))]
+
+    def test_segments_ascend_around_the_worker(self):
+        # worker 13 is in cluster 3, workers 12-15, of region 1, workers 8-15
+        topo = two_region_topo(adjacency=[(0, 1)])
+        assert reachable_workers(13, topo) == [("adjacent", list(range(8))),
+                                               ("region", [8, 9, 10, 11]),
+                                               ("cluster", [12, 14, 15])]
 
     def test_dead_neighbors_filtered(self):
         topo = two_region_topo(adjacency=[(0, 1)])
-        for w in range(8, 16):
+        for w in (*range(8, 16), 2, 5):
             topo.mark_dead(w)
-        assert reachable_workers(0, topo) == [1, 2, 3, 4, 5, 6, 7]
+        assert reachable_workers(0, topo) == [("cluster", [1, 3]), ("region", [4, 6, 7])]
 
 
 class TestComputeDelay:

@@ -685,12 +685,13 @@ class PerCopyKernel(_Kernel):
     """The reference kernel: one delivery entry per copy, each copy
     delivered alone, and every report queued and delivered."""
 
-    def fan_out(self, copies, m, sender):
-        for copy in copies:
-            super().fan_out([copy], m, sender)
+    def fan_out(self, segments, m, sender):
+        for cls, ws in segments:
+            for w in ws:
+                super().fan_out([(cls, [w])], m, sender)
 
-    def deliver_run(self, c, run, m, sender):
-        for w in run:
+    def deliver_workers(self, ws, m, sender):
+        for w in ws:
             self.deliver_worker(w, m, sender)
 
     def report_dropped(self, key, fire, n):
@@ -720,6 +721,17 @@ class Recording(_Kernel):
         return taken
 
 
+def reachable_peers(w, topo):
+    """(peer, link class) of each alive worker of w's region and its
+    adjacent regions but w, ascending: a per-peer model of
+    ``adjacent.reachable_workers``."""
+    r, c = topo.region_of_worker(w), topo.cluster_of(w)
+    return [(p, "cluster" if topo.cluster_of(p) == c else "region" if region == r
+             else "adjacent")
+            for region in sorted((r, *topo.region_adjacency[r]))
+            for p in topo.workers_in_region(region) if p != w and topo.is_alive(p)]
+
+
 class TestReachableCache:
     def test_relays_match_uncached_reachable_workers(self):
         # 6 regions of 6 workers on a 3x2 grid; a global command every 0.3 s
@@ -739,30 +751,34 @@ class TestReachableCache:
                       FailureSpec(time=3.55, kind="worker", action="kill", worker=7),
                       FailureSpec(time=4.05, kind="worker", action="revive", worker=14)])
         validate_scenario(sc)
-        relays = []  # (time, worker, fanout, uncached peers, index of its first entry)
+        relays = []  # (time, worker, fanout, per-peer model, index of its first entry)
 
         class Checked(Recording):
             def emit(self, comp, event, **data):
                 super().emit(comp, event, **data)
                 if event == "relay":
                     w = data["worker"]
-                    relays.append((self.now, w, data["fanout"],
-                                   reachable_workers(w, self.topo), len(self.fanouts)))
+                    peers = reachable_peers(w, self.topo)
+                    assert [(p, cls) for cls, ws in reachable_workers(w, self.topo)
+                            for p in ws] == peers
+                    relays.append((self.now, w, data["fanout"], peers, len(self.fanouts)))
 
         kernel = Checked(sc)
         kernel.run()
-        for _t, w, fanout, peers, start in relays:
+        for t, w, fanout, peers, start in relays:
             assert fanout == len(peers)
             # nothing is jammed: the relay's entries, one per link class
-            # here, hold every peer once, each entry ascending
+            # here, hold every peer once, each entry ascending and due at its
+            # class's latency
             sent, i = [], start
             while len(sent) < fanout:
-                _fire, ws, sender = kernel.fanouts[i]
+                fire, ws, sender = kernel.fanouts[i]
                 assert sender == w and ws == sorted(ws)
-                sent += ws
+                sent += [(p, fire) for p in ws]
                 i += 1
             assert i - start <= 3
-            assert sorted(sent) == peers
+            assert sorted(sent) == [(p, simkernel.quantize(t + kernel.latency[cls]))
+                                    for p, cls in peers]
         # relays ran many times per region, and after every edit of the alive
         # set or the adjacency
         assert len(relays) > 3 * cfg.n_regions
@@ -776,8 +792,9 @@ WORKER_CLASSES = ("cluster", "region", "adjacent")
 @st.composite
 def adjacent_runs(draw):
     """An adjacent scenario on a small shape: commands, worker and region
-    kills, revives and jams of every worker link class, on a 0.1 grid that
-    fire times land on; latencies drawn with zeros and ties."""
+    kills, revives, jams of every worker link class and, with two regions or
+    more, adjacency edits, on a 0.1 grid that fire times land on; latencies
+    drawn with zeros and ties."""
     wpc, cpr, rph = draw(st.integers(1, 4)), draw(st.integers(1, 3)), draw(st.integers(1, 3))
     cfg = HierarchyConfig(wpc, cpr, rph, coordinator_k=1, t_min=1)
     grid = st.integers(0, 40).map(lambda i: i / 10)
@@ -790,8 +807,9 @@ def adjacent_runs(draw):
         commands.append(CommandSpec(time=draw(grid), origin=draw(st.integers(
             0, cfg.n_clusters - 1)), scope=scope, targets=targets))
     failures = []
+    kinds = ["worker", "worker", "region", "link"] + ["adjacency"] * (cfg.n_regions > 1)
     for _ in range(draw(st.integers(0, 8))):
-        kind = draw(st.sampled_from(["worker", "worker", "region", "link"]))
+        kind = draw(st.sampled_from(kinds))
         if kind == "worker":
             failures.append(FailureSpec(time=draw(grid), kind="worker",
                                         action=draw(st.sampled_from(["kill", "revive"])),
@@ -799,6 +817,12 @@ def adjacent_runs(draw):
         elif kind == "region":
             failures.append(FailureSpec(time=draw(grid), kind="region", action="kill",
                                         region=draw(st.integers(0, cfg.n_regions - 1))))
+        elif kind == "adjacency":
+            edge = draw(st.lists(st.integers(0, cfg.n_regions - 1), min_size=2, max_size=2,
+                                 unique=True))
+            failures.append(FailureSpec(time=draw(grid), kind="adjacency",
+                                        action=draw(st.sampled_from(["add", "remove"])),
+                                        edge=tuple(edge)))
         else:
             failures.append(FailureSpec(time=draw(grid), kind="link",
                                         action=draw(st.sampled_from(["jam", "clear"])),
@@ -936,6 +960,16 @@ class TestPerCopyReference:
             FailureSpec(time=1.25, kind="worker", action="kill", worker=6)]))
         assert [t for t, _ in records(trace, "drop_dead", worker=6)] == [1.3] * 4
 
+    def test_dead_worker_run_beside_counted_runs(self):
+        # three clusters a region: worker 0's relay reaches clusters 1 and 2
+        # of its own region in one entry at 1.3, after worker 3 of cluster 1
+        # died; cluster 1's run goes copy by copy, cluster 2's is counted
+        sc = scenario(**dict(FLOOD, config=HierarchyConfig(2, 3, 2, coordinator_k=2, t_min=1)),
+                      failures=[FailureSpec(time=1.25, kind="worker", action="kill", worker=3)])
+        kernel, trace, report = assert_same_as_per_copy(sc)
+        assert (1.3, [2, 3, 4, 5], 0) in kernel.fanouts
+        assert [t for t, _ in records(trace, "drop_dead", worker=3)] == [1.3, 1.3]
+
     def test_run_holding_a_targeted_worker(self):
         sc = scenario(**dict(FLOOD_4W, commands=[CommandSpec(
             time=0.0, origin=0, scope=("global",), targets=frozenset({6}))]))
@@ -966,6 +1000,16 @@ class TestPerCopyReference:
         unqueued = [f for now, f in kernel.unqueued if now == 1.3]
         assert 0 < len(jammed) < 15 and len(queued) == 1
         assert unqueued == [1.4] * (15 - len(jammed))
+
+    def test_adjacent_jam_draws_once_per_copy(self):
+        # each of workers 0 to 3 relays eight adjacent copies to region 1 at
+        # 1.1, one segment each, and a half jam eats some copies of each
+        _, trace, _ = assert_same_as_per_copy(scenario(**FLOOD_4W, failures=[
+            FailureSpec(time=1.05, kind="link", action="jam", link_class="adjacent",
+                        drop=0.5)]))
+        jammed = [t for t, d in records(trace, "drop_jam", link_class="adjacent")
+                  if t == 1.1]
+        assert 0 < len(jammed) < 32 and len(jammed) % 8
 
     def test_zero_cluster_latency_queues_every_report(self):
         # a report due now is not yet processed: all 16 of cluster 1's
@@ -1007,21 +1051,27 @@ class TestClusterRuns:
 
         monkeypatch.setattr(simkernel.adj, "worker_on_receive", counted)
         sc = scenario(**FLOOD_4W)
-        _, report = run(sc)
+        kernel = Recording(sc)
+        trace, report = kernel.run()
         n_calls = len(calls)
         _, ref = PerCopyKernel(sc).run()
         receives = report.conservation["alg1_receives"]
         # the reference calls it once per receive
         assert receives == ref.conservation["alg1_receives"] == len(calls) - n_calls
-        assert n_calls <= receives / 2
+        # one call a cluster run of a delivered entry, and one more for each
+        # first relay, whose run goes copy by copy
+        wpc = CFG_4W.workers_per_cluster
+        runs = sum(len({w // wpc for w in ws}) for fire, ws, _ in kernel.fanouts
+                   if fire <= sc.horizon)
+        assert n_calls <= runs + len(records(trace, "relay")) <= receives / 2
 
 
 class ReceiveRecordKernel(_Kernel):
     """The reference kernel: also writes trace format 2's ``alg1.receive``
     record for every alive worker delivery, each copy delivered alone."""
 
-    def deliver_run(self, c, run, m, sender):
-        for w in run:
+    def deliver_workers(self, ws, m, sender):
+        for w in ws:
             self.deliver_worker(w, m, sender)
 
     def deliver_worker(self, w, m, sender):
