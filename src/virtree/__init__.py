@@ -23,7 +23,6 @@ from .errors import (
     OracleMismatch,
     RegionDead,
     ScenarioInvalid,
-    UnknownCluster,
     UnknownScope,
     VirtreeError,
 )
@@ -52,7 +51,6 @@ from .topology import (
     derive_seed,
     goal_clusters_for_scope,
     grid_adjacency,
-    hierarchy_distance,
     reelect_role,
 )
 
@@ -79,7 +77,6 @@ __all__ = [
     "Topology",
     "TraceRecord",
     "TreeLinks",
-    "UnknownCluster",
     "UnknownScope",
     "VirtreeError",
     "build_report",
@@ -92,7 +89,6 @@ __all__ = [
     "goal_clusters_for_scope",
     "goals_left",
     "grid_adjacency",
-    "hierarchy_distance",
     "leader_on_receive_deferred",
     "leader_on_receive_immediate",
     "liveness_trials",

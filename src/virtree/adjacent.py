@@ -118,7 +118,8 @@ def worker_on_receive(w: WorkerId, m: Message, topo: Topology) -> list:
 
 
 def min_goal_distance(topo: Topology, cluster: ClusterId, m: Message) -> int:
-    """``hierarchy_distance`` from cluster to m's nearest unexecuted goal.
+    """Distance from cluster to m's nearest unexecuted goal: 0 in the same
+    cluster, 1 region, 2 hub, 3 domain and 4 beyond.
 
     That is the lowest layer whose scope around cluster still holds an
     unexecuted goal; m must have one left.

@@ -77,8 +77,9 @@ def cmd_run(args) -> int:
     # dump_trace is looked up here at each batch, where a profiler wraps it
     trace_path = os.path.join(args.out, "trace.jsonl")
     tmp_path = f"{trace_path}.{os.getpid()}.tmp"
+    fh = open(tmp_path, "w", encoding="utf-8")  # a failure here leaves no file
     try:
-        with open(tmp_path, "w", encoding="utf-8") as fh:
+        with fh:
             _, report = run_scenario(sc, sink=lambda batch: fh.write(dump_trace(batch)))
         os.replace(tmp_path, trace_path)
     except BaseException:

@@ -5,10 +5,6 @@ class VirtreeError(Exception):
     """Base class for all library errors."""
 
 
-class UnknownCluster(VirtreeError):
-    """Cluster id not present in the topology."""
-
-
 class UnknownScope(VirtreeError):
     """Scope kind or id does not name anything in the topology."""
 

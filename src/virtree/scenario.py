@@ -366,6 +366,8 @@ def apply_overrides(raw: dict, assignments: list[str]) -> dict:
             value = json.loads(text)
         except ValueError:
             value = text
+        except RecursionError:
+            raise ScenarioInvalid("--set", f"{key}: value nested too deeply") from None
         node = raw
         for part in parts[:-1]:
             nxt = node.get(part)
@@ -389,6 +391,8 @@ def load_scenario_file(path: str, overrides: list[str] | None = None,
             raw = json.loads(fh.read())
         except ValueError as e:  # not UTF-8, not JSON, or an integer too long to parse
             raise ScenarioInvalid("json", f"scenario file is not valid JSON: {e}") from None
+        except RecursionError:
+            raise ScenarioInvalid("json", "scenario file is nested too deeply") from None
     if seed is not None:
         overrides = [*(overrides or []), f"seed={seed}"]
     if overrides:

@@ -25,21 +25,21 @@ relay or a leader's broadcast) that fires at one time: its dest is
 order.  Per-copy entries would have taken contiguous seqs among the events
 at that time, so the events run in the same order.  A send loop is built from
 id-range segments, one link class each (``adjacent.reachable_workers``), and
-each segment extends its fire time's entry at once.  A report to a leader
-that can only end as the silent ``processed`` drop is accounted when it is
-sent and never queued (``_Kernel.report_dropped``).
+each segment extends its fire time's entry at once.
 
 An entry is delivered in one pass over its cluster runs: ids are row-major,
-so each cluster's workers in it are one slice.  Alive untargeted workers on
-an unjammed cluster link act alike, unless the copy makes one of them relay
-for the first time, so one ``worker_on_receive`` call decides for the run
-and its receives and suppressed relays are counted, not replayed, with one
-bump per counter an entry (``_Kernel.deliver_workers``).  Its reports go copy
-by copy until ``report_dropped(key, fire, n)`` first takes one; nothing that
-reads changes within the run, so that call accounts the remaining n at once.
-Every other run goes copy by copy through ``deliver_worker``, which keeps
-jam draws, ``drop_dead`` records, targeted executions and relays in their
-order.
+so each cluster's workers in it are one slice, and a run lies in one region.
+The pass counts every alive copy of a run as received, and as crossing when
+the run lies outside the sender's region, with one bump per counter an entry
+(``_Kernel.deliver_workers``).  Alive untargeted workers on an unjammed
+cluster link act alike, unless the copy makes one of them relay for the
+first time, so one ``worker_on_receive`` call decides for the run: its
+suppressed relays are counted and its reports are sent at once.  Every other
+run goes copy by copy through ``deliver_worker``, which only acts and keeps
+jam draws, ``drop_dead`` records, targeted executions, reports and relays in
+their order.  ``send_reports`` alone decides a report: one that can only end
+as the leader's silent ``processed`` drop is accounted when it is sent and
+never queued (``_Kernel.report_dropped``).
 
 A kill re-elects or vacates every role the dead worker held, so a role's
 holder is alive and a delivery checks only for a vacancy.
@@ -60,7 +60,7 @@ from __future__ import annotations
 
 import heapq
 import random
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from collections import defaultdict
 from collections.abc import Callable
 
@@ -139,10 +139,9 @@ class _Kernel:
     # -- plumbing ---------------------------------------------------------
 
     def rng(self, *labels) -> random.Random:
-        key = tuple(labels)
-        r = self._rngs.get(key)
+        r = self._rngs.get(labels)
         if r is None:
-            r = self._rngs[key] = random.Random(derive_seed(self.sc.seed, *labels))
+            r = self._rngs[labels] = random.Random(derive_seed(self.sc.seed, *labels))
         return r
 
     def bump(self, key: str, n: int = 1):
@@ -179,57 +178,50 @@ class _Kernel:
         return True
 
     def send(self, dest: tuple, m: Message, sender, cls: str):
-        """Enqueue one delivery to a leader or a tree node, unless the link
-        eats it or it is a report ``report_dropped`` accounts for."""
+        """Enqueue one delivery to a tree node, unless the link eats it."""
         if self.jammed(cls, m, dest):
             return
-        fire = quantize(self.now + self.latency[cls])
-        if dest[0] == "leader":
-            self.send_reports(dest[1], m, (sender,), fire)
-            return
         self.bump("deliveries_enqueued")
-        self.push(fire, self.handle_delivery, (dest, m, sender, False))
+        self.push(self.now + self.latency[cls], self.handle_delivery, (dest, m, sender, False))
 
     def send_reports(self, c: int, m: Message, reporters, fire: float):
-        """Enqueue a report of m to c's leader, due at fire, from each worker
-        of reporters in order, until ``report_dropped`` accounts the rest."""
-        key = (c, m.msg_id)
-        for i, w in enumerate(reporters):
-            if self.report_dropped(key, fire, len(reporters) - i):
-                return
-            self.bump("deliveries_enqueued")
-            self.report_due[key] = fire
-            self.push(fire, self.handle_delivery, (("leader", c), m, w, False))
-
-    def report_dropped(self, key: tuple[int, tuple], fire: float, n: int) -> bool:
-        """Account n reports to (cluster, msg_id) due at fire, unqueued, when
-        their delivery can only be the silent ``processed`` drop.
+        """Send a report of m to c's leader, due at fire, from each worker of
+        reporters in order: queue it, or account it unqueued
+        (``report_dropped``) when its delivery can only be the silent
+        ``processed`` drop.
 
         The reporters are alive workers of the cluster, so the cluster's
         leader is alive now: a kill re-elects the lowest alive worker and a
         revive fills a vacancy.  With no kill scheduled in [now, fire], that
-        leader keeps its role and stays alive until fire.  It drops the
-        reports if it has processed the message, or if an earlier queued report
-        to it, due after now and so before these, will make it do so.  Nothing
-        this reads changes until another report is queued, so it holds for
-        all n."""
-        c, msg_id = key
-        state = self.leader_states.get(c)
-        if not (state is not None and msg_id in state.processed_msgs
-                or self.report_due.get(key, self.now) > self.now):
-            return False
-        kills = self.kill_times
-        i = bisect_left(kills, self.now)
-        if i < len(kills) and kills[i] <= fire:
-            return False
+        leader keeps its role and stays alive until fire.  It drops a report
+        as ``processed`` if it has processed the message, or if an earlier
+        queued report to it, due after now and so before this one, will make
+        it do so: every report after the first one queued here, unless fire
+        is now."""
+        now, key, n = self.now, (c, m.msg_id), len(reporters)
+        kills, state = self.kill_times, self.leader_states.get(c)
+        if kills and bisect_left(kills, now) < bisect_right(kills, fire):
+            queued = n
+        elif (state is not None and m.msg_id in state.processed_msgs
+              or self.report_due.get(key, now) > now):
+            queued = 0
+        else:
+            queued = 1 if fire > now else n
         self.bump("deliveries_enqueued", n)
+        for w in reporters[:queued]:
+            self.report_due[key] = fire
+            self.push(fire, self.handle_delivery, (("leader", c), m, w, False))
+        if queued < n:
+            self.report_dropped(fire, n - queued)
+
+    def report_dropped(self, fire: float, n: int):
+        """Account n unqueued reports due at fire: dropped, or in flight past the horizon."""
         if fire > self.sc.horizon:
             self.bump("deliveries_inflight", n)
         else:
             self.bump("deliveries_completed", n)
             self.bump("alg2_drops", n)
             self.dropped_until = max(self.dropped_until, fire)
-        return True
 
     def fan_out(self, segments, m: Message, sender):
         """Enqueue a copy of m to each worker of segments, (link class,
@@ -334,21 +326,22 @@ class _Kernel:
         topo = self.topo
         wpc, alive = topo.config.workers_per_cluster, topo.alive
         alike = not self.jam.get("cluster") and m.target_worker_ids.isdisjoint(ws)
-        whole = alike and alive.issuperset(ws)
+        whole = alive.issuperset(ws)
         relayed = self.relayed[m.msg_id]
         fire = quantize(self.now + self.latency["cluster"])
-        per_region = topo.span[LAYER_REGIONAL_HUB] * wpc
-        home = sender - sender % per_region  # the first id of the sender's region
-        # copies delivered one by one, those of them in the sender's region,
-        # and the reports and suppressed relays of the runs counted at once
-        slow = slow_home = reported = suppressed = 0
+        home = topo.workers_in_region(topo.region_of_worker(sender))
+        received = crossed = reported = 0
         i = 0
         while i < len(ws):
             c = ws[i] // wpc
             j = bisect_left(ws, (c + 1) * wpc, i)
             run = ws[i:j]
             i = j
-            if whole or alike and alive.issuperset(run):
+            live = len(run) if whole else len(alive.intersection(run))
+            received += live
+            if run[0] not in home:
+                crossed += live
+            if alike and live == len(run):
                 actions = adj.worker_on_receive(run[0], m, topo)
                 if not actions:
                     continue
@@ -357,38 +350,31 @@ class _Kernel:
                     self.send_reports(c, m, run, fire)
                     continue
                 if relayed.issuperset(run):  # a relay each worker made already
-                    suppressed += len(run)
+                    self.bump("relay_suppressed", len(run))
                     continue
-            slow += len(run)
-            slow_home += len(run) * (home <= run[0] < home + per_region)
             for w in run:
                 self.deliver_worker(w, m, sender)
-        n = len(ws) - slow
-        if n:
-            n_home = bisect_left(ws, home + per_region) - bisect_left(ws, home) - slow_home
-            self.bump("deliveries_completed", n)
-            self.bump("alg1_receives", n)
-            self.bump("alg1_cross_region_receives", n - n_home)
+        if received:
+            self.bump("deliveries_completed", received)
+            self.bump("alg1_receives", received)
+            self.bump("alg1_cross_region_receives", crossed)
         if reported:
             self.bump("reports_sent", reported)
-        if suppressed:
-            self.bump("relay_suppressed", suppressed)
 
     def deliver_worker(self, w: int, m: Message, sender: int):
+        """Act on one copy; ``deliver_workers`` counts its receive."""
         if not self.topo.is_alive(w):
             self.bump("deliveries_dropped_dead")
             self.emit("kernel", "drop_dead", worker=w, msg_id=msg_id_str(m.msg_id))
             return
-        self.bump("deliveries_completed")
-        self.bump("alg1_receives")
-        region_of = self.topo.region_of_worker
-        self.bump("alg1_cross_region_receives", int(region_of(w) != region_of(sender)))
         for action in adj.worker_on_receive(w, m, self.topo):
             if isinstance(action, adj.ExecuteLocally):
                 self.apply_execution(w, m, comp="alg1", from_worker=sender)
             elif isinstance(action, adj.ReportToLeader):
                 self.bump("reports_sent")
-                self.send(("leader", action.cluster), m, w, "cluster")
+                if not self.jammed("cluster", m, ("leader", action.cluster)):
+                    fire = quantize(self.now + self.latency["cluster"])
+                    self.send_reports(action.cluster, m, (w,), fire)
             else:  # BroadcastToReachable
                 relayed = self.relayed[m.msg_id]
                 if w in relayed:

@@ -27,7 +27,7 @@ import math
 import random
 from dataclasses import dataclass
 
-from .errors import NoCandidate, UnknownCluster, UnknownScope
+from .errors import NoCandidate, UnknownScope
 
 WorkerId = int
 ClusterId = int
@@ -245,20 +245,6 @@ def build_topology(config: HierarchyConfig, seed: int,
         alive=set(range(n_workers)),
         energy=energy,
     )
-
-
-def hierarchy_distance(topo: Topology, a: ClusterId, b: ClusterId) -> int:
-    """Coordination distance between two clusters, 0..4.
-
-    0 same cluster, 1 same region, 2 same hub, 3 same domain, 4 otherwise.
-    """
-    for c in (a, b):
-        if not 0 <= c < topo.config.n_clusters:
-            raise UnknownCluster(f"cluster {c}")
-    for distance, layer in enumerate(SCOPE_LAYERS.values()):
-        if topo.scope_of(a, layer) == topo.scope_of(b, layer):
-            return distance
-    return len(SCOPE_LAYERS)
 
 
 def goal_clusters_for_scope(topo: Topology, scope: tuple) -> range:

@@ -21,8 +21,16 @@ from virtree.topology import (
     HierarchyConfig,
     build_topology,
     goal_clusters_for_scope,
-    hierarchy_distance,
 )
+
+
+def hierarchy_distance(topo, a, b):
+    """Coordination distance between two clusters: 0 same cluster, 1 same
+    region, 2 same hub, 3 same domain, 4 otherwise."""
+    for distance, layer in enumerate(SCOPE_LAYERS.values()):
+        if topo.scope_of(a, layer) == topo.scope_of(b, layer):
+            return distance
+    return len(SCOPE_LAYERS)
 
 
 def hier_scenario(**kw):

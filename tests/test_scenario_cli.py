@@ -263,6 +263,18 @@ class TestCli:
         assert main(["validate", "--scenario", str(path), *extra]) == 2
         assert "invalid scenario" in capsys.readouterr().err
 
+    def test_deeply_nested_file_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 200_000 + "]" * 200_000)
+        assert main(["validate", "--scenario", str(path)]) == 2
+        assert "invalid scenario: json: " in capsys.readouterr().err
+
+    def test_deeply_nested_override_exits_2(self, tmp_path, capsys):
+        deep = "[" * 20_000 + "]" * 20_000
+        path = write_scenario(tmp_path)
+        assert main(["validate", "--scenario", path, "--set", f"seed={deep}"]) == 2
+        assert "invalid scenario: --set: seed: " in capsys.readouterr().err
+
     def test_missing_file_exits_3(self, tmp_path, capsys):
         code = main(["validate", "--scenario", str(tmp_path / "absent.json")])
         assert code == 3
@@ -597,6 +609,19 @@ class TestCliRunStreaming:
                 main(argv)
         after = {name: (out_dir / name).read_bytes() for name in os.listdir(out_dir)}
         assert after == before
+
+    def test_unopenable_trace_file_names_its_error(self, tmp_path, monkeypatch, capsys):
+        def no_tmp(path, *args, **kw):
+            if str(path).endswith(".tmp"):
+                raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), path)
+            return open(path, *args, **kw)
+
+        monkeypatch.setattr(cli, "open", no_tmp, raising=False)
+        out_dir = tmp_path / "out"
+        assert main(["run", "--scenario", write_scenario(tmp_path), "--out", str(out_dir)]) == 3
+        assert (f"io error: [Errno {errno.EACCES}] {os.strerror(errno.EACCES)}"
+                in capsys.readouterr().err)
+        assert os.listdir(out_dir) == []
 
     @pytest.mark.parametrize("abort_in", ["schedule_initial", "flush"],
                              ids=["first-event", "after-a-batch"])

@@ -681,9 +681,21 @@ class TestConservationFuzz:
             assert report.conserved, f"scenario {i} out of balance"
 
 
+def deliver_per_copy(kernel, ws, m, sender):
+    """Deliver each copy of ws alone, counting each alive one's receive, and
+    its crossing when the sender sits in another region, before it acts."""
+    region_of = kernel.topo.region_of_worker
+    for w in ws:
+        if kernel.topo.is_alive(w):
+            kernel.bump("deliveries_completed")
+            kernel.bump("alg1_receives")
+            kernel.bump("alg1_cross_region_receives", int(region_of(w) != region_of(sender)))
+        kernel.deliver_worker(w, m, sender)
+
+
 class PerCopyKernel(_Kernel):
     """The reference kernel: one delivery entry per copy, each copy
-    delivered alone, and every report queued and delivered."""
+    delivered and counted alone, and every report queued and delivered."""
 
     def fan_out(self, segments, m, sender):
         for cls, ws in segments:
@@ -691,11 +703,12 @@ class PerCopyKernel(_Kernel):
                 super().fan_out([(cls, [w])], m, sender)
 
     def deliver_workers(self, ws, m, sender):
-        for w in ws:
-            self.deliver_worker(w, m, sender)
+        deliver_per_copy(self, ws, m, sender)
 
-    def report_dropped(self, key, fire, n):
-        return False
+    def send_reports(self, c, m, reporters, fire):
+        for w in reporters:
+            self.bump("deliveries_enqueued")
+            self.push(fire, self.handle_delivery, (("leader", c), m, w, False))
 
 
 class Recording(_Kernel):
@@ -714,11 +727,9 @@ class Recording(_Kernel):
             self.reports.append((self.now, fire, args[0][1], args[2]))
         super().push(fire, handler, args)
 
-    def report_dropped(self, key, fire, n):
-        taken = super().report_dropped(key, fire, n)
-        if taken:
-            self.unqueued += [(self.now, fire)] * n
-        return taken
+    def report_dropped(self, fire, n):
+        self.unqueued += [(self.now, fire)] * n
+        super().report_dropped(fire, n)
 
 
 def reachable_peers(w, topo):
@@ -952,7 +963,8 @@ class TestPerCopyReference:
     def test_horizon_cuts_fan_outs_and_unqueued_reports(self):
         assert_horizon_cut_counts_in_flight()
 
-    # Each case below breaks one condition of counting a cluster run at once.
+    # Each case below breaks one condition of counting a cluster run at once;
+    # test_run_breaking_every_condition_at_once breaks them together.
 
     def test_run_with_a_dead_worker(self):
         # worker 6 dies after the relays are sent, before their runs land
@@ -1000,6 +1012,35 @@ class TestPerCopyReference:
         unqueued = [f for now, f in kernel.unqueued if now == 1.3]
         assert 0 < len(jammed) < 15 and len(queued) == 1
         assert unqueued == [1.4] * (15 - len(jammed))
+
+    def test_run_breaking_every_condition_at_once(self):
+        # each relay of workers 0 to 3 crosses to region 1 as one entry at
+        # 1.6; its cluster 2 run holds dead worker 9 and targeted worker 10,
+        # and the cluster link is half jammed, so every copy goes alone and
+        # each alive one's report draws on the jam
+        sc = scenario(**dict(FLOOD_4W, commands=[CommandSpec(
+            time=0.0, origin=0, scope=("global",), targets=frozenset({10}))]), failures=[
+            FailureSpec(time=1.55, kind="worker", action="kill", worker=9),
+            FailureSpec(time=1.55, kind="link", action="jam", link_class="cluster",
+                        drop=0.5)])
+        kernel, trace, report = assert_same_as_per_copy(sc)
+        assert [(ws, w) for fire, ws, w in kernel.fanouts if fire == 1.6] == [
+            (list(range(8, 16)), w) for w in range(4)]
+        acts = [(rec.event, rec.data.get("worker"), rec.data.get("dest")) for rec in trace
+                if rec.time == 1.6 and rec.event in ("drop_dead", "execute_worker", "drop_jam")]
+        dead, done = ("drop_dead", 9, None), ("execute_worker", 10, None)
+        jam2, jam3 = (("drop_jam", None, f"('leader', {c})") for c in (2, 3))
+        # entry by entry, workers 8 to 15 in turn; a report the jam lets
+        # through writes nothing, and worker 10 executes once
+        assert acts == [jam2, dead, done, jam2, jam3, jam3,
+                        jam2, dead, jam3, jam3,
+                        jam2, dead, jam2, jam2, jam3,
+                        dead, jam2, jam2, jam3, jam3]
+        # 28 reports: 15 jammed, one queued to each leader, 11 unqueued
+        assert [r for r in kernel.reports if r[0] == 1.6] == [(1.6, 1.7, 2, 10),
+                                                              (1.6, 1.7, 3, 12)]
+        assert [u for u in kernel.unqueued if u[0] == 1.6] == [(1.6, 1.7)] * 11
+        assert report.conservation["deliveries_dropped_dead"] == 4
 
     def test_adjacent_jam_draws_once_per_copy(self):
         # each of workers 0 to 3 relays eight adjacent copies to region 1 at
@@ -1068,11 +1109,11 @@ class TestClusterRuns:
 
 class ReceiveRecordKernel(_Kernel):
     """The reference kernel: also writes trace format 2's ``alg1.receive``
-    record for every alive worker delivery, each copy delivered alone."""
+    record for every alive worker delivery, each copy delivered and counted
+    alone."""
 
     def deliver_workers(self, ws, m, sender):
-        for w in ws:
-            self.deliver_worker(w, m, sender)
+        deliver_per_copy(self, ws, m, sender)
 
     def deliver_worker(self, w, m, sender):
         if self.topo.is_alive(w):

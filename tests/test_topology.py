@@ -3,17 +3,26 @@ import tracemalloc
 
 import pytest
 
-from virtree.errors import NoCandidate, ScenarioInvalid, UnknownCluster, UnknownScope
+from virtree.errors import NoCandidate, ScenarioInvalid, UnknownScope
 from virtree.scenario import Scenario, validate_scenario
 from virtree.topology import (
+    SCOPE_LAYERS,
     HierarchyConfig,
     build_topology,
     derive_seed,
     goal_clusters_for_scope,
     grid_adjacency,
-    hierarchy_distance,
     reelect_role,
 )
+
+
+def hierarchy_distance(topo, a, b):
+    """Coordination distance between two clusters: 0 same cluster, 1 same
+    region, 2 same hub, 3 same domain, 4 otherwise."""
+    for distance, layer in enumerate(SCOPE_LAYERS.values()):
+        if topo.scope_of(a, layer) == topo.scope_of(b, layer):
+            return distance
+    return len(SCOPE_LAYERS)
 
 
 def config_error(**kw) -> str:
@@ -172,33 +181,6 @@ class TestGridAdjacency:
             assert r not in nbrs
             for n in nbrs:
                 assert r in adj[n]
-
-
-class TestHierarchyDistance:
-    def test_ladder(self, two_domain_topo):
-        topo = two_domain_topo
-        # clusters: 2 per region, 2 regions per hub, 2 hubs per domain, 2 domains
-        assert hierarchy_distance(topo, 0, 0) == 0
-        assert hierarchy_distance(topo, 0, 1) == 1   # same region
-        assert hierarchy_distance(topo, 0, 2) == 2   # same hub
-        assert hierarchy_distance(topo, 0, 4) == 3   # same domain
-        assert hierarchy_distance(topo, 0, 8) == 4   # other domain
-
-    def test_symmetric(self, two_domain_topo):
-        topo = two_domain_topo
-        for a in (0, 3, 9):
-            for b in (1, 8, 15):
-                assert hierarchy_distance(topo, a, b) == hierarchy_distance(topo, b, a)
-
-    def test_zero_iff_equal(self, two_domain_topo):
-        for a in range(16):
-            for b in range(16):
-                d = hierarchy_distance(two_domain_topo, a, b)
-                assert (d == 0) == (a == b)
-
-    def test_unknown_cluster(self, topo32):
-        with pytest.raises(UnknownCluster):
-            hierarchy_distance(topo32, 0, 999)
 
 
 class TestGoalClusters:
