@@ -9,9 +9,12 @@ from __future__ import annotations
 
 import argparse
 import json
+import marshal
 import os
+import signal
 import sys
 from dataclasses import replace
+from functools import partial
 from statistics import fmean
 
 from .coordinators import liveness_trials, predicted_liveness
@@ -173,25 +176,99 @@ def cmd_sweep(args) -> int:
         rows.append("param,value,trials,goal_fraction,mean_latency,transmissions,"
                     "live_region_fraction")
         for v, variant in zip(values, variants):
-            frac, lat, tx, live = [], [], [], []
-            for trial in range(args.trials):
-                trial_sc = replace(variant, seed=derive_seed(sc.seed, "sweep", str(v), trial))
-                # only the report is read, so each batch is dropped once folded
-                _trace, report = run_scenario(trial_sc, sink=_discard)
-                total = sum(m.goals_total for m in report.messages.values())
-                done = sum(m.goals_executed for m in report.messages.values())
-                frac.append(done / total if total else 1.0)
-                lats = [m.latency for m in report.messages.values() if m.latency is not None]
-                lat.append(fmean(lats) if lats else 0.0)
-                tx.append(sum(report.totals.get(k, 0) for k in TRANSMISSION_EVENTS))
-                live.append(report.live_region_fraction)
-            rows.append(f"{args.param},{v},{args.trials},{fmean(frac)},"
-                        f"{fmean(lat)},{fmean(tx)},{fmean(live)}")
+            stats = _map_trials(partial(_trial_stats, variant, sc.seed, v), args.trials)
+            frac, lat, tx, live = map(fmean, zip(*stats))
+            rows.append(f"{args.param},{v},{args.trials},{frac},{lat},{tx},{live}")
 
     with open(out_path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(rows) + "\n")
     print(f"sweep ok: {len(values)} value(s) x {args.trials} trial(s) -> {out_path}")
     return 0
+
+
+def _trial_stats(variant, seed: int, value, trial: int) -> tuple:
+    """(goal fraction, mean latency, transmissions, live-region fraction)
+    of one strategy or regions sweep trial."""
+    trial_sc = replace(variant, seed=derive_seed(seed, "sweep", str(value), trial))
+    # only the report is read, so each batch is dropped once folded
+    _trace, report = run_scenario(trial_sc, sink=_discard)
+    messages = report.messages.values()
+    total = sum(m.goals_total for m in messages)
+    done = sum(m.goals_executed for m in messages)
+    lats = [m.latency for m in messages if m.latency is not None]
+    return (done / total if total else 1.0, fmean(lats) if lats else 0.0,
+            sum(report.totals.get(k, 0) for k in TRANSMISSION_EVENTS),
+            report.live_region_fraction)
+
+
+def _map_trials(trial, n: int) -> list:
+    """``[trial(i) for i in range(n)]``, run as one contiguous chunk of trials
+    per usable CPU: this process runs the first chunk, a forked helper each
+    other one.
+
+    Trial 0 runs before any fork, so a scenario that fails, fails here.  A
+    helper sends its results back marshalled, all at once when its chunk is
+    done; the chunk of one that could not start or sent short data (it
+    raised or was killed) is rerun here, which raises the helper's error,
+    since a trial is deterministic.  Every helper is reaped before this
+    returns or raises, and killed first on a raise.
+    """
+    out = [trial(0)]
+    cpus = min(_usable_cpus(), n)
+    cut = [n * c // cpus for c in range(cpus + 1)]
+    chunks = [range(lo, hi) for lo, hi in zip(cut[1:], cut[2:])]
+    helpers = []
+    finished = False
+    try:
+        for chunk in chunks:
+            helpers.append(_fork_trials(trial, chunk))
+        out += map(trial, range(1, cut[1]))
+        sent = [fh.read() for _, fh in helpers]  # each ends when its helper does
+        finished = True
+    finally:
+        for pid, fh in helpers:
+            fh.close()
+            if pid is not None:
+                if not finished:
+                    os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+    for chunk, data in zip(chunks, sent):
+        try:
+            got = marshal.loads(data)
+        except (EOFError, ValueError):
+            got = ()
+        out += got if len(got) == len(chunk) else map(trial, chunk)
+    return out
+
+
+def _usable_cpus() -> int:
+    if not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
+        return 1
+    return len(os.sched_getaffinity(0))
+
+
+def _fork_trials(trial, chunk: range):
+    """(pid, pipe reader) of a helper that writes the marshalled list of
+    ``trial(i)`` over ``chunk``; the pid is None, and the pipe empty, when
+    no helper could start."""
+    r, w = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        pid = None
+    if pid == 0:
+        # the helper never returns: it must not unwind into the caller or
+        # flush stdio buffers it inherited
+        code = 1
+        try:
+            os.close(r)
+            with open(w, "wb") as fh:
+                fh.write(marshal.dumps([trial(i) for i in chunk]))
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(w)
+    return pid, open(r, "rb")
 
 
 def _discard(batch):

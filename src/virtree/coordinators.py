@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from itertools import repeat, starmap
 
 from .errors import RegionDead
 from .topology import RegionId, Topology, WorkerId, derive_seed
@@ -145,8 +146,8 @@ def liveness_trials(p: float, k: int, trials: int, seed: int) -> int:
     """
     predicted_liveness(p, k)  # reuse the argument checks
     rng = random.Random(derive_seed(seed, "liveness", k, repr(p)))
-    live = 0
-    for _ in range(trials):
-        # a list, not a generator: every trial takes all K draws
-        live += any([rng.random() >= p for _ in range(k)])
-    return live
+    # trials*k draws in stream order; zip over one iterator groups them k to
+    # a trial, so every trial takes all K.  float(p): an int's __le__ returns
+    # NotImplemented for a float draw, which is truthy
+    survives = map(float(p).__le__, starmap(rng.random, repeat((), trials * k)))
+    return sum(map(any, zip(*[survives] * k)))

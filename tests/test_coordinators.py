@@ -14,7 +14,17 @@ from virtree.coordinators import (
 )
 from virtree.errors import RegionDead
 from virtree.metrics import liveness_estimate
-from virtree.topology import HierarchyConfig, build_topology
+from virtree.topology import HierarchyConfig, build_topology, derive_seed
+
+
+def reference_liveness(p, k, trials, seed):
+    """liveness_trials one trial at a time, K draws each from the same stream."""
+    rng = random.Random(derive_seed(seed, "liveness", k, repr(p)))
+    live = 0
+    for _ in range(trials):
+        draws = [rng.random() for _ in range(k)]
+        live += any(r >= p for r in draws)
+    return live
 
 
 def make_topo(**kw):
@@ -232,6 +242,15 @@ class TestLiveness:
         est = liveness_estimate(live, 4000, 0.5, 2)
         assert est.predicted == pytest.approx(0.75)
         assert est.within_3sigma
+
+    @pytest.mark.parametrize("p", [0, 1, 0.0, 0.05, 0.3, 0.5, 0.9, 1.0])
+    def test_trials_equal_per_trial_reference(self, p):
+        # int 0 and 1 included: int.__le__ of a float draw is NotImplemented
+        for k in range(1, 8):
+            for trials in (1, 3, 37, 101):
+                for seed in (1, 77, 20260819):
+                    assert (liveness_trials(p, k, trials, seed)
+                            == reference_liveness(p, k, trials, seed)), (p, k, trials, seed)
 
     def test_trials_memory_does_not_grow_with_trials(self):
         tracemalloc.start()

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 import tracemalloc
 
 import pytest
@@ -13,10 +14,11 @@ import pytest
 import virtree
 from virtree import cli, simkernel
 from virtree.cli import main
-from virtree.errors import ScenarioInvalid
+from virtree.errors import ConservationError, ScenarioInvalid
 from virtree.metrics import build_report, dump_trace, parse_trace
 from virtree.scenario import MAX_WORKERS, apply_overrides, build_scenario
 from virtree.simkernel import _Kernel, run
+from virtree.topology import derive_seed
 
 
 def base_dict(**extra):
@@ -447,6 +449,146 @@ class TestCliSweep:
         assert main(["sweep", "--scenario", write_scenario(tmp_path),
                      "--param", "strategy", "--values", "teleport",
                      "--trials", "1", "--out", str(tmp_path / "out")]) == 2
+
+
+SWEEP_VALUES = {"strategy": "adjacent,hierarchical", "regions": "1,2"}
+
+
+def sweep_on_cpus(tmp_path, monkeypatch, cpus, param="strategy", trials=7):
+    """Run a sweep as if ``cpus`` CPUs were usable; returns (exit code,
+    sweep.csv bytes or None, number of helpers forked)."""
+    forks = []
+    real_fork = os.fork
+
+    def counted_fork():
+        forks.append(1)
+        return real_fork()
+
+    monkeypatch.setattr("virtree.cli.os.sched_getaffinity", lambda pid: set(range(cpus)))
+    monkeypatch.setattr("virtree.cli.os.fork", counted_fork)
+    out_dir = tmp_path / f"{param}-{trials}-{cpus}"
+    path = write_scenario(tmp_path, commands=[{"time": 0.5, "origin": 0,
+                                               "scope": {"kind": "region", "id": 0}}])
+    code = main(["sweep", "--scenario", path, "--param", param,
+                 "--values", SWEEP_VALUES[param], "--trials", str(trials),
+                 "--out", str(out_dir)])
+    csv = out_dir / "sweep.csv"
+    return code, csv.read_bytes() if csv.exists() else None, len(forks)
+
+
+def trial_seed(value, trial):
+    return derive_seed(base_dict()["seed"], "sweep", value, trial)
+
+
+def open_fds():
+    return sorted(os.listdir("/proc/self/fd"))
+
+
+def assert_no_helper_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestCliSweepHelpers:
+    """Strategy and regions trials run in one forked helper per usable CPU
+    but the first; sweep.csv must not depend on how many there are."""
+
+    @pytest.mark.parametrize("param", ["strategy", "regions"])
+    @pytest.mark.parametrize("trials", [1, 2, 7])
+    def test_csv_identical_for_any_cpu_count(self, tmp_path, monkeypatch, param, trials):
+        runs = {cpus: sweep_on_cpus(tmp_path, monkeypatch, cpus, param, trials)
+                for cpus in (1, 2, 3)}
+        one = runs[1][1]
+        assert one is not None and len(one.splitlines()) == 3
+        for cpus, (code, csv, forks) in runs.items():
+            assert code == 0
+            assert csv == one, cpus
+            assert forks == 2 * (min(cpus, trials) - 1)  # per sweep value
+        assert_no_helper_left()
+
+    @pytest.mark.parametrize("error, expect", [
+        (lambda: ConservationError({"sent": 1}), None),
+        (lambda: ScenarioInvalid("commands", "bad trial"), 2),
+    ], ids=["conservation", "scenario-invalid"])
+    def test_helper_error_raises_as_serial(self, tmp_path, monkeypatch, capsys, error, expect):
+        # trial 5 lies in the last helper's chunk (2..3 and 4..6 with 3 CPUs)
+        failing = trial_seed("hierarchical", 5)
+
+        def failing_run(sc, sink):
+            if sc.seed == failing:
+                raise error()
+            return run(sc, sink=sink)
+
+        monkeypatch.setattr("virtree.cli.run_scenario", failing_run)
+        outcomes = []
+        for cpus in (1, 3):
+            fds = open_fds()
+            if expect is None:
+                with pytest.raises(ConservationError) as info:
+                    sweep_on_cpus(tmp_path, monkeypatch, cpus)
+                outcomes.append((str(info.value), info.value.counters))
+            else:
+                code, csv, forks = sweep_on_cpus(tmp_path, monkeypatch, cpus)
+                outcomes.append((code, csv, capsys.readouterr().err))
+            assert open_fds() == fds
+            assert_no_helper_left()
+        assert outcomes[0] == outcomes[1]
+        if expect is not None:
+            assert outcomes[0] == (2, None, "invalid scenario: commands: bad trial\n")
+
+    def test_failing_first_trial_forks_nothing(self, tmp_path, monkeypatch, capsys):
+        def invalid_run(sc, sink):
+            raise ScenarioInvalid("commands", "bad trial")
+
+        monkeypatch.setattr("virtree.cli.run_scenario", invalid_run)
+        assert sweep_on_cpus(tmp_path, monkeypatch, 3) == (2, None, 0)
+        assert capsys.readouterr().err == "invalid scenario: commands: bad trial\n"
+
+    @pytest.mark.parametrize("fault", ["short-data", "no-fork"])
+    def test_lost_helper_chunk_reruns_here(self, tmp_path, monkeypatch, fault):
+        serial = sweep_on_cpus(tmp_path, monkeypatch, 1)[1]
+        here = os.getpid()
+        trials_here = []
+
+        def counted_run(sc, sink):
+            if os.getpid() == here:
+                trials_here.append(sc.seed)
+            return run(sc, sink=sink)
+
+        def no_fork():
+            raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+
+        monkeypatch.setattr("virtree.cli.run_scenario", counted_run)
+        if fault == "short-data":
+            real_dumps = cli.marshal.dumps
+            monkeypatch.setattr("virtree.cli.marshal.dumps", lambda x: real_dumps(x)[:-3])
+        else:
+            monkeypatch.setattr("virtree.cli.os.fork", no_fork)
+        fds = open_fds()
+        assert sweep_on_cpus(tmp_path, monkeypatch, 3)[:2] == (0, serial)
+        assert len(trials_here) == 2 * 7
+        assert open_fds() == fds
+        assert_no_helper_left()
+
+    def test_interrupt_in_own_chunk_kills_helpers(self, tmp_path, monkeypatch):
+        here = os.getpid()
+        interrupt_at = trial_seed("adjacent", 1)  # 0..1 are this process's chunk
+
+        def interrupted_run(sc, sink):
+            if os.getpid() != here:
+                time.sleep(30)  # a helper still running when this process stops
+            elif sc.seed == interrupt_at:
+                raise KeyboardInterrupt
+            return run(sc, sink=sink)
+
+        monkeypatch.setattr("virtree.cli.run_scenario", interrupted_run)
+        fds = open_fds()
+        t0 = time.monotonic()
+        with pytest.raises(KeyboardInterrupt):
+            sweep_on_cpus(tmp_path, monkeypatch, 3)
+        assert time.monotonic() - t0 < 10
+        assert open_fds() == fds
+        assert_no_helper_left()
 
 
 # Region 5 is killed at t=3 and three of its workers revive at t=12, so its
