@@ -139,6 +139,8 @@ def route_interior(node: Node, m: Message, arrived_from: Node, topo: Topology,
     # executed goals in this subtree, per child branch
     done = Counter(links.child_toward(node, c) for c in m.executed_cluster_ids
                    if links.covers(node, c))
+    # one copy goes down every branch and up: no Message changes once built
+    fwd = m.copy(hop_count=m.hop_count + 1, last_sent_cluster_id=sender_cluster)
     out: list[tuple[Node, Message]] = []
     if lo < hi:
         layer, first = links.child_toward(node, lo)
@@ -149,14 +151,12 @@ def route_interior(node: Node, m: Message, arrived_from: Node, topo: Topology,
             sub = topo.clusters_in(layer, scope)
             if done[branch] == min(hi, sub.stop) - max(lo, sub.start):
                 continue  # every goal down this branch has executed
-            down = m.copy(hop_count=m.hop_count + 1, last_sent_cluster_id=sender_cluster)
-            out.append((branch, down))
+            out.append((branch, fwd))
 
     # LCA pruning: climb only while some unexecuted goal lies outside this
     # subtree; literal-root mode climbs all the way
     parent = links.parent(node)
     if from_child and parent is not None and (
             mode == MODE_ROOT or goals_left(m) > max(hi - lo, 0) - sum(done.values())):
-        up = m.copy(hop_count=m.hop_count + 1, last_sent_cluster_id=sender_cluster)
-        out.append((parent, up))
+        out.append((parent, fwd))
     return out

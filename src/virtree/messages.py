@@ -1,7 +1,10 @@
 """Command message records.
 
-Copies are value-semantic: every forward or broadcast clones the record, and
-the visited/executed sets of distinct copies never merge back together.  A
+Records are values: no code changes a ``Message`` once it is built, so one
+record may stand for several copies in flight (a tree node sends one record
+down every branch; a relay entry carries one record to every worker), and a
+copy that changes anything is a new record (``Message.copy``).  The
+visited/executed sets of distinct copies never merge back together, and a
 copy's set fields only ever grow.
 
 A command's goal is one layer scope, and ids are row-major, so the goal
@@ -11,7 +14,7 @@ it, which makes the count of goals left one subtraction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .errors import EmptyGoalSet
 
@@ -38,7 +41,8 @@ class Message:
             raise ValueError("executed clusters must be a subset of visited clusters")
 
     def copy(self, **changes) -> "Message":
-        return replace(self, **changes)
+        """A new record with changes applied, checked like any other."""
+        return Message(**{**self.__dict__, **changes})
 
 
 def new_command(origin_cluster: int, seq: int, goals: range,

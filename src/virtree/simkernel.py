@@ -19,27 +19,41 @@ loop runs ``handler(*args)``: a delivery, a leader's scheduled broadcast, a
 maintenance round, a failure or a revive.  A copy's sender is the sending
 worker id, the sending tree node, or None for an injected command.
 
-A worker delivery entry carries every copy of one send loop (a worker's
-relay or a leader's broadcast) that fires at one time: its dest is
-``("workers", ws)``, ws ascending, and the copies are delivered in that
-order.  Per-copy entries would have taken contiguous seqs among the events
-at that time, so the events run in the same order.  A send loop is built from
-id-range segments, one link class each (``adjacent.reachable_workers``), and
-each segment extends its fire time's entry at once.
+A worker delivery entry carries every copy of one send loop that fires at
+one time: its dest is ``("workers", ws)``, ws ascending, and its sender list
+names the loop's senders in order.  A leader's broadcast is one loop with the
+leader as its one sender.  A send loop is built from id-range segments, one
+link class each (``adjacent.reachable_workers``), and each segment extends its
+fire time's entry at once.  The workers of a cluster that relay in one
+cluster run share their entries: the first relay pushes one per fire time,
+with itself as the first sender, and each later one joins them as one more
+sender (``_Kernel.relay``), unless a link class the relay uses is jammed.  A
+later sender's copies are the first's, with its own copy traded for one to
+the first sender (``copies_of``).  Per-copy entries would have taken
+contiguous seqs among the events at that time, one sender after another, so
+the events run in the same order.
 
-An entry is delivered in one pass over its cluster runs: ids are row-major,
-so each cluster's workers in it are one slice, and a run lies in one region.
-The pass counts every alive copy of a run as received, and as crossing when
-the run lies outside the sender's region, with one bump per counter an entry
-(``_Kernel.deliver_workers``).  Alive untargeted workers on an unjammed
-cluster link act alike, unless the copy makes one of them relay for the
-first time, so one ``worker_on_receive`` call decides for the run: its
-suppressed relays are counted and its reports are sent at once.  Every other
-run goes copy by copy through ``deliver_worker``, which only acts and keeps
-jam draws, ``drop_dead`` records, targeted executions, reports and relays in
-their order.  ``send_reports`` alone decides a report: one that can only end
-as the leader's silent ``processed`` drop is accounted when it is sent and
-never queued (``_Kernel.report_dropped``).
+An entry's copies are delivered one sender at a time, each sender's in one
+pass over its cluster runs: ids are row-major, so each cluster's workers in it
+are one slice, and a run lies in one region.  The pass counts every alive
+copy of a run as received, and as crossing when the run lies outside the
+sender's region, with one bump per counter a pass
+(``_Kernel.deliver_pass``).  Alive untargeted workers on an unjammed cluster
+link act alike, unless the copy makes one of them relay for the first time,
+so one ``worker_on_receive`` call decides for the run: its suppressed relays
+are counted and its reports are sent at once.  Every other run goes copy by
+copy through ``deliver_worker``, which only acts and keeps jam draws,
+``drop_dead`` records, targeted executions, reports and relays in their
+order.  ``send_reports`` alone decides a report: one that can only end as the
+leader's silent ``processed`` drop is accounted when it is sent and never
+queued (``_Kernel.report_dropped``).
+
+When nothing can tell an entry's senders apart (``_Kernel.told_apart``), only
+the first sender's pass runs, and it counts each of its receives, crossings,
+suppressed relays and reports once per sender: every later sender's reports
+follow one the first queued, or reach a leader that has processed the
+message, so each can only be dropped.  An entry that fires writes no record
+then.
 
 A kill re-elects or vacates every role the dead worker held, so a role's
 holder is alive and a delivery checks only for a vacancy.
@@ -60,7 +74,7 @@ from __future__ import annotations
 
 import heapq
 import random
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left, bisect_right, insort
 from collections import defaultdict
 from collections.abc import Callable
 
@@ -91,6 +105,18 @@ def quantize(t: float) -> float:
     return round(t, 9)
 
 
+def copies_of(ws: list[int], first: int, s: int) -> list[int]:
+    """The workers that sender s's copies of a relay entry go to: ws, the
+    first sender's, with the copy to s traded for one to first when ws holds
+    their cluster."""
+    i = bisect_left(ws, s)
+    if i == len(ws) or ws[i] != s:
+        return ws
+    ws = ws[:i] + ws[i + 1:]
+    insort(ws, first)
+    return ws
+
+
 class _Kernel:
     def __init__(self, sc: Scenario,
                  sink: Callable[[list[TraceRecord]], object] | None = None):
@@ -117,6 +143,9 @@ class _Kernel:
         self.unsettled: set[int] = set(self.coords)
         # msg_id -> the workers that relayed it
         self.relayed: defaultdict[tuple, set[int]] = defaultdict(set)
+        # (sender list, copies per sender) of the entries the current cluster
+        # run's first relay pushed, when later relays may join them (relay)
+        self.relay_group: tuple[list[int], int] | None = None
         # (cluster, msg_id) -> fire time of the last report queued to it
         self.report_due: dict[tuple[int, tuple], float] = {}
         # fire time of the last report accounted as a drop without being
@@ -199,8 +228,8 @@ class _Kernel:
         it do so: every report after the first one queued here, unless fire
         is now."""
         now, key, n = self.now, (c, m.msg_id), len(reporters)
-        kills, state = self.kill_times, self.leader_states.get(c)
-        if kills and bisect_left(kills, now) < bisect_right(kills, fire):
+        state = self.leader_states.get(c)
+        if self.kill_due(fire):
             queued = n
         elif (state is not None and m.msg_id in state.processed_msgs
               or self.report_due.get(key, now) > now):
@@ -214,6 +243,11 @@ class _Kernel:
         if queued < n:
             self.report_dropped(fire, n - queued)
 
+    def kill_due(self, fire: float) -> bool:
+        """Whether a worker or region kill is scheduled in [now, fire]."""
+        kills = self.kill_times
+        return bool(kills) and bisect_left(kills, self.now) < bisect_right(kills, fire)
+
     def report_dropped(self, fire: float, n: int):
         """Account n unqueued reports due at fire: dropped, or in flight past the horizon."""
         if fire > self.sc.horizon:
@@ -223,11 +257,12 @@ class _Kernel:
             self.bump("alg2_drops", n)
             self.dropped_until = max(self.dropped_until, fire)
 
-    def fan_out(self, segments, m: Message, sender):
+    def fan_out(self, segments, m: Message, senders: list[int]):
         """Enqueue a copy of m to each worker of segments, (link class,
         ascending ids) pairs in ascending id order: one delivery entry per
         fire time, made when a copy first lands in it, so its workers are
-        ascending.  A jammed class draws once per copy, in that order."""
+        ascending, with the sender list senders.  A jammed class draws once
+        per copy, in that order."""
         groups: dict[float, list[int]] = {}
         for cls, ws in segments:
             if self.jam.get(cls):
@@ -236,7 +271,31 @@ class _Kernel:
                 groups.setdefault(quantize(self.now + self.latency[cls]), []).extend(ws)
         for fire, ws in groups.items():
             self.bump("deliveries_enqueued", len(ws))
-            self.push(fire, self.handle_delivery, (("workers", ws), m, sender, False))
+            self.push(fire, self.handle_delivery, (("workers", ws), m, senders, False))
+
+    def relay(self, w: int, m: Message, sender: int):
+        """w relays m: its relay record, then a copy to every reachable
+        worker.  The first relay of a cluster run pushes its entries with
+        sender list [w]; unless a link class it uses is jammed, each later
+        relay of the run joins them instead (see the module docstring).
+        Nothing else is pushed in between: a run that relays cannot report,
+        since its copy was sent by its own cluster."""
+        group = self.relay_group
+        if group is None:
+            segments = adj.reachable_workers(w, self.topo)
+            fanout = sum(len(ws) for _, ws in segments)
+        else:
+            senders, fanout = group
+        self.emit("alg1", "relay", worker=w, from_worker=sender,
+                  msg_id=msg_id_str(m.msg_id), fanout=fanout, hop=m.hop_count)
+        if group is None:
+            senders = [w]
+            self.fan_out(segments, m, senders)
+            if not any(self.jam.get(cls) for cls, _ in segments):
+                self.relay_group = senders, fanout
+        else:
+            senders.append(w)
+            self.bump("deliveries_enqueued", fanout)
 
     # -- failure / recovery -----------------------------------------------
 
@@ -312,17 +371,51 @@ class _Kernel:
                       targets_total=len(m.target_worker_ids))
         kind = dest[0]
         if kind == "workers":
-            self.deliver_workers(dest[1], m, sender)
+            self.deliver_workers(dest[1], m, sender)  # sender: the entry's sender list
         elif kind == "leader":
             self.deliver_leader(dest[1], m)
         else:
             self.deliver_node(dest[1], m, sender)
 
-    def deliver_workers(self, ws: list[int], m: Message, sender: int):
-        """Deliver m to ws, ascending, in one pass over its cluster runs (see
-        the module docstring).  ``worker_on_receive`` reads a worker only
-        through its cluster and the targets, so on an unjammed cluster link
-        one call decides for a run of alive untargeted workers."""
+    def deliver_workers(self, ws: list[int], m: Message, senders: list[int]):
+        """Deliver an entry: each sender's copies in turn, or only the
+        first sender's, counted for every sender, when nothing tells them
+        apart (see the module docstring)."""
+        first = senders[0]
+        if len(senders) > 1 and self.told_apart(ws, m, first):
+            for s in senders:
+                self.deliver_pass(copies_of(ws, first, s), m, s, 1)
+        else:
+            self.deliver_pass(ws, m, first, len(senders))
+
+    def told_apart(self, ws: list[int], m: Message, first: int) -> bool:
+        """Whether the copies of a relay entry's senders, workers of first's
+        cluster, could act apart: on a jammed cluster link, at a dead or
+        targeted receiver, at a worker of that cluster yet to relay (it
+        relays on the first copy only), or with reports due now or with a
+        kill scheduled before they land, which are queued one by one
+        (``send_reports``).  When ws holds their cluster, a later sender's
+        copies go to first as well."""
+        topo = self.topo
+        fire = quantize(self.now + self.latency["cluster"])
+        members = topo.workers_in_cluster(topo.cluster_of(first))
+        lo = bisect_left(ws, members.start)
+        own = ws[lo:bisect_left(ws, members.stop, lo)]
+        if own:
+            own.append(first)
+        targets, alive = m.target_worker_ids, topo.alive
+        return bool(self.jam.get("cluster") or fire == self.now or self.kill_due(fire)
+                    or not (targets.isdisjoint(ws) and targets.isdisjoint(own))
+                    or not (alive.issuperset(ws) and alive.issuperset(own))
+                    or not self.relayed[m.msg_id].issuperset(own))
+
+    def deliver_pass(self, ws: list[int], m: Message, sender: int, n: int):
+        """Deliver m to ws, ascending, from sender in one pass over its
+        cluster runs, and count it n times: for the n - 1 later senders of
+        an entry that nothing tells apart, each of whose reports can only
+        be dropped.  ``worker_on_receive`` reads a worker only through its
+        cluster and the targets, so on an unjammed cluster link one call
+        decides for a run of alive untargeted workers."""
         topo = self.topo
         wpc, alive = topo.config.workers_per_cluster, topo.alive
         alike = not self.jam.get("cluster") and m.target_worker_ids.isdisjoint(ws)
@@ -330,7 +423,7 @@ class _Kernel:
         relayed = self.relayed[m.msg_id]
         fire = quantize(self.now + self.latency["cluster"])
         home = topo.workers_in_region(topo.region_of_worker(sender))
-        received = crossed = reported = 0
+        received = crossed = reported = suppressed = 0
         i = 0
         while i < len(ws):
             c = ws[i] // wpc
@@ -350,19 +443,25 @@ class _Kernel:
                     self.send_reports(c, m, run, fire)
                     continue
                 if relayed.issuperset(run):  # a relay each worker made already
-                    self.bump("relay_suppressed", len(run))
+                    suppressed += len(run)
                     continue
+            self.relay_group = None
             for w in run:
                 self.deliver_worker(w, m, sender)
         if received:
-            self.bump("deliveries_completed", received)
-            self.bump("alg1_receives", received)
-            self.bump("alg1_cross_region_receives", crossed)
+            self.bump("deliveries_completed", received * n)
+            self.bump("alg1_receives", received * n)
+            self.bump("alg1_cross_region_receives", crossed * n)
+        if suppressed:
+            self.bump("relay_suppressed", suppressed * n)
         if reported:
-            self.bump("reports_sent", reported)
+            self.bump("reports_sent", reported * n)
+            if n > 1:
+                self.bump("deliveries_enqueued", reported * (n - 1))
+                self.report_dropped(fire, reported * (n - 1))
 
     def deliver_worker(self, w: int, m: Message, sender: int):
-        """Act on one copy; ``deliver_workers`` counts its receive."""
+        """Act on one copy; ``deliver_pass`` counts its receive."""
         if not self.topo.is_alive(w):
             self.bump("deliveries_dropped_dead")
             self.emit("kernel", "drop_dead", worker=w, msg_id=msg_id_str(m.msg_id))
@@ -381,11 +480,7 @@ class _Kernel:
                     self.bump("relay_suppressed")
                     continue
                 relayed.add(w)
-                segments = adj.reachable_workers(w, self.topo)
-                self.emit("alg1", "relay", worker=w, from_worker=sender,
-                          msg_id=msg_id_str(m.msg_id),
-                          fanout=sum(len(ws) for _, ws in segments), hop=m.hop_count)
-                self.fan_out(segments, m, w)
+                self.relay(w, m, sender)
 
     def apply_execution(self, w: int, m: Message, comp: str, **sender):
         """A targeted execution, idempotent per (worker, msg): duplicates
@@ -451,7 +546,7 @@ class _Kernel:
         self.emit("alg2", "broadcast", cluster=c, msg_id=mid, hop=mb.hop_count)
         members = self.topo.workers_in_cluster(c)
         self.fan_out([("cluster", [*filter(self.topo.alive.__contains__, members)])],
-                     mb, leader)
+                     mb, (leader,))
 
     def deliver_node(self, node: tuple, m: Message, from_node: tuple | None):
         if self.links.holder(node) is None:
@@ -604,7 +699,8 @@ class _Kernel:
         for _fire, _seq, handler, args in self.heap:
             if handler == delivery:
                 dest = args[0]
-                self.bump("deliveries_inflight", len(dest[1]) if dest[0] == "workers" else 1)
+                self.bump("deliveries_inflight",
+                          len(dest[1]) * len(args[2]) if dest[0] == "workers" else 1)
             elif handler == broadcast:
                 self.bump("broadcasts_pending")
         # each entry holds a bound method of the kernel: left queued, they

@@ -1,6 +1,8 @@
 import gc
 import random
 import weakref
+from dataclasses import replace
+from itertools import groupby
 
 import pytest
 from hypothesis import given, settings
@@ -681,29 +683,33 @@ class TestConservationFuzz:
             assert report.conserved, f"scenario {i} out of balance"
 
 
-def deliver_per_copy(kernel, ws, m, sender):
-    """Deliver each copy of ws alone, counting each alive one's receive, and
-    its crossing when the sender sits in another region, before it acts."""
+def deliver_per_copy(kernel, ws, m, senders):
+    """Deliver each sender's copies in turn, each copy alone, counting each
+    alive one's receive, and its crossing when the sender sits in another
+    region, before it acts.  No relay joins another's entries."""
     region_of = kernel.topo.region_of_worker
-    for w in ws:
-        if kernel.topo.is_alive(w):
-            kernel.bump("deliveries_completed")
-            kernel.bump("alg1_receives")
-            kernel.bump("alg1_cross_region_receives", int(region_of(w) != region_of(sender)))
-        kernel.deliver_worker(w, m, sender)
+    for s in senders:
+        for w in simkernel.copies_of(ws, senders[0], s):
+            if kernel.topo.is_alive(w):
+                kernel.bump("deliveries_completed")
+                kernel.bump("alg1_receives")
+                kernel.bump("alg1_cross_region_receives", int(region_of(w) != region_of(s)))
+            kernel.relay_group = None
+            kernel.deliver_worker(w, m, s)
 
 
 class PerCopyKernel(_Kernel):
-    """The reference kernel: one delivery entry per copy, each copy
-    delivered and counted alone, and every report queued and delivered."""
+    """The reference kernel: one delivery entry per copy, pushed when its
+    worker relays, each copy delivered and counted alone, and every report
+    queued and delivered."""
 
-    def fan_out(self, segments, m, sender):
+    def fan_out(self, segments, m, senders):
         for cls, ws in segments:
             for w in ws:
-                super().fan_out([(cls, [w])], m, sender)
+                super().fan_out([(cls, [w])], m, senders)
 
-    def deliver_workers(self, ws, m, sender):
-        deliver_per_copy(self, ws, m, sender)
+    def deliver_workers(self, ws, m, senders):
+        deliver_per_copy(self, ws, m, senders)
 
     def send_reports(self, c, m, reporters, fire):
         for w in reporters:
@@ -712,17 +718,22 @@ class PerCopyKernel(_Kernel):
 
 
 class Recording(_Kernel):
-    """The kernel, recording each worker fan-out entry as (fire, workers,
-    sender), each report it queues as (now, fire, cluster, reporter) and
-    each report it accounts without queuing as (now, fire)."""
+    """The kernel, recording each worker delivery entry as (fire, workers,
+    sender list, send time), each delivery pass as (now, sender, times counted), each
+    report it queues as (now, fire, cluster, reporter) and each report it
+    accounts without queuing as (now, fire)."""
 
     def __init__(self, sc):
         super().__init__(sc)
-        self.fanouts, self.reports, self.unqueued = [], [], []
+        self.entries, self.passes, self.reports, self.unqueued = [], [], [], []
+
+    def deliver_pass(self, ws, m, sender, n):
+        self.passes.append((self.now, sender, n))
+        super().deliver_pass(ws, m, sender, n)
 
     def push(self, fire, handler, args):
         if handler == self.handle_delivery and args[0][0] == "workers":
-            self.fanouts.append((fire, args[0][1], args[2]))
+            self.entries.append((fire, args[0][1], args[2], self.now))
         elif handler == self.handle_delivery and args[0][0] == "leader" and not args[3]:
             self.reports.append((self.now, fire, args[0][1], args[2]))
         super().push(fire, handler, args)
@@ -730,6 +741,19 @@ class Recording(_Kernel):
     def report_dropped(self, fire, n):
         self.unqueued += [(self.now, fire)] * n
         super().report_dropped(fire, n)
+
+    @property
+    def fanouts(self):
+        """(fire, workers, sender) of each sender's copies of each entry, in
+        the order per-sender entries would have been pushed: the entries
+        that share a sender list, sender by sender."""
+        out = []
+        for _, loop in groupby(self.entries, key=lambda e: id(e[2])):
+            loop = list(loop)
+            senders = loop[0][2]
+            out += [(fire, simkernel.copies_of(ws, senders[0], s), s)
+                    for s in senders for fire, ws, *_ in loop]
+        return out
 
 
 def reachable_peers(w, topo):
@@ -772,10 +796,14 @@ class TestReachableCache:
                     peers = reachable_peers(w, self.topo)
                     assert [(p, cls) for cls, ws in reachable_workers(w, self.topo)
                             for p in ws] == peers
-                    relays.append((self.now, w, data["fanout"], peers, len(self.fanouts)))
+                    # where its copies start in fanouts, which each entry
+                    # contributes one item per sender to
+                    start = sum(len(senders) for _, _, senders, _ in self.entries)
+                    relays.append((self.now, w, data["fanout"], peers, start))
 
         kernel = Checked(sc)
         kernel.run()
+        fanouts = kernel.fanouts
         for t, w, fanout, peers, start in relays:
             assert fanout == len(peers)
             # nothing is jammed: the relay's entries, one per link class
@@ -783,7 +811,7 @@ class TestReachableCache:
             # class's latency
             sent, i = [], start
             while len(sent) < fanout:
-                fire, ws, sender = kernel.fanouts[i]
+                fire, ws, sender = fanouts[i]
                 assert sender == w and ws == sorted(ws)
                 sent += [(p, fire) for p in ws]
                 i += 1
@@ -804,47 +832,116 @@ WORKER_CLASSES = ("cluster", "region", "adjacent")
 def adjacent_runs(draw):
     """An adjacent scenario on a small shape: commands, worker and region
     kills, revives, jams of every worker link class and, with two regions or
-    more, adjacency edits, on a 0.1 grid that fire times land on; latencies
-    drawn with zeros and ties."""
+    more, adjacency edits; latencies drawn with zeros and ties.  Commands
+    and the horizon sit on a 0.1 grid that fire times land on.  Failures
+    fall on that grid or on a 0.01 one, and some more are aimed into the
+    windows the run opens (``window_failures``)."""
     wpc, cpr, rph = draw(st.integers(1, 4)), draw(st.integers(1, 3)), draw(st.integers(1, 3))
     cfg = HierarchyConfig(wpc, cpr, rph, coordinator_k=1, t_min=1)
-    grid = st.integers(0, 40).map(lambda i: i / 10)
+
+    def steps(n, per):  # 0, 1 / per, ..., n / per
+        return st.integers(0, n).map(lambda i: i / per)
+
+    at = st.one_of(steps(30, 10), steps(300, 100))
     latencies = {cls: draw(st.sampled_from([0.0, 0.1, 0.2, 0.5])) for cls in WORKER_CLASSES}
     commands = []
     for _ in range(draw(st.integers(1, 3))):
         scope = draw(st.sampled_from([("global",), ("region", cfg.n_regions - 1),
                                       ("cluster", cfg.n_clusters - 1)]))
         targets = draw(st.frozensets(st.integers(0, cfg.n_workers - 1), max_size=2))
-        commands.append(CommandSpec(time=draw(grid), origin=draw(st.integers(
+        commands.append(CommandSpec(time=draw(steps(20, 10)), origin=draw(st.integers(
             0, cfg.n_clusters - 1)), scope=scope, targets=targets))
     failures = []
     kinds = ["worker", "worker", "region", "link"] + ["adjacency"] * (cfg.n_regions > 1)
     for _ in range(draw(st.integers(0, 8))):
         kind = draw(st.sampled_from(kinds))
         if kind == "worker":
-            failures.append(FailureSpec(time=draw(grid), kind="worker",
+            failures.append(FailureSpec(time=draw(at), kind="worker",
                                         action=draw(st.sampled_from(["kill", "revive"])),
                                         worker=draw(st.integers(0, cfg.n_workers - 1))))
         elif kind == "region":
-            failures.append(FailureSpec(time=draw(grid), kind="region", action="kill",
+            failures.append(FailureSpec(time=draw(at), kind="region", action="kill",
                                         region=draw(st.integers(0, cfg.n_regions - 1))))
         elif kind == "adjacency":
             edge = draw(st.lists(st.integers(0, cfg.n_regions - 1), min_size=2, max_size=2,
                                  unique=True))
-            failures.append(FailureSpec(time=draw(grid), kind="adjacency",
+            failures.append(FailureSpec(time=draw(at), kind="adjacency",
                                         action=draw(st.sampled_from(["add", "remove"])),
                                         edge=tuple(edge)))
         else:
-            failures.append(FailureSpec(time=draw(grid), kind="link",
+            failures.append(FailureSpec(time=draw(at), kind="link",
                                         action=draw(st.sampled_from(["jam", "clear"])),
                                         link_class=draw(st.sampled_from(WORKER_CLASSES)),
                                         drop=draw(st.sampled_from([0.3, 0.7, 1.0]))))
     delay = DelayParams(alpha=draw(st.sampled_from([0.0, 0.5, 1.0])),
                         beta=draw(st.sampled_from([0.0, 0.1])),
                         epsilon=draw(st.sampled_from([0.0, 0.05])))
-    return Scenario(config=cfg, seed=draw(st.integers(0, 99)), horizon=draw(grid) + 0.05,
-                    delay=delay, link_latencies=latencies, commands=commands,
-                    failures=failures)
+    sc = Scenario(config=cfg, seed=draw(st.integers(0, 99)), horizon=draw(steps(40, 10)) + 1.05,
+                  delay=delay, link_latencies=latencies, commands=commands,
+                  failures=failures)
+    return replace(sc, failures=failures + draw(window_failures(sc)))
+
+
+@st.composite
+def window_failures(draw, sc):
+    """One to six failures, each at a time drawn from the window of a worker
+    delivery entry of sc's run, from its send to the landing of the reports
+    it makes: a kill of one of its workers or of its first sender; for an
+    entry that several relays share, a kill of such a worker's region or a
+    cluster link jam; or, at a leader's broadcast, another worker of the
+    cluster dead from before the send until then, which then relays on its
+    siblings' copies only."""
+    kernel = Recording(sc)
+    kernel.run()
+    topo, failures = kernel.topo, []
+    pick = {"kill": kernel.entries,
+            "blink": [e for e in kernel.entries if e[2][0] in e[1] and len(e[1]) > 1],
+            "region": [e for e in kernel.entries if len(e[2]) > 1]}
+    pick["jam"] = pick["region"]
+    for _ in range(draw(st.integers(1, 6))):
+        kind = draw(st.sampled_from(["blink", "kill", "region", "jam"]))
+        if not pick[kind]:
+            continue
+        fire, ws, senders, sent = draw(st.sampled_from(pick[kind]))
+        # a revive or a jam after the send and by the fire time, a region
+        # kill while the reports are in flight, a kill in either window
+        landed = fire + kernel.latency["cluster"]
+        lo, hi = {"blink": (sent, fire), "jam": (sent, fire), "region": (fire, landed),
+                  "kill": (sent, landed)}[kind]
+        t = lo + draw(st.integers(1, 100)) / 100 * (hi - lo)
+        w = draw(st.sampled_from([w for w in ws if w != senders[0]] if kind == "blink"
+                                 else [senders[0], *ws]))
+        if kind == "jam":
+            failures.append(FailureSpec(time=t, kind="link", action="jam", link_class="cluster",
+                                        drop=draw(st.sampled_from([0.3, 1.0]))))
+        elif kind == "region":
+            failures.append(FailureSpec(time=t, kind="region", action="kill",
+                                        region=topo.region_of_worker(w)))
+        elif kind == "kill":
+            failures.append(FailureSpec(time=t, kind="worker", action="kill", worker=w))
+        else:
+            failures += [FailureSpec(time=max(0.0, sent - draw(st.integers(1, 50)) / 100),
+                                     kind="worker", action="kill", worker=w),
+                         FailureSpec(time=t, kind="worker", action="revive", worker=w)]
+    return failures
+
+
+class CrossingKills(_Kernel):
+    """The kernel, counting the kills of a worker that a copy from another
+    region, still queued, is headed to."""
+
+    def __init__(self, sc):
+        super().__init__(sc)
+        self.kills = 0
+
+    def kill_worker(self, w):
+        region_of = self.topo.region_of_worker
+        if self.topo.is_alive(w) and any(
+                handler == self.handle_delivery and args[0][0] == "workers"
+                and w in args[0][1] and region_of(args[2][0]) != region_of(w)
+                for _, _, handler, args in self.heap):
+            self.kills += 1
+        super().kill_worker(w)
 
 
 def assert_same_as_per_copy(sc):
@@ -902,11 +999,68 @@ class TestPerCopyReference:
     """Fan-out entries and unqueued certain-drop reports change no output:
     each run equals the reference kernel's, which queues every copy alone."""
 
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=400, deadline=None)
     @given(adjacent_runs())
     def test_generated_runs(self, sc):
         validate_scenario(sc)
         assert_same_as_per_copy(sc)
+
+    def test_generated_runs_kill_receivers_of_crossing_copies(self):
+        # the examples the derandomized generator draws first: some kill a
+        # worker that a copy from another region is still headed to
+        kills = []
+
+        @settings(max_examples=50, deadline=None, derandomize=True, database=None)
+        @given(adjacent_runs())
+        def count(sc):
+            validate_scenario(sc)
+            kernel = CrossingKills(sc)
+            kernel.run()
+            kills.append(kernel.kills)
+
+        count()
+        assert len(kills) == 50 and sum(k > 0 for k in kills) >= 1
+
+    @pytest.mark.parametrize("change, fire, senders", [
+        # a jammed cluster link: each sender's reports to cluster 1 draw on it
+        (dict(failures=[FailureSpec(time=1.25, kind="link", action="jam",
+                                    link_class="cluster", drop=0.5)]), 1.3, 4),
+        # worker 0, the first sender, dies: the later senders' copies to it
+        # are dropped dead
+        (dict(failures=[FailureSpec(time=1.15, kind="worker", action="kill", worker=0)]),
+         1.2, 4),
+        # worker 0 is targeted: the later senders' copies to it execute again
+        (dict(commands=[CommandSpec(time=0.0, origin=0, scope=("global",),
+                                    targets=frozenset({0}))]), 1.2, 4),
+        # worker 3, dead at worker 0's broadcast and back before the relays,
+        # relays on the first sender's copy only
+        (dict(failures=[FailureSpec(time=0.5, kind="worker", action="kill", worker=3),
+                        FailureSpec(time=1.05, kind="worker", action="revive", worker=3)]),
+         1.2, 3),
+        # cluster 1 dies before the reports land: each one is dropped dead
+        (dict(failures=[FailureSpec(time=1.35, kind="worker", action="kill", worker=w)
+                        for w in (4, 5, 6, 7)]), 1.3, 4),
+        # reports due now are queued, each sender's
+        (dict(link_latencies={**simkernel.DEFAULT_LATENCIES, "cluster": 0.0}), 1.2, 4),
+    ], ids=["cluster-jam", "dead-receiver", "targeted-receiver", "yet-to-relay",
+            "kill-in-report-window", "zero-cluster-latency"])
+    def test_entry_that_tells_senders_apart_goes_sender_by_sender(self, change, fire,
+                                                                   senders):
+        # workers 0 to 3 relay worker 0's broadcast together; their entry due
+        # at fire is delivered one sender at a time, in relay order
+        kernel, _, _ = assert_same_as_per_copy(scenario(**{**FLOOD_4W, **change}))
+        assert [e[2] for e in kernel.entries if e[0] == fire] == [list(range(senders))]
+        assert [p[1:] for p in kernel.passes if p[0] == fire] == [
+            (s, 1) for s in range(senders)]
+
+    def test_jam_at_a_relay_keeps_each_senders_entries(self):
+        # the region link is half jammed when workers 0 to 3 relay: each
+        # relay draws for its own copies and pushes its own entries
+        kernel, _, _ = assert_same_as_per_copy(scenario(**FLOOD_4W, failures=[
+            FailureSpec(time=1.05, kind="link", action="jam", link_class="region",
+                        drop=0.5)]))
+        assert [(ws, senders) for fire, ws, senders, _ in kernel.entries if fire == 1.2] == [
+            ([w for w in range(4) if w != s], [s]) for s in range(4)]
 
     def test_reports_behind_a_queued_one_are_not_queued(self):
         kernel, trace, report = assert_same_as_per_copy(scenario(**FLOOD))
@@ -1081,6 +1235,31 @@ class TestPerCopyReference:
 
 
 class TestClusterRuns:
+    def test_later_senders_make_no_receive_or_report_call(self, monkeypatch):
+        # workers 0 to 3 relay worker 0's broadcast together, and so do the
+        # workers of every cluster that broadcasts: each entry's first
+        # sender's pass is counted for the others
+        kernel = Recording(scenario(**FLOOD_4W))
+        callers = []  # the sender of the pass each call is made in
+
+        def attributed(fn):
+            def wrapper(*args):
+                callers.append(kernel.passes[-1][1])
+                return fn(*args)
+            return wrapper
+
+        monkeypatch.setattr(simkernel.adj, "worker_on_receive",
+                            attributed(simkernel.adj.worker_on_receive))
+        monkeypatch.setattr(_Kernel, "send_reports", attributed(_Kernel.send_reports))
+        _, report = kernel.run()
+        assert [e for e in kernel.entries if e[0] == 1.2] == [(1.2, [1, 2, 3], [0, 1, 2, 3], 1.1)]
+        later = {s for _, _, senders, _ in kernel.entries for s in senders[1:]}
+        assert {1, 2, 3} <= later and callers and later.isdisjoint(callers)
+        # one pass an entry that fired, counted once per sender
+        fired = [senders for fire, _, senders, _ in kernel.entries if fire <= 15.0]
+        assert sorted(n for _, _, n in kernel.passes) == sorted(map(len, fired))
+        assert report.conserved
+
     def test_a_run_takes_one_receive_call(self, monkeypatch):
         # a silent fall back to copy-by-copy delivery fails here
         calls = []
@@ -1112,8 +1291,8 @@ class ReceiveRecordKernel(_Kernel):
     record for every alive worker delivery, each copy delivered and counted
     alone."""
 
-    def deliver_workers(self, ws, m, sender):
-        deliver_per_copy(self, ws, m, sender)
+    def deliver_workers(self, ws, m, senders):
+        deliver_per_copy(self, ws, m, senders)
 
     def deliver_worker(self, w, m, sender):
         if self.topo.is_alive(w):
