@@ -148,7 +148,9 @@ class LeaderDecision:
     """Outcome of one leader receive, either strategy.
 
     outcome: "drop" | "stop" | "scheduled" (deferred) | "forwarded" (tree)
-    message: the leader's updated copy (visited/executed extended); None on drop
+    message: the copy a deferred receive schedules for broadcast, its cluster
+        marked visited, and executed when a goal (``visited_copy``); None
+        otherwise, since no other outcome sends the leader's copy on
     delivered_workers: workers handed the command locally (goal cluster only)
     missed_workers: the dead workers it was meant for: its dead targets in the
         cluster, or every dead member when the command names no targets
@@ -174,6 +176,8 @@ def _local_delivery(m: Message, cluster: ClusterId,
     members = topo.workers_in_cluster(cluster)
     if m.target_worker_ids:
         members = [w for w in members if w in m.target_worker_ids]
+    elif topo.alive.issuperset(members):
+        return tuple(members), ()
     alive, dead = [], []
     for w in members:
         (alive if topo.is_alive(w) else dead).append(w)
@@ -185,8 +189,8 @@ def leader_visit(state: LeaderState, m: Message, topo: Topology) -> LeaderDecisi
 
     Returns a "drop" decision for a duplicate (already processed, or own
     cluster already in the copy's visited set).  Otherwise the outcome is ""
-    for the caller to finish, and the message is the copy with this cluster
-    marked visited, and executed when it is a goal.
+    for the caller to finish, and no copy is built: the caller builds the
+    leader's copy (``visited_copy``) only to send it on.
     """
     c = state.cluster_id
     if m.msg_id in state.processed_msgs:
@@ -194,15 +198,21 @@ def leader_visit(state: LeaderState, m: Message, topo: Topology) -> LeaderDecisi
     state.processed_msgs.add(m.msg_id)
     if c in m.visited_cluster_ids:
         return LeaderDecision(outcome="drop", reason="visited")
-    executed, delivered, missed = m.executed_cluster_ids, (), ()
-    here = c in m.goal_cluster_ids
-    if here:
+    if c not in m.goal_cluster_ids:
+        return LeaderDecision(outcome="")
+    delivered, missed = _local_delivery(m, c, topo)
+    return LeaderDecision(outcome="", executed_here=True, delivered_workers=delivered,
+                          missed_workers=missed)
+
+
+def visited_copy(m: Message, decision: LeaderDecision, c: ClusterId, **changes) -> Message:
+    """The copy cluster c's leader sends on after ``leader_visit``: c marked
+    visited, and executed when it is a goal, with changes applied."""
+    executed = m.executed_cluster_ids
+    if decision.executed_here:
         executed = executed | {c}
-        delivered, missed = _local_delivery(m, c, topo)
-    return LeaderDecision(outcome="", executed_here=here, delivered_workers=delivered,
-                          missed_workers=missed,
-                          message=m.copy(visited_cluster_ids=m.visited_cluster_ids | {c},
-                                         executed_cluster_ids=executed))
+    return m.copy(visited_cluster_ids=m.visited_cluster_ids | {c},
+                  executed_cluster_ids=executed, **changes)
 
 
 def leader_on_receive_deferred(state: LeaderState, m: Message, topo: Topology,
@@ -216,10 +226,12 @@ def leader_on_receive_deferred(state: LeaderState, m: Message, topo: Topology,
     decision = leader_visit(state, m, topo)
     if decision.outcome:
         return decision
-    if not goals_left(decision.message):
+    # c is not yet executed (not visited), so a goal here is one fewer left
+    if goals_left(m) == decision.executed_here:
         decision.outcome = "stop"
         return decision
     decision.outcome = "scheduled"
+    decision.message = visited_copy(m, decision, state.cluster_id)
     decision.distance = min_goal_distance(topo, state.cluster_id, decision.message)
     decision.delay = compute_delay(params, decision.distance, state.local_load, rng)
     return decision

@@ -24,7 +24,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 
-from .adjacent import LeaderDecision, LeaderState, leader_visit
+from .adjacent import LeaderDecision, LeaderState, leader_visit, visited_copy
 from .messages import Message, goals_left
 from .topology import LAYER_LEADER, ClusterId, Topology, WorkerId
 
@@ -101,19 +101,22 @@ def leader_on_receive_immediate(state: LeaderState, m: Message, topo: Topology,
 
     Only the injection leaf climbs; a copy fanned down from the parent ends
     here, keeping traffic monotone up-then-down.  Every goal left lies outside
-    the leaf, so both route modes climb from it.  Forwarded copies carry
-    hop_count + 1 and last_sent_cluster_id set to this cluster; forward_flag
-    never turns on in this mode.
+    the leaf, so both route modes climb from it.  The climbing copy, the
+    only one a leaf builds, is the received one visited here
+    (``visited_copy``) with hop_count + 1 and last_sent_cluster_id set to
+    this cluster; forward_flag never turns on in this mode.
     """
     c = state.cluster_id
     decision = leader_visit(state, m, topo)
     if decision.outcome:
         return decision
-    m2 = decision.message
-    parent = links.parent(links.leaf(c))
-    if injected and parent is not None and goals_left(m2):
-        up = m2.copy(hop_count=m2.hop_count + 1, last_sent_cluster_id=c)
-        decision.forwards = ((parent, up),)
+    # c is not yet executed (not visited), so a goal here is one fewer left
+    if injected and goals_left(m) > decision.executed_here:
+        parent = links.parent(links.leaf(c))
+        if parent is not None:
+            up = visited_copy(m, decision, c, hop_count=m.hop_count + 1,
+                              last_sent_cluster_id=c)
+            decision.forwards = ((parent, up),)
     decision.outcome = "forwarded" if decision.forwards else "stop"
     return decision
 

@@ -1,11 +1,12 @@
 """Command message records.
 
 Records are values: no code changes a ``Message`` once it is built, so one
-record may stand for several copies in flight (a tree node sends one record
-down every branch; a relay entry carries one record to every worker), and a
-copy that changes anything is a new record (``Message.copy``).  The
-visited/executed sets of distinct copies never merge back together, and a
-copy's set fields only ever grow.
+record may stand for several copies in flight (a tree entry carries one
+record to every node of a fan-down, a worker entry one record to every
+worker of every sender), and a copy that changes anything is a new record
+(``Message.copy``).  A leader builds its visited copy only to send it on
+(``adjacent.visited_copy``).  The visited/executed sets of distinct copies
+never merge back together, and a copy's set fields only ever grow.
 
 A command's goal is one layer scope, and ids are row-major, so the goal
 clusters are one contiguous ``range``; the executed set is always a subset of

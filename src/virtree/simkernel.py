@@ -55,6 +55,17 @@ follow one the first queued, or reach a leader that has processed the
 message, so each can only be dropped.  An entry that fires writes no record
 then.
 
+A tree delivery entry carries every copy of one fan-down: those one
+``route_interior`` call sends down its branches and up, or an injected
+leaf's one climbing copy.  Its dest is ``("nodes", nodes)`` in
+``forward_tree``'s order, less the copies parked at a vacant node or eaten by
+a tree jam, which draws once per copy; its sender is the sending node.  An
+injection and a parked copy's retry are entries of one node.  Per-copy
+entries would have taken consecutive seqs at one fire time, so nothing could
+run between them and whatever one copy pushes fires after the rest: the
+copies are delivered in one pass, in order (``_Kernel.deliver_nodes``), and
+at the horizon each is one copy in flight.
+
 A kill re-elects or vacates every role the dead worker held, so a role's
 holder is alive and a delivery checks only for a vacancy.
 
@@ -206,12 +217,13 @@ class _Kernel:
                   msg_id=msg_id_str(m.msg_id), dest=str(dest))
         return True
 
-    def send(self, dest: tuple, m: Message, sender, cls: str):
-        """Enqueue one delivery to a tree node, unless the link eats it."""
-        if self.jammed(cls, m, dest):
-            return
-        self.bump("deliveries_enqueued")
-        self.push(self.now + self.latency[cls], self.handle_delivery, (dest, m, sender, False))
+    def send(self, nodes: list, m: Message, sender):
+        """Enqueue copies of m to tree nodes, those no jam ate, in order, as
+        one delivery entry ``("nodes", nodes)``."""
+        if nodes:
+            self.bump("deliveries_enqueued", len(nodes))
+            self.push(self.now + self.latency["tree"], self.handle_delivery,
+                      (("nodes", nodes), m, sender, False))
 
     def send_reports(self, c: int, m: Message, reporters, fire: float):
         """Send a report of m to c's leader, due at fire, from each worker of
@@ -344,7 +356,8 @@ class _Kernel:
                 self.bump("parked_retried_ok")
                 self.emit("alg3", "noroute_retry", node=str(entry["node"]),
                           msg_id=msg_id_str(entry["msg"].msg_id), ok=True)
-                self.send(("node", entry["node"]), entry["msg"], entry["from"], "tree")
+                if not self.jammed("tree", entry["msg"], ("node", entry["node"])):
+                    self.send([entry["node"]], entry["msg"], entry["from"])
             else:
                 entry["retries"] += 1
                 if entry["retries"] >= MAX_PARK_RETRIES:
@@ -375,7 +388,7 @@ class _Kernel:
         elif kind == "leader":
             self.deliver_leader(dest[1], m)
         else:
-            self.deliver_node(dest[1], m, sender)
+            self.deliver_nodes(dest[1], m, sender)
 
     def deliver_workers(self, ws: list[int], m: Message, senders: list[int]):
         """Deliver an entry: each sender's copies in turn, or only the
@@ -506,7 +519,7 @@ class _Kernel:
         mid = msg_id_str(m.msg_id)
         decision = adj.leader_on_receive_deferred(state, m, self.topo, self.sc.delay,
                                                   self.rng("alg2", region))
-        self.emit_visit("alg2", c, mid, decision)
+        self.emit_visit("alg2", c, mid, m, decision)
         if decision.outcome == "scheduled":
             m2 = decision.message
             state.pending_broadcasts.add(m2.msg_id)
@@ -515,23 +528,23 @@ class _Kernel:
                       distance=decision.distance, delay=decision.delay)
             self.push(self.now + decision.delay, self.handle_broadcast, (c, leader, m2))
 
-    def emit_visit(self, comp: str, c: int, mid: str, decision):
-        """The records of a leader receive, either strategy: none for a drop,
-        which is only counted; else a process record, then the cluster's
-        execution with its targeted workers.  A ``stop`` outcome writes
-        nothing more: no schedule or forward record follows, which says it."""
+    def emit_visit(self, comp: str, c: int, mid: str, m: Message, decision):
+        """The records of cluster c's leader receiving m, either strategy:
+        none for a drop, which is only counted; else a process record, its
+        visited set m's with c, then the cluster's execution with its
+        targeted workers.  A ``stop`` outcome writes nothing more: no
+        schedule or forward record follows, which says it."""
         if decision.outcome == "drop":
             self.bump(f"{comp}_drops")
             return
-        m2 = decision.message
-        self.emit(comp, "process", cluster=c, msg_id=mid, hop=m2.hop_count,
-                  visited=sorted(m2.visited_cluster_ids))
+        self.emit(comp, "process", cluster=c, msg_id=mid, hop=m.hop_count,
+                  visited=sorted(m.visited_cluster_ids | {c}))
         if decision.executed_here:
             self.emit(comp, "execute_cluster", cluster=c, msg_id=mid,
                       missed=list(decision.missed_workers))
-            if m2.target_worker_ids:
+            if m.target_worker_ids:
                 for w in decision.delivered_workers:
-                    self.apply_execution(w, m2, comp=comp)
+                    self.apply_execution(w, m, comp=comp)
 
     def handle_broadcast(self, c: int, leader: int, m: Message):
         state = self.leader_states[c]  # made by the receive that scheduled this
@@ -548,38 +561,60 @@ class _Kernel:
         self.fan_out([("cluster", [*filter(self.topo.alive.__contains__, members)])],
                      mb, (leader,))
 
-    def deliver_node(self, node: tuple, m: Message, from_node: tuple | None):
-        if self.links.holder(node) is None:
-            self.bump("deliveries_parked")
-            self.park(m, node, from_node)
-            return
-        self.bump("deliveries_completed")
+    def deliver_nodes(self, nodes: list, m: Message, from_node: tuple | None):
+        """Deliver a tree entry's copies in order, in one pass (see the
+        module docstring): a copy to a vacant node is parked, a leaf runs
+        full cluster-leader processing, climbing when from_node is None (an
+        injection, first sent or retried), and an interior node routes."""
+        topo, links = self.topo, self.links
+        leaders = topo.roles[LAYER_LEADER]
         mid = msg_id_str(m.msg_id)
-        if node[0] == LAYER_LEADER:  # leaf: full cluster-leader processing
-            # records keep the kernel's own id object: node[1] is computed per
-            # copy, and every such int would stay alive in the trace
-            state = self.leader_state(node[1])
-            c = state.cluster_id
-            decision = hier.leader_on_receive_immediate(state, m, self.topo, self.links,
-                                                        injected=from_node is None)
-            self.emit_visit("alg3", c, mid, decision)
-            for tnode, fm in decision.forwards:
-                self.forward_tree(node, tnode, fm)
-        else:
-            fwds = hier.route_interior(node, m, from_node, self.topo, self.links,
-                                       self.sc.route_mode)
-            self.emit("alg3", "route", node=str(node), msg_id=mid,
-                      n_out=len(fwds), hop=m.hop_count)
-            for tnode, fm in fwds:
-                self.forward_tree(node, tnode, fm)
+        injected = from_node is None
+        completed = 0
+        for node in nodes:
+            layer, scope = node
+            vacant = (leaders.get(scope) is None if layer == LAYER_LEADER
+                      else links.holder(node) is None)
+            if vacant:
+                self.bump("deliveries_parked")
+                self.park(m, node, from_node)
+                continue
+            completed += 1
+            if layer == LAYER_LEADER:
+                # records keep the kernel's own id object: scope is computed
+                # per copy, and every such int would stay alive in the trace
+                state = self.leader_state(scope)
+                decision = hier.leader_on_receive_immediate(state, m, topo, links, injected)
+                self.emit_visit("alg3", state.cluster_id, mid, m, decision)
+                if decision.forwards:
+                    self.forward_tree(node, decision.forwards)
+            else:
+                fwds = hier.route_interior(node, m, from_node, topo, links, self.sc.route_mode)
+                self.emit("alg3", "route", node=str(node), msg_id=mid,
+                          n_out=len(fwds), hop=m.hop_count)
+                self.forward_tree(node, fwds)
+        if completed:
+            self.bump("deliveries_completed", completed)
 
-    def forward_tree(self, src, dst, m: Message):
-        if self.links.holder(dst) is None:
-            self.park(m, dst, src)
+    def forward_tree(self, src: tuple, fwds):
+        """Send the (node, copy) pairs of one ``route_interior`` call or one
+        leaf's climb, all one copy, on from src: each to a vacant node is
+        parked, each other one written as a forward and drawn on a tree jam,
+        and the rest go as one entry (``send``)."""
+        if not fwds:
             return
-        self.emit("alg3", "forward", src=str(src), dst=str(dst),
-                  msg_id=msg_id_str(m.msg_id), hop=m.hop_count)
-        self.send(("node", dst), m, src, "tree")
+        m = fwds[0][1]
+        holder, jam = self.links.holder, self.jam.get("tree")
+        mid, at = msg_id_str(m.msg_id), str(src)
+        nodes = []
+        for dst, _ in fwds:
+            if holder(dst) is None:
+                self.park(m, dst, src)
+                continue
+            self.emit("alg3", "forward", src=at, dst=str(dst), msg_id=mid, hop=m.hop_count)
+            if not (jam and self.jammed("tree", m, ("node", dst))):
+                nodes.append(dst)
+        self.send(nodes, m, src)
 
     def handle_maintenance(self, rnd: int):
         """One maintenance round in every region.  A round is written when it
@@ -665,7 +700,7 @@ class _Kernel:
             goals = goal_clusters_for_scope(self.topo, cmd.scope)
             m = new_command(cmd.origin, seq, goals, set(cmd.targets), cmd.payload)
             dest = ("leader", cmd.origin) if sc.strategy == "adjacent" \
-                else ("node", (2, cmd.origin))
+                else ("nodes", [(LAYER_LEADER, cmd.origin)])
             self.bump("deliveries_enqueued")
             self.push(cmd.time, self.handle_delivery, (dest, m, None, True))
         for spec in sc.failures:
@@ -698,9 +733,9 @@ class _Kernel:
         delivery, broadcast = self.handle_delivery, self.handle_broadcast
         for _fire, _seq, handler, args in self.heap:
             if handler == delivery:
-                dest = args[0]
-                self.bump("deliveries_inflight",
-                          len(dest[1]) * len(args[2]) if dest[0] == "workers" else 1)
+                kind, to = args[0]
+                self.bump("deliveries_inflight", 1 if kind == "leader"
+                          else len(to) * len(args[2]) if kind == "workers" else len(to))
             elif handler == broadcast:
                 self.bump("broadcasts_pending")
         # each entry holds a bound method of the kernel: left queued, they

@@ -13,6 +13,7 @@ from virtree.adjacent import (
     compute_delay,
     leader_on_receive_deferred,
     reachable_workers,
+    visited_copy,
     worker_broadcast,
     worker_on_receive,
 )
@@ -150,8 +151,13 @@ class TestLeaderDeferred:
         assert d.outcome == "stop"
         assert d.executed_here
         assert d.delivered_workers == (4, 5)  # empty targets: whole cluster
-        assert d.message.executed_cluster_ids == {2}
-        assert 2 in d.message.visited_cluster_ids
+        # a stop sends nothing on, so no copy is built; the leader's copy
+        # would have executed its last goal
+        assert d.message is None
+        copy = visited_copy(m, d, 2)
+        assert copy.executed_cluster_ids == {2}
+        assert 2 in copy.visited_cluster_ids
+        assert goals_left(copy) == 0
 
     def test_targets_limit_local_delivery(self, topo32):
         state = LeaderState(cluster_id=2)
@@ -229,7 +235,9 @@ class TestScheduledBroadcastHasGoalsLeft:
         topo, state, m = case
         d = leader_on_receive_deferred(state, m, topo, DelayParams(), random.Random(seed))
         if d.outcome != "drop":
-            assert (d.outcome == "scheduled") == (goals_left(d.message) > 0)
+            copy = visited_copy(m, d, state.cluster_id)
+            assert (d.outcome == "scheduled") == (goals_left(copy) > 0)
+            assert d.message == (copy if d.outcome == "scheduled" else None)
 
 
 class TestWorkerBroadcast:

@@ -1,9 +1,12 @@
 """Smoke test of scripts/bench_global_scale.py, the harness behind the
-global-command scale figures: both sides run from this checkout."""
+global-command scale figures: both sides run from this checkout, on the
+smallest size of each strategy's shape."""
 
 import importlib.util
 import json
 import os
+
+import pytest
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -16,13 +19,18 @@ def load_script():
     return module
 
 
-def test_pairs_of_one_checkout_write_identical_outputs(tmp_path):
+@pytest.mark.parametrize("strategy, size, horizon, pairs", [
+    ("adjacent", "100", "5", 2),
+    ("hierarchical", "10000", "2", 1),
+], ids=["adjacent", "hierarchical"])
+def test_pairs_of_one_checkout_write_identical_outputs(tmp_path, strategy, size, horizon,
+                                                       pairs):
     out = tmp_path / "bench.json"
     assert load_script().main([
-        "--parent", ROOT, "--change", ROOT, "--strategy", "adjacent", "--sizes", "100",
-        "--horizon", "5", "--pairs", "2", "--work", str(tmp_path / "work"),
+        "--parent", ROOT, "--change", ROOT, "--strategy", strategy, "--sizes", size,
+        "--horizon", horizon, "--pairs", str(pairs), "--work", str(tmp_path / "work"),
         "--out", str(out)]) == 0
-    row = json.loads(out.read_text(encoding="utf-8"))["sizes"]["100"]
+    row = json.loads(out.read_text(encoding="utf-8"))["sizes"][size]
     assert row["outputs_identical"] and row["reports_equal"]
-    assert len(row["parent"]["runs"]) == len(row["change"]["runs"]) == 2
-    assert 0 <= row["pairs_won"] <= 2
+    assert len(row["parent"]["runs"]) == len(row["change"]["runs"]) == pairs
+    assert 0 <= row["pairs_won"] <= pairs

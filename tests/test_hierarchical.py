@@ -3,7 +3,7 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from virtree.adjacent import LeaderState, min_goal_distance
+from virtree.adjacent import LeaderState, min_goal_distance, visited_copy
 from virtree.hierarchical import (
     MODE_LCA,
     MODE_ROOT,
@@ -250,7 +250,9 @@ class TestLeafReceive:
         assert d.outcome == "stop"
         assert d.executed_here
         assert d.delivered_workers == (8, 9)
-        assert d.message.executed_cluster_ids == {4}
+        # the injected leaf's last goal: nothing climbs and no copy is built
+        assert d.message is None and d.forwards == ()
+        assert visited_copy(m, d, 4).executed_cluster_ids == {4}
 
 
 class TestRouteInterior:
@@ -405,8 +407,13 @@ class TestRangeRoutingMatchesPerGoal:
                 executed = m.executed_cluster_ids | ({c} & goals)
                 remaining = goals - executed
                 assert d.executed_here == (c in goals)
-                assert d.message.executed_cluster_ids == executed
-                assert d.message.visited_cluster_ids == m.visited_cluster_ids | {c}
+                assert d.message is None
+                copy = visited_copy(m, d, c)
+                assert copy.executed_cluster_ids == executed
+                assert copy.visited_cluster_ids == m.visited_cluster_ids | {c}
+                # the climbing copy is the leaf's, one hop on, sent by c
+                for _, up in d.forwards:
+                    assert up == copy.copy(hop_count=m.hop_count + 1, last_sent_cluster_id=c)
                 # the leaf takes no route mode: the climb rule of each agrees
                 leaf = links.leaf(c)
                 for mode in (MODE_LCA, MODE_ROOT):

@@ -2,6 +2,7 @@ import gc
 import random
 import weakref
 from dataclasses import replace
+from collections import Counter
 from itertools import groupby
 
 import pytest
@@ -12,12 +13,19 @@ from conftest import region_crossings
 from virtree import simkernel
 from virtree.adjacent import DelayParams, reachable_workers
 from virtree.coordinators import monitor_round
+from virtree.hierarchical import (
+    MODE_LCA,
+    MODE_ROOT,
+    TreeLinks,
+    leader_on_receive_immediate,
+    route_interior,
+)
 from virtree.errors import ConservationError, RegionDead, ScenarioInvalid
 from virtree.messages import msg_id_str
 from virtree.metrics import dump_trace
 from virtree.scenario import CommandSpec, FailureSpec, Scenario, validate_scenario
 from virtree.simkernel import _Kernel, run
-from virtree.topology import HierarchyConfig
+from virtree.topology import LAYER_LEADER, SCOPE_LAYERS, HierarchyConfig, build_topology
 
 CFG_1R = HierarchyConfig(2, 2, coordinator_k=3, t_min=2)            # 1 region, 4 workers
 CFG_2R = HierarchyConfig(2, 2, 2, coordinator_k=3, t_min=2)         # 2 regions, 8 workers
@@ -698,10 +706,36 @@ def deliver_per_copy(kernel, ws, m, senders):
             kernel.deliver_worker(w, m, s)
 
 
+def deliver_node(kernel, node, m, from_node):
+    """Deliver one tree copy alone and count it: park it at a vacant node,
+    else process it at a leaf, climbing when it is an injection (no sending
+    node), or route it at an interior node; then forward each copy made on
+    its own."""
+    if kernel.links.holder(node) is None:
+        kernel.bump("deliveries_parked")
+        kernel.park(m, node, from_node)
+        return
+    kernel.bump("deliveries_completed")
+    mid = msg_id_str(m.msg_id)
+    if node[0] == LAYER_LEADER:
+        state = kernel.leader_state(node[1])
+        decision = leader_on_receive_immediate(state, m, kernel.topo, kernel.links,
+                                               injected=from_node is None)
+        kernel.emit_visit("alg3", node[1], mid, m, decision)
+        fwds = decision.forwards
+    else:
+        fwds = route_interior(node, m, from_node, kernel.topo, kernel.links,
+                              kernel.sc.route_mode)
+        kernel.emit("alg3", "route", node=str(node), msg_id=mid, n_out=len(fwds),
+                    hop=m.hop_count)
+    for fwd in fwds:
+        kernel.forward_tree(node, [fwd])
+
+
 class PerCopyKernel(_Kernel):
     """The reference kernel: one delivery entry per copy, pushed when its
-    worker relays, each copy delivered and counted alone, and every report
-    queued and delivered."""
+    worker relays or its tree node forwards, each copy delivered and counted
+    alone, and every report queued and delivered."""
 
     def fan_out(self, segments, m, senders):
         for cls, ws in segments:
@@ -711,6 +745,14 @@ class PerCopyKernel(_Kernel):
     def deliver_workers(self, ws, m, senders):
         deliver_per_copy(self, ws, m, senders)
 
+    def send(self, nodes, m, sender):
+        for node in nodes:
+            super().send([node], m, sender)
+
+    def deliver_nodes(self, nodes, m, from_node):
+        for node in nodes:
+            deliver_node(self, node, m, from_node)
+
     def send_reports(self, c, m, reporters, fire):
         for w in reporters:
             self.bump("deliveries_enqueued")
@@ -719,13 +761,15 @@ class PerCopyKernel(_Kernel):
 
 class Recording(_Kernel):
     """The kernel, recording each worker delivery entry as (fire, workers,
-    sender list, send time), each delivery pass as (now, sender, times counted), each
-    report it queues as (now, fire, cluster, reporter) and each report it
-    accounts without queuing as (now, fire)."""
+    sender list, send time), each tree delivery entry as (fire, nodes,
+    sending node, send time), each delivery pass as (now, sender, times
+    counted), each report it queues as (now, fire, cluster, reporter) and
+    each report it accounts without queuing as (now, fire)."""
 
     def __init__(self, sc):
         super().__init__(sc)
         self.entries, self.passes, self.reports, self.unqueued = [], [], [], []
+        self.tree_entries = []
 
     def deliver_pass(self, ws, m, sender, n):
         self.passes.append((self.now, sender, n))
@@ -734,6 +778,8 @@ class Recording(_Kernel):
     def push(self, fire, handler, args):
         if handler == self.handle_delivery and args[0][0] == "workers":
             self.entries.append((fire, args[0][1], args[2], self.now))
+        elif handler == self.handle_delivery and args[0][0] == "nodes":
+            self.tree_entries.append((fire, args[0][1], args[2], self.now))
         elif handler == self.handle_delivery and args[0][0] == "leader" and not args[3]:
             self.reports.append((self.now, fire, args[0][1], args[2]))
         super().push(fire, handler, args)
@@ -942,6 +988,114 @@ class CrossingKills(_Kernel):
                 for _, _, handler, args in self.heap):
             self.kills += 1
         super().kill_worker(w)
+
+
+SCOPE_KINDS = ("cluster", "region", "hub", "domain")
+
+
+@st.composite
+def hierarchical_runs(draw):
+    """A hierarchical scenario on a small tree of two to five layers, in
+    either route mode: commands of every scope kind, some targeted, worker
+    kills and revives, region kills, and tree jams that eat every copy or
+    some; the tree latency drawn with zero.  Times fall on a 0.1 grid or a
+    0.01 one.  More failures are aimed into the windows of the run's own
+    tree entries (``tree_window_failures``), and some runs end inside one."""
+    fan = [draw(st.integers(1, 3)), draw(st.integers(1, 3))] + [
+        draw(st.integers(1, 2)) for _ in range(3)]
+    cfg = HierarchyConfig(*fan, num_layers=draw(st.integers(2, 5)), coordinator_k=1, t_min=1)
+
+    def steps(n, per):  # 0, 1 / per, ..., n / per
+        return st.integers(0, n).map(lambda i: i / per)
+
+    at = st.one_of(steps(60, 10), steps(600, 100))
+    commands = []
+    for _ in range(draw(st.integers(1, 4))):
+        kind = draw(st.sampled_from(SCOPE_KINDS + ("global",)))
+        scope = ("global",) if kind == "global" else (kind, draw(st.integers(
+            0, cfg.n_scopes(SCOPE_LAYERS[kind]) - 1)))
+        targets = draw(st.frozensets(st.integers(0, cfg.n_workers - 1), max_size=2))
+        commands.append(CommandSpec(time=draw(steps(20, 10)), origin=draw(st.integers(
+            0, cfg.n_clusters - 1)), scope=scope, targets=targets))
+    failures = []
+    for _ in range(draw(st.integers(0, 6))):
+        kind = draw(st.sampled_from(["worker", "worker", "region", "link"]))
+        if kind == "worker":
+            failures.append(FailureSpec(time=draw(at), kind="worker",
+                                        action=draw(st.sampled_from(["kill", "revive"])),
+                                        worker=draw(st.integers(0, cfg.n_workers - 1))))
+        elif kind == "region":
+            failures.append(FailureSpec(time=draw(at), kind="region", action="kill",
+                                        region=draw(st.integers(0, cfg.n_regions - 1))))
+        else:
+            failures.append(FailureSpec(time=draw(at), kind="link",
+                                        action=draw(st.sampled_from(["jam", "clear"])),
+                                        link_class="tree",
+                                        drop=draw(st.sampled_from([0.3, 1.0]))))
+    latencies = {**simkernel.DEFAULT_LATENCIES,
+                 "tree": draw(st.sampled_from([0.0, 0.1, 0.5, 1.0]))}
+    sc = Scenario(config=cfg, seed=draw(st.integers(0, 99)), strategy="hierarchical",
+                  horizon=draw(steps(60, 10)) + 1.05, link_latencies=latencies,
+                  route_mode=draw(st.sampled_from([MODE_LCA, MODE_ROOT])),
+                  commands=commands, failures=failures)
+    sc = replace(sc, failures=failures + draw(tree_window_failures(sc)))
+    if draw(st.booleans()):
+        # end the run while one of its entries is in flight
+        windows = tree_windows(sc)
+        if windows:
+            fire, _, _, sent = draw(st.sampled_from(windows))
+            sc = replace(sc, horizon=sent + draw(st.integers(1, 99)) / 100 * (fire - sent))
+    return sc
+
+
+def tree_windows(sc):
+    """The tree entries of sc's run that fire after their send: those of two
+    copies or more, when there are any, else all of them."""
+    kernel = Recording(sc)
+    kernel.run()
+    windows = [e for e in kernel.tree_entries if e[0] > e[3]]
+    return [e for e in windows if len(e[1]) > 1] or windows
+
+
+@st.composite
+def tree_window_failures(draw, sc):
+    """One to four failures, each at a time drawn from the window of a tree
+    delivery entry of sc's run, from its send to its fire time, aimed at one
+    of its nodes: every worker under the node killed, so the copy finds it
+    vacant, then one of them revived before the fire time (a refilled
+    vacancy) or after it (a parked copy retried on re-election); one such
+    worker killed; its region killed; or a tree jam."""
+    windows = tree_windows(sc)
+    # a jam eats only the copies sent after it: aim it before the fire time
+    # of a copy that is sent on, to an interior node or an injection leaf
+    relaying = [e for e in windows if e[2] is None or any(n[0] > LAYER_LEADER for n in e[1])]
+    topo = build_topology(sc.config, sc.seed)
+    links, wpc = TreeLinks.build(topo), sc.config.workers_per_cluster
+    failures = []
+    for _ in range(draw(st.integers(1, 4)) if windows else 0):
+        kind = draw(st.sampled_from(["vacate", "vacate", "kill", "region", "jam"]))
+        fire, nodes, _, sent = draw(st.sampled_from(relaying if kind == "jam" and relaying
+                                                    else windows))
+        t = sent + draw(st.integers(0, 99)) / 100 * (fire - sent)
+        under = links.clusters_under(draw(st.sampled_from(nodes)))
+        ws = range(under.start * wpc, under.stop * wpc)
+        if kind == "vacate":
+            failures += [FailureSpec(time=t, kind="worker", action="kill", worker=w)
+                         for w in ws]
+            back = (t + draw(st.integers(1, 100)) / 100 * (fire - t) if draw(st.booleans())
+                    else fire + draw(st.integers(1, 200)) / 100)
+            failures.append(FailureSpec(time=back, kind="worker", action="revive",
+                                        worker=draw(st.sampled_from(ws))))
+        elif kind == "kill":
+            failures.append(FailureSpec(time=t, kind="worker", action="kill",
+                                        worker=draw(st.sampled_from(ws))))
+        elif kind == "region":
+            failures.append(FailureSpec(time=t, kind="region", action="kill",
+                                        region=topo.region_of_worker(draw(st.sampled_from(ws)))))
+        else:
+            failures.append(FailureSpec(time=t, kind="link", action="jam", link_class="tree",
+                                        drop=draw(st.sampled_from([0.5, 1.0]))))
+    return failures
 
 
 def assert_same_as_per_copy(sc):
@@ -1284,6 +1438,88 @@ class TestClusterRuns:
         runs = sum(len({w // wpc for w in ws}) for fire, ws, _ in kernel.fanouts
                    if fire <= sc.horizon)
         assert n_calls <= runs + len(records(trace, "relay")) <= receives / 2
+
+
+class TreeWindows(Recording):
+    """The kernel, counting the windows a tree entry opens that a run
+    reaches: a parked injection retried, a vacancy refilled while a copy to
+    it is in flight, and an entry of several copies in flight at the
+    horizon."""
+
+    def __init__(self, sc):
+        super().__init__(sc)
+        self.windows = Counter()
+
+    def in_flight(self):
+        return [node for _, _, handler, args in self.heap
+                if handler == self.handle_delivery and args[0][0] == "nodes"
+                for node in args[0][1]]
+
+    def retry_parked(self):
+        self.windows["injection retried"] += sum(
+            e["from"] is None and self.links.holder(e["node"]) is not None
+            for e in self.parked)
+        super().retry_parked()
+
+    def revive_worker(self, w):
+        vacant = [n for n in self.in_flight() if self.links.holder(n) is None]
+        super().revive_worker(w)
+        self.windows["vacancy refilled"] += sum(
+            self.links.holder(n) is not None for n in vacant)
+
+    def run(self):
+        result = super().run()
+        self.windows["entry cut"] += any(
+            sent <= self.sc.horizon < fire and len(nodes) > 1
+            for fire, nodes, _, sent in self.tree_entries)
+        return result
+
+
+class TestTreeEntries:
+    """A tree fan-down's copies are one heap entry, delivered in one pass:
+    each run equals the reference kernel's, which sends and delivers each
+    tree copy alone, balances, and keeps the 2 * (layers - 1) hop bound."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(hierarchical_runs())
+    def test_generated_runs(self, sc):
+        validate_scenario(sc)
+        _, _, report = assert_same_as_per_copy(sc)
+        assert report.conserved
+        bound = 2 * (sc.config.num_layers - 1)
+        assert all(pm.max_hop <= bound for pm in report.messages.values())
+
+    def test_generated_runs_reach_the_entry_windows(self):
+        # the examples the derandomized generator draws first reach each
+        # window, and each kind of input the entries must get right
+        seen = Counter()
+
+        @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+        @given(hierarchical_runs())
+        def count(sc):
+            kernel = TreeWindows(sc)
+            trace, report = kernel.run()
+            seen.update(k for k, n in kernel.windows.items() if n)
+            cons = report.conservation
+            seen["parked at fire time"] += cons.get("deliveries_parked", 0) > 0
+            seen["retried"] += cons.get("parked_retried_ok", 0) > 0
+            jams = {rec.data["drop"] for rec in trace
+                    if rec.event == "link_jam" and rec.data["link_class"] == "tree"}
+            eaten = any(rec.event == "drop_jam" for rec in trace)
+            seen["full jam"] += eaten and 1.0 in jams
+            seen["partial jam"] += eaten and any(d < 1 for d in jams)
+            seen["region kill"] += any(f.kind == "region" and f.time <= sc.horizon
+                                       for f in sc.failures)
+            seen["zero latency"] += sc.link_latencies["tree"] == 0
+            seen["root mode"] += sc.route_mode == MODE_ROOT
+            seen["targeted"] += any(rec.event == "execute_worker" for rec in trace)
+
+        count()
+        assert set(seen) == {
+            "injection retried", "vacancy refilled", "entry cut", "parked at fire time",
+            "retried", "full jam", "partial jam", "region kill", "zero latency",
+            "root mode", "targeted"}
+        assert all(seen.values()), seen
 
 
 class ReceiveRecordKernel(_Kernel):
