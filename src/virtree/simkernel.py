@@ -51,9 +51,9 @@ queued (``_Kernel.report_dropped``).
 When nothing can tell an entry's senders apart (``_Kernel.told_apart``), only
 the first sender's pass runs, and it counts each of its receives, crossings,
 suppressed relays and reports once per sender: every later sender's reports
-follow one the first queued, or reach a leader that has processed the
-message, so each can only be dropped.  An entry that fires writes no record
-then.
+follow one the first queued, due now or later, or reach a leader that has
+processed the message, so each can only be dropped.  An entry that fires
+writes no record then.
 
 A tree delivery entry carries every copy of one fan-down: those one
 ``route_interior`` call sends down its branches and up, or an injected
@@ -405,8 +405,8 @@ class _Kernel:
         """Whether the copies of a relay entry's senders, workers of first's
         cluster, could act apart: on a jammed cluster link, at a dead or
         targeted receiver, at a worker of that cluster yet to relay (it
-        relays on the first copy only), or with reports due now or with a
-        kill scheduled before they land, which are queued one by one
+        relays on the first copy only), or with a kill scheduled before
+        their reports land, which are then queued one by one
         (``send_reports``).  When ws holds their cluster, a later sender's
         copies go to first as well."""
         topo = self.topo
@@ -417,7 +417,7 @@ class _Kernel:
         if own:
             own.append(first)
         targets, alive = m.target_worker_ids, topo.alive
-        return bool(self.jam.get("cluster") or fire == self.now or self.kill_due(fire)
+        return bool(self.jam.get("cluster") or self.kill_due(fire)
                     or not (targets.isdisjoint(ws) and targets.isdisjoint(own))
                     or not (alive.issuperset(ws) and alive.issuperset(own))
                     or not self.relayed[m.msg_id].issuperset(own))

@@ -128,10 +128,6 @@ class Topology:
     energy: list[float]
 
     @property
-    def workers(self) -> range:
-        return range(self.config.n_workers)
-
-    @property
     def clusters(self) -> range:
         return range(self.config.n_clusters)
 

@@ -209,7 +209,7 @@ def leader_receives(draw):
     cfg = HierarchyConfig(*(draw(st.integers(1, 3)) for _ in range(4)),
                           domains=draw(st.integers(1, 2)), coordinator_k=1, t_min=1)
     topo = build_topology(cfg, seed=1)
-    for w in draw(st.sets(st.sampled_from(topo.workers))):
+    for w in draw(st.sets(st.sampled_from(range(cfg.n_workers)))):
         topo.mark_dead(w)
     kind = draw(st.sampled_from(["global", *SCOPE_LAYERS]))
     scope = ("global",) if kind == "global" else \

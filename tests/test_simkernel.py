@@ -1,5 +1,4 @@
 import gc
-import random
 import weakref
 from dataclasses import replace
 from collections import Counter
@@ -10,18 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import region_crossings
+from reference import ReferenceKernel
 from virtree import simkernel
 from virtree.adjacent import DelayParams, reachable_workers
 from virtree.coordinators import monitor_round
-from virtree.hierarchical import (
-    MODE_LCA,
-    MODE_ROOT,
-    TreeLinks,
-    leader_on_receive_immediate,
-    route_interior,
-)
+from virtree.hierarchical import MODE_LCA, MODE_ROOT, TreeLinks
 from virtree.errors import ConservationError, RegionDead, ScenarioInvalid
-from virtree.messages import msg_id_str
 from virtree.metrics import dump_trace
 from virtree.scenario import CommandSpec, FailureSpec, Scenario, validate_scenario
 from virtree.simkernel import _Kernel, run
@@ -313,56 +306,52 @@ class TestMaintenance:
             (0, [0, 1], [3]), (1, [4, 5], [7])]
 
 
-@st.composite
-def maintenance_runs(draw):
-    """A small shape and a schedule of worker kills, revives and region kills,
-    all before the last of ten maintenance rounds."""
-    wpc, cpr, rph = draw(st.integers(1, 3)), draw(st.integers(1, 2)), draw(st.integers(1, 3))
-    k = draw(st.integers(1, min(4, wpc * cpr)))
-    cfg = HierarchyConfig(wpc, cpr, rph, coordinator_k=k, t_min=draw(st.integers(1, k)))
-    failures = []
-    for _ in range(draw(st.integers(0, 10))):
-        time = draw(st.integers(1, 39)) / 4
-        if draw(st.integers(0, 3)) == 0:
-            failures.append(FailureSpec(time=time, kind="region", action="kill",
-                                        region=draw(st.integers(0, cfg.n_regions - 1))))
-        else:
-            failures.append(FailureSpec(time=time, kind="worker",
-                                        action=draw(st.sampled_from(["kill", "revive"])),
-                                        worker=draw(st.integers(0, cfg.n_workers - 1))))
-    return cfg, failures
+def assert_same_run(a, b):
+    """Two (trace, report) results: the same trace bytes and the same whole
+    report, conservation keys included."""
+    assert dump_trace(a[0]) == dump_trace(b[0])
+    assert a[1].to_json_obj() == b[1].to_json_obj()
 
 
-class EveryRegionKernel(_Kernel):
-    """The reference kernel: every maintenance round visits every region."""
-
-    def handle_maintenance(self, rnd):
-        self.unsettled.update(self.coords)
-        super().handle_maintenance(rnd)
-
-
-def assert_alg4_records_fold_like_every_round(sc):
-    """Run sc on the reference kernel, recording the outcome of every region's
-    every round, RegionDead included, and fold those outcomes as if each
-    round were written.  The report, folded from the rounds the trace keeps,
-    must agree, and the kernel, which visits only unsettled regions, must
-    write the same trace and report."""
+def assert_same_as_reference(sc):
+    """Run sc on the reference kernel, recording the outcome of every
+    region's every round, RegionDead included, and on the kernel,
+    recording: the same trace bytes and the same whole report, the receive
+    counters equal to the reference's receive log, and the rounds the trace
+    keeps folding like every round (``assert_rounds_fold``).  Returns the
+    recording kernel, its trace and its report."""
+    ref = ReferenceKernel(sc)
     outcomes = []  # (region, round, RoundOutcome or None when dead, t_min)
-    rounds = {}
+    rounds = Counter()
 
     def recording(cs, topo, **kw):
-        rounds[cs.region] = rnd = rounds.get(cs.region, 0) + 1
+        rounds[cs.region] += 1
         try:
             out = monitor_round(cs, topo, **kw)
         except RegionDead:
-            outcomes.append((cs.region, rnd, None, cs.t_min))
+            outcomes.append((cs.region, rounds[cs.region], None, cs.t_min))
             raise
-        outcomes.append((cs.region, rnd, out, cs.t_min))
+        outcomes.append((cs.region, rounds[cs.region], out, cs.t_min))
         return out
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(simkernel, "monitor_round", recording)
-        trace, report = EveryRegionKernel(sc).run()
+        expected = ref.run()
+    kernel = Recording(sc)
+    trace, report = kernel.run()
+    assert_same_run((trace, report), expected)
+    cons, region_of = report.conservation, ref.topo.region_of_worker
+    assert cons.get("alg1_receives", 0) == len(ref.receives)
+    assert cons.get("alg1_cross_region_receives", 0) == sum(
+        region_of(w) != region_of(s) for w, s in ref.receives)
+    assert_rounds_fold(sc, outcomes, trace, report)
+    return kernel, trace, report
+
+
+def assert_rounds_fold(sc, outcomes, trace, report):
+    """Fold the outcomes of every region's every round as if each round were
+    written: the report, folded from the rounds the trace keeps, must
+    agree."""
     breaches, samples, last = {}, [], {}
     for region, rnd, out, t_min in outcomes:
         if out is None or out.alive_before < t_min:
@@ -372,21 +361,15 @@ def assert_alg4_records_fold_like_every_round(sc):
         last[region] = out
     assert report.recovery_samples == samples
     assert report.unrestored_regions == sorted(breaches)
-    # no failure follows the last round, so a region is live at the end
-    # exactly when its last round found an alive coordinator
-    live = sum(out is not None for out in last.values())
-    assert report.live_region_fraction == live / sc.config.n_regions
     written = sum(1 for rec in trace if rec.comp == "alg4")
     assert written + report.conservation.get("alg4_rounds_skipped", 0) == len(outcomes)
-    assert_same_run(run(sc), (trace, report))
-    return trace, report
-
-
-def assert_same_run(a, b):
-    """Two (trace, report) results: the same trace bytes and the same whole
-    report, conservation keys included."""
-    assert dump_trace(a[0]) == dump_trace(b[0])
-    assert a[1].to_json_obj() == b[1].to_json_obj()
+    # with no kill or revive after the last round, a region is live at the
+    # end exactly when its last round found an alive coordinator
+    last_round = simkernel.quantize(int(sc.horizon / sc.round_period + 1e-9) * sc.round_period)
+    if last and all(simkernel.quantize(f.time) <= last_round for f in sc.failures
+                    if f.kind in ("worker", "region")):
+        live = sum(out is not None for out in last.values())
+        assert report.live_region_fraction == live / sc.config.n_regions
 
 
 def visited_rounds(sc):
@@ -403,25 +386,11 @@ def visited_rounds(sc):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(simkernel, "monitor_round", recording)
         trace, report = kernel.run()
-    assert_same_run((trace, report), EveryRegionKernel(sc).run())
+    assert_same_run((trace, report), ReferenceKernel(sc).run())
     return visits, trace, report
 
 
-# (eager_refill, single_promotion)
-SETTINGS = [(False, False), (True, False), (False, True), (True, True)]
-
-
 class TestMaintenanceRecords:
-    @pytest.mark.parametrize("eager_refill, single_promotion", SETTINGS)
-    @settings(max_examples=60, deadline=None)
-    @given(maintenance_runs())
-    def test_written_rounds_fold_like_every_round(self, eager_refill, single_promotion, shape):
-        cfg, failures = shape
-        sc = Scenario(config=cfg, seed=7, horizon=10.0, failures=failures,
-                      eager_refill=eager_refill, single_promotion=single_promotion)
-        validate_scenario(sc)
-        assert_alg4_records_fold_like_every_round(sc)
-
     def test_first_round_after_revival_closes_the_breach(self):
         # region 1 (workers 4-7, coordinators 4-6) dies before round 2, and all
         # three coordinators revive before round 5: round 5 changes nothing,
@@ -430,7 +399,7 @@ class TestMaintenanceRecords:
                       failures=[FailureSpec(time=1.5, kind="region", action="kill", region=1)]
                       + [FailureSpec(time=4.5, kind="worker", action="revive", worker=w)
                          for w in (4, 5, 6)])
-        trace, report = assert_alg4_records_fold_like_every_round(sc)
+        _, trace, report = assert_same_as_reference(sc)
         alg4 = [rec for rec in trace if rec.comp == "alg4"]
         assert [(rec.event, rec.data["region"], rec.data["round"]) for rec in alg4] == [
             ("region_dead", 1, 2), ("round", 1, 5)]
@@ -443,23 +412,6 @@ class TestMaintenanceRecords:
 class TestUnsettledRegions:
     """Maintenance visits only unsettled regions; each run here must equal
     the reference kernel's, which visits every region in every round."""
-
-    @pytest.mark.parametrize("eager_refill, single_promotion", SETTINGS)
-    @settings(max_examples=40, deadline=None)
-    @given(maintenance_runs(), st.lists(st.tuples(st.integers(0, 36), st.integers(0, 99)),
-                                        max_size=4))
-    def test_same_run_with_commands_in_flight(self, eager_refill, single_promotion,
-                                              shape, commands):
-        # adjacent commands with slow broadcasts keep leaders loaded, which a
-        # promotion's candidate metric reads
-        cfg, failures = shape
-        sc = Scenario(config=cfg, seed=7, horizon=10.0, failures=failures,
-                      delay=DelayParams(alpha=3.0, beta=1.0, epsilon=0.5),
-                      commands=[CommandSpec(time=t / 4, origin=c % cfg.n_clusters,
-                                            scope=("global",)) for t, c in commands],
-                      eager_refill=eager_refill, single_promotion=single_promotion)
-        validate_scenario(sc)
-        visited_rounds(sc)
 
     def test_failure_free_run_visits_each_region_once(self):
         cfg = HierarchyConfig(2, 2, 3, 2, coordinator_k=3, t_min=2)  # 6 regions
@@ -649,116 +601,6 @@ class TestValidation:
                  failures=[fail(kind="adjacency", action="add", edge=(1, 1))])
 
 
-class TestConservationFuzz:
-    def test_random_scenarios_balance(self):
-        rng = random.Random(20250819)
-        shapes = [(2, 2, 1, 1), (2, 2, 2, 1), (3, 2, 2, 1), (2, 3, 1, 2), (3, 3, 2, 1)]
-        for i in range(25):
-            wpc, cpr, rph, hpd = shapes[i % len(shapes)]
-            cfg = HierarchyConfig(wpc, cpr, rph, hpd, coordinator_k=2, t_min=1)
-            commands = [
-                CommandSpec(time=round(rng.uniform(0, 4), 3),
-                            origin=rng.randrange(cfg.n_clusters),
-                            scope=rng.choice([
-                                ("cluster", rng.randrange(cfg.n_clusters)),
-                                ("region", rng.randrange(cfg.n_regions)),
-                                ("global",)]))
-                for _ in range(rng.randint(1, 2))
-            ]
-            failures = []
-            for _ in range(rng.randint(0, 3)):
-                roll = rng.random()
-                if roll < 0.5:
-                    failures.append(FailureSpec(
-                        time=round(rng.uniform(0, 8), 3), kind="worker",
-                        action=rng.choice(["kill", "revive"]),
-                        worker=rng.randrange(cfg.n_workers)))
-                elif roll < 0.8:
-                    failures.append(FailureSpec(
-                        time=round(rng.uniform(0, 8), 3), kind="link",
-                        action=rng.choice(["jam", "clear"]),
-                        link_class=rng.choice(list(("cluster", "region",
-                                                    "adjacent", "tree"))),
-                        drop=round(rng.uniform(0.2, 1.0), 2)))
-                else:
-                    failures.append(FailureSpec(
-                        time=round(rng.uniform(0, 8), 3), kind="region",
-                        action="kill", region=rng.randrange(cfg.n_regions)))
-            sc = Scenario(config=cfg, seed=1000 + i, horizon=12.0,
-                          strategy=("adjacent", "hierarchical")[i % 2],
-                          commands=commands, failures=failures)
-            _, report = run(sc)  # run() itself asserts the balance
-            assert report.conserved, f"scenario {i} out of balance"
-
-
-def deliver_per_copy(kernel, ws, m, senders):
-    """Deliver each sender's copies in turn, each copy alone, counting each
-    alive one's receive, and its crossing when the sender sits in another
-    region, before it acts.  No relay joins another's entries."""
-    region_of = kernel.topo.region_of_worker
-    for s in senders:
-        for w in simkernel.copies_of(ws, senders[0], s):
-            if kernel.topo.is_alive(w):
-                kernel.bump("deliveries_completed")
-                kernel.bump("alg1_receives")
-                kernel.bump("alg1_cross_region_receives", int(region_of(w) != region_of(s)))
-            kernel.relay_group = None
-            kernel.deliver_worker(w, m, s)
-
-
-def deliver_node(kernel, node, m, from_node):
-    """Deliver one tree copy alone and count it: park it at a vacant node,
-    else process it at a leaf, climbing when it is an injection (no sending
-    node), or route it at an interior node; then forward each copy made on
-    its own."""
-    if kernel.links.holder(node) is None:
-        kernel.bump("deliveries_parked")
-        kernel.park(m, node, from_node)
-        return
-    kernel.bump("deliveries_completed")
-    mid = msg_id_str(m.msg_id)
-    if node[0] == LAYER_LEADER:
-        state = kernel.leader_state(node[1])
-        decision = leader_on_receive_immediate(state, m, kernel.topo, kernel.links,
-                                               injected=from_node is None)
-        kernel.emit_visit("alg3", node[1], mid, m, decision)
-        fwds = decision.forwards
-    else:
-        fwds = route_interior(node, m, from_node, kernel.topo, kernel.links,
-                              kernel.sc.route_mode)
-        kernel.emit("alg3", "route", node=str(node), msg_id=mid, n_out=len(fwds),
-                    hop=m.hop_count)
-    for fwd in fwds:
-        kernel.forward_tree(node, [fwd])
-
-
-class PerCopyKernel(_Kernel):
-    """The reference kernel: one delivery entry per copy, pushed when its
-    worker relays or its tree node forwards, each copy delivered and counted
-    alone, and every report queued and delivered."""
-
-    def fan_out(self, segments, m, senders):
-        for cls, ws in segments:
-            for w in ws:
-                super().fan_out([(cls, [w])], m, senders)
-
-    def deliver_workers(self, ws, m, senders):
-        deliver_per_copy(self, ws, m, senders)
-
-    def send(self, nodes, m, sender):
-        for node in nodes:
-            super().send([node], m, sender)
-
-    def deliver_nodes(self, nodes, m, from_node):
-        for node in nodes:
-            deliver_node(self, node, m, from_node)
-
-    def send_reports(self, c, m, reporters, fire):
-        for w in reporters:
-            self.bump("deliveries_enqueued")
-            self.push(fire, self.handle_delivery, (("leader", c), m, w, False))
-
-
 class Recording(_Kernel):
     """The kernel, recording each worker delivery entry as (fire, workers,
     sender list, send time), each tree delivery entry as (fire, nodes,
@@ -814,7 +656,7 @@ def reachable_peers(w, topo):
 
 
 class TestReachableCache:
-    def test_relays_match_uncached_reachable_workers(self):
+    def test_relays_match_uncached_reachable_workers(self, monkeypatch):
         # 6 regions of 6 workers on a 3x2 grid; a global command every 0.3 s
         # keeps every region relaying while workers die and revive, a region
         # dies and an adjacency edge comes and goes
@@ -834,20 +676,22 @@ class TestReachableCache:
         validate_scenario(sc)
         relays = []  # (time, worker, fanout, per-peer model, index of its first entry)
 
-        class Checked(Recording):
-            def emit(self, comp, event, **data):
-                super().emit(comp, event, **data)
-                if event == "relay":
-                    w = data["worker"]
-                    peers = reachable_peers(w, self.topo)
-                    assert [(p, cls) for cls, ws in reachable_workers(w, self.topo)
-                            for p in ws] == peers
-                    # where its copies start in fanouts, which each entry
-                    # contributes one item per sender to
-                    start = sum(len(senders) for _, _, senders, _ in self.entries)
-                    relays.append((self.now, w, data["fanout"], peers, start))
+        kernel = Recording(sc)
+        emit = kernel.emit
 
-        kernel = Checked(sc)
+        def checked(comp, event, **data):
+            emit(comp, event, **data)
+            if event == "relay":
+                w = data["worker"]
+                peers = reachable_peers(w, kernel.topo)
+                assert [(p, cls) for cls, ws in reachable_workers(w, kernel.topo)
+                        for p in ws] == peers
+                # where its copies start in fanouts, which each entry
+                # contributes one item per sender to
+                start = sum(len(senders) for _, _, senders, _ in kernel.entries)
+                relays.append((kernel.now, w, data["fanout"], peers, start))
+
+        monkeypatch.setattr(kernel, "emit", checked)
         kernel.run()
         fanouts = kernel.fanouts
         for t, w, fanout, peers, start in relays:
@@ -872,33 +716,56 @@ class TestReachableCache:
 
 
 WORKER_CLASSES = ("cluster", "region", "adjacent")
+SCOPE_KINDS = ("cluster", "region", "hub", "domain")
 
 
 @st.composite
-def adjacent_runs(draw):
-    """An adjacent scenario on a small shape: commands, worker and region
-    kills, revives, jams of every worker link class and, with two regions or
-    more, adjacency edits; latencies drawn with zeros and ties.  Commands
-    and the horizon sit on a 0.1 grid that fire times land on.  Failures
-    fall on that grid or on a 0.01 one, and some more are aimed into the
-    windows the run opens (``window_failures``)."""
-    wpc, cpr, rph = draw(st.integers(1, 4)), draw(st.integers(1, 3)), draw(st.integers(1, 3))
-    cfg = HierarchyConfig(wpc, cpr, rph, coordinator_k=1, t_min=1)
+def runs(draw):
+    """A scenario of either strategy on a small shape, every coordinator
+    setting drawn: K, T_min, eager refill and single promotion.  Commands of
+    every scope kind, some targeted; worker kills and revives, region
+    kills, jams of the strategy's link classes that eat every copy or some,
+    and, with the adjacent strategy and two regions or more, adjacency
+    edits; link latencies drawn with zeros and ties.  Commands and the
+    horizon sit on a 0.1 grid that fire times land on; failures fall on that
+    grid or on a 0.01 one.  More failures are aimed into the windows of the
+    run's own entries: a worker delivery entry's, from its send to the
+    landing of its reports (``window_failures``), or a tree entry's, from
+    its send to its fire time (``tree_window_failures``), and some
+    hierarchical runs end inside a tree entry."""
+    # two adjacent runs to a hierarchical one: most shortcuts are adjacent
+    adjacent = draw(st.sampled_from([True, True, False]))
+    if adjacent:  # five layers, one hub, and clusters whose relays can share entries
+        fan = [draw(st.integers(2, 4)), draw(st.integers(1, 3)), draw(st.integers(1, 3))]
+        layers, end = 5, 30
+    else:
+        fan = [draw(st.integers(1, 3)), draw(st.integers(1, 3))] + [
+            draw(st.integers(1, 2)) for _ in range(3)]
+        layers, end = draw(st.integers(2, 5)), 60
+    k = draw(st.integers(1, min(4, fan[0] * fan[1])))
+    cfg = HierarchyConfig(*fan, num_layers=layers, coordinator_k=k,
+                          t_min=draw(st.integers(1, k)))
 
     def steps(n, per):  # 0, 1 / per, ..., n / per
         return st.integers(0, n).map(lambda i: i / per)
 
-    at = st.one_of(steps(30, 10), steps(300, 100))
-    latencies = {cls: draw(st.sampled_from([0.0, 0.1, 0.2, 0.5])) for cls in WORKER_CLASSES}
+    at = st.one_of(steps(end, 10), steps(10 * end, 100))
     commands = []
-    for _ in range(draw(st.integers(1, 3))):
-        scope = draw(st.sampled_from([("global",), ("region", cfg.n_regions - 1),
-                                      ("cluster", cfg.n_clusters - 1)]))
+    for _ in range(draw(st.integers(1, 4))):
+        kind = draw(st.sampled_from(SCOPE_KINDS + ("global",)))
+        if kind == "global":
+            scope = ("global",)
+        else:
+            last = cfg.n_scopes(SCOPE_LAYERS[kind]) - 1
+            # an adjacent command floods toward the last scope, far from most origins
+            scope = (kind, last if adjacent else draw(st.integers(0, last)))
         targets = draw(st.frozensets(st.integers(0, cfg.n_workers - 1), max_size=2))
         commands.append(CommandSpec(time=draw(steps(20, 10)), origin=draw(st.integers(
             0, cfg.n_clusters - 1)), scope=scope, targets=targets))
+    classes = WORKER_CLASSES if adjacent else ("tree",)
     failures = []
-    kinds = ["worker", "worker", "region", "link"] + ["adjacency"] * (cfg.n_regions > 1)
+    kinds = ["worker", "worker", "region", "link"] + ["adjacency"] * (
+        adjacent and cfg.n_regions > 1)
     for _ in range(draw(st.integers(0, 8))):
         kind = draw(st.sampled_from(kinds))
         if kind == "worker":
@@ -917,36 +784,67 @@ def adjacent_runs(draw):
         else:
             failures.append(FailureSpec(time=draw(at), kind="link",
                                         action=draw(st.sampled_from(["jam", "clear"])),
-                                        link_class=draw(st.sampled_from(WORKER_CLASSES)),
+                                        link_class=draw(st.sampled_from(classes)),
                                         drop=draw(st.sampled_from([0.3, 0.7, 1.0]))))
+    # zero last: Hypothesis draws the first choice most often, and a zero
+    # cluster latency leaves no report window to aim at
+    latencies = {**simkernel.DEFAULT_LATENCIES, **{
+        cls: draw(st.sampled_from([0.1, 0.2, 0.5, 1.0, 0.0])) for cls in classes}}
     delay = DelayParams(alpha=draw(st.sampled_from([0.0, 0.5, 1.0])),
                         beta=draw(st.sampled_from([0.0, 0.1])),
                         epsilon=draw(st.sampled_from([0.0, 0.05])))
-    sc = Scenario(config=cfg, seed=draw(st.integers(0, 99)), horizon=draw(steps(40, 10)) + 1.05,
-                  delay=delay, link_latencies=latencies, commands=commands,
-                  failures=failures)
-    return replace(sc, failures=failures + draw(window_failures(sc)))
+    sc = Scenario(config=cfg, seed=draw(st.integers(0, 99)),
+                  strategy="adjacent" if adjacent else "hierarchical",
+                  horizon=draw(steps(end + 10, 10)) + 1.05, delay=delay,
+                  link_latencies=latencies,
+                  route_mode=draw(st.sampled_from([MODE_LCA, MODE_ROOT])),
+                  eager_refill=draw(st.booleans()), single_promotion=draw(st.booleans()),
+                  commands=commands, failures=failures)
+    if adjacent:
+        return replace(sc, failures=failures + draw(window_failures(sc)))
+    sc = replace(sc, failures=failures + draw(tree_window_failures(sc)))
+    if draw(st.booleans()):
+        # end the run while one of its entries is in flight
+        windows = tree_windows(sc)
+        if windows:
+            fire, _, _, sent = draw(st.sampled_from(windows))
+            sc = replace(sc, horizon=sent + draw(st.integers(1, 99)) / 100 * (fire - sent))
+    return sc
 
 
 @st.composite
 def window_failures(draw, sc):
-    """One to six failures, each at a time drawn from the window of a worker
-    delivery entry of sc's run, from its send to the landing of the reports
-    it makes: a kill of one of its workers or of its first sender; for an
-    entry that several relays share, a kill of such a worker's region or a
-    cluster link jam; or, at a leader's broadcast, another worker of the
-    cluster dead from before the send until then, which then relays on its
-    siblings' copies only."""
+    """Failures aimed at one to six windows of sc's run.  Most fall in the
+    window of a worker delivery entry, from its send to the landing of the
+    reports it makes: a kill of one of its workers or of its first sender;
+    for an entry that several relays share, a kill of such a worker's region
+    or a cluster link jam; or, at a leader's broadcast, another worker of
+    the cluster dead from before the send until then, which then relays on
+    its siblings' copies only.  The rest vacate the cluster a queued report
+    is headed to before it lands, and revive one of its workers before the
+    report lands or after."""
     kernel = Recording(sc)
     kernel.run()
     topo, failures = kernel.topo, []
     pick = {"kill": kernel.entries,
             "blink": [e for e in kernel.entries if e[2][0] in e[1] and len(e[1]) > 1],
-            "region": [e for e in kernel.entries if len(e[2]) > 1]}
+            "region": [e for e in kernel.entries if len(e[2]) > 1],
+            "vacate": kernel.reports}
     pick["jam"] = pick["region"]
     for _ in range(draw(st.integers(1, 6))):
-        kind = draw(st.sampled_from(["blink", "kill", "region", "jam"]))
+        kind = draw(st.sampled_from(["blink", "blink", "kill", "region", "jam", "vacate"]))
         if not pick[kind]:
+            continue
+        if kind == "vacate":
+            now, fire, c, _ = draw(st.sampled_from(pick[kind]))
+            t = now + draw(st.integers(1, 100)) / 100 * (fire - now)
+            back = (t + draw(st.integers(1, 100)) / 100 * (fire - t) if draw(st.booleans())
+                    else fire + draw(st.integers(1, 100)) / 100)
+            members = topo.workers_in_cluster(c)
+            failures += [FailureSpec(time=t, kind="worker", action="kill", worker=w)
+                         for w in members]
+            failures.append(FailureSpec(time=back, kind="worker", action="revive",
+                                        worker=draw(st.sampled_from(members))))
             continue
         fire, ws, senders, sent = draw(st.sampled_from(pick[kind]))
         # a revive or a jam after the send and by the fire time, a region
@@ -970,82 +868,6 @@ def window_failures(draw, sc):
                                      kind="worker", action="kill", worker=w),
                          FailureSpec(time=t, kind="worker", action="revive", worker=w)]
     return failures
-
-
-class CrossingKills(_Kernel):
-    """The kernel, counting the kills of a worker that a copy from another
-    region, still queued, is headed to."""
-
-    def __init__(self, sc):
-        super().__init__(sc)
-        self.kills = 0
-
-    def kill_worker(self, w):
-        region_of = self.topo.region_of_worker
-        if self.topo.is_alive(w) and any(
-                handler == self.handle_delivery and args[0][0] == "workers"
-                and w in args[0][1] and region_of(args[2][0]) != region_of(w)
-                for _, _, handler, args in self.heap):
-            self.kills += 1
-        super().kill_worker(w)
-
-
-SCOPE_KINDS = ("cluster", "region", "hub", "domain")
-
-
-@st.composite
-def hierarchical_runs(draw):
-    """A hierarchical scenario on a small tree of two to five layers, in
-    either route mode: commands of every scope kind, some targeted, worker
-    kills and revives, region kills, and tree jams that eat every copy or
-    some; the tree latency drawn with zero.  Times fall on a 0.1 grid or a
-    0.01 one.  More failures are aimed into the windows of the run's own
-    tree entries (``tree_window_failures``), and some runs end inside one."""
-    fan = [draw(st.integers(1, 3)), draw(st.integers(1, 3))] + [
-        draw(st.integers(1, 2)) for _ in range(3)]
-    cfg = HierarchyConfig(*fan, num_layers=draw(st.integers(2, 5)), coordinator_k=1, t_min=1)
-
-    def steps(n, per):  # 0, 1 / per, ..., n / per
-        return st.integers(0, n).map(lambda i: i / per)
-
-    at = st.one_of(steps(60, 10), steps(600, 100))
-    commands = []
-    for _ in range(draw(st.integers(1, 4))):
-        kind = draw(st.sampled_from(SCOPE_KINDS + ("global",)))
-        scope = ("global",) if kind == "global" else (kind, draw(st.integers(
-            0, cfg.n_scopes(SCOPE_LAYERS[kind]) - 1)))
-        targets = draw(st.frozensets(st.integers(0, cfg.n_workers - 1), max_size=2))
-        commands.append(CommandSpec(time=draw(steps(20, 10)), origin=draw(st.integers(
-            0, cfg.n_clusters - 1)), scope=scope, targets=targets))
-    failures = []
-    for _ in range(draw(st.integers(0, 6))):
-        kind = draw(st.sampled_from(["worker", "worker", "region", "link"]))
-        if kind == "worker":
-            failures.append(FailureSpec(time=draw(at), kind="worker",
-                                        action=draw(st.sampled_from(["kill", "revive"])),
-                                        worker=draw(st.integers(0, cfg.n_workers - 1))))
-        elif kind == "region":
-            failures.append(FailureSpec(time=draw(at), kind="region", action="kill",
-                                        region=draw(st.integers(0, cfg.n_regions - 1))))
-        else:
-            failures.append(FailureSpec(time=draw(at), kind="link",
-                                        action=draw(st.sampled_from(["jam", "clear"])),
-                                        link_class="tree",
-                                        drop=draw(st.sampled_from([0.3, 1.0]))))
-    latencies = {**simkernel.DEFAULT_LATENCIES,
-                 "tree": draw(st.sampled_from([0.0, 0.1, 0.5, 1.0]))}
-    sc = Scenario(config=cfg, seed=draw(st.integers(0, 99)), strategy="hierarchical",
-                  horizon=draw(steps(60, 10)) + 1.05, link_latencies=latencies,
-                  route_mode=draw(st.sampled_from([MODE_LCA, MODE_ROOT])),
-                  commands=commands, failures=failures)
-    sc = replace(sc, failures=failures + draw(tree_window_failures(sc)))
-    if draw(st.booleans()):
-        # end the run while one of its entries is in flight
-        windows = tree_windows(sc)
-        if windows:
-            fire, _, _, sent = draw(st.sampled_from(windows))
-            sc = replace(sc, horizon=sent + draw(st.integers(1, 99)) / 100 * (fire - sent))
-    return sc
 
 
 def tree_windows(sc):
@@ -1098,16 +920,6 @@ def tree_window_failures(draw, sc):
     return failures
 
 
-def assert_same_as_per_copy(sc):
-    """Run sc on the kernel and on the per-copy reference kernel: the same
-    trace bytes and the same whole report.  Returns the recording kernel,
-    its trace and its report."""
-    kernel = Recording(sc)
-    trace, report = kernel.run()
-    assert_same_run((trace, report), PerCopyKernel(sc).run())
-    return kernel, trace, report
-
-
 # 8 workers: cluster c is workers 2c and 2c + 1, region 0 is clusters 0 and 1.
 # Worker 0 leads cluster 0, and its broadcast of a global command injected
 # there at 0 fires at 1.0 and reaches workers 0 and 1 at 1.1; each relays,
@@ -1121,7 +933,7 @@ FLOOD = dict(config=CFG_2R, delay=NO_JITTER,
 def assert_horizon_cut_counts_in_flight():
     """FLOOD cut at 1.35: each copy of an unfired fan-out entry is in flight,
     and so is each report accounted unqueued that is due past the horizon."""
-    kernel, _, report = assert_same_as_per_copy(scenario(**FLOOD, horizon=1.35))
+    kernel, _, report = assert_same_as_reference(scenario(**FLOOD, horizon=1.35))
     assert kernel.unqueued == [(1.3, 1.4)] * 3
     # the adjacent copies of workers 0 and 1, due at 1.6
     assert [ws for fire, ws, _ in kernel.fanouts if fire > 1.35] == [[4, 5, 6, 7]] * 2
@@ -1153,28 +965,6 @@ class TestPerCopyReference:
     """Fan-out entries and unqueued certain-drop reports change no output:
     each run equals the reference kernel's, which queues every copy alone."""
 
-    @settings(max_examples=400, deadline=None)
-    @given(adjacent_runs())
-    def test_generated_runs(self, sc):
-        validate_scenario(sc)
-        assert_same_as_per_copy(sc)
-
-    def test_generated_runs_kill_receivers_of_crossing_copies(self):
-        # the examples the derandomized generator draws first: some kill a
-        # worker that a copy from another region is still headed to
-        kills = []
-
-        @settings(max_examples=50, deadline=None, derandomize=True, database=None)
-        @given(adjacent_runs())
-        def count(sc):
-            validate_scenario(sc)
-            kernel = CrossingKills(sc)
-            kernel.run()
-            kills.append(kernel.kills)
-
-        count()
-        assert len(kills) == 50 and sum(k > 0 for k in kills) >= 1
-
     @pytest.mark.parametrize("change, fire, senders", [
         # a jammed cluster link: each sender's reports to cluster 1 draw on it
         (dict(failures=[FailureSpec(time=1.25, kind="link", action="jam",
@@ -1194,15 +984,13 @@ class TestPerCopyReference:
         # cluster 1 dies before the reports land: each one is dropped dead
         (dict(failures=[FailureSpec(time=1.35, kind="worker", action="kill", worker=w)
                         for w in (4, 5, 6, 7)]), 1.3, 4),
-        # reports due now are queued, each sender's
-        (dict(link_latencies={**simkernel.DEFAULT_LATENCIES, "cluster": 0.0}), 1.2, 4),
     ], ids=["cluster-jam", "dead-receiver", "targeted-receiver", "yet-to-relay",
-            "kill-in-report-window", "zero-cluster-latency"])
+            "kill-in-report-window"])
     def test_entry_that_tells_senders_apart_goes_sender_by_sender(self, change, fire,
                                                                    senders):
         # workers 0 to 3 relay worker 0's broadcast together; their entry due
         # at fire is delivered one sender at a time, in relay order
-        kernel, _, _ = assert_same_as_per_copy(scenario(**{**FLOOD_4W, **change}))
+        kernel, _, _ = assert_same_as_reference(scenario(**{**FLOOD_4W, **change}))
         assert [e[2] for e in kernel.entries if e[0] == fire] == [list(range(senders))]
         assert [p[1:] for p in kernel.passes if p[0] == fire] == [
             (s, 1) for s in range(senders)]
@@ -1210,14 +998,14 @@ class TestPerCopyReference:
     def test_jam_at_a_relay_keeps_each_senders_entries(self):
         # the region link is half jammed when workers 0 to 3 relay: each
         # relay draws for its own copies and pushes its own entries
-        kernel, _, _ = assert_same_as_per_copy(scenario(**FLOOD_4W, failures=[
+        kernel, _, _ = assert_same_as_reference(scenario(**FLOOD_4W, failures=[
             FailureSpec(time=1.05, kind="link", action="jam", link_class="region",
                         drop=0.5)]))
         assert [(ws, senders) for fire, ws, senders, _ in kernel.entries if fire == 1.2] == [
             ([w for w in range(4) if w != s], [s]) for s in range(4)]
 
     def test_reports_behind_a_queued_one_are_not_queued(self):
-        kernel, trace, report = assert_same_as_per_copy(scenario(**FLOOD))
+        kernel, trace, report = assert_same_as_reference(scenario(**FLOOD))
         assert kernel.unqueued[:3] == [(1.3, 1.4)] * 3
         # worker 0's broadcast, then worker 0's relay, one entry per class
         assert kernel.fanouts[:4] == [(1.1, [0, 1], 0), (1.2, [1], 0), (1.3, [2, 3], 0),
@@ -1226,7 +1014,7 @@ class TestPerCopyReference:
 
     def test_kill_at_a_reports_fire_time(self):
         # cluster 1 dies at 1.4, before its four reports land then
-        kernel, trace, _ = assert_same_as_per_copy(scenario(**FLOOD, failures=[
+        kernel, trace, _ = assert_same_as_reference(scenario(**FLOOD, failures=[
             FailureSpec(time=1.4, kind="worker", action="kill", worker=w) for w in (2, 3)]))
         assert reports_dropped_dead(trace, 1) == [1.4] * 4
         assert not any(now == 1.3 for now, _ in kernel.unqueued)
@@ -1234,7 +1022,7 @@ class TestPerCopyReference:
     def test_last_worker_killed_with_reports_in_flight(self):
         # worker 3 dies early; worker 2, the last one of cluster 1, dies
         # while its two reports are in flight
-        _, trace, report = assert_same_as_per_copy(scenario(**FLOOD, failures=[
+        _, trace, report = assert_same_as_reference(scenario(**FLOOD, failures=[
             FailureSpec(time=0.2, kind="worker", action="kill", worker=3),
             FailureSpec(time=1.35, kind="worker", action="kill", worker=2)]))
         assert reports_dropped_dead(trace, 1) == [1.4, 1.4]
@@ -1244,7 +1032,7 @@ class TestPerCopyReference:
         # worker 2, cluster 1's leader, reports twice at 1.3 and dies at
         # 1.32; worker 3 revives at 1.35 and takes the vacant lead, and both
         # reports land on it, the first one processed
-        _, trace, _ = assert_same_as_per_copy(scenario(**FLOOD, failures=[
+        _, trace, _ = assert_same_as_reference(scenario(**FLOOD, failures=[
             FailureSpec(time=0.2, kind="worker", action="kill", worker=3),
             FailureSpec(time=1.32, kind="worker", action="kill", worker=2),
             FailureSpec(time=1.35, kind="worker", action="revive", worker=3)]))
@@ -1264,7 +1052,7 @@ class TestPerCopyReference:
                       horizon=1.15, delay=DelayParams(alpha=0.0, beta=0.0, epsilon=0.0),
                       link_latencies={"cluster": 0.2, "region": 0.0, "adjacent": 0.1},
                       commands=[CommandSpec(time=0.1, origin=0, scope=("global",))])
-        kernel, trace, _ = assert_same_as_per_copy(sc)
+        kernel, trace, _ = assert_same_as_reference(sc)
         assert trace[-1].time == kernel.unqueued[-1][1] == 1.1
         assert trace[-2].time < 1.1
 
@@ -1276,7 +1064,7 @@ class TestPerCopyReference:
 
     def test_run_with_a_dead_worker(self):
         # worker 6 dies after the relays are sent, before their runs land
-        _, trace, _ = assert_same_as_per_copy(scenario(**FLOOD_4W, failures=[
+        _, trace, _ = assert_same_as_reference(scenario(**FLOOD_4W, failures=[
             FailureSpec(time=1.25, kind="worker", action="kill", worker=6)]))
         assert [t for t, _ in records(trace, "drop_dead", worker=6)] == [1.3] * 4
 
@@ -1286,14 +1074,14 @@ class TestPerCopyReference:
         # died; cluster 1's run goes copy by copy, cluster 2's is counted
         sc = scenario(**dict(FLOOD, config=HierarchyConfig(2, 3, 2, coordinator_k=2, t_min=1)),
                       failures=[FailureSpec(time=1.25, kind="worker", action="kill", worker=3)])
-        kernel, trace, report = assert_same_as_per_copy(sc)
+        kernel, trace, report = assert_same_as_reference(sc)
         assert (1.3, [2, 3, 4, 5], 0) in kernel.fanouts
         assert [t for t, _ in records(trace, "drop_dead", worker=3)] == [1.3, 1.3]
 
     def test_run_holding_a_targeted_worker(self):
         sc = scenario(**dict(FLOOD_4W, commands=[CommandSpec(
             time=0.0, origin=0, scope=("global",), targets=frozenset({6}))]))
-        kernel, trace, _ = assert_same_as_per_copy(sc)
+        kernel, trace, _ = assert_same_as_reference(sc)
         assert records(trace, "execute_worker") == [
             (1.3, {"worker": 6, "msg_id": "0:0", "hop": 1, "from_worker": 0})]
         assert kernel.reports[0] == (1.3, 1.4, 1, 4)
@@ -1303,7 +1091,7 @@ class TestPerCopyReference:
         # worker 3 is dead at worker 0's broadcast and back before the relays
         # go out: its first flagged copy comes in a run with workers that
         # relayed already, and it relays then
-        _, trace, _ = assert_same_as_per_copy(scenario(**FLOOD_4W, failures=[
+        _, trace, _ = assert_same_as_reference(scenario(**FLOOD_4W, failures=[
             FailureSpec(time=0.5, kind="worker", action="kill", worker=3),
             FailureSpec(time=1.05, kind="worker", action="revive", worker=3)]))
         relays = [(t, d["worker"], d["from_worker"]) for t, d in records(trace, "relay")]
@@ -1311,7 +1099,7 @@ class TestPerCopyReference:
 
     def test_cluster_jam_during_a_run(self):
         # every report draws on the jam, copy by copy; some get through
-        kernel, trace, _ = assert_same_as_per_copy(scenario(**FLOOD_4W, failures=[
+        kernel, trace, _ = assert_same_as_reference(scenario(**FLOOD_4W, failures=[
             FailureSpec(time=1.25, kind="link", action="jam", link_class="cluster",
                         drop=0.5)]))
         jammed = [t for t, _ in records(trace, "drop_jam", dest="('leader', 1)")
@@ -1331,7 +1119,7 @@ class TestPerCopyReference:
             FailureSpec(time=1.55, kind="worker", action="kill", worker=9),
             FailureSpec(time=1.55, kind="link", action="jam", link_class="cluster",
                         drop=0.5)])
-        kernel, trace, report = assert_same_as_per_copy(sc)
+        kernel, trace, report = assert_same_as_reference(sc)
         assert [(ws, w) for fire, ws, w in kernel.fanouts if fire == 1.6] == [
             (list(range(8, 16)), w) for w in range(4)]
         acts = [(rec.event, rec.data.get("worker"), rec.data.get("dest")) for rec in trace
@@ -1353,26 +1141,30 @@ class TestPerCopyReference:
     def test_adjacent_jam_draws_once_per_copy(self):
         # each of workers 0 to 3 relays eight adjacent copies to region 1 at
         # 1.1, one segment each, and a half jam eats some copies of each
-        _, trace, _ = assert_same_as_per_copy(scenario(**FLOOD_4W, failures=[
+        _, trace, _ = assert_same_as_reference(scenario(**FLOOD_4W, failures=[
             FailureSpec(time=1.05, kind="link", action="jam", link_class="adjacent",
                         drop=0.5)]))
         jammed = [t for t, d in records(trace, "drop_jam", link_class="adjacent")
                   if t == 1.1]
         assert 0 < len(jammed) < 32 and len(jammed) % 8
 
-    def test_zero_cluster_latency_queues_every_report(self):
-        # a report due now is not yet processed: all 16 of cluster 1's
-        # reports are queued, each from its own worker
-        kernel, _, _ = assert_same_as_per_copy(scenario(**FLOOD_4W, link_latencies={
+    def test_zero_cluster_latency_is_one_pass(self):
+        # a later sender's report due now lands behind one the first sender
+        # queued due now, so nothing tells workers 0 to 3 apart: their entry
+        # to cluster 1 is one pass counted four times, whose four reports
+        # are queued, and the other senders' twelve are accounted unqueued
+        kernel, _, _ = assert_same_as_reference(scenario(**FLOOD_4W, link_latencies={
             **simkernel.DEFAULT_LATENCIES, "cluster": 0.0}))
+        assert [e[2] for e in kernel.entries if e[0] == 1.2] == [[0, 1, 2, 3]]
+        assert [p[1:] for p in kernel.passes if p[0] == 1.2] == [(0, 4)]
         assert [r for r in kernel.reports if r[2] == 1] == [
-            (1.2, 1.2, 1, w) for w in (4, 5, 6, 7) * 4]
-        assert not any(now == 1.2 for now, _ in kernel.unqueued)
+            (1.2, 1.2, 1, w) for w in (4, 5, 6, 7)]
+        assert [u for u in kernel.unqueued if u[0] == 1.2] == [(1.2, 1.2)] * 12
 
     def test_kill_between_a_run_and_its_reports(self):
         # worker 7 dies at 1.35, in [1.3, 1.4]: no report of the runs at
         # 1.3 can be accounted unqueued, and the leader drops 15 of them
-        kernel, trace, _ = assert_same_as_per_copy(scenario(**FLOOD_4W, failures=[
+        kernel, trace, _ = assert_same_as_reference(scenario(**FLOOD_4W, failures=[
             FailureSpec(time=1.35, kind="worker", action="kill", worker=7)]))
         assert [r for r in kernel.reports if r[0] == 1.3] == [
             (1.3, 1.4, 1, w) for w in (4, 5, 6, 7) * 4]
@@ -1380,7 +1172,7 @@ class TestPerCopyReference:
         assert [t for t, _ in records(trace, "process", cluster=1)] == [1.4]
 
     def test_horizon_cuts_a_runs_unqueued_reports(self):
-        kernel, _, report = assert_same_as_per_copy(scenario(**FLOOD_4W, horizon=1.35))
+        kernel, _, report = assert_same_as_reference(scenario(**FLOOD_4W, horizon=1.35))
         assert kernel.unqueued == [(1.3, 1.4)] * 15
         # the 15 unqueued reports, the queued one, and each relay's eight
         # adjacent copies due at 1.6
@@ -1428,7 +1220,7 @@ class TestClusterRuns:
         kernel = Recording(sc)
         trace, report = kernel.run()
         n_calls = len(calls)
-        _, ref = PerCopyKernel(sc).run()
+        _, ref = ReferenceKernel(sc).run()
         receives = report.conservation["alg1_receives"]
         # the reference calls it once per receive
         assert receives == ref.conservation["alg1_receives"] == len(calls) - n_calls
@@ -1440,20 +1232,49 @@ class TestClusterRuns:
         assert n_calls <= runs + len(records(trace, "relay")) <= receives / 2
 
 
-class TreeWindows(Recording):
-    """The kernel, counting the windows a tree entry opens that a run
-    reaches: a parked injection retried, a vacancy refilled while a copy to
-    it is in flight, and an entry of several copies in flight at the
-    horizon."""
+class Windows(Recording):
+    """The kernel, counting the windows a run reaches that its shortcuts
+    must get right: a worker killed while a copy from another region is
+    headed to it; a kill while a report is in flight; a revive while a
+    report to the worker's cluster is; a cluster link jammed while a worker
+    entry is in flight; a parked injection retried; a vacancy refilled while
+    a tree copy to it is in flight; and, at the horizon, a worker entry in
+    flight, or a tree entry of several copies."""
 
     def __init__(self, sc):
         super().__init__(sc)
         self.windows = Counter()
 
-    def in_flight(self):
-        return [node for _, _, handler, args in self.heap
-                if handler == self.handle_delivery and args[0][0] == "nodes"
-                for node in args[0][1]]
+    def queued(self, kind):
+        """The args of each queued delivery entry of kind."""
+        return [args for _, _, handler, args in self.heap
+                if handler == self.handle_delivery and args[0][0] == kind]
+
+    def kill_worker(self, w):
+        if self.topo.is_alive(w):
+            region_of = self.topo.region_of_worker
+            self.windows["crossing copy's target killed"] += any(
+                w in args[0][1] and region_of(args[2][0]) != region_of(w)
+                for args in self.queued("workers"))
+            self.windows["kill in a report's window"] += any(
+                not args[3] for args in self.queued("leader"))
+        super().kill_worker(w)
+
+    def revive_worker(self, w):
+        if not self.topo.is_alive(w):
+            self.windows["revive before a report lands"] += any(
+                args[0][1] == self.topo.cluster_of(w) and not args[3]
+                for args in self.queued("leader"))
+        vacant = [n for args in self.queued("nodes") for n in args[0][1]
+                  if self.links.holder(n) is None]
+        super().revive_worker(w)
+        self.windows["vacancy refilled"] += sum(
+            self.links.holder(n) is not None for n in vacant)
+
+    def handle_failure(self, spec):
+        if (spec.kind, spec.action, spec.link_class) == ("link", "jam", "cluster"):
+            self.windows["cluster jam during a run"] += bool(self.queued("workers"))
+        super().handle_failure(spec)
 
     def retry_parked(self):
         self.windows["injection retried"] += sum(
@@ -1461,45 +1282,48 @@ class TreeWindows(Recording):
             for e in self.parked)
         super().retry_parked()
 
-    def revive_worker(self, w):
-        vacant = [n for n in self.in_flight() if self.links.holder(n) is None]
-        super().revive_worker(w)
-        self.windows["vacancy refilled"] += sum(
-            self.links.holder(n) is not None for n in vacant)
-
     def run(self):
         result = super().run()
-        self.windows["entry cut"] += any(
-            sent <= self.sc.horizon < fire and len(nodes) > 1
+        horizon = self.sc.horizon
+        self.windows["worker entry cut"] += any(
+            sent <= horizon < fire for fire, _, _, sent in self.entries)
+        self.windows["tree entry cut"] += any(
+            sent <= horizon < fire and len(nodes) > 1
             for fire, nodes, _, sent in self.tree_entries)
         return result
 
 
-class TestTreeEntries:
-    """A tree fan-down's copies are one heap entry, delivered in one pass:
-    each run equals the reference kernel's, which sends and delivers each
-    tree copy alone, balances, and keeps the 2 * (layers - 1) hop bound."""
+class TestReference:
+    """Every shortcut at once changes no output: each generated run of
+    either strategy equals the reference kernel's, which undoes them all
+    (``assert_same_as_reference``), balances, and keeps tree routing within
+    2 * (layers - 1) hops."""
 
-    @settings(max_examples=300, deadline=None)
-    @given(hierarchical_runs())
+    @settings(max_examples=400, deadline=None)
+    @given(runs())
     def test_generated_runs(self, sc):
         validate_scenario(sc)
-        _, _, report = assert_same_as_per_copy(sc)
+        _, _, report = assert_same_as_reference(sc)
         assert report.conserved
-        bound = 2 * (sc.config.num_layers - 1)
-        assert all(pm.max_hop <= bound for pm in report.messages.values())
+        if sc.strategy == "hierarchical":
+            bound = 2 * (sc.config.num_layers - 1)
+            assert all(pm.max_hop <= bound for pm in report.messages.values())
 
-    def test_generated_runs_reach_the_entry_windows(self):
+    def test_generated_runs_reach_every_window(self):
         # the examples the derandomized generator draws first reach each
-        # window, and each kind of input the entries must get right
+        # window, and the hierarchical ones each kind of input the tree
+        # entries must get right
         seen = Counter()
 
-        @settings(max_examples=100, deadline=None, derandomize=True, database=None)
-        @given(hierarchical_runs())
+        @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+        @given(runs())
         def count(sc):
-            kernel = TreeWindows(sc)
+            validate_scenario(sc)
+            kernel = Windows(sc)
             trace, report = kernel.run()
             seen.update(k for k, n in kernel.windows.items() if n)
+            if sc.strategy == "adjacent":
+                return
             cons = report.conservation
             seen["parked at fire time"] += cons.get("deliveries_parked", 0) > 0
             seen["retried"] += cons.get("parked_retried_ok", 0) > 0
@@ -1516,100 +1340,9 @@ class TestTreeEntries:
 
         count()
         assert set(seen) == {
-            "injection retried", "vacancy refilled", "entry cut", "parked at fire time",
+            "crossing copy's target killed", "kill in a report's window",
+            "revive before a report lands", "cluster jam during a run", "worker entry cut",
+            "injection retried", "vacancy refilled", "tree entry cut", "parked at fire time",
             "retried", "full jam", "partial jam", "region kill", "zero latency",
             "root mode", "targeted"}
         assert all(seen.values()), seen
-
-
-class ReceiveRecordKernel(_Kernel):
-    """The reference kernel: also writes trace format 2's ``alg1.receive``
-    record for every alive worker delivery, each copy delivered and counted
-    alone."""
-
-    def deliver_workers(self, ws, m, senders):
-        deliver_per_copy(self, ws, m, senders)
-
-    def deliver_worker(self, w, m, sender):
-        if self.topo.is_alive(w):
-            self.emit("alg1", "receive", worker=w, from_worker=sender,
-                      msg_id=msg_id_str(m.msg_id), hop=m.hop_count)
-        super().deliver_worker(w, m, sender)
-
-
-def receive_crossings(trace):
-    """Receive records whose sender sat in a different region; ids are
-    row-major, so a worker's region is its id over the workers per region."""
-    start = trace[0].data
-    per_region = start["workers"] // start["regions"]
-    return sum(1 for rec in trace if (rec.comp, rec.event) == ("alg1", "receive")
-               and rec.data["worker"] // per_region != rec.data["from_worker"] // per_region)
-
-
-def without_seq(trace):
-    return [(rec.time, rec.comp, rec.event, rec.data) for rec in trace]
-
-
-class TestReceiveCounts:
-    """The run_end counters replace the receive records and the report does
-    not move: the same records otherwise, and the same max_hop."""
-
-    @settings(max_examples=150, deadline=None)
-    @given(adjacent_runs())
-    def test_counters_match_receive_records(self, sc):
-        validate_scenario(sc)
-        trace, report = run(sc)
-        ref_trace, ref_report = ReceiveRecordKernel(sc).run()
-        receives = [rec for rec in ref_trace if (rec.comp, rec.event) == ("alg1", "receive")]
-        assert without_seq(trace) == without_seq(
-            rec for rec in ref_trace if (rec.comp, rec.event) != ("alg1", "receive"))
-        obj, ref = report.to_json_obj(), ref_report.to_json_obj()
-        assert ref["totals"].pop("alg1.receive", 0) == len(receives)
-        assert obj == ref  # totals and conservation included
-        cons = report.conservation
-        assert cons.get("alg1_receives", 0) == len(receives)
-        assert cons.get("alg1_cross_region_receives", 0) == receive_crossings(ref_trace)
-        assert ("alg1_receives" in cons) == ("alg1_cross_region_receives" in cons)
-
-
-class RoleCheckedKernel(_Kernel):
-    """The kernel, checking after every kill and revive that each worker
-    bound to a role is alive: deliveries and parked retries rely on it."""
-
-    def kill_worker(self, w):
-        super().kill_worker(w)
-        self.check_holders()
-
-    def revive_worker(self, w):
-        super().revive_worker(w)
-        self.check_holders()
-
-    def check_holders(self):
-        dead = [(layer, scope, w) for layer, held in self.topo.roles.items()
-                for scope, w in held.items() if not self.topo.is_alive(w)]
-        assert dead == []
-
-
-def assert_role_holders_stay_alive(sc):
-    assert_same_run(RoleCheckedKernel(sc).run(), run(sc))
-
-
-class TestRoleHoldersAlive:
-    @settings(max_examples=100, deadline=None)
-    @given(adjacent_runs())
-    def test_adjacent_runs(self, sc):
-        validate_scenario(sc)
-        assert_role_holders_stay_alive(sc)
-
-    @settings(max_examples=100, deadline=None)
-    @given(maintenance_runs(), st.sampled_from(["adjacent", "hierarchical"]))
-    def test_maintenance_runs(self, shape, strategy):
-        # a global command from the last cluster routes through the roles
-        # while they die and revive
-        cfg, failures = shape
-        sc = Scenario(config=cfg, seed=7, horizon=10.0, strategy=strategy,
-                      failures=failures,
-                      commands=[CommandSpec(time=t, origin=cfg.n_clusters - 1,
-                                            scope=("global",)) for t in (0.5, 4.5)])
-        validate_scenario(sc)
-        assert_role_holders_stay_alive(sc)

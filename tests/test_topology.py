@@ -64,7 +64,7 @@ class TestConfig:
 
 class TestBuild:
     def test_small_plate_counts(self, topo32):
-        assert len(topo32.workers) == 32
+        assert len(topo32.alive) == 32
         assert len(topo32.clusters) == 16
         assert len(topo32.roles[2]) == 16
         assert len(topo32.roles[3]) == 4
@@ -129,7 +129,7 @@ class TestBuild:
                 for c in range(r * cpr, (r + 1) * cpr):
                     for _ in range(wpc):
                         rows.append((len(rows), c, r))
-            assert [w for w, _, _ in rows] == list(topo.workers)
+            assert [w for w, _, _ in rows] == list(range(cfg.n_workers))
             for w, c, r in rows:
                 assert topo.cluster_of(w) == c
                 assert topo.region_of_worker(w) == r
@@ -152,7 +152,7 @@ class TestBuild:
             retained = tracemalloc.get_traced_memory()[0] - before
         finally:
             tracemalloc.stop()
-        assert len(topo.workers) == 100_000
+        assert len(topo.alive) == 100_000
         assert retained / cfg.n_workers < 150
 
 
@@ -297,5 +297,5 @@ class TestReelection:
                                 reelect_role(topo, layer, scope)
                             except NoCandidate:
                                 pass
-                for v in topo.workers:
+                for v in range(cfg.n_workers):
                     assert topo.roles_held_by(v) == full_scan(topo, v)
