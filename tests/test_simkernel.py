@@ -1293,21 +1293,133 @@ class Windows(Recording):
         return result
 
 
+def small_run(config, commands, failures=(), tree=None, **kw):
+    """A run of config with one coordinator a region and no forwarding
+    delay: an adjacent one with 0.1 on every worker link or, given a tree
+    latency, a hierarchical one."""
+    latencies = {**simkernel.DEFAULT_LATENCIES, "cluster": 0.1, "region": 0.1, "adjacent": 0.1}
+    if tree is not None:
+        latencies = {**simkernel.DEFAULT_LATENCIES, "tree": tree}
+        kw["strategy"] = "hierarchical"
+    kw.setdefault("horizon", 1.05)
+    return Scenario(config=replace(config, coordinator_k=1, t_min=1), seed=0,
+                    delay=DelayParams(alpha=0.0, beta=0.0, epsilon=0.0),
+                    link_latencies=latencies, commands=commands, failures=list(failures), **kw)
+
+
+def to_cluster(c, origin=0, targets=(), time=0.0):
+    return CommandSpec(time=time, origin=origin, scope=("cluster", c), targets=frozenset(targets))
+
+
+def blink(w, down, up):
+    """Worker w killed at down and revived at up."""
+    return [FailureSpec(time=down, kind="worker", action="kill", worker=w),
+            FailureSpec(time=up, kind="worker", action="revive", worker=w)]
+
+
+def cluster_jam(t):
+    return FailureSpec(time=t, kind="link", action="jam", link_class="cluster", drop=0.3)
+
+
+def region_kill(t, r):
+    return FailureSpec(time=t, kind="region", action="kill", region=r)
+
+
+# Adjacent shapes: cluster c is workers 2c and 2c + 1 (3c to 3c + 2 in
+# R1W3), alone in its region in R1, R1W3 and R1X3, two a region in R2.
+# A worker blinked at 0 misses its leader's broadcast, at 0, and first
+# hears the command from a sibling's relay: it relays a hop after them.
+R1 = HierarchyConfig(2, 1, 2)
+R1W3 = HierarchyConfig(3, 1, 2)
+R1X3 = HierarchyConfig(2, 1, 3)
+R2 = HierarchyConfig(2, 2, 2)
+LATE_1 = blink(1, 0.0, 0.001)
+
+# The smallest generated runs on which leaving one condition out of a
+# shortcut changes the output, each named for that condition, so that each
+# condition is checked whatever runs the generator draws.
+SMALLEST_RUNS = [pytest.param(sc, id=name) for name, sc in {
+    # the cluster link is jammed from 0.101, after the first relays, so
+    # later relays are sent on a jammed link: each keeps its own entries
+    "relay-under-a-jam": small_run(R1X3, [to_cluster(2, origin=1)], [cluster_jam(0.101)]),
+    # the jam falls while the first relays' entry is in flight: the
+    # senders go apart, and no run acts alike
+    "jam-in-flight": small_run(R1, [to_cluster(1)], [cluster_jam(0.101)]),
+    # relays on the jammed link draw once for each copy, not once a segment
+    "jam-draws-per-copy": small_run(R1X3, [to_cluster(2)], [cluster_jam(0.101)]),
+    # worker 0, the first sender, dies while worker 1's copy to it flies
+    "first-sender-dead": small_run(R1, [to_cluster(1)], [FailureSpec(
+        time=0.102, kind="worker", action="kill", worker=0)]),
+    # targeted worker 0 receives the entry of cluster 1's two relays
+    "receiver-targeted": small_run(R1X3, [to_cluster(2, targets={0})], LATE_1),
+    # targeted worker 2 is that entry's first sender, and worker 3's copy
+    # goes to it
+    "first-sender-targeted": small_run(R1X3, [to_cluster(2, targets={2})], LATE_1),
+    # a run holding a targeted worker goes copy by copy
+    "run-targeted": small_run(R1, [to_cluster(1, targets={0})], LATE_1),
+    # worker 1 of three is yet to relay when the relays of workers 0 and 2
+    # reach it in one entry
+    "receiver-yet-to-relay": small_run(R1W3, [to_cluster(1)], LATE_1),
+    # worker 2 is yet to relay when its run of the first relays lands; a
+    # check of the run's first worker alone misses it
+    "run-yet-to-relay": small_run(R1W3, [to_cluster(1)], blink(2, 0.0, 0.001)),
+    # region 0 dies at 0.6, as the reports of cluster 1's relay entry land
+    "kill-before-reports-land": small_run(R2, [to_cluster(3)],
+                                          [region_kill(0.6, 0), *LATE_1]),
+    # the one region dies at 0.201, while the reports of a run fly
+    "kill-before-a-runs-reports-land": small_run(HierarchyConfig(2, 2), [to_cluster(1)],
+                                                 [region_kill(0.201, 0)]),
+    # a worker of a run is dead as its copies land: only the alive ones are
+    # received, or cross a region
+    "run-with-a-dead-worker": small_run(R1X3, [to_cluster(2)],
+                                        LATE_1 + blink(3, 0.29, 0.301)),
+    "crossing-run-with-a-dead-worker": small_run(R2, [to_cluster(3)],
+                                                 LATE_1 + blink(5, 0.29, 0.301)),
+    # an entry of two senders is received once for each
+    "receives-per-sender": small_run(R1X3, [to_cluster(2)], LATE_1),
+    # the one region, dead from 0, stays unsettled until worker 0 revives
+    "dead-region-revived": small_run(HierarchyConfig(2, 1), [to_cluster(0)], [
+        region_kill(0.0, 0), region_kill(0.0, 0), *blink(0, 0.0, 1.1)], horizon=2.05),
+    # the horizon falls inside a tree entry of two copies
+    "tree-entry-cut": small_run(HierarchyConfig(1, 3, num_layers=2),
+                                [to_cluster(0)] * 3 + [CommandSpec(time=0.0, origin=0,
+                                                                   scope=("region", 0))],
+                                blink(1, 0.101, 0.21), tree=0.1, horizon=0.101),
+    # an injection at vacant cluster 1 is parked, and retried when its
+    # worker revives
+    "injection-retried": small_run(HierarchyConfig(1, 1, domains=2, num_layers=2),
+                                   [to_cluster(0, origin=1, time=0.1)],
+                                   blink(1, 0.0, 0.11), tree=0.1),
+    # a tree entry of several copies is counted per copy
+    "tree-entry-of-several-copies": small_run(
+        HierarchyConfig(1, 1, hubs_per_domain=2, domains=2, num_layers=2),
+        [CommandSpec(time=0.0, origin=0, scope=("global",)), to_cluster(0)], tree=0.0),
+}.items()]
+
+
 class TestReference:
     """Every shortcut at once changes no output: each generated run of
     either strategy equals the reference kernel's, which undoes them all
     (``assert_same_as_reference``), balances, and keeps tree routing within
     2 * (layers - 1) hops."""
 
-    @settings(max_examples=400, deadline=None)
-    @given(runs())
-    def test_generated_runs(self, sc):
+    @staticmethod
+    def check(sc):
         validate_scenario(sc)
         _, _, report = assert_same_as_reference(sc)
         assert report.conserved
         if sc.strategy == "hierarchical":
             bound = 2 * (sc.config.num_layers - 1)
             assert all(pm.max_hop <= bound for pm in report.messages.values())
+
+    @settings(max_examples=400, deadline=None)
+    @given(runs())
+    def test_generated_runs(self, sc):
+        self.check(sc)
+
+    @pytest.mark.parametrize("sc", SMALLEST_RUNS)
+    def test_smallest_runs(self, sc):
+        self.check(sc)
 
     def test_generated_runs_reach_every_window(self):
         # the examples the derandomized generator draws first reach each
