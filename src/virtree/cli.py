@@ -20,7 +20,7 @@ from statistics import fmean
 from .coordinators import liveness_trials, predicted_liveness
 from .errors import OracleMismatch, ScenarioInvalid
 from .metrics import TRANSMISSION_EVENTS, dump_trace, liveness_estimate
-from .oracle import check_trace
+from .oracle import EXECUTIONS, check_trace
 from .scenario import MAX_WORKERS, load_scenario_file, validate_scenario
 from .simkernel import run as run_scenario
 from .topology import build_topology, derive_seed, goal_clusters_for_scope
@@ -121,8 +121,11 @@ def cmd_oracle_check(args) -> int:
             raise ScenarioInvalid(
                 f"commands[{i}].targets",
                 f"oracle-check needs targets inside goal clusters; {outside} are not")
-    trace, _report = run_scenario(sc)
-    mismatches = check_trace(trace, topo, sc.strategy, sc.commands)
+    # check_trace reads only the execution records: keep just those
+    executions = []
+    run_scenario(sc, sink=lambda batch: executions.extend(
+        rec for rec in batch if rec.event in EXECUTIONS))
+    mismatches = check_trace(executions, topo, sc.strategy, sc.commands)
     if mismatches:
         for line in mismatches:
             print(f"oracle mismatch: {line}", file=sys.stderr)

@@ -90,8 +90,8 @@ def predict(topo: Topology, strategy: str, origin: int,
 
 
 # execution record -> (id field, its mismatch words), in ``predict`` order
-_EXECUTIONS = {"execute_cluster": ("cluster", "clusters", "executed clusters"),
-               "execute_worker": ("worker", "workers", "targeted executions")}
+EXECUTIONS = {"execute_cluster": ("cluster", "clusters", "executed clusters"),
+              "execute_worker": ("worker", "workers", "targeted executions")}
 
 
 def check_trace(trace: list[TraceRecord], topo: Topology, strategy: str,
@@ -106,9 +106,9 @@ def check_trace(trace: list[TraceRecord], topo: Topology, strategy: str,
     mismatches: list[str] = []
     executed: dict[tuple[str, str], list[int]] = {}  # (event, msg id) -> ids
     for rec in trace:
-        if rec.event in _EXECUTIONS:
+        if rec.event in EXECUTIONS:
             executed.setdefault((rec.event, rec.data["msg_id"]), []).append(
-                rec.data[_EXECUTIONS[rec.event][0]])
+                rec.data[EXECUTIONS[rec.event][0]])
 
     seq_per_origin: dict[int, int] = {}
     for cmd in commands:
@@ -117,7 +117,7 @@ def check_trace(trace: list[TraceRecord], topo: Topology, strategy: str,
         mid = f"{cmd.origin}:{seq}"
         goals = set(goal_clusters_for_scope(topo, cmd.scope))
         wanted = predict(topo, strategy, cmd.origin, goals, set(cmd.targets))
-        for (event, (_, twice, disagree)), want in zip(_EXECUTIONS.items(), wanted):
+        for (event, (_, twice, disagree)), want in zip(EXECUTIONS.items(), wanted):
             got = executed.get((event, mid), [])
             if len(got) != len(set(got)):
                 dupes = sorted({i for i in got if got.count(i) > 1})

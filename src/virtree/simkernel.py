@@ -24,14 +24,14 @@ one time: its dest is ``("workers", ws)``, ws ascending, and its sender list
 names the loop's senders in order.  A leader's broadcast is one loop with the
 leader as its one sender.  A send loop is built from id-range segments, one
 link class each (``adjacent.reachable_workers``), and each segment extends its
-fire time's entry at once.  The workers of a cluster that relay in one
-cluster run share their entries: the first relay pushes one per fire time,
-with itself as the first sender, and each later one joins them as one more
-sender (``_Kernel.relay``), unless a link class the relay uses is jammed.  A
-later sender's copies are the first's, with its own copy traded for one to
-the first sender (``copies_of``).  Per-copy entries would have taken
-contiguous seqs among the events at that time, one sender after another, so
-the events run in the same order.
+fire time's entry at once.  A cluster run that relays for the first time
+relays in one call (``_Kernel.relay``): its relay records in order, then one
+send loop with the run as its sender list, unless a link class the relay
+uses is jammed, when each worker pushes its own entries.  A later sender's
+copies are the first's, with its own copy traded for one to the first
+sender (``copies_of``).  Per-copy entries would have taken consecutive seqs,
+one sender after another, with nothing pushed between them, so the events
+run in the same order.  A relay made copy by copy pushes its own entries.
 
 An entry's copies are delivered one sender at a time, each sender's in one
 pass over its cluster runs: ids are row-major, so each cluster's workers in it
@@ -39,21 +39,21 @@ are one slice, and a run lies in one region.  The pass counts every alive
 copy of a run as received, and as crossing when the run lies outside the
 sender's region, with one bump per counter a pass
 (``_Kernel.deliver_pass``).  Alive untargeted workers on an unjammed cluster
-link act alike, unless the copy makes one of them relay for the first time,
-so one ``worker_on_receive`` call decides for the run: its suppressed relays
-are counted and its reports are sent at once.  Every other run goes copy by
-copy through ``deliver_worker``, which only acts and keeps jam draws,
-``drop_dead`` records, targeted executions, reports and relays in their
-order.  ``send_reports`` alone decides a report: one that can only end as the
-leader's silent ``processed`` drop is accounted when it is sent and never
-queued (``_Kernel.report_dropped``).
+link act alike, so one ``worker_on_receive`` call decides for the run: its
+suppressed relays are counted, and its reports are sent or its first relays
+made at once.  Every other run goes copy by copy through ``deliver_worker``,
+which only acts and keeps jam draws, ``drop_dead`` records, targeted
+executions, reports and relays in their order.  ``send_reports`` alone
+decides a report: one that can only end as the leader's silent ``processed``
+drop, as each but the first of a call does unless a kill is due before they
+land, is accounted when it is sent and never queued
+(``_Kernel.report_dropped``).
 
 When nothing can tell an entry's senders apart (``_Kernel.told_apart``), only
-the first sender's pass runs, and it counts each of its receives, crossings,
-suppressed relays and reports once per sender: every later sender's reports
-follow one the first queued, due now or later, or reach a leader that has
-processed the message, so each can only be dropped.  An entry that fires
-writes no record then.
+the first sender's pass runs, and it counts each of its receives, crossings
+and suppressed relays once per sender, and sends each of its reports once
+per sender in one ``send_reports`` call.  An entry that fires writes no
+record then.
 
 A tree delivery entry carries every copy of one fan-down: those one
 ``route_interior`` call sends down its branches and up, or an injected
@@ -154,9 +154,6 @@ class _Kernel:
         self.unsettled: set[int] = set(self.coords)
         # msg_id -> the workers that relayed it
         self.relayed: defaultdict[tuple, set[int]] = defaultdict(set)
-        # (sender list, copies per sender) of the entries the current cluster
-        # run's first relay pushed, when later relays may join them (relay)
-        self.relay_group: tuple[list[int], int] | None = None
         # (cluster, msg_id) -> fire time of the last report queued to it
         self.report_due: dict[tuple[int, tuple], float] = {}
         # fire time of the last report accounted as a drop without being
@@ -225,35 +222,36 @@ class _Kernel:
             self.push(self.now + self.latency["tree"], self.handle_delivery,
                       (("nodes", nodes), m, sender, False))
 
-    def send_reports(self, c: int, m: Message, reporters, fire: float):
-        """Send a report of m to c's leader, due at fire, from each worker of
-        reporters in order: queue it, or account it unqueued
-        (``report_dropped``) when its delivery can only be the silent
-        ``processed`` drop.
+    def send_reports(self, c: int, m: Message, reporters, times: int = 1):
+        """Send reports of m to c's leader, due a cluster latency from now:
+        one from each worker of reporters in order, times times over.  Queue
+        each, or account it unqueued (``report_dropped``) when its delivery
+        can only be the silent ``processed`` drop.
 
         The reporters are alive workers of the cluster, so the cluster's
         leader is alive now: a kill re-elects the lowest alive worker and a
         revive fills a vacancy.  With no kill scheduled in [now, fire], that
         leader keeps its role and stays alive until fire.  It drops a report
         as ``processed`` if it has processed the message, or if an earlier
-        queued report to it, due after now and so before this one, will make
-        it do so: every report after the first one queued here, unless fire
-        is now."""
-        now, key, n = self.now, (c, m.msg_id), len(reporters)
+        queued report to it, due by fire and so before this one, will make
+        it do so: every report after the first one queued here, since a
+        leader's first receive of a message marks it processed."""
+        now, key, n = self.now, (c, m.msg_id), len(reporters) * times
+        fire = quantize(now + self.latency["cluster"])
         state = self.leader_states.get(c)
         if self.kill_due(fire):
-            queued = n
+            queued = reporters * times
         elif (state is not None and m.msg_id in state.processed_msgs
               or self.report_due.get(key, now) > now):
-            queued = 0
+            queued = ()
         else:
-            queued = 1 if fire > now else n
+            queued = reporters[:1]
         self.bump("deliveries_enqueued", n)
-        for w in reporters[:queued]:
+        for w in queued:
             self.report_due[key] = fire
             self.push(fire, self.handle_delivery, (("leader", c), m, w, False))
-        if queued < n:
-            self.report_dropped(fire, n - queued)
+        if len(queued) < n:
+            self.report_dropped(fire, n - len(queued))
 
     def kill_due(self, fire: float) -> bool:
         """Whether a worker or region kill is scheduled in [now, fire]."""
@@ -282,32 +280,25 @@ class _Kernel:
             if ws:
                 groups.setdefault(quantize(self.now + self.latency[cls]), []).extend(ws)
         for fire, ws in groups.items():
-            self.bump("deliveries_enqueued", len(ws))
+            self.bump("deliveries_enqueued", len(ws) * len(senders))
             self.push(fire, self.handle_delivery, (("workers", ws), m, senders, False))
 
-    def relay(self, w: int, m: Message, sender: int):
-        """w relays m: its relay record, then a copy to every reachable
-        worker.  The first relay of a cluster run pushes its entries with
-        sender list [w]; unless a link class it uses is jammed, each later
-        relay of the run joins them instead (see the module docstring).
-        Nothing else is pushed in between: a run that relays cannot report,
-        since its copy was sent by its own cluster."""
-        group = self.relay_group
-        if group is None:
-            segments = adj.reachable_workers(w, self.topo)
-            fanout = sum(len(ws) for _, ws in segments)
-        else:
-            senders, fanout = group
-        self.emit("alg1", "relay", worker=w, from_worker=sender,
-                  msg_id=msg_id_str(m.msg_id), fanout=fanout, hop=m.hop_count)
-        if group is None:
-            senders = [w]
-            self.fan_out(segments, m, senders)
-            if not any(self.jam.get(cls) for cls, _ in segments):
-                self.relay_group = senders, fanout
-        else:
-            senders.append(w)
-            self.bump("deliveries_enqueued", fanout)
+    def relay(self, run: list[int], m: Message, sender: int):
+        """Each worker of run, a cluster run, relays m: the relay records in
+        order, then a copy from each to every worker it reaches, sent as one
+        loop with run as its sender list (see the module docstring).  When a
+        link class the relay uses is jammed, each worker relays in turn, its
+        record and then its own entries, so the jam draws stay in order."""
+        segments = adj.reachable_workers(run[0], self.topo)
+        if len(run) > 1 and any(self.jam.get(cls) for cls, _ in segments):
+            for w in run:
+                self.relay([w], m, sender)
+            return
+        fanout, mid = sum(len(ws) for _, ws in segments), msg_id_str(m.msg_id)
+        for w in run:
+            self.emit("alg1", "relay", worker=w, from_worker=sender, msg_id=mid,
+                      fanout=fanout, hop=m.hop_count)
+        self.fan_out(segments, m, run)
 
     # -- failure / recovery -----------------------------------------------
 
@@ -402,13 +393,13 @@ class _Kernel:
             self.deliver_pass(ws, m, first, len(senders))
 
     def told_apart(self, ws: list[int], m: Message, first: int) -> bool:
-        """Whether the copies of a relay entry's senders, workers of first's
-        cluster, could act apart: on a jammed cluster link, at a dead or
-        targeted receiver, at a worker of that cluster yet to relay (it
-        relays on the first copy only), or with a kill scheduled before
-        their reports land, which are then queued one by one
-        (``send_reports``).  When ws holds their cluster, a later sender's
-        copies go to first as well."""
+        """Whether the copies of a relay entry's senders, an alive
+        untargeted run of first's cluster, could act apart: on a jammed
+        cluster link, at a dead or targeted receiver, at a worker of that
+        cluster yet to relay (it relays on the first copy only), or with a
+        kill scheduled before their reports land, which are then queued one
+        by one (``send_reports``).  When ws holds their cluster, a later
+        sender's copies go to first as well, which may have died since."""
         topo = self.topo
         fire = quantize(self.now + self.latency["cluster"])
         members = topo.workers_in_cluster(topo.cluster_of(first))
@@ -416,25 +407,25 @@ class _Kernel:
         own = ws[lo:bisect_left(ws, members.stop, lo)]
         if own:
             own.append(first)
-        targets, alive = m.target_worker_ids, topo.alive
+        alive = topo.alive
         return bool(self.jam.get("cluster") or self.kill_due(fire)
-                    or not (targets.isdisjoint(ws) and targets.isdisjoint(own))
+                    or not m.target_worker_ids.isdisjoint(ws)
                     or not (alive.issuperset(ws) and alive.issuperset(own))
                     or not self.relayed[m.msg_id].issuperset(own))
 
     def deliver_pass(self, ws: list[int], m: Message, sender: int, n: int):
         """Deliver m to ws, ascending, from sender in one pass over its
-        cluster runs, and count it n times: for the n - 1 later senders of
-        an entry that nothing tells apart, each of whose reports can only
-        be dropped.  ``worker_on_receive`` reads a worker only through its
-        cluster and the targets, so on an unjammed cluster link one call
-        decides for a run of alive untargeted workers."""
+        cluster runs, and count it n times, each report sent n times: for
+        the n - 1 later senders of an entry that nothing tells apart.
+        ``worker_on_receive`` reads a worker only through its cluster and the
+        targets, so on an unjammed cluster link one call decides for a run of
+        alive untargeted workers, and such a run relays in one call when
+        none of its workers relayed yet."""
         topo = self.topo
         wpc, alive = topo.config.workers_per_cluster, topo.alive
         alike = not self.jam.get("cluster") and m.target_worker_ids.isdisjoint(ws)
         whole = alive.issuperset(ws)
         relayed = self.relayed[m.msg_id]
-        fire = quantize(self.now + self.latency["cluster"])
         home = topo.workers_in_region(topo.region_of_worker(sender))
         received = crossed = reported = suppressed = 0
         i = 0
@@ -453,12 +444,15 @@ class _Kernel:
                     continue
                 if isinstance(actions[0], adj.ReportToLeader):  # untargeted: the only one
                     reported += len(run)
-                    self.send_reports(c, m, run, fire)
+                    self.send_reports(c, m, run, n)
                     continue
                 if relayed.issuperset(run):  # a relay each worker made already
                     suppressed += len(run)
                     continue
-            self.relay_group = None
+                if relayed.isdisjoint(run):  # each worker's first relay
+                    relayed.update(run)
+                    self.relay(run, m, sender)
+                    continue
             for w in run:
                 self.deliver_worker(w, m, sender)
         if received:
@@ -469,9 +463,6 @@ class _Kernel:
             self.bump("relay_suppressed", suppressed * n)
         if reported:
             self.bump("reports_sent", reported * n)
-            if n > 1:
-                self.bump("deliveries_enqueued", reported * (n - 1))
-                self.report_dropped(fire, reported * (n - 1))
 
     def deliver_worker(self, w: int, m: Message, sender: int):
         """Act on one copy; ``deliver_pass`` counts its receive."""
@@ -485,15 +476,14 @@ class _Kernel:
             elif isinstance(action, adj.ReportToLeader):
                 self.bump("reports_sent")
                 if not self.jammed("cluster", m, ("leader", action.cluster)):
-                    fire = quantize(self.now + self.latency["cluster"])
-                    self.send_reports(action.cluster, m, (w,), fire)
+                    self.send_reports(action.cluster, m, (w,))
             else:  # BroadcastToReachable
                 relayed = self.relayed[m.msg_id]
                 if w in relayed:
                     self.bump("relay_suppressed")
                     continue
                 relayed.add(w)
-                self.relay(w, m, sender)
+                self.relay([w], m, sender)
 
     def apply_execution(self, w: int, m: Message, comp: str, **sender):
         """A targeted execution, idempotent per (worker, msg): duplicates

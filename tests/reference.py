@@ -6,7 +6,7 @@ at once, so that a run of the kernel can be compared with a run of the
 reference byte for byte, shortcuts that interact included:
 
 - ``fan_out`` and ``send``: one heap entry per copy, not one per fire time
-  or per fan-down, so no relay joins another's entries;
+  or per fan-down;
 - ``deliver_workers`` and ``deliver_nodes``: each worker or tree copy
   delivered and counted alone, not in one pass over cluster runs or tree
   nodes;
@@ -24,7 +24,7 @@ held by an alive worker, since deliveries check only for a vacancy.
 
 from virtree.hierarchical import leader_on_receive_immediate, route_interior
 from virtree.messages import msg_id_str
-from virtree.simkernel import _Kernel, copies_of
+from virtree.simkernel import _Kernel, copies_of, quantize
 from virtree.topology import LAYER_LEADER
 
 
@@ -42,8 +42,9 @@ class ReferenceKernel(_Kernel):
         for node in nodes:
             super().send([node], m, sender)
 
-    def send_reports(self, c, m, reporters, fire):
-        for w in reporters:
+    def send_reports(self, c, m, reporters, times=1):
+        fire = quantize(self.now + self.latency["cluster"])
+        for w in reporters * times:
             self.bump("deliveries_enqueued")
             self.push(fire, self.handle_delivery, (("leader", c), m, w, False))
 
@@ -63,7 +64,6 @@ class ReferenceKernel(_Kernel):
                     self.bump("deliveries_completed")
                     self.bump("alg1_receives")
                     self.bump("alg1_cross_region_receives", int(region_of(w) != region_of(s)))
-                self.relay_group = None
                 self.deliver_worker(w, m, s)
 
     def deliver_nodes(self, nodes, m, from_node):

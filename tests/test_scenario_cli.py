@@ -300,6 +300,32 @@ class TestCliOracleCheck:
         err = capsys.readouterr().err
         assert "bogus disagreement" in err
 
+    def test_streams_the_run_through_a_sink(self, tmp_path, capsys, monkeypatch):
+        # the kernel hands over batches of three records: the run still
+        # agrees, and one whose cluster executions are lost exits 4
+        monkeypatch.setattr(simkernel, "TRACE_BATCH", 3)
+        sinks, batches, lost = [], [], set()
+
+        def streamed(sc, sink=None):
+            sinks.append(sink)
+
+            def lossy(batch):
+                batches.append(len(batch))
+                sink([rec for rec in batch if rec.event not in lost])
+            return run(sc, sink=lossy)
+
+        monkeypatch.setattr(cli, "run_scenario", streamed)
+        path = write_scenario(tmp_path)
+        for strategy in ("adjacent", "hierarchical"):
+            assert main(["oracle-check", "--scenario", path,
+                         "--set", f"strategy={strategy}"]) == 0
+            assert "oracle-check ok" in capsys.readouterr().out
+        lost.add("execute_cluster")
+        assert main(["oracle-check", "--scenario", path]) == 4
+        assert "executed clusters disagree with BFS oracle" in capsys.readouterr().err
+        assert len(sinks) == 3 and all(sinks)
+        assert len(batches) > 3 * len(sinks) and max(batches) < 10
+
     def test_failures_rejected(self, tmp_path, capsys):
         path = write_scenario(
             tmp_path, failures=[{"time": 1.0, "kind": "worker",

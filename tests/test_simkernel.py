@@ -1,7 +1,7 @@
 import gc
 import weakref
 from dataclasses import replace
-from collections import Counter
+from collections import Counter, defaultdict
 from itertools import groupby
 
 import pytest
@@ -655,8 +655,8 @@ def reachable_peers(w, topo):
             for p in topo.workers_in_region(region) if p != w and topo.is_alive(p)]
 
 
-class TestReachableCache:
-    def test_relays_match_uncached_reachable_workers(self, monkeypatch):
+class TestRelayCopies:
+    def test_relays_match_per_peer_reachable_workers(self, monkeypatch):
         # 6 regions of 6 workers on a 3x2 grid; a global command every 0.3 s
         # keeps every region relaying while workers die and revive, a region
         # dies and an adjacency edge comes and goes
@@ -674,7 +674,7 @@ class TestReachableCache:
                       FailureSpec(time=3.55, kind="worker", action="kill", worker=7),
                       FailureSpec(time=4.05, kind="worker", action="revive", worker=14)])
         validate_scenario(sc)
-        relays = []  # (time, worker, fanout, per-peer model, index of its first entry)
+        relays = []  # (time, worker, fanout, per-peer model)
 
         kernel = Recording(sc)
         emit = kernel.emit
@@ -686,28 +686,29 @@ class TestReachableCache:
                 peers = reachable_peers(w, kernel.topo)
                 assert [(p, cls) for cls, ws in reachable_workers(w, kernel.topo)
                         for p in ws] == peers
-                # where its copies start in fanouts, which each entry
-                # contributes one item per sender to
-                start = sum(len(senders) for _, _, senders, _ in kernel.entries)
-                relays.append((kernel.now, w, data["fanout"], peers, start))
+                relays.append((kernel.now, w, data["fanout"], peers))
 
         monkeypatch.setattr(kernel, "emit", checked)
         kernel.run()
-        fanouts = kernel.fanouts
-        for t, w, fanout, peers, start in relays:
+        # (send time, sender) -> the copies of each send loop, whose entries
+        # share one sender list
+        loops = defaultdict(list)
+        for _, loop in groupby(kernel.entries, key=lambda e: id(e[2])):
+            loop = list(loop)
+            senders, sent = loop[0][2], loop[0][3]
+            # one entry per link class here, each ascending
+            assert len(loop) <= 3 and all(ws == sorted(ws) for _, ws, *_ in loop)
+            for s in senders:
+                loops[sent, s].append(sorted(
+                    (p, fire) for fire, ws, *_ in loop
+                    for p in simkernel.copies_of(ws, senders[0], s)))
+        for t, w, fanout, peers in relays:
             assert fanout == len(peers)
-            # nothing is jammed: the relay's entries, one per link class
-            # here, hold every peer once, each entry ascending and due at its
-            # class's latency
-            sent, i = [], start
-            while len(sent) < fanout:
-                fire, ws, sender = fanouts[i]
-                assert sender == w and ws == sorted(ws)
-                sent += [(p, fire) for p in ws]
-                i += 1
-            assert i - start <= 3
-            assert sorted(sent) == [(p, simkernel.quantize(t + kernel.latency[cls]))
-                                    for p, cls in peers]
+            # nothing is jammed: a loop w sent then holds every peer once, due
+            # at its class's latency
+            sent = [(p, simkernel.quantize(t + kernel.latency[cls])) for p, cls in peers]
+            assert sent in loops[t, w]
+            loops[t, w].remove(sent)
         # relays ran many times per region, and after every edit of the alive
         # set or the adjacency
         assert len(relays) > 3 * cfg.n_regions
@@ -973,9 +974,10 @@ class TestPerCopyReference:
         # are dropped dead
         (dict(failures=[FailureSpec(time=1.15, kind="worker", action="kill", worker=0)]),
          1.2, 4),
-        # worker 0 is targeted: the later senders' copies to it execute again
+        # worker 5 of cluster 1 is targeted: its copy from each sender
+        # executes, the later ones as duplicates
         (dict(commands=[CommandSpec(time=0.0, origin=0, scope=("global",),
-                                    targets=frozenset({0}))]), 1.2, 4),
+                                    targets=frozenset({5}))]), 1.3, 4),
         # worker 3, dead at worker 0's broadcast and back before the relays,
         # relays on the first sender's copy only
         (dict(failures=[FailureSpec(time=0.5, kind="worker", action="kill", worker=3),
@@ -994,6 +996,31 @@ class TestPerCopyReference:
         assert [e[2] for e in kernel.entries if e[0] == fire] == [list(range(senders))]
         assert [p[1:] for p in kernel.passes if p[0] == fire] == [
             (s, 1) for s in range(senders)]
+
+    def test_alike_run_relays_in_one_call(self):
+        # workers 0 to 3 get worker 0's broadcast at 1.1 as one run: their
+        # four relay records, then one entry per fire time, each with the
+        # run as its sender list
+        kernel, trace, _ = assert_same_as_reference(scenario(**FLOOD_4W))
+        assert [(rec.event, rec.data["worker"]) for rec in trace if rec.time == 1.1] == [
+            ("relay", w) for w in range(4)]
+        entries = [e[:3] for e in kernel.entries if e[3] == 1.1]
+        assert entries == [(1.2, [1, 2, 3], [0, 1, 2, 3]), (1.3, [4, 5, 6, 7], [0, 1, 2, 3]),
+                           (1.6, list(range(8, 16)), [0, 1, 2, 3])]
+        assert all(senders is entries[0][2] for _, _, senders in entries)
+
+    def test_run_holding_a_targeted_worker_relays_copy_by_copy(self):
+        # targeted worker 1 is in the run of worker 0's broadcast at 1.1:
+        # each worker relays in turn and pushes its own entries, with a
+        # sender list of one
+        kernel, trace, _ = assert_same_as_reference(scenario(**dict(FLOOD_4W, commands=[
+            CommandSpec(time=0.0, origin=0, scope=("global",), targets=frozenset({1}))])))
+        assert [(t, d["worker"]) for t, d in records(trace, "relay") if t == 1.1] == [
+            (1.1, w) for w in range(4)]
+        assert [e[:3] for e in kernel.entries if e[3] == 1.1] == [
+            entry for w in range(4) for entry in (
+                (1.2, [p for p in range(4) if p != w], [w]), (1.3, [4, 5, 6, 7], [w]),
+                (1.6, list(range(8, 16)), [w]))]
 
     def test_jam_at_a_relay_keeps_each_senders_entries(self):
         # the region link is half jammed when workers 0 to 3 relay: each
@@ -1149,17 +1176,16 @@ class TestPerCopyReference:
         assert 0 < len(jammed) < 32 and len(jammed) % 8
 
     def test_zero_cluster_latency_is_one_pass(self):
-        # a later sender's report due now lands behind one the first sender
-        # queued due now, so nothing tells workers 0 to 3 apart: their entry
-        # to cluster 1 is one pass counted four times, whose four reports
-        # are queued, and the other senders' twelve are accounted unqueued
+        # a later report due now lands behind the first one, queued due now,
+        # so nothing tells workers 0 to 3 apart: their entry to cluster 1 is
+        # one pass counted four times, whose first report is queued and the
+        # other 15 accounted unqueued
         kernel, _, _ = assert_same_as_reference(scenario(**FLOOD_4W, link_latencies={
             **simkernel.DEFAULT_LATENCIES, "cluster": 0.0}))
         assert [e[2] for e in kernel.entries if e[0] == 1.2] == [[0, 1, 2, 3]]
         assert [p[1:] for p in kernel.passes if p[0] == 1.2] == [(0, 4)]
-        assert [r for r in kernel.reports if r[2] == 1] == [
-            (1.2, 1.2, 1, w) for w in (4, 5, 6, 7)]
-        assert [u for u in kernel.unqueued if u[0] == 1.2] == [(1.2, 1.2)] * 12
+        assert [r for r in kernel.reports if r[2] == 1] == [(1.2, 1.2, 1, 4)]
+        assert [u for u in kernel.unqueued if u[0] == 1.2] == [(1.2, 1.2)] * 15
 
     def test_kill_between_a_run_and_its_reports(self):
         # worker 7 dies at 1.35, in [1.3, 1.4]: no report of the runs at
@@ -1339,9 +1365,10 @@ LATE_1 = blink(1, 0.0, 0.001)
 # shortcut changes the output, each named for that condition, so that each
 # condition is checked whatever runs the generator draws.
 SMALLEST_RUNS = [pytest.param(sc, id=name) for name, sc in {
-    # the cluster link is jammed from 0.101, after the first relays, so
-    # later relays are sent on a jammed link: each keeps its own entries
-    "relay-under-a-jam": small_run(R1X3, [to_cluster(2, origin=1)], [cluster_jam(0.101)]),
+    # the adjacent link is jammed from 0, so the relays of an alike run
+    # are sent on a jammed link: each keeps its own entries and draws
+    "relay-under-a-jam": small_run(R1, [to_cluster(1)], [FailureSpec(
+        time=0.0, kind="link", action="jam", link_class="adjacent", drop=0.3)]),
     # the jam falls while the first relays' entry is in flight: the
     # senders go apart, and no run acts alike
     "jam-in-flight": small_run(R1, [to_cluster(1)], [cluster_jam(0.101)]),
@@ -1352,8 +1379,8 @@ SMALLEST_RUNS = [pytest.param(sc, id=name) for name, sc in {
         time=0.102, kind="worker", action="kill", worker=0)]),
     # targeted worker 0 receives the entry of cluster 1's two relays
     "receiver-targeted": small_run(R1X3, [to_cluster(2, targets={0})], LATE_1),
-    # targeted worker 2 is that entry's first sender, and worker 3's copy
-    # goes to it
+    # targeted worker 2 would be the first sender of cluster 1's relays: its
+    # run relays copy by copy, each relay with entries of its own
     "first-sender-targeted": small_run(R1X3, [to_cluster(2, targets={2})], LATE_1),
     # a run holding a targeted worker goes copy by copy
     "run-targeted": small_run(R1, [to_cluster(1, targets={0})], LATE_1),
@@ -1363,9 +1390,9 @@ SMALLEST_RUNS = [pytest.param(sc, id=name) for name, sc in {
     # worker 2 is yet to relay when its run of the first relays lands; a
     # check of the run's first worker alone misses it
     "run-yet-to-relay": small_run(R1W3, [to_cluster(1)], blink(2, 0.0, 0.001)),
-    # region 0 dies at 0.6, as the reports of cluster 1's relay entry land
-    "kill-before-reports-land": small_run(R2, [to_cluster(3)],
-                                          [region_kill(0.6, 0), *LATE_1]),
+    # region 0 dies at 0.201, while the reports from the entry that workers
+    # 0 and 1 share fly to clusters 1 to 3: cluster 1's are dropped dead
+    "kill-before-reports-land": small_run(R2, [to_cluster(3)], [region_kill(0.201, 0)]),
     # the one region dies at 0.201, while the reports of a run fly
     "kill-before-a-runs-reports-land": small_run(HierarchyConfig(2, 2), [to_cluster(1)],
                                                  [region_kill(0.201, 0)]),
