@@ -89,12 +89,12 @@ def reachable_workers(w: WorkerId, topo: Topology) -> list[tuple[str, list[Worke
     own_parts = (("region", range(own.start, cluster.start)),
                  ("cluster", chain(range(cluster.start, w), range(w + 1, cluster.stop))),
                  ("region", range(cluster.stop, own.stop)))
-    alive = topo.alive.__contains__
+    dead = topo.dead
     segments = []
     for region in sorted((r, *topo.region_adjacency[r])):
         parts = own_parts if region == r else (("adjacent", topo.workers_in_region(region)),)
         for cls, ids in parts:
-            live = [*filter(alive, ids)]
+            live = [w for w in ids if w not in dead]
             if live:
                 segments.append((cls, live))
     return segments
@@ -176,7 +176,7 @@ def _local_delivery(m: Message, cluster: ClusterId,
     members = topo.workers_in_cluster(cluster)
     if m.target_worker_ids:
         members = [w for w in members if w in m.target_worker_ids]
-    elif topo.alive.issuperset(members):
+    elif topo.dead.isdisjoint(members):
         return tuple(members), ()
     alive, dead = [], []
     for w in members:

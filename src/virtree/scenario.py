@@ -30,8 +30,8 @@ STRATEGIES = ("adjacent", "hierarchical")
 # The kernel schedules every maintenance round up front, one heap event each.
 MAX_MAINTENANCE_ROUNDS = 100_000
 
-# Building a topology costs about 120 B and 1 us per worker (CPython 3.11),
-# so the cap keeps the build under about 120 MB and about one second.
+# Building a topology costs about 22 B and 0.4 us per worker (CPython 3.11),
+# so the cap keeps the build under about 22 MB and half a second.
 MAX_WORKERS = 1_000_000
 
 

@@ -150,8 +150,8 @@ class _Kernel:
         self.wexec: set[tuple[int, tuple]] = set()
         # regions whose last maintenance round found no alive coordinator
         self.dead_regions: set[int] = set()
-        # regions the next maintenance round visits (handle_maintenance)
-        self.unsettled: set[int] = set(self.coords)
+        # regions the next maintenance round visits (handle_maintenance): none until a kill
+        self.unsettled: set[int] = set()
         # msg_id -> the workers that relayed it
         self.relayed: defaultdict[tuple, set[int]] = defaultdict(set)
         # (cluster, msg_id) -> fire time of the last report queued to it
@@ -407,10 +407,9 @@ class _Kernel:
         own = ws[lo:bisect_left(ws, members.stop, lo)]
         if own:
             own.append(first)
-        alive = topo.alive
         return bool(self.jam.get("cluster") or self.kill_due(fire)
                     or not m.target_worker_ids.isdisjoint(ws)
-                    or not (alive.issuperset(ws) and alive.issuperset(own))
+                    or not (topo.dead.isdisjoint(ws) and topo.dead.isdisjoint(own))
                     or not self.relayed[m.msg_id].issuperset(own))
 
     def deliver_pass(self, ws: list[int], m: Message, sender: int, n: int):
@@ -422,9 +421,9 @@ class _Kernel:
         alive untargeted workers, and such a run relays in one call when
         none of its workers relayed yet."""
         topo = self.topo
-        wpc, alive = topo.config.workers_per_cluster, topo.alive
+        wpc, dead = topo.config.workers_per_cluster, topo.dead
         alike = not self.jam.get("cluster") and m.target_worker_ids.isdisjoint(ws)
-        whole = alive.issuperset(ws)
+        whole = dead.isdisjoint(ws)
         relayed = self.relayed[m.msg_id]
         home = topo.workers_in_region(topo.region_of_worker(sender))
         received = crossed = reported = suppressed = 0
@@ -434,7 +433,7 @@ class _Kernel:
             j = bisect_left(ws, (c + 1) * wpc, i)
             run = ws[i:j]
             i = j
-            live = len(run) if whole else len(alive.intersection(run))
+            live = len(run) if whole else len(run) - len(dead.intersection(run))
             received += live
             if run[0] not in home:
                 crossed += live
@@ -547,9 +546,8 @@ class _Kernel:
         mb = adj.worker_broadcast(state, m)
         self.bump("broadcasts_fired")
         self.emit("alg2", "broadcast", cluster=c, msg_id=mid, hop=mb.hop_count)
-        members = self.topo.workers_in_cluster(c)
-        self.fan_out([("cluster", [*filter(self.topo.alive.__contains__, members)])],
-                     mb, (leader,))
+        members, dead = self.topo.workers_in_cluster(c), self.topo.dead
+        self.fan_out([("cluster", [w for w in members if w not in dead])], mb, (leader,))
 
     def deliver_nodes(self, nodes: list, m: Message, from_node: tuple | None):
         """Deliver a tree entry's copies in order, in one pass (see the

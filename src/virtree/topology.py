@@ -13,7 +13,9 @@ chain: ``span[L]`` is how many clusters one layer-L scope holds.  Cluster c
 lies in scope ``c // span[L]`` at layer L, and scope s holds the cluster range
 ``s * span[L] .. (s + 1) * span[L] - 1``.  Worker w lies in cluster
 ``w // workers_per_cluster``, so every membership question is answered by
-arithmetic and a topology stores per worker only aliveness and energy.
+arithmetic.  Per worker a topology stores only energy, in one ``array('d')``;
+the dead ids, few in most runs, are one set, empty at build.  Worker ids are
+trusted (``scenario`` validates them): ``is_alive`` is defined on 0..n-1 only.
 
 One worker may hold several roles at once.  Role bindings live in
 ``Topology.roles``, one holder dict per built layer; re-election replaces a
@@ -25,6 +27,7 @@ from __future__ import annotations
 import hashlib
 import math
 import random
+from array import array
 from dataclasses import dataclass
 
 from .errors import NoCandidate, UnknownScope
@@ -113,19 +116,20 @@ class HierarchyConfig:
 
 @dataclass
 class Topology:
-    """Built hierarchy: spans, region adjacency, roles, aliveness, energy.
+    """Built hierarchy: spans, region adjacency, roles, dead ids, energy.
 
     ``roles[layer][scope]`` is the worker holding that role, for layers
     2..num_layers; a scope missing from its dict is vacant (holder died and
-    no candidate existed at re-election time).
+    no candidate existed at re-election time).  A worker 0..n-1 is alive
+    when it is not in ``dead``; ids are trusted, as ``scenario`` checks them.
     """
 
     config: HierarchyConfig
     span: dict[int, int]
     region_adjacency: dict[RegionId, tuple[RegionId, ...]]
     roles: dict[int, dict[int, WorkerId]]
-    alive: set[WorkerId]
-    energy: list[float]
+    dead: set[WorkerId]
+    energy: array
 
     @property
     def clusters(self) -> range:
@@ -157,14 +161,13 @@ class Topology:
         return w // (self.span[LAYER_REGIONAL_HUB] * self.config.workers_per_cluster)
 
     def is_alive(self, w: WorkerId) -> bool:
-        return w in self.alive
+        return w not in self.dead
 
     def mark_dead(self, w: WorkerId):
-        self.alive.discard(w)
+        self.dead.add(w)
 
     def mark_alive(self, w: WorkerId):
-        if 0 <= w < self.config.n_workers:
-            self.alive.add(w)
+        self.dead.discard(w)
 
     def roles_held_by(self, w: WorkerId) -> list[tuple[int, int]]:
         """All (layer, scope_id) bindings currently held by worker w, by layer.
@@ -216,7 +219,6 @@ def build_topology(config: HierarchyConfig, seed: int,
     ``adjacency`` edge joins two distinct in-range regions, as
     ``scenario.validate_scenario`` checks.
     """
-    n_workers = config.n_workers
     wpc = config.workers_per_cluster
     span = config.span
 
@@ -231,14 +233,14 @@ def build_topology(config: HierarchyConfig, seed: int,
     }
 
     rng = random.Random(derive_seed(seed, "energy"))
-    energy = [round(rng.uniform(0.2, 1.0), 6) for _ in range(n_workers)]
+    energy = array("d", (round(rng.uniform(0.2, 1.0), 6) for _ in range(config.n_workers)))
 
     return Topology(
         config=config,
         span=span,
         region_adjacency=region_adjacency,
         roles=roles,
-        alive=set(range(n_workers)),
+        dead=set(),
         energy=energy,
     )
 

@@ -1,5 +1,6 @@
 import random
 import tracemalloc
+from array import array
 
 import pytest
 
@@ -67,13 +68,13 @@ class TestSelectReplacements:
     def test_best_metric_first(self):
         topo = make_topo()
         cs = CoordinatorSet.initial(topo, 0)
-        topo.energy[5:8] = [0.3, 0.9, 0.5]
+        topo.energy[5:8] = array("d", [0.3, 0.9, 0.5])
         assert select_replacements(cs, topo, 2) == [6, 7]
 
     def test_tie_breaks_to_lowest_id(self):
         topo = make_topo()
         cs = CoordinatorSet.initial(topo, 0)
-        topo.energy[5:8] = [0.5, 0.5, 0.5]
+        topo.energy[5:8] = array("d", [0.5, 0.5, 0.5])
         assert select_replacements(cs, topo, 2) == [5, 6]
 
     def test_dead_and_rostered_excluded(self):
@@ -87,7 +88,7 @@ class TestSelectReplacements:
     def test_load_aware(self):
         topo = make_topo()
         cs = CoordinatorSet.initial(topo, 0)
-        topo.energy[5:8] = [0.5, 0.5, 0.5]
+        topo.energy[5:8] = array("d", [0.5, 0.5, 0.5])
         assert select_replacements(cs, topo, 1, load_of=lambda w: 3 if w == 5 else 0) == [6]
 
     def test_matches_per_candidate_peer_scan(self):

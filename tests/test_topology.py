@@ -64,7 +64,7 @@ class TestConfig:
 
 class TestBuild:
     def test_small_plate_counts(self, topo32):
-        assert len(topo32.alive) == 32
+        assert len(topo32.energy) == 32
         assert len(topo32.clusters) == 16
         assert len(topo32.roles[2]) == 16
         assert len(topo32.roles[3]) == 4
@@ -102,7 +102,8 @@ class TestBuild:
         assert all(0.2 <= e <= 1.0 for e in topo32.energy)
 
     def test_everyone_starts_alive(self, topo32):
-        assert topo32.alive == set(range(32))
+        assert topo32.dead == set()
+        assert all(topo32.is_alive(w) for w in range(32))
 
     def test_truncated_layers_keep_containment(self):
         cfg = HierarchyConfig(workers_per_cluster=2, clusters_per_region=2,
@@ -142,7 +143,8 @@ class TestBuild:
                 assert list(topo.workers_in_region(r)) == [w for w, _, r2 in rows if r2 == r]
 
     def test_retained_memory_per_worker(self):
-        # membership is arithmetic: per worker only `alive` and `energy` remain
+        # membership is arithmetic and no worker is dead yet: per worker only
+        # its packed `energy` double remains
         cfg = HierarchyConfig(workers_per_cluster=10, clusters_per_region=10,
                               regions_per_hub=10, hubs_per_domain=10, domains=10)
         tracemalloc.start()
@@ -152,8 +154,8 @@ class TestBuild:
             retained = tracemalloc.get_traced_memory()[0] - before
         finally:
             tracemalloc.stop()
-        assert len(topo.alive) == 100_000
-        assert retained / cfg.n_workers < 150
+        assert (topo.dead, len(topo.energy)) == (set(), 100_000)
+        assert retained / cfg.n_workers < 32
 
 
 class TestDeriveSeed:
