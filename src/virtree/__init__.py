@@ -2,7 +2,6 @@
 
 from .adjacent import (
     DelayParams,
-    LeaderState,
     compute_delay,
     leader_on_receive_deferred,
     reachable_workers,
@@ -64,7 +63,6 @@ __all__ = [
     "EmptyGoalSet",
     "FailureSpec",
     "HierarchyConfig",
-    "LeaderState",
     "MODE_LCA",
     "MODE_ROOT",
     "Message",

@@ -7,22 +7,24 @@ Two cooperating receive paths:
   the message and the copy was not just broadcast by its own leader, and
   rebroadcast to all reachable workers if the copy is flagged and came from
   its own leader;
-* every cluster leader deduplicates, marks its cluster visited, delivers to
-  goal targets, and defers its own worker broadcast by
-  alpha * distance-to-nearest-unexecuted-goal + beta * local_load + U[0, eps)
+* the kernel deduplicates per cluster, so a cluster's leader receives each
+  message once; it marks its cluster visited, delivers to goal targets, and
+  defers its own worker broadcast by
+  alpha * distance-to-nearest-unexecuted-goal + beta * load + U[0, eps)
   so that copies already heading toward the goal win the race.
 
 Functions here are pure decision makers; the simulation kernel owns delivery,
-scheduling and the deduplication that needs global state.
+scheduling and the per-cluster bookkeeping: the messages each cluster
+processed and the broadcasts each leader has pending.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import chain
 
-from .messages import Message, MsgId, goals_left
+from .messages import Message, goals_left
 from .topology import SCOPE_LAYERS, Topology, WorkerId, ClusterId
 
 
@@ -36,25 +38,6 @@ class DelayParams:
     alpha: float = 1.0
     beta: float = 0.1
     epsilon: float = 0.05
-
-
-@dataclass
-class LeaderState:
-    """Per-cluster leader bookkeeping.
-
-    Keyed by cluster, not by holder, so a re-elected leader inherits the
-    processed set and per-message idempotence survives failover.  local_load
-    is the number of broadcasts currently pending, the quantity the delay
-    formula charges for.
-    """
-
-    cluster_id: ClusterId
-    processed_msgs: set[MsgId] = field(default_factory=set)
-    pending_broadcasts: set[MsgId] = field(default_factory=set)
-
-    @property
-    def local_load(self) -> int:
-        return len(self.pending_broadcasts)
 
 
 # Worker-side actions, returned in this order when several apply.
@@ -147,7 +130,8 @@ def compute_delay(params: DelayParams, distance: int, load: int,
 class LeaderDecision:
     """Outcome of one leader receive, either strategy.
 
-    outcome: "drop" | "stop" | "scheduled" (deferred) | "forwarded" (tree)
+    outcome: "drop" (the cluster is in the copy's visited set) | "stop" |
+        "scheduled" (deferred) | "forwarded" (tree)
     message: the copy a deferred receive schedules for broadcast, its cluster
         marked visited, and executed when a goal (``visited_copy``); None
         otherwise, since no other outcome sends the leader's copy on
@@ -159,7 +143,6 @@ class LeaderDecision:
     """
 
     outcome: str
-    reason: str = ""
     message: Message | None = None
     delivered_workers: tuple[WorkerId, ...] = ()
     missed_workers: tuple[WorkerId, ...] = ()
@@ -184,20 +167,16 @@ def _local_delivery(m: Message, cluster: ClusterId,
     return tuple(alive), tuple(dead)
 
 
-def leader_visit(state: LeaderState, m: Message, topo: Topology) -> LeaderDecision:
-    """The receive prefix both leader paths share: dedup, visit, deliver.
+def leader_visit(c: ClusterId, m: Message, topo: Topology) -> LeaderDecision:
+    """The receive prefix both leader paths share at cluster c: visit, deliver.
 
-    Returns a "drop" decision for a duplicate (already processed, or own
-    cluster already in the copy's visited set).  Otherwise the outcome is ""
-    for the caller to finish, and no copy is built: the caller builds the
-    leader's copy (``visited_copy``) only to send it on.
+    Returns a "drop" decision when c is already in the copy's visited set.
+    Otherwise the outcome is "" for the caller to finish, and no copy is
+    built: the caller builds the leader's copy (``visited_copy``) only to
+    send it on.
     """
-    c = state.cluster_id
-    if m.msg_id in state.processed_msgs:
-        return LeaderDecision(outcome="drop", reason="processed")
-    state.processed_msgs.add(m.msg_id)
     if c in m.visited_cluster_ids:
-        return LeaderDecision(outcome="drop", reason="visited")
+        return LeaderDecision(outcome="drop")
     if c not in m.goal_cluster_ids:
         return LeaderDecision(outcome="")
     delivered, missed = _local_delivery(m, c, topo)
@@ -215,15 +194,17 @@ def visited_copy(m: Message, decision: LeaderDecision, c: ClusterId, **changes) 
                   executed_cluster_ids=executed, **changes)
 
 
-def leader_on_receive_deferred(state: LeaderState, m: Message, topo: Topology,
-                               params: DelayParams, rng: random.Random) -> LeaderDecision:
-    """Deferred-routing receive at a cluster leader.
+def leader_on_receive_deferred(c: ClusterId, m: Message, topo: Topology,
+                               params: DelayParams, load: int,
+                               rng: random.Random) -> LeaderDecision:
+    """Deferred-routing receive at cluster c's leader, which has load
+    broadcasts pending.
 
     After ``leader_visit``, either stops (no unexecuted goals left) or
     computes a deferred broadcast delay.  The caller schedules the broadcast
-    and maintains pending_broadcasts.
+    and keeps the pending ones.
     """
-    decision = leader_visit(state, m, topo)
+    decision = leader_visit(c, m, topo)
     if decision.outcome:
         return decision
     # c is not yet executed (not visited), so a goal here is one fewer left
@@ -231,16 +212,17 @@ def leader_on_receive_deferred(state: LeaderState, m: Message, topo: Topology,
         decision.outcome = "stop"
         return decision
     decision.outcome = "scheduled"
-    decision.message = visited_copy(m, decision, state.cluster_id)
-    decision.distance = min_goal_distance(topo, state.cluster_id, decision.message)
-    decision.delay = compute_delay(params, decision.distance, state.local_load, rng)
+    decision.message = visited_copy(m, decision, c)
+    decision.distance = min_goal_distance(topo, c, decision.message)
+    decision.delay = compute_delay(params, decision.distance, load, rng)
     return decision
 
 
-def worker_broadcast(state: LeaderState, m: Message) -> Message:
-    """Build the flagged copy a leader hands to its own workers at fire time."""
+def worker_broadcast(c: ClusterId, m: Message) -> Message:
+    """Build the flagged copy cluster c's leader hands to its own workers at
+    fire time."""
     return m.copy(
         hop_count=m.hop_count + 1,
-        last_sent_cluster_id=state.cluster_id,
+        last_sent_cluster_id=c,
         forward_flag=True,
     )

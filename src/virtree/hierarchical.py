@@ -7,12 +7,13 @@ above the top-layer holders (held by the holder of the lowest top scope), so
 the tree always has one root and the worst leaf-to-leaf path is exactly
 2 * (num_layers - 1) edges.
 
-Leaves run the full duplicate/visited/executed bookkeeping; interior nodes
-only route.  A copy that arrived from a child may travel up and fan down, a
-copy that arrived from the parent only fans down, so copies move monotonically
-and need no interior deduplication.  Up-forwarding stops at the lowest common
-ancestor of the copy's remaining unexecuted goals by default; literal-root
-mode pushes every copy to the root instead.
+Leaves run the visited/executed bookkeeping, each receiving a message once
+(the kernel deduplicates per cluster); interior nodes only route.  A copy
+that arrived from a child may travel up and fan down, a copy that arrived
+from the parent only fans down, so copies move monotonically and need no
+interior deduplication.  Up-forwarding stops at the lowest common ancestor
+of the copy's remaining unexecuted goals by default; literal-root mode
+pushes every copy to the root instead.
 
 A copy's goals are one contiguous cluster range, so the child branches a node
 fans out to are the contiguous run of child scopes that range meets: routing
@@ -24,7 +25,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 
-from .adjacent import LeaderDecision, LeaderState, leader_visit, visited_copy
+from .adjacent import LeaderDecision, leader_visit, visited_copy
 from .messages import Message, goals_left
 from .topology import LAYER_LEADER, ClusterId, Topology, WorkerId
 
@@ -95,9 +96,9 @@ class TreeLinks:
         return None if w is None else self.topo.cluster_of(w)
 
 
-def leader_on_receive_immediate(state: LeaderState, m: Message, topo: Topology,
+def leader_on_receive_immediate(c: ClusterId, m: Message, topo: Topology,
                                 links: TreeLinks, injected: bool = False) -> LeaderDecision:
-    """Immediate-routing receive at a leaf: dedup, visit, deliver, climb.
+    """Immediate-routing receive at cluster c's leaf: visit, deliver, climb.
 
     Only the injection leaf climbs; a copy fanned down from the parent ends
     here, keeping traffic monotone up-then-down.  Every goal left lies outside
@@ -106,8 +107,7 @@ def leader_on_receive_immediate(state: LeaderState, m: Message, topo: Topology,
     (``visited_copy``) with hop_count + 1 and last_sent_cluster_id set to
     this cluster; forward_flag never turns on in this mode.
     """
-    c = state.cluster_id
-    decision = leader_visit(state, m, topo)
+    decision = leader_visit(c, m, topo)
     if decision.outcome:
         return decision
     # c is not yet executed (not visited), so a goal here is one fewer left

@@ -44,9 +44,9 @@ suppressed relays are counted, and its reports are sent or its first relays
 made at once.  Every other run goes copy by copy through ``deliver_worker``,
 which only acts and keeps jam draws, ``drop_dead`` records, targeted
 executions, reports and relays in their order.  ``send_reports`` alone
-decides a report: one that can only end as the leader's silent ``processed``
-drop, as each but the first of a call does unless a kill is due before they
-land, is accounted when it is sent and never queued
+decides a report: one that can only end as a silent repeat drop
+(``_Kernel.first_receive``), as each but the first of a call does unless a
+kill is due before they land, is accounted when it is sent and never queued
 (``_Kernel.report_dropped``).
 
 When nothing can tell an entry's senders apart (``_Kernel.told_apart``), only
@@ -141,8 +141,13 @@ class _Kernel:
         self.trace: list[TraceRecord] = []  # every record, when no sink is given
         self.sink = sink or self.trace.extend
         self.report: MetricsReport | None = None
-        # cluster -> its leader state, made at the cluster's first leader receive
-        self.leader_states: dict[int, adj.LeaderState] = {}
+        # cluster -> ids of the messages its leader processed, made at the
+        # cluster's first leader receive (``first_receive``)
+        self.processed: defaultdict[int, set[tuple]] = defaultdict(set)
+        # cluster -> ids of the broadcasts its leader scheduled that have not
+        # fired: only the adjacent strategy schedules, and a leader's death
+        # pops them, cancelling them
+        self.pending: defaultdict[int, set[tuple]] = defaultdict(set)
         self.coords = {r: CoordinatorSet.initial(self.topo, r) for r in self.topo.regions}
         self.links = hier.TreeLinks.build(self.topo)
         # (worker, msg_id) of every targeted execution; a cluster-level one
@@ -198,12 +203,6 @@ class _Kernel:
         heapq.heappush(self.heap, (quantize(fire), self.event_seq, handler, args))
         self.event_seq += 1
 
-    def leader_state(self, c: int) -> adj.LeaderState:
-        state = self.leader_states.get(c)
-        if state is None:
-            state = self.leader_states[c] = adj.LeaderState(cluster_id=c)
-        return state
-
     def jammed(self, cls: str, m: Message, dest: tuple) -> bool:
         """Whether a jammed link class eats this copy at send time."""
         drop = self.jam.get(cls)
@@ -226,23 +225,21 @@ class _Kernel:
         """Send reports of m to c's leader, due a cluster latency from now:
         one from each worker of reporters in order, times times over.  Queue
         each, or account it unqueued (``report_dropped``) when its delivery
-        can only be the silent ``processed`` drop.
+        can only be a silent repeat drop (``first_receive``).
 
         The reporters are alive workers of the cluster, so the cluster's
         leader is alive now: a kill re-elects the lowest alive worker and a
         revive fills a vacancy.  With no kill scheduled in [now, fire], that
-        leader keeps its role and stays alive until fire.  It drops a report
-        as ``processed`` if it has processed the message, or if an earlier
+        leader keeps its role and stays alive until fire.  A report is a
+        repeat if the cluster has processed the message, or if an earlier
         queued report to it, due by fire and so before this one, will make
         it do so: every report after the first one queued here, since a
         leader's first receive of a message marks it processed."""
         now, key, n = self.now, (c, m.msg_id), len(reporters) * times
         fire = quantize(now + self.latency["cluster"])
-        state = self.leader_states.get(c)
         if self.kill_due(fire):
             queued = reporters * times
-        elif (state is not None and m.msg_id in state.processed_msgs
-              or self.report_due.get(key, now) > now):
+        elif m.msg_id in self.processed.get(c, ()) or self.report_due.get(key, now) > now:
             queued = ()
         else:
             queued = reporters[:1]
@@ -309,10 +306,8 @@ class _Kernel:
         c = self.topo.cluster_of(w)
         self.unsettled.add(self.topo.region_of_worker(w))
         self.emit("kernel", "failure", worker=w)
-        state = self.leader_states.get(c)
-        if state is not None and self.topo.roles[LAYER_LEADER].get(c) == w:
-            # queued broadcast events discover the cleared map and cancel
-            state.pending_broadcasts.clear()
+        if self.topo.roles[LAYER_LEADER].get(c) == w:
+            self.pending.pop(c, None)  # its queued broadcasts find none and cancel
         self.reelect(self.topo.roles_held_by(w), w)
 
     def revive_worker(self, w: int):
@@ -503,25 +498,38 @@ class _Kernel:
             self.emit("kernel", "drop_dead", cluster=c, msg_id=msg_id_str(m.msg_id))
             return
         self.bump("deliveries_completed")
-        state = self.leader_state(c)
+        if not self.first_receive("alg2", c, m):
+            return
         region = self.topo.scope_of(c, LAYER_REGIONAL_HUB)
         mid = msg_id_str(m.msg_id)
-        decision = adj.leader_on_receive_deferred(state, m, self.topo, self.sc.delay,
+        decision = adj.leader_on_receive_deferred(c, m, self.topo, self.sc.delay,
+                                                  len(self.pending.get(c, ())),
                                                   self.rng("alg2", region))
         self.emit_visit("alg2", c, mid, m, decision)
         if decision.outcome == "scheduled":
             m2 = decision.message
-            state.pending_broadcasts.add(m2.msg_id)
+            self.pending[c].add(m2.msg_id)
             self.bump("broadcasts_scheduled")
             self.emit("alg2", "schedule", cluster=c, msg_id=mid,
                       distance=decision.distance, delay=decision.delay)
             self.push(self.now + decision.delay, self.handle_broadcast, (c, leader, m2))
 
+    def first_receive(self, comp: str, c: int, m: Message) -> bool:
+        """Whether cluster c's leader receives m for the first time, marking
+        m processed there; a repeat is counted as a drop of comp.  Keyed by
+        cluster, not by holder, so a re-elected leader drops m as well."""
+        seen = self.processed[c]
+        if m.msg_id in seen:
+            self.bump(f"{comp}_drops")
+            return False
+        seen.add(m.msg_id)
+        return True
+
     def emit_visit(self, comp: str, c: int, mid: str, m: Message, decision):
-        """The records of cluster c's leader receiving m, either strategy:
-        none for a drop, which is only counted; else a process record, its
-        visited set m's with c, then the cluster's execution with its
-        targeted workers.  A ``stop`` outcome writes nothing more: no
+        """The records of cluster c's leader receiving m for the first time,
+        either strategy: none for a drop, which is only counted; else a
+        process record, its visited set m's with c, then the cluster's
+        execution with its targeted workers.  A ``stop`` outcome writes nothing more: no
         schedule or forward record follows, which says it."""
         if decision.outcome == "drop":
             self.bump(f"{comp}_drops")
@@ -536,14 +544,14 @@ class _Kernel:
                     self.apply_execution(w, m, comp=comp)
 
     def handle_broadcast(self, c: int, leader: int, m: Message):
-        state = self.leader_states[c]  # made by the receive that scheduled this
+        pending = self.pending.get(c, ())
         mid = msg_id_str(m.msg_id)
-        if m.msg_id not in state.pending_broadcasts:  # cleared by the leader's death
+        if m.msg_id not in pending:  # popped by the leader's death
             self.bump("broadcasts_cancelled")
             self.emit("alg2", "broadcast_cancelled", cluster=c, msg_id=mid)
             return
-        state.pending_broadcasts.discard(m.msg_id)
-        mb = adj.worker_broadcast(state, m)
+        pending.discard(m.msg_id)
+        mb = adj.worker_broadcast(c, m)
         self.bump("broadcasts_fired")
         self.emit("alg2", "broadcast", cluster=c, msg_id=mid, hop=mb.hop_count)
         members, dead = self.topo.workers_in_cluster(c), self.topo.dead
@@ -569,11 +577,10 @@ class _Kernel:
                 continue
             completed += 1
             if layer == LAYER_LEADER:
-                # records keep the kernel's own id object: scope is computed
-                # per copy, and every such int would stay alive in the trace
-                state = self.leader_state(scope)
-                decision = hier.leader_on_receive_immediate(state, m, topo, links, injected)
-                self.emit_visit("alg3", state.cluster_id, mid, m, decision)
+                if not self.first_receive("alg3", scope, m):
+                    continue
+                decision = hier.leader_on_receive_immediate(scope, m, topo, links, injected)
+                self.emit_visit("alg3", scope, mid, m, decision)
                 if decision.forwards:
                     self.forward_tree(node, decision.forwards)
             else:
@@ -649,9 +656,8 @@ class _Kernel:
 
     def _load_of(self, w: int) -> int:
         c = self.topo.cluster_of(w)
-        state = self.leader_states.get(c)
-        if state is not None and self.topo.roles[LAYER_LEADER].get(c) == w:
-            return state.local_load
+        if self.topo.roles[LAYER_LEADER].get(c) == w:
+            return len(self.pending.get(c, ()))
         return 0
 
     def handle_failure(self, spec: FailureSpec):

@@ -79,8 +79,9 @@ class ReferenceKernel(_Kernel):
                 continue
             self.bump("deliveries_completed")
             if node[0] == LAYER_LEADER:
-                state = self.leader_state(node[1])
-                decision = leader_on_receive_immediate(state, m, self.topo, self.links,
+                if not self.first_receive("alg3", node[1], m):
+                    continue
+                decision = leader_on_receive_immediate(node[1], m, self.topo, self.links,
                                                        injected=from_node is None)
                 self.emit_visit("alg3", node[1], mid, m, decision)
                 fwds = decision.forwards

@@ -8,7 +8,6 @@ from virtree.adjacent import (
     BroadcastToReachable,
     DelayParams,
     ExecuteLocally,
-    LeaderState,
     ReportToLeader,
     compute_delay,
     leader_on_receive_deferred,
@@ -130,24 +129,13 @@ class TestComputeDelay:
 
 class TestLeaderDeferred:
     def test_visited_cluster_drops(self, topo32):
-        state = LeaderState(cluster_id=2)
         m = new_command(0, 0, goals=range(5, 6)).copy(visited_cluster_ids=frozenset({2}))
-        d = leader_on_receive_deferred(state, m, topo32, NO_JITTER, random.Random(1))
+        d = leader_on_receive_deferred(2, m, topo32, NO_JITTER, 0, random.Random(1))
         assert d.outcome == "drop"
-        assert d.reason == "visited"
-
-    def test_reprocessing_drops(self, topo32):
-        state = LeaderState(cluster_id=2)
-        m = new_command(0, 0, goals=range(5, 6))
-        leader_on_receive_deferred(state, m, topo32, NO_JITTER, random.Random(1))
-        d = leader_on_receive_deferred(state, m, topo32, NO_JITTER, random.Random(1))
-        assert d.outcome == "drop"
-        assert d.reason == "processed"
 
     def test_last_goal_delivers_then_stops(self, topo32):
-        state = LeaderState(cluster_id=2)
         m = new_command(0, 0, goals=range(2, 3))
-        d = leader_on_receive_deferred(state, m, topo32, NO_JITTER, random.Random(1))
+        d = leader_on_receive_deferred(2, m, topo32, NO_JITTER, 0, random.Random(1))
         assert d.outcome == "stop"
         assert d.executed_here
         assert d.delivered_workers == (4, 5)  # empty targets: whole cluster
@@ -160,52 +148,45 @@ class TestLeaderDeferred:
         assert goals_left(copy) == 0
 
     def test_targets_limit_local_delivery(self, topo32):
-        state = LeaderState(cluster_id=2)
         m = new_command(0, 0, goals=range(2, 3), targets={5})
-        d = leader_on_receive_deferred(state, m, topo32, NO_JITTER, random.Random(1))
+        d = leader_on_receive_deferred(2, m, topo32, NO_JITTER, 0, random.Random(1))
         assert d.delivered_workers == (5,)
 
     def test_nearest_unexecuted_goal_sets_delay(self, topo32):
         # goals at distance 1 (cluster 3, same region), 2 (clusters 4-7, same
         # hub) and 3 (cluster 8, other hub)
-        state = LeaderState(cluster_id=2)
         m = new_command(0, 0, goals=range(3, 9))
-        d = leader_on_receive_deferred(state, m, topo32, NO_JITTER, random.Random(1))
+        d = leader_on_receive_deferred(2, m, topo32, NO_JITTER, 0, random.Random(1))
         assert d.outcome == "scheduled"
         assert d.distance == 1
         assert d.delay == 1.0
 
     def test_distance_two_schedules_two_time_units(self, two_domain_topo):
-        state = LeaderState(cluster_id=0)
         m = new_command(4, 0, goals=range(2, 3))  # cluster 2: same hub, other region
-        d = leader_on_receive_deferred(state, m, two_domain_topo, NO_JITTER,
+        d = leader_on_receive_deferred(0, m, two_domain_topo, NO_JITTER, 0,
                                        random.Random(1))
         assert d.distance == 2
         assert d.delay == 2.0
 
     def test_load_term_charged(self, topo32):
-        state = LeaderState(cluster_id=2)
-        state.pending_broadcasts.update({(9, 9), (9, 10)})
         params = DelayParams(alpha=1.0, beta=0.5, epsilon=0.0)
         m = new_command(0, 0, goals=range(3, 4))
-        d = leader_on_receive_deferred(state, m, topo32, params, random.Random(1))
+        d = leader_on_receive_deferred(2, m, topo32, params, 2, random.Random(1))
         assert d.delay == 1.0 * 1 + 0.5 * 2  # distance 1, load 2
 
     def test_closer_leader_fires_first(self, topo32):
         # same message processed at distance 1 and distance 4 leaders
         m = new_command(0, 0, goals=range(5, 6))
-        near = leader_on_receive_deferred(LeaderState(cluster_id=4), m, topo32,
-                                          NO_JITTER, random.Random(1))
-        far = leader_on_receive_deferred(LeaderState(cluster_id=9), m, topo32,
-                                         NO_JITTER, random.Random(1))
+        near = leader_on_receive_deferred(4, m, topo32, NO_JITTER, 0, random.Random(1))
+        far = leader_on_receive_deferred(9, m, topo32, NO_JITTER, 0, random.Random(1))
         assert near.delay < far.delay
 
 
 @st.composite
 def leader_receives(draw):
-    """A leader state (some load, maybe the message already processed), a
-    copy of a command to any scope with executed/visited subsets, and a
-    topology with some workers dead."""
+    """A receiving cluster and its leader's load, a copy of a command to any
+    scope with executed/visited subsets, and a topology with some workers
+    dead."""
     cfg = HierarchyConfig(*(draw(st.integers(1, 3)) for _ in range(4)),
                           domains=draw(st.integers(1, 2)), coordinator_k=1, t_min=1)
     topo = build_topology(cfg, seed=1)
@@ -219,11 +200,8 @@ def leader_receives(draw):
     visited = executed | draw(st.sets(st.sampled_from(topo.clusters)))
     m = new_command(draw(st.sampled_from(topo.clusters)), 0, goals).copy(
         visited_cluster_ids=visited, executed_cluster_ids=executed)
-    state = LeaderState(cluster_id=draw(st.sampled_from(topo.clusters)))
-    if draw(st.booleans()):
-        state.processed_msgs.add(m.msg_id)
-    state.pending_broadcasts.update((9, i) for i in range(draw(st.integers(0, 3))))
-    return topo, state, m
+    c = draw(st.sampled_from(topo.clusters))
+    return topo, c, draw(st.integers(0, 3)), m
 
 
 class TestScheduledBroadcastHasGoalsLeft:
@@ -232,20 +210,33 @@ class TestScheduledBroadcastHasGoalsLeft:
     def test_only_a_copy_with_goals_left_is_scheduled(self, case, seed):
         # the broadcast fires with the scheduled copy itself, so it always
         # has a goal left to carry
-        topo, state, m = case
-        d = leader_on_receive_deferred(state, m, topo, DelayParams(), random.Random(seed))
+        topo, c, load, m = case
+        d = leader_on_receive_deferred(c, m, topo, DelayParams(), load, random.Random(seed))
         if d.outcome != "drop":
-            copy = visited_copy(m, d, state.cluster_id)
+            copy = visited_copy(m, d, c)
             assert (d.outcome == "scheduled") == (goals_left(copy) > 0)
             assert d.message == (copy if d.outcome == "scheduled" else None)
 
 
+class TestLeaderReceiveIsPure:
+    @settings(max_examples=300, deadline=None)
+    @given(leader_receives(), st.integers(0, 2**32 - 1))
+    def test_same_inputs_same_decision(self, case, seed):
+        # the kernel keeps what a cluster processed: a second call on the
+        # same inputs decides alike and neither edits the copy or topology
+        topo, c, load, m = case
+        before, dead = m.copy(), set(topo.dead)
+        first, again = (leader_on_receive_deferred(c, m, topo, DelayParams(), load,
+                                                   random.Random(seed)) for _ in range(2))
+        assert first == again
+        assert m == before and topo.dead == dead
+
+
 class TestWorkerBroadcast:
     def test_broadcast_copy_fields(self):
-        state = LeaderState(cluster_id=6)
         m = new_command(0, 0, goals=range(1, 7)).copy(
             visited_cluster_ids=frozenset({6}), hop_count=3)
-        out = worker_broadcast(state, m)
+        out = worker_broadcast(6, m)
         assert out.hop_count == 4
         assert out.last_sent_cluster_id == 6
         assert out.forward_flag is True

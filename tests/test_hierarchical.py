@@ -3,7 +3,7 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from virtree.adjacent import LeaderState, min_goal_distance, visited_copy
+from virtree.adjacent import min_goal_distance, visited_copy
 from virtree.hierarchical import (
     MODE_LCA,
     MODE_ROOT,
@@ -207,9 +207,8 @@ class TestTreeLinksMatchOracle:
 
 class TestLeafReceive:
     def test_injection_leaf_climbs_toward_remote_goal(self, topo32):
-        state = LeaderState(cluster_id=0)
         m = new_command(0, 0, goals=range(5, 6))
-        d = leader_on_receive_immediate(state, m, topo32, TreeLinks.build(topo32),
+        d = leader_on_receive_immediate(0, m, topo32, TreeLinks.build(topo32),
                                         injected=True)
         assert d.outcome == "forwarded"
         [(node, fm)] = d.forwards
@@ -221,31 +220,21 @@ class TestLeafReceive:
 
     def test_fanned_down_copy_never_climbs(self, topo32):
         # the parent already routed this copy; climbing again would echo
-        state = LeaderState(cluster_id=0)
         m = new_command(3, 0, goals=range(0, 6)).copy(visited_cluster_ids=frozenset({3}))
-        d = leader_on_receive_immediate(state, m, topo32, TreeLinks.build(topo32),
+        d = leader_on_receive_immediate(0, m, topo32, TreeLinks.build(topo32),
                                         injected=False)
         assert d.outcome == "stop"
         assert d.forwards == ()
         assert d.executed_here
 
     def test_visited_copy_drops(self, topo32):
-        state = LeaderState(cluster_id=4)
         m = new_command(0, 0, goals=range(4, 5)).copy(visited_cluster_ids=frozenset({4}))
-        d = leader_on_receive_immediate(state, m, topo32, TreeLinks.build(topo32))
-        assert (d.outcome, d.reason) == ("drop", "visited")
-
-    def test_reprocess_drops(self, topo32):
-        state = LeaderState(cluster_id=4)
-        links = TreeLinks.build(topo32)
-        leader_on_receive_immediate(state, new_command(0, 0, goals=range(4, 5)), topo32, links)
-        d = leader_on_receive_immediate(state, new_command(0, 0, goals=range(4, 5)), topo32, links)
-        assert (d.outcome, d.reason) == ("drop", "processed")
+        d = leader_on_receive_immediate(4, m, topo32, TreeLinks.build(topo32))
+        assert d.outcome == "drop"
 
     def test_goal_leaf_delivers_and_stops(self, topo32):
-        state = LeaderState(cluster_id=4)
         m = new_command(0, 0, goals=range(4, 5)).copy(visited_cluster_ids=frozenset({0}))
-        d = leader_on_receive_immediate(state, m, topo32, TreeLinks.build(topo32),
+        d = leader_on_receive_immediate(4, m, topo32, TreeLinks.build(topo32),
                                         injected=True)
         assert d.outcome == "stop"
         assert d.executed_here
@@ -399,10 +388,9 @@ class TestRangeRoutingMatchesPerGoal:
         goals = set(m.goal_cluster_ids)
         for c in topo.clusters:
             for injected in (False, True):
-                d = leader_on_receive_immediate(LeaderState(cluster_id=c), m, topo,
-                                                links, injected)
+                d = leader_on_receive_immediate(c, m, topo, links, injected)
                 if c in m.visited_cluster_ids:
-                    assert (d.outcome, d.reason) == ("drop", "visited")
+                    assert d.outcome == "drop"
                     continue
                 executed = m.executed_cluster_ids | ({c} & goals)
                 remaining = goals - executed
@@ -431,6 +419,23 @@ class TestRangeRoutingMatchesPerGoal:
             for c in topo.clusters:
                 assert min_goal_distance(topo, c, m) == min(
                     hierarchy_distance(topo, c, g) for g in remaining)
+
+
+class TestLeafReceiveIsPure:
+    @settings(deadline=None, max_examples=150)
+    @given(shapes_and_copies())
+    def test_same_inputs_same_decision(self, case):
+        # the kernel keeps what a cluster processed: a second call on the
+        # same inputs decides alike, and no call edits the copy
+        topo, m = case
+        links = TreeLinks.build(topo)
+        before = m.copy()
+        for c in topo.clusters:
+            for injected in (False, True):
+                first, again = (leader_on_receive_immediate(c, m, topo, links, injected)
+                                for _ in range(2))
+                assert first == again
+        assert m == before
 
 
 class TestHierSimulation:

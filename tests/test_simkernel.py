@@ -15,6 +15,7 @@ from virtree.adjacent import DelayParams, reachable_workers
 from virtree.coordinators import monitor_round
 from virtree.hierarchical import MODE_LCA, MODE_ROOT, TreeLinks
 from virtree.errors import ConservationError, RegionDead, ScenarioInvalid
+from virtree.messages import new_command
 from virtree.metrics import dump_trace
 from virtree.scenario import CommandSpec, FailureSpec, Scenario, validate_scenario
 from virtree.simkernel import _Kernel, run
@@ -269,14 +270,52 @@ class TestLeaderStates:
                 strategy=strategy, config=cfg,
                 commands=[CommandSpec(time=0.5, origin=0, scope=("region", 1))],
                 failures=[FailureSpec(time=0.2, kind="worker", action="kill", worker=0)]))
-            assert kernel.leader_states == {}
+            assert kernel.processed == {}
             trace, _ = kernel.run()
             named = {rec.data["cluster"] for rec in trace
                      if rec.comp in ("alg2", "alg3") and rec.event == "process"}
-            assert set(kernel.leader_states) == named
+            assert set(kernel.processed) == named
             unvisited[strategy] = cfg.n_clusters - len(named)
         # tree routing leaves most clusters alone, so most never get a state
         assert unvisited["hierarchical"] > 0
+
+    def test_pending_holds_the_broadcasts_left_at_the_horizon(self):
+        # worker 2, cluster 1's leader, dies with its broadcast pending, which
+        # is cancelled before the horizon; others fire and two are cut off.
+        # Tree routing schedules no broadcast, so it never writes pending
+        cfg = HierarchyConfig(2, 2, 4, coordinator_k=3, t_min=2)
+        for strategy in ("adjacent", "hierarchical"):
+            kernel = _Kernel(scenario(
+                strategy=strategy, config=cfg, horizon=4.0,
+                commands=[CommandSpec(time=0.5, origin=0, scope=("global",))],
+                failures=[FailureSpec(time=2.0, kind="worker", action="kill", worker=2)]))
+            _, report = kernel.run()
+            cons = report.conservation
+            if strategy == "hierarchical":
+                assert kernel.pending == {}
+                continue
+            assert cons["broadcasts_fired"] and cons["broadcasts_cancelled"] == 1
+            assert sum(map(len, kernel.pending.values())) == cons["broadcasts_pending"] == 2
+
+    @pytest.mark.parametrize("strategy", ["adjacent", "hierarchical"])
+    def test_processed_outlives_the_leader(self, strategy):
+        # processed is keyed by cluster, not by holder: cluster 0's leader
+        # processes m and dies (adjacent: with its broadcast pending), and
+        # the worker re-elected in its place drops a later copy of m
+        kernel = _Kernel(scenario(strategy=strategy, config=CFG_1R))
+        m = new_command(0, 0, goals=range(1, 2))
+        comp, dest = (("alg2", ("leader", 0)) if strategy == "adjacent"
+                      else ("alg3", ("nodes", [(LAYER_LEADER, 0)])))
+        kernel.handle_delivery(dest, m, None, False)
+        assert kernel.pending == ({0: {m.msg_id}} if strategy == "adjacent" else {})
+        leader = kernel.topo.roles[LAYER_LEADER][0]
+        kernel.kill_worker(leader)
+        assert kernel.topo.roles[LAYER_LEADER][0] not in (None, leader)
+        assert kernel.pending == {}  # the dead leader's broadcast is cancelled
+        kernel.handle_delivery(dest, m, None, False)
+        assert [rec.data["cluster"] for rec in kernel.batch if rec.event == "process"] == [0]
+        assert kernel.counters[f"{comp}_drops"] == 1
+        assert kernel.processed == {0: {m.msg_id}}
 
 
 class TestMaintenance:
