@@ -4,7 +4,8 @@ Usage, from the repository root:
 
     python3 scripts/bench_global_scale.py --parent DIR --change DIR
         [--strategy hierarchical|adjacent] [--sizes 10000,100000,1000000]
-        [--horizon 10] [--pairs 1] [--out BENCH.json] [--work DIR]
+        [--horizon 10] [--kills 0] [--targets 0] [--pairs 1]
+        [--out BENCH.json] [--work DIR]
 
 DIR is the root of a checkout; its ``src`` goes first on PYTHONPATH.  For
 each size the script writes one scenario, a single global command from
@@ -20,6 +21,11 @@ or a warmer host.  The shape depends on ``--strategy``:
   domains (an apex above them from 20k workers on);
 * ``adjacent``: one hub of ``size / 100`` regions on the default grid
   adjacency, each region 10 clusters of 10 workers.
+
+``--kills K`` and ``--targets T`` add failures and targets, meant for the
+adjacent shape: K + T distinct workers drawn with ``random.Random(5)``, the
+first K each killed at a uniform time in [0.5, horizon], the other T the
+command's targets.
 
 Per run it records wall time from process start to exit, peak RSS, the
 sha256 of ``trace.jsonl`` and ``metrics.json``, and the sha256 of the report
@@ -41,6 +47,7 @@ import hashlib
 import json
 import os
 import platform
+import random
 import shutil
 import statistics
 import subprocess
@@ -56,14 +63,20 @@ SHAPES = {
 }
 
 
-def scenario(strategy: str, workers: int, horizon: float) -> dict:
+def scenario(strategy: str, workers: int, horizon: float, kills: int = 0,
+             targets: int = 0) -> dict:
     shape, per_unit, unit = SHAPES[strategy]
     if workers % per_unit:
         raise SystemExit(f"{strategy}: size {workers} is not a multiple of {per_unit}")
+    rng = random.Random(5)
+    drawn = rng.sample(range(workers), kills + targets)
     return {
         "topology": {**shape, unit: workers // per_unit},
         "strategy": strategy,
-        "commands": [{"time": 0.5, "origin": 0, "scope": {"kind": "global"}}],
+        "commands": [{"time": 0.5, "origin": 0, "scope": {"kind": "global"},
+                      "targets": sorted(drawn[kills:])}],
+        "failures": [{"time": rng.uniform(0.5, horizon), "kind": "worker", "action": "kill",
+                      "worker": w} for w in drawn[:kills]],
         "seed": 8,
         "horizon": horizon,
     }
@@ -126,6 +139,10 @@ def main(argv=None) -> int:
                          "(hierarchical) or 100 (adjacent)")
     ap.add_argument("--horizon", type=float, default=10.0,
                     help="simulated horizon of each run (one maintenance round per second)")
+    ap.add_argument("--kills", type=int, default=0,
+                    help="workers killed at uniform times in [0.5, horizon]")
+    ap.add_argument("--targets", type=int, default=0,
+                    help="workers the command targets, distinct from the killed ones")
     ap.add_argument("--pairs", type=int, default=1,
                     help="runs per checkout and size, alternating which goes first")
     ap.add_argument("--out", default="BENCH.json", help="result file")
@@ -134,13 +151,17 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     if args.pairs < 1:
         ap.error("--pairs must be at least 1")
+    if min(args.kills, args.targets) < 0:
+        ap.error("--kills and --targets must be at least 0")
 
     os.makedirs(args.work, exist_ok=True)
     sizes = {}
     for workers in (int(x) for x in args.sizes.split(",")):
-        path = os.path.join(args.work, f"global_{args.strategy}_{workers}.json")
+        path = os.path.join(args.work, f"global_{args.strategy}_{workers}_"
+                                       f"{args.kills}k_{args.targets}t.json")
         with open(path, "w", encoding="utf-8") as fh:
-            json.dump(scenario(args.strategy, workers, args.horizon), fh, indent=2)
+            json.dump(scenario(args.strategy, workers, args.horizon, args.kills,
+                               args.targets), fh, indent=2)
         runs = {"parent": [], "change": []}
         for pair in range(args.pairs):
             order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
@@ -166,18 +187,20 @@ def main(argv=None) -> int:
 
     shape, per_unit, unit = SHAPES[args.strategy]
     result = {
-        "what": f"one global command, {args.strategy} strategy, horizon {args.horizon:g}: "
-                f"`virtree run` wall time and peak RSS, {args.pairs} run(s) per checkout "
-                "and size, medians",
+        "what": f"one global command, {args.strategy} strategy, horizon {args.horizon:g}, "
+                f"{args.kills} kills, {args.targets} targets: `virtree run` wall time and "
+                f"peak RSS, {args.pairs} run(s) per checkout and size, medians",
         "command": "python3 scripts/bench_global_scale.py --parent PARENT --change CHANGE "
                    f"--strategy {args.strategy} --sizes {args.sizes} "
-                   f"--horizon {args.horizon:g} --pairs {args.pairs}",
+                   f"--horizon {args.horizon:g} --kills {args.kills} --targets {args.targets} "
+                   f"--pairs {args.pairs}",
         "machine": {"cpu": cpu_model(), "cpus": os.cpu_count(),
                     "usable_cpus": len(os.sched_getaffinity(0))
                     if hasattr(os, "sched_getaffinity") else None,
                     "python": platform.python_version(), "system": platform.system()},
         "scenario": {**shape, unit: f"workers / {per_unit}", "command": "global, origin 0",
-                     "horizon": args.horizon, "round_period": 1.0},
+                     "horizon": args.horizon, "round_period": 1.0,
+                     "kills": args.kills, "targets": args.targets},
         "sizes": sizes,
     }
     with open(args.out, "w", encoding="utf-8") as fh:

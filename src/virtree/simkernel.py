@@ -44,9 +44,10 @@ suppressed relays are counted, and its reports are sent or its first relays
 made at once.  Every other run goes copy by copy through ``deliver_worker``,
 which only acts and keeps jam draws, ``drop_dead`` records, targeted
 executions, reports and relays in their order.  ``send_reports`` alone
-decides a report: one that can only end as a silent repeat drop
-(``_Kernel.first_receive``), as each but the first of a call does unless a
-kill is due before they land, is accounted when it is sent and never queued
+decides a call's n reports: one leader entry ``("leader", c)`` that carries
+the count n, delivered as n reports in a row (``_Kernel.deliver_leader``),
+or, when each can only end as a silent repeat drop
+(``_Kernel.first_receive``), none, all n accounted when sent
 (``_Kernel.report_dropped``).
 
 When nothing can tell an entry's senders apart (``_Kernel.told_apart``), only
@@ -221,34 +222,29 @@ class _Kernel:
             self.push(self.now + self.latency["tree"], self.handle_delivery,
                       (("nodes", nodes), m, sender, False))
 
-    def send_reports(self, c: int, m: Message, reporters, times: int = 1):
-        """Send reports of m to c's leader, due a cluster latency from now:
-        one from each worker of reporters in order, times times over.  Queue
-        each, or account it unqueued (``report_dropped``) when its delivery
-        can only be a silent repeat drop (``first_receive``).
+    def send_reports(self, c: int, m: Message, n: int):
+        """Send n reports of m to c's leader, due a cluster latency from now:
+        one entry that carries the count n (``deliver_leader``), or none
+        when each can only be a silent repeat drop (``first_receive``), all
+        n then accounted when sent (``report_dropped``).
 
         The reporters are alive workers of the cluster, so the cluster's
         leader is alive now: a kill re-elects the lowest alive worker and a
         revive fills a vacancy.  With no kill scheduled in [now, fire], that
-        leader keeps its role and stays alive until fire.  A report is a
-        repeat if the cluster has processed the message, or if an earlier
-        queued report to it, due by fire and so before this one, will make
-        it do so: every report after the first one queued here, since a
-        leader's first receive of a message marks it processed."""
-        now, key, n = self.now, (c, m.msg_id), len(reporters) * times
+        leader keeps its role and stays alive until fire.  The reports are
+        then repeats if the cluster has processed the message, or if an
+        earlier queued report to it, due by fire and so before them, will
+        make it do so.  n per-report entries would take consecutive seqs at
+        one fire time, with nothing run between them."""
+        now, key = self.now, (c, m.msg_id)
         fire = quantize(now + self.latency["cluster"])
-        if self.kill_due(fire):
-            queued = reporters * times
-        elif m.msg_id in self.processed.get(c, ()) or self.report_due.get(key, now) > now:
-            queued = ()
-        else:
-            queued = reporters[:1]
         self.bump("deliveries_enqueued", n)
-        for w in queued:
-            self.report_due[key] = fire
-            self.push(fire, self.handle_delivery, (("leader", c), m, w, False))
-        if len(queued) < n:
-            self.report_dropped(fire, n - len(queued))
+        if not self.kill_due(fire) and (m.msg_id in self.processed.get(c, ())
+                                        or self.report_due.get(key, now) > now):
+            self.report_dropped(fire, n)
+            return
+        self.report_due[key] = fire
+        self.push(fire, self.handle_delivery, (("leader", c), m, n, False))
 
     def kill_due(self, fire: float) -> bool:
         """Whether a worker or region kill is scheduled in [now, fire]."""
@@ -372,7 +368,7 @@ class _Kernel:
         if kind == "workers":
             self.deliver_workers(dest[1], m, sender)  # sender: the entry's sender list
         elif kind == "leader":
-            self.deliver_leader(dest[1], m)
+            self.deliver_leader(dest[1], m, sender)  # sender: the entry's report count
         else:
             self.deliver_nodes(dest[1], m, sender)
 
@@ -392,9 +388,10 @@ class _Kernel:
         untargeted run of first's cluster, could act apart: on a jammed
         cluster link, at a dead or targeted receiver, at a worker of that
         cluster yet to relay (it relays on the first copy only), or with a
-        kill scheduled before their reports land, which are then queued one
-        by one (``send_reports``).  When ws holds their cluster, a later
-        sender's copies go to first as well, which may have died since."""
+        kill scheduled before their reports land, whose ``drop_dead`` and
+        ``process`` records at different clusters then interleave sender by
+        sender.  When ws holds their cluster, a later sender's copies go to
+        first as well, which may have died since."""
         topo = self.topo
         fire = quantize(self.now + self.latency["cluster"])
         members = topo.workers_in_cluster(topo.cluster_of(first))
@@ -417,7 +414,7 @@ class _Kernel:
         none of its workers relayed yet."""
         topo = self.topo
         wpc, dead = topo.config.workers_per_cluster, topo.dead
-        alike = not self.jam.get("cluster") and m.target_worker_ids.isdisjoint(ws)
+        targets, alike = m.target_worker_ids, not self.jam.get("cluster")
         whole = dead.isdisjoint(ws)
         relayed = self.relayed[m.msg_id]
         home = topo.workers_in_region(topo.region_of_worker(sender))
@@ -432,13 +429,13 @@ class _Kernel:
             received += live
             if run[0] not in home:
                 crossed += live
-            if alike and live == len(run):
+            if alike and live == len(run) and targets.isdisjoint(run):
                 actions = adj.worker_on_receive(run[0], m, topo)
                 if not actions:
                     continue
                 if isinstance(actions[0], adj.ReportToLeader):  # untargeted: the only one
                     reported += len(run)
-                    self.send_reports(c, m, run, n)
+                    self.send_reports(c, m, len(run) * n)
                     continue
                 if relayed.issuperset(run):  # a relay each worker made already
                     suppressed += len(run)
@@ -470,7 +467,7 @@ class _Kernel:
             elif isinstance(action, adj.ReportToLeader):
                 self.bump("reports_sent")
                 if not self.jammed("cluster", m, ("leader", action.cluster)):
-                    self.send_reports(action.cluster, m, (w,))
+                    self.send_reports(action.cluster, m, 1)
             else:  # BroadcastToReachable
                 relayed = self.relayed[m.msg_id]
                 if w in relayed:
@@ -491,14 +488,17 @@ class _Kernel:
         self.emit(comp, "execute_worker", worker=w, msg_id=msg_id_str(m.msg_id),
                   hop=m.hop_count, **sender)
 
-    def deliver_leader(self, c: int, m: Message):
+    def deliver_leader(self, c: int, m: Message, n: int):
+        """Deliver n reports of m in a row, or an injection (n = 1), to c's
+        leader: at a vacant cluster each is dropped dead."""
         leader = self.topo.roles[LAYER_LEADER].get(c)
         if leader is None:
-            self.bump("deliveries_dropped_dead")
-            self.emit("kernel", "drop_dead", cluster=c, msg_id=msg_id_str(m.msg_id))
+            self.bump("deliveries_dropped_dead", n)
+            for _ in range(n):
+                self.emit("kernel", "drop_dead", cluster=c, msg_id=msg_id_str(m.msg_id))
             return
-        self.bump("deliveries_completed")
-        if not self.first_receive("alg2", c, m):
+        self.bump("deliveries_completed", n)
+        if not self.first_receive("alg2", c, m, n):
             return
         region = self.topo.scope_of(c, LAYER_REGIONAL_HUB)
         mid = msg_id_str(m.msg_id)
@@ -514,16 +514,17 @@ class _Kernel:
                       distance=decision.distance, delay=decision.delay)
             self.push(self.now + decision.delay, self.handle_broadcast, (c, leader, m2))
 
-    def first_receive(self, comp: str, c: int, m: Message) -> bool:
-        """Whether cluster c's leader receives m for the first time, marking
-        m processed there; a repeat is counted as a drop of comp.  Keyed by
-        cluster, not by holder, so a re-elected leader drops m as well."""
+    def first_receive(self, comp: str, c: int, m: Message, n: int = 1) -> bool:
+        """Whether the first of n copies of m that cluster c's leader receives
+        in a row is its first receive of m, marking m processed there; each
+        repeat is counted as a drop of comp.  Keyed by cluster, not by
+        holder, so a re-elected leader drops m as well."""
         seen = self.processed[c]
-        if m.msg_id in seen:
-            self.bump(f"{comp}_drops")
-            return False
+        first = m.msg_id not in seen
         seen.add(m.msg_id)
-        return True
+        if n > first:  # a bump of 0 would add the key to the conservation output
+            self.bump(f"{comp}_drops", n - first)
+        return first
 
     def emit_visit(self, comp: str, c: int, mid: str, m: Message, decision):
         """The records of cluster c's leader receiving m for the first time,
@@ -550,7 +551,9 @@ class _Kernel:
             self.bump("broadcasts_cancelled")
             self.emit("alg2", "broadcast_cancelled", cluster=c, msg_id=mid)
             return
-        pending.discard(m.msg_id)
+        pending.remove(m.msg_id)
+        if not pending:
+            del self.pending[c]
         mb = adj.worker_broadcast(c, m)
         self.bump("broadcasts_fired")
         self.emit("alg2", "broadcast", cluster=c, msg_id=mid, hop=mb.hop_count)
@@ -693,10 +696,10 @@ class _Kernel:
             seq_per_origin[cmd.origin] = seq + 1
             goals = goal_clusters_for_scope(self.topo, cmd.scope)
             m = new_command(cmd.origin, seq, goals, set(cmd.targets), cmd.payload)
-            dest = ("leader", cmd.origin) if sc.strategy == "adjacent" \
-                else ("nodes", [(LAYER_LEADER, cmd.origin)])
+            dest, sender = ((("leader", cmd.origin), 1) if sc.strategy == "adjacent"
+                            else (("nodes", [(LAYER_LEADER, cmd.origin)]), None))
             self.bump("deliveries_enqueued")
-            self.push(cmd.time, self.handle_delivery, (dest, m, None, True))
+            self.push(cmd.time, self.handle_delivery, (dest, m, sender, True))
         for spec in sc.failures:
             if spec.kind == "worker" and spec.action == "revive":
                 self.push(spec.time, self.revive_worker, (spec.worker,))
@@ -728,10 +731,11 @@ class _Kernel:
         for _fire, _seq, handler, args in self.heap:
             if handler == delivery:
                 kind, to = args[0]
-                self.bump("deliveries_inflight", 1 if kind == "leader"
+                self.bump("deliveries_inflight", args[2] if kind == "leader"
                           else len(to) * len(args[2]) if kind == "workers" else len(to))
-            elif handler == broadcast:
-                self.bump("broadcasts_pending")
+            elif handler == broadcast:  # cancelled if its leader's death popped its id
+                self.bump("broadcasts_pending" if args[2].msg_id in self.pending.get(args[0], ())
+                          else "broadcasts_cancelled")
         # each entry holds a bound method of the kernel: left queued, they
         # would keep the kernel alive until a full garbage collection
         self.heap.clear()

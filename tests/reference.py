@@ -10,8 +10,8 @@ reference byte for byte, shortcuts that interact included:
 - ``deliver_workers`` and ``deliver_nodes``: each worker or tree copy
   delivered and counted alone, not in one pass over cluster runs or tree
   nodes;
-- ``send_reports``: every report queued and delivered, none accounted as a
-  certain drop when sent;
+- ``send_reports``: every report queued and delivered alone, as an entry of
+  count 1, none accounted as a certain drop when sent;
 - ``handle_maintenance``: every region visited in every round, not only the
   unsettled ones.
 
@@ -42,11 +42,11 @@ class ReferenceKernel(_Kernel):
         for node in nodes:
             super().send([node], m, sender)
 
-    def send_reports(self, c, m, reporters, times=1):
+    def send_reports(self, c, m, n):
         fire = quantize(self.now + self.latency["cluster"])
-        for w in reporters * times:
+        for _ in range(n):
             self.bump("deliveries_enqueued")
-            self.push(fire, self.handle_delivery, (("leader", c), m, w, False))
+            self.push(fire, self.handle_delivery, (("leader", c), m, 1, False))
 
     def handle_maintenance(self, rnd):
         self.unsettled.update(self.coords)

@@ -296,6 +296,23 @@ class TestLeaderStates:
                 continue
             assert cons["broadcasts_fired"] and cons["broadcasts_cancelled"] == 1
             assert sum(map(len, kernel.pending.values())) == cons["broadcasts_pending"] == 2
+            # a cluster whose broadcasts all fired keeps no empty set
+            assert all(kernel.pending.values())
+
+    def test_broadcast_its_leaders_death_cancelled_is_not_pending_at_the_horizon(self):
+        # worker 2, cluster 1's leader, dies at 2.0 with its broadcast
+        # scheduled past the horizon at 3.0: that broadcast is cancelled,
+        # though it is still queued, and the four others left are pending
+        kernel = _Kernel(scenario(
+            strategy="adjacent", config=HierarchyConfig(2, 2, 4, coordinator_k=3, t_min=2),
+            horizon=3.0, commands=[CommandSpec(time=0.5, origin=0, scope=("global",))],
+            failures=[FailureSpec(time=2.0, kind="worker", action="kill", worker=2)]))
+        _, report = kernel.run()
+        cons = report.conservation
+        assert [cons[f"broadcasts_{k}"] for k in ("scheduled", "fired", "pending",
+                                                   "cancelled")] == [6, 1, 4, 1]
+        assert sum(map(len, kernel.pending.values())) == 4 and 1 not in kernel.pending
+        assert report.conserved
 
     @pytest.mark.parametrize("strategy", ["adjacent", "hierarchical"])
     def test_processed_outlives_the_leader(self, strategy):
@@ -304,15 +321,17 @@ class TestLeaderStates:
         # the worker re-elected in its place drops a later copy of m
         kernel = _Kernel(scenario(strategy=strategy, config=CFG_1R))
         m = new_command(0, 0, goals=range(1, 2))
-        comp, dest = (("alg2", ("leader", 0)) if strategy == "adjacent"
-                      else ("alg3", ("nodes", [(LAYER_LEADER, 0)])))
-        kernel.handle_delivery(dest, m, None, False)
+        # an adjacent leader entry carries its report count where a tree
+        # entry names its sending node
+        comp, dest, sender = (("alg2", ("leader", 0), 1) if strategy == "adjacent"
+                              else ("alg3", ("nodes", [(LAYER_LEADER, 0)]), None))
+        kernel.handle_delivery(dest, m, sender, False)
         assert kernel.pending == ({0: {m.msg_id}} if strategy == "adjacent" else {})
         leader = kernel.topo.roles[LAYER_LEADER][0]
         kernel.kill_worker(leader)
         assert kernel.topo.roles[LAYER_LEADER][0] not in (None, leader)
         assert kernel.pending == {}  # the dead leader's broadcast is cancelled
-        kernel.handle_delivery(dest, m, None, False)
+        kernel.handle_delivery(dest, m, sender, False)
         assert [rec.data["cluster"] for rec in kernel.batch if rec.event == "process"] == [0]
         assert kernel.counters[f"{comp}_drops"] == 1
         assert kernel.processed == {0: {m.msg_id}}
@@ -645,8 +664,8 @@ class Recording(_Kernel):
     """The kernel, recording each worker delivery entry as (fire, workers,
     sender list, send time), each tree delivery entry as (fire, nodes,
     sending node, send time), each delivery pass as (now, sender, times
-    counted), each report it queues as (now, fire, cluster, reporter) and
-    each report it accounts without queuing as (now, fire)."""
+    counted), each report entry it queues as (now, fire, cluster, count of
+    reports) and each report it accounts without queuing as (now, fire)."""
 
     def __init__(self, sc):
         super().__init__(sc)
@@ -964,30 +983,29 @@ def tree_window_failures(draw, sc):
 # 8 workers: cluster c is workers 2c and 2c + 1, region 0 is clusters 0 and 1.
 # Worker 0 leads cluster 0, and its broadcast of a global command injected
 # there at 0 fires at 1.0 and reaches workers 0 and 1 at 1.1; each relays,
-# and their copies reach cluster 1 at 1.3, whose workers report to their
-# leader for 1.4.  The first report is queued; at the second the queued one
-# is still due, so the later ones can only be dropped as processed.
+# and their copies reach cluster 1 at 1.3 in one entry, whose workers send
+# their four reports to their leader for 1.4 in one entry of count 4.
 FLOOD = dict(config=CFG_2R, delay=NO_JITTER,
              commands=[CommandSpec(time=0.0, origin=0, scope=("global",))])
 
 
 def assert_horizon_cut_counts_in_flight():
     """FLOOD cut at 1.35: each copy of an unfired fan-out entry is in flight,
-    and so is each report accounted unqueued that is due past the horizon."""
+    and so is each report of an entry due past the horizon."""
     kernel, _, report = assert_same_as_reference(scenario(**FLOOD, horizon=1.35))
-    assert kernel.unqueued == [(1.3, 1.4)] * 3
+    assert kernel.reports == [(1.3, 1.4, 1, 4)] and kernel.unqueued == []
     # the adjacent copies of workers 0 and 1, due at 1.6
     assert [ws for fire, ws, _ in kernel.fanouts if fire > 1.35] == [[4, 5, 6, 7]] * 2
-    # the two cut entries, the queued report and the three unqueued ones
-    assert report.conservation["deliveries_inflight"] == 2 * 4 + 1 + 3
+    # the two cut entries, and the four reports of the cut report entry
+    assert report.conservation["deliveries_inflight"] == 2 * 4 + 4
     assert report.conserved
 
 
 # FLOOD on 4 workers a cluster: cluster c is workers 4c to 4c + 3, region 0
 # is clusters 0 and 1.  Workers 0 to 3 get worker 0's broadcast at 1.1 and
 # relay; each relay reaches cluster 1 as one run of four at 1.3, and those
-# 16 copies report to cluster 1's leader, worker 4, for 1.4: the first report
-# is queued, the other 15 accounted unqueued.
+# 16 copies report to cluster 1's leader, worker 4, for 1.4 in one entry of
+# count 16.
 CFG_4W = HierarchyConfig(4, 2, 2, coordinator_k=3, t_min=2)
 FLOOD_4W = dict(FLOOD, config=CFG_4W)
 
@@ -1072,7 +1090,12 @@ class TestPerCopyReference:
             ([w for w in range(4) if w != s], [s]) for s in range(4)]
 
     def test_reports_behind_a_queued_one_are_not_queued(self):
-        kernel, trace, report = assert_same_as_reference(scenario(**FLOOD))
+        # targeted worker 3 makes cluster 1's run go copy by copy, one report
+        # a call: the first is queued, and at the second it is still due, so
+        # the later ones can only be dropped as processed
+        kernel, trace, report = assert_same_as_reference(scenario(**dict(FLOOD, commands=[
+            CommandSpec(time=0.0, origin=0, scope=("global",), targets=frozenset({3}))])))
+        assert kernel.reports[0] == (1.3, 1.4, 1, 1)
         assert kernel.unqueued[:3] == [(1.3, 1.4)] * 3
         # worker 0's broadcast, then worker 0's relay, one entry per class
         assert kernel.fanouts[:4] == [(1.1, [0, 1], 0), (1.2, [1], 0), (1.3, [2, 3], 0),
@@ -1151,7 +1174,7 @@ class TestPerCopyReference:
         kernel, trace, _ = assert_same_as_reference(sc)
         assert records(trace, "execute_worker") == [
             (1.3, {"worker": 6, "msg_id": "0:0", "hop": 1, "from_worker": 0})]
-        assert kernel.reports[0] == (1.3, 1.4, 1, 4)
+        assert kernel.reports[0] == (1.3, 1.4, 1, 1)
         assert kernel.unqueued[:15] == [(1.3, 1.4)] * 15
 
     def test_run_with_a_worker_yet_to_relay(self):
@@ -1200,8 +1223,8 @@ class TestPerCopyReference:
                         jam2, dead, jam2, jam2, jam3,
                         dead, jam2, jam2, jam3, jam3]
         # 28 reports: 15 jammed, one queued to each leader, 11 unqueued
-        assert [r for r in kernel.reports if r[0] == 1.6] == [(1.6, 1.7, 2, 10),
-                                                              (1.6, 1.7, 3, 12)]
+        assert [r for r in kernel.reports if r[0] == 1.6] == [(1.6, 1.7, 2, 1),
+                                                              (1.6, 1.7, 3, 1)]
         assert [u for u in kernel.unqueued if u[0] == 1.6] == [(1.6, 1.7)] * 11
         assert report.conservation["deliveries_dropped_dead"] == 4
 
@@ -1216,29 +1239,33 @@ class TestPerCopyReference:
         assert 0 < len(jammed) < 32 and len(jammed) % 8
 
     def test_zero_cluster_latency_is_one_pass(self):
-        # a later report due now lands behind the first one, queued due now,
-        # so nothing tells workers 0 to 3 apart: their entry to cluster 1 is
-        # one pass counted four times, whose first report is queued and the
-        # other 15 accounted unqueued
+        # reports due now land in one entry at once, so nothing tells workers
+        # 0 to 3 apart: their entry to cluster 1 is one pass counted four
+        # times, whose 16 reports are one entry due now
         kernel, _, _ = assert_same_as_reference(scenario(**FLOOD_4W, link_latencies={
             **simkernel.DEFAULT_LATENCIES, "cluster": 0.0}))
         assert [e[2] for e in kernel.entries if e[0] == 1.2] == [[0, 1, 2, 3]]
         assert [p[1:] for p in kernel.passes if p[0] == 1.2] == [(0, 4)]
-        assert [r for r in kernel.reports if r[2] == 1] == [(1.2, 1.2, 1, 4)]
-        assert [u for u in kernel.unqueued if u[0] == 1.2] == [(1.2, 1.2)] * 15
+        assert [r for r in kernel.reports if r[2] == 1] == [(1.2, 1.2, 1, 16)]
+        assert [u for u in kernel.unqueued if u[0] == 1.2] == []
 
     def test_kill_between_a_run_and_its_reports(self):
-        # worker 7 dies at 1.35, in [1.3, 1.4]: no report of the runs at
-        # 1.3 can be accounted unqueued, and the leader drops 15 of them
+        # worker 7 dies at 1.35, in [1.3, 1.4]: the entry at 1.3 goes sender
+        # by sender, no report of its runs can be accounted unqueued, and the
+        # leader drops 15 of them
         kernel, trace, _ = assert_same_as_reference(scenario(**FLOOD_4W, failures=[
             FailureSpec(time=1.35, kind="worker", action="kill", worker=7)]))
-        assert [r for r in kernel.reports if r[0] == 1.3] == [
-            (1.3, 1.4, 1, w) for w in (4, 5, 6, 7) * 4]
+        assert [r for r in kernel.reports if r[0] == 1.3] == [(1.3, 1.4, 1, 4)] * 4
         assert not any(now == 1.3 for now, _ in kernel.unqueued)
         assert [t for t, _ in records(trace, "process", cluster=1)] == [1.4]
 
     def test_horizon_cuts_a_runs_unqueued_reports(self):
-        kernel, _, report = assert_same_as_reference(scenario(**FLOOD_4W, horizon=1.35))
+        # targeted worker 6 sends cluster 1's run copy by copy: one report
+        # queued, 15 accounted unqueued, all due past the horizon
+        kernel, _, report = assert_same_as_reference(scenario(**dict(FLOOD_4W, commands=[
+            CommandSpec(time=0.0, origin=0, scope=("global",), targets=frozenset({6}))]),
+            horizon=1.35))
+        assert kernel.reports == [(1.3, 1.4, 1, 1)]
         assert kernel.unqueued == [(1.3, 1.4)] * 15
         # the 15 unqueued reports, the queued one, and each relay's eight
         # adjacent copies due at 1.6
@@ -1424,6 +1451,8 @@ SMALLEST_RUNS = [pytest.param(sc, id=name) for name, sc in {
     "first-sender-targeted": small_run(R1X3, [to_cluster(2, targets={2})], LATE_1),
     # a run holding a targeted worker goes copy by copy
     "run-targeted": small_run(R1, [to_cluster(1, targets={0})], LATE_1),
+    # the targeted worker is the second of its run, not the first
+    "run-targeted-after-its-first": small_run(R1, [to_cluster(1, targets={3})]),
     # worker 1 of three is yet to relay when the relays of workers 0 and 2
     # reach it in one entry
     "receiver-yet-to-relay": small_run(R1W3, [to_cluster(1)], LATE_1),
@@ -1447,6 +1476,8 @@ SMALLEST_RUNS = [pytest.param(sc, id=name) for name, sc in {
     # the one region, dead from 0, stays unsettled until worker 0 revives
     "dead-region-revived": small_run(HierarchyConfig(2, 1), [to_cluster(0)], [
         region_kill(0.0, 0), region_kill(0.0, 0), *blink(0, 0.0, 1.1)], horizon=2.05),
+    # the horizon falls inside an entry of four reports to cluster 1
+    "report-entry-cut": small_run(R1, [to_cluster(1)], horizon=0.25),
     # the horizon falls inside a tree entry of two copies
     "tree-entry-cut": small_run(HierarchyConfig(1, 3, num_layers=2),
                                 [to_cluster(0)] * 3 + [CommandSpec(time=0.0, origin=0,
