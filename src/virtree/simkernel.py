@@ -31,7 +31,7 @@ uses is jammed, when each worker pushes its own entries.  A later sender's
 copies are the first's, with its own copy traded for one to the first
 sender (``copies_of``).  Per-copy entries would have taken consecutive seqs,
 one sender after another, with nothing pushed between them, so the events
-run in the same order.  A relay made copy by copy pushes its own entries.
+run in the same order.  A relay made worker by worker pushes its own entries.
 
 An entry's copies are delivered one sender at a time, each sender's in one
 pass over its cluster runs: ids are row-major, so each cluster's workers in it
@@ -41,14 +41,17 @@ sender's region, with one bump per counter a pass
 (``_Kernel.deliver_pass``).  Alive untargeted workers on an unjammed cluster
 link act alike, so one ``worker_on_receive`` call decides for the run: its
 suppressed relays are counted, and its reports are sent or its first relays
-made at once.  Every other run goes copy by copy through ``deliver_worker``,
-which only acts and keeps jam draws, ``drop_dead`` records, targeted
-executions, reports and relays in their order.  ``send_reports`` alone
-decides a call's n reports: one leader entry ``("leader", c)`` that carries
-the count n, delivered as n reports in a row (``_Kernel.deliver_leader``),
-or, when each can only end as a silent repeat drop
-(``_Kernel.first_receive``), none, all n accounted when sent
-(``_Kernel.report_dropped``).
+made at once.  Every other run is acted on worker by worker, keeping jam
+draws, ``drop_dead`` records, targeted executions and relays in order, and
+its unjammed reports then go in one call: a run never both reports and
+relays (``ReportToLeader`` needs the copy's last sending cluster other than
+the run's, ``BroadcastToReachable`` that one), and a report run pushes
+nothing while acted on, so per-report calls would have queued entries of
+consecutive seqs at one fire time.  ``send_reports`` alone decides a call's
+n reports: one leader entry ``("leader", c)`` that carries the count n,
+delivered as n reports in a row (``_Kernel.deliver_leader``), or, when each
+can only end as a silent repeat drop (``_Kernel.first_receive``), none, all
+n accounted when sent (``_Kernel.report_dropped``).
 
 When nothing can tell an entry's senders apart (``_Kernel.told_apart``), only
 the first sender's pass runs, and it counts each of its receives, crossings
@@ -411,7 +414,10 @@ class _Kernel:
         ``worker_on_receive`` reads a worker only through its cluster and the
         targets, so on an unjammed cluster link one call decides for a run of
         alive untargeted workers, and such a run relays in one call when
-        none of its workers relayed yet."""
+        none of its workers relayed yet.
+
+        Every other run, only ever in a pass counted once, is acted on
+        worker by worker (see the module docstring)."""
         topo = self.topo
         wpc, dead = topo.config.workers_per_cluster, topo.dead
         targets, alike = m.target_worker_ids, not self.jam.get("cluster")
@@ -444,8 +450,25 @@ class _Kernel:
                     relayed.update(run)
                     self.relay(run, m, sender)
                     continue
+            k = 0  # the run's reports no jam ate
             for w in run:
-                self.deliver_worker(w, m, sender)
+                if w in dead:
+                    self.bump("deliveries_dropped_dead")
+                    self.emit("kernel", "drop_dead", worker=w, msg_id=msg_id_str(m.msg_id))
+                    continue
+                for action in adj.worker_on_receive(w, m, topo):
+                    if isinstance(action, adj.ExecuteLocally):
+                        self.apply_execution(w, m, comp="alg1", from_worker=sender)
+                    elif isinstance(action, adj.ReportToLeader):
+                        reported += 1
+                        k += alike or not self.jammed("cluster", m, ("leader", c))
+                    elif w in relayed:
+                        suppressed += 1
+                    else:
+                        relayed.add(w)
+                        self.relay([w], m, sender)
+            if k:
+                self.send_reports(c, m, k)
         if received:
             self.bump("deliveries_completed", received * n)
             self.bump("alg1_receives", received * n)
@@ -454,27 +477,6 @@ class _Kernel:
             self.bump("relay_suppressed", suppressed * n)
         if reported:
             self.bump("reports_sent", reported * n)
-
-    def deliver_worker(self, w: int, m: Message, sender: int):
-        """Act on one copy; ``deliver_pass`` counts its receive."""
-        if not self.topo.is_alive(w):
-            self.bump("deliveries_dropped_dead")
-            self.emit("kernel", "drop_dead", worker=w, msg_id=msg_id_str(m.msg_id))
-            return
-        for action in adj.worker_on_receive(w, m, self.topo):
-            if isinstance(action, adj.ExecuteLocally):
-                self.apply_execution(w, m, comp="alg1", from_worker=sender)
-            elif isinstance(action, adj.ReportToLeader):
-                self.bump("reports_sent")
-                if not self.jammed("cluster", m, ("leader", action.cluster)):
-                    self.send_reports(action.cluster, m, 1)
-            else:  # BroadcastToReachable
-                relayed = self.relayed[m.msg_id]
-                if w in relayed:
-                    self.bump("relay_suppressed")
-                    continue
-                relayed.add(w)
-                self.relay([w], m, sender)
 
     def apply_execution(self, w: int, m: Message, comp: str, **sender):
         """A targeted execution, idempotent per (worker, msg): duplicates
@@ -528,13 +530,11 @@ class _Kernel:
 
     def emit_visit(self, comp: str, c: int, mid: str, m: Message, decision):
         """The records of cluster c's leader receiving m for the first time,
-        either strategy: none for a drop, which is only counted; else a
-        process record, its visited set m's with c, then the cluster's
-        execution with its targeted workers.  A ``stop`` outcome writes nothing more: no
-        schedule or forward record follows, which says it."""
-        if decision.outcome == "drop":
-            self.bump(f"{comp}_drops")
-            return
+        either strategy: a process record, its visited set m's with c, then
+        the cluster's execution with its targeted workers.  A ``stop``
+        outcome writes nothing more: no schedule or forward record follows,
+        which says it.  A ``drop`` never comes here: c joins a copy's visited
+        set only once c processed m, so ``first_receive`` stops it first."""
         self.emit(comp, "process", cluster=c, msg_id=mid, hop=m.hop_count,
                   visited=sorted(m.visited_cluster_ids | {c}))
         if decision.executed_here:

@@ -10,6 +10,9 @@ reference byte for byte, shortcuts that interact included:
 - ``deliver_workers`` and ``deliver_nodes``: each worker or tree copy
   delivered and counted alone, not in one pass over cluster runs or tree
   nodes;
+- ``deliver_worker``, which the kernel does not have: each worker copy
+  acted on alone, in order, each report its own ``send_reports`` call, not
+  a cluster run acted on in one pass with its reports sent in one call;
 - ``send_reports``: every report queued and delivered alone, as an entry of
   count 1, none accounted as a certain drop when sent;
 - ``handle_maintenance``: every region visited in every round, not only the
@@ -22,6 +25,7 @@ counters to be checked against; and after every kill and revive each role is
 held by an alive worker, since deliveries check only for a vacancy.
 """
 
+from virtree import adjacent as adj
 from virtree.hierarchical import leader_on_receive_immediate, route_interior
 from virtree.messages import msg_id_str
 from virtree.simkernel import _Kernel, copies_of, quantize
@@ -65,6 +69,27 @@ class ReferenceKernel(_Kernel):
                     self.bump("alg1_receives")
                     self.bump("alg1_cross_region_receives", int(region_of(w) != region_of(s)))
                 self.deliver_worker(w, m, s)
+
+    def deliver_worker(self, w, m, sender):
+        """Act on one worker copy: drop it at a dead worker, else run each
+        of ``worker_on_receive``'s actions in order, a report drawn on the
+        cluster jam and sent alone, a relay made alone or suppressed."""
+        if not self.topo.is_alive(w):
+            self.bump("deliveries_dropped_dead")
+            self.emit("kernel", "drop_dead", worker=w, msg_id=msg_id_str(m.msg_id))
+            return
+        for action in adj.worker_on_receive(w, m, self.topo):
+            if isinstance(action, adj.ExecuteLocally):
+                self.apply_execution(w, m, comp="alg1", from_worker=sender)
+            elif isinstance(action, adj.ReportToLeader):
+                self.bump("reports_sent")
+                if not self.jammed("cluster", m, ("leader", action.cluster)):
+                    self.send_reports(action.cluster, m, 1)
+            elif w in self.relayed[m.msg_id]:
+                self.bump("relay_suppressed")
+            else:
+                self.relayed[m.msg_id].add(w)
+                self.relay([w], m, sender)
 
     def deliver_nodes(self, nodes, m, from_node):
         """Deliver each tree copy alone and count it: park it at a vacant

@@ -1090,13 +1090,15 @@ class TestPerCopyReference:
             ([w for w in range(4) if w != s], [s]) for s in range(4)]
 
     def test_reports_behind_a_queued_one_are_not_queued(self):
-        # targeted worker 3 makes cluster 1's run go copy by copy, one report
-        # a call: the first is queued, and at the second it is still due, so
-        # the later ones can only be dropped as processed
+        # targeted worker 3 makes the entry to cluster 1 go sender by
+        # sender, each pass acting on the run worker by worker and sending
+        # its two reports in one call: the first pass's are queued, and at
+        # the second pass they are still due, so its two can only be
+        # dropped as processed
         kernel, trace, report = assert_same_as_reference(scenario(**dict(FLOOD, commands=[
             CommandSpec(time=0.0, origin=0, scope=("global",), targets=frozenset({3}))])))
-        assert kernel.reports[0] == (1.3, 1.4, 1, 1)
-        assert kernel.unqueued[:3] == [(1.3, 1.4)] * 3
+        assert kernel.reports[0] == (1.3, 1.4, 1, 2)
+        assert [u for u in kernel.unqueued if u[0] == 1.3] == [(1.3, 1.4)] * 2
         # worker 0's broadcast, then worker 0's relay, one entry per class
         assert kernel.fanouts[:4] == [(1.1, [0, 1], 0), (1.2, [1], 0), (1.3, [2, 3], 0),
                                       (1.6, [4, 5, 6, 7], 0)]
@@ -1161,7 +1163,8 @@ class TestPerCopyReference:
     def test_dead_worker_run_beside_counted_runs(self):
         # three clusters a region: worker 0's relay reaches clusters 1 and 2
         # of its own region in one entry at 1.3, after worker 3 of cluster 1
-        # died; cluster 1's run goes copy by copy, cluster 2's is counted
+        # died; cluster 1's run is acted on worker by worker, cluster 2's is
+        # counted
         sc = scenario(**dict(FLOOD, config=HierarchyConfig(2, 3, 2, coordinator_k=2, t_min=1)),
                       failures=[FailureSpec(time=1.25, kind="worker", action="kill", worker=3)])
         kernel, trace, report = assert_same_as_reference(sc)
@@ -1171,11 +1174,14 @@ class TestPerCopyReference:
     def test_run_holding_a_targeted_worker(self):
         sc = scenario(**dict(FLOOD_4W, commands=[CommandSpec(
             time=0.0, origin=0, scope=("global",), targets=frozenset({6}))]))
+        # each sender's run at cluster 1 is acted on worker by worker, and
+        # its four reports go in one call: the first pass's in one entry,
+        # the later three passes' 12 unqueued behind it
         kernel, trace, _ = assert_same_as_reference(sc)
         assert records(trace, "execute_worker") == [
             (1.3, {"worker": 6, "msg_id": "0:0", "hop": 1, "from_worker": 0})]
-        assert kernel.reports[0] == (1.3, 1.4, 1, 1)
-        assert kernel.unqueued[:15] == [(1.3, 1.4)] * 15
+        assert [r for r in kernel.reports if r[0] == 1.3] == [(1.3, 1.4, 1, 4)]
+        assert [u for u in kernel.unqueued if u[0] == 1.3] == [(1.3, 1.4)] * 12
 
     def test_run_with_a_worker_yet_to_relay(self):
         # worker 3 is dead at worker 0's broadcast and back before the relays
@@ -1188,7 +1194,9 @@ class TestPerCopyReference:
         assert relays[:4] == [(1.1, 0, 0), (1.1, 1, 0), (1.1, 2, 0), (1.2, 3, 0)]
 
     def test_cluster_jam_during_a_run(self):
-        # every report draws on the jam, copy by copy; some get through
+        # every report of the 16 draws on the jam, worker by worker; each
+        # sender's pass sends the reports that get through in one call: the
+        # first pass's in one entry, the later passes' unqueued behind it
         kernel, trace, _ = assert_same_as_reference(scenario(**FLOOD_4W, failures=[
             FailureSpec(time=1.25, kind="link", action="jam", link_class="cluster",
                         drop=0.5)]))
@@ -1196,14 +1204,16 @@ class TestPerCopyReference:
                   if t == 1.3]
         queued = [r for r in kernel.reports if r[0] == 1.3]
         unqueued = [f for now, f in kernel.unqueued if now == 1.3]
-        assert 0 < len(jammed) < 15 and len(queued) == 1
-        assert unqueued == [1.4] * (15 - len(jammed))
+        assert 0 < len(jammed) < 16 and [r[:3] for r in queued] == [(1.3, 1.4, 1)]
+        assert 0 < queued[0][3] < 4
+        assert unqueued == [1.4] * (16 - len(jammed) - queued[0][3])
 
     def test_run_breaking_every_condition_at_once(self):
         # each relay of workers 0 to 3 crosses to region 1 as one entry at
         # 1.6; its cluster 2 run holds dead worker 9 and targeted worker 10,
-        # and the cluster link is half jammed, so every copy goes alone and
-        # each alive one's report draws on the jam
+        # and the cluster link is half jammed, so each sender's pass acts on
+        # every run worker by worker and each alive one's report draws on
+        # the jam
         sc = scenario(**dict(FLOOD_4W, commands=[CommandSpec(
             time=0.0, origin=0, scope=("global",), targets=frozenset({10}))]), failures=[
             FailureSpec(time=1.55, kind="worker", action="kill", worker=9),
@@ -1222,10 +1232,12 @@ class TestPerCopyReference:
                         jam2, dead, jam3, jam3,
                         jam2, dead, jam2, jam2, jam3,
                         dead, jam2, jam2, jam3, jam3]
-        # 28 reports: 15 jammed, one queued to each leader, 11 unqueued
+        # 28 reports: 15 jammed; the first pass sends its run's one
+        # unjammed report to cluster 2 and two to cluster 3, one entry a
+        # run; the later passes' 10 are unqueued behind them
         assert [r for r in kernel.reports if r[0] == 1.6] == [(1.6, 1.7, 2, 1),
-                                                              (1.6, 1.7, 3, 1)]
-        assert [u for u in kernel.unqueued if u[0] == 1.6] == [(1.6, 1.7)] * 11
+                                                              (1.6, 1.7, 3, 2)]
+        assert [u for u in kernel.unqueued if u[0] == 1.6] == [(1.6, 1.7)] * 10
         assert report.conservation["deliveries_dropped_dead"] == 4
 
     def test_adjacent_jam_draws_once_per_copy(self):
@@ -1260,16 +1272,17 @@ class TestPerCopyReference:
         assert [t for t, _ in records(trace, "process", cluster=1)] == [1.4]
 
     def test_horizon_cuts_a_runs_unqueued_reports(self):
-        # targeted worker 6 sends cluster 1's run copy by copy: one report
-        # queued, 15 accounted unqueued, all due past the horizon
+        # targeted worker 6 makes the entry to cluster 1 go sender by
+        # sender: the first pass's four reports queued in one entry, the
+        # later passes' 12 accounted unqueued, all due past the horizon
         kernel, _, report = assert_same_as_reference(scenario(**dict(FLOOD_4W, commands=[
             CommandSpec(time=0.0, origin=0, scope=("global",), targets=frozenset({6}))]),
             horizon=1.35))
-        assert kernel.reports == [(1.3, 1.4, 1, 1)]
-        assert kernel.unqueued == [(1.3, 1.4)] * 15
-        # the 15 unqueued reports, the queued one, and each relay's eight
-        # adjacent copies due at 1.6
-        assert report.conservation["deliveries_inflight"] == 15 + 1 + 4 * 8
+        assert kernel.reports == [(1.3, 1.4, 1, 4)]
+        assert kernel.unqueued == [(1.3, 1.4)] * 12
+        # the 12 unqueued reports, the queued entry's four, and each relay's
+        # eight adjacent copies due at 1.6
+        assert report.conservation["deliveries_inflight"] == 12 + 4 + 4 * 8
         assert report.conserved
 
 
@@ -1318,7 +1331,7 @@ class TestClusterRuns:
         # the reference calls it once per receive
         assert receives == ref.conservation["alg1_receives"] == len(calls) - n_calls
         # one call a cluster run of a delivered entry, and one more for each
-        # first relay, whose run goes copy by copy
+        # first relay, whose run is acted on worker by worker
         wpc = CFG_4W.workers_per_cluster
         runs = sum(len({w // wpc for w in ws}) for fire, ws, _ in kernel.fanouts
                    if fire <= sc.horizon)
@@ -1449,7 +1462,7 @@ SMALLEST_RUNS = [pytest.param(sc, id=name) for name, sc in {
     # targeted worker 2 would be the first sender of cluster 1's relays: its
     # run relays copy by copy, each relay with entries of its own
     "first-sender-targeted": small_run(R1X3, [to_cluster(2, targets={2})], LATE_1),
-    # a run holding a targeted worker goes copy by copy
+    # a run holding a targeted worker is acted on worker by worker
     "run-targeted": small_run(R1, [to_cluster(1, targets={0})], LATE_1),
     # the targeted worker is the second of its run, not the first
     "run-targeted-after-its-first": small_run(R1, [to_cluster(1, targets={3})]),
