@@ -9,8 +9,8 @@ from .adjacent import (
     worker_on_receive,
 )
 from .coordinators import (
-    CoordinatorSet,
     candidate_metric,
+    initial_roster,
     liveness_trials,
     monitor_round,
     predicted_liveness,
@@ -18,9 +18,7 @@ from .coordinators import (
 from .errors import (
     ConservationError,
     EmptyGoalSet,
-    NoCandidate,
     OracleMismatch,
-    RegionDead,
     ScenarioInvalid,
     UnknownScope,
     VirtreeError,
@@ -58,7 +56,6 @@ __version__ = "0.1.0"
 __all__ = [
     "CommandSpec",
     "ConservationError",
-    "CoordinatorSet",
     "DelayParams",
     "EmptyGoalSet",
     "FailureSpec",
@@ -67,9 +64,7 @@ __all__ = [
     "MODE_ROOT",
     "Message",
     "MetricsReport",
-    "NoCandidate",
     "OracleMismatch",
-    "RegionDead",
     "Scenario",
     "ScenarioInvalid",
     "Topology",
@@ -87,6 +82,7 @@ __all__ = [
     "goal_clusters_for_scope",
     "goals_left",
     "grid_adjacency",
+    "initial_roster",
     "leader_on_receive_deferred",
     "leader_on_receive_immediate",
     "liveness_trials",

@@ -5,6 +5,10 @@ maintenance round, remove the failed, and when fewer than T_min remain promote
 the fittest region-local candidates.  Nothing here ever looks outside the
 region, which is what keeps repair traffic contained.
 
+A round is a pure function of a region's roster, a tuple of worker ids:
+``monitor_round`` returns the new roster, or None for a dead region, and the
+caller keeps it.  K and T_min are read from ``topo.config``.
+
 A region stays live while at least one coordinator is alive, so independent
 failures with probability p leave it live with probability 1 - p**K.
 """
@@ -15,24 +19,14 @@ import random
 from dataclasses import dataclass
 from itertools import repeat, starmap
 
-from .errors import RegionDead
 from .topology import RegionId, Topology, WorkerId, derive_seed
 
+Roster = tuple[WorkerId, ...]
 
-@dataclass
-class CoordinatorSet:
-    """Active coordinator roster for one region."""
 
-    region: RegionId
-    k: int
-    t_min: int
-    active: list[WorkerId]
-
-    @classmethod
-    def initial(cls, topo: Topology, region: RegionId) -> "CoordinatorSet":
-        k = topo.config.coordinator_k
-        return cls(region=region, k=k, t_min=topo.config.t_min,
-                   active=list(topo.workers_in_region(region)[:k]))
+def initial_roster(topo: Topology, region: RegionId) -> Roster:
+    """The region's K lowest worker ids."""
+    return tuple(topo.workers_in_region(region)[:topo.config.coordinator_k])
 
 
 def candidate_metric(connectivity: float, load: int, energy: float) -> float:
@@ -46,12 +40,12 @@ def candidate_metric(connectivity: float, load: int, energy: float) -> float:
     return 0.5 * connectivity + 0.3 * (1.0 - load_norm) + 0.2 * energy
 
 
-def region_live(cs: CoordinatorSet, topo: Topology) -> bool:
+def region_live(roster: Roster, topo: Topology) -> bool:
     """True while at least one active coordinator is alive (safety floor)."""
-    return any(topo.is_alive(w) for w in cs.active)
+    return any(topo.is_alive(w) for w in roster)
 
 
-def select_replacements(cs: CoordinatorSet, topo: Topology, need: int,
+def select_replacements(roster: Roster, region: RegionId, topo: Topology, need: int,
                         load_of=None) -> list[WorkerId]:
     """Pick up to `need` promotion candidates, best metric first.
 
@@ -61,14 +55,14 @@ def select_replacements(cs: CoordinatorSet, topo: Topology, need: int,
     """
     if need <= 0:
         return []
-    roster = set(cs.active)
-    members = topo.workers_in_region(cs.region)
+    taken = set(roster)
+    members = topo.workers_in_region(region)
     alive = [w for w in members if topo.is_alive(w)]
     # every candidate is alive, so its alive peers are the others alive
     connectivity = (len(alive) - 1) / (len(members) - 1) if len(members) > 1 else 1.0
     scored = []
     for w in alive:
-        if w in roster:
+        if w in taken:
             continue
         load = load_of(w) if load_of else 0
         m = candidate_metric(connectivity, load, topo.energy[w])
@@ -79,49 +73,41 @@ def select_replacements(cs: CoordinatorSet, topo: Topology, need: int,
 
 @dataclass
 class RoundOutcome:
+    active: Roster
     removed: list[WorkerId]
     promoted: list[WorkerId]
-    size_after: int
     alive_before: int
 
+    @property
+    def size_after(self) -> int:
+        return len(self.active)
 
-def monitor_round(cs: CoordinatorSet, topo: Topology, load_of=None,
+
+def monitor_round(roster: Roster, region: RegionId, topo: Topology, load_of=None,
                   eager_refill: bool = False,
-                  single_promotion: bool = False) -> RoundOutcome:
+                  single_promotion: bool = False) -> RoundOutcome | None:
     """One synchronized maintenance round for a region.
 
     Removes coordinators that died since the previous round (one-round
     detection), then refills toward T_min (or K with eager_refill) when the
     alive count breached T_min.  single_promotion caps the refill at one
-    promotion per round.  Raises RegionDead when no alive coordinator remains
-    to run the round at all.
+    promotion per round.  Returns None when no alive coordinator remains to
+    run the round at all.
 
-    Promotion only edits the roster: virtual-role bindings are left exactly
-    as they were.
+    Nothing is edited: the new roster is the outcome's ``active``, and
+    virtual-role bindings are left exactly as they were.
     """
-    alive = [w for w in cs.active if topo.is_alive(w)]
-    alive_before = len(alive)
-    if alive_before == 0:
-        raise RegionDead(f"region {cs.region} has no alive coordinator")
-
-    removed = [w for w in cs.active if not topo.is_alive(w)]
-    cs.active = alive
-
-    promoted: list[WorkerId] = []
-    if len(cs.active) < cs.t_min:
-        target = cs.k if eager_refill else cs.t_min
-        need = target - len(cs.active)
+    alive = tuple(filter(topo.is_alive, roster))
+    if not alive:
+        return None
+    removed = [w for w in roster if not topo.is_alive(w)]
+    cfg, promoted = topo.config, []
+    if len(alive) < cfg.t_min:
+        need = (cfg.coordinator_k if eager_refill else cfg.t_min) - len(alive)
         if single_promotion:
             need = min(need, 1)
-        promoted = select_replacements(cs, topo, need, load_of)
-        cs.active.extend(promoted)
-
-    return RoundOutcome(
-        removed=removed,
-        promoted=promoted,
-        size_after=len(cs.active),
-        alive_before=alive_before,
-    )
+        promoted = select_replacements(alive, region, topo, need, load_of)
+    return RoundOutcome(alive + tuple(promoted), removed, promoted, len(alive))
 
 
 def predicted_liveness(p: float, k: int) -> float:

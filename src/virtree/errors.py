@@ -9,16 +9,8 @@ class UnknownScope(VirtreeError):
     """Scope kind or id does not name anything in the topology."""
 
 
-class NoCandidate(VirtreeError):
-    """Role re-election found no alive candidate in scope."""
-
-
 class EmptyGoalSet(VirtreeError):
     """A command must name at least one goal cluster."""
-
-
-class RegionDead(VirtreeError):
-    """No alive coordinator remains in the region."""
 
 
 class ConservationError(VirtreeError):

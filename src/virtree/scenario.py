@@ -245,7 +245,7 @@ def _pair(row, name: str) -> tuple[int, int]:
 def build_scenario(raw: dict) -> Scenario:
     """Parse and fully validate a raw scenario dict into a Scenario."""
     if not isinstance(raw, dict):
-        raise ScenarioInvalid("", "scenario must be a JSON object")
+        raise ScenarioInvalid("json", "scenario must be a JSON object")
     _reject_unknown(raw, _TOP_KEYS, "")
 
     topo_raw = _need(raw, "topology", dict, "")
@@ -354,7 +354,7 @@ def apply_overrides(raw: dict, assignments: list[str]) -> dict:
     indices are not supported.
     """
     if not isinstance(raw, dict):
-        raise ScenarioInvalid("", "scenario must be a JSON object")
+        raise ScenarioInvalid("json", "scenario must be a JSON object")
     for item in assignments:
         if "=" not in item:
             raise ScenarioInvalid("--set", f"expected key=value, got {item!r}")

@@ -95,8 +95,8 @@ from collections.abc import Callable
 
 from . import adjacent as adj
 from . import hierarchical as hier
-from .coordinators import CoordinatorSet, monitor_round, region_live
-from .errors import ConservationError, NoCandidate, RegionDead
+from .coordinators import initial_roster, monitor_round, region_live
+from .errors import ConservationError
 from .messages import Message, msg_id_str, new_command
 from .metrics import MetricsReport, TraceRecord, build_report
 from .scenario import DEFAULT_LATENCIES, FailureSpec, Scenario
@@ -152,7 +152,7 @@ class _Kernel:
         # fired: only the adjacent strategy schedules, and a leader's death
         # pops them, cancelling them
         self.pending: defaultdict[int, set[tuple]] = defaultdict(set)
-        self.coords = {r: CoordinatorSet.initial(self.topo, r) for r in self.topo.regions}
+        self.rosters = [initial_roster(self.topo, r) for r in self.topo.regions]
         self.links = hier.TreeLinks.build(self.topo)
         # (worker, msg_id) of every targeted execution; a cluster-level one
         # runs once, since a cluster's leader processes a message once
@@ -324,12 +324,11 @@ class _Kernel:
     def reelect(self, scopes: list[tuple[int, int]], old: int | None):
         """Re-elect each (layer, scope) in order, then retry parked copies."""
         for layer, scope in scopes:
-            try:
-                reelect_role(self.topo, layer, scope)
-                self.emit("kernel", "role_reelect", layer=layer, scope=scope,
-                          old=old, new=self.topo.roles[layer][scope])
-            except NoCandidate:
+            new = reelect_role(self.topo, layer, scope)
+            if new is None:
                 self.emit("kernel", "role_vacant", layer=layer, scope=scope, old=old)
+            else:
+                self.emit("kernel", "role_reelect", layer=layer, scope=scope, old=old, new=new)
         if scopes:
             self.retry_parked()
 
@@ -615,45 +614,46 @@ class _Kernel:
         self.send(nodes, m, src)
 
     def handle_maintenance(self, rnd: int):
-        """One maintenance round in every region.  A round is written when it
-        changed the roster or left it degraded, and when it is the region's
-        first since it went dead, which may close a breach though it changes
-        nothing; ``region_dead`` is written once a region goes dead.  Every
-        other round is counted only, in ``alg4_rounds_skipped``.
+        """One maintenance round in every region.  ``monitor_round`` returns a
+        region's new roster, stored in ``rosters``, or None when it is dead.
+        A round is written when it changed the roster or left it degraded, and
+        when it is the region's first since it went dead, which may close a
+        breach though it changes nothing; ``region_dead`` is written once a
+        region goes dead.  Every other round is counted only, in
+        ``alg4_rounds_skipped``.
 
         Only the unsettled regions are visited, in ascending order: those
         where a worker died since their last round, those whose roster is
         below T_min, and those that are dead.  Any other region's roster is
         alive coordinators at or above T_min, and ``monitor_round`` on it
-        would only rebuild an equal roster, so its round is quiet and is
+        would only return an equal roster, so its round is quiet and is
         counted without a visit.  A revive needs no visit of its own: it
         matters only to a region that is dead or below T_min, which stays
         unsettled until a round finds it settled."""
-        dead, unsettled = self.dead_regions, self.unsettled
-        skipped = len(self.coords) - len(unsettled)
+        dead, unsettled, t_min = self.dead_regions, self.unsettled, self.topo.config.t_min
+        skipped = len(self.rosters) - len(unsettled)
         for r in sorted(unsettled):
-            cs = self.coords[r]
-            try:
-                out = monitor_round(cs, self.topo, load_of=self._load_of,
-                                    eager_refill=self.sc.eager_refill,
-                                    single_promotion=self.sc.single_promotion)
-            except RegionDead:
+            out = monitor_round(self.rosters[r], r, self.topo, load_of=self._load_of,
+                                eager_refill=self.sc.eager_refill,
+                                single_promotion=self.sc.single_promotion)
+            if out is None:
                 if r in dead:
                     skipped += 1
                 else:
                     dead.add(r)
-                    self.emit("alg4", "region_dead", region=r, round=rnd, t_min=cs.t_min)
+                    self.emit("alg4", "region_dead", region=r, round=rnd, t_min=t_min)
                 continue
-            if len(cs.active) >= cs.t_min:
+            self.rosters[r] = out.active
+            if out.size_after >= t_min:
                 unsettled.discard(r)
             if r in dead:
                 dead.remove(r)
-            elif not (out.removed or out.promoted or out.size_after < cs.t_min):
+            elif not (out.removed or out.promoted or out.size_after < t_min):
                 skipped += 1
                 continue
             self.emit("alg4", "round", region=r, round=rnd, removed=out.removed,
                       promoted=out.promoted, size_after=out.size_after,
-                      alive_before=out.alive_before, t_min=cs.t_min)
+                      alive_before=out.alive_before, t_min=t_min)
         if skipped:  # a bump of 0 would add the key to the conservation output
             self.bump("alg4_rounds_skipped", skipped)
 
@@ -751,10 +751,10 @@ class _Kernel:
             and g("parked_total", 0) == g("parked_retried_ok", 0)
             + g("parked_failed", 0) + g("parked_pending", 0)
         )
-        live = sum(1 for r, cs in self.coords.items() if region_live(cs, self.topo))
+        live = sum(region_live(roster, self.topo) for roster in self.rosters)
         self.now = max(self.now, self.dropped_until)
         self.emit("kernel", "run_end",
-                  live_region_fraction=live / len(self.coords),
+                  live_region_fraction=live / len(self.rosters),
                   conservation=dict(sorted(self.counters.items())),
                   conserved=conserved)
         self.flush()  # the sink gets run_end even when the run then raises

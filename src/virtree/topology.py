@@ -18,8 +18,8 @@ the dead ids, few in most runs, are one set, empty at build.  Worker ids are
 trusted (``scenario`` validates them): ``is_alive`` is defined on 0..n-1 only.
 
 One worker may hold several roles at once.  Role bindings live in
-``Topology.roles``, one holder dict per built layer; re-election replaces a
-single binding and leaves the rest alone.
+``Topology.roles``, one holder dict per built layer; ``reelect_role`` binds or
+vacates one role, leaves the rest alone and returns the holder or None.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ import random
 from array import array
 from dataclasses import dataclass
 
-from .errors import NoCandidate, UnknownScope
+from .errors import UnknownScope
 
 WorkerId = int
 ClusterId = int
@@ -285,12 +285,12 @@ def _candidates(topo: Topology, layer: int, scope_id: int) -> list[WorkerId]:
     return [w for w in pool if topo.is_alive(w)]
 
 
-def reelect_role(topo: Topology, layer: int, scope_id: int):
+def reelect_role(topo: Topology, layer: int, scope_id: int) -> WorkerId | None:
     """Re-elect the role at (layer, scope_id); lowest alive candidate id wins.
 
-    Rebinds ``topo.roles[layer][scope_id]``.  Raises NoCandidate when the
-    scope has no alive candidate; the binding is vacated in that case so
-    routing sees the hole instead of a dead holder.
+    Rebinds ``topo.roles[layer][scope_id]`` and returns the new holder.  When
+    the scope has no alive candidate the binding is vacated instead, so
+    routing sees the hole rather than a dead holder, and None is returned.
     """
     if layer not in topo.roles:
         raise UnknownScope(f"layer {layer} not built (num_layers={topo.config.num_layers})")
@@ -298,5 +298,6 @@ def reelect_role(topo: Topology, layer: int, scope_id: int):
     cands = _candidates(topo, layer, scope_id)
     if not cands:
         holders.pop(scope_id, None)
-        raise NoCandidate(f"layer {layer} scope {scope_id}")
+        return None
     holders[scope_id] = cands[0]
+    return cands[0]

@@ -53,7 +53,7 @@ class ReferenceKernel(_Kernel):
             self.push(fire, self.handle_delivery, (("leader", c), m, 1, False))
 
     def handle_maintenance(self, rnd):
-        self.unsettled.update(self.coords)
+        self.unsettled.update(self.topo.regions)
         super().handle_maintenance(rnd)
 
     def deliver_workers(self, ws, m, senders):

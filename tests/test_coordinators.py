@@ -3,17 +3,18 @@ import tracemalloc
 from array import array
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from virtree.coordinators import (
-    CoordinatorSet,
     candidate_metric,
+    initial_roster,
     liveness_trials,
     monitor_round,
     predicted_liveness,
     region_live,
     select_replacements,
 )
-from virtree.errors import RegionDead
 from virtree.metrics import liveness_estimate
 from virtree.topology import HierarchyConfig, build_topology, derive_seed
 
@@ -38,17 +39,15 @@ def make_topo(**kw):
 
 class TestRoster:
     def test_initial_roster_lowest_ids(self, topo32):
-        cs = CoordinatorSet.initial(topo32, 1)
-        assert cs.active == [8, 9, 10, 11, 12]
-        assert (cs.k, cs.t_min) == (5, 3)
+        assert initial_roster(topo32, 1) == (8, 9, 10, 11, 12)
 
     def test_region_live_until_last_coordinator(self, topo32):
-        cs = CoordinatorSet.initial(topo32, 0)
+        roster = initial_roster(topo32, 0)
         for w in (0, 1, 2, 3):
             topo32.mark_dead(w)
-        assert region_live(cs, topo32)
+        assert region_live(roster, topo32)
         topo32.mark_dead(4)
-        assert not region_live(cs, topo32)
+        assert not region_live(roster, topo32)
 
 
 class TestCandidateMetric:
@@ -67,29 +66,33 @@ class TestCandidateMetric:
 class TestSelectReplacements:
     def test_best_metric_first(self):
         topo = make_topo()
-        cs = CoordinatorSet.initial(topo, 0)
+        roster = initial_roster(topo, 0)
         topo.energy[5:8] = array("d", [0.3, 0.9, 0.5])
-        assert select_replacements(cs, topo, 2) == [6, 7]
+        assert select_replacements(roster, 0, topo, 2) == [6, 7]
 
     def test_tie_breaks_to_lowest_id(self):
         topo = make_topo()
-        cs = CoordinatorSet.initial(topo, 0)
+        roster = initial_roster(topo, 0)
         topo.energy[5:8] = array("d", [0.5, 0.5, 0.5])
-        assert select_replacements(cs, topo, 2) == [5, 6]
+        assert select_replacements(roster, 0, topo, 2) == [5, 6]
 
     def test_dead_and_rostered_excluded(self):
         topo = make_topo()
-        cs = CoordinatorSet.initial(topo, 0)
+        roster = initial_roster(topo, 0)
         topo.mark_dead(6)
-        picked = select_replacements(cs, topo, 3)
+        picked = select_replacements(roster, 0, topo, 3)
         assert 6 not in picked
-        assert not set(picked) & set(cs.active)
+        assert not set(picked) & set(roster)
+
+    def test_nothing_needed_picks_nothing(self):
+        topo = make_topo()
+        assert select_replacements(initial_roster(topo, 0), 0, topo, 0) == []
 
     def test_load_aware(self):
         topo = make_topo()
-        cs = CoordinatorSet.initial(topo, 0)
+        roster = initial_roster(topo, 0)
         topo.energy[5:8] = array("d", [0.5, 0.5, 0.5])
-        assert select_replacements(cs, topo, 1, load_of=lambda w: 3 if w == 5 else 0) == [6]
+        assert select_replacements(roster, 0, topo, 1, load_of=lambda w: 3 if w == 5 else 0) == [6]
 
     def test_matches_per_candidate_peer_scan(self):
         # reference: each candidate's connectivity counted from its own peers
@@ -99,7 +102,7 @@ class TestSelectReplacements:
             members = topo.workers_in_region(0)
             for w in rng.sample(members, rng.randrange(len(members) - 1)):
                 topo.mark_dead(w)
-            cs = CoordinatorSet.initial(topo, 0)
+            roster = initial_roster(topo, 0)
             load = {w: rng.randrange(4) for w in members}
 
             def metric(w):
@@ -107,114 +110,149 @@ class TestSelectReplacements:
                 conn = sum(1 for p in peers if topo.is_alive(p)) / len(peers)
                 return candidate_metric(conn, load[w], topo.energy[w])
             ranked = sorted((-metric(w), w) for w in members
-                            if topo.is_alive(w) and w not in cs.active)
+                            if topo.is_alive(w) and w not in roster)
             need = rng.randrange(1, 8)
-            assert select_replacements(cs, topo, need, load.get) == \
+            assert select_replacements(roster, 0, topo, need, load.get) == \
                 [w for _, w in ranked[:need]]
 
 
 class TestMonitorRound:
     def test_quiet_round_changes_nothing(self):
         topo = make_topo()
-        cs = CoordinatorSet.initial(topo, 0)
-        out = monitor_round(cs, topo)
+        out = monitor_round(initial_roster(topo, 0), 0, topo)
         assert (out.removed, out.promoted) == ([], [])
         assert out.alive_before == out.size_after == 5
-        assert cs.active == [0, 1, 2, 3, 4]
+        assert out.active == (0, 1, 2, 3, 4)
 
     def test_single_failure_removed_no_promotion(self):
         topo = make_topo()
-        cs = CoordinatorSet.initial(topo, 0)
         topo.mark_dead(2)
-        out = monitor_round(cs, topo)
+        out = monitor_round(initial_roster(topo, 0), 0, topo)
         assert out.removed == [2]
         assert out.promoted == []
+        assert out.active == (0, 1, 3, 4)
         assert out.size_after == 4  # still >= T_min
-        assert out.size_after >= cs.t_min
+        assert out.size_after >= topo.config.t_min
 
     def test_exactly_t_min_alive_needs_no_promotion(self):
         topo = make_topo()
-        cs = CoordinatorSet.initial(topo, 0)
         topo.mark_dead(0)
         topo.mark_dead(1)
-        out = monitor_round(cs, topo)
+        out = monitor_round(initial_roster(topo, 0), 0, topo)
         assert out.removed == [0, 1]
         assert out.promoted == []
         assert out.size_after == 3  # exactly T_min is still fine
-        assert out.size_after >= cs.t_min
+        assert out.size_after >= topo.config.t_min
 
     def test_breach_refills_to_t_min_same_round(self):
         topo = make_topo()
-        cs = CoordinatorSet.initial(topo, 0)
         for w in (0, 1, 2):
             topo.mark_dead(w)
-        out = monitor_round(cs, topo)
+        out = monitor_round(initial_roster(topo, 0), 0, topo)
         assert out.removed == [0, 1, 2]
         assert out.alive_before == 2
         assert len(out.promoted) == 1
+        assert out.active == (3, 4, *out.promoted)
         assert out.size_after == 3
-        assert out.size_after >= cs.t_min
+        assert out.size_after >= topo.config.t_min
 
     def test_eager_refill_restores_k(self):
         topo = make_topo()
-        cs = CoordinatorSet.initial(topo, 0)
         for w in (0, 1, 2):
             topo.mark_dead(w)
-        out = monitor_round(cs, topo, eager_refill=True)
+        out = monitor_round(initial_roster(topo, 0), 0, topo, eager_refill=True)
         assert len(out.promoted) == 3
         assert out.size_after == 5
 
     def test_single_promotion_takes_extra_round(self):
         topo = make_topo()
-        cs = CoordinatorSet.initial(topo, 0)
         for w in (0, 1, 2, 3):
             topo.mark_dead(w)
-        first = monitor_round(cs, topo, single_promotion=True)
+        first = monitor_round(initial_roster(topo, 0), 0, topo, single_promotion=True)
         assert len(first.promoted) == 1
         assert first.size_after == 2
-        assert first.size_after < cs.t_min
-        second = monitor_round(cs, topo, single_promotion=True)
+        assert first.size_after < topo.config.t_min
+        second = monitor_round(first.active, 0, topo, single_promotion=True)
         assert len(second.promoted) == 1
         assert second.size_after == 3
-        assert second.size_after >= cs.t_min
+        assert second.size_after >= topo.config.t_min
 
     def test_degraded_when_region_out_of_candidates(self):
         topo = build_topology(HierarchyConfig(2, 2, coordinator_k=4, t_min=3), seed=3)
-        cs = CoordinatorSet.initial(topo, 0)  # roster is the whole region
+        roster = initial_roster(topo, 0)  # the whole region
         topo.mark_dead(0)
         topo.mark_dead(1)
-        out = monitor_round(cs, topo)
+        out = monitor_round(roster, 0, topo)
         assert out.promoted == []
         assert out.size_after == 2
-        assert out.size_after < cs.t_min
+        assert out.size_after < topo.config.t_min
 
-    def test_all_dead_raises_region_dead(self):
+    def test_all_dead_returns_none(self):
         topo = make_topo()
-        cs = CoordinatorSet.initial(topo, 0)
         for w in (0, 1, 2, 3, 4):
             topo.mark_dead(w)
-        with pytest.raises(RegionDead):
-            monitor_round(cs, topo)
+        assert monitor_round(initial_roster(topo, 0), 0, topo) is None
 
     def test_roster_repair_leaves_roles_alone(self):
         topo = make_topo()
-        cs = CoordinatorSet.initial(topo, 0)
         before = {layer: dict(holders) for layer, holders in topo.roles.items()}
         for w in (0, 1, 2):
             topo.mark_dead(w)
-        monitor_round(cs, topo)
+        monitor_round(initial_roster(topo, 0), 0, topo)
         assert topo.roles == before
 
     def test_region_processing_order_irrelevant(self):
         outcomes = {}
         for order in ((0, 1), (1, 0)):
             topo = make_topo(regions_per_hub=2)
-            coords = {r: CoordinatorSet.initial(topo, r) for r in topo.regions}
+            rosters = [initial_roster(topo, r) for r in topo.regions]
             for w in (0, 1, 2, 8, 9, 10):
                 topo.mark_dead(w)
-            outcomes[order] = [monitor_round(coords[r], topo) for r in order]
+            outcomes[order] = [monitor_round(rosters[r], r, topo) for r in order]
         assert outcomes[(0, 1)][0] == outcomes[(1, 0)][1]  # region 0
         assert outcomes[(0, 1)][1] == outcomes[(1, 0)][0]  # region 1
+
+
+@st.composite
+def rounds(draw):
+    """A shape with K and T_min, a region in it, a dead set, a roster of
+    distinct region workers in any order, a load per worker and both refill
+    flags."""
+    k = draw(st.integers(1, 5))
+    cfg = HierarchyConfig(draw(st.integers(1, 3)), draw(st.integers(1, 3)),
+                          draw(st.integers(1, 2)), coordinator_k=k,
+                          t_min=draw(st.integers(1, k)))
+    topo = build_topology(cfg, seed=draw(st.integers(0, 9)))
+    for w in draw(st.sets(st.sampled_from(range(cfg.n_workers)))):
+        topo.mark_dead(w)
+    region = draw(st.sampled_from(topo.regions))
+    members = topo.workers_in_region(region)
+    roster = tuple(draw(st.lists(st.sampled_from(members), unique=True, max_size=k)))
+    load = draw(st.lists(st.integers(0, 3), min_size=cfg.n_workers,
+                         max_size=cfg.n_workers))
+    flags = {"eager_refill": draw(st.booleans()), "single_promotion": draw(st.booleans())}
+    return topo, region, roster, load, flags
+
+
+class TestMonitorRoundIsPure:
+    @settings(max_examples=300, deadline=None)
+    @given(rounds())
+    def test_same_inputs_same_outcome(self, case):
+        # the kernel keeps each region's roster: a second call on the same
+        # inputs returns an equal outcome, and neither edits the topology (a
+        # roster is a tuple, so no call can edit the one it is given)
+        topo, region, roster, load, flags = case
+        before = ({layer: dict(h) for layer, h in topo.roles.items()}, set(topo.dead),
+                  topo.energy.tolist())
+        first, again = (monitor_round(roster, region, topo, load.__getitem__, **flags)
+                        for _ in range(2))
+        assert first == again
+        assert (topo.roles, topo.dead, topo.energy.tolist()) == before
+        assert (first is None) == (not any(map(topo.is_alive, roster)))
+        if first is not None:
+            assert type(first.active) is tuple
+            assert len(set(first.active)) == first.size_after
+            assert all(map(topo.is_alive, first.active))
 
 
 class TestLiveness:

@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -227,7 +228,8 @@ class TestBuildReport:
         assert rebuilt == report
 
     def test_csv_layout(self, run_result):
-        _, report = run_result
+        # a recovered and an unrestored region added, so every section is written
+        report = replace(run_result[1], recovery_samples=[(0, 2)], open_breaches={1: 3})
         lines = report.to_csv().splitlines()
         assert lines[0] == "section,key,value"
         assert lines[1] == "run,strategy,adjacent"
@@ -237,6 +239,7 @@ class TestBuildReport:
         ranks = [order[s] for s in sections]
         assert ranks == sorted(ranks)
         assert "message,0:0.goals_executed,2" in lines
+        assert lines[-2:] == ["recovery,0,2", "unrestored,1,1"]
 
     def test_json_obj_shape(self, run_result):
         _, report = run_result

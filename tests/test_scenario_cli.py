@@ -91,6 +91,8 @@ class TestBuildScenario:
         (lambda d: d.update(failures=[{"time": 1.0, "kind": "adjacency",
                                        "action": "add", "edge": [True, 0]}]),
          "failures[0].edge"),
+        (lambda d: d.update(commands=[1]), "commands[0]"),
+        (lambda d: d.update(failures=[1]), "failures[0]"),
     ])
     def test_type_errors_name_the_field(self, mutate, field):
         raw = base_dict()
@@ -258,12 +260,27 @@ class TestCli:
         (b'{"seed": ' + b"9" * 5000 + b"}", []),
         (b"[1, 2]", ["--set", "seed=1"]),
         (b"[1, 2]", ["--seed", "1"]),
-    ], ids=["not-utf8", "overlong-int", "array-with-set", "array-with-seed"])
+        (b"[1]", []),
+    ], ids=["not-utf8", "overlong-int", "array-with-set", "array-with-seed", "array"])
     def test_malformed_file_exits_2(self, tmp_path, capsys, content, extra):
         path = tmp_path / "bad.json"
         path.write_bytes(content)
         assert main(["validate", "--scenario", str(path), *extra]) == 2
-        assert "invalid scenario" in capsys.readouterr().err
+        assert "invalid scenario: json: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("failure, field", [
+        ('{"time": 1.0, "kind": "worker", "action": "jam", "worker": 0}', "failures[0].action"),
+        ('{"time": 1.0, "kind": "link", "action": "kill", "link_class": "tree"}',
+         "failures[0].action"),
+        ('{"time": 1.0, "kind": "adjacency", "action": "add", "edge": [0, 9]}',
+         "failures[0].edge"),
+    ], ids=["worker-jam", "link-kill", "edge-out-of-range"])
+    def test_bad_failure_exits_2_naming_the_field(self, tmp_path, capsys, failure, field):
+        # the base scenario has 2 regions
+        code = main(["validate", "--scenario", write_scenario(tmp_path),
+                     "--set", f"failures=[{failure}]"])
+        assert code == 2
+        assert f"invalid scenario: {field}: " in capsys.readouterr().err
 
     def test_deeply_nested_file_exits_2(self, tmp_path, capsys):
         path = tmp_path / "deep.json"
@@ -443,10 +460,13 @@ class TestCliSweep:
         (["--param", "p", "--values", "2"], "--values"),
         (["--param", "K", "--values", "abc"], "--values"),
         (["--param", "K", "--values", "3", "--p", "1.5"], "--p"),
-    ], ids=["regions-0", "K-0", "p-2", "K-abc", "base-p-1.5"])
+        (["--param", "K", "--values", ","], "--values"),
+        (["--param", "K", "--values", "3", "--trials", "0"], "--trials"),
+    ], ids=["regions-0", "K-0", "p-2", "K-abc", "base-p-1.5", "no-values", "trials-0"])
     def test_bad_values_exit_2_naming_the_field(self, tmp_path, capsys, args, field):
-        code = main(["sweep", "--scenario", write_scenario(tmp_path), *args,
-                     "--trials", "1", "--out", str(tmp_path / "out")])
+        # args come after --trials 1, so a --trials among them wins
+        code = main(["sweep", "--scenario", write_scenario(tmp_path), "--trials", "1",
+                     *args, "--out", str(tmp_path / "out")])
         assert code == 2
         assert f"invalid scenario: {field}: " in capsys.readouterr().err
 

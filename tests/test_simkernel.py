@@ -14,7 +14,7 @@ from virtree import simkernel
 from virtree.adjacent import DelayParams, reachable_workers
 from virtree.coordinators import monitor_round
 from virtree.hierarchical import MODE_LCA, MODE_ROOT, TreeLinks
-from virtree.errors import ConservationError, RegionDead, ScenarioInvalid
+from virtree.errors import ConservationError, ScenarioInvalid
 from virtree.messages import new_command
 from virtree.metrics import dump_trace
 from virtree.scenario import CommandSpec, FailureSpec, Scenario, validate_scenario
@@ -373,7 +373,7 @@ def assert_same_run(a, b):
 
 def assert_same_as_reference(sc):
     """Run sc on the reference kernel, recording the outcome of every
-    region's every round, RegionDead included, and on the kernel,
+    region's every round, None for a dead one, and on the kernel,
     recording: the same trace bytes and the same whole report, the receive
     counters equal to the reference's receive log, and the rounds the trace
     keeps folding like every round (``assert_rounds_fold``).  Returns the
@@ -382,14 +382,10 @@ def assert_same_as_reference(sc):
     outcomes = []  # (region, round, RoundOutcome or None when dead, t_min)
     rounds = Counter()
 
-    def recording(cs, topo, **kw):
-        rounds[cs.region] += 1
-        try:
-            out = monitor_round(cs, topo, **kw)
-        except RegionDead:
-            outcomes.append((cs.region, rounds[cs.region], None, cs.t_min))
-            raise
-        outcomes.append((cs.region, rounds[cs.region], out, cs.t_min))
+    def recording(roster, region, topo, **kw):
+        rounds[region] += 1
+        out = monitor_round(roster, region, topo, **kw)
+        outcomes.append((region, rounds[region], out, topo.config.t_min))
         return out
 
     with pytest.MonkeyPatch.context() as mp:
@@ -437,9 +433,9 @@ def visited_rounds(sc):
     visits = []
     kernel = _Kernel(sc)
 
-    def recording(cs, topo, **kw):
-        visits.append((cs.region, round(kernel.now / sc.round_period)))
-        return monitor_round(cs, topo, **kw)
+    def recording(roster, region, topo, **kw):
+        visits.append((region, round(kernel.now / sc.round_period)))
+        return monitor_round(roster, region, topo, **kw)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(simkernel, "monitor_round", recording)

@@ -3,7 +3,7 @@ import tracemalloc
 
 import pytest
 
-from virtree.errors import NoCandidate, ScenarioInvalid, UnknownScope
+from virtree.errors import ScenarioInvalid, UnknownScope
 from virtree.scenario import Scenario, validate_scenario
 from virtree.topology import (
     SCOPE_LAYERS,
@@ -212,29 +212,27 @@ class TestReelection:
     def test_two_worker_cluster_survivor_takes_over(self, topo32):
         assert topo32.roles[2][0] == 0
         topo32.mark_dead(0)
-        reelect_role(topo32, 2, 0)
+        assert reelect_role(topo32, 2, 0) == 1
         assert topo32.roles[2][0] == 1
 
     def test_hub_election_picks_lowest_leader(self, topo32):
         # region 0 leaders are 0,2,4,6; drop the hub holder and its cluster
         topo32.mark_dead(0)
         topo32.mark_dead(1)
-        with pytest.raises(NoCandidate):
-            reelect_role(topo32, 2, 0)
-        reelect_role(topo32, 3, 0)
+        assert reelect_role(topo32, 2, 0) is None
+        assert reelect_role(topo32, 3, 0) == 2
         assert topo32.roles[3][0] == 2
 
     def test_no_candidate_vacates_binding(self, topo32):
         topo32.mark_dead(4)
         topo32.mark_dead(5)
-        with pytest.raises(NoCandidate):
-            reelect_role(topo32, 2, 2)
+        assert reelect_role(topo32, 2, 2) is None
         assert 2 not in topo32.roles[2]
 
     def test_other_bindings_untouched(self, topo32):
         before = dict(topo32.roles[2])
         topo32.mark_dead(6)
-        reelect_role(topo32, 2, 3)
+        assert reelect_role(topo32, 2, 3) == 7
         after = topo32.roles[2]
         assert after[3] == 7
         assert {c: w for c, w in after.items() if c != 3} == \
@@ -259,10 +257,7 @@ class TestReelection:
                 held = topo.roles_held_by(w)
                 topo.mark_dead(w)
                 for layer, scope in held:
-                    try:
-                        reelect_role(topo, layer, scope)
-                    except NoCandidate:
-                        pass
+                    assert reelect_role(topo, layer, scope) == topo.roles[layer].get(scope)
             for layer, holders in topo.roles.items():
                 for scope, holder in holders.items():
                     assert topo.is_alive(holder)
@@ -286,18 +281,12 @@ class TestReelection:
                     held = full_scan(topo, w)
                     topo.mark_dead(w)
                     for layer, scope in held:
-                        try:
-                            reelect_role(topo, layer, scope)
-                        except NoCandidate:
-                            pass
+                        reelect_role(topo, layer, scope)
                 else:  # revive and fill the vacancies along its chain
                     topo.mark_alive(w)
                     for layer, holders in topo.roles.items():
                         scope = topo.scope_of(topo.cluster_of(w), layer)
                         if scope not in holders:
-                            try:
-                                reelect_role(topo, layer, scope)
-                            except NoCandidate:
-                                pass
+                            reelect_role(topo, layer, scope)
                 for v in range(cfg.n_workers):
                     assert topo.roles_held_by(v) == full_scan(topo, v)
