@@ -35,6 +35,17 @@ def base_dict(**extra):
     return d
 
 
+def field_id(value):
+    """A build_scenario error row's id: the field its message names."""
+    return value.split(": ")[0] if isinstance(value, str) else None
+
+
+def whole(mutate, message):
+    """A row whose id is its whole message: a plain row's id is its field,
+    which several rows name."""
+    return pytest.param(mutate, message, id=message)
+
+
 def write_scenario(tmp_path, name="sc.json", **extra):
     path = tmp_path / name
     path.write_text(json.dumps(base_dict(**extra)))
@@ -58,48 +69,162 @@ class TestBuildScenario:
         raw["commands"][0]["payload"] = "01ff"
         assert build_scenario(raw).commands[0].payload == b"\x01\xff"
 
-    @pytest.mark.parametrize("mutate,field", [
-        (lambda d: d.update(warp=1), "warp"),
-        (lambda d: d["topology"].update(rows=3), "topology.rows"),
-        (lambda d: d.update(delays={"gamma": 1.0}), "delays.gamma"),
-        (lambda d: d["coordinator"].update(quorum=2), "coordinator.quorum"),
-        (lambda d: d.update(routing={"style": "x"}), "routing.style"),
-        (lambda d: d["commands"][0].update(speed=1), "commands[0].speed"),
-        (lambda d: d["commands"][0]["scope"].update(level=1), "commands[0].scope.level"),
+    @pytest.mark.parametrize("mutate,message", [
+        (lambda d: d.update(warp=1), "warp: unknown key"),
+        (lambda d: d["topology"].update(rows=3), "topology.rows: unknown key"),
+        (lambda d: d.update(delays={"gamma": 1.0}), "delays.gamma: unknown key"),
+        (lambda d: d["coordinator"].update(quorum=2), "coordinator.quorum: unknown key"),
+        (lambda d: d.update(routing={"style": "x"}), "routing.style: unknown key"),
+        (lambda d: d["commands"][0].update(speed=1), "commands[0].speed: unknown key"),
+        (lambda d: d["commands"][0]["scope"].update(level=1),
+         "commands[0].scope.level: unknown key"),
         (lambda d: d.update(failures=[{"time": 0.0, "kind": "worker",
                                        "action": "kill", "worker": 0, "blast": 1}]),
-         "failures[0].blast"),
-    ])
-    def test_unknown_keys_rejected_with_path(self, mutate, field):
+         "failures[0].blast: unknown key"),
+        # the first unknown key in sorted order is named
+        whole(lambda d: d["commands"][0].update(zeta=1, beta=2), "commands[0].beta: unknown key"),
+        # an unknown key wins over a bad type beside it
+        whole(lambda d: d["commands"][0].update(time="soon", speed=1),
+              "commands[0].speed: unknown key"),
+        whole(lambda d: d.update(failures=[{"time": "x", "kind": 1, "action": "kill",
+                                            "worker": True, "blast": 1}]),
+              "failures[0].blast: unknown key"),
+        whole(lambda d: d["topology"].update(domains="two", rows=3), "topology.rows: unknown key"),
+    ], ids=field_id)
+    def test_unknown_keys_rejected_with_path(self, mutate, message):
         raw = base_dict()
         mutate(raw)
         with pytest.raises(ScenarioInvalid) as err:
             build_scenario(raw)
-        assert err.value.field == field
+        assert (err.value.field, str(err.value)) == (message.split(": ")[0], message)
 
-    @pytest.mark.parametrize("mutate,field", [
+    @pytest.mark.parametrize("mutate,message", [
         (lambda d: d["topology"].update(workers_per_cluster=True),
-         "topology.workers_per_cluster"),
-        (lambda d: d.update(horizon="soon"), "horizon"),
-        (lambda d: d.update(seed=1.5), "seed"),
-        (lambda d: d["commands"][0].update(targets=[1, "two"]), "commands[0].targets"),
-        (lambda d: d["commands"][0].update(payload="zz"), "commands[0].payload"),
-        (lambda d: d["topology"].update(adjacency=[[0]]), "topology.adjacency[0]"),
-        (lambda d: d.update(link_latencies={"tree": True}), "link_latencies.tree"),
-        (lambda d: d["commands"][0].update(targets=[True]), "commands[0].targets"),
-        (lambda d: d["topology"].update(adjacency=[[True, 0]]), "topology.adjacency[0]"),
+         "topology.workers_per_cluster: expected int, got bool"),
+        (lambda d: d.update(horizon="soon"), "horizon: expected number, got str"),
+        (lambda d: d.update(seed=1.5), "seed: expected int, got float"),
+        (lambda d: d["commands"][0].update(targets=[1, "two"]),
+         "commands[0].targets: expected int, got str"),
+        (lambda d: d["commands"][0].update(payload="zz"),
+         "commands[0].payload: expected a hex string"),
+        (lambda d: d["topology"].update(adjacency=[[0]]),
+         "topology.adjacency[0]: expected a [region, region] pair"),
+        (lambda d: d.update(link_latencies={"tree": True}),
+         "link_latencies.tree: expected number, got bool"),
+        (lambda d: d["commands"][0].update(targets=[True]),
+         "commands[0].targets: expected int, got bool"),
+        (lambda d: d["topology"].update(adjacency=[[True, 0]]),
+         "topology.adjacency[0]: expected int, got bool"),
         (lambda d: d.update(failures=[{"time": 1.0, "kind": "adjacency",
                                        "action": "add", "edge": [True, 0]}]),
-         "failures[0].edge"),
-        (lambda d: d.update(commands=[1]), "commands[0]"),
-        (lambda d: d.update(failures=[1]), "failures[0]"),
-    ])
-    def test_type_errors_name_the_field(self, mutate, field):
+         "failures[0].edge: expected int, got bool"),
+        (lambda d: d.update(commands=[1]), "commands[0]: expected an object"),
+        (lambda d: d.update(failures=[1]), "failures[0]: expected an object"),
+        # every command field: missing, and of a wrong type
+        whole(lambda d: d["commands"][0].pop("time"), "commands[0].time: missing required key"),
+        whole(lambda d: d["commands"][0].pop("origin"), "commands[0].origin: missing required key"),
+        whole(lambda d: d["commands"][0].pop("scope"), "commands[0].scope: missing required key"),
+        whole(lambda d: d["commands"][0]["scope"].pop("kind"),
+              "commands[0].scope.kind: missing required key"),
+        whole(lambda d: d["commands"][0].update(time=float("inf")),
+              "commands[0].time: must be a finite number, got inf"),
+        whole(lambda d: d["commands"][0].update(time=json.loads("1e999")),
+              "commands[0].time: must be a finite number, got inf"),
+        whole(lambda d: d["commands"][0].update(time=float("nan")),
+              "commands[0].time: must be a finite number, got nan"),
+        whole(lambda d: d["commands"][0].update(origin=True),
+              "commands[0].origin: expected int, got bool"),
+        whole(lambda d: d["commands"][0].update(origin=0.0),
+              "commands[0].origin: expected int, got float"),
+        whole(lambda d: d["commands"][0].update(scope="region"),
+              "commands[0].scope: expected dict, got str"),
+        whole(lambda d: d["commands"][0]["scope"].update(kind=3),
+              "commands[0].scope.kind: expected str, got int"),
+        whole(lambda d: d["commands"][0]["scope"].update(id="1"),
+              "commands[0].scope.id: expected int, got str"),
+        whole(lambda d: d["commands"][0].update(targets=3),
+              "commands[0].targets: expected list, got int"),
+        whole(lambda d: d["commands"][0].update(payload=5),
+              "commands[0].payload: expected str, got int"),
+        # every failure field: missing, and of a wrong type
+        whole(lambda d: d.update(failures=[{"kind": "worker", "action": "kill", "worker": 0}]),
+              "failures[0].time: missing required key"),
+        whole(lambda d: d.update(failures=[{"time": 1.0, "action": "kill", "worker": 0}]),
+              "failures[0].kind: missing required key"),
+        whole(lambda d: d.update(failures=[{"time": 1.0, "kind": "worker", "worker": 0}]),
+              "failures[0].action: missing required key"),
+        whole(lambda d: d.update(failures=[{"time": "1", "kind": "worker", "action": "kill",
+                                            "worker": 0}]),
+              "failures[0].time: expected number, got str"),
+        whole(lambda d: d.update(failures=[{"time": json.loads("1e999"), "kind": "worker",
+                                            "action": "kill", "worker": 0}]),
+              "failures[0].time: must be a finite number, got inf"),
+        whole(lambda d: d.update(failures=[{"time": 1.0, "kind": None, "action": "kill",
+                                            "worker": 0}]),
+              "failures[0].kind: expected str, got NoneType"),
+        whole(lambda d: d.update(failures=[{"time": 1.0, "kind": "worker", "action": ["kill"],
+                                            "worker": 0}]),
+              "failures[0].action: expected str, got list"),
+        whole(lambda d: d.update(failures=[{"time": 1.0, "kind": "worker", "action": "kill",
+                                            "worker": True}]),
+              "failures[0].worker: expected int, got bool"),
+        whole(lambda d: d.update(failures=[{"time": 1.0, "kind": "region", "action": "kill",
+                                            "region": 1.0}]),
+              "failures[0].region: expected int, got float"),
+        whole(lambda d: d.update(failures=[{"time": 1.0, "kind": "link", "action": "jam",
+                                            "link_class": 2}]),
+              "failures[0].link_class: expected str, got int"),
+        whole(lambda d: d.update(failures=[{"time": 1.0, "kind": "link", "action": "jam",
+                                            "link_class": "tree", "drop": "all"}]),
+              "failures[0].drop: expected number, got str"),
+        whole(lambda d: d.update(failures=[{"time": 1.0, "kind": "link", "action": "jam",
+                                            "link_class": "tree", "drop": 10 ** 400}]),
+              "failures[0].drop: must be a finite number, got inf"),
+        whole(lambda d: d.update(failures=[{"time": 1.0, "kind": "adjacency", "action": "add",
+                                            "edge": "0-1"}]),
+              "failures[0].edge: expected a [region, region] pair"),
+        whole(lambda d: d.update(failures=[{"time": 1.0, "kind": "adjacency", "action": "add",
+                                            "edge": [0, 1, 2]}]),
+              "failures[0].edge: expected a [region, region] pair"),
+        whole(lambda d: d.update(failures=[{"time": 1.0, "kind": "adjacency", "action": "add",
+                                            "edge": [0, 1.0]}]),
+              "failures[0].edge: expected int, got float"),
+        # with two bad fields the first one read is named: scope before time
+        # in a command, then in field order; objects in file order
+        whole(lambda d: d["commands"][0].update(time="soon", scope={"kind": 1}),
+              "commands[0].scope.kind: expected str, got int"),
+        whole(lambda d: d["commands"][0].update(time="soon", origin=True),
+              "commands[0].time: expected number, got str"),
+        whole(lambda d: d["commands"][0].update(payload=5, targets=[True]),
+              "commands[0].targets: expected int, got bool"),
+        whole(lambda d: d.update(failures=[{"time": 1.0, "kind": "link", "action": "jam",
+                                            "worker": True, "drop": "all"}]),
+              "failures[0].worker: expected int, got bool"),
+        whole(lambda d: d.update(failures=[{"time": 1.0, "kind": "worker", "action": "kill",
+                                            "worker": 0},
+                                           {"time": "x", "kind": "worker", "action": "kill",
+                                            "worker": 0}]),
+              "failures[1].time: expected number, got str"),
+        whole(lambda d: d.update(seed="x", failures=[1]), "failures[0]: expected an object"),
+        whole(lambda d: d.update(failures=[1], commands=[2]), "commands[0]: expected an object"),
+        whole(lambda d: d.update(delays="fast", topology={"workers_per_cluster": True,
+                                                          "clusters_per_region": 2}),
+              "topology.workers_per_cluster: expected int, got bool"),
+        whole(lambda d: d.update(coordinator={"K": "five"},
+                                 topology={"workers_per_cluster": 2, "clusters_per_region": 2,
+                                           "adjacency": 1}),
+              "coordinator.K: expected int, got str"),
+        whole(lambda d: d.update(coordinator={"round_period": "x", "quorum": 1}),
+              "coordinator.quorum: unknown key"),
+        whole(lambda d: d.update(coordinator={"round_period": "x"}, horizon="soon"),
+              "horizon: expected number, got str"),
+    ], ids=field_id)
+    def test_type_errors_name_the_field(self, mutate, message):
         raw = base_dict()
         mutate(raw)
         with pytest.raises(ScenarioInvalid) as err:
             build_scenario(raw)
-        assert err.value.field == field
+        assert (err.value.field, str(err.value)) == (message.split(": ")[0], message)
 
     def test_missing_required_key(self):
         raw = base_dict()
