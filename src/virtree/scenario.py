@@ -10,6 +10,15 @@ checks keys and types: unknown keys anywhere are rejected, bools are never
 numbers or ids, and numbers must be finite.  ``validate_scenario`` checks
 values.  Both raise ScenarioInvalid naming the offending field path; the
 topology builder, the delay model and the kernel trust what they are given.
+
+``build_scenario`` reads the file in one pass, each object through the field
+table of its kind (``_TOP``, ``_TOPOLOGY``, ``_COMMAND``, ``_FAILURE`` and so
+on): key -> (type, default), where a required key has no default, in the
+order the fields are checked.  ``_read`` tests the keys with one superset
+test, then takes an exact JSON value of the right type as it is and sends
+anything else, and every composite field (a scope, a target list, a hex
+payload, a region pair), through ``_check``, the one type rule.  A field's
+path, such as ``failures[12].worker``, is built only to name it in an error.
 """
 
 from __future__ import annotations
@@ -17,6 +26,8 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from math import isfinite
+from typing import NamedTuple
 
 from .adjacent import DelayParams
 from .errors import ScenarioInvalid
@@ -30,13 +41,14 @@ STRATEGIES = ("adjacent", "hierarchical")
 # The kernel schedules every maintenance round up front, one heap event each.
 MAX_MAINTENANCE_ROUNDS = 100_000
 
-# Building a topology costs about 22 B and 0.4 us per worker (CPython 3.11),
-# so the cap keeps the build under about 22 MB and half a second.
+# At 10 workers a cluster a topology keeps about 15 B per worker of role
+# bindings and region graph, and the first promotion draws 8 B and about
+# 0.6 us per worker of energy (CPython 3.11): the cap keeps them under about
+# 25 MB and a second.
 MAX_WORKERS = 1_000_000
 
 
-@dataclass(frozen=True)
-class CommandSpec:
+class CommandSpec(NamedTuple):
     time: float
     origin: int
     scope: tuple
@@ -44,8 +56,7 @@ class CommandSpec:
     payload: bytes = b""
 
 
-@dataclass(frozen=True)
-class FailureSpec:
+class FailureSpec(NamedTuple):
     time: float
     kind: str  # "worker" | "region" | "link" | "adjacency"
     action: str  # kill | revive | jam | clear | add | remove
@@ -73,18 +84,25 @@ class Scenario:
     route_mode: str = MODE_LCA
 
 
-_TOP_KEYS = {"topology", "delays", "strategy", "routing", "link_latencies",
-             "coordinator", "failures", "commands", "seed", "horizon"}
 _FANOUT_KEYS = ("workers_per_cluster", "clusters_per_region", "regions_per_hub",
                 "hubs_per_domain", "domains")
-_TOPOLOGY_KEYS = {"num_layers", "adjacency", *_FANOUT_KEYS}
-_DELAY_KEYS = ("alpha", "beta", "epsilon")
-_COORD_KEYS = {"K", "T_min", "round_period", "eager_refill", "single_promotion"}
-_ROUTING_KEYS = {"mode"}
-_COMMAND_KEYS = {"time", "origin", "scope", "targets", "payload"}
-_FAILURE_KEYS = {"time", "kind", "action", "worker", "region", "link_class",
-                 "drop", "edge"}
-_SCOPE_KEYS = {"kind", "id"}
+
+_REQUIRED = object()  # the default of a key that must be present
+
+
+class _Table(dict):
+    """One object kind's fields: key -> (type, default), in the order they are read.
+
+    The type is a JSON type or a reader function for a composite value
+    (``_pair``, ``_scope``, ``_ids``, ``_hex``); a required key's default is
+    _REQUIRED.  ``allowed``, the key set, is what the unknown-key test uses;
+    ``rows`` holds the (key, type, default) rows that ``_read`` walks.
+    """
+
+    def __init__(self, *rows, **named):
+        super().__init__(*rows, **named)
+        self.allowed = frozenset(self)
+        self.rows = tuple((key, typ, default) for key, (typ, default) in self.items())
 
 
 def validate_scenario(sc: Scenario):
@@ -99,9 +117,11 @@ def validate_scenario(sc: Scenario):
     for name in _FANOUT_KEYS:
         if getattr(cfg, name) < 1:
             raise ScenarioInvalid(f"topology.{name}", f"must be >= 1, got {getattr(cfg, name)}")
-    if cfg.n_workers > MAX_WORKERS:
+    n_workers, n_clusters, n_regions = cfg.n_workers, cfg.n_clusters, cfg.n_regions
+    if n_workers > MAX_WORKERS:
         raise ScenarioInvalid("topology", f"must hold at most {MAX_WORKERS} workers, "
-                                          f"got {cfg.n_workers}")
+                                          f"got {n_workers}")
+    n_scopes = {kind: cfg.n_scopes(layer) for kind, layer in SCOPE_LAYERS.items()}
     region_size = cfg.workers_per_cluster * cfg.clusters_per_region
     if not 1 <= cfg.coordinator_k <= region_size:
         raise ScenarioInvalid("coordinator.K", f"must be in 1..{region_size} (the region "
@@ -123,11 +143,11 @@ def validate_scenario(sc: Scenario):
         raise ScenarioInvalid("coordinator.round_period",
                               f"horizon / round_period must be <= {MAX_MAINTENANCE_ROUNDS} "
                               f"maintenance rounds, got {sc.horizon / sc.round_period:.6g}")
-    for name in _DELAY_KEYS:
+    for name in _DELAYS:
         if getattr(sc.delay, name) < 0:
             raise ScenarioInvalid(f"delays.{name}", f"must be >= 0, got {getattr(sc.delay, name)}")
     d = sc.delay  # the largest delay: distance <= 4 layers, load <= 1 per command
-    if not math.isfinite(d.alpha * len(SCOPE_LAYERS) + d.beta * len(sc.commands) + d.epsilon):
+    if not isfinite(d.alpha * len(SCOPE_LAYERS) + d.beta * len(sc.commands) + d.epsilon):
         raise ScenarioInvalid("delays", f"alpha * {len(SCOPE_LAYERS)} + beta * "
                                         f"{len(sc.commands)} commands + epsilon must be finite")
     for name, value in sc.link_latencies.items():
@@ -141,43 +161,43 @@ def validate_scenario(sc: Scenario):
             if a == b:
                 raise ScenarioInvalid(f"topology.adjacency[{i}]", "self-loops not allowed")
             for r in edge:
-                if not 0 <= r < cfg.n_regions:
+                if not 0 <= r < n_regions:
                     raise ScenarioInvalid(f"topology.adjacency[{i}]",
-                                          f"region {r} out of range (have {cfg.n_regions})")
+                                          f"region {r} out of range (have {n_regions})")
     for i, cmd in enumerate(sc.commands):
         if cmd.time < 0:
             raise ScenarioInvalid(f"commands[{i}].time", "must be >= 0")
-        if not 0 <= cmd.origin < cfg.n_clusters:
+        if not 0 <= cmd.origin < n_clusters:
             raise ScenarioInvalid(f"commands[{i}].origin",
-                                  f"cluster {cmd.origin} out of range (have {cfg.n_clusters})")
+                                  f"cluster {cmd.origin} out of range (have {n_clusters})")
         kind = cmd.scope[0] if cmd.scope else None
-        if kind in SCOPE_LAYERS:
+        if kind in n_scopes:
             sid = cmd.scope[1] if len(cmd.scope) > 1 else None
-            have = cfg.n_scopes(SCOPE_LAYERS[kind])
+            have = n_scopes[kind]
             if sid is None or not 0 <= sid < have:
                 raise ScenarioInvalid(f"commands[{i}].scope",
                                       f"{kind} id {sid} out of range (have {have})")
         elif kind != "global":
             raise ScenarioInvalid(f"commands[{i}].scope", f"unknown scope kind {kind!r}")
         for t in cmd.targets:
-            if not 0 <= t < cfg.n_workers:
+            if not 0 <= t < n_workers:
                 raise ScenarioInvalid(f"commands[{i}].targets",
-                                      f"worker {t} out of range (have {cfg.n_workers})")
+                                      f"worker {t} out of range (have {n_workers})")
     for i, f in enumerate(sc.failures):
         if f.time < 0:
             raise ScenarioInvalid(f"failures[{i}].time", "must be >= 0")
         if f.kind == "worker":
             if f.action not in ("kill", "revive"):
                 raise ScenarioInvalid(f"failures[{i}].action", f"worker supports kill/revive, got {f.action!r}")
-            if f.worker is None or not 0 <= f.worker < cfg.n_workers:
+            if f.worker is None or not 0 <= f.worker < n_workers:
                 raise ScenarioInvalid(f"failures[{i}].worker",
-                                      f"worker {f.worker} out of range (have {cfg.n_workers})")
+                                      f"worker {f.worker} out of range (have {n_workers})")
         elif f.kind == "region":
             if f.action != "kill":
                 raise ScenarioInvalid(f"failures[{i}].action", f"region supports kill, got {f.action!r}")
-            if f.region is None or not 0 <= f.region < cfg.n_regions:
+            if f.region is None or not 0 <= f.region < n_regions:
                 raise ScenarioInvalid(f"failures[{i}].region",
-                                      f"region {f.region} out of range (have {cfg.n_regions})")
+                                      f"region {f.region} out of range (have {n_regions})")
         elif f.kind == "link":
             if f.action not in ("jam", "clear"):
                 raise ScenarioInvalid(f"failures[{i}].action", f"link supports jam/clear, got {f.action!r}")
@@ -191,155 +211,187 @@ def validate_scenario(sc: Scenario):
             if f.edge is None or len(f.edge) != 2 or f.edge[0] == f.edge[1]:
                 raise ScenarioInvalid(f"failures[{i}].edge", "need two distinct region ids")
             for r in f.edge:
-                if not 0 <= r < cfg.n_regions:
+                if not 0 <= r < n_regions:
                     raise ScenarioInvalid(f"failures[{i}].edge",
-                                          f"region {r} out of range (have {cfg.n_regions})")
+                                          f"region {r} out of range (have {n_regions})")
         else:
             raise ScenarioInvalid(f"failures[{i}].kind", f"unknown failure kind {f.kind!r}")
 
 
-def _check(val, types, name: str):
-    """The one type rule: bools are never numbers, and numbers are finite."""
-    if types in (int, float) and isinstance(val, bool):
+def _check(val, typ, where: str, i, key):
+    """The one type rule: bools are never numbers, and numbers are finite.
+
+    A reader function in a table's type column reads its composite value
+    instead.  The field's path, ``where.format(i)`` then ``key``, is built
+    only to name it in an error.
+    """
+    if not isinstance(typ, type):
+        return typ(val, where, i, key)
+    if typ in (int, float) and isinstance(val, bool):
         ok = False
-    elif types is float:
+    elif typ is float:
         ok = isinstance(val, (int, float))
     else:
-        ok = isinstance(val, types)
+        ok = isinstance(val, typ)
     if not ok:
-        want = "number" if types is float else types.__name__
-        raise ScenarioInvalid(name, f"expected {want}, got {type(val).__name__}")
-    if types is float:
+        want = "number" if typ is float else typ.__name__
+        raise ScenarioInvalid(f"{where.format(i)}{key}",
+                              f"expected {want}, got {type(val).__name__}")
+    if typ is float:
         try:
             val = float(val)
         except OverflowError:  # an integer literal beyond the float range
             val = math.inf
-        if not math.isfinite(val):
-            raise ScenarioInvalid(name, f"must be a finite number, got {val}")
+        if not isfinite(val):
+            raise ScenarioInvalid(f"{where.format(i)}{key}", f"must be a finite number, got {val}")
     return val
 
 
-def _reject_unknown(obj: dict, allowed, path: str):
+def _reject_unknown(obj: dict, allowed, where: str, i=None):
     unknown = sorted(set(obj).difference(allowed))
     if unknown:
-        raise ScenarioInvalid(f"{path}.{unknown[0]}" if path else unknown[0],
-                              "unknown key")
+        raise ScenarioInvalid(f"{where.format(i)}{unknown[0]}", "unknown key")
 
 
-def _need(obj: dict, key: str, types, path: str):
-    if key not in obj:
-        raise ScenarioInvalid(f"{path}{key}", "missing required key")
-    return _typed(obj, key, types, path)
+def _read(obj: dict, table: _Table, where: str, i=None, keys=None) -> list:
+    """Check ``obj``'s keys against ``table``, then read its fields in table
+    order (or only ``keys``, in that order): the order errors are found in.
+
+    An exact JSON value of the field's type (an int that is not a bool, a
+    finite float, a str, list or dict) is taken as it is; any other value,
+    and every composite one, goes through ``_check``.  ``where`` is a path
+    template formatted with ``i``, the object's index in its list.
+    """
+    if not table.allowed.issuperset(obj):
+        _reject_unknown(obj, table.allowed, where, i)
+    values = []
+    for key, typ, default in (table.rows if keys is None
+                              else [(k, *table[k]) for k in keys]):
+        if key in obj:
+            val = obj[key]
+            if type(val) is not typ or typ is float and not isfinite(val):
+                val = _check(val, typ, where, i, key)
+        elif default is _REQUIRED:
+            raise ScenarioInvalid(f"{where.format(i)}{key}", "missing required key")
+        else:
+            val = default
+        values.append(val)
+    return values
 
 
-def _typed(obj: dict, key: str, types, path: str, default=None):
-    return _check(obj[key], types, f"{path}{key}") if key in obj else default
-
-
-def _pair(row, name: str) -> tuple[int, int]:
+def _pair(row, where: str, i, key) -> tuple[int, int]:
+    if type(row) is list and len(row) == 2 and type(row[0]) is int and type(row[1]) is int:
+        return row[0], row[1]
     if not (isinstance(row, list) and len(row) == 2):
-        raise ScenarioInvalid(name, "expected a [region, region] pair")
-    return _check(row[0], int, name), _check(row[1], int, name)
+        raise ScenarioInvalid(f"{where.format(i)}{key}", "expected a [region, region] pair")
+    return _check(row[0], int, where, i, key), _check(row[1], int, where, i, key)
+
+
+def _scope(val, where: str, i, key) -> tuple:
+    """("global",) or (kind, id): a global scope's id is never read."""
+    _check(val, dict, where, i, key)
+    where = f"{where}{key}."
+    (kind,) = _read(val, _SCOPE, where, i, keys=("kind",))
+    return (kind,) if kind == "global" else (kind, *_read(val, _SCOPE, where, i, keys=("id",)))
+
+
+def _ids(val, where: str, i, key) -> frozenset[int]:
+    _check(val, list, where, i, key)
+    for t in val:
+        if type(t) is not int:
+            _check(t, int, where, i, key)
+    return frozenset(val)
+
+
+def _hex(val, where: str, i, key) -> bytes:
+    _check(val, str, where, i, key)
+    try:
+        return bytes.fromhex(val)
+    except ValueError:
+        raise ScenarioInvalid(f"{where.format(i)}{key}", "expected a hex string") from None
+
+
+_TOP = _Table(topology=(dict, _REQUIRED), coordinator=(dict, {}), delays=(dict, {}),
+              routing=(dict, {}), link_latencies=(dict, {}), commands=(list, []),
+              failures=(list, []), seed=(int, _REQUIRED), horizon=(float, _REQUIRED),
+              strategy=(str, "adjacent"))
+_TOPOLOGY = _Table(num_layers=(int, 5), workers_per_cluster=(int, _REQUIRED),
+                   clusters_per_region=(int, _REQUIRED), regions_per_hub=(int, 1),
+                   hubs_per_domain=(int, 1), domains=(int, 1), adjacency=(list, None))
+_SHAPE_KEYS = ("num_layers", *_FANOUT_KEYS)
+_COORDINATOR = _Table(K=(int, 5), T_min=(int, 3), round_period=(float, 1.0),
+                      eager_refill=(bool, False), single_promotion=(bool, False))
+_DELAYS = _Table(alpha=(float, 1.0), beta=(float, 0.1), epsilon=(float, 0.05))
+_ROUTING = _Table(mode=(str, MODE_LCA))
+_COMMAND = _Table(scope=(_scope, _REQUIRED), targets=(_ids, frozenset()), payload=(_hex, b""),
+                  time=(float, _REQUIRED), origin=(int, _REQUIRED))
+_SCOPE = _Table(kind=(str, _REQUIRED), id=(int, None))
+# in FailureSpec's field order, so that a row of values is a FailureSpec
+_FAILURE = _Table(time=(float, _REQUIRED), kind=(str, _REQUIRED), action=(str, _REQUIRED),
+                  worker=(int, None), region=(int, None), link_class=(str, None),
+                  drop=(float, 1.0), edge=(_pair, None))
 
 
 def build_scenario(raw: dict) -> Scenario:
-    """Parse and fully validate a raw scenario dict into a Scenario."""
+    """Parse and fully validate a raw scenario dict into a Scenario.
+
+    The fields are read in the order below, so that of two bad fields the
+    same one is always named.
+    """
     if not isinstance(raw, dict):
         raise ScenarioInvalid("json", "scenario must be a JSON object")
-    _reject_unknown(raw, _TOP_KEYS, "")
+    topo_raw, coord_raw = _read(raw, _TOP, "", keys=("topology", "coordinator"))
+    _reject_unknown(topo_raw, _TOPOLOGY.allowed, "topology.")
+    _reject_unknown(coord_raw, _COORDINATOR.allowed, "coordinator.")
+    shape = _read(topo_raw, _TOPOLOGY, "topology.", keys=_SHAPE_KEYS)
+    k, t_min = _read(coord_raw, _COORDINATOR, "coordinator.", keys=("K", "T_min"))
+    config = HierarchyConfig(**dict(zip(_SHAPE_KEYS, shape)), coordinator_k=k, t_min=t_min)
 
-    topo_raw = _need(raw, "topology", dict, "")
-    _reject_unknown(topo_raw, _TOPOLOGY_KEYS, "topology")
-    coord_raw = _typed(raw, "coordinator", dict, "", default={})
-    _reject_unknown(coord_raw, _COORD_KEYS, "coordinator")
-    config = HierarchyConfig(
-        num_layers=_typed(topo_raw, "num_layers", int, "topology.", default=5),
-        workers_per_cluster=_need(topo_raw, "workers_per_cluster", int, "topology."),
-        clusters_per_region=_need(topo_raw, "clusters_per_region", int, "topology."),
-        regions_per_hub=_typed(topo_raw, "regions_per_hub", int, "topology.", default=1),
-        hubs_per_domain=_typed(topo_raw, "hubs_per_domain", int, "topology.", default=1),
-        domains=_typed(topo_raw, "domains", int, "topology.", default=1),
-        coordinator_k=_typed(coord_raw, "K", int, "coordinator.", default=5),
-        t_min=_typed(coord_raw, "T_min", int, "coordinator.", default=3),
-    )
+    (rows,) = _read(topo_raw, _TOPOLOGY, "topology.", keys=("adjacency",))
+    adjacency = None if rows is None else [_pair(row, "topology.adjacency[{}]", j, "")
+                                           for j, row in enumerate(rows)]
+    (delays_raw,) = _read(raw, _TOP, "", keys=("delays",))
+    delay = DelayParams(*_read(delays_raw, _DELAYS, "delays."))
+    (routing_raw,) = _read(raw, _TOP, "", keys=("routing",))
+    (route_mode,) = _read(routing_raw, _ROUTING, "routing.")
+    (lat_raw,) = _read(raw, _TOP, "", keys=("link_latencies",))
+    # any key reads here: validate_scenario names an unknown link class
+    lat_table = _Table((k, (float, _REQUIRED)) for k in lat_raw)
+    link_latencies = {**DEFAULT_LATENCIES,
+                      **dict(zip(lat_raw, _read(lat_raw, lat_table, "link_latencies.")))}
 
-    adjacency = None
-    if "adjacency" in topo_raw:
-        rows = _typed(topo_raw, "adjacency", list, "topology.")
-        adjacency = [_pair(row, f"topology.adjacency[{i}]") for i, row in enumerate(rows)]
-
-    delays_raw = _typed(raw, "delays", dict, "", default={})
-    _reject_unknown(delays_raw, _DELAY_KEYS, "delays")
-    delay = DelayParams(
-        alpha=_typed(delays_raw, "alpha", float, "delays.", default=1.0),
-        beta=_typed(delays_raw, "beta", float, "delays.", default=0.1),
-        epsilon=_typed(delays_raw, "epsilon", float, "delays.", default=0.05),
-    )
-
-    routing_raw = _typed(raw, "routing", dict, "", default={})
-    _reject_unknown(routing_raw, _ROUTING_KEYS, "routing")
-    route_mode = _typed(routing_raw, "mode", str, "routing.", default=MODE_LCA)
-
-    lat_raw = _typed(raw, "link_latencies", dict, "", default={})
-    link_latencies = dict(DEFAULT_LATENCIES)
-    for k in lat_raw:
-        link_latencies[k] = _typed(lat_raw, k, float, "link_latencies.")
-
+    (commands_raw,) = _read(raw, _TOP, "", keys=("commands",))
     commands = []
-    for i, c in enumerate(_typed(raw, "commands", list, "", default=[])):
-        path = f"commands[{i}]."
+    for i, c in enumerate(commands_raw):
         if not isinstance(c, dict):
             raise ScenarioInvalid(f"commands[{i}]", "expected an object")
-        _reject_unknown(c, _COMMAND_KEYS, f"commands[{i}]")
-        scope_raw = _need(c, "scope", dict, path)
-        _reject_unknown(scope_raw, _SCOPE_KEYS, f"{path}scope")
-        kind = _need(scope_raw, "kind", str, f"{path}scope.")
-        scope = (kind,) if kind == "global" else (kind, _typed(scope_raw, "id", int, f"{path}scope."))
-        targets = [_check(t, int, f"{path}targets")
-                   for t in _typed(c, "targets", list, path, default=[])]
-        payload_hex = _typed(c, "payload", str, path, default="")
-        try:
-            payload = bytes.fromhex(payload_hex)
-        except ValueError:
-            raise ScenarioInvalid(f"{path}payload", "expected a hex string") from None
-        commands.append(CommandSpec(
-            time=_need(c, "time", float, path),
-            origin=_need(c, "origin", int, path),
-            scope=scope,
-            targets=frozenset(targets),
-            payload=payload,
-        ))
+        scope, targets, payload, time, origin = _read(c, _COMMAND, "commands[{}].", i)
+        commands.append(CommandSpec(time, origin, scope, targets, payload))
 
+    (failures_raw,) = _read(raw, _TOP, "", keys=("failures",))
     failures = []
-    for i, f in enumerate(_typed(raw, "failures", list, "", default=[])):
-        path = f"failures[{i}]."
+    for i, f in enumerate(failures_raw):
         if not isinstance(f, dict):
             raise ScenarioInvalid(f"failures[{i}]", "expected an object")
-        _reject_unknown(f, _FAILURE_KEYS, f"failures[{i}]")
-        failures.append(FailureSpec(
-            time=_need(f, "time", float, path),
-            kind=_need(f, "kind", str, path),
-            action=_need(f, "action", str, path),
-            worker=_typed(f, "worker", int, path),
-            region=_typed(f, "region", int, path),
-            link_class=_typed(f, "link_class", str, path),
-            drop=_typed(f, "drop", float, path, default=1.0),
-            edge=_pair(f["edge"], f"{path}edge") if "edge" in f else None,
-        ))
+        failures.append(FailureSpec._make(_read(f, _FAILURE, "failures[{}].", i)))
 
+    seed, horizon, strategy = _read(raw, _TOP, "", keys=("seed", "horizon", "strategy"))
+    round_period, eager_refill, single_promotion = _read(
+        coord_raw, _COORDINATOR, "coordinator.",
+        keys=("round_period", "eager_refill", "single_promotion"))
     sc = Scenario(
         config=config,
-        seed=_need(raw, "seed", int, ""),
-        horizon=_need(raw, "horizon", float, ""),
-        strategy=_typed(raw, "strategy", str, "", default="adjacent"),
+        seed=seed,
+        horizon=horizon,
+        strategy=strategy,
         delay=delay,
         adjacency_override=adjacency,
         link_latencies=link_latencies,
         commands=commands,
         failures=failures,
-        round_period=_typed(coord_raw, "round_period", float, "coordinator.", default=1.0),
-        eager_refill=_typed(coord_raw, "eager_refill", bool, "coordinator.", default=False),
-        single_promotion=_typed(coord_raw, "single_promotion", bool, "coordinator.", default=False),
+        round_period=round_period,
+        eager_refill=eager_refill,
+        single_promotion=single_promotion,
         route_mode=route_mode,
     )
     validate_scenario(sc)

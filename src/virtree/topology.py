@@ -13,9 +13,12 @@ chain: ``span[L]`` is how many clusters one layer-L scope holds.  Cluster c
 lies in scope ``c // span[L]`` at layer L, and scope s holds the cluster range
 ``s * span[L] .. (s + 1) * span[L] - 1``.  Worker w lies in cluster
 ``w // workers_per_cluster``, so every membership question is answered by
-arithmetic.  Per worker a topology stores only energy, in one ``array('d')``;
-the dead ids, few in most runs, are one set, empty at build.  Worker ids are
-trusted (``scenario`` validates them): ``is_alive`` is defined on 0..n-1 only.
+arithmetic.  A build stores nothing per worker: the dead ids, few in most
+runs, are one set, empty at build, and energy, one ``array('d')`` that only
+coordinator re-selection reads, is drawn from the seed's energy stream on its
+first read, so a run that promotes no coordinator never draws it.  Worker ids
+are trusted (``scenario`` validates them): ``is_alive`` is defined on 0..n-1
+only.
 
 One worker may hold several roles at once.  Role bindings live in
 ``Topology.roles``, one holder dict per built layer; ``reelect_role`` binds or
@@ -29,6 +32,7 @@ import math
 import random
 from array import array
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import UnknownScope
 
@@ -129,7 +133,17 @@ class Topology:
     region_adjacency: dict[RegionId, tuple[RegionId, ...]]
     roles: dict[int, dict[int, WorkerId]]
     dead: set[WorkerId]
-    energy: array
+    seed: int
+
+    @cached_property
+    def energy(self) -> array:
+        """Each worker's energy scalar, uniform in [0.2, 1.0] to 6 decimals.
+
+        Drawn in worker order from ``derive_seed(seed, "energy")`` on the
+        first read, then kept.
+        """
+        rng = random.Random(derive_seed(self.seed, "energy"))
+        return array("d", (round(rng.uniform(0.2, 1.0), 6) for _ in range(self.config.n_workers)))
 
     @property
     def clusters(self) -> range:
@@ -215,7 +229,8 @@ def build_topology(config: HierarchyConfig, seed: int,
     Ids are assigned row-major at every level, so worker w belongs to cluster
     w // workers_per_cluster and so on up the chain.  Initial role holders are
     the lowest-id worker of each scope.  The seed feeds only the per-worker
-    energy scalars consumed by the coordinator fitness metric.  Each
+    energy scalars consumed by the coordinator fitness metric, which are
+    drawn from it on their first read (``Topology.energy``), not here.  Each
     ``adjacency`` edge joins two distinct in-range regions, as
     ``scenario.validate_scenario`` checks.
     """
@@ -232,16 +247,13 @@ def build_topology(config: HierarchyConfig, seed: int,
         for layer in range(LAYER_LEADER, config.num_layers + 1)
     }
 
-    rng = random.Random(derive_seed(seed, "energy"))
-    energy = array("d", (round(rng.uniform(0.2, 1.0), 6) for _ in range(config.n_workers)))
-
     return Topology(
         config=config,
         span=span,
         region_adjacency=region_adjacency,
         roles=roles,
         dead=set(),
-        energy=energy,
+        seed=seed,
     )
 
 

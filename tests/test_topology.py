@@ -4,7 +4,8 @@ import tracemalloc
 import pytest
 
 from virtree.errors import ScenarioInvalid, UnknownScope
-from virtree.scenario import Scenario, validate_scenario
+from virtree.scenario import CommandSpec, FailureSpec, Scenario, validate_scenario
+from virtree.simkernel import _Kernel
 from virtree.topology import (
     SCOPE_LAYERS,
     HierarchyConfig,
@@ -142,20 +143,58 @@ class TestBuild:
             for r in topo.regions:
                 assert list(topo.workers_in_region(r)) == [w for w, _, r2 in rows if r2 == r]
 
-    def test_retained_memory_per_worker(self):
-        # membership is arithmetic and no worker is dead yet: per worker only
-        # its packed `energy` double remains
-        cfg = HierarchyConfig(workers_per_cluster=10, clusters_per_region=10,
-                              regions_per_hub=10, hubs_per_domain=10, domains=10)
+    def test_energy_stream(self):
+        # uniform in [0.2, 1.0] to 6 decimals, drawn in worker order from the
+        # seed's "energy" stream
+        cfg = HierarchyConfig(workers_per_cluster=3, clusters_per_region=4, regions_per_hub=2)
+        for seed in (0, 99, 2 ** 64 - 1):
+            rng = random.Random(derive_seed(seed, "energy"))
+            expected = [round(rng.uniform(0.2, 1.0), 6) for _ in range(cfg.n_workers)]
+            assert build_topology(cfg, seed).energy.tolist() == expected
+
+    # 1000 workers a cluster: what a build keeps grows with clusters and
+    # regions, so per-worker state would stand out
+    WIDE = HierarchyConfig(workers_per_cluster=1000, clusters_per_region=10, regions_per_hub=10)
+
+    def test_build_retains_nothing_per_worker(self):
+        # membership is arithmetic, no worker is dead yet and energy is not drawn
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
-            topo = build_topology(cfg, seed=1)
+            topo = build_topology(self.WIDE, seed=1)
             retained = tracemalloc.get_traced_memory()[0] - before
         finally:
             tracemalloc.stop()
-        assert (topo.dead, len(topo.energy)) == (set(), 100_000)
-        assert retained / cfg.n_workers < 32
+        assert topo.dead == set() and "energy" not in vars(topo)
+        assert retained / self.WIDE.n_workers < 1
+
+    def test_first_energy_read_retains_one_double_per_worker(self):
+        topo = build_topology(self.WIDE, seed=1)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            energy = topo.energy
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(energy) == 100_000 and topo.energy is energy
+        assert retained / self.WIDE.n_workers < 8.5  # a packed double, plus growth slack
+
+    @pytest.mark.parametrize("strategy", ["adjacent", "hierarchical"])
+    def test_energy_drawn_only_when_a_coordinator_is_promoted(self, strategy):
+        cfg = HierarchyConfig(workers_per_cluster=4, clusters_per_region=2, regions_per_hub=2,
+                              coordinator_k=2, t_min=2)
+        commands = [CommandSpec(time=0.5, origin=0, scope=("global",))]
+        kernel = _Kernel(Scenario(config=cfg, seed=3, horizon=5.0, strategy=strategy,
+                                  commands=commands))
+        kernel.run()
+        assert "energy" not in vars(kernel.topo)
+        # killing one of region 0's two coordinators makes its next round promote one
+        kill = FailureSpec(time=1.5, kind="worker", action="kill", worker=kernel.rosters[0][0])
+        kernel = _Kernel(Scenario(config=cfg, seed=3, horizon=5.0, strategy=strategy,
+                                  commands=commands, failures=[kill]))
+        kernel.run()
+        assert len(vars(kernel.topo)["energy"]) == cfg.n_workers
 
 
 class TestDeriveSeed:
