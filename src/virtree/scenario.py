@@ -43,7 +43,7 @@ MAX_MAINTENANCE_ROUNDS = 100_000
 
 # At 10 workers a cluster a topology keeps about 15 B per worker of role
 # bindings and region graph, and the first promotion draws 8 B and about
-# 0.6 us per worker of energy (CPython 3.11): the cap keeps them under about
+# 1 us per worker of energy (CPython 3.11): the cap keeps them under about
 # 25 MB and a second.
 MAX_WORKERS = 1_000_000
 
@@ -280,8 +280,6 @@ def _read(obj: dict, table: _Table, where: str, i=None, keys=None) -> list:
 
 
 def _pair(row, where: str, i, key) -> tuple[int, int]:
-    if type(row) is list and len(row) == 2 and type(row[0]) is int and type(row[1]) is int:
-        return row[0], row[1]
     if not (isinstance(row, list) and len(row) == 2):
         raise ScenarioInvalid(f"{where.format(i)}{key}", "expected a [region, region] pair")
     return _check(row[0], int, where, i, key), _check(row[1], int, where, i, key)
