@@ -64,10 +64,16 @@ class TestBuildScenario:
         assert sc.round_period == 1.0
         assert sc.link_latencies["tree"] == 1.0
 
-    def test_command_payload_decoded(self):
+    def test_command_payload_accepted(self, tmp_path, capsys):
+        # a valid hex payload is read and checked; the command is otherwise
+        # the one the same file without it gives
         raw = base_dict()
         raw["commands"][0]["payload"] = "01ff"
-        assert build_scenario(raw).commands[0].payload == b"\x01\xff"
+        assert build_scenario(raw).commands[0][:4] == build_scenario(base_dict()).commands[0][:4]
+        path = tmp_path / "sc.json"
+        path.write_text(json.dumps(raw))
+        assert main(["validate", "--scenario", str(path)]) == 0
+        assert capsys.readouterr().out.startswith("scenario ok: ")
 
     @pytest.mark.parametrize("mutate,message", [
         (lambda d: d.update(warp=1), "warp: unknown key"),
@@ -579,21 +585,25 @@ class TestCliSweep:
                      "--values", "1,2", "--trials", "1",
                      "--out", str(tmp_path / "out")]) == 2
 
-    @pytest.mark.parametrize("args, field", [
-        (["--param", "regions", "--values", "0"], "--values"),
-        (["--param", "K", "--values", "0"], "--values"),
-        (["--param", "p", "--values", "2"], "--values"),
-        (["--param", "K", "--values", "abc"], "--values"),
-        (["--param", "K", "--values", "3", "--p", "1.5"], "--p"),
-        (["--param", "K", "--values", ","], "--values"),
-        (["--param", "K", "--values", "3", "--trials", "0"], "--trials"),
+    @pytest.mark.parametrize("args, message", [
+        (["--param", "regions", "--values", "0"],
+         "--values: 0: topology.regions_per_hub: must be >= 1, got 0"),
+        (["--param", "K", "--values", "0"], "--values: coordinator count must be >= 1, got 0"),
+        (["--param", "p", "--values", "2"],
+         "--values: failure probability must lie in [0, 1], got 2.0"),
+        (["--param", "K", "--values", "abc"],
+         "--values: invalid literal for int() with base 10: 'abc'"),
+        (["--param", "K", "--values", "3", "--p", "1.5"],
+         "--p: failure probability must lie in [0, 1], got 1.5"),
+        (["--param", "K", "--values", ","], "--values: no sweep values given"),
+        (["--param", "K", "--values", "3", "--trials", "0"], "--trials: must be >= 1"),
     ], ids=["regions-0", "K-0", "p-2", "K-abc", "base-p-1.5", "no-values", "trials-0"])
-    def test_bad_values_exit_2_naming_the_field(self, tmp_path, capsys, args, field):
+    def test_bad_values_exit_2_naming_the_field(self, tmp_path, capsys, args, message):
         # args come after --trials 1, so a --trials among them wins
         code = main(["sweep", "--scenario", write_scenario(tmp_path), "--trials", "1",
                      *args, "--out", str(tmp_path / "out")])
         assert code == 2
-        assert f"invalid scenario: {field}: " in capsys.readouterr().err
+        assert capsys.readouterr().err == f"invalid scenario: {message}\n"
 
     @pytest.mark.parametrize("args", [
         ["--param", "regions", "--values", "2,0"],
