@@ -17,10 +17,8 @@ from .coordinators import (
 )
 from .errors import (
     ConservationError,
-    EmptyGoalSet,
     OracleMismatch,
     ScenarioInvalid,
-    UnknownScope,
     VirtreeError,
 )
 from .hierarchical import (
@@ -57,7 +55,6 @@ __all__ = [
     "CommandSpec",
     "ConservationError",
     "DelayParams",
-    "EmptyGoalSet",
     "FailureSpec",
     "HierarchyConfig",
     "MODE_LCA",
@@ -70,7 +67,6 @@ __all__ = [
     "Topology",
     "TraceRecord",
     "TreeLinks",
-    "UnknownScope",
     "VirtreeError",
     "build_report",
     "build_scenario",

@@ -17,7 +17,7 @@ from dataclasses import replace
 from functools import partial
 from statistics import fmean
 
-from .coordinators import liveness_trials, predicted_liveness
+from .coordinators import liveness_trials
 from .errors import OracleMismatch, ScenarioInvalid
 from .metrics import TRANSMISSION_EVENTS, dump_trace, liveness_estimate
 from .oracle import EXECUTIONS, check_trace
@@ -279,10 +279,11 @@ def _discard(batch):
 
 
 def _check_liveness_point(flag: str, p: float, k: int):
-    try:
-        predicted_liveness(p, k)
-    except ValueError as e:
-        raise ScenarioInvalid(flag, str(e)) from None
+    """The checks ``predicted_liveness`` and ``liveness_trials`` trust."""
+    if not 0.0 <= p <= 1.0:
+        raise ScenarioInvalid(flag, f"failure probability must lie in [0, 1], got {p}")
+    if k < 1:
+        raise ScenarioInvalid(flag, f"coordinator count must be >= 1, got {k}")
     if k > MAX_WORKERS:  # K coordinators need a K-worker region, capped like any scenario
         raise ScenarioInvalid(flag, f"coordinator count must be <= {MAX_WORKERS}, got {k}")
 

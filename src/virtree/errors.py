@@ -5,14 +5,6 @@ class VirtreeError(Exception):
     """Base class for all library errors."""
 
 
-class UnknownScope(VirtreeError):
-    """Scope kind or id does not name anything in the topology."""
-
-
-class EmptyGoalSet(VirtreeError):
-    """A command must name at least one goal cluster."""
-
-
 class ConservationError(VirtreeError):
     """Message-copy accounting did not balance at the end of a run.
 

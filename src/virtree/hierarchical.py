@@ -91,10 +91,6 @@ class TreeLinks:
             layer, scope = self.num_layers, 0
         return self.topo.roles[layer].get(scope)
 
-    def holder_cluster(self, node: Node) -> int | None:
-        w = self.holder(node)
-        return None if w is None else self.topo.cluster_of(w)
-
 
 def leader_on_receive_immediate(c: ClusterId, m: Message, topo: Topology,
                                 links: TreeLinks, injected: bool = False) -> LeaderDecision:
@@ -104,8 +100,9 @@ def leader_on_receive_immediate(c: ClusterId, m: Message, topo: Topology,
     here, keeping traffic monotone up-then-down.  Every goal left lies outside
     the leaf, so both route modes climb from it.  The climbing copy, the
     only one a leaf builds, is the received one visited here
-    (``visited_copy``) with hop_count + 1 and last_sent_cluster_id set to
-    this cluster; forward_flag never turns on in this mode.
+    (``visited_copy``) with hop_count + 1; forward_flag never turns on in
+    this mode, and no tree copy sets last_sent_cluster_id, which only the
+    adjacent strategy's workers read.
     """
     decision = leader_visit(c, m, topo)
     if decision.outcome:
@@ -114,8 +111,7 @@ def leader_on_receive_immediate(c: ClusterId, m: Message, topo: Topology,
     if injected and goals_left(m) > decision.executed_here:
         parent = links.parent(links.leaf(c))
         if parent is not None:
-            up = visited_copy(m, decision, c, hop_count=m.hop_count + 1,
-                              last_sent_cluster_id=c)
+            up = visited_copy(m, decision, c, hop_count=m.hop_count + 1)
             decision.forwards = ((parent, up),)
     decision.outcome = "forwarded" if decision.forwards else "stop"
     return decision
@@ -128,14 +124,12 @@ def route_interior(node: Node, m: Message, arrived_from: Node, topo: Topology,
     Fans one copy down each child branch that still holds an unexecuted goal,
     in ascending order, skipping the branch the copy arrived from, and climbs
     toward the root when the mode asks for it.  Interior nodes leave the goal
-    bookkeeping alone.
+    bookkeeping alone and read no role binding: the kernel parks a copy at a
+    vacant node before it routes.
     """
     if not goals_left(m):
         return []
     from_child = arrived_from is not None and links.parent(arrived_from) == node
-    sender_cluster = links.holder_cluster(node)
-    if sender_cluster is None:
-        return []
 
     goals, under = m.goal_cluster_ids, links.clusters_under(node)
     lo, hi = max(goals.start, under.start), min(goals.stop, under.stop)
@@ -143,7 +137,7 @@ def route_interior(node: Node, m: Message, arrived_from: Node, topo: Topology,
     done = Counter(links.child_toward(node, c) for c in m.executed_cluster_ids
                    if links.covers(node, c))
     # one copy goes down every branch and up: no Message changes once built
-    fwd = m.copy(hop_count=m.hop_count + 1, last_sent_cluster_id=sender_cluster)
+    fwd = m.copy(hop_count=m.hop_count + 1)
     out: list[tuple[Node, Message]] = []
     if lo < hi:
         layer, first = links.child_toward(node, lo)

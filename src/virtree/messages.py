@@ -17,8 +17,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import EmptyGoalSet
-
 MsgId = tuple[int, int]  # (original source cluster, per-source sequence)
 
 
@@ -32,7 +30,6 @@ class Message:
     hop_count: int
     last_sent_cluster_id: int
     forward_flag: bool
-    payload: bytes = b""
 
     def __post_init__(self):
         goals = self.goal_cluster_ids
@@ -47,10 +44,9 @@ class Message:
 
 
 def new_command(origin_cluster: int, seq: int, goals: range,
-                targets: set[int] | None = None, payload: bytes = b"") -> Message:
-    """Fresh command at its origin: hop 0, nothing visited, flag down."""
-    if not goals:
-        raise EmptyGoalSet(f"command ({origin_cluster},{seq}) has no goal clusters")
+                targets: set[int] | None = None) -> Message:
+    """Fresh command at its origin: hop 0, nothing visited, flag down.
+    The goals are trusted: a validated scope is never an empty range."""
     return Message(
         msg_id=(origin_cluster, seq),
         goal_cluster_ids=goals,
@@ -60,7 +56,6 @@ def new_command(origin_cluster: int, seq: int, goals: range,
         hop_count=0,
         last_sent_cluster_id=origin_cluster,
         forward_flag=False,
-        payload=payload,
     )
 
 

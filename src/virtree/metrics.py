@@ -170,12 +170,10 @@ def liveness_estimate(live: int, trials: int, p: float, k: int) -> LivenessEstim
     around 1 - p**k.
 
     Sigma uses the predicted proportion so the band stays defined when every
-    trial came up live.
+    trial came up live.  The arguments are trusted: the CLI checks trials >= 1.
     """
     from .coordinators import predicted_liveness
 
-    if trials == 0:
-        raise ValueError("liveness estimate needs at least one trial")
     fraction = live / trials
     predicted = predicted_liveness(p, k)
     sigma = math.sqrt(predicted * (1.0 - predicted) / trials)

@@ -53,7 +53,6 @@ class CommandSpec(NamedTuple):
     origin: int
     scope: tuple
     targets: frozenset[int] = frozenset()
-    payload: bytes = b""
 
 
 class FailureSpec(NamedTuple):
@@ -363,8 +362,9 @@ def build_scenario(raw: dict) -> Scenario:
     for i, c in enumerate(commands_raw):
         if not isinstance(c, dict):
             raise ScenarioInvalid(f"commands[{i}]", "expected an object")
-        scope, targets, payload, time, origin = _read(c, _COMMAND, "commands[{}].", i)
-        commands.append(CommandSpec(time, origin, scope, targets, payload))
+        # a payload is read, so a bad one is rejected, but no copy carries it
+        scope, targets, _payload, time, origin = _read(c, _COMMAND, "commands[{}].", i)
+        commands.append(CommandSpec(time, origin, scope, targets))
 
     (failures_raw,) = _read(raw, _TOP, "", keys=("failures",))
     failures = []

@@ -148,9 +148,10 @@ class _Kernel:
         # cluster -> ids of the messages its leader processed, made at the
         # cluster's first leader receive (``first_receive``)
         self.processed: defaultdict[int, set[tuple]] = defaultdict(set)
-        # cluster -> ids of the broadcasts its leader scheduled that have not
-        # fired: only the adjacent strategy schedules, and a leader's death
-        # pops them, cancelling them
+        # leader -> ids of the broadcasts it scheduled that have not fired:
+        # only the adjacent strategy schedules, and the leader's death pops
+        # them, cancelling them.  A leader loses its role only by dying, so
+        # every worker named here still leads its cluster
         self.pending: defaultdict[int, set[tuple]] = defaultdict(set)
         self.rosters = [initial_roster(self.topo, r) for r in self.topo.regions]
         self.links = hier.TreeLinks.build(self.topo)
@@ -302,11 +303,9 @@ class _Kernel:
         if not self.topo.is_alive(w):
             return
         self.topo.mark_dead(w)
-        c = self.topo.cluster_of(w)
         self.unsettled.add(self.topo.region_of_worker(w))
         self.emit("kernel", "failure", worker=w)
-        if self.topo.roles[LAYER_LEADER].get(c) == w:
-            self.pending.pop(c, None)  # its queued broadcasts find none and cancel
+        self.pending.pop(w, None)  # its queued broadcasts find none and cancel
         self.reelect(self.topo.roles_held_by(w), w)
 
     def revive_worker(self, w: int):
@@ -504,12 +503,12 @@ class _Kernel:
         region = self.topo.scope_of(c, LAYER_REGIONAL_HUB)
         mid = msg_id_str(m.msg_id)
         decision = adj.leader_on_receive_deferred(c, m, self.topo, self.sc.delay,
-                                                  len(self.pending.get(c, ())),
+                                                  len(self.pending.get(leader, ())),
                                                   self.rng("alg2", region))
         self.emit_visit("alg2", c, mid, m, decision)
         if decision.outcome == "scheduled":
             m2 = decision.message
-            self.pending[c].add(m2.msg_id)
+            self.pending[leader].add(m2.msg_id)
             self.bump("broadcasts_scheduled")
             self.emit("alg2", "schedule", cluster=c, msg_id=mid,
                       distance=decision.distance, delay=decision.delay)
@@ -544,7 +543,7 @@ class _Kernel:
                     self.apply_execution(w, m, comp=comp)
 
     def handle_broadcast(self, c: int, leader: int, m: Message):
-        pending = self.pending.get(c, ())
+        pending = self.pending.get(leader, ())
         mid = msg_id_str(m.msg_id)
         if m.msg_id not in pending:  # popped by the leader's death
             self.bump("broadcasts_cancelled")
@@ -552,7 +551,7 @@ class _Kernel:
             return
         pending.remove(m.msg_id)
         if not pending:
-            del self.pending[c]
+            del self.pending[leader]
         mb = adj.worker_broadcast(c, m)
         self.bump("broadcasts_fired")
         self.emit("alg2", "broadcast", cluster=c, msg_id=mid, hop=mb.hop_count)
@@ -658,10 +657,7 @@ class _Kernel:
             self.bump("alg4_rounds_skipped", skipped)
 
     def _load_of(self, w: int) -> int:
-        c = self.topo.cluster_of(w)
-        if self.topo.roles[LAYER_LEADER].get(c) == w:
-            return len(self.pending.get(c, ()))
-        return 0
+        return len(self.pending.get(w, ()))
 
     def handle_failure(self, spec: FailureSpec):
         if spec.kind == "worker":
@@ -695,7 +691,7 @@ class _Kernel:
             seq = seq_per_origin.get(cmd.origin, 0)
             seq_per_origin[cmd.origin] = seq + 1
             goals = goal_clusters_for_scope(self.topo, cmd.scope)
-            m = new_command(cmd.origin, seq, goals, set(cmd.targets), cmd.payload)
+            m = new_command(cmd.origin, seq, goals, set(cmd.targets))
             dest, sender = ((("leader", cmd.origin), 1) if sc.strategy == "adjacent"
                             else (("nodes", [(LAYER_LEADER, cmd.origin)]), None))
             self.bump("deliveries_enqueued")
@@ -734,7 +730,7 @@ class _Kernel:
                 self.bump("deliveries_inflight", args[2] if kind == "leader"
                           else len(to) * len(args[2]) if kind == "workers" else len(to))
             elif handler == broadcast:  # cancelled if its leader's death popped its id
-                self.bump("broadcasts_pending" if args[2].msg_id in self.pending.get(args[0], ())
+                self.bump("broadcasts_pending" if args[2].msg_id in self.pending.get(args[1], ())
                           else "broadcasts_cancelled")
         # each entry holds a bound method of the kernel: left queued, they
         # would keep the kernel alive until a full garbage collection

@@ -34,8 +34,6 @@ from array import array
 from dataclasses import dataclass
 from functools import cached_property
 
-from .errors import UnknownScope
-
 WorkerId = int
 ClusterId = int
 RegionId = int
@@ -262,18 +260,11 @@ def goal_clusters_for_scope(topo: Topology, scope: tuple) -> range:
 
     ``scope`` is ("cluster", id) | ("region", id) | ("hub", id) |
     ("domain", id) | ("global",) or ("global", None).
+    The scope is trusted: ``scenario.validate_scenario`` checks its kind and id.
     """
-    kind = scope[0] if scope else None
-    if kind == "global":
+    if scope[0] == "global":
         return topo.clusters
-    if kind not in SCOPE_LAYERS:
-        raise UnknownScope(f"scope kind {scope!r}")
-    if len(scope) < 2 or scope[1] is None:
-        raise UnknownScope(f"scope {kind} needs an id")
-    layer, sid = SCOPE_LAYERS[kind], scope[1]
-    if not 0 <= sid < topo.config.n_scopes(layer):
-        raise UnknownScope(f"{kind} {sid}")
-    return topo.clusters_in(layer, sid)
+    return topo.clusters_in(SCOPE_LAYERS[scope[0]], scope[1])
 
 
 def _candidates(topo: Topology, layer: int, scope_id: int) -> list[WorkerId]:
@@ -282,8 +273,6 @@ def _candidates(topo: Topology, layer: int, scope_id: int) -> list[WorkerId]:
     Layer 2 draws from all alive workers of the cluster since workers hold no
     bindings.
     """
-    if not 0 <= scope_id < topo.config.n_scopes(layer):
-        raise UnknownScope(f"layer {layer} scope {scope_id}")
     if layer == LAYER_LEADER:
         pool = topo.workers_in_cluster(scope_id)
     else:
@@ -303,9 +292,8 @@ def reelect_role(topo: Topology, layer: int, scope_id: int) -> WorkerId | None:
     Rebinds ``topo.roles[layer][scope_id]`` and returns the new holder.  When
     the scope has no alive candidate the binding is vacated instead, so
     routing sees the hole rather than a dead holder, and None is returned.
+    The scope is trusted: the kernel names only built layers and in-range scopes.
     """
-    if layer not in topo.roles:
-        raise UnknownScope(f"layer {layer} not built (num_layers={topo.config.num_layers})")
     holders = topo.roles[layer]
     cands = _candidates(topo, layer, scope_id)
     if not cands:

@@ -261,14 +261,6 @@ class TestLiveness:
         assert predicted_liveness(0.0, 4) == 1.0
         assert predicted_liveness(1.0, 5) == 0.0
 
-    def test_argument_checks(self):
-        with pytest.raises(ValueError):
-            predicted_liveness(-0.1, 3)
-        with pytest.raises(ValueError):
-            predicted_liveness(1.5, 3)
-        with pytest.raises(ValueError):
-            predicted_liveness(0.1, 0)
-
     def test_trials_reproducible(self):
         a = liveness_trials(0.3, 2, 200, seed=77)
         b = liveness_trials(0.3, 2, 200, seed=77)

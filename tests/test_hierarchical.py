@@ -109,10 +109,8 @@ class TestTreeLinks:
     def test_holder_resolves_live_role_map(self, topo32):
         links = TreeLinks.build(topo32)
         assert links.holder((2, 3)) == 6
-        assert links.holder_cluster((2, 3)) == 3
         del topo32.roles[2][3]
         assert links.holder((2, 3)) is None
-        assert links.holder_cluster((2, 3)) is None
 
     def test_apex_held_by_lowest_top_scope(self, two_domain_topo):
         links = TreeLinks.build(two_domain_topo)
@@ -214,7 +212,7 @@ class TestLeafReceive:
         [(node, fm)] = d.forwards
         assert node == (3, 0)
         assert fm.hop_count == 1
-        assert fm.last_sent_cluster_id == 0
+        assert fm.last_sent_cluster_id == m.last_sent_cluster_id  # no tree copy sets it
         assert 0 in fm.visited_cluster_ids
         assert fm.forward_flag is False
 
@@ -253,7 +251,7 @@ class TestRouteInterior:
         assert [node for node, _ in out] == [(2, 1), (2, 2)]
         for _, fm in out:
             assert fm.hop_count == 2
-            assert fm.last_sent_cluster_id == 0  # regional hub held by worker 0
+            assert fm.last_sent_cluster_id == m.last_sent_cluster_id  # no tree copy sets it
 
     def test_shared_branch_sent_once(self, topo32):
         links = TreeLinks.build(topo32)
@@ -287,12 +285,6 @@ class TestRouteInterior:
         m = new_command(0, 0, goals=range(15, 16))
         out = route_interior((5, 0), m, (4, 0), topo32, links, mode=MODE_ROOT)
         assert [node for node, _ in out] == [(4, 1)]
-
-    def test_vacant_holder_routes_nothing(self, topo32):
-        links = TreeLinks.build(topo32)
-        del topo32.roles[3][0]
-        m = new_command(0, 0, goals=range(1, 2))
-        assert route_interior((3, 0), m, (2, 0), topo32, links) == []
 
     def test_executed_everywhere_routes_nothing(self, topo32):
         links = TreeLinks.build(topo32)
@@ -375,10 +367,8 @@ class TestRangeRoutingMatchesPerGoal:
                     out = route_interior(node, m, arrived_from, topo, links, mode)
                     assert [n for n, _ in out] == brute_route(node, m, arrived_from,
                                                               links, mode)
-                    sender = links.holder_cluster(node)
                     for _, fm in out:
-                        assert fm == m.copy(hop_count=m.hop_count + 1,
-                                            last_sent_cluster_id=sender)
+                        assert fm == m.copy(hop_count=m.hop_count + 1)
 
     @settings(deadline=None, max_examples=150)
     @given(shapes_and_copies())
@@ -399,9 +389,9 @@ class TestRangeRoutingMatchesPerGoal:
                 copy = visited_copy(m, d, c)
                 assert copy.executed_cluster_ids == executed
                 assert copy.visited_cluster_ids == m.visited_cluster_ids | {c}
-                # the climbing copy is the leaf's, one hop on, sent by c
+                # the climbing copy is the leaf's, one hop on
                 for _, up in d.forwards:
-                    assert up == copy.copy(hop_count=m.hop_count + 1, last_sent_cluster_id=c)
+                    assert up == copy.copy(hop_count=m.hop_count + 1)
                 # the leaf takes no route mode: the climb rule of each agrees
                 leaf = links.leaf(c)
                 for mode in (MODE_LCA, MODE_ROOT):

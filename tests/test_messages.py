@@ -1,6 +1,5 @@
 import pytest
 
-from virtree.errors import EmptyGoalSet
 from virtree.messages import (
     Message,
     msg_id_str,
@@ -11,7 +10,7 @@ from virtree.messages import (
 
 class TestNewCommand:
     def test_fresh_command_fields(self):
-        m = new_command(3, 0, goals=range(1, 3), targets=set(), payload=b"hi")
+        m = new_command(3, 0, goals=range(1, 3), targets=set())
         assert m.msg_id == (3, 0)
         assert m.hop_count == 0
         assert m.visited_cluster_ids == frozenset()
@@ -19,10 +18,6 @@ class TestNewCommand:
         assert m.forward_flag is False
         assert m.last_sent_cluster_id == 3
         assert m.target_worker_ids == frozenset()  # cluster-level policy executes
-
-    def test_empty_goals_rejected(self):
-        with pytest.raises(EmptyGoalSet):
-            new_command(0, 0, goals=range(0))
 
     def test_same_origin_seq_same_identity(self):
         a = new_command(2, 7, goals=range(1, 2))
@@ -65,11 +60,11 @@ class TestInvariants:
                     last_sent_cluster_id=0, forward_flag=False)
 
     def test_copy_touches_only_named_fields(self):
-        m = new_command(1, 0, goals=range(1, 3), targets={9}, payload=b"\x00\x01")
+        m = new_command(1, 0, goals=range(1, 3), targets={9})
         m2 = m.copy(hop_count=4, last_sent_cluster_id=2)
         assert m2.hop_count == 4
         assert m2.last_sent_cluster_id == 2
         assert m2.msg_id == m.msg_id
         assert m2.goal_cluster_ids == m.goal_cluster_ids
-        assert m2.payload == m.payload
+        assert m2.target_worker_ids == m.target_worker_ids
         assert m.hop_count == 0  # original untouched

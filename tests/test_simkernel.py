@@ -296,7 +296,12 @@ class TestLeaderStates:
                 continue
             assert cons["broadcasts_fired"] and cons["broadcasts_cancelled"] == 1
             assert sum(map(len, kernel.pending.values())) == cons["broadcasts_pending"] == 2
-            # a cluster whose broadcasts all fired keeps no empty set
+            # keyed by leader: each key still leads its cluster, the dead
+            # leader's broadcasts are gone, and a leader whose broadcasts all
+            # fired keeps no empty set
+            leaders, topo = kernel.topo.roles[LAYER_LEADER], kernel.topo
+            assert all(leaders[topo.cluster_of(w)] == w for w in kernel.pending)
+            assert 2 not in kernel.pending
             assert all(kernel.pending.values())
 
     def test_broadcast_its_leaders_death_cancelled_is_not_pending_at_the_horizon(self):
@@ -311,7 +316,8 @@ class TestLeaderStates:
         cons = report.conservation
         assert [cons[f"broadcasts_{k}"] for k in ("scheduled", "fired", "pending",
                                                    "cancelled")] == [6, 1, 4, 1]
-        assert sum(map(len, kernel.pending.values())) == 4 and 1 not in kernel.pending
+        # keyed by leader, so the dead leader 2 holds none
+        assert sum(map(len, kernel.pending.values())) == 4 and 2 not in kernel.pending
         assert report.conserved
 
     @pytest.mark.parametrize("strategy", ["adjacent", "hierarchical"])
@@ -325,9 +331,9 @@ class TestLeaderStates:
         # entry names its sending node
         comp, dest, sender = (("alg2", ("leader", 0), 1) if strategy == "adjacent"
                               else ("alg3", ("nodes", [(LAYER_LEADER, 0)]), None))
-        kernel.handle_delivery(dest, m, sender, False)
-        assert kernel.pending == ({0: {m.msg_id}} if strategy == "adjacent" else {})
         leader = kernel.topo.roles[LAYER_LEADER][0]
+        kernel.handle_delivery(dest, m, sender, False)
+        assert kernel.pending == ({leader: {m.msg_id}} if strategy == "adjacent" else {})
         kernel.kill_worker(leader)
         assert kernel.topo.roles[LAYER_LEADER][0] not in (None, leader)
         assert kernel.pending == {}  # the dead leader's broadcast is cancelled

@@ -3,7 +3,7 @@ import tracemalloc
 
 import pytest
 
-from virtree.errors import ScenarioInvalid, UnknownScope
+from virtree.errors import ScenarioInvalid
 from virtree.scenario import CommandSpec, FailureSpec, Scenario, validate_scenario
 from virtree.simkernel import _Kernel
 from virtree.topology import (
@@ -238,14 +238,6 @@ class TestGoalClusters:
     def test_global_covers_everything(self, topo32):
         assert goal_clusters_for_scope(topo32, ("global",)) == range(16)
 
-    def test_unknown_scope(self, topo32):
-        with pytest.raises(UnknownScope):
-            goal_clusters_for_scope(topo32, ("continent", 0))
-        with pytest.raises(UnknownScope):
-            goal_clusters_for_scope(topo32, ("region", 99))
-        with pytest.raises(UnknownScope):
-            goal_clusters_for_scope(topo32, ("region",))
-
 
 class TestReelection:
     def test_two_worker_cluster_survivor_takes_over(self, topo32):
@@ -276,13 +268,6 @@ class TestReelection:
         assert after[3] == 7
         assert {c: w for c, w in after.items() if c != 3} == \
                {c: w for c, w in before.items() if c != 3}
-
-    def test_layer_above_build_rejected(self):
-        cfg = HierarchyConfig(workers_per_cluster=2, clusters_per_region=2,
-                              num_layers=3, coordinator_k=2, t_min=1)
-        topo = build_topology(cfg, seed=1)
-        with pytest.raises(UnknownScope):
-            reelect_role(topo, 4, 0)
 
     def test_holders_stay_alive_and_in_scope_under_attrition(self):
         cfg = HierarchyConfig(workers_per_cluster=3, clusters_per_region=2,
