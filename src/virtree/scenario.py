@@ -38,7 +38,9 @@ DEFAULT_LATENCIES = {"cluster": 0.1, "region": 0.2, "adjacent": 0.5, "tree": 1.0
 
 STRATEGIES = ("adjacent", "hierarchical")
 
-# The kernel schedules every maintenance round up front, one heap event each.
+# The kernel queues one maintenance round at a time and counts a quiet
+# stretch of rounds at once, but a region that is dead, or below T_min with
+# no candidate, is visited every round, and may write a record each time.
 MAX_MAINTENANCE_ROUNDS = 100_000
 
 # At 10 workers a cluster a topology keeps about 15 B per worker of role

@@ -16,8 +16,16 @@ accounting does not balance.
 
 Every event is one heap entry ``(fire_time, seq, handler, args)`` and the
 loop runs ``handler(*args)``: a delivery, a leader's scheduled broadcast, a
-maintenance round, a failure or a revive.  A copy's sender is the sending
-worker id, the sending tree node, or None for an injected command.
+maintenance round, or an initial event, a command's injection or a failure
+or revive.  A copy's sender is the sending worker id, the sending tree node,
+or None for an injected command.
+
+Initial events and maintenance rounds are queued one at a time: each queues
+the next when it fires, under the key it would have had if all of them were
+queued before the first event (``schedule_initial``), so the heap holds at
+most two of them.  A round that finds no region unsettled counts itself and
+every later round before the heap's next entry as quiet at once
+(``handle_maintenance``).
 
 A worker delivery entry carries every copy of one send loop that fires at
 one time: its dest is ``("workers", ws)``, ws ascending, and its sender list
@@ -92,6 +100,7 @@ import random
 from bisect import bisect_left, bisect_right, insort
 from collections import defaultdict
 from collections.abc import Callable
+from math import inf
 
 from . import adjacent as adj
 from . import hierarchical as hier
@@ -112,7 +121,7 @@ from .topology import (
 MAX_PARK_RETRIES = 3
 
 # Records per batch handed to a trace sink.
-TRACE_BATCH = 4096
+TRACE_BATCH = 1024
 
 
 def quantize(t: float) -> float:
@@ -182,6 +191,12 @@ class _Kernel:
         # never index a missing key: that would add it to the conservation output
         self.counters: defaultdict[str, int] = defaultdict(int)
         self._rngs: dict[tuple, random.Random] = {}
+        # set by schedule_initial: each command's seq at its origin, each
+        # initial event's fire time, their seqs in firing order, the round count
+        self.cmd_seqs: list[int] = []
+        self.fires: list[float] = []
+        self.order: list[int] = []
+        self.rounds = 0
 
     # -- plumbing ---------------------------------------------------------
 
@@ -628,9 +643,14 @@ class _Kernel:
         would only return an equal roster, so its round is quiet and is
         counted without a visit.  A revive needs no visit of its own: it
         matters only to a region that is dead or below T_min, which stays
-        unsettled until a round finds it settled."""
+        unsettled until a round finds it settled.
+
+        With no region unsettled, every round is quiet until the next event:
+        this round and every later one up to ``last_quiet_round`` are
+        counted at once.  The next round to run is queued last."""
         dead, unsettled, t_min = self.dead_regions, self.unsettled, self.topo.config.t_min
-        skipped = len(self.rosters) - len(unsettled)
+        last = rnd if unsettled else self.last_quiet_round(rnd)
+        skipped = len(self.rosters) * (last - rnd + 1) - len(unsettled)
         for r in sorted(unsettled):
             out = monitor_round(self.rosters[r], r, self.topo, load_of=self._load_of,
                                 eager_refill=self.sc.eager_refill,
@@ -655,6 +675,29 @@ class _Kernel:
                       alive_before=out.alive_before, t_min=t_min)
         if skipped:  # a bump of 0 would add the key to the conservation output
             self.bump("alg4_rounds_skipped", skipped)
+        if last < self.rounds:
+            self.queue_round(last + 1)
+
+    def last_quiet_round(self, rnd: int) -> int:
+        """The last round from rnd on that fires by the horizon and before
+        the heap's next entry; now moves to its time, which ``run_end`` reads
+        when nothing fires after it.  Round keys grow with the round."""
+        bound = (self.sc.horizon, inf)
+        if self.heap:
+            bound = min(bound, self.heap[0][:2])
+        if rnd == self.rounds or self.round_key(rnd + 1) > bound:  # the common case
+            return rnd
+        last = rnd + bisect_left(range(rnd + 1, self.rounds + 1), bound, key=self.round_key)
+        self.now = quantize(last * self.sc.round_period)
+        return last
+
+    def round_key(self, k: int) -> tuple[float, int]:
+        """Round k's heap key: its fire time and seq N + k - 1, after the N
+        initial events and before every entry the run pushes."""
+        return quantize(k * self.sc.round_period), len(self.order) + k - 1
+
+    def queue_round(self, k: int):
+        heapq.heappush(self.heap, (*self.round_key(k), self.handle_maintenance, (k,)))
 
     def _load_of(self, w: int) -> int:
         return len(self.pending.get(w, ()))
@@ -685,25 +728,55 @@ class _Kernel:
     # -- main loop ----------------------------------------------------------
 
     def schedule_initial(self):
+        """Queue the first command or failure and the first maintenance
+        round.  The N initial events are ordered once by (fire time, seq),
+        initial event i taking seq i, commands first and then failures, in
+        scenario order; each queues its successor when it fires
+        (``fire_initial``), and so does each round (``handle_maintenance``).
+        The run's own pushes take seqs from N + rounds on, so every event
+        keeps the key it had when all of them were queued up front."""
         sc = self.sc
-        seq_per_origin: dict[int, int] = {}
+        seqs: dict[int, int] = {}  # origin -> its commands so far
         for cmd in sc.commands:
-            seq = seq_per_origin.get(cmd.origin, 0)
-            seq_per_origin[cmd.origin] = seq + 1
-            goals = goal_clusters_for_scope(self.topo, cmd.scope)
-            m = new_command(cmd.origin, seq, goals, set(cmd.targets))
-            dest, sender = ((("leader", cmd.origin), 1) if sc.strategy == "adjacent"
-                            else (("nodes", [(LAYER_LEADER, cmd.origin)]), None))
-            self.bump("deliveries_enqueued")
-            self.push(cmd.time, self.handle_delivery, (dest, m, sender, True))
-        for spec in sc.failures:
-            if spec.kind == "worker" and spec.action == "revive":
-                self.push(spec.time, self.revive_worker, (spec.worker,))
+            self.cmd_seqs.append(seqs.get(cmd.origin, 0))
+            seqs[cmd.origin] = self.cmd_seqs[-1] + 1
+        fires = [quantize(e.time) for e in (*sc.commands, *sc.failures)]
+        self.order = sorted(range(len(fires)), key=fires.__getitem__)
+        self.fires = fires
+        if sc.commands:  # a bump of 0 would add the key to the conservation output
+            self.bump("deliveries_enqueued", len(sc.commands))
+        self.rounds = int(sc.horizon / sc.round_period + 1e-9)
+        self.event_seq = len(fires) + self.rounds
+        if fires:
+            self.queue_initial(0)
+        if self.rounds:
+            self.queue_round(1)
+
+    def queue_initial(self, pos: int):
+        i = self.order[pos]
+        heapq.heappush(self.heap, (self.fires[i], i, self.fire_initial, (pos,)))
+
+    def fire_initial(self, pos: int):
+        """Queue the next initial event, then run the one at pos: a command,
+        its message built now, injected at its origin, or a failure."""
+        sc = self.sc
+        if pos + 1 < len(self.order):
+            self.queue_initial(pos + 1)
+        i = self.order[pos]
+        if i < len(sc.commands):
+            cmd = sc.commands[i]
+            m = new_command(cmd.origin, self.cmd_seqs[i],
+                            goal_clusters_for_scope(self.topo, cmd.scope), set(cmd.targets))
+            if sc.strategy == "adjacent":
+                self.handle_delivery(("leader", cmd.origin), m, 1, True)
             else:
-                self.push(spec.time, self.handle_failure, (spec,))
-        n_rounds = int(sc.horizon / sc.round_period + 1e-9)
-        for i in range(1, n_rounds + 1):
-            self.push(quantize(i * sc.round_period), self.handle_maintenance, (i,))
+                self.handle_delivery(("nodes", [(LAYER_LEADER, cmd.origin)]), m, None, True)
+            return
+        spec = sc.failures[i - len(sc.commands)]
+        if spec.kind == "worker" and spec.action == "revive":
+            self.revive_worker(spec.worker)
+        else:
+            self.handle_failure(spec)
 
     def run(self) -> tuple[list[TraceRecord], MetricsReport]:
         sc = self.sc
@@ -724,6 +797,7 @@ class _Kernel:
 
         # == and not `is`: every attribute access makes a new bound method
         delivery, broadcast = self.handle_delivery, self.handle_broadcast
+        initial = self.fire_initial
         for _fire, _seq, handler, args in self.heap:
             if handler == delivery:
                 kind, to = args[0]
@@ -732,6 +806,11 @@ class _Kernel:
             elif handler == broadcast:  # cancelled if its leader's death popped its id
                 self.bump("broadcasts_pending" if args[2].msg_id in self.pending.get(args[1], ())
                           else "broadcasts_cancelled")
+            elif handler == initial:  # each command not yet injected is in flight
+                n_cmds = len(sc.commands)
+                left = sum(i < n_cmds for i in self.order[args[0]:])
+                if left:
+                    self.bump("deliveries_inflight", left)
         # each entry holds a bound method of the kernel: left queued, they
         # would keep the kernel alive until a full garbage collection
         self.heap.clear()

@@ -15,8 +15,13 @@ reference byte for byte, shortcuts that interact included:
   a cluster run acted on in one pass with its reports sent in one call;
 - ``send_reports``: every report queued and delivered alone, as an entry of
   count 1, none accounted as a certain drop when sent;
-- ``handle_maintenance``: every region visited in every round, not only the
-  unsettled ones.
+- ``schedule_initial``: every command, failure and maintenance round its
+  own heap entry, all pushed before the first event, each command's message
+  built then, not each initial event and round queued when the one before
+  it fires;
+- ``handle_maintenance``: every round handled, and every region visited in
+  it, not only the unsettled ones, nor a quiet stretch of rounds counted at
+  once.
 
 It also checks what the kernel relies on and does not write: every alive
 worker receive is logged as ``(worker, from_worker)`` in ``receives``, beside
@@ -27,9 +32,9 @@ held by an alive worker, since deliveries check only for a vacancy.
 
 from virtree import adjacent as adj
 from virtree.hierarchical import leader_on_receive_immediate, route_interior
-from virtree.messages import msg_id_str
+from virtree.messages import msg_id_str, new_command
 from virtree.simkernel import _Kernel, copies_of, quantize
-from virtree.topology import LAYER_LEADER
+from virtree.topology import LAYER_LEADER, goal_clusters_for_scope
 
 
 class ReferenceKernel(_Kernel):
@@ -52,9 +57,30 @@ class ReferenceKernel(_Kernel):
             self.bump("deliveries_enqueued")
             self.push(fire, self.handle_delivery, (("leader", c), m, 1, False))
 
+    def schedule_initial(self):
+        sc = self.sc
+        seq_per_origin = {}
+        for cmd in sc.commands:
+            seq = seq_per_origin.get(cmd.origin, 0)
+            seq_per_origin[cmd.origin] = seq + 1
+            m = new_command(cmd.origin, seq, goal_clusters_for_scope(self.topo, cmd.scope),
+                            set(cmd.targets))
+            dest, sender = ((("leader", cmd.origin), 1) if sc.strategy == "adjacent"
+                            else (("nodes", [(LAYER_LEADER, cmd.origin)]), None))
+            self.bump("deliveries_enqueued")
+            self.push(cmd.time, self.handle_delivery, (dest, m, sender, True))
+        for spec in sc.failures:
+            if spec.kind == "worker" and spec.action == "revive":
+                self.push(spec.time, self.revive_worker, (spec.worker,))
+            else:
+                self.push(spec.time, self.handle_failure, (spec,))
+        n_rounds = int(sc.horizon / sc.round_period + 1e-9)
+        for i in range(1, n_rounds + 1):
+            self.push(quantize(i * sc.round_period), self.handle_maintenance, (i,))
+
     def handle_maintenance(self, rnd):
         self.unsettled.update(self.topo.regions)
-        super().handle_maintenance(rnd)
+        super().handle_maintenance(rnd)  # rounds stays 0 here, so no next round is queued
 
     def deliver_workers(self, ws, m, senders):
         """Deliver each sender's copies in turn, each copy alone: count and

@@ -1,4 +1,5 @@
 import gc
+import tracemalloc
 import weakref
 from dataclasses import replace
 from collections import Counter, defaultdict
@@ -541,6 +542,69 @@ class TestUnsettledRegions:
         assert "alg4_rounds_skipped" not in report.conservation
 
 
+class Chained(_Kernel):
+    """The kernel, noting how many heap entries are initial events or rounds
+    after set-up, at every push and after every initial event and round."""
+
+    def __init__(self, sc):
+        super().__init__(sc)
+        self.after_setup, self.most = None, 0
+
+    def note(self):
+        chained = (self.fire_initial, self.handle_maintenance)
+        self.most = max(self.most, sum(h in chained for _, _, h, _ in self.heap))
+
+    def schedule_initial(self):
+        super().schedule_initial()
+        self.after_setup = len(self.heap)
+        self.note()
+
+    def push(self, fire, handler, args):
+        super().push(fire, handler, args)
+        self.note()
+
+    def fire_initial(self, pos):
+        super().fire_initial(pos)
+        self.note()
+
+    def handle_maintenance(self, rnd):
+        super().handle_maintenance(rnd)
+        self.note()
+
+
+class TestSchedule:
+    """Initial events and rounds are queued one at a time, and a quiet
+    stretch of rounds is counted at once; each run equals the reference
+    kernel's, which queues every one before the first event."""
+
+    @pytest.mark.parametrize("n_failures", [0, 1, 30, 600])
+    def test_heap_holds_at_most_two_scheduled_entries(self, n_failures):
+        failures = [FailureSpec(time=i * 7 % 90 / 10, kind="worker",
+                                action="revive" if i % 3 else "kill", worker=i % 8)
+                    for i in range(n_failures)]
+        sc = scenario(horizon=10.0, failures=failures, commands=[
+            CommandSpec(time=t, origin=0, scope=("global",)) for t in (0.0, 2.5, 5.0)])
+        kernel = Chained(sc)
+        result = kernel.run()
+        assert kernel.after_setup == 2 and kernel.most == 2
+        assert_same_run(result, ReferenceKernel(sc).run())
+
+    def test_quiet_stretch_is_one_round(self):
+        # 100,000 rounds with nothing unsettled, the command delivered before
+        # the first: that round counts them all
+        calls = []
+        kernel = _Kernel(scenario(
+            horizon=100_000.0, strategy="hierarchical",
+            link_latencies={**simkernel.DEFAULT_LATENCIES, "tree": 0.1},
+            commands=[CommandSpec(time=0.0, origin=0, scope=("region", 1))]))
+        handle = kernel.handle_maintenance
+        kernel.handle_maintenance = lambda rnd: (calls.append(rnd), handle(rnd))
+        trace, report = kernel.run()
+        assert calls == [1]
+        assert report.conservation["alg4_rounds_skipped"] == 100_000 * 2
+        assert trace[-1].time == 100_000.0
+
+
 class TestRunRecords:
     def test_run_start_and_end_shape(self):
         sc = scenario(horizon=2.0)
@@ -572,6 +636,24 @@ class TestRunRecords:
         finally:
             if was_enabled:
                 gc.enable()
+
+    def test_streamed_run_holds_one_small_batch(self):
+        # 180 global commands on 32 clusters write over 20k records; written
+        # through dump_trace as they come, the run's memory stays small
+        cfg = HierarchyConfig(2, 4, 4, 2, coordinator_k=3, t_min=2)
+        sc = Scenario(config=cfg, seed=0, strategy="hierarchical", horizon=60.0,
+                      commands=[CommandSpec(time=i / 10, origin=i % cfg.n_clusters,
+                                            scope=("global",)) for i in range(180)])
+        written = []
+        tracemalloc.start()
+        try:
+            run(sc, sink=lambda batch: written.append((len(batch), len(dump_trace(batch)))))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sum(n for n, _ in written) >= 20_000
+        assert max(n for n, _ in written) < 2 * simkernel.TRACE_BATCH
+        assert peak < 2_000_000
 
     @staticmethod
     def lose_completions(monkeypatch):
@@ -794,7 +876,8 @@ def runs(draw):
     run's own entries: a worker delivery entry's, from its send to the
     landing of its reports (``window_failures``), or a tree entry's, from
     its send to its fire time (``tree_window_failures``), and some
-    hierarchical runs end inside a tree entry."""
+    hierarchical runs end inside a tree entry.  Some runs revive a region
+    that a round found dead (``dead_region_revival``)."""
     # two adjacent runs to a hierarchical one: most shortcuts are adjacent
     adjacent = draw(st.sampled_from([True, True, False]))
     if adjacent:  # five layers, one hub, and clusters whose relays can share entries
@@ -863,15 +946,33 @@ def runs(draw):
                   eager_refill=draw(st.booleans()), single_promotion=draw(st.booleans()),
                   commands=commands, failures=failures)
     if adjacent:
-        return replace(sc, failures=failures + draw(window_failures(sc)))
-    sc = replace(sc, failures=failures + draw(tree_window_failures(sc)))
-    if draw(st.booleans()):
-        # end the run while one of its entries is in flight
-        windows = tree_windows(sc)
-        if windows:
-            fire, _, _, sent = draw(st.sampled_from(windows))
-            sc = replace(sc, horizon=sent + draw(st.integers(1, 99)) / 100 * (fire - sent))
-    return sc
+        sc = replace(sc, failures=failures + draw(window_failures(sc)))
+    else:
+        sc = replace(sc, failures=failures + draw(tree_window_failures(sc)))
+        if draw(st.booleans()):
+            # end the run while one of its entries is in flight
+            windows = tree_windows(sc)
+            if windows:
+                fire, _, _, sent = draw(st.sampled_from(windows))
+                sc = replace(sc, horizon=sent + draw(st.integers(1, 99)) / 100 * (fire - sent))
+    return replace(sc, failures=sc.failures + dead_region_revival(sc))
+
+
+def dead_region_revival(sc):
+    """In runs of an odd seed and two rounds or more, a region killed
+    halfway to a round and all its workers revived halfway to the next, so
+    that round visits a region its last round found dead.  Which round and
+    region come from the seed: a draw here would shift the examples the
+    derandomized generator makes after it, whose windows
+    ``test_generated_runs_reach_every_window`` counts."""
+    n_rounds = int(sc.horizon / sc.round_period + 1e-9)
+    if n_rounds < 2 or sc.seed % 2 == 0:
+        return []
+    k, r = 1 + sc.seed % (n_rounds - 1), sc.seed // 2 % sc.config.n_regions
+    return [FailureSpec(time=(k - 0.5) * sc.round_period, kind="region", action="kill",
+                        region=r)] + [
+        FailureSpec(time=(k + 0.5) * sc.round_period, kind="worker", action="revive", worker=w)
+        for w in build_topology(sc.config, sc.seed).workers_in_region(r)]
 
 
 @st.composite
@@ -1507,6 +1608,38 @@ SMALLEST_RUNS = [pytest.param(sc, id=name) for name, sc in {
     "tree-entry-of-several-copies": small_run(
         HierarchyConfig(1, 1, hubs_per_domain=2, domains=2, num_layers=2),
         [CommandSpec(time=0.0, origin=0, scope=("global",)), to_cluster(0)], tree=0.0),
+    # The initial schedule: initial events and rounds are queued one at a
+    # time, each keeping the (fire, seq) key it would have had if all were
+    # queued up front, and a quiet stretch of rounds is counted at once.
+    # Worker 0 leads cluster 0, and its death listed after a command there
+    # quantizes to the command's time though it is earlier: the command goes first
+    "command-and-failure-in-one-quantum": small_run(
+        R1, [to_cluster(1, time=0.5)], [FailureSpec(
+            time=0.5 - 1e-12, kind="worker", action="kill", worker=0)]),
+    # worker 1 dies and revives in one quantum, listed in that order though
+    # the revive's raw time is earlier: it ends alive
+    "failures-in-one-quantum-in-reverse-raw-order": small_run(R1, [to_cluster(1)], [
+        FailureSpec(time=0.2 + 1e-12, kind="worker", action="kill", worker=1),
+        FailureSpec(time=0.2, kind="worker", action="revive", worker=1)]),
+    # region 0 dies at round 1's time: the kill goes first, and round 1 finds it dead
+    "initial-event-at-a-round": small_run(R1, [to_cluster(1)], [region_kill(1.0, 0)],
+                                          horizon=2.05),
+    # the injection's climbing copy lands at round 2's time, queued before
+    # round 1 fired: round 2 goes first and writes region 1's death; worker
+    # 0's death, queued when region 1's fires, goes before them both
+    "delivery-at-a-round": small_run(
+        HierarchyConfig(1, 1, hubs_per_domain=2, num_layers=2), [to_cluster(1, time=0.5)],
+        [region_kill(1.5, 1), FailureSpec(time=2.0, kind="worker", action="kill", worker=0)],
+        tree=1.5, horizon=2.05),
+    # rounds 1 to 1,000 are quiet and counted at once; the kill at 1,000.5
+    # makes round 1,001 find region 0 dead
+    "quiet-stretch-ended-by-a-kill": small_run(R1, [to_cluster(1)], [region_kill(1000.5, 0)],
+                                               horizon=1002.05),
+    # the second command and a kill come after the horizon: the command is in flight
+    "command-after-the-horizon": small_run(R1, [to_cluster(1), to_cluster(1, time=2.0)],
+                                           [region_kill(1.5, 0)]),
+    # the quiet rounds run to round 3, at the horizon, and run_end takes its time
+    "horizon-on-a-round": small_run(R1, [to_cluster(1)], horizon=3.0),
 }.items()]
 
 
