@@ -6,15 +6,21 @@ its trace out, and the same fold rebuilds a report from a saved trace file
 alone.  Records serialize as one canonical JSON object per line (sorted keys,
 no spaces), which is also what the byte-identity determinism checks compare.
 
-``dump_trace`` encodes every line with one C encoder built at import from
-``_ENCODER``'s settings, instead of letting ``JSONEncoder.encode`` build a
-new encoder per record; the bytes are the same.
+``dump_trace`` writes a record of a shape in ``_SHAPES``, every shape the
+kernel writes more than once a run, through that shape's line function: one
+f-string built from source at import, as ``collections.namedtuple`` builds its
+methods, with the sorted keys as literals and each value converted inline by
+its declared type.  Every other record, and every record whose keys, value
+types or time differ from its shape's, goes through one C encoder built at
+import from ``_ENCODER``'s settings.  Both give the bytes ``json.dumps`` gives
+with those settings, and raise where it raises.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from json.encoder import c_make_encoder, encode_basestring_ascii
 from typing import NamedTuple
@@ -60,13 +66,152 @@ class TraceRecord(NamedTuple):
                    event=obj["event"], data=data)
 
 
+# Every record shape the kernel writes more than once a run: comp, event, and
+# each data key in emit order with the exact type of its value, None where
+# the value is always None.  run_start, run_end and the link_* records are
+# written once a run or once a scenario entry, and take the C encoder.
+_SHAPES = (
+    ("alg1", "relay",
+     {"worker": int, "from_worker": int, "msg_id": str, "fanout": int, "hop": int}),
+    ("alg1", "execute_worker", {"worker": int, "msg_id": str, "hop": int, "from_worker": int}),
+    *[shape for comp in ("alg2", "alg3") for shape in (  # a leader's visit, either strategy
+        (comp, "process", {"cluster": int, "msg_id": str, "hop": int, "visited": list}),
+        (comp, "execute_cluster", {"cluster": int, "msg_id": str, "missed": list}),
+        (comp, "execute_worker", {"worker": int, "msg_id": str, "hop": int}))],
+    ("alg2", "schedule", {"cluster": int, "msg_id": str, "distance": int, "delay": float}),
+    ("alg2", "broadcast", {"cluster": int, "msg_id": str, "hop": int}),
+    ("alg2", "broadcast_cancelled", {"cluster": int, "msg_id": str}),
+    ("alg3", "route", {"node": str, "msg_id": str, "n_out": int, "hop": int}),
+    ("alg3", "forward", {"src": str, "dst": str, "msg_id": str, "hop": int}),
+    ("alg3", "noroute_parked", {"node": str, "msg_id": str}),
+    ("alg3", "noroute_retry", {"node": str, "msg_id": str, "ok": bool}),
+    ("alg3", "delivery_failed", {"node": str, "msg_id": str}),
+    ("alg4", "round", {"region": int, "round": int, "removed": list, "promoted": list,
+                       "size_after": int, "alive_before": int, "t_min": int}),
+    ("alg4", "region_dead", {"region": int, "round": int, "t_min": int}),
+    ("kernel", "command_injected",
+     {"msg_id": str, "origin": int, "goals_total": int, "targets_total": int}),
+    ("kernel", "failure", {"worker": int}),
+    ("kernel", "recovery", {"worker": int}),
+    # old: the killed holder, or None when a revive fills a vacancy, which
+    # it always can: each scope it fills holds the holder just filled below
+    ("kernel", "role_reelect", {"layer": int, "scope": int, "old": int, "new": int}),
+    ("kernel", "role_reelect", {"layer": int, "scope": int, "old": None, "new": int}),
+    ("kernel", "role_vacant", {"layer": int, "scope": int, "old": int}),
+    ("kernel", "drop_dead", {"worker": int, "msg_id": str}),
+    ("kernel", "drop_dead", {"cluster": int, "msg_id": str}),
+    ("kernel", "drop_jam", {"link_class": str, "msg_id": str, "dest": str}),
+)
+
+# A declared type's f-string field for the value named v: what the C encoder
+# writes for a value of exactly that type.  A list that is not empty goes
+# through the C encoder.
+_FIELDS = {int: "{%(v)s}", str: "{_str(%(v)s)}", float: "{%(v)s!r}",
+           bool: '{"true" if %(v)s else "false"}',
+           list: '{"".join(_encode(%(v)s, 0)) if %(v)s else "[]"}'}
+
+
+# A line function; its body is one f-string, the record's JSON text.
+_LINE_SOURCE = '''\
+def line(stamp, seq, data):
+    if len(data) != %(n)d:
+        return None
+    try:
+        %(fetch)s
+    except KeyError:
+        return None
+    if not (%(checks)s):
+        return None
+    return f'{{%(body)s}}\\n'
+'''
+
+
+def _literal(text: str) -> str:
+    """JSON text as the literal part of a single-quoted f-string.  Text
+    that ``encode_basestring_ascii`` wrote holds no line break, so only
+    these four characters need escaping."""
+    return (text.replace("\\", "\\\\").replace("'", "\\'")
+            .replace("{", "{{").replace("}", "}}"))
+
+
+def _line_function(comp: str, event: str, fields: dict) -> Callable:
+    """The line function of one shape: ``line(stamp, seq, data)`` returns
+    the JSON line of a record whose time, a finite float, is written
+    ``stamp``, or None when data's keys or value types are not the shape's
+    or seq is not an int.
+
+    The merged record's keys are sorted once, here, and its values encoded
+    in that order, as the C encoder encodes them: a list that cannot be
+    encoded raises there."""
+    names = {key: f"v{i}" for i, key in enumerate(fields)}
+    checks = ["type(seq) is int"]
+    # key -> its value as f-string text: a JSON literal or a field
+    values = {"comp": _literal(encode_basestring_ascii(comp)),
+              "event": _literal(encode_basestring_ascii(event)),
+              "seq": "{seq}", "time": "{stamp}"}
+    for key, kind in fields.items():
+        name = names[key]
+        if kind is None:
+            checks.append(f"{name} is None")
+            values[key] = "null"
+            continue
+        checks.append(f"type({name}) is {kind.__name__}")
+        if kind is float:
+            checks.append(f"_isfinite({name})")
+        values[key] = _FIELDS[kind] % {"v": name}
+    body = ",".join(_literal(encode_basestring_ascii(key) + ":") + values[key]
+                    for key in sorted(values))
+    fetch = "; ".join(f"{names[key]} = data[{key!r}]" for key in fields)
+    source = _LINE_SOURCE % {"n": len(fields), "fetch": fetch,
+                             "checks": " and ".join(checks), "body": body}
+    namespace = {"_str": encode_basestring_ascii, "_encode": _encode,
+                 "_isfinite": math.isfinite}
+    exec(source, namespace)
+    return namespace["line"]
+
+
+def _either(first: Callable, second: Callable) -> Callable:
+    """One line function for two shapes of one comp and event."""
+    return lambda stamp, seq, data: first(stamp, seq, data) or second(stamp, seq, data)
+
+
+def _lines() -> dict[tuple[str, str], Callable]:
+    """(comp, event) -> the line function of its shapes, tried in table order."""
+    lines: dict[tuple[str, str], Callable] = {}
+    for comp, event, fields in _SHAPES:
+        line, other = _line_function(comp, event, fields), lines.get((comp, event))
+        lines[comp, event] = line if other is None else _either(other, line)
+    return lines
+
+
+_LINES = _lines()
+
+
 def dump_trace(records: list[TraceRecord]) -> str:
     """The canonical JSONL text of a trace or of one batch of it.
 
-    A line is the record's four fields merged with its data, data keys last.
+    A line is the JSON object of the record's four fields and its data keys
+    together, all keys sorted as one set; a data key named like one of the
+    four fields replaces that field.  A record of a known shape whose time
+    is a finite float is written by its line function, any other by the C
+    encoder: the same bytes.
     """
     chunks: list[str] = []
+    lines = _LINES
+    last = stamp = None  # the last record's time, and its text when a finite float
     for time, seq, comp, event, data in records:
+        if time is not last:  # the records of one event share the kernel's time object
+            last = time
+            stamp = repr(time) if type(time) is float and math.isfinite(time) else None
+        line = lines.get((comp, event))
+        if line is not None and stamp is not None:
+            try:
+                text = line(stamp, seq, data)
+            except (TypeError, ValueError):  # raised again below, as the C encoder words it
+                text = None
+            if text is not None:
+                chunks.append(text)
+                continue
         chunks += _encode({"time": time, "seq": seq, "comp": comp, "event": event,
                            **data}, 0)
         chunks.append("\n")

@@ -324,9 +324,15 @@ class _Kernel:
         self.reelect(self.topo.roles_held_by(w), w)
 
     def revive_worker(self, w: int):
+        """Revive w and fill the vacancies of its scopes.  A revive in a
+        region the last round found dead makes it unsettled again: the
+        revived worker may be one of its coordinators."""
         if self.topo.is_alive(w):
             return
         self.topo.mark_alive(w)
+        region = self.topo.region_of_worker(w)
+        if region in self.dead_regions:
+            self.unsettled.add(region)
         self.emit("kernel", "recovery", worker=w)
         # fill every vacancy in the scopes this worker belongs to: the worker
         # is a candidate at layer 2 and each filled layer's holder at the next
@@ -638,11 +644,15 @@ class _Kernel:
 
         Only the unsettled regions are visited, in ascending order: those
         where a worker died since their last round, those whose roster is
-        below T_min, and those that are dead.  Any other region's roster is
-        alive coordinators at or above T_min, and ``monitor_round`` on it
-        would only return an equal roster, so its round is quiet and is
-        counted without a visit.  A revive needs no visit of its own: it
-        matters only to a region that is dead or below T_min, which stays
+        below T_min, and the dead ones where a worker revived since their
+        last round.  Any other region's roster is alive coordinators at or
+        above T_min, and ``monitor_round`` on it would only return an equal
+        roster, so its round is quiet and is counted without a visit.  A
+        dead region's roster stays as it was, every member dead, until one
+        of them revives, so its round can only find it dead again: the round
+        that finds it dead drops it from ``unsettled``, and ``revive_worker``
+        puts it back.  A revive in a region that is not dead needs no visit
+        of its own: it matters only to a roster below T_min, which stays
         unsettled until a round finds it settled.
 
         With no region unsettled, every round is quiet until the next event:
@@ -656,6 +666,7 @@ class _Kernel:
                                 eager_refill=self.sc.eager_refill,
                                 single_promotion=self.sc.single_promotion)
             if out is None:
+                unsettled.discard(r)  # until a kill or a revive lands in it
                 if r in dead:
                     skipped += 1
                 else:

@@ -2,6 +2,7 @@ import importlib.util
 import inspect
 import json
 import math
+import re
 import sys
 from dataclasses import replace
 
@@ -66,22 +67,110 @@ RECORDS = st.builds(TraceRecord, time=st.floats(), seq=st.integers(min_value=0),
                     data=st.dictionaries(STRINGS, VALUES, max_size=6))
 
 
+def expected_text(records):
+    """What ``dump_trace`` must write: ``json.dumps`` of each record's fields
+    and data merged, with the trace's settings.  NaN and infinities are not
+    JSON: this raises ValueError for them, as ``dump_trace`` must."""
+    return "".join(
+        json.dumps({"time": r.time, "seq": r.seq, "comp": r.comp, "event": r.event, **r.data},
+                   sort_keys=True, separators=(",", ":"), allow_nan=False) + "\n"
+        for r in records)
+
+
+# values of each type a shape declares: ints negative and beyond 64 bits,
+# strings that need escaping and that are not ASCII, floats at the edges of
+# repr's notation, and lists empty and nested
+TYPED_INTS = st.integers() | st.integers(min_value=-2**200, max_value=2**200)
+TYPED_FLOATS = (st.sampled_from([-0.0, 1e16, 5e-324, 1e-9, 0.1])
+                | st.floats(allow_nan=False, allow_infinity=False))
+TYPED_LISTS = st.sampled_from([[], [[]], [1, [2, [3, []]]]]) | st.lists(st.recursive(
+    st.none() | st.booleans() | TYPED_INTS | TYPED_FLOATS | STRINGS,
+    lambda inner: st.lists(inner, max_size=3), max_leaves=8), max_size=4)
+TYPED = {int: TYPED_INTS, str: STRINGS, float: TYPED_FLOATS, bool: st.booleans(),
+         list: TYPED_LISTS, None: st.none()}
+
+# The shapes dump_trace writes through a line function, beside records one
+# step off them: each must give what json.dumps gives, bytes or error.
+RELAY = rec("alg1", "relay", time=2.5, seq=9, worker=4, from_worker=1, msg_id="0:0",
+            fanout=7, hop=3)
+SCHEDULE = rec("alg2", "schedule", time=0.5, seq=4, cluster=2, msg_id="0:1", distance=1,
+               delay=1.25)
+FORWARD = rec("alg3", "forward", time=3.0, seq=12, src="(3, 0)", dst="(2, 1)",
+              msg_id="1:0", hop=2)
+PROCESS = rec("alg3", "process", time=3.0, seq=13, cluster=1, msg_id="1:0", hop=2,
+              visited=[0, 1])
+VACANT = rec("kernel", "role_vacant", time=1.0, seq=2, layer=2, scope=1, old=3)
+
+
+def changed(record, **data):
+    return record._replace(data={**record.data, **data})
+
+
+def without(record, key):
+    return record._replace(data={k: v for k, v in record.data.items() if k != key})
+
+
+NEAR_MISSES = [pytest.param(r, id=name) for name, r in {
+    "on-its-shape": FORWARD,
+    "bool-for-int": changed(RELAY, worker=True),
+    "bool-for-int-in-seq": RELAY._replace(seq=False),
+    "int-time": FORWARD._replace(time=3),
+    "str-for-int": changed(FORWARD, hop="2"),
+    "int-for-float": changed(SCHEDULE, delay=1),
+    "none-for-int": changed(VACANT, scope=None),
+    "nan-in-a-float-field": changed(SCHEDULE, delay=math.nan),
+    "inf-in-a-float-field": changed(SCHEDULE, delay=math.inf),
+    "minus-inf-in-a-float-field": changed(SCHEDULE, delay=-math.inf),
+    "nan-time": FORWARD._replace(time=math.nan),
+    "inf-time": FORWARD._replace(time=math.inf),
+    "nan-in-a-list": changed(PROCESS, visited=[0, math.nan]),
+    "set-in-a-list": changed(PROCESS, visited=[{1}]),
+    "tuple-for-list": changed(PROCESS, visited=(0, 1)),
+    "missing-key": without(FORWARD, "hop"),
+    "extra-key": changed(FORWARD, ttl=4),
+    "key-renamed": changed(without(FORWARD, "hop"), hops=2),
+    "data-key-named-time": changed(FORWARD, time="late"),
+    "data-key-named-comp": changed(without(FORWARD, "hop"), comp="alg9"),
+    "keys-in-another-order": FORWARD._replace(data=dict(reversed(FORWARD.data.items()))),
+}.items()]
+
+
 class TestDumpTraceEncoding:
     @settings(deadline=None)  # no time limit per example: speed is not what this checks
     @given(st.lists(RECORDS, max_size=5))
     def test_matches_json_dumps(self, records):
-        # NaN and infinities are not JSON: both encoders raise ValueError
         try:
-            expected = "".join(
-                json.dumps({"time": r.time, "seq": r.seq, "comp": r.comp,
-                            "event": r.event, **r.data},
-                           sort_keys=True, separators=(",", ":"), allow_nan=False) + "\n"
-                for r in records)
+            expected = expected_text(records)
         except ValueError:
             with pytest.raises(ValueError):
                 dump_trace(records)
         else:
             assert dump_trace(records) == expected
+
+    @pytest.mark.parametrize("shape", metrics._SHAPES, ids=lambda s: "{}.{}({})".format(
+        s[0], s[1], ",".join(k if t else f"{k}=None" for k, t in s[2].items())))
+    @settings(deadline=None, max_examples=60)
+    @given(draw=st.data())
+    def test_every_shape_matches_json_dumps(self, shape, draw):
+        comp, event, fields = shape
+        record = TraceRecord(time=draw.draw(TYPED_FLOATS), seq=draw.draw(TYPED_INTS),
+                             comp=comp, event=event,
+                             data={key: draw.draw(TYPED[kind]) for key, kind in fields.items()})
+        expected = expected_text([record])
+        # written by the shape's line function, not the C encoder
+        assert metrics._LINES[comp, event](repr(record.time), record.seq,
+                                           record.data) == expected
+        assert dump_trace([record]) == expected
+
+    @pytest.mark.parametrize("record", NEAR_MISSES)
+    def test_near_misses_give_what_json_dumps_gives(self, record):
+        try:
+            expected = expected_text([record, FORWARD])
+        except (TypeError, ValueError) as err:
+            with pytest.raises(type(err), match=f"^{re.escape(str(err))}$"):
+                dump_trace([record, FORWARD])
+        else:
+            assert dump_trace([record, FORWARD]) == expected
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     def test_non_finite_float_raises(self, value):

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from conftest import region_crossings
 from reference import ReferenceKernel
-from virtree import simkernel
+from virtree import metrics, simkernel
 from virtree.adjacent import DelayParams, reachable_workers
 from virtree.coordinators import monitor_round
 from virtree.hierarchical import MODE_LCA, MODE_ROOT, TreeLinks
@@ -1704,3 +1704,52 @@ class TestReference:
             "retried", "full jam", "partial jam", "region kill", "zero latency",
             "root mode", "targeted"}
         assert all(seen.values()), seen
+
+
+# Records written once a run, or once a link entry of the scenario: the C
+# encoder writes them.
+ONCE_A_RUN = {("kernel", "run_start"), ("kernel", "run_end"), ("kernel", "link_jam"),
+              ("kernel", "link_clear"), ("kernel", "link_change")}
+
+# Cluster 1's one worker is dead from 0, so the command injected there is
+# parked; worker 0's death, revival and death change the role map three
+# times with cluster 1 still vacant, and the parked copy fails.
+PARKED_COPY_FAILS = small_run(HierarchyConfig(1, 1, domains=2, num_layers=2),
+                              [to_cluster(0, origin=1, time=0.1)],
+                              [FailureSpec(time=0.0, kind="worker", action="kill", worker=1),
+                               *blink(0, 0.2, 0.3),
+                               FailureSpec(time=0.4, kind="worker", action="kill", worker=0)],
+                              tree=0.1)
+
+
+class TestTraceShapes:
+    def test_every_written_shape_has_a_line_function(self):
+        # every other record the kernel writes, in generated runs of both
+        # strategies and the smallest runs, has the shape of a row of
+        # metrics._SHAPES, and its row's line function writes it: an emit
+        # change that leaves the table shows here.  Every row is written.
+        rows = {(comp, event, tuple(fields.items())) for comp, event, fields in metrics._SHAPES}
+        seen = set()
+
+        def check(trace):
+            for rec in trace:
+                if (rec.comp, rec.event) in ONCE_A_RUN:
+                    continue
+                shape = (rec.comp, rec.event, tuple(
+                    (key, None if value is None else type(value))
+                    for key, value in rec.data.items()))
+                assert shape in rows
+                assert type(rec.time) is float
+                assert metrics._LINES[rec.comp, rec.event](repr(rec.time), rec.seq, rec.data)
+                seen.add(shape)
+
+        @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+        @given(runs())
+        def generated(sc):
+            check(run(sc)[0])
+
+        generated()
+        for param in SMALLEST_RUNS:
+            check(run(param.values[0])[0])
+        check(run(PARKED_COPY_FAILS)[0])
+        assert seen == rows
