@@ -29,7 +29,7 @@ from .hierarchical import (
     route_interior,
 )
 from .messages import Message, goals_left, new_command
-from .metrics import MetricsReport, TraceRecord, build_report, dump_trace, parse_trace
+from .metrics import MetricsReport, TraceRecord, build_report, dump_trace
 from .scenario import (
     CommandSpec,
     FailureSpec,
@@ -85,7 +85,6 @@ __all__ = [
     "load_scenario_file",
     "monitor_round",
     "new_command",
-    "parse_trace",
     "predicted_liveness",
     "reachable_workers",
     "reelect_role",

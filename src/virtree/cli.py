@@ -19,8 +19,8 @@ from statistics import fmean
 
 from .coordinators import liveness_trials
 from .errors import OracleMismatch, ScenarioInvalid
-from .metrics import TRANSMISSION_EVENTS, dump_trace, liveness_estimate
-from .oracle import EXECUTIONS, check_trace
+from .metrics import EXECUTIONS, TRANSMISSION_EVENTS, dump_trace, liveness_estimate
+from .oracle import check_trace
 from .scenario import MAX_WORKERS, load_scenario_file, validate_scenario
 from .simkernel import run as run_scenario
 from .topology import build_topology, derive_seed, goal_clusters_for_scope
@@ -124,7 +124,7 @@ def cmd_oracle_check(args) -> int:
     # check_trace reads only the execution records: keep just those
     executions = []
     run_scenario(sc, sink=lambda batch: executions.extend(
-        rec for rec in batch if rec.event in EXECUTIONS))
+        rec for rec in batch if f"{rec.comp}.{rec.event}" in EXECUTIONS))
     mismatches = check_trace(executions, topo, sc.strategy, sc.commands)
     if mismatches:
         for line in mismatches:

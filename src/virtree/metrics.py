@@ -6,14 +6,14 @@ its trace out, and the same fold rebuilds a report from a saved trace file
 alone.  Records serialize as one canonical JSON object per line (sorted keys,
 no spaces), which is also what the byte-identity determinism checks compare.
 
-``dump_trace`` writes a record of a shape in ``_SHAPES``, every shape the
-kernel writes more than once a run, through that shape's line function: one
-f-string built from source at import, as ``collections.namedtuple`` builds its
-methods, with the sorted keys as literals and each value converted inline by
-its declared type.  Every other record, and every record whose keys, value
-types or time differ from its shape's, goes through one C encoder built at
-import from ``_ENCODER``'s settings.  Both give the bytes ``json.dumps`` gives
-with those settings, and raise where it raises.
+``_SHAPES`` declares trace format 4: each record shape the kernel writes, and
+what readers pick records out for.  ``dump_trace`` writes a record on a shape
+through that shape's line function: one f-string built from source at import,
+as ``collections.namedtuple`` builds its methods, with the sorted keys as
+literals and each value converted inline by its declared type.  A record off
+every shape goes through one C encoder built at import from ``_ENCODER``'s
+settings.  Both give the bytes ``json.dumps`` gives with those settings, and
+raise where it raises.
 """
 
 from __future__ import annotations
@@ -21,13 +21,9 @@ from __future__ import annotations
 import json
 import math
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from json.encoder import c_make_encoder, encode_basestring_ascii
 from typing import NamedTuple
-
-# ``MetricsReport.totals`` keys that are one radio transmission each: worker relays
-# and leader broadcasts (adjacent strategy), tree forwards (hierarchical).
-TRANSMISSION_EVENTS = ("alg1.relay", "alg2.broadcast", "alg3.forward")
 
 # The settings of every trace line; NaN and infinities are not JSON and raise.
 _ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"), allow_nan=False)
@@ -45,12 +41,8 @@ else:
 
 
 class TraceRecord(NamedTuple):
-    """One simulation event observation.
-
-    time/seq give the deterministic total order; comp tags the algorithm
-    ("alg1".."alg4" or "kernel"); event names what happened; data carries the
-    ids, message snapshot fields and any aux values.
-    """
+    """One trace record: time and seq give the deterministic total order, and
+    ``_SHAPES`` lists each comp and event with the keys of its data."""
 
     time: float
     seq: int
@@ -60,55 +52,76 @@ class TraceRecord(NamedTuple):
 
     @classmethod
     def from_obj(cls, obj: dict) -> "TraceRecord":
-        data = {k: v for k, v in obj.items()
-                if k not in ("time", "seq", "comp", "event")}
-        return cls(time=obj["time"], seq=obj["seq"], comp=obj["comp"],
-                   event=obj["event"], data=data)
+        data = dict(obj)
+        return cls(data.pop("time"), data.pop("seq"), data.pop("comp"), data.pop("event"),
+                   data)
 
 
-# Every record shape the kernel writes more than once a run: comp, event, and
-# each data key in emit order with the exact type of its value, None where
-# the value is always None.  run_start, run_end and the link_* records are
-# written once a run or once a scenario entry, and take the C encoder.
+class _Shape(NamedTuple):
+    comp: str
+    event: str
+    fields: dict  # each data key in emit order -> its value's exact type, None if always None
+    transmission: bool = False  # the record is one radio transmission
+    executes: str | None = None  # an execution: the data key naming the cluster or worker
+
+
+# Every record shape the kernel writes, and what readers pick records out for.
 _SHAPES = (
-    ("alg1", "relay",
-     {"worker": int, "from_worker": int, "msg_id": str, "fanout": int, "hop": int}),
-    ("alg1", "execute_worker", {"worker": int, "msg_id": str, "hop": int, "from_worker": int}),
+    _Shape("kernel", "run_start", {"format": int, "strategy": str, "seed": int, "horizon": float,
+                                   "workers": int, "clusters": int, "regions": int,
+                                   "route_mode": str}),
+    _Shape("alg1", "relay", {"worker": int, "from_worker": int, "msg_id": str, "fanout": int,
+                             "hop": int}, transmission=True),
+    _Shape("alg1", "execute_worker", {"worker": int, "msg_id": str, "hop": int,
+                                      "from_worker": int}, executes="worker"),
     *[shape for comp in ("alg2", "alg3") for shape in (  # a leader's visit, either strategy
-        (comp, "process", {"cluster": int, "msg_id": str, "hop": int, "visited": list}),
-        (comp, "execute_cluster", {"cluster": int, "msg_id": str, "missed": list}),
-        (comp, "execute_worker", {"worker": int, "msg_id": str, "hop": int}))],
-    ("alg2", "schedule", {"cluster": int, "msg_id": str, "distance": int, "delay": float}),
-    ("alg2", "broadcast", {"cluster": int, "msg_id": str, "hop": int}),
-    ("alg2", "broadcast_cancelled", {"cluster": int, "msg_id": str}),
-    ("alg3", "route", {"node": str, "msg_id": str, "n_out": int, "hop": int}),
-    ("alg3", "forward", {"src": str, "dst": str, "msg_id": str, "hop": int}),
-    ("alg3", "noroute_parked", {"node": str, "msg_id": str}),
-    ("alg3", "noroute_retry", {"node": str, "msg_id": str, "ok": bool}),
-    ("alg3", "delivery_failed", {"node": str, "msg_id": str}),
-    ("alg4", "round", {"region": int, "round": int, "removed": list, "promoted": list,
-                       "size_after": int, "alive_before": int, "t_min": int}),
-    ("alg4", "region_dead", {"region": int, "round": int, "t_min": int}),
-    ("kernel", "command_injected",
-     {"msg_id": str, "origin": int, "goals_total": int, "targets_total": int}),
-    ("kernel", "failure", {"worker": int}),
-    ("kernel", "recovery", {"worker": int}),
+        _Shape(comp, "process", {"cluster": int, "msg_id": str, "hop": int, "visited": list}),
+        _Shape(comp, "execute_cluster", {"cluster": int, "msg_id": str, "missed": list},
+               executes="cluster"),
+        _Shape(comp, "execute_worker", {"worker": int, "msg_id": str, "hop": int},
+               executes="worker"))],
+    _Shape("alg2", "schedule", {"cluster": int, "msg_id": str, "distance": int, "delay": float}),
+    _Shape("alg2", "broadcast", {"cluster": int, "msg_id": str, "hop": int}, transmission=True),
+    _Shape("alg2", "broadcast_cancelled", {"cluster": int, "msg_id": str}),
+    _Shape("alg3", "route", {"node": str, "msg_id": str, "n_out": int, "hop": int}),
+    _Shape("alg3", "forward", {"src": str, "dst": str, "msg_id": str, "hop": int},
+           transmission=True),
+    _Shape("alg3", "noroute_parked", {"node": str, "msg_id": str}),
+    _Shape("alg3", "noroute_retry", {"node": str, "msg_id": str, "ok": bool}),
+    _Shape("alg3", "delivery_failed", {"node": str, "msg_id": str}),
+    _Shape("alg4", "round", {"region": int, "round": int, "removed": list, "promoted": list,
+                             "size_after": int, "alive_before": int, "t_min": int}),
+    _Shape("alg4", "region_dead", {"region": int, "round": int, "t_min": int}),
+    _Shape("kernel", "command_injected",
+           {"msg_id": str, "origin": int, "goals_total": int, "targets_total": int}),
+    _Shape("kernel", "failure", {"worker": int}),
+    _Shape("kernel", "recovery", {"worker": int}),
     # old: the killed holder, or None when a revive fills a vacancy, which
     # it always can: each scope it fills holds the holder just filled below
-    ("kernel", "role_reelect", {"layer": int, "scope": int, "old": int, "new": int}),
-    ("kernel", "role_reelect", {"layer": int, "scope": int, "old": None, "new": int}),
-    ("kernel", "role_vacant", {"layer": int, "scope": int, "old": int}),
-    ("kernel", "drop_dead", {"worker": int, "msg_id": str}),
-    ("kernel", "drop_dead", {"cluster": int, "msg_id": str}),
-    ("kernel", "drop_jam", {"link_class": str, "msg_id": str, "dest": str}),
+    _Shape("kernel", "role_reelect", {"layer": int, "scope": int, "old": int, "new": int}),
+    _Shape("kernel", "role_reelect", {"layer": int, "scope": int, "old": None, "new": int}),
+    _Shape("kernel", "role_vacant", {"layer": int, "scope": int, "old": int}),
+    _Shape("kernel", "drop_dead", {"worker": int, "msg_id": str}),
+    _Shape("kernel", "drop_dead", {"cluster": int, "msg_id": str}),
+    _Shape("kernel", "drop_jam", {"link_class": str, "msg_id": str, "dest": str}),
+    _Shape("kernel", "link_jam", {"link_class": str, "drop": float}),
+    _Shape("kernel", "link_clear", {"link_class": str}),
+    _Shape("kernel", "link_change", {"action": str, "edge": list}),
+    _Shape("kernel", "run_end",
+           {"live_region_fraction": float, "conservation": dict, "conserved": bool}),
 )
 
+# ``MetricsReport.totals`` keys of the transmissions, and of the executions -> id key
+TRANSMISSION_EVENTS = {f"{s.comp}.{s.event}" for s in _SHAPES if s.transmission}
+EXECUTIONS = {f"{s.comp}.{s.event}": s.executes for s in _SHAPES if s.executes}
+
 # A declared type's f-string field for the value named v: what the C encoder
-# writes for a value of exactly that type.  A list that is not empty goes
-# through the C encoder.
+# writes for a value of exactly that type.  A dict, and a list that is not
+# empty, go through the C encoder.
 _FIELDS = {int: "{%(v)s}", str: "{_str(%(v)s)}", float: "{%(v)s!r}",
            bool: '{"true" if %(v)s else "false"}',
-           list: '{"".join(_encode(%(v)s, 0)) if %(v)s else "[]"}'}
+           list: '{"".join(_encode(%(v)s, 0)) if %(v)s else "[]"}',
+           dict: '{"".join(_encode(%(v)s, 0))}'}
 
 
 # A line function; its body is one f-string, the record's JSON text.
@@ -141,8 +154,8 @@ def _line_function(comp: str, event: str, fields: dict) -> Callable:
     or seq is not an int.
 
     The merged record's keys are sorted once, here, and its values encoded
-    in that order, as the C encoder encodes them: a list that cannot be
-    encoded raises there."""
+    in that order, as the C encoder encodes them: a list or dict that cannot
+    be encoded raises there."""
     names = {key: f"v{i}" for i, key in enumerate(fields)}
     checks = ["type(seq) is int"]
     # key -> its value as f-string text: a JSON literal or a field
@@ -178,7 +191,7 @@ def _either(first: Callable, second: Callable) -> Callable:
 def _lines() -> dict[tuple[str, str], Callable]:
     """(comp, event) -> the line function of its shapes, tried in table order."""
     lines: dict[tuple[str, str], Callable] = {}
-    for comp, event, fields in _SHAPES:
+    for comp, event, fields, *_ in _SHAPES:
         line, other = _line_function(comp, event, fields), lines.get((comp, event))
         lines[comp, event] = line if other is None else _either(other, line)
     return lines
@@ -216,11 +229,6 @@ def dump_trace(records: list[TraceRecord]) -> str:
                            **data}, 0)
         chunks.append("\n")
     return "".join(chunks)
-
-
-def parse_trace(text: str) -> list[TraceRecord]:
-    return [TraceRecord.from_obj(json.loads(line))
-            for line in text.splitlines() if line.strip()]
 
 
 @dataclass
@@ -299,10 +307,8 @@ class MetricsReport:
         for k, v in sorted(self.conservation.items()):
             lines.append(f"conservation,{k},{v}")
         for mid, pm in sorted(self.messages.items()):
-            for fname in ("injected_at", "completed_at", "latency", "max_hop",
-                          "goals_total", "goals_executed", "targets_total",
-                          "targets_executed"):
-                lines.append(f"message,{mid}.{fname},{getattr(pm, fname)}")
+            for f in fields(pm)[1:]:  # after msg_id
+                lines.append(f"message,{mid}.{f.name},{getattr(pm, f.name)}")
         for region, rounds in self.recovery_samples:
             lines.append(f"recovery,{region},{rounds}")
         for region in self.unrestored_regions:
@@ -345,19 +351,16 @@ def build_report(records: list[TraceRecord], strategy: str,
     leaves out only rounds that can neither open nor close a breach (see
     ``simkernel._Kernel.handle_maintenance``).  Containment counts the
     rounds whose ``removed`` or ``promoted`` names a worker of another
-    region, by the row-major shape on ``run_start`` (contract: 0).
-    Targeted executions are the ``execute_worker`` records, since trace
-    formats 2 to 4 write no other.  A message's max hop is the largest
-    ``hop`` of its records: formats 3 and 4 write no worker receive, whose
-    hop is on the record that sent the copy.
+    region, by the row-major shape on ``run_start`` (contract: 0).  A
+    message's max hop is the largest ``hop`` of its records: formats 3 and 4
+    write no worker receive, whose hop is on the record that sent the copy.
     """
     if report is None:
         report = MetricsReport(strategy=strategy)
     totals = report.totals
     msgs = report.messages
     breaches = report.open_breaches
-    for rec in records:
-        comp, event, data = rec.comp, rec.event, rec.data
+    for time, _, comp, event, data in records:
         key = f"{comp}.{event}"
         totals[key] = totals.get(key, 0) + 1
         if comp == "alg4":
@@ -373,32 +376,31 @@ def build_report(records: list[TraceRecord], strategy: str,
                 if region in breaches and data["size_after"] >= data["t_min"]:
                     report.recovery_samples.append((region, rnd - breaches.pop(region) + 1))
             continue
-        if comp == "kernel":
+        if comp == "kernel":  # no kernel record carries a hop or is an execution
             if event == "run_start":
                 report.workers_per_region = data["workers"] // data["regions"]
                 report.cross_region_maintenance = 0
-                continue
-            if event == "run_end":
+            elif event == "run_end":
                 report.live_region_fraction = data["live_region_fraction"]
                 report.conservation = dict(data["conservation"])
                 report.conserved = data["conserved"]
-                continue
-            if event == "command_injected":
+            elif event == "command_injected":
                 mid = data["msg_id"]
-                msgs[mid] = PerMessage(msg_id=mid, injected_at=rec.time,
+                msgs[mid] = PerMessage(msg_id=mid, injected_at=time,
                                        goals_total=data["goals_total"],
                                        targets_total=data["targets_total"])
-                continue
+            continue
         pm = msgs.get(data.get("msg_id"))
         if pm is None:
             continue
         hop = data.get("hop")
         if hop is not None and hop > pm.max_hop:
             pm.max_hop = hop
-        if event == "execute_cluster":
-            pm.goals_executed += 1
-            pm.completed_at = rec.time
-            pm.latency = round(rec.time - pm.injected_at, 9)
-        elif event == "execute_worker":
-            pm.targets_executed += 1
+        if key in EXECUTIONS:
+            if EXECUTIONS[key] == "cluster":
+                pm.goals_executed += 1
+                pm.completed_at = time
+                pm.latency = round(time - pm.injected_at, 9)
+            else:
+                pm.targets_executed += 1
     return report

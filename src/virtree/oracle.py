@@ -9,7 +9,7 @@ tree helpers; the duplication is the point.
 
 from __future__ import annotations
 
-from .metrics import TraceRecord
+from .metrics import EXECUTIONS, TraceRecord
 from .topology import Topology, goal_clusters_for_scope
 
 
@@ -89,9 +89,9 @@ def predict(topo: Topology, strategy: str, origin: int,
     return exec_clusters, exec_workers
 
 
-# execution record -> (id field, its mismatch words), in ``predict`` order
-EXECUTIONS = {"execute_cluster": ("cluster", "clusters", "executed clusters"),
-              "execute_worker": ("worker", "workers", "targeted executions")}
+# execution id key -> its mismatch words, in ``predict`` order
+_WORDS = {"cluster": ("clusters", "executed clusters"),
+          "worker": ("workers", "targeted executions")}
 
 
 def check_trace(trace: list[TraceRecord], topo: Topology, strategy: str,
@@ -104,11 +104,11 @@ def check_trace(trace: list[TraceRecord], topo: Topology, strategy: str,
     sequence numbering (first command from a cluster is <origin>:0).
     """
     mismatches: list[str] = []
-    executed: dict[tuple[str, str], list[int]] = {}  # (event, msg id) -> ids
+    executed: dict[tuple[str, str], list[int]] = {}  # (id key, msg id) -> ids
     for rec in trace:
-        if rec.event in EXECUTIONS:
-            executed.setdefault((rec.event, rec.data["msg_id"]), []).append(
-                rec.data[EXECUTIONS[rec.event][0]])
+        key = EXECUTIONS.get(f"{rec.comp}.{rec.event}")
+        if key is not None:
+            executed.setdefault((key, rec.data["msg_id"]), []).append(rec.data[key])
 
     seq_per_origin: dict[int, int] = {}
     for cmd in commands:
@@ -117,8 +117,8 @@ def check_trace(trace: list[TraceRecord], topo: Topology, strategy: str,
         mid = f"{cmd.origin}:{seq}"
         goals = set(goal_clusters_for_scope(topo, cmd.scope))
         wanted = predict(topo, strategy, cmd.origin, goals, set(cmd.targets))
-        for (event, (_, twice, disagree)), want in zip(EXECUTIONS.items(), wanted):
-            got = executed.get((event, mid), [])
+        for (key, (twice, disagree)), want in zip(_WORDS.items(), wanted):
+            got = executed.get((key, mid), [])
             if len(got) != len(set(got)):
                 dupes = sorted({i for i in got if got.count(i) > 1})
                 mismatches.append(f"{mid}: {twice} executed more than once: {dupes}")

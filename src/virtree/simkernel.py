@@ -81,11 +81,9 @@ at the horizon each is one copy in flight.
 A kill re-elects or vacates every role the dead worker held, so a role's
 holder is alive and a delivery checks only for a vacancy.
 
-Trace format 4 writes each fact once.  ``run_end`` counts worker receives
-instead: every alive worker delivery in ``alg1_receives``, those whose sender
-sits in another region in ``alg1_cross_region_receives``.  A copy's hop is on
-the relay or broadcast record that sent it; a worker's relay and targeted
-execution name the copy's sender, ``from_worker``.
+Trace format 4 (``metrics._SHAPES``) writes each fact once: a worker receive
+writes no record, and ``run_end`` counts it in ``alg1_receives``, and in
+``alg1_cross_region_receives`` when its sender sits in another region.
 
 The kernel hands the trace over in batches of about TRACE_BATCH records, cut
 between events, and folds each batch into the metrics report before handing

@@ -1,5 +1,8 @@
+import json
+
 import pytest
 
+from virtree.metrics import TraceRecord
 from virtree.topology import HierarchyConfig, build_topology
 
 
@@ -23,3 +26,9 @@ def region_crossings(report) -> int:
     """Worker receives whose sender sat in a different region, as ``run_end``
     counts them; the key is there once any worker has received."""
     return report.conservation["alg1_cross_region_receives"]
+
+
+def parse_trace(text: str) -> list[TraceRecord]:
+    """The records of a trace's JSONL text; blank lines are skipped."""
+    return [TraceRecord.from_obj(json.loads(line))
+            for line in text.splitlines() if line.strip()]

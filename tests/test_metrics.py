@@ -5,11 +5,13 @@ import math
 import re
 import sys
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import parse_trace
 from virtree import metrics
 from virtree.metrics import (
     TRANSMISSION_EVENTS,
@@ -17,7 +19,6 @@ from virtree.metrics import (
     build_report,
     dump_trace,
     liveness_estimate,
-    parse_trace,
 )
 from virtree.scenario import CommandSpec, FailureSpec, Scenario
 from virtree.simkernel import run
@@ -79,15 +80,20 @@ def expected_text(records):
 
 # values of each type a shape declares: ints negative and beyond 64 bits,
 # strings that need escaping and that are not ASCII, floats at the edges of
-# repr's notation, and lists empty and nested
+# repr's notation, and lists and dicts empty and nested
 TYPED_INTS = st.integers() | st.integers(min_value=-2**200, max_value=2**200)
 TYPED_FLOATS = (st.sampled_from([-0.0, 1e16, 5e-324, 1e-9, 0.1])
                 | st.floats(allow_nan=False, allow_infinity=False))
-TYPED_LISTS = st.sampled_from([[], [[]], [1, [2, [3, []]]]]) | st.lists(st.recursive(
+TYPED_NESTED = st.recursive(
     st.none() | st.booleans() | TYPED_INTS | TYPED_FLOATS | STRINGS,
-    lambda inner: st.lists(inner, max_size=3), max_leaves=8), max_size=4)
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(STRINGS, inner, max_size=3),
+    max_leaves=8)
+TYPED_LISTS = (st.sampled_from([[], [[]], [1, [2, [3, []]]]])
+               | st.lists(TYPED_NESTED, max_size=4))
+TYPED_DICTS = (st.sampled_from([{}, {"b": {}, "a": [1, {"c": None}]}])
+               | st.dictionaries(STRINGS, TYPED_NESTED, max_size=4))
 TYPED = {int: TYPED_INTS, str: STRINGS, float: TYPED_FLOATS, bool: st.booleans(),
-         list: TYPED_LISTS, None: st.none()}
+         list: TYPED_LISTS, dict: TYPED_DICTS, None: st.none()}
 
 # The shapes dump_trace writes through a line function, beside records one
 # step off them: each must give what json.dumps gives, bytes or error.
@@ -100,6 +106,8 @@ FORWARD = rec("alg3", "forward", time=3.0, seq=12, src="(3, 0)", dst="(2, 1)",
 PROCESS = rec("alg3", "process", time=3.0, seq=13, cluster=1, msg_id="1:0", hop=2,
               visited=[0, 1])
 VACANT = rec("kernel", "role_vacant", time=1.0, seq=2, layer=2, scope=1, old=3)
+RUN_END = rec("kernel", "run_end", time=9.0, seq=40, live_region_fraction=0.5,
+              conservation={"b": 1, "a": 2}, conserved=True)
 
 
 def changed(record, **data):
@@ -126,6 +134,9 @@ NEAR_MISSES = [pytest.param(r, id=name) for name, r in {
     "nan-in-a-list": changed(PROCESS, visited=[0, math.nan]),
     "set-in-a-list": changed(PROCESS, visited=[{1}]),
     "tuple-for-list": changed(PROCESS, visited=(0, 1)),
+    "nan-in-a-dict": changed(RUN_END, conservation={"a": math.nan}),
+    "keys-of-two-types-in-a-dict": changed(RUN_END, conservation={1: 2, "a": 3}),
+    "list-for-dict": changed(RUN_END, conservation=[1]),
     "missing-key": without(FORWARD, "hop"),
     "extra-key": changed(FORWARD, ttl=4),
     "key-renamed": changed(without(FORWARD, "hop"), hops=2),
@@ -133,6 +144,19 @@ NEAR_MISSES = [pytest.param(r, id=name) for name, r in {
     "data-key-named-comp": changed(without(FORWARD, "hop"), comp="alg9"),
     "keys-in-another-order": FORWARD._replace(data=dict(reversed(FORWARD.data.items()))),
 }.items()]
+
+
+def test_readme_lists_every_record():
+    # README's record table is the schema, row for row, so the prose cannot drift
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    table = text[text.index("| record | data keys | role |"):].split("\n\n")[0]
+    rows = dict.fromkeys(
+        (f"`{s.comp}.{s.event}`", ", ".join(f"`{key}`" for key in s.fields),
+         "transmission" if s.transmission
+         else f"execution, id `{s.executes}`" if s.executes else "")
+        for s in metrics._SHAPES)
+    assert [tuple(cell.strip() for cell in line.strip("|").split("|"))
+            for line in table.splitlines()[2:]] == list(rows)
 
 
 class TestDumpTraceEncoding:
@@ -152,7 +176,7 @@ class TestDumpTraceEncoding:
     @settings(deadline=None, max_examples=60)
     @given(draw=st.data())
     def test_every_shape_matches_json_dumps(self, shape, draw):
-        comp, event, fields = shape
+        comp, event, fields, *_ = shape
         record = TraceRecord(time=draw.draw(TYPED_FLOATS), seq=draw.draw(TYPED_INTS),
                              comp=comp, event=event,
                              data={key: draw.draw(TYPED[kind]) for key, kind in fields.items()})

@@ -11,11 +11,12 @@ import tracemalloc
 
 import pytest
 
+from conftest import parse_trace
 import virtree
 from virtree import cli, simkernel
 from virtree.cli import main
 from virtree.errors import ConservationError, ScenarioInvalid
-from virtree.metrics import build_report, dump_trace, parse_trace
+from virtree.metrics import build_report, dump_trace
 from virtree.scenario import MAX_WORKERS, apply_overrides, build_scenario
 from virtree.simkernel import _Kernel, run
 from virtree.topology import derive_seed

@@ -1,9 +1,11 @@
 import gc
+import importlib.util
 import tracemalloc
 import weakref
 from dataclasses import replace
 from collections import Counter, defaultdict
 from itertools import groupby
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -18,7 +20,8 @@ from virtree.hierarchical import MODE_LCA, MODE_ROOT, TreeLinks
 from virtree.errors import ConservationError, ScenarioInvalid
 from virtree.messages import new_command
 from virtree.metrics import dump_trace
-from virtree.scenario import CommandSpec, FailureSpec, Scenario, validate_scenario
+from virtree.scenario import (CommandSpec, FailureSpec, Scenario, build_scenario,
+                              validate_scenario)
 from virtree.simkernel import _Kernel, run
 from virtree.topology import LAYER_LEADER, SCOPE_LAYERS, HierarchyConfig, build_topology
 
@@ -373,8 +376,9 @@ class TestMaintenance:
 
 def assert_same_run(a, b):
     """Two (trace, report) results: the same trace bytes and the same whole
-    report, conservation keys included."""
-    assert dump_trace(a[0]) == dump_trace(b[0])
+    report, conservation keys included.  The traces are compared line by
+    line, so a failure names the first line that differs at once."""
+    assert dump_trace(a[0]).split("\n") == dump_trace(b[0]).split("\n")
     assert a[1].to_json_obj() == b[1].to_json_obj()
 
 
@@ -1643,6 +1647,19 @@ SMALLEST_RUNS = [pytest.param(sc, id=name) for name, sc in {
 }.items()]
 
 
+def _benchmark_scenarios():
+    """perfbench's scenario generators by workload name, loaded read-only
+    from their file."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.GENERATORS
+
+
+BENCHMARK_SCENARIOS = _benchmark_scenarios()
+
+
 class TestReference:
     """Every shortcut at once changes no output: each generated run of
     either strategy equals the reference kernel's, which undoes them all
@@ -1666,6 +1683,13 @@ class TestReference:
     @pytest.mark.parametrize("sc", SMALLEST_RUNS)
     def test_smallest_runs(self, sc):
         self.check(sc)
+
+    @pytest.mark.parametrize("workload", ["adjacent-flood", "tree-commands", "failure-churn"])
+    def test_benchmark_runs(self, workload):
+        # the benchmark's run workloads at seed 1: a 384-worker adjacent
+        # flood, and 10k-worker tree routing and failure churn (40% of the
+        # workers killed and half revived, three region kills, a tree jam)
+        self.check(build_scenario(BENCHMARK_SCENARIOS[workload](1)))
 
     def test_generated_runs_reach_every_window(self):
         # the examples the derandomized generator draws first reach each
@@ -1706,11 +1730,6 @@ class TestReference:
         assert all(seen.values()), seen
 
 
-# Records written once a run, or once a link entry of the scenario: the C
-# encoder writes them.
-ONCE_A_RUN = {("kernel", "run_start"), ("kernel", "run_end"), ("kernel", "link_jam"),
-              ("kernel", "link_clear"), ("kernel", "link_change")}
-
 # Cluster 1's one worker is dead from 0, so the command injected there is
 # parked; worker 0's death, revival and death change the role map three
 # times with cluster 1 still vacant, and the parked copy fails.
@@ -1724,17 +1743,15 @@ PARKED_COPY_FAILS = small_run(HierarchyConfig(1, 1, domains=2, num_layers=2),
 
 class TestTraceShapes:
     def test_every_written_shape_has_a_line_function(self):
-        # every other record the kernel writes, in generated runs of both
+        # every record the kernel writes, in generated runs of both
         # strategies and the smallest runs, has the shape of a row of
         # metrics._SHAPES, and its row's line function writes it: an emit
         # change that leaves the table shows here.  Every row is written.
-        rows = {(comp, event, tuple(fields.items())) for comp, event, fields in metrics._SHAPES}
+        rows = {(s.comp, s.event, tuple(s.fields.items())) for s in metrics._SHAPES}
         seen = set()
 
         def check(trace):
             for rec in trace:
-                if (rec.comp, rec.event) in ONCE_A_RUN:
-                    continue
                 shape = (rec.comp, rec.event, tuple(
                     (key, None if value is None else type(value))
                     for key, value in rec.data.items()))
