@@ -7,7 +7,9 @@ region, which is what keeps repair traffic contained.
 
 A round is a pure function of a region's roster, a tuple of worker ids:
 ``monitor_round`` returns the new roster, or None for a dead region, and the
-caller keeps it.  K and T_min are read from ``topo.config``.
+caller keeps it.  K and T_min are read from ``topo.config``.  A round whose
+roster keeps T_min alive reads only that roster; one below T_min also reads
+the region's alive workers, walked in energy order (``select_replacements``).
 
 A region stays live while at least one coordinator is alive, so independent
 failures with probability p leave it live with probability 1 - p**K.
@@ -16,6 +18,7 @@ failures with probability p leave it live with probability 1 - p**K.
 from __future__ import annotations
 
 import random
+from bisect import insort
 from dataclasses import dataclass
 from itertools import repeat, starmap
 
@@ -52,23 +55,37 @@ def select_replacements(roster: Roster, region: RegionId, topo: Topology, need: 
     Candidates are alive region workers not already in the roster; ties break
     toward the lower worker id.  May return fewer than asked when the region
     is running out of healthy workers.
+
+    Every candidate shares one connectivity, so under IEEE rounding a
+    candidate's metric never falls as its energy grows and never rises as
+    its load grows.  The walk takes the candidates in the region's energy
+    order (``Topology.energy_order``) and keeps the best `need` by (-metric,
+    id); once it holds `need`, it stops at the first candidate whose metric
+    at load 0, a bound on its own and on every later one's, is below the
+    worst it holds.  A bound equal to that metric may still win on its id.
     """
     if need <= 0:
         return []
-    taken = set(roster)
-    members = topo.workers_in_region(region)
-    alive = [w for w in members if topo.is_alive(w)]
+    members, dead = topo.workers_in_region(region), topo.dead
+    alive = len(members) - len(dead.intersection(members))
     # every candidate is alive, so its alive peers are the others alive
-    connectivity = (len(alive) - 1) / (len(members) - 1) if len(members) > 1 else 1.0
-    scored = []
-    for w in alive:
-        if w in taken:
+    connectivity = (alive - 1) / (len(members) - 1) if len(members) > 1 else 1.0
+    energy, taken = topo.energy, set(roster)
+    picks: list[tuple[float, WorkerId]] = []  # (-metric, id), ascending
+    for w in topo.energy_order(region):
+        if w in dead or w in taken:
             continue
+        bound = candidate_metric(connectivity, 0, energy[w])
+        if len(picks) == need and bound < -picks[-1][0]:
+            break
         load = load_of(w) if load_of else 0
-        m = candidate_metric(connectivity, load, topo.energy[w])
-        scored.append((-m, w))
-    scored.sort()
-    return [w for _, w in scored[:need]]
+        pick = (-(candidate_metric(connectivity, load, energy[w]) if load else bound), w)
+        if len(picks) < need:
+            insort(picks, pick)
+        elif pick < picks[-1]:
+            picks[-1] = pick
+            picks.sort()
+    return [w for _, w in picks]
 
 
 @dataclass

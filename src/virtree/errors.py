@@ -21,7 +21,6 @@ class ScenarioInvalid(VirtreeError):
 
     def __init__(self, field: str, reason: str):
         self.field = field
-        self.reason = reason
         super().__init__(f"{field}: {reason}")
 
 

@@ -115,6 +115,28 @@ _SHAPES = (
 TRANSMISSION_EVENTS = {f"{s.comp}.{s.event}" for s in _SHAPES if s.transmission}
 EXECUTIONS = {f"{s.comp}.{s.event}": s.executes for s in _SHAPES if s.executes}
 
+
+def _fold_entry(comp: str, event: str) -> tuple[str, str | None, str | None]:
+    """How ``build_report`` folds a record of comp and event: its totals
+    key; what it reads beyond the count, ``"message"`` for a record that
+    may name a message and carry its hop, the event for the alg4 and
+    kernel records it reads, None for the rest; and an execution's id key
+    (``EXECUTIONS``).  No kernel record carries a hop or is an execution."""
+    key = f"{comp}.{event}"
+    if comp == "alg4":
+        kind = event if event in ("round", "region_dead") else None
+    elif comp == "kernel":
+        kind = event if event in ("run_start", "run_end", "command_injected") else None
+    else:
+        kind = "message"
+    return key, kind, EXECUTIONS.get(key)
+
+
+# comp -> event -> its ``_fold_entry``, for each row; a record off every
+# row, as formats 2 and 3 wrote, has its entry made when it is folded
+_FOLDS = {comp: {s.event: _fold_entry(comp, s.event) for s in _SHAPES if s.comp == comp}
+          for comp in {s.comp for s in _SHAPES}}
+
 # A declared type's f-string field for the value named v: what the C encoder
 # writes for a value of exactly that type.  A dict, and a list that is not
 # empty, go through the C encoder.
@@ -360,47 +382,49 @@ def build_report(records: list[TraceRecord], strategy: str,
     totals = report.totals
     msgs = report.messages
     breaches = report.open_breaches
+    folds = _FOLDS
     for time, _, comp, event, data in records:
-        key = f"{comp}.{event}"
+        try:
+            key, kind, executes = folds[comp][event]
+        except KeyError:  # a format 2 or 3 record off every row
+            key, kind, executes = _fold_entry(comp, event)
         totals[key] = totals.get(key, 0) + 1
-        if comp == "alg4":
-            region, rnd = data["region"], data["round"]
-            if event == "region_dead":
-                breaches.setdefault(region, rnd)
-            elif event == "round":
-                n = report.workers_per_region
-                if n and any(w // n != region for w in data["removed"] + data["promoted"]):
-                    report.cross_region_maintenance += 1
-                if data["alive_before"] < data["t_min"]:
-                    breaches.setdefault(region, rnd)
-                if region in breaches and data["size_after"] >= data["t_min"]:
-                    report.recovery_samples.append((region, rnd - breaches.pop(region) + 1))
+        if kind is None:
             continue
-        if comp == "kernel":  # no kernel record carries a hop or is an execution
-            if event == "run_start":
-                report.workers_per_region = data["workers"] // data["regions"]
-                report.cross_region_maintenance = 0
-            elif event == "run_end":
-                report.live_region_fraction = data["live_region_fraction"]
-                report.conservation = dict(data["conservation"])
-                report.conserved = data["conserved"]
-            elif event == "command_injected":
-                mid = data["msg_id"]
-                msgs[mid] = PerMessage(msg_id=mid, injected_at=time,
-                                       goals_total=data["goals_total"],
-                                       targets_total=data["targets_total"])
-            continue
-        pm = msgs.get(data.get("msg_id"))
-        if pm is None:
-            continue
-        hop = data.get("hop")
-        if hop is not None and hop > pm.max_hop:
-            pm.max_hop = hop
-        if key in EXECUTIONS:
-            if EXECUTIONS[key] == "cluster":
+        if kind == "message":
+            pm = msgs.get(data.get("msg_id"))
+            if pm is None:
+                continue
+            hop = data.get("hop")
+            if hop is not None and hop > pm.max_hop:
+                pm.max_hop = hop
+            if executes == "cluster":
                 pm.goals_executed += 1
                 pm.completed_at = time
                 pm.latency = round(time - pm.injected_at, 9)
-            else:
+            elif executes == "worker":
                 pm.targets_executed += 1
+        elif kind == "round":
+            region, rnd = data["region"], data["round"]
+            n = report.workers_per_region
+            if n and any(w // n != region for w in data["removed"] + data["promoted"]):
+                report.cross_region_maintenance += 1
+            if data["alive_before"] < data["t_min"]:
+                breaches.setdefault(region, rnd)
+            if region in breaches and data["size_after"] >= data["t_min"]:
+                report.recovery_samples.append((region, rnd - breaches.pop(region) + 1))
+        elif kind == "region_dead":
+            breaches.setdefault(data["region"], data["round"])
+        elif kind == "run_start":
+            report.workers_per_region = data["workers"] // data["regions"]
+            report.cross_region_maintenance = 0
+        elif kind == "run_end":
+            report.live_region_fraction = data["live_region_fraction"]
+            report.conservation = dict(data["conservation"])
+            report.conserved = data["conserved"]
+        else:  # command_injected
+            mid = data["msg_id"]
+            msgs[mid] = PerMessage(msg_id=mid, injected_at=time,
+                                   goals_total=data["goals_total"],
+                                   targets_total=data["targets_total"])
     return report

@@ -44,9 +44,10 @@ STRATEGIES = ("adjacent", "hierarchical")
 MAX_MAINTENANCE_ROUNDS = 100_000
 
 # At 10 workers a cluster a topology keeps about 15 B per worker of role
-# bindings and region graph, and the first promotion draws 8 B and about
-# 1 us per worker of energy (CPython 3.11): the cap keeps them under about
-# 25 MB and a second.
+# bindings and region graph, and the first re-selection draws 8 B and about
+# 1 us per worker of energy (CPython 3.11), and each region's first 8 B per
+# worker of it for its energy order: the cap keeps them under about 35 MB and
+# a few seconds.
 MAX_WORKERS = 1_000_000
 
 

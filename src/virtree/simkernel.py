@@ -176,12 +176,17 @@ class _Kernel:
         # fire time of the last report accounted as a drop without being
         # queued: when it is the run's last event, run_end takes its time
         self.dropped_until = 0.0
-        # fire time of every scheduled worker or region kill, ascending; only
-        # reports read it, and only the adjacent strategy sends them
-        self.kill_times = sorted(
-            quantize(f.time) for f in sc.failures
+        # the fire time of every scheduled worker or region kill, ascending,
+        # and the region of each in the same order (``kill_due``); only
+        # reports read them, and only the adjacent strategy sends them
+        region_of = self.topo.region_of_worker
+        kills = sorted(
+            (quantize(f.time), f.region if f.kind == "region" else region_of(f.worker))
+            for f in sc.failures
             if f.kind == "region" or (f.kind, f.action) == ("worker", "kill")
         ) if sc.strategy == "adjacent" else []
+        self.kill_times = [t for t, _ in kills]
+        self.kill_regions = [r for _, r in kills]
         self.parked: list[dict] = []
         self.jam: dict[str, float] = {}
         # link class -> latency: the scenario's values over the defaults
@@ -247,26 +252,33 @@ class _Kernel:
 
         The reporters are alive workers of the cluster, so the cluster's
         leader is alive now: a kill re-elects the lowest alive worker and a
-        revive fills a vacancy.  With no kill scheduled in [now, fire], that
-        leader keeps its role and stays alive until fire.  The reports are
-        then repeats if the cluster has processed the message, or if an
-        earlier queued report to it, due by fire and so before them, will
-        make it do so.  n per-report entries would take consecutive seqs at
-        one fire time, with nothing run between them."""
+        revive fills a vacancy.  Only a kill in c can change that: a kill of
+        one of its workers, or of its region.  With no kill scheduled in c's
+        region in [now, fire], a superset of those, the leader keeps its
+        role and stays alive until fire.  The reports are then repeats if
+        the cluster has processed the message, or if an earlier queued
+        report to it, due by fire and so before them, will make it do so.
+        n per-report entries would take consecutive seqs at one fire time,
+        with nothing run between them."""
         now, key = self.now, (c, m.msg_id)
         fire = quantize(now + self.latency["cluster"])
         self.bump("deliveries_enqueued", n)
-        if not self.kill_due(fire) and (m.msg_id in self.processed.get(c, ())
-                                        or self.report_due.get(key, now) > now):
+        due = self.kill_due(fire)
+        if (not due or self.topo.scope_of(c, LAYER_REGIONAL_HUB) not in due) and (
+                m.msg_id in self.processed.get(c, ()) or self.report_due.get(key, now) > now):
             self.report_dropped(fire, n)
             return
         self.report_due[key] = fire
         self.push(fire, self.handle_delivery, (("leader", c), m, n, False))
 
-    def kill_due(self, fire: float) -> bool:
-        """Whether a worker or region kill is scheduled in [now, fire]."""
-        kills = self.kill_times
-        return bool(kills) and bisect_left(kills, self.now) < bisect_right(kills, fire)
+    def kill_due(self, fire: float) -> list[int]:
+        """The regions of the worker and region kills scheduled in [now,
+        fire], empty when none is: a kill can change a cluster's leader in
+        that window only when its region is among them.  One bisect pair
+        answers for a run's every kill, and none is made in a run without
+        kills; a caller asks about regions only when the list is not empty."""
+        times = self.kill_times
+        return times and self.kill_regions[bisect_left(times, self.now):bisect_right(times, fire)]
 
     def report_dropped(self, fire: float, n: int):
         """Account n unqueued reports due at fire: dropped, or in flight past the horizon."""
@@ -316,7 +328,9 @@ class _Kernel:
         if not self.topo.is_alive(w):
             return
         self.topo.mark_dead(w)
-        self.unsettled.add(self.topo.region_of_worker(w))
+        region = self.topo.region_of_worker(w)
+        if w in self.rosters[region]:  # no other death unsettles a region (handle_maintenance)
+            self.unsettled.add(region)
         self.emit("kernel", "failure", worker=w)
         self.pending.pop(w, None)  # its queued broadcasts find none and cancel
         self.reelect(self.topo.roles_held_by(w), w)
@@ -408,10 +422,12 @@ class _Kernel:
         untargeted run of first's cluster, could act apart: on a jammed
         cluster link, at a dead or targeted receiver, at a worker of that
         cluster yet to relay (it relays on the first copy only), or with a
-        kill scheduled before their reports land, whose ``drop_dead`` and
-        ``process`` records at different clusters then interleave sender by
-        sender.  When ws holds their cluster, a later sender's copies go to
-        first as well, which may have died since."""
+        kill scheduled before their reports land in a region of a receiver
+        or of first, whose ``drop_dead`` and ``process`` records at
+        different clusters then interleave sender by sender.  A receiver
+        reports only to its own cluster's leader, so a kill elsewhere
+        changes no report.  When ws holds their cluster, a later sender's
+        copies go to first as well, which may have died since."""
         topo = self.topo
         fire = quantize(self.now + self.latency["cluster"])
         members = topo.workers_in_cluster(topo.cluster_of(first))
@@ -419,10 +435,21 @@ class _Kernel:
         own = ws[lo:bisect_left(ws, members.stop, lo)]
         if own:
             own.append(first)
-        return bool(self.jam.get("cluster") or self.kill_due(fire)
+        due = self.kill_due(fire)
+        return bool(self.jam.get("cluster")
+                    or due and (topo.region_of_worker(first) in due or self.meets(due, ws))
                     or not m.target_worker_ids.isdisjoint(ws)
                     or not (topo.dead.isdisjoint(ws) and topo.dead.isdisjoint(own))
                     or not self.relayed[m.msg_id].issuperset(own))
+
+    def meets(self, regions: list[int], ws: list[int]) -> bool:
+        """Whether one of regions holds a worker of ws, ascending."""
+        for r in regions:
+            span = self.topo.workers_in_region(r)
+            i = bisect_left(ws, span.start)
+            if i < len(ws) and ws[i] < span.stop:
+                return True
+        return False
 
     def deliver_pass(self, ws: list[int], m: Message, sender: int, n: int):
         """Deliver m to ws, ascending, from sender in one pass over its
@@ -641,17 +668,20 @@ class _Kernel:
         ``alg4_rounds_skipped``.
 
         Only the unsettled regions are visited, in ascending order: those
-        where a worker died since their last round, those whose roster is
-        below T_min, and the dead ones where a worker revived since their
-        last round.  Any other region's roster is alive coordinators at or
-        above T_min, and ``monitor_round`` on it would only return an equal
-        roster, so its round is quiet and is counted without a visit.  A
-        dead region's roster stays as it was, every member dead, until one
-        of them revives, so its round can only find it dead again: the round
-        that finds it dead drops it from ``unsettled``, and ``revive_worker``
-        puts it back.  A revive in a region that is not dead needs no visit
-        of its own: it matters only to a roster below T_min, which stays
-        unsettled until a round finds it settled.
+        where a coordinator on their roster died since their last round,
+        those whose roster is below T_min, and the dead ones where a worker
+        revived since their last round.  Any other region's roster is alive
+        coordinators at or above T_min, and ``monitor_round`` on it reads
+        only that roster and would return it unchanged, so its round is
+        quiet and is counted without a visit.  So the death of a worker off
+        the roster unsettles nothing: it matters only to the candidates of a
+        roster below T_min, which stays unsettled until a round finds it
+        settled.  A dead region's roster stays as it was, every member dead,
+        until one of them revives, so its round can only find it dead again:
+        the round that finds it dead drops it from ``unsettled``, and
+        ``revive_worker`` puts it back.  A revive in a region that is not
+        dead needs no visit of its own, for the same reason as a death off
+        the roster.
 
         With no region unsettled, every round is quiet until the next event:
         this round and every later one up to ``last_quiet_round`` are

@@ -16,7 +16,8 @@ lies in scope ``c // span[L]`` at layer L, and scope s holds the cluster range
 arithmetic.  A build stores nothing per worker: the dead ids, few in most
 runs, are one set, empty at build, and energy, one ``array('d')`` that only
 coordinator re-selection reads, is drawn from the seed's energy stream on its
-first read, so a run that promotes no coordinator never draws it.  Worker ids
+first read, so a run that re-selects no coordinator never draws it; so is a
+region's order of its workers by energy (``Topology.energy_order``).  Worker ids
 are trusted (``scenario`` validates them): ``is_alive`` is defined on 0..n-1
 only.
 
@@ -31,7 +32,7 @@ import hashlib
 import math
 import random
 from array import array
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 WorkerId = int
@@ -132,6 +133,7 @@ class Topology:
     roles: dict[int, dict[int, WorkerId]]
     dead: set[WorkerId]
     seed: int
+    _orders: dict[RegionId, array] = field(default_factory=dict, repr=False)  # energy_order's
 
     @cached_property
     def energy(self) -> array:
@@ -142,6 +144,16 @@ class Topology:
         """
         rng = random.Random(derive_seed(self.seed, "energy"))
         return array("d", (round(rng.uniform(0.2, 1.0), 6) for _ in range(self.config.n_workers)))
+
+    def energy_order(self, r: RegionId) -> array:
+        """Region r's worker ids by energy descending, then id ascending:
+        made on the region's first call, from ``energy`` as it is then, and
+        kept as an ``array('q')``, 8 bytes a worker."""
+        order = self._orders.get(r)
+        if order is None:  # a reversed sort keeps equal energies in id order
+            order = self._orders[r] = array("q", sorted(
+                self.workers_in_region(r), key=self.energy.__getitem__, reverse=True))
+        return order
 
     @property
     def clusters(self) -> range:

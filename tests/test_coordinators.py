@@ -95,15 +95,22 @@ class TestSelectReplacements:
         assert select_replacements(roster, 0, topo, 1, load_of=lambda w: 3 if w == 5 else 0) == [6]
 
     def test_matches_per_candidate_peer_scan(self):
-        # reference: each candidate's connectivity counted from its own peers
+        # reference: every candidate scored, its connectivity counted from its
+        # own peers, then one full sort.  Energies come from a small set and
+        # loads are 0 or more, so metrics tie: at equal energy and load, and
+        # across energies (0.95 at load 1 scores as 0.2 at load 0 at most
+        # connectivities), where a later candidate in energy order may win
+        # on its lower id.  need may exceed the candidates left.
         rng = random.Random(11)
-        for trial in range(20):
+        for trial in range(300):
             topo = make_topo(workers_per_cluster=5, clusters_per_region=4)
             members = topo.workers_in_region(0)
+            topo.energy[members.start:members.stop] = array(
+                "d", (rng.choice((0.2, 0.25, 0.95, 1.0)) for _ in members))
             for w in rng.sample(members, rng.randrange(len(members) - 1)):
                 topo.mark_dead(w)
             roster = initial_roster(topo, 0)
-            load = {w: rng.randrange(4) for w in members}
+            load = {w: rng.choice((0, 1, 1, 3)) for w in members}
 
             def metric(w):
                 peers = [p for p in members if p != w]
@@ -111,7 +118,7 @@ class TestSelectReplacements:
                 return candidate_metric(conn, load[w], topo.energy[w])
             ranked = sorted((-metric(w), w) for w in members
                             if topo.is_alive(w) and w not in roster)
-            need = rng.randrange(1, 8)
+            need = rng.randrange(1, len(members))
             assert select_replacements(roster, 0, topo, need, load.get) == \
                 [w for _, w in ranked[:need]]
 

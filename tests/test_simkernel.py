@@ -1,5 +1,6 @@
 import gc
 import importlib.util
+import math
 import tracemalloc
 import weakref
 from dataclasses import replace
@@ -23,7 +24,8 @@ from virtree.metrics import dump_trace
 from virtree.scenario import (CommandSpec, FailureSpec, Scenario, build_scenario,
                               validate_scenario)
 from virtree.simkernel import _Kernel, run
-from virtree.topology import LAYER_LEADER, SCOPE_LAYERS, HierarchyConfig, build_topology
+from virtree.topology import (LAYER_LEADER, LAYER_REGIONAL_HUB, SCOPE_LAYERS, HierarchyConfig,
+                              build_topology)
 
 CFG_1R = HierarchyConfig(2, 2, coordinator_k=3, t_min=2)            # 1 region, 4 workers
 CFG_2R = HierarchyConfig(2, 2, 2, coordinator_k=3, t_min=2)         # 2 regions, 8 workers
@@ -485,14 +487,32 @@ class TestUnsettledRegions:
         assert visits == []
         assert report.conservation["alg4_rounds_skipped"] == 8 * cfg.n_regions
 
-    def test_kill_of_a_non_coordinator_is_a_quiet_visit(self):
-        # worker 3 of region 0 (coordinators 0-2) dies before round 2
+    def test_kill_of_a_non_coordinator_visits_no_region(self):
+        # worker 3 of region 0 (coordinators 0-2) dies before round 2: a
+        # settled round reads only its roster, so nothing is visited
         visits, trace, report = visited_rounds(scenario(
             horizon=3.0, failures=[FailureSpec(time=1.5, kind="worker", action="kill",
                                                worker=3)]))
-        assert visits == [(0, 2)]
+        assert visits == []
         assert not any(rec.comp == "alg4" for rec in trace)
         assert report.conservation["alg4_rounds_skipped"] == 3 * 2
+
+    def test_kill_of_a_non_coordinator_below_t_min_changes_the_promotion(self):
+        # one region of six workers, coordinators 0-2 and T_min 3, one
+        # promotion a round: 0 and 1 die, round 1 promotes 5 and leaves the
+        # roster below T_min.  Worker 3, off the roster, dies before round 2,
+        # which would have promoted it: round 2 promotes 4 instead
+        cfg = HierarchyConfig(3, 2, 1, coordinator_k=3, t_min=3)
+        visits, trace, report = visited_rounds(Scenario(
+            config=cfg, seed=3, horizon=4.0, single_promotion=True,
+            failures=[FailureSpec(time=0.5, kind="worker", action="kill", worker=w)
+                      for w in (0, 1)]
+            + [FailureSpec(time=1.5, kind="worker", action="kill", worker=3)]))
+        assert visits == [(0, 1), (0, 2)]
+        rounds = [(rec.data["round"], rec.data["promoted"], rec.data["size_after"])
+                  for rec in trace if rec.comp == "alg4"]
+        assert rounds == [(1, [5], 2), (2, [4], 3)]
+        assert report.recovery_samples == [(0, 2)]
 
     def test_region_below_t_min_without_candidates_degrades_every_round(self):
         # region 0 is workers 0 and 1, both coordinators, with T_min 2: once
@@ -748,17 +768,27 @@ class TestValidation:
                  failures=[fail(kind="adjacency", action="add", edge=(1, 1))])
 
 
+def below_t_min(kernel, r):
+    """The alive coordinators on region r's roster when there are fewer than
+    T_min, else 0."""
+    alive = sum(kernel.topo.is_alive(w) for w in kernel.rosters[r])
+    return alive if alive < kernel.topo.config.t_min else 0
+
+
 class Recording(_Kernel):
     """The kernel, recording each worker delivery entry as (fire, workers,
     sender list, send time), each tree delivery entry as (fire, nodes,
     sending node, send time), each delivery pass as (now, sender, times
     counted), each report entry it queues as (now, fire, cluster, count of
-    reports) and each report it accounts without queuing as (now, fire)."""
+    reports), each report it accounts without queuing as (now, fire), and
+    each stretch that a region spends below T_min, but not dead, before a
+    round visits it, as (now, that round's time, the alive workers off its
+    roster): from a kill on its roster, or from a round that left it so."""
 
     def __init__(self, sc):
         super().__init__(sc)
         self.entries, self.passes, self.reports, self.unqueued = [], [], [], []
-        self.tree_entries = []
+        self.tree_entries, self.degraded = [], []
 
     def deliver_pass(self, ws, m, sender, n):
         self.passes.append((self.now, sender, n))
@@ -776,6 +806,27 @@ class Recording(_Kernel):
     def report_dropped(self, fire, n):
         self.unqueued += [(self.now, fire)] * n
         super().report_dropped(fire, n)
+
+    def degrade(self, r, rnd):
+        """Note region r below T_min from now until round rnd."""
+        if rnd <= self.rounds:
+            self.degraded.append((self.now, rnd * self.sc.round_period, [
+                w for w in self.topo.workers_in_region(r)
+                if self.topo.is_alive(w) and w not in self.rosters[r]]))
+
+    def kill_worker(self, w):
+        alive = self.topo.is_alive(w)
+        super().kill_worker(w)
+        r = self.topo.region_of_worker(w)
+        if alive and w in self.rosters[r] and 0 < below_t_min(self, r):
+            # a kill is an initial event: it fires before a round at its time
+            self.degrade(r, max(1, math.ceil(self.now / self.sc.round_period - 1e-9)))
+
+    def handle_maintenance(self, rnd):
+        super().handle_maintenance(rnd)
+        # after a round, the unsettled regions are those it left below T_min
+        for r in sorted(self.unsettled):
+            self.degrade(r, rnd + 1)
 
     @property
     def fanouts(self):
@@ -880,7 +931,9 @@ def runs(draw):
     run's own entries: a worker delivery entry's, from its send to the
     landing of its reports (``window_failures``), or a tree entry's, from
     its send to its fire time (``tree_window_failures``), and some
-    hierarchical runs end inside a tree entry.  Some runs revive a region
+    hierarchical runs end inside a tree entry.  Some runs kill a worker of
+    a report's region while it flies, or one off the roster of a region
+    below T_min (``seeded_kills``).  Some runs revive a region
     that a round found dead (``dead_region_revival``)."""
     # two adjacent runs to a hierarchical one: most shortcuts are adjacent
     adjacent = draw(st.sampled_from([True, True, False]))
@@ -959,7 +1012,38 @@ def runs(draw):
             if windows:
                 fire, _, _, sent = draw(st.sampled_from(windows))
                 sc = replace(sc, horizon=sent + draw(st.integers(1, 99)) / 100 * (fire - sent))
+    sc = replace(sc, failures=sc.failures + seeded_kills(sc))
     return replace(sc, failures=sc.failures + dead_region_revival(sc))
+
+
+def seeded_kills(sc):
+    """Kills aimed at windows of sc's run, chosen by its seed as in
+    ``dead_region_revival``.  Every worker of a cluster in another region
+    than a shared relay entry's senders, which the entry makes report,
+    killed halfway between the entry's fire time and the landing of those
+    reports: they land at a vacant cluster, and a report to another
+    cluster was queued between them and the next sender's.  And a worker
+    off the roster of a region below T_min, killed halfway to the round
+    that visits it, whose promotions it may change."""
+    kernel = Recording(sc)
+    kernel.run()
+    topo, kills = kernel.topo, []
+    aims = []
+    for fire, _, senders, _ in kernel.entries:
+        if len(senders) > 1:
+            region = topo.region_of_worker(senders[0])
+            reported = [c for now, _, c, _ in kernel.reports if now == fire]
+            aims += [(fire, c) for c in reported[:-1]
+                     if topo.scope_of(c, LAYER_REGIONAL_HUB) != region]
+    if aims:
+        fire, c = aims[sc.seed % len(aims)]
+        t = fire + kernel.latency["cluster"] / 2
+        kills += [(t, w) for w in topo.workers_in_cluster(c)]
+    degraded = [e for e in kernel.degraded if e[2]]
+    if degraded:
+        start, end, off = degraded[sc.seed % len(degraded)]
+        kills.append(((start + end) / 2, off[sc.seed % len(off)]))
+    return [FailureSpec(time=t, kind="worker", action="kill", worker=w) for t, w in kills]
 
 
 def dead_region_revival(sc):
@@ -1448,8 +1532,10 @@ class TestClusterRuns:
 class Windows(Recording):
     """The kernel, counting the windows a run reaches that its shortcuts
     must get right: a worker killed while a copy from another region is
-    headed to it; a kill while a report is in flight; a revive while a
-    report to the worker's cluster is; a cluster link jammed while a worker
+    headed to it; a kill while a report is in flight, and while one to a
+    cluster of the worker's region is; a worker off the roster killed while
+    its region is below T_min; a revive while a report to the worker's
+    cluster is in flight; a cluster link jammed while a worker
     entry is in flight; a parked injection retried; a vacancy refilled while
     a tree copy to it is in flight; and, at the horizon, a worker entry in
     flight, or a tree entry of several copies."""
@@ -1465,12 +1551,16 @@ class Windows(Recording):
 
     def kill_worker(self, w):
         if self.topo.is_alive(w):
-            region_of = self.topo.region_of_worker
+            topo, r = self.topo, self.topo.region_of_worker(w)
             self.windows["crossing copy's target killed"] += any(
-                w in args[0][1] and region_of(args[2][0]) != region_of(w)
+                w in args[0][1] and topo.region_of_worker(args[2][0]) != r
                 for args in self.queued("workers"))
-            self.windows["kill in a report's window"] += any(
-                not args[3] for args in self.queued("leader"))
+            reports = [args[0][1] for args in self.queued("leader") if not args[3]]
+            self.windows["kill in a report's window"] += bool(reports)
+            self.windows["kill in a report's region"] += any(
+                topo.scope_of(c, LAYER_REGIONAL_HUB) == r for c in reports)
+            self.windows["kill off a roster below T_min"] += (
+                w not in self.rosters[r] and 0 < below_t_min(self, r))
         super().kill_worker(w)
 
     def revive_worker(self, w):
@@ -1585,6 +1675,19 @@ SMALLEST_RUNS = [pytest.param(sc, id=name) for name, sc in {
     # the one region dies at 0.201, while the reports of a run fly
     "kill-before-a-runs-reports-land": small_run(HierarchyConfig(2, 2), [to_cluster(1)],
                                                  [region_kill(0.201, 0)]),
+    # region 1 dies at 0.201, while the reports from that entry fly to its
+    # clusters 2 and 3: a window keyed on the senders' region 0 misses it
+    "kill-in-a-receiving-region": small_run(R2, [to_cluster(3)], [region_kill(0.201, 1)]),
+    # one region of six workers, coordinators 0-2 and T_min 3, one promotion
+    # a round: 0 and 1 die, and round 1 promotes 3, leaving the roster below
+    # T_min; worker 5, off the roster, dies before round 2, which promotes 4
+    # in its place
+    "kill-off-the-roster-below-t-min": replace(
+        small_run(HierarchyConfig(3, 2), [to_cluster(0)],
+                  [FailureSpec(time=t, kind="worker", action="kill", worker=w)
+                   for t, w in ((0.5, 0), (0.5, 1), (1.5, 5))],
+                  horizon=3.05, single_promotion=True),
+        config=HierarchyConfig(3, 2, coordinator_k=3, t_min=3)),
     # a worker of a run is dead as its copies land: only the alive ones are
     # received, or cross a region
     "run-with-a-dead-worker": small_run(R1X3, [to_cluster(2)],
@@ -1691,10 +1794,22 @@ class TestReference:
         # workers killed and half revived, three region kills, a tree jam)
         self.check(build_scenario(BENCHMARK_SCENARIOS[workload](1)))
 
+    # each window the derandomized examples must reach, and in how many of
+    # the 300: about half of the fewest seen, run alone and in the whole
+    # suite, whose earlier imports shift the examples Hypothesis draws
+    WINDOW_FLOORS = {
+        "crossing copy's target killed": 5, "kill in a report's window": 18,
+        "kill in a report's region": 16, "kill off a roster below T_min": 9,
+        "revive before a report lands": 4, "cluster jam during a run": 8,
+        "worker entry cut": 22, "injection retried": 8, "vacancy refilled": 5,
+        "tree entry cut": 7, "parked at fire time": 24, "retried": 17, "full jam": 3,
+        "partial jam": 3, "region kill": 17, "zero latency": 6, "root mode": 12,
+        "targeted": 12}
+
     def test_generated_runs_reach_every_window(self):
         # the examples the derandomized generator draws first reach each
         # window, and the hierarchical ones each kind of input the tree
-        # entries must get right
+        # entries must get right, each in at least its floor of examples
         seen = Counter()
 
         @settings(max_examples=300, deadline=None, derandomize=True, database=None)
@@ -1721,13 +1836,8 @@ class TestReference:
             seen["targeted"] += any(rec.event == "execute_worker" for rec in trace)
 
         count()
-        assert set(seen) == {
-            "crossing copy's target killed", "kill in a report's window",
-            "revive before a report lands", "cluster jam during a run", "worker entry cut",
-            "injection retried", "vacancy refilled", "tree entry cut", "parked at fire time",
-            "retried", "full jam", "partial jam", "region kill", "zero latency",
-            "root mode", "targeted"}
-        assert all(seen.values()), seen
+        assert set(seen) == set(self.WINDOW_FLOORS)
+        assert all(seen[k] >= n for k, n in self.WINDOW_FLOORS.items()), seen
 
 
 # Cluster 1's one worker is dead from 0, so the command injected there is

@@ -1,5 +1,6 @@
 import random
 import tracemalloc
+from array import array
 
 import pytest
 
@@ -151,6 +152,17 @@ class TestBuild:
             rng = random.Random(derive_seed(seed, "energy"))
             expected = [round(rng.uniform(0.2, 1.0), 6) for _ in range(cfg.n_workers)]
             assert build_topology(cfg, seed).energy.tolist() == expected
+
+    def test_energy_order(self, topo32):
+        # each region's workers by energy descending, equal energies by id,
+        # made once per region
+        topo32.energy[0:8] = array("d", [0.5, 0.9, 0.5, 0.9] + [0.2] * 4)
+        for r in topo32.regions:
+            members = topo32.workers_in_region(r)
+            expected = sorted(members, key=lambda w: (-topo32.energy[w], w))
+            assert topo32.energy_order(r).tolist() == expected
+            assert topo32.energy_order(r) is topo32.energy_order(r)
+        assert topo32.energy_order(0).tolist() == [1, 3, 0, 2, 4, 5, 6, 7]
 
     # 1000 workers a cluster: what a build keeps grows with clusters and
     # regions, so per-worker state would stand out
