@@ -77,7 +77,7 @@ def reachable_workers(w: WorkerId, topo: Topology) -> list[tuple[str, list[Worke
     for region in sorted((r, *topo.region_adjacency[r])):
         parts = own_parts if region == r else (("adjacent", topo.workers_in_region(region)),)
         for cls, ids in parts:
-            live = [w for w in ids if w not in dead]
+            live = [w for w in ids if w not in dead] if dead else list(ids)
             if live:
                 segments.append((cls, live))
     return segments

@@ -32,8 +32,8 @@ class Message:
     forward_flag: bool
 
     def __post_init__(self):
-        goals = self.goal_cluster_ids
-        if not all(c in goals for c in self.executed_cluster_ids):
+        goals, executed = self.goal_cluster_ids, self.executed_cluster_ids
+        if executed and not goals.start <= min(executed) <= max(executed) < goals.stop:
             raise ValueError("executed clusters must be a subset of goal clusters")
         if not self.executed_cluster_ids <= self.visited_cluster_ids:
             raise ValueError("executed clusters must be a subset of visited clusters")

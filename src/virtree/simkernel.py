@@ -187,6 +187,14 @@ class _Kernel:
         ) if sc.strategy == "adjacent" else []
         self.kill_times = [t for t, _ in kills]
         self.kill_regions = [r for _, r in kills]
+        # the fire time of every scheduled cluster link jam, ascending, and
+        # (msg_id, region) -> how many of the region's clusters processed
+        # the message: only the adjacent strategy reads them (``settled``)
+        self.jam_times = sorted(
+            quantize(f.time) for f in sc.failures
+            if (f.kind, f.action, f.link_class) == ("link", "jam", "cluster")
+        ) if sc.strategy == "adjacent" else []
+        self.done_in: defaultdict[tuple[tuple, int], int] = defaultdict(int)
         self.parked: list[dict] = []
         self.jam: dict[str, float] = {}
         # link class -> latency: the scenario's values over the defaults
@@ -262,12 +270,12 @@ class _Kernel:
         with nothing run between them."""
         now, key = self.now, (c, m.msg_id)
         fire = quantize(now + self.latency["cluster"])
-        self.bump("deliveries_enqueued", n)
         due = self.kill_due(fire)
         if (not due or self.topo.scope_of(c, LAYER_REGIONAL_HUB) not in due) and (
                 m.msg_id in self.processed.get(c, ()) or self.report_due.get(key, now) > now):
             self.report_dropped(fire, n)
             return
+        self.bump("deliveries_enqueued", n)
         self.report_due[key] = fire
         self.push(fire, self.handle_delivery, (("leader", c), m, n, False))
 
@@ -281,7 +289,9 @@ class _Kernel:
         return times and self.kill_regions[bisect_left(times, self.now):bisect_right(times, fire)]
 
     def report_dropped(self, fire: float, n: int):
-        """Account n unqueued reports due at fire: dropped, or in flight past the horizon."""
+        """Account n reports due at fire, sent and never queued: dropped, or
+        in flight past the horizon."""
+        self.bump("deliveries_enqueued", n)
         if fire > self.sc.horizon:
             self.bump("deliveries_inflight", n)
         else:
@@ -291,19 +301,123 @@ class _Kernel:
 
     def fan_out(self, segments, m: Message, senders: list[int]):
         """Enqueue a copy of m to each worker of segments, (link class,
-        ascending ids) pairs in ascending id order: one delivery entry per
-        fire time, made when a copy first lands in it, so its workers are
-        ascending, with the sender list senders.  A jammed class draws once
-        per copy, in that order."""
+        ascending ids) pairs in ascending id order, each in one region: one
+        delivery entry per fire time, made when a copy first lands in it, so
+        its workers are ascending, with the sender list senders.  A jammed
+        class draws once per copy, in that order.  A segment none of whose
+        copies can act joins no entry: it is accounted now (``settled``),
+        in one step per fire time (``account``)."""
         groups: dict[float, list[int]] = {}
+        quiet: dict[float, list[int]] = {}  # fire -> settled copies, crossings, reports, relays
+        home = self.topo.region_of_worker(senders[0])
         for cls, ws in segments:
             if self.jam.get(cls):
                 ws = [w for w in ws if not self.jammed(cls, m, ("worker", w))]
             if ws:
-                groups.setdefault(quantize(self.now + self.latency[cls]), []).extend(ws)
+                fire = quantize(self.now + self.latency[cls])
+                acts = self.settled(ws, m, fire, home)
+                if acts is None:
+                    groups.setdefault(fire, []).extend(ws)
+                elif fire in quiet:
+                    quiet[fire] = [a + b for a, b in zip(quiet[fire], acts)]
+                else:
+                    quiet[fire] = acts
+        for fire, acts in quiet.items():
+            self.account(fire, len(senders), *acts)
         for fire, ws in groups.items():
             self.bump("deliveries_enqueued", len(ws) * len(senders))
             self.push(fire, self.handle_delivery, (("workers", ws), m, senders, False))
+
+    def settled(self, ws: list[int], m: Message, fire: float, home: int) -> list[int] | None:
+        """[copies, crossings, reports, suppressed relays] of a copy of m to
+        each worker of ws, a segment of one region r sent now from region
+        home and due at fire, when none of them can act, else None.
+
+        ws is alive now, and r's workers stay alive until the reports land
+        when no kill is due in r by then (``kill_due``); the cluster link is
+        unjammed at fire when it is now and no cluster jam is due by fire.
+        ``idle`` then decides from state that only grows, or that an
+        earlier queued report keeps.  A later sender's copy to the first
+        sender, traded for its own (``copies_of``), goes to a worker of the
+        same alike run: alive, untargeted and relayed."""
+        times, targets = self.jam_times, m.target_worker_ids
+        if self.jam.get("cluster") or times and bisect_left(times, self.now) < bisect_right(
+                times, fire) or targets and not targets.isdisjoint(ws):
+            return None
+        r = self.topo.region_of_worker(ws[0])
+        due = self.kill_due(quantize(fire + self.latency["cluster"]))
+        acts = None if due and r in due else self.idle(ws, m, r)
+        return acts and [len(ws), len(ws) if r != home else 0, *acts]
+
+    def account(self, fire: float, n: int, copies: int, crossed: int, reports: int,
+                suppressed: int):
+        """Account settled copies due at fire from each of n senders as
+        their delivery would: received, crossing, their relays suppressed
+        and their reports sent and dropped, or in flight past the horizon,
+        and their fire time kept for ``run_end`` as ``report_dropped``
+        keeps a report's."""
+        self.bump("deliveries_enqueued", copies * n)
+        if fire > self.sc.horizon:
+            self.bump("deliveries_inflight", copies * n)
+            return
+        self.dropped_until = max(self.dropped_until, fire)
+        self.count(copies, crossed, reports, suppressed, n)
+        if reports:
+            self.report_dropped(quantize(fire + self.latency["cluster"]), reports * n)
+
+    def idle(self, ws: list[int], m: Message, r: int) -> tuple[int, int] | None:
+        """(reports, suppressed relays) of m at ws, ascending alive
+        untargeted workers of region r, delivered now or later on an
+        unjammed cluster link with no kill due in r from now until their
+        reports land, when no run of ws can act, else None.
+
+        ``worker_on_receive`` makes three checks.  A worker copy is a
+        leader's flagged broadcast copy or a relay of one; let L be its
+        ``last_sent_cluster_id``.  At a worker of ws in cluster c:
+        - it executes when targeted, and ws is not;
+        - it reports when c is neither L nor in the copy's visited set,
+          and ``send_reports`` drops that report when sent if c has
+          processed m, or a report queued to c is due after now: c's
+          leader, alive while a worker of ws is, processes that one before
+          copies sent now land, or it is still due when they do;
+        - it relays when c is L, and that relay is suppressed when the
+          worker relayed already.
+        So no run can act when every cluster of ws but L has processed m
+        (a count per region in ``done_in`` says so for all of r at once)
+        or has such a report queued, and every worker of L in ws relayed."""
+        wpc = self.topo.config.workers_per_cluster
+        mid, own, visited, now = m.msg_id, m.last_sent_cluster_id, m.visited_cluster_ids, self.now
+        clusters = range(ws[0] // wpc, ws[-1] // wpc + 1)
+        if self.done_in.get((mid, r), 0) < self.topo.span[LAYER_REGIONAL_HUB]:
+            processed, due_at = self.processed, self.report_due
+            for c in clusters:
+                if c != own and mid not in processed.get(c, ()) and due_at.get((c, mid), now) <= now:
+                    return None
+        reports, suppressed = len(ws), 0
+        if own in clusters or not visited.isdisjoint(clusters):
+            for c in clusters:
+                if c == own or c in visited:
+                    i = bisect_left(ws, c * wpc)
+                    j = bisect_left(ws, (c + 1) * wpc, i)
+                    reports -= j - i
+                    if c == own:
+                        if not self.relayed[mid].issuperset(ws[i:j]):
+                            return None
+                        suppressed = j - i
+        return reports, suppressed
+
+    def count(self, received: int, crossed: int, reported: int, suppressed: int, n: int):
+        """Count received copies, completed, and their crossings, reports
+        and suppressed relays, each n times, once per sender alike; a bump
+        of 0 would add the key to the conservation output."""
+        if received:
+            self.bump("deliveries_completed", received * n)
+            self.bump("alg1_receives", received * n)
+            self.bump("alg1_cross_region_receives", crossed * n)
+        if suppressed:
+            self.bump("relay_suppressed", suppressed * n)
+        if reported:
+            self.bump("reports_sent", reported * n)
 
     def relay(self, run: list[int], m: Message, sender: int):
         """Each worker of run, a cluster run, relays m: the relay records in
@@ -422,12 +536,12 @@ class _Kernel:
         untargeted run of first's cluster, could act apart: on a jammed
         cluster link, at a dead or targeted receiver, at a worker of that
         cluster yet to relay (it relays on the first copy only), or with a
-        kill scheduled before their reports land in a region of a receiver
-        or of first, whose ``drop_dead`` and ``process`` records at
-        different clusters then interleave sender by sender.  A receiver
-        reports only to its own cluster's leader, so a kill elsewhere
-        changes no report.  When ws holds their cluster, a later sender's
-        copies go to first as well, which may have died since."""
+        kill scheduled before their reports land in a receiver's region,
+        whose ``drop_dead`` and ``process`` records at different clusters
+        then interleave sender by sender.  A receiver reports only to its
+        own cluster's leader, so a kill elsewhere changes no report.  When
+        ws holds their cluster, a later sender's copies go to first as
+        well, which may have died since: its region is then a receiver's."""
         topo = self.topo
         fire = quantize(self.now + self.latency["cluster"])
         members = topo.workers_in_cluster(topo.cluster_of(first))
@@ -437,7 +551,7 @@ class _Kernel:
             own.append(first)
         due = self.kill_due(fire)
         return bool(self.jam.get("cluster")
-                    or due and (topo.region_of_worker(first) in due or self.meets(due, ws))
+                    or due and self.meets(due, ws)
                     or not m.target_worker_ids.isdisjoint(ws)
                     or not (topo.dead.isdisjoint(ws) and topo.dead.isdisjoint(own))
                     or not self.relayed[m.msg_id].issuperset(own))
@@ -452,75 +566,100 @@ class _Kernel:
         return False
 
     def deliver_pass(self, ws: list[int], m: Message, sender: int, n: int):
-        """Deliver m to ws, ascending, from sender in one pass over its
-        cluster runs, and count it n times, each report sent n times: for
-        the n - 1 later senders of an entry that nothing tells apart.
-        ``worker_on_receive`` reads a worker only through its cluster and the
-        targets, so on an unjammed cluster link one call decides for a run of
-        alive untargeted workers, and such a run relays in one call when
-        none of its workers relayed yet.
+        """Deliver m to ws, ascending, from sender in one pass, and count it
+        n times, each report sent n times: for the n - 1 later senders of an
+        entry that nothing tells apart.  ws is taken a region at a time: a
+        region's part whose runs cannot act, alive, untargeted, on an
+        unjammed cluster link with no kill due in the region before its
+        reports land (``idle``), is counted, and its reports dropped, at
+        once.  The other parts are taken a cluster run at a time.
+        ``worker_on_receive`` reads a worker only through its cluster and
+        the targets, so on an unjammed cluster link one call decides for a
+        run of alive untargeted workers, and such a run relays in one call
+        when none of its workers relayed yet.
 
         Every other run, only ever in a pass counted once, is acted on
         worker by worker (see the module docstring)."""
         topo = self.topo
         wpc, dead = topo.config.workers_per_cluster, topo.dead
+        wpr = topo.span[LAYER_REGIONAL_HUB] * wpc
         targets, alike = m.target_worker_ids, not self.jam.get("cluster")
         whole = dead.isdisjoint(ws)
-        relayed = self.relayed[m.msg_id]
-        home = topo.workers_in_region(topo.region_of_worker(sender))
-        received = crossed = reported = suppressed = 0
+        mid, own, visited = m.msg_id, m.last_sent_cluster_id, m.visited_cluster_ids
+        relayed, processed, due_at, now = self.relayed[mid], self.processed, self.report_due, self.now
+        home = topo.region_of_worker(sender)
+        land = quantize(self.now + self.latency["cluster"])
+        due = self.kill_due(land)
+        received = crossed = reported = suppressed = dropped = 0
         i = 0
         while i < len(ws):
-            c = ws[i] // wpc
-            j = bisect_left(ws, (c + 1) * wpc, i)
-            run = ws[i:j]
-            i = j
-            live = len(run) if whole else len(run) - len(dead.intersection(run))
-            received += live
-            if run[0] not in home:
-                crossed += live
-            if alike and live == len(run) and targets.isdisjoint(run):
-                actions = adj.worker_on_receive(run[0], m, topo)
-                if not actions:
+            r = ws[i] // wpr
+            end = bisect_left(ws, (r + 1) * wpr, i)
+            part = ws[i:end]
+            quiet = alike and not (due and r in due) and (whole or dead.isdisjoint(part)) and (
+                not targets or targets.isdisjoint(part))
+            acts = quiet and self.idle(part, m, r)
+            if acts:
+                i = end
+                received += len(part)
+                if r != home:
+                    crossed += len(part)
+                reported += acts[0]
+                dropped += acts[0]
+                suppressed += acts[1]
+                continue
+            while i < end:
+                c = ws[i] // wpc
+                j = bisect_left(ws, (c + 1) * wpc, i)
+                run = ws[i:j]
+                i = j
+                live = len(run) if whole else len(run) - len(dead.intersection(run))
+                received += live
+                if r != home:
+                    crossed += live
+                if quiet and c != own and (mid in processed.get(c, ())
+                                           or due_at.get((c, mid), now) > now):  # see ``idle``
+                    if c not in visited:
+                        reported += len(run)
+                        dropped += len(run)
                     continue
-                if isinstance(actions[0], adj.ReportToLeader):  # untargeted: the only one
-                    reported += len(run)
-                    self.send_reports(c, m, len(run) * n)
-                    continue
-                if relayed.issuperset(run):  # a relay each worker made already
-                    suppressed += len(run)
-                    continue
-                if relayed.isdisjoint(run):  # each worker's first relay
-                    relayed.update(run)
-                    self.relay(run, m, sender)
-                    continue
-            k = 0  # the run's reports no jam ate
-            for w in run:
-                if w in dead:
-                    self.bump("deliveries_dropped_dead")
-                    self.emit("kernel", "drop_dead", worker=w, msg_id=msg_id_str(m.msg_id))
-                    continue
-                for action in adj.worker_on_receive(w, m, topo):
-                    if isinstance(action, adj.ExecuteLocally):
-                        self.apply_execution(w, m, comp="alg1", from_worker=sender)
-                    elif isinstance(action, adj.ReportToLeader):
-                        reported += 1
-                        k += alike or not self.jammed("cluster", m, ("leader", c))
-                    elif w in relayed:
-                        suppressed += 1
-                    else:
-                        relayed.add(w)
-                        self.relay([w], m, sender)
-            if k:
-                self.send_reports(c, m, k)
-        if received:
-            self.bump("deliveries_completed", received * n)
-            self.bump("alg1_receives", received * n)
-            self.bump("alg1_cross_region_receives", crossed * n)
-        if suppressed:
-            self.bump("relay_suppressed", suppressed * n)
-        if reported:
-            self.bump("reports_sent", reported * n)
+                if alike and live == len(run) and targets.isdisjoint(run):
+                    actions = adj.worker_on_receive(run[0], m, topo)
+                    if not actions:
+                        continue
+                    if isinstance(actions[0], adj.ReportToLeader):  # untargeted: the only one
+                        reported += len(run)
+                        self.send_reports(c, m, len(run) * n)
+                        continue
+                    if relayed.issuperset(run):  # a relay each worker made already
+                        suppressed += len(run)
+                        continue
+                    if relayed.isdisjoint(run):  # each worker's first relay
+                        relayed.update(run)
+                        self.relay(run, m, sender)
+                        continue
+                k = 0  # the run's reports no jam ate
+                for w in run:
+                    if w in dead:
+                        self.bump("deliveries_dropped_dead")
+                        self.emit("kernel", "drop_dead", worker=w, msg_id=msg_id_str(m.msg_id))
+                        continue
+                    for action in adj.worker_on_receive(w, m, topo):
+                        if isinstance(action, adj.ExecuteLocally):
+                            self.apply_execution(w, m, comp="alg1", from_worker=sender)
+                        elif isinstance(action, adj.ReportToLeader):
+                            reported += 1
+                            k += alike or not self.jammed("cluster", m, ("leader", c))
+                        elif w in relayed:
+                            suppressed += 1
+                        else:
+                            relayed.add(w)
+                            self.relay([w], m, sender)
+                if k:
+                    self.send_reports(c, m, k)
+        self.count(received, crossed, reported, suppressed, n)
+        if dropped:
+            self.report_dropped(land, dropped * n)
 
     def apply_execution(self, w: int, m: Message, comp: str, **sender):
         """A targeted execution, idempotent per (worker, msg): duplicates
@@ -547,6 +686,7 @@ class _Kernel:
         if not self.first_receive("alg2", c, m, n):
             return
         region = self.topo.scope_of(c, LAYER_REGIONAL_HUB)
+        self.done_in[m.msg_id, region] += 1
         mid = msg_id_str(m.msg_id)
         decision = adj.leader_on_receive_deferred(c, m, self.topo, self.sc.delay,
                                                   len(self.pending.get(leader, ())),

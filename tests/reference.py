@@ -6,7 +6,7 @@ at once, so that a run of the kernel can be compared with a run of the
 reference byte for byte, shortcuts that interact included:
 
 - ``fan_out`` and ``send``: one heap entry per copy, not one per fire time
-  or per fan-down;
+  or per fan-down, and none accounted when sent as a copy that cannot act;
 - ``deliver_workers`` and ``deliver_nodes``: each worker or tree copy
   delivered and counted alone, not in one pass over cluster runs or tree
   nodes;
@@ -44,8 +44,11 @@ class ReferenceKernel(_Kernel):
 
     def fan_out(self, segments, m, senders):
         for cls, ws in segments:
+            fire = quantize(self.now + self.latency[cls])
             for w in ws:
-                super().fan_out([(cls, [w])], m, senders)
+                if not self.jammed(cls, m, ("worker", w)):
+                    self.bump("deliveries_enqueued", len(senders))
+                    self.push(fire, self.handle_delivery, (("workers", [w]), m, senders, False))
 
     def send(self, nodes, m, sender):
         for node in nodes:

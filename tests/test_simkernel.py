@@ -777,7 +777,12 @@ def below_t_min(kernel, r):
 
 class Recording(_Kernel):
     """The kernel, recording each worker delivery entry as (fire, workers,
-    sender list, send time), each tree delivery entry as (fire, nodes,
+    sender list, send time), with the segments accounted when sent
+    (``settled``) in the entry of their send loop and fire time as if
+    queued, those pushed in ``pushed`` as well, the fire time of every
+    entry pushed in ``fired``, each segment accounted as
+    (fire, workers, sender list, send time, its reports per sender) in
+    ``accounted``, each tree delivery entry as (fire, nodes,
     sending node, send time), each delivery pass as (now, sender, times
     counted), each report entry it queues as (now, fire, cluster, count of
     reports), each report it accounts without queuing as (now, fire), and
@@ -788,15 +793,29 @@ class Recording(_Kernel):
     def __init__(self, sc):
         super().__init__(sc)
         self.entries, self.passes, self.reports, self.unqueued = [], [], [], []
+        self.pushed, self.accounted, self.loop, self.fired = [], [], {}, []
         self.tree_entries, self.degraded = [], []
 
     def deliver_pass(self, ws, m, sender, n):
         self.passes.append((self.now, sender, n))
         super().deliver_pass(ws, m, sender, n)
 
+    def fan_out(self, segments, m, senders):
+        self.loop, self.senders = {}, senders  # fire -> the loop's workers due then
+        super().fan_out(segments, m, senders)
+        self.entries += [(fire, ws, senders, self.now) for fire, ws in self.loop.items()]
+
+    def settled(self, ws, m, fire, home):
+        self.loop.setdefault(fire, []).extend(ws)
+        acts = super().settled(ws, m, fire, home)
+        if acts is not None:
+            self.accounted.append((fire, ws, self.senders, self.now, acts[2]))
+        return acts
+
     def push(self, fire, handler, args):
+        self.fired.append(simkernel.quantize(fire))
         if handler == self.handle_delivery and args[0][0] == "workers":
-            self.entries.append((fire, args[0][1], args[2], self.now))
+            self.pushed.append((fire, args[0][1], args[2], self.now))
         elif handler == self.handle_delivery and args[0][0] == "nodes":
             self.tree_entries.append((fire, args[0][1], args[2], self.now))
         elif handler == self.handle_delivery and args[0][0] == "leader" and not args[3]:
@@ -934,7 +953,8 @@ def runs(draw):
     hierarchical runs end inside a tree entry.  Some runs kill a worker of
     a report's region while it flies, or one off the roster of a region
     below T_min (``seeded_kills``).  Some runs revive a region
-    that a round found dead (``dead_region_revival``)."""
+    that a round found dead (``dead_region_revival``), and some aim a kill,
+    a jam or the horizon at copies accounted when sent (``settled_aims``)."""
     # two adjacent runs to a hierarchical one: most shortcuts are adjacent
     adjacent = draw(st.sampled_from([True, True, False]))
     if adjacent:  # five layers, one hub, and clusters whose relays can share entries
@@ -1013,7 +1033,48 @@ def runs(draw):
                 fire, _, _, sent = draw(st.sampled_from(windows))
                 sc = replace(sc, horizon=sent + draw(st.integers(1, 99)) / 100 * (fire - sent))
     sc = replace(sc, failures=sc.failures + seeded_kills(sc))
-    return replace(sc, failures=sc.failures + dead_region_revival(sc))
+    return settled_aims(replace(sc, failures=sc.failures + dead_region_revival(sc)))
+
+
+def settled_aims(sc):
+    """sc with a failure or a horizon aimed at a segment its run accounts
+    when sent (``_Kernel.settled``), chosen by its seed as in
+    ``dead_region_revival``.  In runs of an odd seed where one is due when
+    nothing else is, the horizon at the last such fire time, so that it is
+    the run's last event (one that makes reports, if there is one).
+    Otherwise, by the seed modulo 4: a worker of a segment killed halfway
+    between its send and its fire, so that its copies are queued and meet a
+    dead worker; the cluster link jammed then, so that its reports draw on
+    the jam; the horizon there, for the last segment sent, so that its
+    copies are in flight at the end; or the horizon at the last fire time
+    of one that makes reports, so that they are.  A horizon aimed late
+    cuts little of what the run's other aims reach.  A run that accounts
+    nothing is left as it is."""
+    if sc.strategy != "adjacent":
+        return sc
+    kernel = Recording(sc)
+    kernel.run()
+    busy = {*kernel.fired, *(t for _, t in kernel.unqueued)}
+    alone = [a for a in kernel.accounted if a[0] not in busy]
+    horizon = None  # a horizon aim, which must be positive
+    if alone and sc.seed % 2:
+        horizon = max([a for a in alone if a[4]] or alone)[0]
+    kind, aims = sc.seed % 4, kernel.accounted
+    if horizon is None and aims:
+        fire, ws, _, sent, _ = aims[sc.seed // 4 % len(aims)]
+        t = (sent + fire) / 2
+        if kind == 0:
+            return replace(sc, failures=sc.failures + [FailureSpec(
+                time=t, kind="worker", action="kill", worker=ws[sc.seed % len(ws)])])
+        if kind == 1:
+            return replace(sc, failures=sc.failures + [FailureSpec(
+                time=t, kind="link", action="jam", link_class="cluster", drop=0.5)])
+        if kind == 2:
+            _, _, _, sent, _ = max(aims, key=lambda a: a[3])
+            horizon = (sent + max(a[0] for a in aims if a[3] == sent)) / 2
+        else:
+            horizon = max([a for a in aims if a[4]] or aims)[0]
+    return replace(sc, horizon=horizon) if horizon else sc
 
 
 def seeded_kills(sc):
@@ -1336,7 +1397,7 @@ class TestPerCopyReference:
                       link_latencies={"cluster": 0.2, "region": 0.0, "adjacent": 0.1},
                       commands=[CommandSpec(time=0.1, origin=0, scope=("global",))])
         kernel, trace, _ = assert_same_as_reference(sc)
-        assert trace[-1].time == kernel.unqueued[-1][1] == 1.1
+        assert trace[-1].time == max(fire for _, fire in kernel.unqueued) == 1.1
         assert trace[-2].time < 1.1
 
     def test_horizon_cuts_fan_outs_and_unqueued_reports(self):
@@ -1498,8 +1559,8 @@ class TestClusterRuns:
         assert [e for e in kernel.entries if e[0] == 1.2] == [(1.2, [1, 2, 3], [0, 1, 2, 3], 1.1)]
         later = {s for _, _, senders, _ in kernel.entries for s in senders[1:]}
         assert {1, 2, 3} <= later and callers and later.isdisjoint(callers)
-        # one pass an entry that fired, counted once per sender
-        fired = [senders for fire, _, senders, _ in kernel.entries if fire <= 15.0]
+        # one pass an entry that was queued and fired, counted once per sender
+        fired = [senders for fire, _, senders, _ in kernel.pushed if fire <= 15.0]
         assert sorted(n for _, _, n in kernel.passes) == sorted(map(len, fired))
         assert report.conserved
 
@@ -1536,9 +1597,13 @@ class Windows(Recording):
     cluster of the worker's region is; a worker off the roster killed while
     its region is below T_min; a revive while a report to the worker's
     cluster is in flight; a cluster link jammed while a worker
-    entry is in flight; a parked injection retried; a vacancy refilled while
-    a tree copy to it is in flight; and, at the horizon, a worker entry in
-    flight, or a tree entry of several copies."""
+    entry is in flight; a kill, and a cluster jam, while an entry is in
+    flight whose workers in the region, or in some region, could otherwise
+    be counted at once (``idle_part``); a parked injection retried; a
+    vacancy refilled while a tree copy to it is in flight; at the horizon,
+    a worker entry in flight, or a tree entry of several copies, copies
+    accounted when sent in flight, and their reports; and a run whose last
+    event by the horizon is copies accounted when sent."""
 
     def __init__(self, sc):
         super().__init__(sc)
@@ -1561,6 +1626,7 @@ class Windows(Recording):
                 topo.scope_of(c, LAYER_REGIONAL_HUB) == r for c in reports)
             self.windows["kill off a roster below T_min"] += (
                 w not in self.rosters[r] and 0 < below_t_min(self, r))
+            self.windows["kill before an idle part lands"] += self.idle_part(r)
         super().kill_worker(w)
 
     def revive_worker(self, w):
@@ -1574,9 +1640,23 @@ class Windows(Recording):
         self.windows["vacancy refilled"] += sum(
             self.links.holder(n) is not None for n in vacant)
 
+    def idle_part(self, region=None):
+        """Whether a queued worker entry has workers in region, or in any
+        region when it is None, that ``idle`` would count at once, but for
+        a kill or a jam."""
+        for args in self.queued("workers"):
+            parts = defaultdict(list)  # region -> the entry's workers there
+            for w in args[0][1]:
+                parts[self.topo.region_of_worker(w)].append(w)
+            if any(self.idle(ws, args[1], r) for r, ws in parts.items()
+                   if region in (None, r)):
+                return True
+        return False
+
     def handle_failure(self, spec):
         if (spec.kind, spec.action, spec.link_class) == ("link", "jam", "cluster"):
             self.windows["cluster jam during a run"] += bool(self.queued("workers"))
+            self.windows["cluster jam before an idle part lands"] += self.idle_part()
         super().handle_failure(spec)
 
     def retry_parked(self):
@@ -1593,6 +1673,20 @@ class Windows(Recording):
         self.windows["tree entry cut"] += any(
             sent <= horizon < fire and len(nodes) > 1
             for fire, nodes, _, sent in self.tree_entries)
+        lc, sc = self.latency["cluster"], self.sc
+        self.windows["settled entry cut"] += any(
+            sent <= horizon < fire for fire, _, _, sent, _ in self.accounted)
+        self.windows["settled reports cut"] += any(
+            fire <= horizon < simkernel.quantize(fire + lc) and reports
+            for fire, _, _, sent, reports in self.accounted)
+        # every other event by the horizon: entries pushed, reports accounted
+        # when sent, initial events and the last round
+        others = [t for t in (*self.fired, *(t for _, t in self.unqueued),
+                              *(simkernel.quantize(e.time) for e in (*sc.commands, *sc.failures)),
+                              simkernel.quantize(self.rounds * sc.round_period)) if t <= horizon]
+        last = max((fire for fire, *_ in self.accounted if fire <= horizon), default=None)
+        self.windows["run ends at a settled entry"] += last is not None and last > max(
+            others, default=0.0)
         return result
 
 
@@ -1701,6 +1795,27 @@ SMALLEST_RUNS = [pytest.param(sc, id=name) for name, sc in {
         region_kill(0.0, 0), region_kill(0.0, 0), *blink(0, 0.0, 1.1)], horizon=2.05),
     # the horizon falls inside an entry of four reports to cluster 1
     "report-entry-cut": small_run(R1, [to_cluster(1)], horizon=0.25),
+    # Copies that cannot act are accounted when sent (``_Kernel.settled``).
+    # Clusters 1 and 2 process the command to cluster 3 at 0.3 and
+    # broadcast; their workers' relays at 0.4 reach only clusters that
+    # processed it, so each of their segments, due at 0.5, is accounted
+    # then, and the reports it makes land at 0.6.  Worker 6 of receiving
+    # region 1 dies at 0.45: those copies are queued, and meet it dead
+    "kill-before-a-settled-entry-fires": small_run(R2, [to_cluster(3)], [FailureSpec(
+        time=0.45, kind="worker", action="kill", worker=6)]),
+    # the cluster link jams at 0.45: their reports draw on the jam
+    "jam-before-a-settled-entry-fires": small_run(R2, [to_cluster(3)], [cluster_jam(0.45)]),
+    # the horizon falls between their send and their fire: in flight
+    "settled-entry-cut": small_run(R2, [to_cluster(3)], horizon=0.45),
+    # the horizon falls between their fire and their reports' landing: the
+    # reports are in flight, and the run ends at their fire time
+    "settled-reports-cut": small_run(R2, [to_cluster(3)], horizon=0.55),
+    # region latency 0.3: cluster 1's relay at 0.6 reaches cluster 0, which
+    # it visited, at 0.9, after every report landed: run_end takes that time
+    "run-end-at-a-settled-entry": replace(
+        small_run(R2, [to_cluster(3)], horizon=0.95),
+        link_latencies={**simkernel.DEFAULT_LATENCIES, "cluster": 0.1, "region": 0.3,
+                        "adjacent": 0.1}),
     # the horizon falls inside a tree entry of two copies
     "tree-entry-cut": small_run(HierarchyConfig(1, 3, num_layers=2),
                                 [to_cluster(0)] * 3 + [CommandSpec(time=0.0, origin=0,
@@ -1787,12 +1902,16 @@ class TestReference:
     def test_smallest_runs(self, sc):
         self.check(sc)
 
-    @pytest.mark.parametrize("workload", ["adjacent-flood", "tree-commands", "failure-churn"])
-    def test_benchmark_runs(self, workload):
+    @pytest.mark.parametrize("workload, seed", [
+        pytest.param(name, 1, id=name)
+        for name in ("adjacent-flood", "tree-commands", "failure-churn")] + [
+        pytest.param("adjacent-flood", 7919, id="adjacent-flood-7919")])
+    def test_benchmark_runs(self, workload, seed):
         # the benchmark's run workloads at seed 1: a 384-worker adjacent
         # flood, and 10k-worker tree routing and failure churn (40% of the
-        # workers killed and half revived, three region kills, a tree jam)
-        self.check(build_scenario(BENCHMARK_SCENARIOS[workload](1)))
+        # workers killed and half revived, three region kills, a tree jam);
+        # and the flood at the benchmark's held-out seed
+        self.check(build_scenario(BENCHMARK_SCENARIOS[workload](seed)))
 
     # each window the derandomized examples must reach, and in how many of
     # the 300: about half of the fewest seen, run alone and in the whole
@@ -1804,7 +1923,9 @@ class TestReference:
         "worker entry cut": 22, "injection retried": 8, "vacancy refilled": 5,
         "tree entry cut": 7, "parked at fire time": 24, "retried": 17, "full jam": 3,
         "partial jam": 3, "region kill": 17, "zero latency": 6, "root mode": 12,
-        "targeted": 12}
+        "targeted": 12, "kill before an idle part lands": 15,
+        "cluster jam before an idle part lands": 6, "settled entry cut": 4,
+        "settled reports cut": 2, "run ends at a settled entry": 3}
 
     def test_generated_runs_reach_every_window(self):
         # the examples the derandomized generator draws first reach each
