@@ -33,11 +33,9 @@ without its ``totals`` and ``conservation`` counters, which a change of the
 trace format alone leaves equal.  Each side keeps every run and reports the
 median wall time and peak RSS over its runs; ``pairs_won`` counts the pairs
 whose change ran faster than its parent.  Peak RSS is ``ru_maxrss`` from
-``os.wait4``: the largest resident set of the run's processes.  ``run``
-encodes its trace in its own process, so that is the run itself; only a
-checkout whose ``run`` forks a trace writer process (trace format 1 did,
-given two usable CPUs) has that writer counted in it as well.  Outputs are
-deleted once hashed, so the 1M runs leave nothing behind.
+``os.wait4``: the largest resident set of the run's process, which encodes
+and writes its trace itself.  Outputs are deleted once hashed, so the 1M
+runs leave nothing behind.
 """
 
 from __future__ import annotations

@@ -41,13 +41,25 @@ sender (``copies_of``).  Per-copy entries would have taken consecutive seqs,
 one sender after another, with nothing pushed between them, so the events
 run in the same order.  A relay made worker by worker pushes its own entries.
 
+A segment none of whose copies can act is not queued at all: its copies are
+accounted when sent, for every sender at once, as their delivery would
+count them (``_Kernel.settled``, ``_Kernel.account``).  Such a copy writes
+no record, pushes nothing and draws nothing when it fires, so leaving its
+entry out moves no other event: it would only have moved ``now``, and
+``run_end`` takes its fire time as it takes an unqueued report's.  The
+rule (``_Kernel.idle``) follows from ``worker_on_receive``'s three checks:
+no copy is targeted, none meets a dead worker or a cluster jam, and each
+one's report can only be a repeat drop or its relay was made already.
+
 An entry's copies are delivered one sender at a time, each sender's in one
-pass over its cluster runs: ids are row-major, so each cluster's workers in it
-are one slice, and a run lies in one region.  The pass counts every alive
-copy of a run as received, and as crossing when the run lies outside the
-sender's region, with one bump per counter a pass
-(``_Kernel.deliver_pass``).  Alive untargeted workers on an unjammed cluster
-link act alike, so one ``worker_on_receive`` call decides for the run: its
+pass, a region at a time: ids are row-major, so each region's and each
+cluster's workers in it are one slice.  A region's part that ``idle`` finds
+cannot act is counted at once; the others are taken a cluster run at a
+time.  The pass counts every alive copy of a run as received, and as
+crossing when the run lies outside the sender's region, with one bump per
+counter a pass (``_Kernel.deliver_pass``).  Alive untargeted workers on an
+unjammed cluster link act alike, so one ``worker_on_receive`` call decides
+for the run: its
 suppressed relays are counted, and its reports are sent or its first relays
 made at once.  Every other run is acted on worker by worker, keeping jam
 draws, ``drop_dead`` records, targeted executions and relays in order, and
@@ -345,8 +357,9 @@ class _Kernel:
                 times, fire) or targets and not targets.isdisjoint(ws):
             return None
         r = self.topo.region_of_worker(ws[0])
-        due = self.kill_due(quantize(fire + self.latency["cluster"]))
-        acts = None if due and r in due else self.idle(ws, m, r)
+        if self.kill_times and r in self.kill_due(quantize(fire + self.latency["cluster"])):
+            return None
+        acts = self.idle(ws, m, r)
         return acts and [len(ws), len(ws) if r != home else 0, *acts]
 
     def account(self, fire: float, n: int, copies: int, crossed: int, reports: int,
@@ -391,7 +404,8 @@ class _Kernel:
         if self.done_in.get((mid, r), 0) < self.topo.span[LAYER_REGIONAL_HUB]:
             processed, due_at = self.processed, self.report_due
             for c in clusters:
-                if c != own and mid not in processed.get(c, ()) and due_at.get((c, mid), now) <= now:
+                if c != own and mid not in processed.get(c, ()) and (
+                        due_at.get((c, mid), now) <= now):
                     return None
         reports, suppressed = len(ws), 0
         if own in clusters or not visited.isdisjoint(clusters):
@@ -569,10 +583,10 @@ class _Kernel:
         """Deliver m to ws, ascending, from sender in one pass, and count it
         n times, each report sent n times: for the n - 1 later senders of an
         entry that nothing tells apart.  ws is taken a region at a time: a
-        region's part whose runs cannot act, alive, untargeted, on an
-        unjammed cluster link with no kill due in the region before its
-        reports land (``idle``), is counted, and its reports dropped, at
-        once.  The other parts are taken a cluster run at a time.
+        part that is alive and untargeted, on an unjammed cluster link with
+        no kill due in its region before its reports land, and whose runs
+        cannot act (``idle``), is counted, and its reports dropped, at once.
+        The other parts are taken a cluster run at a time.
         ``worker_on_receive`` reads a worker only through its cluster and
         the targets, so on an unjammed cluster link one call decides for a
         run of alive untargeted workers, and such a run relays in one call
@@ -585,8 +599,7 @@ class _Kernel:
         wpr = topo.span[LAYER_REGIONAL_HUB] * wpc
         targets, alike = m.target_worker_ids, not self.jam.get("cluster")
         whole = dead.isdisjoint(ws)
-        mid, own, visited = m.msg_id, m.last_sent_cluster_id, m.visited_cluster_ids
-        relayed, processed, due_at, now = self.relayed[mid], self.processed, self.report_due, self.now
+        relayed = self.relayed[m.msg_id]
         home = topo.region_of_worker(sender)
         land = quantize(self.now + self.latency["cluster"])
         due = self.kill_due(land)
@@ -596,9 +609,8 @@ class _Kernel:
             r = ws[i] // wpr
             end = bisect_left(ws, (r + 1) * wpr, i)
             part = ws[i:end]
-            quiet = alike and not (due and r in due) and (whole or dead.isdisjoint(part)) and (
-                not targets or targets.isdisjoint(part))
-            acts = quiet and self.idle(part, m, r)
+            acts = alike and not (due and r in due) and (whole or dead.isdisjoint(part)) and (
+                not targets or targets.isdisjoint(part)) and self.idle(part, m, r)
             if acts:
                 i = end
                 received += len(part)
@@ -617,12 +629,6 @@ class _Kernel:
                 received += live
                 if r != home:
                     crossed += live
-                if quiet and c != own and (mid in processed.get(c, ())
-                                           or due_at.get((c, mid), now) > now):  # see ``idle``
-                    if c not in visited:
-                        reported += len(run)
-                        dropped += len(run)
-                    continue
                 if alike and live == len(run) and targets.isdisjoint(run):
                     actions = adj.worker_on_receive(run[0], m, topo)
                     if not actions:

@@ -1039,42 +1039,49 @@ def runs(draw):
 def settled_aims(sc):
     """sc with a failure or a horizon aimed at a segment its run accounts
     when sent (``_Kernel.settled``), chosen by its seed as in
-    ``dead_region_revival``.  In runs of an odd seed where one is due when
-    nothing else is, the horizon at the last such fire time, so that it is
-    the run's last event (one that makes reports, if there is one).
-    Otherwise, by the seed modulo 4: a worker of a segment killed halfway
-    between its send and its fire, so that its copies are queued and meet a
-    dead worker; the cluster link jammed then, so that its reports draw on
-    the jam; the horizon there, for the last segment sent, so that its
-    copies are in flight at the end; or the horizon at the last fire time
-    of one that makes reports, so that they are.  A horizon aimed late
-    cuts little of what the run's other aims reach.  A run that accounts
-    nothing is left as it is."""
+    ``dead_region_revival``.  In runs of an odd seed where a segment is due
+    when nothing else is, the horizon at the last such fire time, so that
+    it is the run's last event (one that makes reports, if there is one).
+    Otherwise, by the seed modulo 4:
+    - a worker of a segment killed halfway between its send and its fire,
+      so that its copies are queued and meet a dead worker;
+    - the cluster link jammed then and cleared just after its fire, at a
+      segment that makes reports if there is one, so that the jam eats
+      them;
+    - the horizon there, for the last segment sent, so that its copies are
+      in flight at the end;
+    - the horizon at the last fire time of a segment that makes reports,
+      so that they are in flight at the end.
+    A horizon aimed late cuts little of what the run's other aims reach.
+    A run that accounts nothing is left as it is."""
     if sc.strategy != "adjacent":
         return sc
     kernel = Recording(sc)
     kernel.run()
-    busy = {*kernel.fired, *(t for _, t in kernel.unqueued)}
-    alone = [a for a in kernel.accounted if a[0] not in busy]
-    horizon = None  # a horizon aim, which must be positive
-    if alone and sc.seed % 2:
-        horizon = max([a for a in alone if a[4]] or alone)[0]
     kind, aims = sc.seed % 4, kernel.accounted
-    if horizon is None and aims:
-        fire, ws, _, sent, _ = aims[sc.seed // 4 % len(aims)]
-        t = (sent + fire) / 2
-        if kind == 0:
-            return replace(sc, failures=sc.failures + [FailureSpec(
-                time=t, kind="worker", action="kill", worker=ws[sc.seed % len(ws)])])
-        if kind == 1:
-            return replace(sc, failures=sc.failures + [FailureSpec(
-                time=t, kind="link", action="jam", link_class="cluster", drop=0.5)])
-        if kind == 2:
-            _, _, _, sent, _ = max(aims, key=lambda a: a[3])
-            horizon = (sent + max(a[0] for a in aims if a[3] == sent)) / 2
-        else:
-            horizon = max([a for a in aims if a[4]] or aims)[0]
-    return replace(sc, horizon=horizon) if horizon else sc
+    busy = {*kernel.fired, *(t for _, t in kernel.unqueued)}
+    alone = [a for a in aims if a[0] not in busy]
+    if alone and sc.seed % 2:
+        kind, aims = 3, alone
+    if kind % 2:  # a jam or a horizon at fire matters to reports only
+        aims = [a for a in aims if a[4]] or aims
+    if not aims:
+        return sc
+    fire, ws, _, sent, _ = aims[sc.seed // 4 % len(aims)]
+    t = (sent + fire) / 2
+    if kind == 0:
+        return replace(sc, failures=sc.failures + [FailureSpec(
+            time=t, kind="worker", action="kill", worker=ws[sc.seed % len(ws)])])
+    if kind == 1:
+        return replace(sc, failures=sc.failures + [
+            FailureSpec(time=t, kind="link", action="jam", link_class="cluster", drop=1.0),
+            FailureSpec(time=fire + 0.001, kind="link", action="clear", link_class="cluster")])
+    if kind == 2:
+        _, _, _, sent, _ = max(aims, key=lambda a: a[3])
+        horizon = (sent + max(a[0] for a in aims if a[3] == sent)) / 2
+    else:
+        horizon = max(aims)[0]
+    return replace(sc, horizon=horizon) if horizon > 0 else sc
 
 
 def seeded_kills(sc):
