@@ -311,14 +311,16 @@ class _Kernel:
             self.bump("alg2_drops", n)
             self.dropped_until = max(self.dropped_until, fire)
 
-    def fan_out(self, segments, m: Message, senders: list[int]):
+    def fan_out(self, segments, m: Message, senders: list[int], settle: bool = True):
         """Enqueue a copy of m to each worker of segments, (link class,
         ascending ids) pairs in ascending id order, each in one region: one
         delivery entry per fire time, made when a copy first lands in it, so
         its workers are ascending, with the sender list senders.  A jammed
         class draws once per copy, in that order.  A segment none of whose
         copies can act joins no entry: it is accounted now (``settled``),
-        in one step per fire time (``account``)."""
+        in one step per fire time (``account``).  A leader's broadcast is
+        sent with settle False: its members relay on it, so none of its
+        copies could be accounted."""
         groups: dict[float, list[int]] = {}
         quiet: dict[float, list[int]] = {}  # fire -> settled copies, crossings, reports, relays
         home = self.topo.region_of_worker(senders[0])
@@ -327,7 +329,7 @@ class _Kernel:
                 ws = [w for w in ws if not self.jammed(cls, m, ("worker", w))]
             if ws:
                 fire = quantize(self.now + self.latency[cls])
-                acts = self.settled(ws, m, fire, home)
+                acts = self.settled(ws, m, fire, home) if settle else None
                 if acts is None:
                     groups.setdefault(fire, []).extend(ws)
                 elif fire in quiet:
@@ -349,18 +351,24 @@ class _Kernel:
         when no kill is due in r by then (``kill_due``); the cluster link is
         unjammed at fire when it is now and no cluster jam is due by fire.
         ``idle`` then decides from state that only grows, or that an
-        earlier queued report keeps.  A later sender's copy to the first
-        sender, traded for its own (``copies_of``), goes to a worker of the
-        same alike run: alive, untargeted and relayed."""
+        earlier queued report keeps.  A segment in a region none of whose
+        clusters has processed m is left to its fire time, when reports
+        queued to each of its clusters may make it idle (``deliver_pass``).
+        A later sender's copy to the first sender, traded for its own
+        (``copies_of``), goes to a worker of the same alike run: alive,
+        untargeted and relayed."""
         times, targets = self.jam_times, m.target_worker_ids
         if self.jam.get("cluster") or times and bisect_left(times, self.now) < bisect_right(
                 times, fire) or targets and not targets.isdisjoint(ws):
             return None
         r = self.topo.region_of_worker(ws[0])
-        if self.kill_times and r in self.kill_due(quantize(fire + self.latency["cluster"])):
+        if not self.done_in.get((m.msg_id, r)):
             return None
         acts = self.idle(ws, m, r)
-        return acts and [len(ws), len(ws) if r != home else 0, *acts]
+        if not acts or self.kill_times and r in self.kill_due(
+                quantize(fire + self.latency["cluster"])):
+            return None
+        return [len(ws), len(ws) if r != home else 0, *acts]
 
     def account(self, fire: float, n: int, copies: int, crossed: int, reports: int,
                 suppressed: int):
@@ -399,25 +407,26 @@ class _Kernel:
         (a count per region in ``done_in`` says so for all of r at once)
         or has such a report queued, and every worker of L in ws relayed."""
         wpc = self.topo.config.workers_per_cluster
-        mid, own, visited, now = m.msg_id, m.last_sent_cluster_id, m.visited_cluster_ids, self.now
+        mid, own, visited = m.msg_id, m.last_sent_cluster_id, m.visited_cluster_ids
         clusters = range(ws[0] // wpc, ws[-1] // wpc + 1)
+        suppressed = 0
+        if own in clusters:
+            i = bisect_left(ws, own * wpc)
+            suppressed = bisect_left(ws, (own + 1) * wpc, i) - i
+            if not self.relayed[mid].issuperset(ws[i:i + suppressed]):
+                return None
         if self.done_in.get((mid, r), 0) < self.topo.span[LAYER_REGIONAL_HUB]:
-            processed, due_at = self.processed, self.report_due
+            processed, due_at, now = self.processed, self.report_due, self.now
             for c in clusters:
                 if c != own and mid not in processed.get(c, ()) and (
                         due_at.get((c, mid), now) <= now):
                     return None
-        reports, suppressed = len(ws), 0
-        if own in clusters or not visited.isdisjoint(clusters):
+        reports = len(ws) - suppressed
+        if not visited.isdisjoint(clusters):
             for c in clusters:
-                if c == own or c in visited:
+                if c != own and c in visited:
                     i = bisect_left(ws, c * wpc)
-                    j = bisect_left(ws, (c + 1) * wpc, i)
-                    reports -= j - i
-                    if c == own:
-                        if not self.relayed[mid].issuperset(ws[i:j]):
-                            return None
-                        suppressed = j - i
+                    reports -= bisect_left(ws, (c + 1) * wpc, i) - i
         return reports, suppressed
 
     def count(self, received: int, crossed: int, reported: int, suppressed: int, n: int):
@@ -583,10 +592,11 @@ class _Kernel:
         """Deliver m to ws, ascending, from sender in one pass, and count it
         n times, each report sent n times: for the n - 1 later senders of an
         entry that nothing tells apart.  ws is taken a region at a time: a
-        part that is alive and untargeted, on an unjammed cluster link with
-        no kill due in its region before its reports land, and whose runs
-        cannot act (``idle``), is counted, and its reports dropped, at once.
-        The other parts are taken a cluster run at a time.
+        part of more than one run that is alive and untargeted, on an
+        unjammed cluster link with no kill due in its region before its
+        reports land, and whose runs cannot act (``idle``), is counted, and
+        its reports dropped, at once.  The other parts are taken a cluster
+        run at a time: for one run, that costs what the part's check would.
         ``worker_on_receive`` reads a worker only through its cluster and
         the targets, so on an unjammed cluster link one call decides for a
         run of alive untargeted workers, and such a run relays in one call
@@ -609,7 +619,8 @@ class _Kernel:
             r = ws[i] // wpr
             end = bisect_left(ws, (r + 1) * wpr, i)
             part = ws[i:end]
-            acts = alike and not (due and r in due) and (whole or dead.isdisjoint(part)) and (
+            acts = part[-1] // wpc != part[0] // wpc and alike and not (due and r in due) and (
+                whole or dead.isdisjoint(part)) and (
                 not targets or targets.isdisjoint(part)) and self.idle(part, m, r)
             if acts:
                 i = end
@@ -748,7 +759,8 @@ class _Kernel:
         self.bump("broadcasts_fired")
         self.emit("alg2", "broadcast", cluster=c, msg_id=mid, hop=mb.hop_count)
         members, dead = self.topo.workers_in_cluster(c), self.topo.dead
-        self.fan_out([("cluster", [w for w in members if w not in dead])], mb, (leader,))
+        self.fan_out([("cluster", [w for w in members if w not in dead])], mb, (leader,),
+                     settle=False)
 
     def deliver_nodes(self, nodes: list, m: Message, from_node: tuple | None):
         """Deliver a tree entry's copies in order, in one pass (see the

@@ -42,7 +42,7 @@ class ReferenceKernel(_Kernel):
         super().__init__(sc, sink)
         self.receives: list[tuple[int, int]] = []  # (worker, from_worker)
 
-    def fan_out(self, segments, m, senders):
+    def fan_out(self, segments, m, senders, settle=True):
         for cls, ws in segments:
             fire = quantize(self.now + self.latency[cls])
             for w in ws:

@@ -800,10 +800,12 @@ class Recording(_Kernel):
         self.passes.append((self.now, sender, n))
         super().deliver_pass(ws, m, sender, n)
 
-    def fan_out(self, segments, m, senders):
-        self.loop, self.senders = {}, senders  # fire -> the loop's workers due then
-        super().fan_out(segments, m, senders)
-        self.entries += [(fire, ws, senders, self.now) for fire, ws in self.loop.items()]
+    def fan_out(self, segments, m, senders, settle=True):
+        # fire -> the loop's workers due then, settled or not
+        self.loop, self.senders, pushed = {}, senders, len(self.pushed)
+        super().fan_out(segments, m, senders, settle)
+        loop = self.loop.items() if settle else [e[:2] for e in self.pushed[pushed:]]
+        self.entries += [(fire, ws, senders, self.now) for fire, ws in loop]
 
     def settled(self, ws, m, fire, home):
         self.loop.setdefault(fire, []).extend(ws)
@@ -1543,6 +1545,16 @@ class TestPerCopyReference:
         # eight adjacent copies due at 1.6
         assert report.conservation["deliveries_inflight"] == 12 + 4 + 4 * 8
         assert report.conserved
+
+    def test_copies_that_cannot_act_are_accounted_when_sent(self):
+        # the relays of clusters 1 and 2 at 0.4 reach only clusters that
+        # processed the command: every one of their copies, due at 0.5, is
+        # accounted when sent, none is queued and no pass runs at 0.5
+        kernel, _, _ = assert_same_as_reference(small_run(R2, [to_cluster(3)]))
+        assert {(fire, sent) for fire, _, _, sent, _ in kernel.accounted if sent > 0.1} == {
+            (0.5, 0.4)}
+        assert [e[:3] for e in kernel.pushed if e[3] == 0.4] == []
+        assert not any(now == 0.5 for now, *_ in kernel.passes)
 
 
 class TestClusterRuns:
