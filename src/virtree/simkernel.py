@@ -49,19 +49,21 @@ entry out moves no other event: it would only have moved ``now``, and
 ``run_end`` takes its fire time as it takes an unqueued report's.  The
 rule (``_Kernel.idle``) follows from ``worker_on_receive``'s three checks:
 no copy is targeted, none meets a dead worker or a cluster jam, and each
-one's report can only be a repeat drop or its relay was made already.
+one's report can only be a repeat drop or its relay was made already.  A
+per message and region count of the clusters that processed the message
+(``_Kernel.done_in``) answers the last for a whole region at once.
 
 An entry's copies are delivered one sender at a time, each sender's in one
 pass, a region at a time: ids are row-major, so each region's and each
-cluster's workers in it are one slice.  A region's part that ``idle`` finds
-cannot act is counted at once; the others are taken a cluster run at a
-time.  The pass counts every alive copy of a run as received, and as
-crossing when the run lies outside the sender's region, with one bump per
-counter a pass (``_Kernel.deliver_pass``).  Alive untargeted workers on an
-unjammed cluster link act alike, so one ``worker_on_receive`` call decides
-for the run: its
-suppressed relays are counted, and its reports are sent or its first relays
-made at once.  Every other run is acted on worker by worker, keeping jam
+cluster's workers in it are one slice.  A region's part of more than one
+cluster run that ``idle`` finds cannot act is counted at once; the others
+are taken a cluster run at a time.  The pass counts every alive copy of a
+run as received, and as crossing when the run lies outside the sender's
+region, with one bump per counter a pass (``_Kernel.deliver_pass``).  Alive
+untargeted workers on an unjammed cluster link act alike, so one
+``worker_on_receive`` call decides for the run: its suppressed relays are
+counted, and its reports are sent or its first relays made at once.  Every
+other run is acted on worker by worker, keeping jam
 draws, ``drop_dead`` records, targeted executions and relays in order, and
 its unjammed reports then go in one call: a run never both reports and
 relays (``ReportToLeader`` needs the copy's last sending cluster other than
