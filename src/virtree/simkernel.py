@@ -209,6 +209,8 @@ class _Kernel:
             if (f.kind, f.action, f.link_class) == ("link", "jam", "cluster")
         ) if sc.strategy == "adjacent" else []
         self.done_in: defaultdict[tuple[tuple, int], int] = defaultdict(int)
+        # workers a region: ids are row-major, so worker w lies in region w // region_size
+        self.region_size = self.topo.span[LAYER_REGIONAL_HUB] * sc.config.workers_per_cluster
         self.parked: list[dict] = []
         self.jam: dict[str, float] = {}
         # link class -> latency: the scenario's values over the defaults
@@ -325,7 +327,7 @@ class _Kernel:
         copies could be accounted."""
         groups: dict[float, list[int]] = {}
         quiet: dict[float, list[int]] = {}  # fire -> settled copies, crossings, reports, relays
-        home = self.topo.region_of_worker(senders[0])
+        home = senders[0] // self.region_size
         for cls, ws in segments:
             if self.jam.get(cls):
                 ws = [w for w in ws if not self.jammed(cls, m, ("worker", w))]
@@ -359,12 +361,12 @@ class _Kernel:
         A later sender's copy to the first sender, traded for its own
         (``copies_of``), goes to a worker of the same alike run: alive,
         untargeted and relayed."""
+        r = ws[0] // self.region_size
+        if not self.done_in.get((m.msg_id, r)):
+            return None
         times, targets = self.jam_times, m.target_worker_ids
         if self.jam.get("cluster") or times and bisect_left(times, self.now) < bisect_right(
                 times, fire) or targets and not targets.isdisjoint(ws):
-            return None
-        r = self.topo.region_of_worker(ws[0])
-        if not self.done_in.get((m.msg_id, r)):
             return None
         acts = self.idle(ws, m, r)
         if not acts or self.kill_times and r in self.kill_due(
@@ -608,11 +610,11 @@ class _Kernel:
         worker by worker (see the module docstring)."""
         topo = self.topo
         wpc, dead = topo.config.workers_per_cluster, topo.dead
-        wpr = topo.span[LAYER_REGIONAL_HUB] * wpc
+        wpr = self.region_size
         targets, alike = m.target_worker_ids, not self.jam.get("cluster")
         whole = dead.isdisjoint(ws)
         relayed = self.relayed[m.msg_id]
-        home = topo.region_of_worker(sender)
+        home = sender // wpr
         land = quantize(self.now + self.latency["cluster"])
         due = self.kill_due(land)
         received = crossed = reported = suppressed = dropped = 0
